@@ -40,9 +40,7 @@ use isum_common::telemetry;
 use isum_common::{Error, Result};
 use isum_core::{Compressor, Isum, IsumConfig};
 use isum_optimizer::{CostModel, IndexConfig, WhatIfOptimizer};
-use isum_server::{
-    install_signal_handlers, summary_to_json, Client, Server, ServerConfig, ShardMode,
-};
+use isum_server::{install_signal_handlers, summary_to_json, Client, Server, ServerConfig};
 use isum_workload::{load_script, split_script, Workload};
 
 fn main() -> ExitCode {
@@ -116,40 +114,54 @@ fn run(args: &[String]) -> Result<()> {
 }
 
 fn print_usage() {
-    eprintln!(
+    eprintln!("{}", usage());
+}
+
+fn usage() -> String {
+    // The serve tunables come from the server's own table, so this text
+    // cannot drift from what `isum serve` actually reads.
+    let serve_flags: Vec<String> = ServerConfig::tunables()
+        .filter_map(|(_, flag, _)| flag.map(|f| format!("[{f} <n>]")))
+        .collect();
+    let tunables: String = ServerConfig::tunables()
+        .map(|(env, flag, want)| format!("  {env:<24}{:<22}{want}\n", flag.unwrap_or("")))
+        .collect();
+    format!(
         "usage:\n  \
          isum compress --schema <json> --workload <sql> -k <n> [--variant isum|isum-s|all-pairs]\n  \
          isum tune     --schema <json> --workload <sql> -k <n> [-m <indexes>] [--advisor dta|dexter] [--budget-bytes <n>] [--report]\n  \
          isum explain  --schema <json> --workload <sql> --query <idx> [--tuned]\n  \
          isum dump     --workload gen:<kind>:<sf>:<n>:<seed> [--out <file>]\n  \
          isum serve    --schema <json|tpch:sf|tpcds:sf|dsb:sf> [--listen <addr>]\n                \
-         [--checkpoint <file>] [--queue-cap <n>] [--variant <v>] [--shards <n>]\n                \
-         [--wal-compact-every <records>] [--wal-compact-bytes <n>]\n  \
+         [--checkpoint <file>] [--queue-cap <n>] [--variant <v>]\n                \
+         {}\n  \
          isum client   <ingest|summary|explain|status|tune|healthz|telemetry|shutdown> --server <addr>\n                \
          [--workload <sql|gen:spec>] [-k <n>] [-m <n>] [--batch <n>] [--tenant <name>]\n  \
          isum load     --server <addr> [--seed <n>] [--connections <n>] [--tenants <n>]\n                \
          [--templates <1..22>] [--batch <n>] [--warmup <n>] [--measure <n>] [--soak <n>]\n                \
          [--shift-at <batch|off>] [--rate <batches/s per conn>] [-k <n>] [--out <file>]\n\
-         isum serve shards by X-Isum-Tenant header by default; --shards <n> (or ISUM_SHARDS=<n>)\n\
-         switches to n hash-routed shards for parallel single-tenant ingest (DESIGN.md \u{a7}13),\n\
+         isum serve reads these tunables (environment variable, flag, accepted values; a flag\n\
+         beats its variable, a malformed variable is ignored with a warning):\n\
+         {tunables}\
+         isum serve shards by X-Isum-Tenant header by default; ISUM_SHARDS switches to n\n\
+         hash-routed shards for parallel single-tenant ingest (DESIGN.md \u{a7}13); the\n\
+         ISUM_DRIFT_* variables configure workload-drift tracking (DESIGN.md \u{a7}12); with\n\
+         --checkpoint each acknowledged batch is fsynced to a per-shard write-ahead log before\n\
+         the ack, and the ISUM_WAL_COMPACT_* pair sets the snapshot+truncate cadence\n\
+         (DESIGN.md \u{a7}14),\n\
          isum client --tenant <name> pins every request to one tenant\n\
          (names: \u{2264}64 bytes, visible ASCII, no `/`),\n\
          isum load replays a seeded Zipf-skewed multi-tenant plan over concurrent keep-alive\n\
          connections (closed loop by default; --rate paces each connection open-loop,\n\
          --shift-at off disables the drift-provoking mix shift) and prints a JSON report,\n\
-         isum serve reads ISUM_DRIFT_WINDOW=<n> (0 disables) and ISUM_DRIFT_THRESHOLD=<0..1>\n\
-         to configure workload-drift tracking (see DESIGN.md \u{a7}12),\n\
-         with --checkpoint each acknowledged batch is fsynced to a per-shard write-ahead log\n\
-         before the ack; --wal-compact-every <records> / --wal-compact-bytes <n>\n\
-         (or ISUM_WAL_COMPACT_EVERY / ISUM_WAL_COMPACT_BYTES) set the snapshot+truncate\n\
-         cadence (see DESIGN.md \u{a7}14),\n\
          any command accepts --stats (or ISUM_TELEMETRY=1) to print a telemetry table,\n\
          --threads <n> (or ISUM_THREADS=<n>) to size the worker pool (1 = sequential),\n\
          --faults <spec> (or ISUM_FAULTS=<spec>) for deterministic fault injection\n\
          (e.g. whatif_transient:0.05,parse:0.01,seed:7 — see DESIGN.md \u{a7}9),\n\
          and ISUM_LOG=<filter> (e.g. info,server=debug) with --log-file <path>\n\
-         (or ISUM_LOG_FILE) for structured JSONL event logs"
-    );
+         (or ISUM_LOG_FILE) for structured JSONL event logs",
+        serve_flags.join(" ")
+    )
 }
 
 /// Parsed flag set shared by all commands.
@@ -176,9 +188,9 @@ struct Options {
     server: Option<String>,
     batch: usize,
     tenant: Option<String>,
-    shards: Option<usize>,
-    wal_compact_every: Option<u64>,
-    wal_compact_bytes: Option<u64>,
+    /// `isum serve` tunable flags as given; `ServerConfig::apply_env`
+    /// validates and applies them over the environment.
+    serve_flags: Vec<(String, String)>,
     seed: u64,
     connections: usize,
     tenants: Option<usize>,
@@ -216,9 +228,7 @@ impl Options {
             server: None,
             batch: 32,
             tenant: None,
-            shards: None,
-            wal_compact_every: None,
-            wal_compact_bytes: None,
+            serve_flags: Vec::new(),
             seed: 42,
             connections: 4,
             tenants: None,
@@ -292,36 +302,8 @@ impl Options {
                         .map_err(|why| Error::InvalidConfig(format!("--tenant name {why}")))?;
                     o.tenant = Some(t);
                 }
-                "--shards" => {
-                    let n: usize = value("--shards")?
-                        .parse()
-                        .map_err(|_| Error::InvalidConfig("--shards must be an integer".into()))?;
-                    if n == 0 {
-                        return Err(Error::InvalidConfig("--shards must be at least 1".into()));
-                    }
-                    o.shards = Some(n);
-                }
-                "--wal-compact-every" => {
-                    let n: u64 = value("--wal-compact-every")?.parse().map_err(|_| {
-                        Error::InvalidConfig("--wal-compact-every must be an integer".into())
-                    })?;
-                    if n == 0 {
-                        return Err(Error::InvalidConfig(
-                            "--wal-compact-every must be at least 1".into(),
-                        ));
-                    }
-                    o.wal_compact_every = Some(n);
-                }
-                "--wal-compact-bytes" => {
-                    let n: u64 = value("--wal-compact-bytes")?.parse().map_err(|_| {
-                        Error::InvalidConfig("--wal-compact-bytes must be an integer".into())
-                    })?;
-                    if n == 0 {
-                        return Err(Error::InvalidConfig(
-                            "--wal-compact-bytes must be at least 1".into(),
-                        ));
-                    }
-                    o.wal_compact_bytes = Some(n);
+                flag if ServerConfig::tunables().any(|(_, f, _)| f == Some(flag)) => {
+                    o.serve_flags.push((flag.to_string(), value(flag)?));
                 }
                 "--batch" => {
                     o.batch = value("--batch")?
@@ -647,7 +629,9 @@ fn dump(opts: &Options) -> Result<()> {
     Ok(())
 }
 
-fn serve(opts: &Options) -> Result<()> {
+/// The daemon configuration `isum serve` binds: defaults, then the
+/// environment (through `env`), then flags.
+fn serve_config(opts: &Options, env: impl Fn(&str) -> Option<String>) -> Result<ServerConfig> {
     let schema_spec = opts
         .schema
         .as_ref()
@@ -665,20 +649,11 @@ fn serve(opts: &Options) -> Result<()> {
     };
     config.checkpoint = opts.checkpoint.as_ref().map(std::path::PathBuf::from);
     config.queue_cap = opts.queue_cap;
-    config = config.apply_drift_env(); // ISUM_DRIFT_WINDOW / ISUM_DRIFT_THRESHOLD
-    config = config.apply_shards_env(); // ISUM_SHARDS
-    config = config.apply_wal_env(); // ISUM_WAL_COMPACT_EVERY / ISUM_WAL_COMPACT_BYTES
-    config = config.apply_trace_env(); // ISUM_SLOW_MS
-    if let Some(n) = opts.shards {
-        // The CLI flag wins over the environment.
-        config.shards = ShardMode::Hashed(n);
-    }
-    if let Some(n) = opts.wal_compact_every {
-        config.wal_compact_every = n;
-    }
-    if let Some(n) = opts.wal_compact_bytes {
-        config.wal_compact_bytes = n;
-    }
+    config.apply_env(env, &opts.serve_flags).map_err(Error::InvalidConfig)
+}
+
+fn serve(opts: &Options) -> Result<()> {
+    let config = serve_config(opts, |name| std::env::var(name).ok())?;
     install_signal_handlers();
     let server = Server::bind(&opts.listen, config)?;
     eprintln!("isum-serve listening on {}", server.addr());
@@ -834,8 +809,17 @@ fn load_cmd(opts: &Options) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isum_server::ShardMode;
 
+    /// Written once per process: tests run on parallel threads, and a
+    /// rewrite under a concurrent reader hands it a truncated file.
     fn write_fixtures() -> (std::path::PathBuf, std::path::PathBuf) {
+        static FIXTURES: std::sync::OnceLock<(std::path::PathBuf, std::path::PathBuf)> =
+            std::sync::OnceLock::new();
+        FIXTURES.get_or_init(write_fixtures_once).clone()
+    }
+
+    fn write_fixtures_once() -> (std::path::PathBuf, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("isum_cli_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let schema = dir.join("schema.json");
@@ -945,31 +929,51 @@ mod tests {
         assert!(Options::parse(&["--tenant".into(), "sp ace".into()]).is_err());
     }
 
+    /// `serve_config` with no ambient environment.
+    fn serve_config_for(extra: &[&str]) -> Result<ServerConfig> {
+        serve_config(&opts(extra), |_| None)
+    }
+
     #[test]
     fn shards_flag_parses_and_rejects_bad_values() {
-        let o = opts(&["--shards", "4"]);
-        assert_eq!(o.shards, Some(4));
-        let o = opts(&[]);
-        assert_eq!(o.shards, None);
+        let c = serve_config_for(&["--shards", "4"]).expect("valid");
+        assert_eq!(c.shards, ShardMode::Hashed(4));
+        let c = serve_config_for(&[]).expect("valid");
+        assert_eq!(c.shards, ShardMode::Tenant);
         assert!(Options::parse(&["--shards".into()]).is_err());
-        assert!(Options::parse(&["--shards".into(), "abc".into()]).is_err());
-        assert!(Options::parse(&["--shards".into(), "0".into()]).is_err());
+        assert!(serve_config_for(&["--shards", "abc"]).is_err());
+        assert!(serve_config_for(&["--shards", "0"]).is_err());
     }
 
     #[test]
     fn wal_flags_parse_and_reject_bad_values() {
-        let o = opts(&["--wal-compact-every", "5", "--wal-compact-bytes", "4096"]);
-        assert_eq!(o.wal_compact_every, Some(5));
-        assert_eq!(o.wal_compact_bytes, Some(4096));
-        let o = opts(&[]);
-        assert_eq!(o.wal_compact_every, None, "unset flags defer to env/defaults");
-        assert_eq!(o.wal_compact_bytes, None);
+        let c = serve_config_for(&["--wal-compact-every", "5", "--wal-compact-bytes", "4096"])
+            .expect("valid");
+        assert_eq!(c.wal_compact_every, 5);
+        assert_eq!(c.wal_compact_bytes, 4096);
+        assert!(opts(&[]).serve_flags.is_empty(), "unset flags defer to env/defaults");
+        let from_env = |name: &str| (name == "ISUM_WAL_COMPACT_EVERY").then(|| "9".to_string());
+        assert_eq!(serve_config(&opts(&[]), from_env).expect("valid").wal_compact_every, 9);
         assert!(Options::parse(&["--wal-compact-every".into()]).is_err());
-        assert!(Options::parse(&["--wal-compact-every".into(), "abc".into()]).is_err());
-        assert!(Options::parse(&["--wal-compact-every".into(), "0".into()]).is_err());
+        assert!(serve_config_for(&["--wal-compact-every", "abc"]).is_err());
+        assert!(serve_config_for(&["--wal-compact-every", "0"]).is_err());
         assert!(Options::parse(&["--wal-compact-bytes".into()]).is_err());
-        assert!(Options::parse(&["--wal-compact-bytes".into(), "-1".into()]).is_err());
-        assert!(Options::parse(&["--wal-compact-bytes".into(), "0".into()]).is_err());
+        assert!(serve_config_for(&["--wal-compact-bytes", "-1"]).is_err());
+        assert!(serve_config_for(&["--wal-compact-bytes", "0"]).is_err());
+    }
+
+    #[test]
+    fn help_and_readme_list_every_serve_tunable() {
+        // `usage()` is generated from the table; the README is prose, so
+        // it is checked: a knob added to the table without documentation
+        // fails here.
+        let (help, readme) = (usage(), include_str!("../../../README.md"));
+        for (env, flag, _) in ServerConfig::tunables() {
+            for name in std::iter::once(env).chain(flag) {
+                assert!(help.contains(name), "`isum --help` does not mention {name}");
+                assert!(readme.contains(name), "README.md does not mention {name}");
+            }
+        }
     }
 
     #[test]

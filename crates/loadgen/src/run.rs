@@ -131,7 +131,7 @@ impl LoadReport {
         }
     }
 
-    /// The report as a JSON object (the `bench_load` payload core).
+    /// The report as a JSON object (what `isum load` prints).
     pub fn to_json(&self) -> Json {
         let hist = |h: &LatencyHist| {
             Json::Obj(vec![

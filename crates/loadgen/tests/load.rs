@@ -157,7 +157,9 @@ fn soak_sustained_load_alerts_exactly_once() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     // The CI resummarize step sets ISUM_DRIFT_ACTION; window and
     // threshold are pinned here to match the seeded plan.
-    let mut cfg = ServerConfig::new(tpch_catalog(1)).apply_drift_env();
+    let mut cfg = ServerConfig::new(tpch_catalog(1))
+        .apply_env(|name| std::env::var(name).ok(), &[])
+        .expect("no flags to refuse");
     cfg.drift_window = 128;
     cfg.drift_threshold = 0.35;
     cfg.checkpoint = Some(dir.join("ckpt.json"));

@@ -43,6 +43,16 @@ pub enum DriftAction {
     Resummarize,
 }
 
+impl DriftAction {
+    /// The name `ISUM_DRIFT_ACTION` accepts and `/status` reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DriftAction::Warn => "warn",
+            DriftAction::Resummarize => "resummarize",
+        }
+    }
+}
+
 /// Sliding-window drift detector; one per sequencer thread.
 #[derive(Debug)]
 pub struct DriftTracker {

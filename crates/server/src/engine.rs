@@ -65,34 +65,6 @@ pub struct IngestOutcome {
     pub total: usize,
 }
 
-impl IngestOutcome {
-    /// Renders the outcome as the `/ingest` response body.
-    pub fn to_json(&self, seq: Option<u64>, observed: usize) -> Json {
-        let mut fields = vec![("status".into(), Json::from("ok"))];
-        if let Some(s) = seq {
-            fields.push(("seq".into(), Json::from(s)));
-        }
-        fields.push(("applied".into(), Json::from(self.accepted)));
-        fields.push(("total".into(), Json::from(self.total)));
-        fields.push((
-            "rejected".into(),
-            Json::Arr(
-                self.rejected
-                    .iter()
-                    .map(|(i, reason)| {
-                        Json::Obj(vec![
-                            ("statement".into(), Json::from(*i)),
-                            ("error".into(), Json::from(reason.as_str())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push(("observed".into(), Json::from(observed)));
-        Json::Obj(fields)
-    }
-}
-
 /// The observed workload plus its incremental compression state.
 pub struct Engine {
     workload: Workload,

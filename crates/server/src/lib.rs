@@ -77,6 +77,7 @@
 //!   batches converge via duplicate detection (DESIGN.md §14).
 
 mod client;
+mod config;
 mod drift;
 mod engine;
 mod http;
@@ -85,8 +86,9 @@ mod shards;
 mod wal;
 
 pub use client::{ApiResponse, Client};
+pub use config::ServerConfig;
 pub use drift::DriftAction;
 pub use engine::{summary_to_json, Engine, IngestOutcome};
 pub use http::{read_response, RawResponse, Request, Response};
-pub use server::{install_signal_handlers, signal_pending, Server, ServerConfig};
+pub use server::{install_signal_handlers, signal_pending, Server};
 pub use shards::{validate_tenant, ShardMode, DEFAULT_TENANT};

@@ -1,10 +1,10 @@
-//! The daemon: TCP accept loop, the shard router, and graceful shutdown.
+//! The daemon: TCP accept loop, the HTTP routes, and graceful shutdown.
 //!
 //! # Architecture
 //!
 //! ```text
 //!           accept loop (nonblocking, polls shutdown flag)
-//!                │ one exec-pool task per connection
+//!                │ one dedicated thread per connection
 //!                ▼
 //!   connection handler ──reads──► GET  /summary │ /telemetry │ /metrics
 //!                │                     /events  │ /healthz   │ /status
@@ -12,29 +12,20 @@
 //!                │               no tenant + many shards ⇒ merged view)
 //!                │ POST /ingest (tenant from X-Isum-Tenant)
 //!                ▼
-//!   shard router (crate::shards): per-tenant shards, each with its own
-//!   bounded queue ── full ⇒ 429 + Retry-After ── sequencer thread,
-//!   drift tracker, and durability files (WAL + snapshot); hashed mode
-//!   adds a router
-//!   thread that splits batches by template-fingerprint hash
+//!   shard router (crate::shards): one request pipeline — bounded queue
+//!   ── full ⇒ 429 + Retry-After ── strict-seq admission, durable-apply
+//!   (WAL append + fsync, engine apply, drift, compaction), ack. A
+//!   tenant's shard runs all of it on one thread; hashed mode puts the
+//!   admission on a front stream that splits batches by
+//!   template-fingerprint hash over the shards
 //! ```
 //!
 //! # Determinism under concurrency
 //!
-//! Clients that partition a workload into batches and stamp each with a
-//! contiguous `seq` number (starting at the server's high-water mark, 0
-//! for a fresh server) may deliver them from any number of connections in
-//! any order: the tenant's sequencer applies batches strictly in `seq`
-//! order, so the observed workload — and therefore every `/summary` — is
-//! bit-identical to a serial ingest. A batch ahead of the stream is
-//! answered `503` + `Retry-After` immediately (parking it server-side
-//! would pin its connection's executor and deadlock small pools); the
-//! client retries until its predecessor lands. A batch below the
-//! high-water mark is acknowledged as a `duplicate` without touching
-//! state, which is what makes retry-after-crash (and
-//! retry-after-injected-fault) converge instead of double-observing.
-//! Each tenant's `seq` stream is independent; in hashed mode one global
-//! stream feeds every shard (see `crate::shards`).
+//! Clients that stamp batches with a contiguous `seq` may deliver them
+//! from any number of connections in any order and still get the
+//! `/summary` of a serial ingest, bit for bit: admission is strict per
+//! stream, and lives with the rest of the pipeline in `crate::shards`.
 //!
 //! # Shutdown
 //!
@@ -49,21 +40,18 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use isum_advisor::TuningConstraints;
-use isum_catalog::Catalog;
 use isum_common::trace::{self, parse_level, Level};
 use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock};
-use isum_core::IsumConfig;
 
-use crate::drift::DriftAction;
+use crate::config::ServerConfig;
 use crate::http::{retry_after_value, Request, Response};
 use crate::shards::{
-    lock, mono_ms, unix_ms, validate_tenant, Shard, ShardCtx, ShardMode, ShardRouter,
+    lock, mono_ms, unix_ms, validate_tenant, Shard, ShardCells, ShardMode, ShardRouter,
     DEFAULT_TENANT, UNSEQ_KEY_BASE,
 };
 
@@ -71,200 +59,11 @@ use crate::shards::{
 /// so the ring holds the most recent captures at a fixed memory bound.
 const SLOW_RING_CAP: usize = 256;
 
-/// Configuration for a [`Server`].
-pub struct ServerConfig {
-    /// Catalog the ingested statements bind against.
-    pub catalog: Catalog,
-    /// Compression configuration for the incremental observers.
-    pub isum: IsumConfig,
-    /// Checkpoint stem: the default tenant checkpoints to exactly this
-    /// path; other shards derive sibling files from it (see
-    /// `crate::shards` for the layout).
-    pub checkpoint: Option<PathBuf>,
-    /// Per-queue ingest capacity; a full queue answers 429 with
-    /// `Retry-After`.
-    pub queue_cap: usize,
-    /// How long an ingest connection waits for its batch to be applied
-    /// before giving up with a 503 (the batch itself is not lost).
-    pub ingest_timeout: Duration,
-    /// Test knob: sleep this long while applying each batch, to make
-    /// backpressure and drain windows deterministic in tests.
-    pub apply_delay: Duration,
-    /// Drift window capacity in observations; `0` disables drift
-    /// tracking entirely (no window, no score, no alerts).
-    pub drift_window: usize,
-    /// Drift score above which a shard's sequencer emits its
-    /// (edge-triggered) `warn!` alert.
-    pub drift_threshold: f64,
-    /// What a threshold crossing does beyond the alert: warn only (the
-    /// default — strictly observation-only, pre-existing behavior) or
-    /// adaptively re-summarize the shard over the recent window
-    /// (`ISUM_DRIFT_ACTION=resummarize`).
-    pub drift_action: DriftAction,
-    /// Shard layout: per-tenant shards (default) or `n` hash-routed
-    /// shards (`ISUM_SHARDS` / `--shards`).
-    pub shards: ShardMode,
-    /// Cap on concurrently live tenant shards; the cap answers 429.
-    pub max_tenants: usize,
-    /// Compact (snapshot + truncate) a shard's WAL after this many
-    /// appended records (`ISUM_WAL_COMPACT_EVERY` / `--wal-compact-every`).
-    pub wal_compact_every: u64,
-    /// Compact a shard's WAL once it exceeds this many bytes, whichever
-    /// of the two triggers first (`ISUM_WAL_COMPACT_BYTES` /
-    /// `--wal-compact-bytes`).
-    pub wal_compact_bytes: u64,
-    /// Slow-request capture threshold in milliseconds (`ISUM_SLOW_MS`):
-    /// a request whose total stage time reaches it has its full timeline
-    /// retained for `GET /trace/recent`. `None` (the default) disables
-    /// capture; `0` captures everything.
-    pub slow_ms: Option<u64>,
-}
-
-impl ServerConfig {
-    /// Defaults: queue of 64 batches, 30 s ingest wait, no checkpoint,
-    /// drift window of 256 observations with an alert threshold of 0.5,
-    /// tenant-mode sharding capped at 64 tenants, WAL compaction every
-    /// 64 records or 1 MiB.
-    pub fn new(catalog: Catalog) -> ServerConfig {
-        ServerConfig {
-            catalog,
-            isum: IsumConfig::isum(),
-            checkpoint: None,
-            queue_cap: 64,
-            ingest_timeout: Duration::from_secs(30),
-            apply_delay: Duration::ZERO,
-            drift_window: 256,
-            drift_threshold: 0.5,
-            drift_action: DriftAction::Warn,
-            shards: ShardMode::Tenant,
-            max_tenants: 64,
-            wal_compact_every: 64,
-            wal_compact_bytes: 1 << 20,
-            slow_ms: None,
-        }
-    }
-
-    /// Applies the drift environment knobs: `ISUM_DRIFT_WINDOW`
-    /// (observations, `0` disables), `ISUM_DRIFT_THRESHOLD` (score in
-    /// `[0, 1]`), and `ISUM_DRIFT_ACTION` (`warn` | `resummarize`).
-    /// Malformed values are reported as `warn!` events and ignored,
-    /// never fatal. Called by the daemon entry points (`isum serve`,
-    /// `bench_serve`) rather than [`ServerConfig::new`] so tests stay
-    /// independent of the ambient environment.
-    pub fn apply_drift_env(mut self) -> ServerConfig {
-        if let Ok(v) = std::env::var("ISUM_DRIFT_WINDOW") {
-            match v.parse::<usize>() {
-                Ok(w) => self.drift_window = w,
-                Err(_) => isum_common::warn!(
-                    "server.drift",
-                    format!("ignoring malformed ISUM_DRIFT_WINDOW `{v}` (want an integer)")
-                ),
-            }
-        }
-        if let Ok(v) = std::env::var("ISUM_DRIFT_THRESHOLD") {
-            match v.parse::<f64>() {
-                Ok(t) if (0.0..=1.0).contains(&t) => self.drift_threshold = t,
-                _ => isum_common::warn!(
-                    "server.drift",
-                    format!("ignoring malformed ISUM_DRIFT_THRESHOLD `{v}` (want 0..=1)")
-                ),
-            }
-        }
-        if let Ok(v) = std::env::var("ISUM_DRIFT_ACTION") {
-            match v.as_str() {
-                "warn" => self.drift_action = DriftAction::Warn,
-                "resummarize" => self.drift_action = DriftAction::Resummarize,
-                _ => isum_common::warn!(
-                    "server.drift",
-                    format!("ignoring malformed ISUM_DRIFT_ACTION `{v}` (want warn | resummarize)")
-                ),
-            }
-        }
-        self
-    }
-
-    /// Applies the sharding environment knob: `ISUM_SHARDS=n` (n ≥ 1)
-    /// switches the daemon to hashed mode with `n` shards. Malformed
-    /// values are reported as `warn!` events and ignored, never fatal.
-    /// Like [`ServerConfig::apply_drift_env`], called only by the daemon
-    /// entry points.
-    pub fn apply_shards_env(mut self) -> ServerConfig {
-        if let Ok(v) = std::env::var("ISUM_SHARDS") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => self.shards = ShardMode::Hashed(n),
-                _ => isum_common::warn!(
-                    "server.shards",
-                    format!("ignoring malformed ISUM_SHARDS `{v}` (want an integer >= 1)")
-                ),
-            }
-        }
-        self
-    }
-
-    /// Applies the WAL compaction environment knobs:
-    /// `ISUM_WAL_COMPACT_EVERY` (records, ≥ 1) and
-    /// `ISUM_WAL_COMPACT_BYTES` (bytes, ≥ 1). Malformed or zero values
-    /// are reported as `warn!` events and ignored, never fatal. Like
-    /// [`ServerConfig::apply_drift_env`], called only by the daemon
-    /// entry points so tests stay independent of the ambient environment.
-    pub fn apply_wal_env(mut self) -> ServerConfig {
-        if let Ok(v) = std::env::var("ISUM_WAL_COMPACT_EVERY") {
-            match v.parse::<u64>() {
-                Ok(n) if n >= 1 => self.wal_compact_every = n,
-                _ => isum_common::warn!(
-                    "server.wal",
-                    format!(
-                        "ignoring malformed ISUM_WAL_COMPACT_EVERY `{v}` (want an integer >= 1)"
-                    )
-                ),
-            }
-        }
-        if let Ok(v) = std::env::var("ISUM_WAL_COMPACT_BYTES") {
-            match v.parse::<u64>() {
-                Ok(n) if n >= 1 => self.wal_compact_bytes = n,
-                _ => isum_common::warn!(
-                    "server.wal",
-                    format!(
-                        "ignoring malformed ISUM_WAL_COMPACT_BYTES `{v}` (want an integer >= 1)"
-                    )
-                ),
-            }
-        }
-        self
-    }
-
-    /// Applies the tracing environment knob: `ISUM_SLOW_MS=<ms>` enables
-    /// slow-request capture at that threshold (`0` captures every
-    /// request). Malformed values are reported as `warn!` events and
-    /// ignored, never fatal. Like [`ServerConfig::apply_drift_env`],
-    /// called only by the daemon entry points so tests stay independent
-    /// of the ambient environment.
-    pub fn apply_trace_env(mut self) -> ServerConfig {
-        if let Ok(v) = std::env::var("ISUM_SLOW_MS") {
-            match v.parse::<u64>() {
-                Ok(ms) => self.slow_ms = Some(ms),
-                Err(_) => isum_common::warn!(
-                    "server.conn",
-                    format!("ignoring malformed ISUM_SLOW_MS `{v}` (want milliseconds)")
-                ),
-            }
-        }
-        self
-    }
-}
-
 /// State shared between the accept loop and connection handlers.
 struct Shared {
     router: ShardRouter,
+    config: Arc<ServerConfig>,
     shutdown: AtomicBool,
-    queue_cap: usize,
-    checkpoint_configured: bool,
-    drift_window: usize,
-    drift_threshold: f64,
-    drift_action: DriftAction,
-    isum: IsumConfig,
-    /// Slow-request capture threshold (ms); `None` disables capture.
-    slow_ms: Option<u64>,
     /// The captured slow-request timelines, newest last, bounded at
     /// [`SLOW_RING_CAP`]. Served verbatim by `GET /trace/recent`.
     slow_ring: Mutex<VecDeque<Json>>,
@@ -283,8 +82,10 @@ pub struct Server {
 impl Server {
     /// Binds `listen` (e.g. `127.0.0.1:7071`, port 0 for ephemeral),
     /// restores every discoverable checkpoint, and starts serving on a
-    /// background thread.
+    /// background thread. A `config` with an out-of-range field is
+    /// refused (`InvalidInput`) before anything is bound.
     pub fn bind(listen: &str, config: ServerConfig) -> io::Result<Server> {
+        config.validate().map_err(|why| io::Error::new(io::ErrorKind::InvalidInput, why))?;
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -293,32 +94,11 @@ impl Server {
         trace::enable_ring(Level::Debug);
         isum_common::info!("server", format!("listening on {addr}"));
 
-        let ctx = ShardCtx {
-            catalog: config.catalog,
-            isum: config.isum,
-            checkpoint: config.checkpoint.clone(),
-            queue_cap: config.queue_cap.max(1),
-            ingest_timeout: config.ingest_timeout,
-            apply_delay: config.apply_delay,
-            drift_window: config.drift_window,
-            drift_threshold: config.drift_threshold,
-            drift_action: config.drift_action,
-            mode: config.shards,
-            max_tenants: config.max_tenants.max(1),
-            wal_compact_every: config.wal_compact_every.max(1),
-            wal_compact_bytes: config.wal_compact_bytes.max(1),
-        };
-        let router = ShardRouter::start(ctx)?;
+        let config = Arc::new(config);
         let shared = Arc::new(Shared {
-            router,
+            router: ShardRouter::start(Arc::clone(&config))?,
+            config,
             shutdown: AtomicBool::new(false),
-            queue_cap: config.queue_cap.max(1),
-            checkpoint_configured: config.checkpoint.is_some(),
-            drift_window: config.drift_window,
-            drift_threshold: config.drift_threshold,
-            drift_action: config.drift_action,
-            isum: config.isum,
-            slow_ms: config.slow_ms,
             slow_ring: Mutex::new(VecDeque::new()),
             started: Instant::now(),
         });
@@ -359,48 +139,41 @@ impl Drop for Server {
 
 /// The serve thread: accept loop, then drain and final checkpoints.
 fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
-    // Request handling fans out on the exec pool. A 1-thread pool is the
-    // sequential reference execution — `scope::spawn` runs tasks inline,
-    // which would block the accept loop on a handler that is itself
-    // waiting on a sequencer — so in that configuration each connection
-    // gets a short-lived dedicated thread instead. Handler panics are
-    // caught inside `handle_connection` either way (panic quarantine).
-    let pool = isum_exec::global();
-    let mut conn_threads = Vec::new();
-    pool.scope(|s| {
-        while !shared.shutdown.load(Ordering::SeqCst) && !signal_pending() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    count!("server.connections");
-                    // Responses are written headers-then-body on a socket
-                    // that stays open (keep-alive): without TCP_NODELAY,
-                    // Nagle holds the tail segment for the peer's delayed
-                    // ACK — a flat ~40 ms stall on every persistent-
-                    // connection request.
-                    let _ = stream.set_nodelay(true);
-                    let shared = Arc::clone(&shared);
-                    if pool.threads() > 1 {
-                        s.spawn_labeled("server.conn", move || handle_connection(stream, &shared));
-                    } else {
-                        conn_threads.retain(|t: &std::thread::JoinHandle<()>| !t.is_finished());
-                        if let Ok(t) = std::thread::Builder::new()
-                            .name("isum-serve-conn".into())
-                            .spawn(move || handle_connection(stream, &shared))
-                        {
-                            conn_threads.push(t);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => {
-                    count!("server.accept_errors");
-                    std::thread::sleep(Duration::from_millis(5));
+    // Each connection gets a dedicated thread: a keep-alive socket holds
+    // its handler for as long as the client likes (and an ingest handler
+    // blocks on its sequencer), so sharing a fixed-size pool would let n
+    // idle connections starve connection n + 1 — and the accept loop,
+    // which must keep polling the shutdown flag. Handler panics are
+    // caught inside `handle_connection` (panic quarantine).
+    let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !shared.shutdown.load(Ordering::SeqCst) && !signal_pending() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                count!("server.connections");
+                // Responses are written headers-then-body on a socket
+                // that stays open (keep-alive): without TCP_NODELAY,
+                // Nagle holds the tail segment for the peer's delayed
+                // ACK — a flat ~40 ms stall on every persistent-
+                // connection request.
+                let _ = stream.set_nodelay(true);
+                let shared = Arc::clone(&shared);
+                conn_threads.retain(|t| !t.is_finished());
+                if let Ok(t) = std::thread::Builder::new()
+                    .name("isum-serve-conn".into())
+                    .spawn(move || handle_connection(stream, &shared))
+                {
+                    conn_threads.push(t);
                 }
             }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(_) => {
+                count!("server.accept_errors");
+                std::thread::sleep(Duration::from_millis(5));
+            }
         }
-    });
+    }
     for t in conn_threads {
         let _ = t.join();
     }
@@ -419,10 +192,6 @@ fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
             let _ = std::io::Write::write_all(&mut w, snap.render_table().as_bytes());
         }
     }
-}
-
-fn lock_engine(shard: &Shard) -> std::sync::MutexGuard<'_, crate::engine::Engine> {
-    shard.engine.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The request-ID the connection runs under: a client-supplied
@@ -448,9 +217,9 @@ fn request_id_for(req: &Request) -> String {
 /// sends `Connection: close`, the idle read times out, or shutdown
 /// begins (the final response advertises `Connection: close` so drain
 /// cannot be held open by an aggressive keep-alive client). Panics
-/// inside routing are caught here (before the exec scope can see them)
-/// and answered with a 500, so one poisoned request can neither kill a
-/// worker nor crash shutdown. Every response — including parse failures,
+/// inside routing are caught here and answered with a 500, so one
+/// poisoned request can neither kill its connection thread silently nor
+/// crash shutdown. Every response — including parse failures,
 /// backpressure, and panic quarantines — carries an
 /// `X-Isum-Request-Id`, and every non-2xx path emits an event under
 /// that ID so `/events` can attribute it.
@@ -528,7 +297,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 .unwrap_or(DEFAULT_TENANT);
             shared.router.observe_stages(tenant, &clock);
         }
-        if let Some(threshold) = shared.slow_ms {
+        if let Some(threshold) = shared.config.slow_ms {
             if total_ms >= threshold as f64 {
                 capture_slow_request(shared, &req, &rid, resp.status, &clock);
             }
@@ -583,17 +352,11 @@ fn capture_slow_request(
 /// present, else the `X-Isum-Tenant` header, validated either way.
 /// `None` means the request named no tenant at all.
 fn tenant_spec(req: &Request) -> Result<Option<String>, Response> {
-    let spec = req
-        .param("tenant")
-        .map(str::to_string)
-        .or_else(|| req.header("x-isum-tenant").map(str::to_string));
-    match spec {
-        None => Ok(None),
-        Some(t) => match validate_tenant(&t) {
-            Ok(()) => Ok(Some(t)),
-            Err(why) => Err(param_error("tenant", &why)),
-        },
-    }
+    let Some(tenant) = req.param("tenant").or_else(|| req.header("x-isum-tenant")) else {
+        return Ok(None);
+    };
+    validate_tenant(tenant).map_err(|why| param_error("tenant", &why))?;
+    Ok(Some(tenant.to_string()))
 }
 
 /// Resolves the shard a read endpoint should answer from. `Ok(None)`
@@ -601,26 +364,42 @@ fn tenant_spec(req: &Request) -> Result<Option<String>, Response> {
 /// the merged view (or requires a tenant, endpoint depending). In hashed
 /// mode, `tenant` may name a shard (`h0`…) to inspect it directly;
 /// `default` reads the global view.
-fn resolve_read_shard(
-    shared: &Shared,
-    spec: Option<String>,
-) -> Result<Option<Arc<Shard>>, Response> {
-    match spec {
-        None => Ok(shared.router.single()),
-        Some(t) => match shared.router.mode() {
-            ShardMode::Hashed(_) if t == DEFAULT_TENANT => Ok(shared.router.single()),
-            ShardMode::Hashed(n) => shared.router.shard_named(&t).map(Some).ok_or_else(|| {
+fn read_shard(shared: &Shared, req: &Request) -> Result<Option<Arc<Shard>>, Response> {
+    let router = &shared.router;
+    match tenant_spec(req)? {
+        None => Ok(router.single()),
+        Some(t) => match shared.config.shards {
+            ShardMode::Hashed(_) if t == DEFAULT_TENANT => Ok(router.single()),
+            ShardMode::Hashed(n) => router.shard_named(&t).map(Some).ok_or_else(|| {
+                let last = n - 1;
                 param_error(
                     "tenant",
-                    &format!("does not name a shard in hashed mode (use h0..h{})", n.max(1) - 1),
+                    &format!("does not name a shard in hashed mode (use h0..h{last})"),
                 )
             }),
-            ShardMode::Tenant => shared
-                .router
+            ShardMode::Tenant => router
                 .shard_named(&t)
                 .map(Some)
                 .ok_or_else(|| Response::error(404, &format!("unknown tenant `{t}`"))),
         },
+    }
+}
+
+/// [`read_shard`] for endpoints that cannot merge across shards.
+fn one_shard(shared: &Shared, req: &Request, what: &str) -> Result<Arc<Shard>, Response> {
+    read_shard(shared, req)?.ok_or_else(|| {
+        param_error(
+            "tenant",
+            &format!("is required when multiple shards exist ({what} is per-shard)"),
+        )
+    })
+}
+
+/// A computed JSON document, or the taxonomy's error response.
+fn json_response(body: isum_common::Result<Json>) -> Response {
+    match body {
+        Ok(body) => Response::json(200, &body),
+        Err(e) => error_response(e.into()),
     }
 }
 
@@ -629,24 +408,27 @@ fn resolve_read_shard(
 /// sequencer stamps its stages), read endpoints leave everything after
 /// parse to the `respond` stage.
 fn route(req: &Request, shared: &Shared, clock: &Arc<StageClock>) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            let mode = match shared.router.mode() {
-                ShardMode::Tenant => "tenant",
-                ShardMode::Hashed(_) => "hashed",
-            };
-            Response::json(
-                200,
-                &Json::Obj(vec![
-                    ("status".into(), Json::from("ok")),
-                    ("observed".into(), Json::from(shared.router.observed_total())),
-                    ("templates".into(), Json::from(shared.router.templates_total())),
-                    ("shards".into(), Json::from(shared.router.shard_count())),
-                    ("mode".into(), Json::from(mode)),
-                    ("draining".into(), Json::from(shared.shutdown.load(Ordering::SeqCst))),
-                ]),
-            )
-        }
+    try_route(req, shared, clock).unwrap_or_else(|refusal| refusal)
+}
+
+/// [`route`], with `Err` as the early exit for a refused request.
+fn try_route(
+    req: &Request,
+    shared: &Shared,
+    clock: &Arc<StageClock>,
+) -> Result<Response, Response> {
+    Ok(match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => Response::json(
+            200,
+            &Json::Obj(vec![
+                ("status".into(), Json::from("ok")),
+                ("observed".into(), Json::from(shared.router.observed_total())),
+                ("templates".into(), Json::from(shared.router.templates_total())),
+                ("shards".into(), Json::from(shared.router.shard_count())),
+                ("mode".into(), Json::from(shared.config.shards.as_str())),
+                ("draining".into(), Json::from(shared.shutdown.load(Ordering::SeqCst))),
+            ]),
+        ),
         ("GET", "/telemetry") => {
             count!("server.requests.telemetry");
             if telemetry::enabled() {
@@ -684,38 +466,32 @@ fn route(req: &Request, shared: &Shared, clock: &Arc<StageClock>) -> Response {
         }
         ("GET", "/events") => {
             count!("server.requests.events");
-            let n = match parse_usize_param(req, "n") {
-                Ok(Some(0)) => return param_error("n", "must be a positive integer"),
-                Ok(v) => v.unwrap_or(100),
-                Err(resp) => return resp,
-            };
+            let n = positive_param(req, "n")?.unwrap_or(100);
             // `level=` accepts exactly the ISUM_LOG level vocabulary and
             // keeps events at that severity or worse; `target=` matches
             // the same dot-boundary prefix semantics the env filter uses.
-            let max_level = match req.param("level") {
+            let max_level = match req.param("level").map(parse_level) {
                 None => None,
-                Some(v) => match parse_level(v) {
-                    Some(Some(l)) => Some(l),
-                    Some(None) => {
-                        // Explicit `off`: a well-formed request for nothing.
-                        return Response::raw(200, "application/x-ndjson", Vec::new());
-                    }
-                    None => {
-                        return param_error("level", "must be one of off, error, warn, info, debug")
-                    }
-                },
+                Some(Some(Some(l))) => Some(l),
+                // Explicit `off`: a well-formed request for nothing.
+                Some(Some(None)) => return Ok(Response::raw(200, "application/x-ndjson", vec![])),
+                Some(None) => {
+                    return Err(param_error(
+                        "level",
+                        "must be one of off, error, warn, info, debug",
+                    ))
+                }
             };
             let target = match req.param("target") {
-                None => None,
-                Some("") => return param_error("target", "must be non-empty"),
-                Some(t) => Some(t.to_string()),
+                Some("") => return Err(param_error("target", "must be non-empty")),
+                target => target,
             };
-            let matches_target = |event_target: &str| match &target {
+            let matches_target = |event_target: &str| match target {
                 None => true,
                 Some(prefix) => {
                     event_target == prefix
                         || (event_target.len() > prefix.len()
-                            && event_target.starts_with(prefix.as_str())
+                            && event_target.starts_with(prefix)
                             && event_target.as_bytes()[prefix.len()] == b'.')
                 }
             };
@@ -727,130 +503,56 @@ fn route(req: &Request, shared: &Shared, clock: &Arc<StageClock>) -> Response {
                 .filter(|e| max_level.is_none_or(|max| e.level <= max))
                 .filter(|e| matches_target(&e.target))
                 .collect();
-            let mut body = String::new();
-            for event in filtered.iter().rev().take(n).rev() {
-                body.push_str(&event.to_jsonl());
-                body.push('\n');
-            }
-            Response::raw(200, "application/x-ndjson", body.into_bytes())
+            ndjson(filtered.iter().rev().take(n).rev().map(|event| event.to_jsonl()))
         }
         ("GET", "/trace/recent") => {
             count!("server.requests.trace");
-            let n = match parse_usize_param(req, "n") {
-                Ok(Some(0)) => return param_error("n", "must be a positive integer"),
-                Ok(v) => v.unwrap_or(100),
-                Err(resp) => return resp,
-            };
-            if shared.slow_ms.is_none() {
-                return Response::error(
+            let n = positive_param(req, "n")?.unwrap_or(100);
+            if shared.config.slow_ms.is_none() {
+                return Err(Response::error(
                     404,
                     "slow-request capture is disabled; start the server with ISUM_SLOW_MS=<ms>",
-                );
+                ));
             }
             let ring = lock(&shared.slow_ring);
-            let mut body = String::new();
-            for entry in ring.iter().rev().take(n).rev() {
-                body.push_str(&entry.to_compact());
-                body.push('\n');
-            }
-            Response::raw(200, "application/x-ndjson", body.into_bytes())
+            ndjson(ring.iter().rev().take(n).rev().map(Json::to_compact))
         }
         ("GET", "/status") => {
             count!("server.requests.status");
-            let k = match parse_usize_param(req, "k") {
-                Ok(Some(0)) => return param_error("k", "must be a positive integer"),
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            status_response(shared, k)
+            status_response(shared, positive_param(req, "k")?)
         }
         ("GET", "/summary/explain") => {
             count!("server.requests.explain");
-            let Some(k) = req.param("k") else {
-                return param_error("k", "is required");
-            };
-            let Ok(k) = k.parse::<usize>() else {
-                return param_error("k", "must be a non-negative integer");
-            };
-            let spec = match tenant_spec(req) {
-                Ok(spec) => spec,
-                Err(resp) => return resp,
-            };
-            match resolve_read_shard(shared, spec) {
-                Err(resp) => resp,
-                Ok(None) => param_error(
-                    "tenant",
-                    "is required when multiple shards exist (explain is per-shard)",
-                ),
-                Ok(Some(shard)) => {
-                    let engine = lock_engine(&shard);
-                    match engine.explain_json(k) {
-                        Ok(body) => Response::json(200, &body),
-                        Err(e) => error_response(e.into()),
-                    }
-                }
-            }
+            let k = required_param(req, "k")?;
+            let shard = one_shard(shared, req, "explain")?;
+            let engine = lock(&shard.engine);
+            json_response(engine.explain_json(k))
         }
         ("GET", "/summary") => {
             count!("server.requests.summary");
-            let Some(k) = req.param("k") else {
-                return param_error("k", "is required");
-            };
-            let Ok(k) = k.parse::<usize>() else {
-                return param_error("k", "must be a non-negative integer");
-            };
-            let spec = match tenant_spec(req) {
-                Ok(spec) => spec,
-                Err(resp) => return resp,
-            };
-            match resolve_read_shard(shared, spec) {
-                Err(resp) => resp,
-                Ok(Some(shard)) => match shard.summary_json_cached(k) {
-                    Ok(body) => Response::json(200, &body),
-                    Err(e) => error_response(e.into()),
-                },
-                Ok(None) => merged_summary_response(shared, k),
+            let k = required_param(req, "k")?;
+            match read_shard(shared, req)? {
+                Some(shard) => json_response(shard.summary_json_cached(k)),
+                None => merged_summary_response(shared, k),
             }
         }
         ("POST", "/ingest") => {
             count!("server.requests.ingest");
-            handle_ingest(req, shared, Arc::clone(clock))
+            handle_ingest(req, shared, Arc::clone(clock))?
         }
         ("POST", "/tune") => {
             count!("server.requests.tune");
-            let k = match parse_usize_param(req, "k") {
-                Ok(Some(k)) => k,
-                Ok(None) => return param_error("k", "is required"),
-                Err(resp) => return resp,
-            };
-            let m = match parse_usize_param(req, "m") {
-                Ok(v) => v.unwrap_or(16),
-                Err(resp) => return resp,
-            };
+            let k = required_param(req, "k")?;
+            let m = parse_usize_param(req, "m")?.unwrap_or(16);
             let advisor = req.param("advisor").unwrap_or("dta");
             let constraints = match req.param("budget_bytes").map(str::parse::<u64>) {
                 None => TuningConstraints::with_max_indexes(m),
                 Some(Ok(b)) => TuningConstraints::with_budget(m, b),
-                Some(Err(_)) => return param_error("budget_bytes", "must be an integer"),
+                Some(Err(_)) => return Err(param_error("budget_bytes", "must be an integer")),
             };
-            let spec = match tenant_spec(req) {
-                Ok(spec) => spec,
-                Err(resp) => return resp,
-            };
-            match resolve_read_shard(shared, spec) {
-                Err(resp) => resp,
-                Ok(None) => param_error(
-                    "tenant",
-                    "is required when multiple shards exist (tuning is per-shard)",
-                ),
-                Ok(Some(shard)) => {
-                    let engine = lock_engine(&shard);
-                    match engine.tune_json(k, advisor, &constraints) {
-                        Ok(body) => Response::json(200, &body),
-                        Err(e) => error_response(e.into()),
-                    }
-                }
-            }
+            let shard = one_shard(shared, req, "tuning")?;
+            let engine = lock(&shard.engine);
+            json_response(engine.tune_json(k, advisor, &constraints))
         }
         ("POST", "/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -865,7 +567,17 @@ fn route(req: &Request, shared: &Shared, clock: &Arc<StageClock>) -> Response {
             Response::error(405, "use POST for this endpoint")
         }
         _ => Response::error(404, &format!("no such endpoint: {}", req.path)),
+    })
+}
+
+/// One line per document, newest last.
+fn ndjson(lines: impl Iterator<Item = String>) -> Response {
+    let mut body = String::new();
+    for line in lines {
+        body.push_str(&line);
+        body.push('\n');
     }
+    Response::raw(200, "application/x-ndjson", body.into_bytes())
 }
 
 /// Appends the process self-gauges to `GET /metrics`: uptime, open
@@ -923,6 +635,19 @@ fn parse_usize_param(req: &Request, name: &str) -> Result<Option<usize>, Respons
     }
 }
 
+/// [`parse_usize_param`] for a parameter the endpoint cannot do without.
+fn required_param(req: &Request, name: &str) -> Result<usize, Response> {
+    parse_usize_param(req, name)?.ok_or_else(|| param_error(name, "is required"))
+}
+
+/// [`parse_usize_param`] for a count, where `0` asks for nothing.
+fn positive_param(req: &Request, name: &str) -> Result<Option<usize>, Response> {
+    match parse_usize_param(req, name)? {
+        Some(0) => Err(param_error(name, "must be a positive integer")),
+        n => Ok(n),
+    }
+}
+
 /// A typed 400 for a malformed query parameter: the body names the
 /// parameter in a machine-readable `param` field next to the usual
 /// `error`/`status` envelope.
@@ -945,7 +670,7 @@ fn param_error(name: &str, what: &str) -> Response {
 /// indexes are meaningless globally.
 fn merged_summary_response(shared: &Shared, k: usize) -> Response {
     let merged = shared.router.merged();
-    match merged.select(k, shared.isum) {
+    match merged.select(k, shared.config.isum) {
         Err(e) => error_response(e.into()),
         Ok(picks) => {
             let selected: Vec<Json> = picks
@@ -978,6 +703,25 @@ fn merged_summary_response(shared: &Shared, k: usize) -> Response {
     }
 }
 
+/// `0` is the cells' "never" sentinel; `/status` reports it as `null`.
+fn nonzero(value: u64) -> Json {
+    if value == 0 {
+        Json::Null
+    } else {
+        Json::from(value)
+    }
+}
+
+/// A drift-score cell (parts per million, `-1` before any sample) as
+/// the `/status` score.
+fn drift_score(ppm: i64) -> Json {
+    if ppm < 0 {
+        Json::Null
+    } else {
+        Json::from(ppm as f64 / 1e6)
+    }
+}
+
 /// Builds the `GET /status` document: one JSON object rolling up the
 /// lead sequencer position, total queue pressure, checkpoint age,
 /// durability state (WAL position, size, and compaction backlog),
@@ -986,10 +730,18 @@ fn merged_summary_response(shared: &Shared, k: usize) -> Response {
 /// breakdown — reads only, so polling it cannot perturb results.
 fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
     let shards = shared.router.shards();
+    let config = &shared.config;
+    // Every roll-up is a maximum (positions, newest timestamps, worst
+    // score) or a sum (sizes, backlogs, counts) of one cell over shards.
+    let cells = |cell: fn(&ShardCells) -> &AtomicU64| {
+        shards.iter().map(move |s| cell(&s.cells).load(Ordering::Relaxed))
+    };
+    let max = |cell| cells(cell).max().unwrap_or(0);
+    let sum = |cell| cells(cell).sum::<u64>();
     let single = shared.router.single();
     let (observed, templates, summary) = match &single {
         Some(shard) => {
-            let engine = lock_engine(shard);
+            let engine = lock(&shard.engine);
             let observed = engine.observed();
             let templates = engine.template_count();
             let summary = if observed == 0 {
@@ -1012,120 +764,55 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
         // Several shards: totals come from the mirror cells; the summary
         // gauge is per-shard by construction (ask `/summary` for the
         // merged one).
-        None => {
-            (shared.router.observed_total() as usize, shared.router.templates_total() as usize, {
-                Json::Null
-            })
-        }
+        None => (sum(|c| &c.observed) as usize, sum(|c| &c.templates) as usize, Json::Null),
     };
     let checkpoint = {
-        let last = shards
-            .iter()
-            .map(|s| s.cells.last_checkpoint_unix_ms.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        let last_mono = shards
-            .iter()
-            .map(|s| s.cells.last_checkpoint_mono_ms.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        let mut fields = vec![("configured".into(), Json::from(shared.checkpoint_configured))];
-        if last == 0 {
-            fields.push(("last_unix_ms".into(), Json::Null));
-            fields.push(("age_ms".into(), Json::Null));
-        } else {
-            fields.push(("last_unix_ms".into(), Json::from(last)));
-            fields.push(("age_ms".into(), Json::from(unix_ms().saturating_sub(last))));
-        }
-        // The monotonic age sits next to the wall-clock one: it cannot go
-        // negative or jump when the system clock steps, so alerting on
-        // "no checkpoint in N minutes" stays truthful across NTP slews.
-        fields.push((
-            "ms_since_last_checkpoint".into(),
-            if last_mono == 0 {
-                Json::Null
-            } else {
-                Json::from(mono_ms().saturating_sub(last_mono))
-            },
-        ));
-        Json::Obj(fields)
-    };
-    let durability = {
-        // WAL positions roll up across shards: the high-water `wal_seq`
-        // and newest timestamps are maxima, sizes and backlogs are sums.
-        let wal_seq =
-            shards.iter().map(|s| s.cells.wal_seq.load(Ordering::Relaxed)).max().unwrap_or(0);
-        let wal_bytes: u64 = shards.iter().map(|s| s.cells.wal_bytes.load(Ordering::Relaxed)).sum();
-        let backlog: u64 = shards
-            .iter()
-            .map(|s| s.cells.wal_records_since_compaction.load(Ordering::Relaxed))
-            .sum();
-        let last_fsync = shards
-            .iter()
-            .map(|s| s.cells.wal_last_fsync_unix_ms.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        let last_compaction = shards
-            .iter()
-            .map(|s| s.cells.wal_last_compaction_unix_ms.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
+        let last = max(|c| &c.last_checkpoint_unix_ms);
+        let last_mono = max(|c| &c.last_checkpoint_mono_ms);
         Json::Obj(vec![
-            ("configured".into(), Json::from(shared.checkpoint_configured)),
-            ("wal_seq".into(), Json::from(wal_seq)),
-            ("wal_bytes".into(), Json::from(wal_bytes)),
-            ("records_since_compaction".into(), Json::from(backlog)),
+            ("configured".into(), Json::from(config.checkpoint.is_some())),
+            ("last_unix_ms".into(), nonzero(last)),
             (
-                "last_fsync_unix_ms".into(),
-                if last_fsync == 0 { Json::Null } else { Json::from(last_fsync) },
+                "age_ms".into(),
+                if last == 0 { Json::Null } else { Json::from(unix_ms().saturating_sub(last)) },
             ),
+            // The monotonic age sits next to the wall-clock one: it cannot
+            // go negative or jump when the system clock steps, so alerting
+            // on "no checkpoint in N minutes" stays truthful across NTP
+            // slews.
             (
-                "last_compaction_unix_ms".into(),
-                if last_compaction == 0 { Json::Null } else { Json::from(last_compaction) },
+                "ms_since_last_checkpoint".into(),
+                if last_mono == 0 {
+                    Json::Null
+                } else {
+                    Json::from(mono_ms().saturating_sub(last_mono))
+                },
             ),
         ])
     };
+    let durability = Json::Obj(vec![
+        ("configured".into(), Json::from(config.checkpoint.is_some())),
+        ("wal_seq".into(), Json::from(max(|c| &c.wal_seq))),
+        ("wal_bytes".into(), Json::from(sum(|c| &c.wal_bytes))),
+        ("records_since_compaction".into(), Json::from(sum(|c| &c.wal_records_since_compaction))),
+        ("last_fsync_unix_ms".into(), nonzero(max(|c| &c.wal_last_fsync_unix_ms))),
+        ("last_compaction_unix_ms".into(), nonzero(max(|c| &c.wal_last_compaction_unix_ms))),
+    ]);
     let drift = {
-        let enabled = shared.drift_window > 0;
         // Single-shard: that shard's cells verbatim. Multi-shard: the
         // worst (maximum) score, summed window lengths and alerts.
-        let ppm = shards
-            .iter()
-            .map(|s| s.cells.drift_score_ppm.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(-1);
-        let window_len: u64 =
-            shards.iter().map(|s| s.cells.drift_window_len.load(Ordering::Relaxed)).sum();
-        let alerts: u64 = shards.iter().map(|s| s.cells.drift_alerts.load(Ordering::Relaxed)).sum();
-        let resummarizes: u64 =
-            shards.iter().map(|s| s.cells.resummarizes.load(Ordering::Relaxed)).sum();
-        let resummarize_ms: u64 =
-            shards.iter().map(|s| s.cells.resummarize_total_ms.load(Ordering::Relaxed)).sum();
-        let last_resummarize = shards
-            .iter()
-            .map(|s| s.cells.last_resummarize_unix_ms.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
+        let ppm = shards.iter().map(|s| s.cells.drift_score_ppm.load(Ordering::Relaxed)).max();
         Json::Obj(vec![
-            ("enabled".into(), Json::from(enabled)),
-            ("window".into(), Json::from(shared.drift_window)),
-            ("window_len".into(), Json::from(window_len)),
-            ("threshold".into(), Json::from(shared.drift_threshold)),
-            ("score".into(), if ppm < 0 { Json::Null } else { Json::from(ppm as f64 / 1e6) }),
-            ("alerts".into(), Json::from(alerts)),
-            (
-                "action".into(),
-                Json::from(match shared.drift_action {
-                    DriftAction::Warn => "warn",
-                    DriftAction::Resummarize => "resummarize",
-                }),
-            ),
-            ("resummarizes".into(), Json::from(resummarizes)),
-            ("resummarize_ms".into(), Json::from(resummarize_ms)),
-            (
-                "last_resummarize_unix_ms".into(),
-                if last_resummarize == 0 { Json::Null } else { Json::from(last_resummarize) },
-            ),
+            ("enabled".into(), Json::from(config.drift_window > 0)),
+            ("window".into(), Json::from(config.drift_window)),
+            ("window_len".into(), Json::from(sum(|c| &c.drift_window_len))),
+            ("threshold".into(), Json::from(config.drift_threshold)),
+            ("score".into(), drift_score(ppm.unwrap_or(-1))),
+            ("alerts".into(), Json::from(sum(|c| &c.drift_alerts))),
+            ("action".into(), Json::from(config.drift_action.as_str())),
+            ("resummarizes".into(), Json::from(sum(|c| &c.resummarizes))),
+            ("resummarize_ms".into(), Json::from(sum(|c| &c.resummarize_total_ms))),
+            ("last_resummarize_unix_ms".into(), nonzero(max(|c| &c.last_resummarize_unix_ms))),
         ])
     };
     let spans = if telemetry::enabled() {
@@ -1151,56 +838,38 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
     let shard_docs: Vec<Json> = shards
         .iter()
         .map(|s| {
-            let last = s.cells.last_checkpoint_unix_ms.load(Ordering::Relaxed);
-            let ppm = s.cells.drift_score_ppm.load(Ordering::Relaxed);
+            let load = |cell: &AtomicU64| Json::from(cell.load(Ordering::Relaxed));
+            let c = &s.cells;
             Json::Obj(vec![
                 ("tenant".into(), Json::from(s.name.as_str())),
-                ("seq".into(), Json::from(s.cells.next_seq.load(Ordering::Relaxed))),
-                ("queue_depth".into(), Json::from(s.cells.queue_depth.load(Ordering::Relaxed))),
-                ("observed".into(), Json::from(s.cells.observed.load(Ordering::Relaxed))),
-                ("templates".into(), Json::from(s.cells.templates.load(Ordering::Relaxed))),
+                ("seq".into(), load(&c.next_seq)),
+                ("queue_depth".into(), load(&c.queue_depth)),
+                ("observed".into(), load(&c.observed)),
+                ("templates".into(), load(&c.templates)),
                 (
                     "checkpoint_unix_ms".into(),
-                    if last == 0 { Json::Null } else { Json::from(last) },
+                    nonzero(c.last_checkpoint_unix_ms.load(Ordering::Relaxed)),
                 ),
                 (
                     "wal".into(),
                     Json::Obj(vec![
-                        ("seq".into(), Json::from(s.cells.wal_seq.load(Ordering::Relaxed))),
-                        ("bytes".into(), Json::from(s.cells.wal_bytes.load(Ordering::Relaxed))),
-                        (
-                            "records_since_compaction".into(),
-                            Json::from(
-                                s.cells.wal_records_since_compaction.load(Ordering::Relaxed),
-                            ),
-                        ),
+                        ("seq".into(), load(&c.wal_seq)),
+                        ("bytes".into(), load(&c.wal_bytes)),
+                        ("records_since_compaction".into(), load(&c.wal_records_since_compaction)),
                     ]),
                 ),
                 (
                     "drift".into(),
                     Json::Obj(vec![
-                        (
-                            "score".into(),
-                            if ppm < 0 { Json::Null } else { Json::from(ppm as f64 / 1e6) },
-                        ),
-                        (
-                            "window_len".into(),
-                            Json::from(s.cells.drift_window_len.load(Ordering::Relaxed)),
-                        ),
-                        ("alerts".into(), Json::from(s.cells.drift_alerts.load(Ordering::Relaxed))),
-                        (
-                            "resummarizes".into(),
-                            Json::from(s.cells.resummarizes.load(Ordering::Relaxed)),
-                        ),
+                        ("score".into(), drift_score(c.drift_score_ppm.load(Ordering::Relaxed))),
+                        ("window_len".into(), load(&c.drift_window_len)),
+                        ("alerts".into(), load(&c.drift_alerts)),
+                        ("resummarizes".into(), load(&c.resummarizes)),
                     ]),
                 ),
             ])
         })
         .collect();
-    let mode = match shared.router.mode() {
-        ShardMode::Tenant => "tenant",
-        ShardMode::Hashed(_) => "hashed",
-    };
     let draining = shared.shutdown.load(Ordering::SeqCst);
     Response::json(
         200,
@@ -1211,7 +880,7 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
                 "queue".into(),
                 Json::Obj(vec![
                     ("depth".into(), Json::from(shared.router.queue_depth_total())),
-                    ("capacity".into(), Json::from(shared.queue_cap)),
+                    ("capacity".into(), Json::from(config.queue_cap)),
                 ]),
             ),
             ("observed".into(), Json::from(observed)),
@@ -1221,7 +890,7 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
             ("summary".into(), summary),
             ("drift".into(), drift),
             ("spans".into(), spans),
-            ("mode".into(), Json::from(mode)),
+            ("mode".into(), Json::from(shared.config.shards.as_str())),
             ("shards".into(), Json::Arr(shard_docs)),
         ]),
     )
@@ -1248,36 +917,28 @@ fn error_response(e: IsumError) -> Response {
 }
 
 /// Resolves the ingest tenant and hands the batch to the router.
-fn handle_ingest(req: &Request, shared: &Shared, clock: Arc<StageClock>) -> Response {
+fn handle_ingest(
+    req: &Request,
+    shared: &Shared,
+    clock: Arc<StageClock>,
+) -> Result<Response, Response> {
     let Ok(script) = std::str::from_utf8(&req.body) else {
-        return Response::error(400, "ingest body must be UTF-8 SQL text");
+        return Err(Response::error(400, "ingest body must be UTF-8 SQL text"));
     };
-    let seq = match req.param("seq") {
+    let seq = match req.param("seq").map(str::parse::<u64>) {
         None => None,
-        Some(v) => match v.parse::<u64>() {
-            Ok(s) if s < UNSEQ_KEY_BASE => Some(s),
-            _ => return param_error("seq", "must be an integer below 2^63"),
-        },
+        Some(Ok(s)) if s < UNSEQ_KEY_BASE => Some(s),
+        Some(_) => return Err(param_error("seq", "must be an integer below 2^63")),
     };
-    let spec = match tenant_spec(req) {
-        Ok(spec) => spec,
-        Err(resp) => return resp,
-    };
-    let tenant = match shared.router.mode() {
-        ShardMode::Hashed(_) => match spec {
-            None => DEFAULT_TENANT.to_string(),
-            Some(t) if t == DEFAULT_TENANT => t,
-            Some(_) => {
-                return param_error(
-                    "tenant",
-                    "cannot steer hashed-mode ingest (statements are split by template hash)",
-                )
-            }
-        },
-        ShardMode::Tenant => spec.unwrap_or_else(|| DEFAULT_TENANT.to_string()),
-    };
+    let tenant = tenant_spec(req)?.unwrap_or_else(|| DEFAULT_TENANT.to_string());
+    if matches!(shared.config.shards, ShardMode::Hashed(_)) && tenant != DEFAULT_TENANT {
+        return Err(param_error(
+            "tenant",
+            "cannot steer hashed-mode ingest (statements are split by template hash)",
+        ));
+    }
     let request_id = trace::current_request_id().unwrap_or_else(trace::next_request_id);
-    shared.router.ingest(&tenant, seq, script.to_string(), request_id, clock)
+    Ok(shared.router.ingest(&tenant, seq, script.to_string(), request_id, clock))
 }
 
 // ---------------------------------------------------------------------
@@ -1363,137 +1024,5 @@ mod tests {
         assert_eq!(j.get("param").and_then(Json::as_str), Some("n"));
         assert_eq!(j.get("status").and_then(Json::as_u64), Some(400));
         assert!(j.get("error").and_then(Json::as_str).unwrap().contains('`'));
-    }
-
-    #[test]
-    fn drift_env_overrides_parse_and_reject_garbage() {
-        // Serial by nature: env vars are process-global, so exercise all
-        // cases inside one test.
-        std::env::remove_var("ISUM_DRIFT_WINDOW");
-        std::env::remove_var("ISUM_DRIFT_THRESHOLD");
-        let catalog = isum_catalog::CatalogBuilder::new()
-            .table("t", 10)
-            .col_key("id")
-            .finish()
-            .unwrap()
-            .build();
-        let base = ServerConfig::new(catalog.clone()).apply_drift_env();
-        assert_eq!(base.drift_window, 256, "defaults survive unset env");
-        assert_eq!(base.drift_threshold, 0.5);
-
-        std::env::set_var("ISUM_DRIFT_WINDOW", "64");
-        std::env::set_var("ISUM_DRIFT_THRESHOLD", "0.25");
-        let tuned = ServerConfig::new(catalog.clone()).apply_drift_env();
-        assert_eq!(tuned.drift_window, 64);
-        assert!((tuned.drift_threshold - 0.25).abs() < 1e-12);
-
-        std::env::set_var("ISUM_DRIFT_WINDOW", "not-a-number");
-        std::env::set_var("ISUM_DRIFT_THRESHOLD", "1.5"); // outside 0..=1
-        let kept = ServerConfig::new(catalog.clone()).apply_drift_env();
-        assert_eq!(kept.drift_window, 256, "garbage is ignored, not applied");
-        assert_eq!(kept.drift_threshold, 0.5);
-
-        std::env::remove_var("ISUM_DRIFT_WINDOW");
-        std::env::remove_var("ISUM_DRIFT_THRESHOLD");
-
-        std::env::remove_var("ISUM_DRIFT_ACTION");
-        let base = ServerConfig::new(catalog.clone()).apply_drift_env();
-        assert_eq!(base.drift_action, DriftAction::Warn, "warn-only is the default");
-        std::env::set_var("ISUM_DRIFT_ACTION", "resummarize");
-        let adaptive = ServerConfig::new(catalog.clone()).apply_drift_env();
-        assert_eq!(adaptive.drift_action, DriftAction::Resummarize);
-        for garbage in ["RESUMMARIZE", "panic", ""] {
-            std::env::set_var("ISUM_DRIFT_ACTION", garbage);
-            let kept = ServerConfig::new(catalog.clone()).apply_drift_env();
-            assert_eq!(kept.drift_action, DriftAction::Warn, "`{garbage}` is ignored, not applied");
-        }
-        std::env::remove_var("ISUM_DRIFT_ACTION");
-    }
-
-    #[test]
-    fn wal_env_overrides_parse_and_reject_garbage() {
-        // Serial by nature: env vars are process-global, so exercise all
-        // cases inside one test.
-        std::env::remove_var("ISUM_WAL_COMPACT_EVERY");
-        std::env::remove_var("ISUM_WAL_COMPACT_BYTES");
-        let catalog = isum_catalog::CatalogBuilder::new()
-            .table("t", 10)
-            .col_key("id")
-            .finish()
-            .unwrap()
-            .build();
-        let base = ServerConfig::new(catalog.clone()).apply_wal_env();
-        assert_eq!(base.wal_compact_every, 64, "defaults survive unset env");
-        assert_eq!(base.wal_compact_bytes, 1 << 20);
-
-        std::env::set_var("ISUM_WAL_COMPACT_EVERY", "5");
-        std::env::set_var("ISUM_WAL_COMPACT_BYTES", "4096");
-        let tuned = ServerConfig::new(catalog.clone()).apply_wal_env();
-        assert_eq!(tuned.wal_compact_every, 5);
-        assert_eq!(tuned.wal_compact_bytes, 4096);
-
-        for garbage in ["0", "-3", "soon"] {
-            std::env::set_var("ISUM_WAL_COMPACT_EVERY", garbage);
-            std::env::set_var("ISUM_WAL_COMPACT_BYTES", garbage);
-            let kept = ServerConfig::new(catalog.clone()).apply_wal_env();
-            assert_eq!(kept.wal_compact_every, 64, "`{garbage}` is ignored, not applied");
-            assert_eq!(kept.wal_compact_bytes, 1 << 20);
-        }
-        std::env::remove_var("ISUM_WAL_COMPACT_EVERY");
-        std::env::remove_var("ISUM_WAL_COMPACT_BYTES");
-    }
-
-    #[test]
-    fn trace_env_override_parses_and_rejects_garbage() {
-        // Serial by nature: env vars are process-global, so exercise all
-        // cases inside one test.
-        std::env::remove_var("ISUM_SLOW_MS");
-        let catalog = isum_catalog::CatalogBuilder::new()
-            .table("t", 10)
-            .col_key("id")
-            .finish()
-            .unwrap()
-            .build();
-        let base = ServerConfig::new(catalog.clone()).apply_trace_env();
-        assert_eq!(base.slow_ms, None, "capture stays off without the env knob");
-
-        std::env::set_var("ISUM_SLOW_MS", "250");
-        let tuned = ServerConfig::new(catalog.clone()).apply_trace_env();
-        assert_eq!(tuned.slow_ms, Some(250));
-
-        std::env::set_var("ISUM_SLOW_MS", "0");
-        let all = ServerConfig::new(catalog.clone()).apply_trace_env();
-        assert_eq!(all.slow_ms, Some(0), "zero means capture everything");
-
-        for garbage in ["fast", "-1", "1.5"] {
-            std::env::set_var("ISUM_SLOW_MS", garbage);
-            let kept = ServerConfig::new(catalog.clone()).apply_trace_env();
-            assert_eq!(kept.slow_ms, None, "`{garbage}` is ignored, not applied");
-        }
-        std::env::remove_var("ISUM_SLOW_MS");
-    }
-
-    #[test]
-    fn shards_env_override_parses_and_rejects_garbage() {
-        std::env::remove_var("ISUM_SHARDS");
-        let catalog = isum_catalog::CatalogBuilder::new()
-            .table("t", 10)
-            .col_key("id")
-            .finish()
-            .unwrap()
-            .build();
-        let base = ServerConfig::new(catalog.clone()).apply_shards_env();
-        assert_eq!(base.shards, ShardMode::Tenant, "default survives unset env");
-
-        std::env::set_var("ISUM_SHARDS", "4");
-        let hashed = ServerConfig::new(catalog.clone()).apply_shards_env();
-        assert_eq!(hashed.shards, ShardMode::Hashed(4));
-
-        for garbage in ["0", "-2", "lots"] {
-            std::env::set_var("ISUM_SHARDS", garbage);
-            let kept = ServerConfig::new(catalog.clone()).apply_shards_env();
-            assert_eq!(kept.shards, ShardMode::Tenant, "`{garbage}` is ignored, not applied");
-        }
-        std::env::remove_var("ISUM_SHARDS");
     }
 }

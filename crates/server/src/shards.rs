@@ -1,26 +1,28 @@
-//! Multi-tenant sharding: the router, per-shard state, and both ingest
-//! topologies (DESIGN.md §13).
+//! Multi-tenant sharding and the one ingest pipeline every batch takes:
+//! enqueue → admit → durable-apply → ack (DESIGN.md §13).
 //!
-//! # Two sharding modes
+//! # Streams and shards
+//!
+//! A *stream* is a bounded queue feeding one worker thread that admits
+//! client batches in strict contiguous `seq` order. A *shard* is an
+//! engine plus its durability files, mutated by exactly one thread.
 //!
 //! * **Tenant mode** (the default): every distinct `X-Isum-Tenant` header
-//!   value owns one shard — its own engine, sequencer thread, drift
-//!   tracker, and checkpoint file. Requests without the header land on
-//!   the `default` tenant, whose checkpoint stays at the exact configured
-//!   path so a single-tenant deployment is indistinguishable from the
-//!   pre-sharding daemon. Tenant streams are fully independent: each
-//!   shard enforces the strict contiguous `seq` contract on its own
-//!   high-water mark.
-//! * **Hashed mode** (`ISUM_SHARDS=n` / `--shards n`): a single-tenant
-//!   workload is spread over `n` fixed shards `h0..h{n-1}` by the FNV-1a
-//!   hash of each statement's *template fingerprint* (computed in
-//!   parallel on the exec pool; unparseable statements hash their raw
-//!   text). A router thread owns the global strict `seq` stream and the
-//!   fault rolls, splits each batch into per-shard sub-batches, and acks
-//!   the client only after every involved shard has *durably logged and
-//!   applied* its slice. Shards dedup sub-batches monotonically
+//!   value owns one shard, and the shard's thread is also its stream —
+//!   admission and durable-apply run back to back on the request's own
+//!   stage clock. Requests without the header land on the `default`
+//!   tenant, whose checkpoint stays at the exact configured path so a
+//!   single-tenant deployment is indistinguishable from the pre-sharding
+//!   daemon. Tenant streams are fully independent.
+//! * **Hashed mode** (`ISUM_SHARDS=n` / `--shards n`): one *front* stream
+//!   runs the same admission for the whole daemon, then splits each batch
+//!   over `n` fixed shards `h0..h{n-1}` by the FNV-1a hash of each
+//!   statement's *template fingerprint* (computed in parallel on the exec
+//!   pool; unparseable statements hash their raw text) and acks the
+//!   client only after every involved shard has run the same
+//!   durable-apply step on its slice. Shards dedup slices monotonically
 //!   (apply iff `seq >= shard_next`), which is what makes crash recovery
-//!   converge: the restarted router resumes at the *maximum* shard
+//!   converge: the restarted front resumes at the *maximum* shard
 //!   high-water mark, and a retried below-maximum batch is still split
 //!   and offered so lagging shards catch up while caught-up shards skip.
 //!
@@ -51,20 +53,20 @@ use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use isum_catalog::Catalog;
 use isum_common::stage::STAGES;
 use isum_common::trace;
 use isum_common::{count, telemetry, Json, Stage, StageClock};
-use isum_core::{merge_partials, IsumConfig, MergedWorkload};
+use isum_core::{merge_partials, MergedWorkload};
 use isum_workload::split_script;
 
+use crate::config::ServerConfig;
 use crate::drift::{DriftAction, DriftTracker};
-use crate::engine::Engine;
+use crate::engine::{Engine, IngestOutcome};
 use crate::http::{retry_after_value, Response};
 use crate::wal::{self, FsyncHist, WalWriter};
 
@@ -82,6 +84,16 @@ pub enum ShardMode {
     Tenant,
     /// `n` fixed shards fed by hashing template fingerprints.
     Hashed(usize),
+}
+
+impl ShardMode {
+    /// The name `/healthz` and `/status` report.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShardMode::Tenant => "tenant",
+            ShardMode::Hashed(_) => "hashed",
+        }
+    }
 }
 
 /// Validates a tenant name the same way on both ends of the wire: the
@@ -106,29 +118,6 @@ pub fn validate_tenant(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything a shard sequencer needs that is fixed at bind time.
-pub(crate) struct ShardCtx {
-    pub catalog: Catalog,
-    pub isum: IsumConfig,
-    /// Checkpoint *stem*; each shard derives its own file from it.
-    pub checkpoint: Option<PathBuf>,
-    pub queue_cap: usize,
-    pub ingest_timeout: Duration,
-    pub apply_delay: Duration,
-    pub drift_window: usize,
-    pub drift_threshold: f64,
-    /// What a drift threshold crossing does beyond the alert: warn only
-    /// (the default) or re-summarize the shard over the recent window.
-    pub drift_action: DriftAction,
-    pub mode: ShardMode,
-    pub max_tenants: usize,
-    /// Compact (write a snapshot + truncate the WAL) after this many
-    /// appended records…
-    pub wal_compact_every: u64,
-    /// …or once the WAL grows past this many bytes, whichever first.
-    pub wal_compact_bytes: u64,
-}
-
 /// Per-stage latency histograms (`isum_stage_seconds`): one fsync-style
 /// lock-free histogram per pipeline stage. Strictly observation-only,
 /// like every other mirror cell.
@@ -148,21 +137,18 @@ impl StageHist {
             }
         }
     }
-
-    /// The histogram for one stage.
-    pub(crate) fn stage(&self, stage: Stage) -> &FsyncHist {
-        &self.hists[stage as usize]
-    }
 }
 
-/// Mirror cells the shard's hot paths update so `/status`, `/healthz`,
-/// and `/metrics` can answer without touching the sequencer. Strictly
-/// observation-only: nothing reads these back into any decision.
+/// Mirror cells a stream's and a shard's hot paths update so `/status`,
+/// `/healthz`, and `/metrics` can answer without touching the worker
+/// threads. Strictly observation-only: nothing reads these back into any
+/// decision. The hashed front stream owns a set too and only ever moves
+/// the stream cells (`queue_depth`, `next_seq`, `stage_hist`).
 #[derive(Default)]
 pub(crate) struct ShardCells {
-    /// Ingest jobs accepted into this shard's queue and not yet received.
+    /// Ingest jobs accepted into this queue and not yet received.
     pub queue_depth: AtomicU64,
-    /// Shard high-water mark (next expected `seq`).
+    /// High-water mark (next expected `seq`).
     pub next_seq: AtomicU64,
     /// Queries observed by this shard's engine.
     pub observed: AtomicU64,
@@ -202,7 +188,7 @@ pub(crate) struct ShardCells {
     pub wal_compactions: AtomicU64,
     /// WAL fsync latency histogram.
     pub wal_fsync_hist: FsyncHist,
-    /// Per-stage request latency histograms (tenant mode).
+    /// Per-stage latency histograms of the requests this stream served.
     pub stage_hist: StageHist,
     /// Monotonic-clock ms (see [`mono_ms`]) of the last successful
     /// checkpoint; `0` = never. Pairs with the wall-clock cell so
@@ -210,15 +196,18 @@ pub(crate) struct ShardCells {
     pub last_checkpoint_mono_ms: AtomicU64,
 }
 
-/// One shard: a name, an engine, a bounded queue, and its sequencer's
+/// The sending half of a worker thread's bounded queue; `None` once
+/// drain begins — closing the channel is what lets the worker drain to
+/// empty and exit.
+type Queue = Mutex<Option<SyncSender<Job>>>;
+
+/// One shard: a name, an engine, a bounded queue, and its worker's
 /// observable state.
 pub(crate) struct Shard {
     pub name: String,
     pub engine: Mutex<Engine>,
-    /// `None` once drain begins; closing the channel is what lets the
-    /// shard sequencer drain to empty and exit.
-    ingest: Mutex<Option<SyncSender<ShardJob>>>,
-    pub cells: ShardCells,
+    queue: Queue,
+    pub cells: Arc<ShardCells>,
     pub checkpoint: Option<PathBuf>,
     /// Rendered `/summary` cache: `(state_version, k, document)`. One
     /// entry suffices — pollers overwhelmingly ask for one `k` — and the
@@ -257,136 +246,116 @@ impl Shard {
     }
 }
 
-/// One queued unit of shard work.
-enum ShardJob {
-    /// A whole client batch (tenant mode): strict contiguous `seq` dedup.
+/// One queued unit of work for a worker thread.
+enum Job {
+    /// A whole client batch, admitted by the stream that receives it.
     Batch {
         seq: Option<u64>,
         script: String,
         request_id: String,
-        /// The request's timeline; the sequencer stamps queue wait,
+        /// The request's timeline; the worker stamps queue wait,
         /// sequencing, WAL append/fsync, apply, and checkpoint onto it.
         clock: Arc<StageClock>,
         reply: SyncSender<Response>,
     },
-    /// A hashed-mode sub-batch: the router already serialized the global
-    /// stream, so the shard dedups monotonically (apply iff
+    /// One shard's slice of a batch the hashed front stream already
+    /// admitted: the shard dedups monotonically (apply iff
     /// `seq >= shard_next`) and never answers "ahead".
-    Sub {
+    Slice {
         seq: Option<u64>,
-        /// `(index in the original batch, sql, explicit cost)`.
-        stmts: Vec<(usize, String, Option<f64>)>,
+        stmts: Vec<(String, Option<f64>)>,
         request_id: String,
-        reply: SyncSender<SubOutcome>,
+        reply: SyncSender<SliceOutcome>,
     },
 }
 
-/// What a shard reports back to the router for one sub-batch.
-struct SubOutcome {
-    /// Statements applied (0 when the sub-batch was a monotone duplicate).
-    applied: usize,
-    /// Rejects, re-keyed to indexes in the *original* batch.
-    rejected: Vec<(usize, String)>,
-    /// Whether the sub-batch mutated state (false = deduped).
-    fresh: bool,
-    /// Set when the shard could not log the slice durably: nothing was
-    /// applied, and the router must answer a retryable 503 without
-    /// advancing the global stream.
-    error: Option<String>,
-    /// Shard-thread wall time spent in each pipeline stage, measured
-    /// locally so the router can attribute the fan-out's critical path
-    /// without cross-thread clock stamps: `(wal_append incl. fsync,
-    /// fsync, apply, checkpoint)` in nanoseconds.
-    stage_ns: (u64, u64, u64, u64),
+/// What a shard reports back to the front stream for one slice.
+struct SliceOutcome {
+    /// `Ok(None)`: a monotone duplicate, nothing touched. `Err`: the
+    /// shard could not log the slice durably — nothing was applied, and
+    /// the front must answer a retryable 503 without advancing the stream.
+    result: Result<Option<IngestOutcome>, String>,
+    /// The slice's own timeline, stamped by the same durable-apply step
+    /// that stamps the request's clock in tenant mode.
+    clock: StageClock,
 }
 
-/// A queued hashed-mode client batch, waiting on the router thread.
-struct RouterJob {
-    seq: Option<u64>,
-    script: String,
-    request_id: String,
-    clock: Arc<StageClock>,
-    reply: SyncSender<Response>,
+/// The hashed-mode front stream: the queue every client batch enters,
+/// its mirror cells, and the thread that admits and fans out.
+struct Front {
+    queue: Queue,
+    cells: Arc<ShardCells>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Observable router-thread state (hashed mode).
-#[derive(Default)]
-pub(crate) struct RouterCells {
-    pub queue_depth: AtomicU64,
-    pub next_seq: AtomicU64,
-    /// Per-stage request latency histograms for the global hashed-mode
-    /// ingest stream (rendered under `tenant="default"`).
-    pub stage_hist: StageHist,
-}
-
-/// The shard router: owns every shard, their sequencer threads, and (in
-/// hashed mode) the router thread that serializes the global stream.
+/// The shard router: owns every shard, their worker threads, and (in
+/// hashed mode) the front stream that sequences the global stream.
 pub(crate) struct ShardRouter {
-    ctx: Arc<ShardCtx>,
+    cfg: Arc<ServerConfig>,
     /// Shards by name; `BTreeMap` so every iteration (status, metrics,
     /// merge) walks shards in one deterministic order.
     shards: Mutex<BTreeMap<String, Arc<Shard>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    router_tx: Mutex<Option<SyncSender<RouterJob>>>,
-    router_thread: Mutex<Option<JoinHandle<()>>>,
-    pub router_cells: Arc<RouterCells>,
+    front: Option<Front>,
 }
 
 impl ShardRouter {
-    /// Builds the shard layout for `ctx`: recovers every discoverable
+    /// Builds the shard layout for `cfg`: recovers every discoverable
     /// shard (snapshot + WAL replay, quarantining a corrupt snapshot),
-    /// spawns one sequencer per shard, and (in hashed mode) the router
-    /// thread. Fails on mid-log WAL corruption — refusing to serve beats
+    /// spawns one worker per shard, and (in hashed mode) the front
+    /// stream. Fails on mid-log WAL corruption — refusing to serve beats
     /// silently dropping acknowledged history.
-    pub(crate) fn start(ctx: ShardCtx) -> io::Result<ShardRouter> {
-        let ctx = Arc::new(ctx);
-        let router = ShardRouter {
-            ctx: Arc::clone(&ctx),
+    pub(crate) fn start(cfg: Arc<ServerConfig>) -> io::Result<ShardRouter> {
+        let mut router = ShardRouter {
+            cfg: Arc::clone(&cfg),
             shards: Mutex::new(BTreeMap::new()),
             threads: Mutex::new(Vec::new()),
-            router_tx: Mutex::new(None),
-            router_thread: Mutex::new(None),
-            router_cells: Arc::new(RouterCells::default()),
+            front: None,
         };
-        match ctx.mode {
+        match cfg.shards {
             ShardMode::Tenant => {
                 router.create_shard(DEFAULT_TENANT)?;
-                if let Some(stem) = &ctx.checkpoint {
+                if let Some(stem) = &cfg.checkpoint {
                     for tenant in discover_tenant_checkpoints(stem) {
                         router.create_shard(&tenant)?;
                     }
                 }
             }
             ShardMode::Hashed(n) => {
-                let n = n.max(1);
-                let mut senders = Vec::with_capacity(n);
+                let mut shards = Vec::with_capacity(n);
                 for i in 0..n {
                     let shard = router.create_shard(&format!("h{i}"))?;
-                    let tx = lock(&shard.ingest).clone().expect("fresh shard has a sender");
-                    senders.push((Arc::clone(&shard), tx));
+                    let tx = lock(&shard.queue).clone().expect("fresh shard has a sender");
+                    shards.push((shard, tx));
                 }
-                let next = senders
+                // Resume the global stream at the furthest shard: retried
+                // batches below it re-offer to the shards that lag.
+                let next_seq = shards
                     .iter()
                     .map(|(s, _)| s.cells.next_seq.load(Ordering::Relaxed))
                     .max()
                     .unwrap_or(0);
-                router.router_cells.next_seq.store(next, Ordering::Relaxed);
-                let (tx, rx) = mpsc::sync_channel::<RouterJob>(ctx.queue_cap.max(1));
-                *lock(&router.router_tx) = Some(tx);
-                let rctx = Arc::clone(&ctx);
-                let cells = Arc::clone(&router.router_cells);
-                let handle = std::thread::Builder::new()
+                let cells = Arc::new(ShardCells::default());
+                cells.next_seq.store(next_seq, Ordering::Relaxed);
+                let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
+                let worker = Worker {
+                    name: DEFAULT_TENANT.to_string(),
+                    cfg,
+                    cells: Arc::clone(&cells),
+                    sequencer: Sequencer::resuming_at(next_seq, 0),
+                    sink: Sink::FanOut(shards),
+                };
+                let thread = std::thread::Builder::new()
                     .name("isum-shard-router".into())
-                    .spawn(move || router_loop(rx, senders, rctx, cells, next))?;
-                *lock(&router.router_thread) = Some(handle);
+                    .spawn(move || worker.run(rx))?;
+                router.front = Some(Front {
+                    queue: Mutex::new(Some(tx)),
+                    cells,
+                    thread: Mutex::new(Some(thread)),
+                });
             }
         }
         Ok(router)
-    }
-
-    /// The configured mode.
-    pub(crate) fn mode(&self) -> ShardMode {
-        self.ctx.mode
     }
 
     /// Shards in name order.
@@ -423,9 +392,9 @@ impl ShardRouter {
         merge_partials(&partials)
     }
 
-    /// Routes one ingest batch: tenant mode enqueues onto the tenant's
-    /// shard (creating it on first contact), hashed mode enqueues onto
-    /// the router thread. Returns the wire response either way.
+    /// Enqueues one ingest batch on the stream that sequences it — the
+    /// front in hashed mode, else the tenant's shard (created on first
+    /// contact) — and waits for the worker's answer.
     pub(crate) fn ingest(
         &self,
         tenant: &str,
@@ -434,77 +403,33 @@ impl ShardRouter {
         request_id: String,
         clock: Arc<StageClock>,
     ) -> Response {
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
-        match self.ctx.mode {
-            ShardMode::Hashed(_) => {
-                let guard = lock(&self.router_tx);
-                let Some(tx) = guard.as_ref() else {
-                    return Response::error(503, "server is shutting down");
-                };
-                let job = RouterJob { seq, script, request_id, clock, reply: reply_tx };
-                match tx.try_send(job) {
-                    Ok(()) => {
-                        self.router_cells.queue_depth.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        count!("server.backpressure");
-                        return Response::error(429, "ingest queue is full; retry shortly")
-                            .with_header("Retry-After", &retry_after_value(1));
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        return Response::error(503, "server is shutting down");
-                    }
-                }
-                drop(guard);
-            }
-            ShardMode::Tenant => {
-                let shard = match self.shard_for_tenant(tenant) {
-                    Ok(s) => s,
-                    Err(resp) => return resp,
-                };
-                let guard = lock(&shard.ingest);
-                let Some(tx) = guard.as_ref() else {
-                    return Response::error(503, "server is shutting down");
-                };
-                let job = ShardJob::Batch { seq, script, request_id, clock, reply: reply_tx };
-                match tx.try_send(job) {
-                    Ok(()) => {
-                        shard.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        count!("server.backpressure");
-                        return Response::error(429, "ingest queue is full; retry shortly")
-                            .with_header("Retry-After", &retry_after_value(1));
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        return Response::error(503, "server is shutting down");
-                    }
-                }
-                drop(guard);
-            }
+        let (reply, answer) = mpsc::sync_channel::<Response>(1);
+        let job = Job::Batch { seq, script, request_id, clock, reply };
+        let queued = match &self.front {
+            Some(front) => enqueue(&front.queue, &front.cells, job),
+            None => self
+                .shard_for_tenant(tenant)
+                .and_then(|shard| enqueue(&shard.queue, &shard.cells, job)),
+        };
+        if let Err(resp) = queued {
+            return resp;
         }
-        match reply_rx.recv_timeout(self.ctx.ingest_timeout) {
-            Ok(resp) => resp,
-            Err(_) => {
-                count!("server.ingest.timeouts");
-                Response::error(
-                    503,
-                    "batch not applied within the ingest timeout; retry with the same seq",
-                )
-                .with_header("Retry-After", &retry_after_value(1))
-            }
-        }
+        answer.recv_timeout(self.cfg.ingest_timeout).unwrap_or_else(|_| {
+            count!("server.ingest.timeouts");
+            retryable(503, "batch not applied within the ingest timeout; retry with the same seq")
+        })
     }
 
     /// Folds one finished request's stage timeline into the latency
-    /// histograms: the tenant's shard cells in tenant mode, the router
-    /// cells in hashed mode (where the stream is global, not per-shard).
-    /// A tenant without a shard (e.g. a `/summary` for a name that never
-    /// ingested) contributes nothing. Observation-only, post-response.
+    /// histograms of the stream that served it: the front in hashed mode
+    /// (where the stream is global, not per-shard), else the tenant's
+    /// shard. A tenant without a shard (e.g. a `/summary` for a name that
+    /// never ingested) contributes nothing. Observation-only,
+    /// post-response.
     pub(crate) fn observe_stages(&self, tenant: &str, clock: &StageClock) {
-        match self.ctx.mode {
-            ShardMode::Hashed(_) => self.router_cells.stage_hist.observe(clock),
-            ShardMode::Tenant => {
+        match &self.front {
+            Some(front) => front.cells.stage_hist.observe(clock),
+            None => {
                 if let Some(shard) = self.shard_named(tenant) {
                     shard.cells.stage_hist.observe(clock);
                 }
@@ -517,59 +442,60 @@ impl ShardRouter {
         if let Some(shard) = self.shard_named(tenant) {
             return Ok(shard);
         }
-        if self.shard_count() >= self.ctx.max_tenants {
+        if self.shard_count() >= self.cfg.max_tenants {
             count!("server.shards.tenant_cap");
-            return Err(Response::error(
+            return Err(retryable(
                 429,
                 &format!(
                     "tenant cap reached ({} shards); retire a tenant or raise the cap",
-                    self.ctx.max_tenants
+                    self.cfg.max_tenants
                 ),
-            )
-            .with_header("Retry-After", &retry_after_value(1)));
+            ));
         }
-        self.create_shard(tenant).map_err(|e| {
-            Response::error(503, &format!("could not create shard for tenant: {e}"))
-                .with_header("Retry-After", &retry_after_value(1))
-        })
+        self.create_shard(tenant)
+            .map_err(|e| retryable(503, &format!("could not create shard for tenant: {e}")))
     }
 
     /// Creates and registers one shard (restoring its checkpoint if
-    /// present) and spawns its sequencer thread. Racing creators for the
+    /// present) and spawns its worker thread. Racing creators for the
     /// same name converge on the first registration.
     fn create_shard(&self, name: &str) -> io::Result<Arc<Shard>> {
         let mut shards = lock(&self.shards);
         if let Some(existing) = shards.get(name) {
             return Ok(Arc::clone(existing));
         }
-        let ctx = &self.ctx;
-        let checkpoint = ctx.checkpoint.as_ref().map(|stem| checkpoint_path_for(stem, name));
-        let (engine, next_seq, wal_writer, drift) =
-            recover_shard_state(ctx, name, checkpoint.as_ref())?;
-        let (tx, rx) = mpsc::sync_channel::<ShardJob>(ctx.queue_cap.max(1));
+        let cfg = &self.cfg;
+        let checkpoint = cfg.checkpoint.as_ref().map(|stem| checkpoint_path_for(stem, name));
+        let (engine, next_seq, wal, drift) = recover_shard_state(cfg, name, checkpoint.as_ref())?;
+        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
         let cells = ShardCells::default();
         cells.next_seq.store(next_seq, Ordering::Relaxed);
         cells.observed.store(engine.observed() as u64, Ordering::Relaxed);
         cells.templates.store(engine.template_count() as u64, Ordering::Relaxed);
         cells.drift_score_ppm.store(-1, Ordering::Relaxed);
-        if let Some(w) = &wal_writer {
+        if let Some(w) = &wal {
             cells.wal_seq.store(w.next_wal_seq(), Ordering::Relaxed);
             cells.wal_bytes.store(w.len(), Ordering::Relaxed);
         }
         let shard = Arc::new(Shard {
             name: name.to_string(),
             engine: Mutex::new(engine),
-            ingest: Mutex::new(Some(tx)),
-            cells,
+            queue: Mutex::new(Some(tx)),
+            cells: Arc::new(cells),
             checkpoint,
             summary_cache: Mutex::new(None),
             fault_salt: fault_salt_for(name),
         });
-        let thread_shard = Arc::clone(&shard);
-        let thread_ctx = Arc::clone(ctx);
+        let worker = Worker {
+            name: name.to_string(),
+            cfg: Arc::clone(cfg),
+            cells: Arc::clone(&shard.cells),
+            sequencer: Sequencer::resuming_at(next_seq, shard.fault_salt),
+            sink: Sink::Shard(ShardState { shard: Arc::clone(&shard), next_seq, drift, wal }),
+        };
         let handle = std::thread::Builder::new()
             .name(format!("isum-shard-{name}"))
-            .spawn(move || shard_loop(rx, thread_shard, thread_ctx, next_seq, wal_writer, drift))?;
+            .spawn(move || worker.run(rx))?;
         lock(&self.threads).push(handle);
         shards.insert(name.to_string(), Arc::clone(&shard));
         isum_common::info!("server.shards", format!("shard `{name}` online"), seq = next_seq);
@@ -578,15 +504,17 @@ impl ShardRouter {
 
     /// Graceful drain: stops accepting, lets every queue empty, runs the
     /// final per-shard compactions, and joins every thread. Order
-    /// matters in hashed mode: the router thread must drain (and receive
-    /// its last sub-acks) before the shard queues close.
+    /// matters in hashed mode: the front must drain (and receive its
+    /// last slice acks) before the shard queues close.
     pub(crate) fn drain(&self) {
-        *lock(&self.router_tx) = None;
-        if let Some(handle) = lock(&self.router_thread).take() {
-            let _ = handle.join();
+        if let Some(front) = &self.front {
+            *lock(&front.queue) = None;
+            if let Some(handle) = lock(&front.thread).take() {
+                let _ = handle.join();
+            }
         }
         for shard in self.shards() {
-            *lock(&shard.ingest) = None;
+            *lock(&shard.queue) = None;
         }
         let handles: Vec<_> = lock(&self.threads).drain(..).collect();
         for handle in handles {
@@ -600,153 +528,86 @@ impl ShardRouter {
     /// corrupt the exposition.
     pub(crate) fn render_shard_metrics(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let shards = self.shards();
-        let gauge = |out: &mut String, name: &str, help: &str, value: &dyn Fn(&Shard) -> i64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for s in &shards {
-                out.push_str(&telemetry::labeled_sample(
-                    name,
-                    &[("tenant", s.name.as_str())],
-                    value(s),
-                ));
-            }
-        };
-        gauge(out, "isum_shard_observed", "Queries observed by the shard.", &|s| {
-            s.cells.observed.load(Ordering::Relaxed) as i64
-        });
-        gauge(out, "isum_shard_templates", "Distinct templates in the shard.", &|s| {
-            s.cells.templates.load(Ordering::Relaxed) as i64
-        });
-        gauge(out, "isum_shard_queue_depth", "Queued ingest jobs on the shard.", &|s| {
-            s.cells.queue_depth.load(Ordering::Relaxed) as i64
-        });
-        gauge(out, "isum_shard_next_seq", "Shard sequencer high-water mark.", &|s| {
-            s.cells.next_seq.load(Ordering::Relaxed) as i64
-        });
-        gauge(
-            out,
-            "isum_shard_drift_score_ppm",
-            "Last drift score in ppm (-1 before any sample).",
-            &|s| s.cells.drift_score_ppm.load(Ordering::Relaxed),
-        );
-        let _ = writeln!(out, "# HELP isum_shard_drift_alerts Drift threshold crossings.");
-        let _ = writeln!(out, "# TYPE isum_shard_drift_alerts counter");
-        for s in &shards {
-            out.push_str(&telemetry::labeled_sample(
-                "isum_shard_drift_alerts",
-                &[("tenant", s.name.as_str())],
-                s.cells.drift_alerts.load(Ordering::Relaxed),
-            ));
+        type Family = (&'static str, &'static str, &'static str, fn(&ShardCells) -> i64);
+        fn load(cell: &AtomicU64) -> i64 {
+            cell.load(Ordering::Relaxed) as i64
         }
-        let counter = |out: &mut String, name: &str, help: &str, value: &dyn Fn(&Shard) -> u64| {
+        let families: [Family; 10] = [
+            ("isum_shard_observed", "gauge", "Queries observed by the shard.", |c| {
+                load(&c.observed)
+            }),
+            ("isum_shard_templates", "gauge", "Distinct templates in the shard.", |c| {
+                load(&c.templates)
+            }),
+            ("isum_shard_queue_depth", "gauge", "Queued ingest jobs on the shard.", |c| {
+                load(&c.queue_depth)
+            }),
+            ("isum_shard_next_seq", "gauge", "Shard sequencer high-water mark.", |c| {
+                load(&c.next_seq)
+            }),
+            (
+                "isum_shard_drift_score_ppm",
+                "gauge",
+                "Last drift score in ppm (-1 before any sample).",
+                |c| c.drift_score_ppm.load(Ordering::Relaxed),
+            ),
+            ("isum_shard_drift_alerts", "counter", "Drift threshold crossings.", |c| {
+                load(&c.drift_alerts)
+            }),
+            (
+                "isum_wal_appended_bytes_total",
+                "counter",
+                "Bytes appended to the shard's write-ahead log.",
+                |c| load(&c.wal_appended_bytes_total),
+            ),
+            (
+                "isum_wal_compactions_total",
+                "counter",
+                "WAL compactions (snapshot written, log truncated).",
+                |c| load(&c.wal_compactions),
+            ),
+            (
+                "isum_shard_resummarizes_total",
+                "counter",
+                "Drift-triggered re-summarizations of the shard.",
+                |c| load(&c.resummarizes),
+            ),
+            (
+                "isum_shard_resummarize_ms_total",
+                "counter",
+                "Wall-clock milliseconds spent re-summarizing.",
+                |c| load(&c.resummarize_total_ms),
+            ),
+        ];
+        let shards = self.shards();
+        for (name, kind, help, value) in families {
             let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
             for s in &shards {
-                out.push_str(&telemetry::labeled_sample(
-                    name,
-                    &[("tenant", s.name.as_str())],
-                    value(s),
-                ));
+                let labels = [("tenant", s.name.as_str())];
+                out.push_str(&telemetry::labeled_sample(name, &labels, value(&s.cells)));
             }
-        };
-        counter(
-            out,
-            "isum_wal_appended_bytes_total",
-            "Bytes appended to the shard's write-ahead log.",
-            &|s| s.cells.wal_appended_bytes_total.load(Ordering::Relaxed),
-        );
-        counter(
-            out,
-            "isum_wal_compactions_total",
-            "WAL compactions (snapshot written, log truncated).",
-            &|s| s.cells.wal_compactions.load(Ordering::Relaxed),
-        );
-        counter(
-            out,
-            "isum_shard_resummarizes_total",
-            "Drift-triggered re-summarizations of the shard.",
-            &|s| s.cells.resummarizes.load(Ordering::Relaxed),
-        );
-        counter(
-            out,
-            "isum_shard_resummarize_ms_total",
-            "Wall-clock milliseconds spent re-summarizing.",
-            &|s| s.cells.resummarize_total_ms.load(Ordering::Relaxed),
-        );
+        }
         let _ = writeln!(out, "# HELP isum_wal_fsync_seconds WAL append fsync latency.");
         let _ = writeln!(out, "# TYPE isum_wal_fsync_seconds histogram");
         for s in &shards {
-            let (counts, overflow, count, sum) = s.cells.wal_fsync_hist.snapshot();
-            let mut cumulative = 0u64;
-            for (i, hi) in wal::FSYNC_BUCKET_BOUNDS.iter().enumerate() {
-                cumulative += counts[i];
-                out.push_str(&telemetry::labeled_sample(
-                    "isum_wal_fsync_seconds_bucket",
-                    &[("tenant", s.name.as_str()), ("le", &hi.to_string())],
-                    cumulative,
-                ));
-            }
-            cumulative += overflow;
-            out.push_str(&telemetry::labeled_sample(
-                "isum_wal_fsync_seconds_bucket",
-                &[("tenant", s.name.as_str()), ("le", "+Inf")],
-                cumulative,
-            ));
-            out.push_str(&telemetry::labeled_sample(
-                "isum_wal_fsync_seconds_sum",
-                &[("tenant", s.name.as_str())],
-                sum,
-            ));
-            out.push_str(&telemetry::labeled_sample(
-                "isum_wal_fsync_seconds_count",
-                &[("tenant", s.name.as_str())],
-                count,
-            ));
+            let labels = [("tenant", s.name.as_str())];
+            render_histogram(out, "isum_wal_fsync_seconds", &labels, &s.cells.wal_fsync_hist);
         }
         let _ = writeln!(out, "# HELP isum_stage_seconds Per-request pipeline stage latency.");
         let _ = writeln!(out, "# TYPE isum_stage_seconds histogram");
-        // Tenant mode feeds the per-shard histograms; hashed mode feeds
-        // the router's (one global ingest stream), rendered under the
-        // default tenant label so dashboards see one stable shape.
-        let render_stage_hist = |out: &mut String, tenant: &str, hist: &StageHist| {
-            for stage in STAGES {
-                let (counts, overflow, count, sum) = hist.stage(stage).snapshot();
-                let mut cumulative = 0u64;
-                for (i, hi) in wal::FSYNC_BUCKET_BOUNDS.iter().enumerate() {
-                    cumulative += counts[i];
-                    out.push_str(&telemetry::labeled_sample(
-                        "isum_stage_seconds_bucket",
-                        &[("tenant", tenant), ("stage", stage.as_str()), ("le", &hi.to_string())],
-                        cumulative,
-                    ));
-                }
-                cumulative += overflow;
-                out.push_str(&telemetry::labeled_sample(
-                    "isum_stage_seconds_bucket",
-                    &[("tenant", tenant), ("stage", stage.as_str()), ("le", "+Inf")],
-                    cumulative,
-                ));
-                out.push_str(&telemetry::labeled_sample(
-                    "isum_stage_seconds_sum",
-                    &[("tenant", tenant), ("stage", stage.as_str())],
-                    sum,
-                ));
-                out.push_str(&telemetry::labeled_sample(
-                    "isum_stage_seconds_count",
-                    &[("tenant", tenant), ("stage", stage.as_str())],
-                    count,
-                ));
-            }
+        // One series set per stream: each tenant's shard, or the hashed
+        // front (one global ingest stream) under the default tenant label
+        // so dashboards see one stable shape.
+        let streams: Vec<(&str, &ShardCells)> = match &self.front {
+            Some(front) => vec![(DEFAULT_TENANT, &front.cells)],
+            None => shards.iter().map(|s| (s.name.as_str(), &*s.cells)).collect(),
         };
-        match self.ctx.mode {
-            ShardMode::Hashed(_) => {
-                render_stage_hist(out, DEFAULT_TENANT, &self.router_cells.stage_hist);
-            }
-            ShardMode::Tenant => {
-                for s in &shards {
-                    render_stage_hist(out, &s.name, &s.cells.stage_hist);
-                }
+        for (tenant, cells) in streams {
+            for stage in STAGES {
+                let labels = [("tenant", tenant), ("stage", stage.as_str())];
+                let hist = &cells.stage_hist.hists[stage as usize];
+                render_histogram(out, "isum_stage_seconds", &labels, hist);
             }
         }
     }
@@ -764,20 +625,21 @@ impl ShardRouter {
         self.shards().iter().map(|s| s.cells.templates.load(Ordering::Relaxed)).sum()
     }
 
-    /// Queue depth summed over every queue (router + shards).
+    /// Queue depth summed over every queue (front + shards).
     pub(crate) fn queue_depth_total(&self) -> u64 {
         let shard_depth: u64 =
             self.shards().iter().map(|s| s.cells.queue_depth.load(Ordering::Relaxed)).sum();
-        shard_depth + self.router_cells.queue_depth.load(Ordering::Relaxed)
+        let front_depth = self.front.as_ref().map(|f| f.cells.queue_depth.load(Ordering::Relaxed));
+        shard_depth + front_depth.unwrap_or(0)
     }
 
-    /// The `seq` the `/status` document leads with: the router's global
+    /// The `seq` the `/status` document leads with: the front's global
     /// high-water mark in hashed mode, otherwise the maximum shard mark
     /// (equal to the only shard's mark single-tenant).
     pub(crate) fn lead_seq(&self) -> u64 {
-        match self.ctx.mode {
-            ShardMode::Hashed(_) => self.router_cells.next_seq.load(Ordering::Relaxed),
-            ShardMode::Tenant => self
+        match &self.front {
+            Some(front) => front.cells.next_seq.load(Ordering::Relaxed),
+            None => self
                 .shards()
                 .iter()
                 .map(|s| s.cells.next_seq.load(Ordering::Relaxed))
@@ -785,6 +647,50 @@ impl ShardRouter {
                 .unwrap_or(0),
         }
     }
+}
+
+/// Offers `job` to a worker's bounded queue without blocking: a closed
+/// queue is a drain in progress (503), a full one is backpressure (429
+/// with `Retry-After`).
+fn enqueue(queue: &Queue, cells: &ShardCells, job: Job) -> Result<(), Response> {
+    let sent = match lock(queue).as_ref() {
+        Some(tx) => tx.try_send(job),
+        None => Err(TrySendError::Disconnected(job)),
+    };
+    match sent {
+        Ok(()) => {
+            cells.queue_depth.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+        Err(TrySendError::Full(_)) => {
+            count!("server.backpressure");
+            Err(retryable(429, "ingest queue is full; retry shortly"))
+        }
+        Err(TrySendError::Disconnected(_)) => Err(Response::error(503, "server is shutting down")),
+    }
+}
+
+/// A retryable failure: the status plus a jittered `Retry-After`.
+fn retryable(status: u16, message: &str) -> Response {
+    Response::error(status, message).with_header("Retry-After", &retry_after_value(1))
+}
+
+/// Appends one labeled series of a Prometheus histogram family:
+/// cumulative `_bucket` samples (every finite bound, then `+Inf`), then
+/// `_sum` and `_count`.
+fn render_histogram(out: &mut String, family: &str, labels: &[(&str, &str)], hist: &FsyncHist) {
+    let (counts, overflow, count, sum) = hist.snapshot();
+    let bounds = wal::FSYNC_BUCKET_BOUNDS.iter().map(f64::to_string).chain(["+Inf".to_string()]);
+    let bucket = format!("{family}_bucket");
+    let mut cumulative = 0u64;
+    for (le, n) in bounds.zip(counts.into_iter().chain([overflow])) {
+        cumulative += n;
+        let mut bucket_labels = labels.to_vec();
+        bucket_labels.push(("le", &le));
+        out.push_str(&telemetry::labeled_sample(&bucket, &bucket_labels, cumulative));
+    }
+    out.push_str(&telemetry::labeled_sample(&format!("{family}_sum"), labels, sum));
+    out.push_str(&telemetry::labeled_sample(&format!("{family}_count"), labels, count));
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -883,8 +789,10 @@ fn sibling_with_tag(stem: &Path, tag: &str) -> PathBuf {
     stem.with_file_name(named)
 }
 
-/// Tenants with a `.t-<hex>` checkpoint next to `stem`, so a restart in
-/// tenant mode resurrects every tenant that ever checkpointed.
+/// Tenants with a `.t-<hex>` snapshot or WAL next to `stem`, so a
+/// restart in tenant mode resurrects every tenant that was ever
+/// acknowledged a batch — a young tenant has a log long before its first
+/// compaction writes a snapshot.
 fn discover_tenant_checkpoints(stem: &Path) -> Vec<String> {
     let Some(file) = stem.file_name().and_then(|f| f.to_str()) else {
         return Vec::new();
@@ -902,7 +810,9 @@ fn discover_tenant_checkpoints(stem: &Path) -> Vec<String> {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(rest) = name.strip_prefix(&prefix) else { continue };
-        let Some(hex) = rest.strip_suffix(&suffix) else { continue };
+        let Some(hex) = rest.strip_suffix(&suffix).or_else(|| rest.strip_suffix(".wal")) else {
+            continue;
+        };
         if let Some(tenant) = unhex_name(hex) {
             if validate_tenant(&tenant).is_ok() && tenant != DEFAULT_TENANT {
                 tenants.push(tenant);
@@ -910,6 +820,7 @@ fn discover_tenant_checkpoints(stem: &Path) -> Vec<String> {
         }
     }
     tenants.sort();
+    tenants.dedup();
     tenants
 }
 
@@ -935,9 +846,12 @@ fn snapshot_prev_path(path: &Path) -> PathBuf {
 /// previous compaction, then to an empty engine — the WAL tail replays
 /// on top either way. Returns `(engine, next_seq, wal_seq watermark,
 /// drift-tracker state)`.
-fn load_snapshot_with_quarantine(ctx: &ShardCtx, path: &Path) -> (Engine, u64, u64, Option<Json>) {
+fn load_snapshot_with_quarantine(
+    cfg: &ServerConfig,
+    path: &Path,
+) -> (Engine, u64, u64, Option<Json>) {
     if path.exists() {
-        match Engine::restore_from(ctx.catalog.clone(), ctx.isum, path) {
+        match Engine::restore_from(cfg.catalog.clone(), cfg.isum, path) {
             Ok(state) => return state,
             Err(e) => {
                 let quarantine = quarantine_path(path);
@@ -957,7 +871,7 @@ fn load_snapshot_with_quarantine(ctx: &ShardCtx, path: &Path) -> (Engine, u64, u
     }
     let prev = snapshot_prev_path(path);
     if prev.exists() {
-        match Engine::restore_from(ctx.catalog.clone(), ctx.isum, &prev) {
+        match Engine::restore_from(cfg.catalog.clone(), cfg.isum, &prev) {
             Ok(state) => {
                 isum_common::warn!(
                     "server.wal",
@@ -976,7 +890,7 @@ fn load_snapshot_with_quarantine(ctx: &ShardCtx, path: &Path) -> (Engine, u64, u
             }
         }
     }
-    (Engine::new(ctx.catalog.clone(), ctx.isum), 0, 0, None)
+    (Engine::new(cfg.catalog.clone(), cfg.isum), 0, 0, None)
 }
 
 /// Recovers one shard's full state: newest usable snapshot plus a replay
@@ -990,20 +904,20 @@ fn load_snapshot_with_quarantine(ctx: &ShardCtx, path: &Path) -> (Engine, u64, u
 /// on the never-crashed run's state instead of silently re-arming.
 /// Mid-log WAL corruption is the only fatal case.
 fn recover_shard_state(
-    ctx: &ShardCtx,
+    cfg: &ServerConfig,
     name: &str,
     checkpoint: Option<&PathBuf>,
 ) -> io::Result<(Engine, u64, Option<WalWriter>, DriftTracker)> {
     let fresh_tracker = |engine: &Engine| {
-        DriftTracker::new(ctx.drift_window, ctx.drift_threshold).starting_at(engine.observed())
+        DriftTracker::new(cfg.drift_window, cfg.drift_threshold).starting_at(engine.observed())
     };
     let Some(path) = checkpoint else {
-        let engine = Engine::new(ctx.catalog.clone(), ctx.isum);
+        let engine = Engine::new(cfg.catalog.clone(), cfg.isum);
         let drift = fresh_tracker(&engine);
         return Ok((engine, 0, None, drift));
     };
     let (mut engine, mut next_seq, snap_wal_seq, drift_snap) =
-        load_snapshot_with_quarantine(ctx, path);
+        load_snapshot_with_quarantine(cfg, path);
     let mut drift = fresh_tracker(&engine);
     if let Some(snap) = &drift_snap {
         drift = drift.restore_state(snap);
@@ -1051,7 +965,7 @@ fn recover_shard_state(
             let fresh = engine.observations_since(drift.seen());
             let mass = engine.template_mass();
             if let Some(sample) = drift.on_batch(&fresh, &mass) {
-                if sample.crossed && ctx.drift_action == DriftAction::Resummarize {
+                if sample.crossed && cfg.drift_action == DriftAction::Resummarize {
                     engine.resummarize_keep_last(sample.window_len);
                     drift.reset_after_resummarize(engine.observed());
                 }
@@ -1071,287 +985,409 @@ fn recover_shard_state(
 }
 
 // ---------------------------------------------------------------------
-// Shard sequencer
+// The request pipeline: admit → durable-apply → ack
 // ---------------------------------------------------------------------
 
-/// One shard's sequencer: applies its queue strictly in order, logging
-/// each applied job to the WAL (fsync before ack) and compacting into a
-/// snapshot at the configured interval, and exits (with a final
-/// compaction) when the queue closes.
-fn shard_loop(
-    rx: Receiver<ShardJob>,
-    shard: Arc<Shard>,
-    ctx: Arc<ShardCtx>,
-    mut next_seq: u64,
-    mut wal: Option<WalWriter>,
-    // Built by recovery: starts at the engine high-water mark for a fresh
-    // shard (checkpoint-restored history counts as "already summarized"),
-    // with window and edge-trigger state restored from the snapshot when
-    // persisted there — so a restart cannot re-fire an alert the
-    // pre-restart run already raised.
-    mut drift: DriftTracker,
-) {
-    let mut attempts: HashMap<u64, u32> = HashMap::new();
-    let mut unseq_counter: u64 = 0;
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        shard.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        match job {
-            ShardJob::Batch { seq, script, request_id, clock, reply } => {
-                let _rid = trace::with_request_id(&request_id);
-                clock.stamp(Stage::Queue);
-                let resp = dispatch_batch(
-                    &shard,
-                    &ctx,
-                    seq,
-                    &script,
-                    &mut next_seq,
-                    &mut attempts,
-                    &mut unseq_counter,
-                    &mut drift,
-                    &mut wal,
-                    &clock,
-                );
-                let _ = reply.try_send(resp);
-            }
-            ShardJob::Sub { seq, stmts, request_id, reply } => {
-                let _rid = trace::with_request_id(&request_id);
-                let outcome =
-                    dispatch_sub(&shard, &ctx, seq, stmts, &mut next_seq, &mut drift, &mut wal);
-                let _ = reply.try_send(outcome);
-            }
-        }
-    }
-    // Final compaction: everything acknowledged is folded into the
-    // snapshot and the WAL truncated — unless an earlier torn append
-    // poisoned the writer, in which case the on-disk WAL is exactly what
-    // a crash would leave and recovery repairs it at the next start.
-    if let Some(path) = &shard.checkpoint {
-        match &mut wal {
-            Some(w) if w.poisoned() => {
-                isum_common::warn!(
-                    "server.wal",
-                    "skipping final compaction: WAL is poisoned; recovery will repair the tail",
-                    tenant = shard.name
-                );
-            }
-            Some(w) => compact_shard(&shard, path, w, next_seq, &drift),
-            None => {}
-        }
-    }
+/// One worker thread: a stream's admission state plus where its admitted
+/// batches go.
+struct Worker {
+    /// The stream's name on events: the tenant, or `default` for the
+    /// hashed front.
+    name: String,
+    cfg: Arc<ServerConfig>,
+    /// The cells of the queue this worker drains.
+    cells: Arc<ShardCells>,
+    sequencer: Sequencer,
+    sink: Sink,
 }
 
-/// Tenant-mode dispatch: duplicate (acknowledged without re-applying),
-/// early (told to retry — holding it would pin its connection's
-/// executor, which deadlocks small pools), or in-order (applied).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_batch(
-    shard: &Shard,
-    ctx: &ShardCtx,
-    seq: Option<u64>,
-    script: &str,
-    next_seq: &mut u64,
-    attempts: &mut HashMap<u64, u32>,
-    unseq_counter: &mut u64,
-    drift: &mut DriftTracker,
-    wal: &mut Option<WalWriter>,
-    clock: &StageClock,
-) -> Response {
-    match seq {
-        Some(seq) if seq < *next_seq => {
-            count!("server.ingest.duplicates");
-            isum_common::debug!(
-                "server.ingest",
-                "duplicate batch acknowledged",
-                tenant = shard.name,
-                seq = seq
-            );
-            let body = Json::Obj(vec![
-                ("status".into(), Json::from("duplicate")),
-                ("seq".into(), Json::from(seq)),
-                ("applied".into(), Json::from(0u64)),
-                ("next_seq".into(), Json::from(*next_seq)),
-            ]);
-            Response::json(200, &body)
-        }
-        Some(seq) if seq > *next_seq => {
+/// Where a stream's admitted batches go.
+enum Sink {
+    /// This thread owns a shard's durable state and applies in place: a
+    /// tenant's stream, or a hashed shard taking slices from the front.
+    Shard(ShardState),
+    /// The hashed front: split by template hash over the shards' queues.
+    FanOut(Vec<(Arc<Shard>, SyncSender<Job>)>),
+}
+
+/// The durable half of a shard, owned by its worker thread.
+struct ShardState {
+    shard: Arc<Shard>,
+    /// The shard's high-water mark, persisted in every snapshot.
+    next_seq: u64,
+    /// Built by recovery: starts at the engine high-water mark for a fresh
+    /// shard (checkpoint-restored history counts as "already summarized"),
+    /// with window and edge-trigger state restored from the snapshot when
+    /// persisted there — so a restart cannot re-fire an alert the
+    /// pre-restart run already raised.
+    drift: DriftTracker,
+    wal: Option<WalWriter>,
+}
+
+/// Strict-`seq` admission for one stream, owned by the stream's worker.
+struct Sequencer {
+    /// The stream's high-water mark: the only `seq` admitted as fresh.
+    next_seq: u64,
+    /// XOR-folded into fault keys; see [`Shard`]. `0` on the hashed
+    /// front, whose keys are bare like the default tenant's.
+    fault_salt: u64,
+    /// Injected-fault attempts so far, per fault key.
+    attempts: HashMap<u64, u32>,
+    unseq_counter: u64,
+}
+
+impl Sequencer {
+    fn resuming_at(next_seq: u64, fault_salt: u64) -> Sequencer {
+        Sequencer { next_seq, fault_salt, attempts: HashMap::new(), unseq_counter: 0 }
+    }
+
+    /// Classifies a batch against the high-water mark. `Err` is the
+    /// retryable 503 for a batch ahead of the stream (holding it would
+    /// pin its connection's thread) or an injected fault; `Ok` carries
+    /// the batch's fault-injection key and whether it sits below the
+    /// mark — a duplicate. Fault rolls only guard fresh positions: a
+    /// duplicate rides on the retry the client already performed.
+    fn admit(&mut self, stream: &str, seq: Option<u64>) -> Result<(u64, bool), Response> {
+        if let Some(seq) = seq.filter(|&s| s > self.next_seq) {
             count!("server.ingest.out_of_order");
             isum_common::debug!(
                 "server.ingest",
                 "batch ahead of the stream; told to retry",
-                tenant = shard.name,
+                tenant = stream,
                 seq = seq,
-                next_seq = *next_seq
+                next_seq = self.next_seq
             );
-            Response::error(
+            let next_seq = self.next_seq;
+            return Err(Response::error(
                 503,
                 &format!("seq {seq} is ahead of the stream (next is {next_seq}); retry shortly"),
             )
-            .with_header("Retry-After", "0")
+            .with_header("Retry-After", "0"));
         }
-        seq => {
-            let key = shard.fault_salt
-                ^ match seq {
-                    Some(s) => s,
-                    None => {
-                        *unseq_counter += 1;
-                        UNSEQ_KEY_BASE | *unseq_counter
-                    }
-                };
-            if let Some(resp) = fault_roll(key, attempts) {
-                return resp;
-            }
-            if !ctx.apply_delay.is_zero() {
-                std::thread::sleep(ctx.apply_delay);
-            }
-            count!("server.ingest.batches");
-            // Split exactly the way `apply_script` would, so the logged
-            // statements replay bit-identically through
-            // `apply_statements` at recovery.
-            let (sqls, costs) = split_script(script);
-            let stmts: Vec<(String, Option<f64>)> = sqls.into_iter().zip(costs).collect();
-            clock.stamp(Stage::Sequence);
-            // Log-then-apply: the record is fsynced before any state
-            // changes, so an acked batch survives any crash and a failed
-            // append leaves nothing applied.
-            if let Some(w) = wal.as_mut() {
-                match wal_append(shard, w, seq, &stmts, key) {
-                    Ok(fsync) => {
-                        // The append stamp covers serialize+write+fsync;
-                        // carve the measured fsync share out so the two
-                        // stages partition the durability cost.
-                        clock.stamp(Stage::WalAppend);
-                        clock.shift(Stage::WalAppend, Stage::Fsync, fsync);
-                    }
-                    Err(why) => {
-                        return Response::error(503, &why)
-                            .with_header("Retry-After", &retry_after_value(1));
-                    }
+        let key = self.fault_salt
+            ^ match seq {
+                Some(s) => s,
+                None => {
+                    self.unseq_counter += 1;
+                    UNSEQ_KEY_BASE | self.unseq_counter
                 }
-            }
-            let body = {
-                let mut engine = lock(&shard.engine);
-                let outcome = engine.apply_statements(&stmts);
-                publish_engine_cells(shard, &engine);
-                isum_common::debug!(
-                    "server.ingest",
-                    "batch applied",
-                    tenant = shard.name,
-                    observed = engine.observed()
-                );
-                outcome.to_json(seq, engine.observed())
             };
-            clock.stamp(Stage::Apply);
-            if seq.is_some() {
-                *next_seq += 1;
-                attempts.remove(&key);
+        let duplicate = seq.is_some_and(|s| s < self.next_seq);
+        if !duplicate {
+            if let Some(resp) = fault_roll(key, &mut self.attempts) {
+                return Err(resp);
             }
-            shard.cells.next_seq.store(*next_seq, Ordering::Relaxed);
-            // Drift first: a re-summarization must be captured by the
-            // compaction that follows (forced when it happened), or a
-            // restart would replay the WAL onto pre-adaptation state.
-            let resummarized = observe_drift(shard, ctx, drift, seq);
-            if maybe_compact(shard, ctx, wal, *next_seq, drift, resummarized) {
-                clock.stamp(Stage::Checkpoint);
-            }
-            Response::json(200, &body)
+        }
+        Ok((key, duplicate))
+    }
+
+    /// Advances past `seq` once its batch is durably applied.
+    fn commit(&mut self, seq: Option<u64>, key: u64) {
+        if seq == Some(self.next_seq) {
+            self.next_seq += 1;
+            self.attempts.remove(&key);
         }
     }
 }
 
-/// Hashed-mode dispatch: monotone dedup, then apply the sub-batch.
-fn dispatch_sub(
-    shard: &Shard,
-    ctx: &ShardCtx,
+impl Worker {
+    /// Serves the queue strictly in order until it closes, then folds
+    /// everything acknowledged into a final snapshot.
+    fn run(mut self, rx: Receiver<Job>) {
+        for job in rx {
+            self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            match job {
+                Job::Batch { seq, script, request_id, clock, reply } => {
+                    let _rid = trace::with_request_id(&request_id);
+                    clock.stamp(Stage::Queue);
+                    let answer = self.ingest(seq, &script, &request_id, &clock);
+                    let _ = reply.try_send(answer.unwrap_or_else(|refusal| refusal));
+                }
+                Job::Slice { seq, stmts, request_id, reply } => {
+                    let _rid = trace::with_request_id(&request_id);
+                    let Sink::Shard(state) = &mut self.sink else {
+                        unreachable!("slices are only ever sent to shard workers")
+                    };
+                    let clock = StageClock::new();
+                    // Monotone dedup: the front re-offers batches below
+                    // its mark after a crash, and only the shards that
+                    // lag still need them.
+                    let result = if seq.is_some_and(|s| s < state.next_seq) {
+                        note_duplicate(&self.name, seq, state.next_seq);
+                        Ok(None)
+                    } else {
+                        // The front rolled the ingest fault already; the
+                        // torn-append site is keyed per shard so distinct
+                        // shards tear independently under one seeded spec.
+                        let torn_key = state.shard.fault_salt ^ seq.unwrap_or(UNSEQ_KEY_BASE);
+                        state.durable_apply(&self.cfg, seq, &stmts, torn_key, &clock).map(Some)
+                    };
+                    let _ = reply.try_send(SliceOutcome { result, clock });
+                }
+            }
+        }
+        // Final compaction: everything acknowledged is folded into the
+        // snapshot and the WAL truncated — unless an earlier torn append
+        // poisoned the writer, in which case the on-disk WAL is exactly what
+        // a crash would leave and recovery repairs it at the next start.
+        let Sink::Shard(ShardState { shard, next_seq, drift, mut wal }) = self.sink else { return };
+        if let Some(path) = &shard.checkpoint {
+            match &mut wal {
+                Some(w) if w.poisoned() => {
+                    isum_common::warn!(
+                        "server.wal",
+                        "skipping final compaction: WAL is poisoned; recovery will repair the tail",
+                        tenant = shard.name
+                    );
+                }
+                Some(w) => compact_shard(&shard, path, w, next_seq, &drift),
+                None => {}
+            }
+        }
+    }
+
+    /// One client batch, end to end: admit, hand to the sink, ack. `Err`
+    /// is the early exit for a batch refused along the way.
+    fn ingest(
+        &mut self,
+        seq: Option<u64>,
+        script: &str,
+        request_id: &str,
+        clock: &StageClock,
+    ) -> Result<Response, Response> {
+        let (key, duplicate) = self.sequencer.admit(&self.name, seq)?;
+        let applied = match &mut self.sink {
+            // Strict dedup: below this stream's mark means this shard
+            // already applied it; acknowledge without touching state.
+            Sink::Shard(state) if duplicate => {
+                note_duplicate(&self.name, seq, state.next_seq);
+                None
+            }
+            Sink::Shard(state) => {
+                let stmts = split_batch(script);
+                clock.stamp(Stage::Sequence);
+                let outcome = state
+                    .durable_apply(&self.cfg, seq, &stmts, key, clock)
+                    .map_err(|why| retryable(503, &why))?;
+                Some((outcome, state.shard.cells.observed.load(Ordering::Relaxed)))
+            }
+            // A below-the-mark batch is *still split and offered*: after
+            // a crash the front resumes at the maximum shard mark, and
+            // the client's retries are how lagging shards receive the
+            // slices they missed.
+            Sink::FanOut(shards) => {
+                let stmts = split_batch(script);
+                fan_out(shards, &self.cfg, seq, duplicate, stmts, request_id, clock)?
+            }
+        };
+        self.sequencer.commit(seq, key);
+        let next_seq = self.sequencer.next_seq;
+        self.cells.next_seq.store(next_seq, Ordering::Relaxed);
+        Ok(ack(seq, applied.as_ref(), duplicate.then_some(next_seq)))
+    }
+}
+
+/// Counts a batch as admitted for application and splits it exactly the
+/// way `Engine::apply_script` would, so the logged statements replay
+/// bit-identically through `apply_statements` at recovery.
+fn split_batch(script: &str) -> Vec<(String, Option<f64>)> {
+    count!("server.ingest.batches");
+    let (sqls, costs) = split_script(script);
+    sqls.into_iter().zip(costs).collect()
+}
+
+fn note_duplicate(stream: &str, seq: Option<u64>, next_seq: u64) {
+    count!("server.ingest.duplicates");
+    isum_common::debug!(
+        "server.ingest",
+        "batch below the high-water mark; not re-applied",
+        tenant = stream,
+        seq = seq.unwrap_or_default(),
+        next_seq = next_seq
+    );
+}
+
+/// The 200 ack. `applied` is `None` when nothing was (re-)applied — a
+/// pure duplicate — else the outcome and the observed total to report;
+/// `duplicate` carries the stream's high-water mark when the batch sat
+/// below it (the stream position did not move, but a recovery re-offer
+/// that refreshed a lagging shard keeps its applied count honest).
+fn ack(
     seq: Option<u64>,
-    stmts: Vec<(usize, String, Option<f64>)>,
-    next_seq: &mut u64,
-    drift: &mut DriftTracker,
-    wal: &mut Option<WalWriter>,
-) -> SubOutcome {
+    applied: Option<&(IngestOutcome, u64)>,
+    duplicate: Option<u64>,
+) -> Response {
+    let status = if duplicate.is_some() { Json::from("duplicate") } else { Json::from("ok") };
+    let mut fields = vec![("status".into(), status)];
     if let Some(s) = seq {
-        if s < *next_seq {
-            count!("server.ingest.duplicates");
+        fields.push(("seq".into(), Json::from(s)));
+    }
+    match applied {
+        None => fields.push(("applied".into(), Json::from(0u64))),
+        Some((outcome, observed)) => {
+            let rejected = outcome.rejected.iter().map(|(i, reason)| {
+                Json::Obj(vec![
+                    ("statement".into(), Json::from(*i)),
+                    ("error".into(), Json::from(reason.as_str())),
+                ])
+            });
+            fields.push(("applied".into(), Json::from(outcome.accepted)));
+            fields.push(("total".into(), Json::from(outcome.total)));
+            fields.push(("rejected".into(), Json::Arr(rejected.collect())));
+            fields.push(("observed".into(), Json::from(*observed)));
+        }
+    }
+    if let Some(next_seq) = duplicate {
+        fields.push(("next_seq".into(), Json::from(next_seq)));
+    }
+    Response::json(200, &Json::Obj(fields))
+}
+
+impl ShardState {
+    /// The durable-apply step, the only code that mutates a live shard:
+    /// log → fsync → apply → publish → drift → compact, each stamped on
+    /// `clock` (the request's own in tenant mode, a slice-local one in
+    /// hashed mode). `Err` means the batch could not be logged: nothing
+    /// was applied, and the caller answers a retryable 503.
+    fn durable_apply(
+        &mut self,
+        cfg: &ServerConfig,
+        seq: Option<u64>,
+        stmts: &[(String, Option<f64>)],
+        torn_key: u64,
+        clock: &StageClock,
+    ) -> Result<IngestOutcome, String> {
+        let shard = &*self.shard;
+        if !cfg.apply_delay.is_zero() {
+            std::thread::sleep(cfg.apply_delay);
+        }
+        // Log-then-apply: the record is fsynced before any state
+        // changes, so an acked batch survives any crash and a failed
+        // append leaves nothing applied.
+        if let Some(w) = self.wal.as_mut() {
+            let fsync = wal_append(shard, w, seq, stmts, torn_key)?;
+            // The append stamp covers serialize+write+fsync; carve the
+            // measured fsync share out so the two stages partition the
+            // durability cost.
+            clock.stamp(Stage::WalAppend);
+            clock.shift(Stage::WalAppend, Stage::Fsync, fsync);
+        }
+        let outcome = {
+            let mut engine = lock(&shard.engine);
+            let outcome = engine.apply_statements(stmts);
+            publish_engine_cells(shard, &engine);
             isum_common::debug!(
                 "server.ingest",
-                "sub-batch below shard high-water mark; skipped",
+                "batch applied",
                 tenant = shard.name,
-                seq = s,
-                next_seq = *next_seq
+                observed = engine.observed()
             );
-            return SubOutcome {
-                applied: 0,
-                rejected: Vec::new(),
-                fresh: false,
-                error: None,
-                stage_ns: (0, 0, 0, 0),
-            };
+            outcome
+        };
+        clock.stamp(Stage::Apply);
+        if let Some(s) = seq {
+            self.next_seq = s + 1;
         }
+        shard.cells.next_seq.store(self.next_seq, Ordering::Relaxed);
+        // Drift first: a re-summarization must be captured by the
+        // compaction that follows (forced when it happened), or a
+        // restart would replay the WAL onto pre-adaptation state.
+        let resummarized = observe_drift(shard, cfg, &mut self.drift, seq);
+        if maybe_compact(shard, cfg, &mut self.wal, self.next_seq, &self.drift, resummarized) {
+            clock.stamp(Stage::Checkpoint);
+        }
+        Ok(outcome)
     }
-    if !ctx.apply_delay.is_zero() {
-        std::thread::sleep(ctx.apply_delay);
+}
+
+/// The hashed front's sink: splits an admitted batch by
+/// template-fingerprint hash (in parallel on the exec pool), offers each
+/// involved shard its slice, and waits until every one of them has
+/// durably logged and applied it. `Ok(None)` is a duplicate no shard
+/// still needed; `Err` is the retryable answer when a shard could not
+/// log its slice or did not answer in time — the stream does not
+/// advance, the client's retry re-offers every slice, and shards that
+/// already applied theirs dedup monotonically.
+fn fan_out(
+    shards: &[(Arc<Shard>, SyncSender<Job>)],
+    cfg: &ServerConfig,
+    seq: Option<u64>,
+    duplicate: bool,
+    stmts: Vec<(String, Option<f64>)>,
+    request_id: &str,
+    clock: &StageClock,
+) -> Result<Option<(IngestOutcome, u64)>, Response> {
+    let mut merged = IngestOutcome { accepted: 0, rejected: Vec::new(), total: stmts.len() };
+    // Per shard: the slice, and each statement's index in the batch.
+    let mut slices = vec![(Vec::new(), Vec::new()); shards.len()];
+    let hashes = isum_exec::par_map(&stmts, |(sql, _)| route_hash(sql));
+    for (i, stmt) in stmts.into_iter().enumerate() {
+        let (slice, indexes) = &mut slices[(hashes[i] % shards.len() as u64) as usize];
+        slice.push(stmt);
+        indexes.push(i);
     }
-    let (indexes, pairs): (Vec<usize>, Vec<(String, Option<f64>)>) =
-        stmts.into_iter().map(|(i, sql, cost)| (i, (sql, cost))).unzip();
-    // Log-then-apply, as in tenant mode. The router rolled the ingest
-    // fault already; the torn-append site is keyed per shard so distinct
-    // shards tear independently under the same seeded spec. Stage timing
-    // is measured locally (the request's clock lives on the router
-    // thread); the router folds the per-shard maxima into the timeline.
-    let mut wal_ns = 0u64;
-    let mut fsync_ns = 0u64;
-    if let Some(w) = wal.as_mut() {
-        let key = shard.fault_salt ^ seq.unwrap_or(UNSEQ_KEY_BASE);
-        let started = Instant::now();
-        match wal_append(shard, w, seq, &pairs, key) {
-            Ok(fsync) => {
-                wal_ns = started.elapsed().as_nanos() as u64;
-                fsync_ns = (fsync.as_nanos() as u64).min(wal_ns);
-            }
+    clock.stamp(Stage::Sequence);
+    let mut waits = Vec::new();
+    for ((shard, tx), (stmts, indexes)) in shards.iter().zip(slices) {
+        if stmts.is_empty() {
+            continue;
+        }
+        let (reply, answer) = mpsc::sync_channel::<SliceOutcome>(1);
+        shard.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let slice = Job::Slice { seq, stmts, request_id: request_id.to_string(), reply };
+        if tx.send(slice).is_err() {
+            return Err(Response::error(503, "server is shutting down"));
+        }
+        waits.push((shard, indexes, answer));
+    }
+    let mut any_fresh = false;
+    // Per-stage maxima over the involved shards: the fan-out runs
+    // concurrently, so the slowest shard's share of each stage is the
+    // critical-path attribution the timeline reports.
+    let (mut max_wal, mut max_fsync, mut max_ckpt) =
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    for (shard, indexes, answer) in waits {
+        let Ok(slice) = answer.recv_timeout(cfg.ingest_timeout.max(Duration::from_secs(1))) else {
+            count!("server.ingest.timeouts");
+            isum_common::warn!(
+                "server.ingest",
+                format!("shard {} did not ack its slice in time", shard.name),
+                seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string())
+            );
+            return Err(retryable(
+                503,
+                "a shard did not apply its slice in time; retry with the same seq",
+            ));
+        };
+        match slice.result {
             Err(why) => {
-                return SubOutcome {
-                    applied: 0,
-                    rejected: Vec::new(),
-                    fresh: false,
-                    error: Some(why),
-                    stage_ns: (0, 0, 0, 0),
-                };
+                return Err(retryable(503, &format!("a shard could not log its slice: {why}")))
+            }
+            Ok(None) => {}
+            Ok(Some(outcome)) => {
+                any_fresh = true;
+                merged.accepted += outcome.accepted;
+                let rekeyed = outcome.rejected.into_iter().map(|(i, why)| (indexes[i], why));
+                merged.rejected.extend(rekeyed);
             }
         }
+        let spent = |stage| slice.clock.get(stage).unwrap_or_default();
+        max_wal = max_wal.max(spent(Stage::WalAppend) + spent(Stage::Fsync));
+        max_fsync = max_fsync.max(spent(Stage::Fsync));
+        max_ckpt = max_ckpt.max(spent(Stage::Checkpoint));
     }
-    let apply_started = Instant::now();
-    let outcome = {
-        let mut engine = lock(&shard.engine);
-        let outcome = engine.apply_statements(&pairs);
-        publish_engine_cells(shard, &engine);
-        isum_common::debug!(
-            "server.ingest",
-            "sub-batch applied",
-            tenant = shard.name,
-            observed = engine.observed()
-        );
-        outcome
-    };
-    let apply_ns = apply_started.elapsed().as_nanos() as u64;
-    if let Some(s) = seq {
-        *next_seq = s + 1;
-    }
-    shard.cells.next_seq.store(*next_seq, Ordering::Relaxed);
-    let resummarized = observe_drift(shard, ctx, drift, seq);
-    let ckpt_started = Instant::now();
-    let compacted = maybe_compact(shard, ctx, wal, *next_seq, drift, resummarized);
-    let checkpoint_ns = if compacted { ckpt_started.elapsed().as_nanos() as u64 } else { 0 };
-    SubOutcome {
-        applied: outcome.accepted,
-        rejected: outcome.rejected.into_iter().map(|(i, why)| (indexes[i], why)).collect(),
-        fresh: true,
-        error: None,
-        stage_ns: (wal_ns, fsync_ns, apply_ns, checkpoint_ns),
-    }
+    merged.rejected.sort_by_key(|(i, _)| *i);
+    // The Apply stamp covers the whole fan-out wall time; the shards'
+    // critical-path maxima are then carved out into the durability and
+    // checkpoint stages (fsync nested inside wal_append, as
+    // `durable_apply` carved it on the slice clocks). Whatever remains
+    // under `apply` is engine work plus fan-out coordination.
+    clock.stamp(Stage::Apply);
+    clock.shift(Stage::Apply, Stage::WalAppend, max_wal);
+    clock.shift(Stage::WalAppend, Stage::Fsync, max_fsync);
+    clock.shift(Stage::Apply, Stage::Checkpoint, max_ckpt);
+    let observed = shards.iter().map(|(s, _)| s.cells.observed.load(Ordering::Relaxed)).sum();
+    Ok((any_fresh || !duplicate).then_some((merged, observed)))
 }
 
 /// Rolls the deterministic ingest fault for `key`; `Some` is the 503 the
@@ -1440,7 +1476,7 @@ fn wal_append(
 /// would diverge from the live state — the new snapshot resynchronizes).
 fn maybe_compact(
     shard: &Shard,
-    ctx: &ShardCtx,
+    cfg: &ServerConfig,
     wal: &mut Option<WalWriter>,
     next_seq: u64,
     drift: &DriftTracker,
@@ -1452,8 +1488,8 @@ fn maybe_compact(
         return false;
     }
     if force
-        || w.records_since_compaction() >= ctx.wal_compact_every
-        || w.len() >= ctx.wal_compact_bytes
+        || w.records_since_compaction() >= cfg.wal_compact_every
+        || w.len() >= cfg.wal_compact_bytes
     {
         compact_shard(shard, path, w, next_seq, drift);
         return true;
@@ -1546,7 +1582,7 @@ fn compact_shard(
 /// happened (so the caller forces a compaction).
 fn observe_drift(
     shard: &Shard,
-    ctx: &ShardCtx,
+    cfg: &ServerConfig,
     drift: &mut DriftTracker,
     seq: Option<u64>,
 ) -> bool {
@@ -1576,14 +1612,14 @@ fn observe_drift(
             format!(
                 "workload drift score {:.4} crossed threshold {:.4}; \
                  recent templates diverge from the summarized history",
-                sample.score, ctx.drift_threshold
+                sample.score, cfg.drift_threshold
             ),
             tenant = shard.name,
             seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string()),
             window_len = sample.window_len,
             score_ppm = ppm
         );
-        if ctx.drift_action == DriftAction::Resummarize {
+        if cfg.drift_action == DriftAction::Resummarize {
             resummarize_shard(shard, drift, sample.window_len);
             return true;
         }
@@ -1617,212 +1653,6 @@ fn resummarize_shard(shard: &Shard, drift: &mut DriftTracker, window_len: usize)
         format!("re-summarized over the recent window ({kept} queries kept) in {ms} ms"),
         tenant = shard.name
     );
-}
-
-// ---------------------------------------------------------------------
-// Hashed-mode router thread
-// ---------------------------------------------------------------------
-
-/// The hashed-mode router: owns the global strict `seq` stream and the
-/// fault rolls, splits each batch by template-fingerprint hash (in
-/// parallel on the exec pool), and acks only after every involved shard
-/// has durably logged and applied its slice.
-fn router_loop(
-    rx: Receiver<RouterJob>,
-    shards: Vec<(Arc<Shard>, SyncSender<ShardJob>)>,
-    ctx: Arc<ShardCtx>,
-    cells: Arc<RouterCells>,
-    mut next_seq: u64,
-) {
-    let mut attempts: HashMap<u64, u32> = HashMap::new();
-    let mut unseq_counter: u64 = 0;
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let _rid = trace::with_request_id(&job.request_id);
-        job.clock.stamp(Stage::Queue);
-        let resp = route_job(&job, &shards, &ctx, &mut next_seq, &mut attempts, &mut unseq_counter);
-        cells.next_seq.store(next_seq, Ordering::Relaxed);
-        let _ = job.reply.try_send(resp);
-    }
-}
-
-/// Handles one hashed-mode batch on the router thread; see
-/// [`router_loop`].
-fn route_job(
-    job: &RouterJob,
-    shards: &[(Arc<Shard>, SyncSender<ShardJob>)],
-    ctx: &ShardCtx,
-    next_seq: &mut u64,
-    attempts: &mut HashMap<u64, u32>,
-    unseq_counter: &mut u64,
-) -> Response {
-    if let Some(seq) = job.seq {
-        if seq > *next_seq {
-            count!("server.ingest.out_of_order");
-            isum_common::debug!(
-                "server.ingest",
-                "batch ahead of the stream; told to retry",
-                seq = seq,
-                next_seq = *next_seq
-            );
-            return Response::error(
-                503,
-                &format!("seq {seq} is ahead of the stream (next is {next_seq}); retry shortly"),
-            )
-            .with_header("Retry-After", "0");
-        }
-    }
-    let duplicate = matches!(job.seq, Some(s) if s < *next_seq);
-    let key = match job.seq {
-        Some(s) => s,
-        None => {
-            *unseq_counter += 1;
-            UNSEQ_KEY_BASE | *unseq_counter
-        }
-    };
-    // A below-high-water batch is *still split and offered*: after a
-    // crash the router resumes at the maximum shard mark, and the
-    // client's retries are how lagging shards receive the slices they
-    // missed (each shard's monotone dedup skips what it already has).
-    // Fault rolls only guard fresh sequence positions — re-offers ride
-    // on the retry the client already performed.
-    if !duplicate {
-        if let Some(resp) = fault_roll(key, attempts) {
-            return resp;
-        }
-    }
-    count!("server.ingest.batches");
-    let (sqls, costs) = split_script(&job.script);
-    let total = sqls.len();
-    let mut per_shard: Vec<Vec<(usize, String, Option<f64>)>> = vec![Vec::new(); shards.len()];
-    if !sqls.is_empty() {
-        let hashes = isum_exec::par_map(&sqls, |sql| route_hash(sql));
-        for (i, sql) in sqls.into_iter().enumerate() {
-            let target = (hashes[i] % shards.len() as u64) as usize;
-            per_shard[target].push((i, sql, costs[i]));
-        }
-    }
-    job.clock.stamp(Stage::Sequence);
-    let mut waits: Vec<(usize, mpsc::Receiver<SubOutcome>)> = Vec::new();
-    for (idx, stmts) in per_shard.into_iter().enumerate() {
-        if stmts.is_empty() {
-            continue;
-        }
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<SubOutcome>(1);
-        let sub = ShardJob::Sub {
-            seq: job.seq,
-            stmts,
-            request_id: job.request_id.clone(),
-            reply: reply_tx,
-        };
-        shards[idx].0.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
-        if shards[idx].1.send(sub).is_err() {
-            return Response::error(503, "server is shutting down");
-        }
-        waits.push((idx, reply_rx));
-    }
-    let mut applied = 0usize;
-    let mut rejected: Vec<(usize, String)> = Vec::new();
-    let mut any_fresh = false;
-    // Per-stage maxima over the involved shards: the fan-out runs
-    // concurrently, so the slowest shard's share of each stage is the
-    // critical-path attribution the timeline reports.
-    let (mut max_wal, mut max_fsync, mut max_ckpt) = (0u64, 0u64, 0u64);
-    for (idx, rx) in waits {
-        match rx.recv_timeout(ctx.ingest_timeout.max(Duration::from_secs(1))) {
-            Ok(outcome) => {
-                if let Some(err) = outcome.error {
-                    // The shard could not log its slice durably; nothing
-                    // applied there. Do not advance the stream — the
-                    // client's retry re-offers every slice, and already
-                    // caught-up shards dedup monotonically.
-                    return Response::error(
-                        503,
-                        &format!("a shard could not log its slice: {err}"),
-                    )
-                    .with_header("Retry-After", &retry_after_value(1));
-                }
-                applied += outcome.applied;
-                any_fresh |= outcome.fresh;
-                rejected.extend(outcome.rejected);
-                let (wal_ns, fsync_ns, _apply_ns, ckpt_ns) = outcome.stage_ns;
-                max_wal = max_wal.max(wal_ns);
-                max_fsync = max_fsync.max(fsync_ns);
-                max_ckpt = max_ckpt.max(ckpt_ns);
-            }
-            Err(_) => {
-                count!("server.ingest.timeouts");
-                isum_common::warn!(
-                    "server.ingest",
-                    format!("shard h{idx} did not ack its sub-batch in time"),
-                    seq = job.seq.map_or_else(|| "unsequenced".into(), |s| s.to_string())
-                );
-                return Response::error(
-                    503,
-                    "a shard did not apply its slice in time; retry with the same seq",
-                )
-                .with_header("Retry-After", &retry_after_value(1));
-            }
-        }
-    }
-    rejected.sort_by_key(|(i, _)| *i);
-    // The Apply stamp covers the whole fan-out wall time; the shards'
-    // critical-path maxima are then carved out into the durability and
-    // checkpoint stages (fsync nested inside wal_append, as in tenant
-    // mode). Whatever remains under `apply` is engine work plus fan-out
-    // coordination.
-    job.clock.stamp(Stage::Apply);
-    job.clock.shift(Stage::Apply, Stage::WalAppend, Duration::from_nanos(max_wal));
-    job.clock.shift(Stage::WalAppend, Stage::Fsync, Duration::from_nanos(max_fsync));
-    job.clock.shift(Stage::Apply, Stage::Checkpoint, Duration::from_nanos(max_ckpt));
-    if job.seq == Some(*next_seq) {
-        *next_seq += 1;
-        attempts.remove(&key);
-    }
-    let observed: u64 = shards.iter().map(|(s, _)| s.cells.observed.load(Ordering::Relaxed)).sum();
-    if duplicate && !any_fresh {
-        let body = Json::Obj(vec![
-            ("status".into(), Json::from("duplicate")),
-            ("seq".into(), Json::from(job.seq.unwrap_or(0))),
-            ("applied".into(), Json::from(0u64)),
-            ("next_seq".into(), Json::from(*next_seq)),
-        ]);
-        return Response::json(200, &body);
-    }
-    let mut fields =
-        vec![("status".into(), Json::from(if duplicate { "duplicate" } else { "ok" }))];
-    if let Some(s) = job.seq {
-        fields.push(("seq".into(), Json::from(s)));
-    }
-    fields.push(("applied".into(), Json::from(applied)));
-    fields.push(("total".into(), Json::from(total)));
-    fields.push((
-        "rejected".into(),
-        Json::Arr(
-            rejected
-                .iter()
-                .map(|(i, reason)| {
-                    Json::Obj(vec![
-                        ("statement".into(), Json::from(*i)),
-                        ("error".into(), Json::from(reason.as_str())),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    fields.push(("observed".into(), Json::from(observed)));
-    if duplicate {
-        // A recovery re-offer that refreshed a lagging shard: report it
-        // as a duplicate (the stream position did not move) but keep the
-        // applied count honest.
-        fields.push(("next_seq".into(), Json::from(*next_seq)));
-    }
-    Response::json(200, &Json::Obj(fields))
 }
 
 #[cfg(test)]
@@ -1864,13 +1694,17 @@ mod tests {
         for tenant in ["acme", "zeta-9"] {
             std::fs::write(checkpoint_path_for(&stem, tenant), "{}").unwrap();
         }
+        // Acknowledged batches but no compaction yet: only a log exists.
+        // And a compacted tenant has both files — found once.
+        std::fs::write(wal::wal_sibling(&checkpoint_path_for(&stem, "young")), "").unwrap();
+        std::fs::write(wal::wal_sibling(&checkpoint_path_for(&stem, "acme")), "").unwrap();
         // Distractors: the default stem, a hashed shard, junk hex.
         std::fs::write(&stem, "{}").unwrap();
         std::fs::write(checkpoint_path_for(&stem, "h0"), "{}").unwrap();
         std::fs::write(dir.join("ckpt.t-zz.json"), "{}").unwrap();
         let mut found = discover_tenant_checkpoints(&stem);
         found.sort();
-        assert_eq!(found, vec!["acme".to_string(), "zeta-9".to_string()]);
+        assert_eq!(found, ["acme", "young", "zeta-9"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -58,8 +58,7 @@ fn drift_tracking_end_to_end() {
 
     // Server A tracks drift over a small window; server B has tracking
     // disabled entirely (window 0) — the on/off pair the byte-compare
-    // needs. Config set directly, not via env, so this test cannot race
-    // the `apply_drift_env` unit tests in other processes.
+    // needs.
     let mut cfg_a = ServerConfig::new(catalog());
     cfg_a.drift_window = 8;
     cfg_a.drift_threshold = 0.3;

@@ -64,6 +64,32 @@ fn many_requests_ride_one_socket_until_connection_close() {
 }
 
 #[test]
+fn idle_keepalive_connections_cannot_starve_the_next_one() {
+    // One more persistent connection than the exec pool has threads, all
+    // open at once: each must be answered while the others sit idle. A
+    // server that runs handlers on the pool pins a worker per socket and
+    // never gets to the last connection.
+    let server = Server::bind("127.0.0.1:0", ServerConfig::new(catalog())).expect("binds");
+    let mut streams: Vec<TcpStream> = (0..isum_exec::global_threads() + 1)
+        .map(|_| TcpStream::connect(server.addr()).expect("connects"))
+        .collect();
+    for round in 0..2 {
+        for (i, stream) in streams.iter_mut().enumerate() {
+            stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+            send(stream, "/healthz", "");
+            let (status, _, _) = read_response(&*stream)
+                .unwrap_or_else(|e| panic!("connection {i} starved in round {round}: {e}"));
+            assert_eq!(status, 200, "connection {i}, round {round}");
+        }
+    }
+    // Drain is not held hostage by the idle sockets either: once the
+    // clients hang up, shutdown completes.
+    drop(streams);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn summary_render_cache_hits_and_invalidates_on_ingest() {
     telemetry::set_enabled(true);
     let server = Server::bind("127.0.0.1:0", ServerConfig::new(catalog())).expect("binds");

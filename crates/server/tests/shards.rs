@@ -395,3 +395,58 @@ fn metrics_carry_escaped_tenant_labels() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn tenant_and_hashed_modes_run_the_same_pipeline() {
+    // One script through both modes' front doors: a tenant-mode daemon
+    // with its one default tenant, and a hashed daemon with one shard.
+    // Admission (duplicate / ahead / unsequenced) and durable-apply
+    // (accepts, rejects, counts) are the same code, so every answer —
+    // status, Retry-After, ack body — and the final summary must agree.
+    let fresh = batches(2, 0);
+    let with_reject = format!("{}SELECT nope FROM missing;\n{}", fresh[0], fresh[1]);
+    let script: [(&str, Option<u64>); 6] = [
+        (&fresh[0], Some(0)),
+        (&fresh[0], Some(0)), // replayed duplicate
+        (&fresh[1], Some(5)), // ahead of the stream
+        (&fresh[1], None),    // unsequenced
+        (&with_reject, Some(1)),
+        (&fresh[1], Some(1)), // duplicate after the stream moved on
+    ];
+    let run = |mode: ShardMode| {
+        let mut config = ServerConfig::new(catalog());
+        config.shards = mode;
+        let (server, client) = start(config);
+        let mut answers: Vec<(u16, Option<u64>, String)> = script
+            .iter()
+            .map(|(sql, seq)| {
+                let resp = client.ingest(sql, *seq).expect("sends");
+                (resp.status, resp.retry_after(), resp.body)
+            })
+            .collect();
+        let summary = client.summary(4).expect("summary");
+        answers.push((summary.status, summary.retry_after(), summary.body));
+        server.shutdown();
+        server.join();
+        answers
+    };
+    let tenant = run(ShardMode::Tenant);
+    assert_eq!(
+        tenant.iter().map(|a| (a.0, a.1)).collect::<Vec<_>>(),
+        [
+            (200, None),
+            (200, None),
+            (503, Some(0)),
+            (200, None),
+            (200, None),
+            (200, None),
+            (200, None)
+        ],
+        "the script exercises every admission outcome: {tenant:#?}"
+    );
+    assert!(
+        tenant[1].2.contains("\"duplicate\"") && tenant[4].2.contains("missing"),
+        "{tenant:#?}"
+    );
+    assert_eq!(tenant, run(ShardMode::Hashed(1)));
+}
