@@ -8,7 +8,8 @@
 
 use crate::benefit::conditional_benefit;
 use crate::features::FeatureVec;
-use crate::update::{apply_update, reset_if_exhausted, UpdateStrategy};
+use crate::groups::Grouping;
+use crate::update::{first_strict_max, greedy_select, GreedyState, UpdateStrategy};
 
 /// Outcome of a greedy selection run.
 #[derive(Debug, Clone, Default)]
@@ -24,56 +25,40 @@ pub struct Selection {
 /// Algorithm 1 as the inner step). `features`/`utilities` are consumed as
 /// working state; pass clones if the caller needs them again.
 pub fn select_all_pairs(
-    mut features: Vec<FeatureVec>,
+    features: Vec<FeatureVec>,
     original: &[FeatureVec],
-    mut utilities: Vec<f64>,
+    utilities: Vec<f64>,
     k: usize,
     strategy: UpdateStrategy,
 ) -> Selection {
-    let n = features.len();
-    let k = k.min(n);
-    isum_common::count!("core.select.candidates", n as u64);
-    let mut selected = vec![false; n];
-    let mut out = Selection::default();
+    select_all_pairs_grouped(&Grouping::from_pairs(features, original), utilities, k, strategy)
+}
 
-    while out.order.len() < k {
-        isum_common::count!("core.select.iterations");
+/// [`select_all_pairs`] over an already grouped workload. Grouping only
+/// shares the stored vectors and the post-selection updates; the benefit
+/// scan stays one similarity per pair of queries, the quality reference
+/// of Figs 11 and 13.
+pub(crate) fn select_all_pairs_grouped(
+    groups: &Grouping,
+    utilities: Vec<f64>,
+    k: usize,
+    strategy: UpdateStrategy,
+) -> Selection {
+    let n = groups.len();
+    let mut state = GreedyState::new(groups, utilities, vec![false; n]);
+    greedy_select(&mut state, k, strategy, |state| {
         // Algorithm 1: find the max-conditional-benefit query, skipping
         // queries whose features are fully covered (all-zero). Benefits
         // are independent pure computations, so they fan out over the
-        // pool; the argmax below stays a sequential index-order scan, so
-        // the pick (first strict maximum) is identical to the sequential
+        // pool; the argmax stays a sequential index-order scan, so the
+        // pick (first strict maximum) is identical to the sequential
         // algorithm at any thread count.
-        let benefits = isum_exec::par_map_indexed(&features, |i, f| {
-            if selected[i] || f.all_zero() {
-                None
-            } else {
-                Some(conditional_benefit(i, &features, &utilities, &selected))
-            }
+        let state = &*state;
+        let benefits = isum_exec::par_map_indexed(groups.group_of(), |i, _| {
+            state.candidate(i).then(|| conditional_benefit(i, state))
         });
-        let mut best: Option<(usize, f64)> = None;
-        for (i, b) in benefits.into_iter().enumerate() {
-            let Some(b) = b else { continue };
-            if best.is_none_or(|(_, bb)| b > bb) {
-                best = Some((i, b));
-            }
-        }
-        let Some((pick, benefit)) = best else {
-            // Everyone zero: reset (Alg 2 line 12) and retry, or stop if a
-            // reset cannot help (all selected).
-            if reset_if_exhausted(&mut features, original, &selected) {
-                continue;
-            }
-            break;
-        };
-        selected[pick] = true;
-        out.order.push(pick);
-        out.benefits.push(benefit);
-        let chosen = features[pick].clone();
-        apply_update(strategy, &chosen, &mut features, &mut utilities, &selected);
-        reset_if_exhausted(&mut features, original, &selected);
-    }
-    out
+        first_strict_max(benefits.into_iter().enumerate().filter_map(|(i, b)| Some((i, b?))))
+    })
 }
 
 #[cfg(test)]

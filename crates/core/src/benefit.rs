@@ -1,31 +1,25 @@
 //! Influence and benefit (Defs 3–4 and 10 of the paper).
 
-use crate::features::FeatureVec;
+use crate::features::{FeatureVec, SparseVec};
 use crate::similarity::weighted_jaccard;
+use crate::update::GreedyState;
 
 /// Influence of query `i` on query `j`:
 /// `F_qi(qj) = S(qi, qj) × U(qj)` (Def 3).
-pub fn influence(fi: &FeatureVec, fj: &FeatureVec, uj: f64) -> f64 {
+pub fn influence<K: Ord + Copy>(fi: &SparseVec<K>, fj: &SparseVec<K>, uj: f64) -> f64 {
     weighted_jaccard(fi, fj) * uj
 }
 
 /// Benefit of selecting query `i` alone (Def 4 / conditional benefit
 /// Def 10 when features and utilities have been updated):
-/// `B(qi) = U(qi) + Σ_{j≠i} F_qi(qj)`.
-///
-/// `features[j]`/`utilities[j]` are the *current* (possibly updated)
-/// values; `selected[j]` marks queries already in the compressed workload,
-/// which do not receive influence (two selected queries are both tuned).
-pub fn conditional_benefit(
-    i: usize,
-    features: &[FeatureVec],
-    utilities: &[f64],
-    selected: &[bool],
-) -> f64 {
-    let mut b = utilities[i];
-    for j in 0..features.len() {
-        if j != i && !selected[j] {
-            b += influence(&features[i], &features[j], utilities[j]);
+/// `B(qi) = U(qi) + Σ_{j≠i} F_qi(qj)`, over the *current* (possibly
+/// updated) vectors and utilities of `state`. Queries out of play do not
+/// receive influence (two selected queries are both tuned).
+pub(crate) fn conditional_benefit(i: usize, state: &GreedyState<'_>) -> f64 {
+    let mut b = state.utilities[i];
+    for j in 0..state.utilities.len() {
+        if j != i && !state.selected[j] {
+            b += influence(state.vector(i), state.vector(j), state.utilities[j]);
         }
     }
     b
@@ -43,6 +37,7 @@ pub fn similarity_with_workload(i: usize, features: &[FeatureVec]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::groups::Grouping;
     use isum_common::{ColumnId, GlobalColumnId, TableId};
 
     fn vec_of(entries: &[(u32, f64)]) -> FeatureVec {
@@ -67,14 +62,14 @@ mod tests {
     fn benefit_adds_utility_and_influences() {
         let features =
             vec![vec_of(&[(0, 1.0)]), vec_of(&[(0, 1.0), (1, 1.0)]), vec_of(&[(9, 1.0)])];
-        let utilities = vec![0.5, 0.3, 0.2];
-        let selected = vec![false, false, false];
+        let groups = Grouping::from_queries(&features);
+        let state = GreedyState::new(&groups, vec![0.5, 0.3, 0.2], vec![false; 3]);
         // B(0) = 0.5 + S(0,1)*0.3 + S(0,2)*0.2 = 0.5 + 0.5*0.3 + 0 = 0.65
-        let b0 = conditional_benefit(0, &features, &utilities, &selected);
+        let b0 = conditional_benefit(0, &state);
         assert!((b0 - 0.65).abs() < 1e-12);
         // Similar neighbour with lower utility has lower benefit:
         // B(1) = 0.3 + 0.5*0.5 = 0.55.
-        let b1 = conditional_benefit(1, &features, &utilities, &selected);
+        let b1 = conditional_benefit(1, &state);
         assert!((b1 - 0.55).abs() < 1e-12);
         assert!(b1 < b0);
     }
@@ -82,11 +77,12 @@ mod tests {
     #[test]
     fn selected_queries_receive_no_influence() {
         let features = vec![vec_of(&[(0, 1.0)]), vec_of(&[(0, 1.0)])];
-        let utilities = vec![0.5, 0.5];
-        let none = conditional_benefit(0, &features, &utilities, &[false, false]);
-        let other_selected = conditional_benefit(0, &features, &utilities, &[false, true]);
-        assert!((none - 1.0).abs() < 1e-12);
-        assert!((other_selected - 0.5).abs() < 1e-12);
+        let groups = Grouping::from_queries(&features);
+        let benefit = |selected: Vec<bool>| {
+            conditional_benefit(0, &GreedyState::new(&groups, vec![0.5, 0.5], selected))
+        };
+        assert!((benefit(vec![false, false]) - 1.0).abs() < 1e-12);
+        assert!((benefit(vec![false, true]) - 0.5).abs() < 1e-12);
     }
 
     #[test]

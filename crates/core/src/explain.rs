@@ -19,9 +19,10 @@ use std::collections::HashMap;
 use isum_common::{QueryId, TemplateId};
 use isum_workload::Workload;
 
-use crate::features::{FeatureVec, Featurizer, WorkloadFeatures};
+use crate::features::{FeatureVec, Featurizer, SparseVec, WorkloadFeatures};
+use crate::groups::Grouping;
 use crate::similarity::weighted_jaccard;
-use crate::summary::summary_features;
+use crate::summary::Accumulator;
 use crate::utility::{utilities, UtilityMode};
 
 /// Attribution for one member of a compressed workload: the template it
@@ -76,12 +77,27 @@ impl SummaryExplanation {
 /// selection's aggregate feature mass matches the workload's exactly
 /// (e.g. `k = n`); `0.0` means no overlap (or an all-zero utility input).
 pub fn selection_coverage(selected: &[QueryId], features: &[FeatureVec], utilities: &[f64]) -> f64 {
-    let sel_features: Vec<FeatureVec> =
-        selected.iter().map(|q| features[q.index()].clone()).collect();
-    let sel_utilities: Vec<f64> = selected.iter().map(|q| utilities[q.index()]).collect();
+    coverage(selected, &Grouping::from_queries(features), utilities)
+}
+
+fn coverage(selected: &[QueryId], groups: &Grouping, utilities: &[f64]) -> f64 {
+    let vectors = || (0..groups.groups()).map(|g| groups.original(g));
+    let mut acc = Accumulator::over(vectors().map(FeatureVec::entries));
+    let dense: Vec<SparseVec<u32>> = vectors().map(|v| acc.densify(v)).collect();
+    // Def 11 over the given queries, folded in the given order; zero
+    // entries do not move a weighted Jaccard, so only positive ones are kept.
+    let mut summary = |queries: &mut dyn Iterator<Item = usize>| {
+        acc.clear();
+        for i in queries.filter(|&i| utilities[i] > 0.0) {
+            acc.add(&dense[groups.group_of()[i] as usize], utilities[i]);
+        }
+        let mut v = SparseVec::default();
+        acc.positive(&mut v);
+        v
+    };
     weighted_jaccard(
-        &summary_features(&sel_features, &sel_utilities),
-        &summary_features(features, utilities),
+        &summary(&mut selected.iter().map(|q| q.index())),
+        &summary(&mut (0..utilities.len())),
     )
 }
 
@@ -108,6 +124,16 @@ pub fn explain_selection(
     entries: &[(QueryId, f64)],
     template_of: &[TemplateId],
     features: &[FeatureVec],
+    utilities: &[f64],
+) -> SummaryExplanation {
+    explain_grouped(entries, template_of, &Grouping::from_queries(features), utilities)
+}
+
+/// [`explain_selection`] over an already grouped workload.
+pub(crate) fn explain_grouped(
+    entries: &[(QueryId, f64)],
+    template_of: &[TemplateId],
+    groups: &Grouping,
     utilities: &[f64],
 ) -> SummaryExplanation {
     let mut freq: HashMap<TemplateId, usize> = HashMap::new();
@@ -145,7 +171,7 @@ pub fn explain_selection(
         k: entries.len(),
         observed: template_of.len(),
         templates: distinct.len(),
-        coverage: selection_coverage(&selected, features, utilities),
+        coverage: coverage(&selected, groups, utilities),
         represented,
         members,
     }

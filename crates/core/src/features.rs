@@ -29,18 +29,30 @@ pub enum WeightScheme {
     StatsBased,
 }
 
-/// A sparse feature vector: `(feature, weight)` sorted by feature id.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FeatureVec {
-    entries: Vec<(GlobalColumnId, f64)>,
+/// A sparse vector: `(key, weight)` sorted by key. Generic over the key so
+/// the selection kernel can run the same merge joins over dense `u32`
+/// column ranks (`summary::Accumulator`) that the public API runs
+/// over [`GlobalColumnId`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseVec<K> {
+    entries: Vec<(K, f64)>,
 }
 
-impl FeatureVec {
+/// A query's feature vector: weights over its indexable columns.
+pub type FeatureVec = SparseVec<GlobalColumnId>;
+
+impl<K> Default for SparseVec<K> {
+    fn default() -> Self {
+        Self { entries: Vec::new() }
+    }
+}
+
+impl<K: Ord + Copy> SparseVec<K> {
     /// Builds a vector from unsorted entries (sorts, merges duplicates by
     /// keeping the maximum weight).
-    pub fn from_entries(mut entries: Vec<(GlobalColumnId, f64)>) -> Self {
+    pub fn from_entries(mut entries: Vec<(K, f64)>) -> Self {
         entries.sort_by_key(|(g, _)| *g);
-        let mut merged: Vec<(GlobalColumnId, f64)> = Vec::with_capacity(entries.len());
+        let mut merged: Vec<(K, f64)> = Vec::with_capacity(entries.len());
         for (g, w) in entries {
             match merged.last_mut() {
                 Some((pg, pw)) if *pg == g => *pw = pw.max(w),
@@ -50,13 +62,26 @@ impl FeatureVec {
         Self { entries: merged }
     }
 
+    /// Replaces the contents with `entries`, which must already be in
+    /// strictly ascending key order; reuses the allocation.
+    pub(crate) fn refill(&mut self, entries: impl Iterator<Item = (K, f64)>) {
+        self.entries.clear();
+        self.entries.extend(entries);
+        debug_assert!(self.entries.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// Drops every entry whose weight is not positive.
+    pub(crate) fn retain_positive(&mut self) {
+        self.entries.retain(|(_, w)| *w > 0.0);
+    }
+
     /// Entries sorted by feature id.
-    pub fn entries(&self) -> &[(GlobalColumnId, f64)] {
+    pub fn entries(&self) -> &[(K, f64)] {
         &self.entries
     }
 
     /// Weight of a feature (0 when absent).
-    pub fn get(&self, g: GlobalColumnId) -> f64 {
+    pub fn get(&self, g: K) -> f64 {
         self.entries.binary_search_by_key(&g, |(k, _)| *k).map(|i| self.entries[i].1).unwrap_or(0.0)
     }
 
@@ -93,7 +118,7 @@ impl FeatureVec {
 
     /// Zeroes every feature that is positive in `other` — the "set covered
     /// columns to zero" update option of Sec 4.3.
-    pub fn zero_where_present(&mut self, other: &FeatureVec) {
+    pub fn zero_where_present(&mut self, other: &Self) {
         let mut i = 0;
         let mut j = 0;
         while i < self.entries.len() && j < other.entries.len() {
@@ -111,9 +136,10 @@ impl FeatureVec {
         }
     }
 
-    /// Accumulates `weight × other` into `self` (used to build summary
-    /// features; grows the vector as needed).
-    pub fn add_scaled(&mut self, other: &FeatureVec, weight: f64) {
+    /// Accumulates `weight × other` into `self`, growing the vector as
+    /// needed. One merge and one allocation per call: sums over many
+    /// vectors go through `summary::Accumulator` instead.
+    pub fn add_scaled(&mut self, other: &Self, weight: f64) {
         let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
         let mut i = 0;
         let mut j = 0;

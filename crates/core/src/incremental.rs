@@ -22,17 +22,15 @@
 
 use isum_catalog::Catalog;
 use isum_common::{hex_bits, unhex_bits, Json};
-use isum_common::{ColumnId, GlobalColumnId, QueryId, Result, TableId, TemplateId};
+use isum_common::{ColumnId, GlobalColumnId, Result, TableId, TemplateId};
 use isum_sql::TemplateRegistry;
 use isum_workload::{indexable_columns, QueryInfo, Workload};
 
-use crate::allpairs;
-use crate::allpairs::Selection;
 use crate::features::{FeatureVec, Featurizer};
-use crate::isum::{Algorithm, IsumConfig};
-use crate::summary::select_summary;
+use crate::groups::Grouping;
+use crate::isum::{weighted, IsumConfig};
 use crate::utility::UtilityMode;
-use crate::weighting::weigh_selected;
+use crate::weighting::weigh_grouped;
 use isum_workload::CompressedWorkload;
 
 /// Streaming ISUM: observe queries as they arrive, select any time.
@@ -40,7 +38,10 @@ use isum_workload::CompressedWorkload;
 pub struct IncrementalIsum {
     config: IsumConfig,
     featurizer: Featurizer,
-    features: Vec<FeatureVec>,
+    /// One stored feature vector per distinct vector observed, plus each
+    /// query's group, assigned as the query arrives: selection borrows
+    /// this and clones nothing.
+    features: Grouping,
     /// Unnormalized Δ(q) per observed query.
     raw_reductions: Vec<f64>,
     costs: Vec<f64>,
@@ -57,7 +58,7 @@ impl IncrementalIsum {
                 scheme: config.scheme,
                 use_table_weight: config.use_table_weight,
             },
-            features: Vec::new(),
+            features: Grouping::default(),
             raw_reductions: Vec::new(),
             costs: Vec::new(),
             templates: TemplateRegistry::new(),
@@ -117,6 +118,12 @@ impl IncrementalIsum {
         self.features.is_empty()
     }
 
+    /// Distinct feature vectors among the observed queries — what the
+    /// cost of [`select`](Self::select) scales with.
+    pub fn distinct_vectors(&self) -> usize {
+        self.features.groups()
+    }
+
     /// Selects `k` queries from everything observed so far, weighted with
     /// the configured strategy (by default Alg 4 template redistribution +
     /// Alg 5 recalibration — the same pipeline as the batch compressor, so
@@ -133,39 +140,15 @@ impl IncrementalIsum {
         }
         let _s = isum_common::telemetry::span("incremental");
         let utilities = self.normalized_utilities();
-        let selection: Selection = match self.config.algorithm {
-            Algorithm::SummaryFeatures => select_summary(
-                self.features.clone(),
-                &self.features,
-                utilities.clone(),
-                k,
-                self.config.update,
-            ),
-            Algorithm::AllPairs => allpairs::select_all_pairs(
-                self.features.clone(),
-                &self.features,
-                utilities.clone(),
-                k,
-                self.config.update,
-            ),
-        };
-        let weights = weigh_selected(
+        let selection = self.config.select(&self.features, utilities.clone(), k);
+        let weights = weigh_grouped(
             self.config.weighting,
             &self.template_of,
             &selection,
             &self.features,
             &utilities,
         );
-        let mut cw = CompressedWorkload {
-            entries: selection
-                .order
-                .iter()
-                .zip(weights)
-                .map(|(&i, w)| (QueryId::from_index(i), w))
-                .collect(),
-        };
-        cw.normalize_weights();
-        Ok(cw)
+        Ok(weighted(&selection, weights))
     }
 
     /// Same normalization as `utility::utilities` on the batch path.
@@ -188,7 +171,7 @@ impl IncrementalIsum {
     pub fn explain(&self, k: usize) -> Result<crate::SummaryExplanation> {
         let cw = self.select(k)?;
         let utilities = self.normalized_utilities();
-        Ok(crate::explain::explain_selection(
+        Ok(crate::explain::explain_grouped(
             &cw.entries,
             &self.template_of,
             &self.features,
@@ -238,7 +221,7 @@ impl IncrementalIsum {
         for i in 0..self.len() {
             grouped[self.template_of[i].index()].1.push(crate::merge::Contribution {
                 delta: self.raw_reductions[i],
-                entries: self.features[i].entries().to_vec(),
+                entries: self.features.original_of(i).entries().to_vec(),
             });
         }
         crate::merge::ShardPartial { templates: grouped }
@@ -252,7 +235,9 @@ impl IncrementalIsum {
     pub fn snapshot(&self) -> Json {
         let queries: Vec<Json> = (0..self.len())
             .map(|i| {
-                let feats: Vec<Json> = self.features[i]
+                let feats: Vec<Json> = self
+                    .features
+                    .original_of(i)
                     .entries()
                     .iter()
                     .map(|(g, w)| {

@@ -9,13 +9,14 @@ use isum_common::trace::{self, Level};
 use isum_common::{telemetry, QueryId, Result};
 use isum_workload::{CompressedWorkload, Workload};
 
-use crate::allpairs::select_all_pairs;
+use crate::allpairs::{select_all_pairs_grouped, Selection};
 use crate::compressor::{validate, Compressor};
 use crate::features::{Featurizer, WeightScheme, WorkloadFeatures};
-use crate::summary::select_summary;
+use crate::groups::Grouping;
+use crate::summary::select_grouped;
 use crate::update::UpdateStrategy;
 use crate::utility::{utilities, UtilityMode};
-use crate::weighting::{weigh_selected, WeightingStrategy};
+use crate::weighting::{weigh_grouped, WeightingStrategy};
 
 /// Which greedy algorithm drives selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,6 +104,30 @@ impl IsumConfig {
     pub fn all_pairs() -> Self {
         Self { algorithm: Algorithm::AllPairs, ..Self::isum() }
     }
+
+    /// Greedy selection of `k` queries with the configured algorithm and
+    /// update strategy — the one selector behind the batch, streaming and
+    /// merged compressors.
+    pub(crate) fn select(&self, groups: &Grouping, utilities: Vec<f64>, k: usize) -> Selection {
+        match self.algorithm {
+            Algorithm::AllPairs => select_all_pairs_grouped(groups, utilities, k, self.update),
+            Algorithm::SummaryFeatures => select_grouped(groups, utilities, k, self.update),
+        }
+    }
+}
+
+/// The compressed workload of a selection and its weights, normalized.
+pub(crate) fn weighted(selection: &Selection, weights: Vec<f64>) -> CompressedWorkload {
+    let mut cw = CompressedWorkload {
+        entries: selection
+            .order
+            .iter()
+            .zip(weights)
+            .map(|(&i, w)| (QueryId::from_index(i), w))
+            .collect(),
+    };
+    cw.normalize_weights();
+    cw
 }
 
 impl Default for IsumConfig {
@@ -136,14 +161,7 @@ impl Isum {
             (wf, u)
         };
         let _s = telemetry::span("select");
-        match self.config.algorithm {
-            Algorithm::AllPairs => {
-                select_all_pairs(wf.features, &wf.original, u, k, self.config.update)
-            }
-            Algorithm::SummaryFeatures => {
-                select_summary(wf.features, &wf.original, u, k, self.config.update)
-            }
-        }
+        self.config.select(&Grouping::from_pairs(wf.features, &wf.original), u, k)
     }
 
     /// Compresses and derives attribution + coverage for the result
@@ -205,24 +223,11 @@ impl Compressor for Isum {
             );
         }
         let t = trace_on.then(std::time::Instant::now);
-        let selection = {
+        let (groups, selection) = {
             let _s = telemetry::span("select");
-            match self.config.algorithm {
-                Algorithm::AllPairs => select_all_pairs(
-                    wf.features.clone(),
-                    &wf.original,
-                    u.clone(),
-                    k,
-                    self.config.update,
-                ),
-                Algorithm::SummaryFeatures => select_summary(
-                    wf.features.clone(),
-                    &wf.original,
-                    u.clone(),
-                    k,
-                    self.config.update,
-                ),
-            }
+            let groups = Grouping::from_pairs(wf.features, &wf.original);
+            let selection = self.config.select(&groups, u.clone(), k);
+            (groups, selection)
         };
         if let Some(t) = t {
             isum_common::debug!(
@@ -238,17 +243,8 @@ impl Compressor for Isum {
         let _w = telemetry::span("weight");
         let templates: Vec<isum_common::TemplateId> =
             workload.queries.iter().map(|q| q.template).collect();
-        let weights =
-            weigh_selected(self.config.weighting, &templates, &selection, &wf.original, &u);
-        let mut cw = CompressedWorkload {
-            entries: selection
-                .order
-                .iter()
-                .zip(weights)
-                .map(|(&i, w)| (QueryId::from_index(i), w))
-                .collect(),
-        };
-        cw.normalize_weights();
+        let weights = weigh_grouped(self.config.weighting, &templates, &selection, &groups, &u);
+        let cw = weighted(&selection, weights);
         if let Some(t) = t {
             isum_common::debug!(
                 "core.isum",

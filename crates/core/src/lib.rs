@@ -31,6 +31,7 @@ pub mod benefit;
 pub mod compressor;
 pub mod explain;
 pub mod features;
+mod groups;
 pub mod incremental;
 pub mod isum;
 pub mod merge;
@@ -44,7 +45,7 @@ pub use compressor::Compressor;
 pub use explain::{
     explain_selection, selection_coverage, workload_coverage, MemberAttribution, SummaryExplanation,
 };
-pub use features::{FeatureVec, Featurizer, WeightScheme, WorkloadFeatures};
+pub use features::{FeatureVec, Featurizer, SparseVec, WeightScheme, WorkloadFeatures};
 pub use incremental::IncrementalIsum;
 pub use isum::{Algorithm, Isum, IsumConfig};
 pub use merge::{

@@ -28,7 +28,7 @@
 //! merged template becomes a pseudo-query whose features are the
 //! mass-weighted centroid `V_t / mass_t` and whose utility is its share
 //! of the total Δ mass. Templates are indexed in fingerprint order and
-//! [`select_summary`] picks the first strict maximum in index order, so
+//! the greedy argmax picks the first strict maximum in index order, so
 //! benefit ties break on the template fingerprint — stable across runs by
 //! construction.
 
@@ -37,11 +37,13 @@ use std::collections::BTreeMap;
 
 use isum_common::{GlobalColumnId, Result, TemplateId};
 
-use crate::allpairs::{self, Selection};
+use std::borrow::Cow;
+
 use crate::features::FeatureVec;
-use crate::isum::{Algorithm, IsumConfig};
-use crate::summary::select_summary;
-use crate::weighting::weigh_selected;
+use crate::groups::Grouping;
+use crate::isum::IsumConfig;
+use crate::summary::weighted_sum;
+use crate::weighting::weigh_grouped;
 
 /// One observed query's contribution to its template's partial sum:
 /// the unnormalized utility mass `Δ(q)` and the sparse feature entries.
@@ -54,6 +56,17 @@ pub struct Contribution {
 }
 
 impl Contribution {
+    /// The entries as a feature vector's: ascending, one per column (a
+    /// repeated column keeps its maximum, like [`FeatureVec::from_entries`]).
+    /// Borrowed when they already are, which is what shards export.
+    fn normalized(&self) -> Cow<'_, [(GlobalColumnId, f64)]> {
+        if self.entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            Cow::Borrowed(&self.entries)
+        } else {
+            Cow::Owned(FeatureVec::from_entries(self.entries.clone()).entries().to_vec())
+        }
+    }
+
     /// The canonical total order the merge folds in: `Δ` first (under
     /// `total_cmp`, which orders every bit pattern), then the feature
     /// entries lexicographically by `(table, column, weight bits)`.
@@ -144,14 +157,10 @@ pub fn merge_partials(partials: &[ShardPartial]) -> MergedWorkload {
     let mut total_mass = 0.0f64;
     for (fp, mut contributions) in grouped {
         contributions.sort_by(|a, b| a.canonical_cmp(b));
-        let mut mass = 0.0f64;
-        let mut features = FeatureVec::default();
-        for c in &contributions {
-            mass += c.delta;
-            if c.delta > 0.0 {
-                features.add_scaled(&FeatureVec::from_entries(c.entries.clone()), c.delta);
-            }
-        }
+        let mass = contributions.iter().fold(0.0f64, |mass, c| mass + c.delta);
+        let entries: Vec<_> = contributions.iter().map(|c| c.normalized()).collect();
+        let features =
+            weighted_sum(entries.iter().zip(&contributions).map(|(e, c)| (&e[..], c.delta)));
         observed += contributions.len();
         total_mass += mass;
         templates.push(MergedTemplate {
@@ -169,11 +178,7 @@ impl MergedWorkload {
     /// templates in fingerprint order. Bit-deterministic under shard
     /// repartitioning — the invariant the property tests pin.
     pub fn summary_features(&self) -> FeatureVec {
-        let mut v = FeatureVec::default();
-        for t in &self.templates {
-            v.add_scaled(&t.features, 1.0);
-        }
-        v
+        weighted_sum(self.templates.iter().map(|t| (t.features.entries(), 1.0)))
     }
 
     /// Normalized per-template utilities (Δ mass share), aligned with
@@ -221,25 +226,14 @@ impl MergedWorkload {
         }
         let features = self.centroids();
         let utilities = self.utilities();
-        let selection: Selection = match config.algorithm {
-            Algorithm::SummaryFeatures => {
-                select_summary(features.clone(), &features, utilities.clone(), k, config.update)
-            }
-            Algorithm::AllPairs => allpairs::select_all_pairs(
-                features.clone(),
-                &features,
-                utilities.clone(),
-                k,
-                config.update,
-            ),
-        };
+        let groups = Grouping::from_queries(&features);
+        let selection = config.select(&groups, utilities.clone(), k);
         // Each pseudo-query is its own template, so Alg 4's template
         // redistribution degenerates to the identity map — correct here,
         // because the per-instance spreading already happened in the fold.
         let identity: Vec<TemplateId> =
             (0..self.templates.len()).map(TemplateId::from_index).collect();
-        let weights =
-            weigh_selected(config.weighting, &identity, &selection, &features, &utilities);
+        let weights = weigh_grouped(config.weighting, &identity, &selection, &groups, &utilities);
         let total: f64 = weights.iter().sum();
         let weights: Vec<f64> =
             if total > 0.0 { weights.iter().map(|w| w / total).collect() } else { weights };

@@ -3,7 +3,7 @@
 //! The production measure is the weighted Jaccard over feature vectors; the
 //! plain (set) Jaccard is kept for the Fig 7 ablation.
 
-use crate::features::FeatureVec;
+use crate::features::{FeatureVec, SparseVec};
 
 /// Weighted Jaccard: `Σ min(a_c, b_c) / Σ max(a_c, b_c)`, 0 when either
 /// vector is all-zero. This is the paper's `S(q_i, q_j)`.
@@ -19,7 +19,7 @@ use crate::features::FeatureVec;
 /// // min-sum 0.4 over max-sum 1.6:
 /// assert!((weighted_jaccard(&a, &b) - 0.25).abs() < 1e-12);
 /// ```
-pub fn weighted_jaccard(a: &FeatureVec, b: &FeatureVec) -> f64 {
+pub fn weighted_jaccard<K: Ord + Copy>(a: &SparseVec<K>, b: &SparseVec<K>) -> f64 {
     isum_common::count!("core.similarity.computations");
     let mut min_sum = 0.0;
     let mut max_sum = 0.0;

@@ -13,10 +13,10 @@ use std::collections::HashMap;
 use isum_common::TemplateId;
 
 use crate::allpairs::Selection;
-use crate::features::FeatureVec;
+use crate::features::{FeatureVec, SparseVec};
+use crate::groups::Grouping;
 use crate::similarity::weighted_jaccard;
-use crate::summary::summary_features;
-use crate::update::{apply_update, UpdateStrategy};
+use crate::update::{GreedyState, UpdateStrategy};
 
 /// Weighting strategy for the compressed workload (Fig 14's four variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,6 +49,19 @@ pub fn weigh_selected(
     original_features: &[FeatureVec],
     original_utilities: &[f64],
 ) -> Vec<f64> {
+    let groups = Grouping::from_queries(original_features);
+    weigh_grouped(strategy, templates, selection, &groups, original_utilities)
+}
+
+/// [`weigh_selected`] over an already grouped workload (the groups'
+/// *original* vectors are the workload's features).
+pub(crate) fn weigh_grouped(
+    strategy: WeightingStrategy,
+    templates: &[TemplateId],
+    selection: &Selection,
+    groups: &Grouping,
+    original_utilities: &[f64],
+) -> Vec<f64> {
     let k = selection.order.len();
     if k == 0 {
         return Vec::new();
@@ -60,14 +73,7 @@ pub fn weigh_selected(
             let utilities: Vec<f64> =
                 selection.order.iter().map(|&i| original_utilities[i]).collect();
             let excluded = vec![false; templates.len()];
-            recalibrate(
-                selection,
-                &utilities,
-                original_features,
-                original_utilities,
-                &excluded,
-                false,
-            )
+            recalibrate(selection, &utilities, groups, original_utilities, excluded)
         }
         WeightingStrategy::RecalibratedTemplate => {
             // Algorithm 4: template-based utility computation.
@@ -91,63 +97,42 @@ pub fn weigh_selected(
                 .collect();
             // W' = W minus queries whose template matches a selected one.
             let excluded: Vec<bool> = templates.iter().map(|t| freq.contains_key(t)).collect();
-            recalibrate(
-                selection,
-                &utilities,
-                original_features,
-                original_utilities,
-                &excluded,
-                true,
-            )
+            recalibrate(selection, &utilities, groups, original_utilities, excluded)
         }
     }
 }
 
 /// Algorithm 5: greedy re-weighing of the selected queries against a
 /// summary of the *unselected* workload, updating the remainder after each
-/// pick.
+/// pick. `excluded` marks queries kept out of the unselected pool `W_u` on
+/// top of the selected ones.
 fn recalibrate(
     selection: &Selection,
     selected_utilities: &[f64],
-    original_features: &[FeatureVec],
+    groups: &Grouping,
     original_utilities: &[f64],
-    excluded: &[bool],
-    template_mode: bool,
+    excluded: Vec<bool>,
 ) -> Vec<f64> {
-    let n = original_features.len();
-    // Build the unselected pool W_u.
-    let in_selection = {
-        let mut v = vec![false; n];
-        for &i in &selection.order {
-            v[i] = true;
-        }
-        v
-    };
-    let mut pool_features: Vec<FeatureVec> = Vec::new();
-    let mut pool_utilities: Vec<f64> = Vec::new();
-    for i in 0..n {
-        let drop = in_selection[i] || (template_mode && excluded[i]);
-        if !drop {
-            pool_features.push(original_features[i].clone());
-            pool_utilities.push(original_utilities[i]);
-        }
+    // The pool W_u is what stays in play.
+    let mut out_of_pool = excluded;
+    for &i in &selection.order {
+        out_of_pool[i] = true;
     }
-    let pool_selected = vec![false; pool_features.len()];
+    let mut pool = GreedyState::pristine(groups, original_utilities.to_vec(), out_of_pool);
+    let picked: Vec<SparseVec<u32>> =
+        selection.order.iter().map(|&i| pool.densify(groups.original_of(i))).collect();
 
     // Iteratively assign each selected query its re-calibrated benefit.
     let mut remaining: Vec<usize> = (0..selection.order.len()).collect();
     let mut weights = vec![0.0; selection.order.len()];
     while !remaining.is_empty() {
-        let summary = summary_features(&pool_features, &pool_utilities);
+        pool.summarize();
         // `total_cmp` orders every f64 (no-panic contract, DESIGN.md §9);
         // benefits are finite in practice, where it agrees with `<`.
         let Some((pos, benefit)) = remaining
             .iter()
             .map(|&pos| {
-                let qi = selection.order[pos];
-                let b =
-                    selected_utilities[pos] + weighted_jaccard(&original_features[qi], &summary);
-                (pos, b)
+                (pos, selected_utilities[pos] + weighted_jaccard(&picked[pos], pool.summary()))
             })
             .max_by(|a, b| a.1.total_cmp(&b.1))
         else {
@@ -156,16 +141,7 @@ fn recalibrate(
         weights[pos] = benefit;
         remaining.retain(|&p| p != pos);
         // Update the pool with the chosen query's influence.
-        let chosen = original_features[selection.order[pos]].clone();
-        let mut pool_util_mut = pool_utilities.clone();
-        apply_update(
-            UpdateStrategy::ZeroFeatures,
-            &chosen,
-            &mut pool_features,
-            &mut pool_util_mut,
-            &pool_selected,
-        );
-        pool_utilities = pool_util_mut;
+        pool.apply_update(UpdateStrategy::ZeroFeatures, &picked[pos]);
     }
     normalize(weights)
 }

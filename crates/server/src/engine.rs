@@ -484,6 +484,18 @@ mod tests {
             "restored engine summarizes bit-identically"
         );
 
+        // The on-disk format did not change when the observer started
+        // storing one feature vector per *distinct* vector: a checkpoint
+        // of these nine statements written before that reads back, and is
+        // written again, byte for byte.
+        let v1 = include_str!("../tests/fixtures/engine_v1_checkpoint.json");
+        assert_eq!(engine.snapshot(4, 17, None).to_pretty(), v1, "same bytes from fresh state");
+        let (from_v1, ..) =
+            Engine::restore(catalog(), IsumConfig::isum(), &Json::parse(v1).expect("parses"))
+                .expect("v1 checkpoint restores");
+        assert_eq!(from_v1.snapshot(4, 17, None).to_pretty(), v1, "same bytes after a restore");
+        assert_eq!(from_v1.isum.distinct_vectors(), engine.isum.distinct_vectors());
+
         // Snapshots written before the WAL existed carry no `wal_seq`
         // field and restore with watermark 0, not an error. The same
         // compatibility holds for the optional `drift` field: a snapshot
@@ -536,6 +548,16 @@ mod tests {
             engine.summary_json(3).unwrap().to_pretty(),
             reference.summary_json(3).unwrap().to_pretty(),
             "resummarized engine == fresh engine over the suffix"
+        );
+        assert_eq!(
+            engine.snapshot(0, 0, None).to_pretty(),
+            reference.snapshot(0, 0, None).to_pretty(),
+            "and checkpoints the same bytes"
+        );
+        assert_eq!(
+            engine.isum.distinct_vectors(),
+            reference.isum.distinct_vectors(),
+            "the rebuild interns the same groups"
         );
 
         // Keeping more than observed keeps everything.

@@ -108,6 +108,39 @@ fn concurrent_sequenced_ingest_matches_serial_reference() {
     server.join();
 }
 
+/// Statements without a single indexable column have empty feature
+/// vectors: none of them can ever be a candidate on its benefit, which
+/// used to make selection spin forever — with the engine lock held, so
+/// the tenant's ingest wedged behind the first `/summary`.
+#[test]
+fn summary_over_featureless_statements_answers_and_ingest_goes_on() {
+    // On its own thread: a wedged daemon cannot be shut down either, and
+    // the test has to fail rather than hang with it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (server, client) = start(ServerConfig::new(catalog()));
+        let client = client.with_timeout(Duration::from_secs(10));
+        let featureless = "SELECT count(*) FROM orders;\nSELECT count(*) FROM lines;\n";
+        let resp = client.ingest_with_retry(featureless, Some(0), 10).expect("ingest delivers");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+
+        let live = client.summary(10).expect("/summary answers within the timeout");
+        assert_eq!(live.status, 200, "{}", live.body);
+        let body = isum_common::Json::parse(&live.body).expect("summary is JSON");
+        let selected =
+            body.get("selected").and_then(isum_common::Json::as_array).expect("selected");
+        assert_eq!(selected.len(), 2, "k ≥ n returns every statement: {}", live.body);
+        assert_eq!(live.body, reference_summary(&[featureless.to_string()], 10));
+
+        let resp = client.ingest_with_retry(&batches(1)[0], Some(1), 10).expect("ingest goes on");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        server.shutdown();
+        server.join();
+        done.send(()).expect("test is waiting");
+    });
+    finished.recv_timeout(Duration::from_secs(30)).expect("daemon answered and shut down");
+}
+
 #[test]
 fn backpressure_answers_429_and_retries_converge() {
     let mut config = ServerConfig::new(catalog());
