@@ -1,5 +1,6 @@
 //! Schema objects: catalog, tables, columns, and column statistics.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use isum_common::{ColumnId, Error, GlobalColumnId, Result, TableId};
@@ -58,6 +59,16 @@ impl ColumnStats {
     }
 }
 
+/// `name` lower-cased for a lookup; names that already are — every name
+/// the SQL parser hands out — are not copied.
+fn lower_cased(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 /// A column: name, type, statistics.
 #[derive(Debug, Clone)]
 pub struct Column {
@@ -105,7 +116,7 @@ impl Table {
 
     /// Looks up a column by (case-insensitive) name.
     pub fn column_id(&self, name: &str) -> Option<ColumnId> {
-        self.name_to_col.get(&name.to_ascii_lowercase()).copied()
+        self.name_to_col.get(&*lower_cased(name)).copied()
     }
 
     /// Column accessor.
@@ -131,6 +142,8 @@ impl Table {
 pub struct Catalog {
     tables: Vec<Table>,
     name_to_table: HashMap<String, TableId>,
+    /// Every column of every table by name, in table order.
+    name_to_columns: HashMap<String, Vec<GlobalColumnId>>,
 }
 
 impl Catalog {
@@ -149,6 +162,12 @@ impl Catalog {
         }
         let id = TableId::from_index(self.tables.len());
         self.name_to_table.insert(table.name.clone(), id);
+        for (name, &column) in &table.name_to_col {
+            self.name_to_columns
+                .entry(name.clone())
+                .or_default()
+                .push(GlobalColumnId::new(id, column));
+        }
         self.tables.push(table);
         Ok(id)
     }
@@ -160,7 +179,14 @@ impl Catalog {
 
     /// Looks up a table by (case-insensitive) name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.name_to_table.get(&name.to_ascii_lowercase()).copied()
+        self.name_to_table.get(&*lower_cased(name)).copied()
+    }
+
+    /// The columns called `name` (case-insensitive) across all tables, in
+    /// table order: what an unqualified column reference can mean. One
+    /// lookup instead of one [`Table::column_id`] probe per table in scope.
+    pub fn columns_named(&self, name: &str) -> &[GlobalColumnId] {
+        self.name_to_columns.get(&*lower_cased(name)).map_or(&[], Vec::as_slice)
     }
 
     /// All tables with their ids.
@@ -222,6 +248,21 @@ mod tests {
         assert!(t.column_id("o_orderkey").is_some());
         assert!(t.column_id("O_ORDERKEY").is_some());
         assert!(t.column_id("nope").is_none());
+    }
+
+    #[test]
+    fn columns_named_spans_tables_in_table_order() {
+        let mut c = Catalog::new();
+        let t = c.add_table(Table::new("t", 1, vec![col("id", 1), col("a", 1)])).unwrap();
+        let u = c.add_table(Table::new("u", 1, vec![col("b", 1), col("ID", 1)])).unwrap();
+        let ids = c.columns_named("Id");
+        assert_eq!(ids.len(), 2);
+        assert_eq!((ids[0].table, ids[1].table), (t, u));
+        for gid in ids {
+            assert_eq!(c.table(gid.table).column_id("id"), Some(gid.column));
+        }
+        assert_eq!(c.columns_named("a").len(), 1);
+        assert!(c.columns_named("nope").is_empty());
     }
 
     #[test]

@@ -71,16 +71,30 @@ impl IncrementalIsum {
         self.config
     }
 
-    /// Observes one query (with its cost already set). O(features of q).
+    /// Observes one query (with its cost already set). O(features of q)
+    /// plus one parse of `q.sql` for its template fingerprint — callers
+    /// that already hold the fingerprint (a [`Workload`] does, for each of
+    /// its queries) use [`observe_as`](Self::observe_as) instead.
     ///
     /// # Errors
     /// Propagates a parse error when `q.sql` no longer parses (a corrupted
     /// `QueryInfo`); the observer's state is unchanged in that case.
     pub fn observe(&mut self, q: &QueryInfo, catalog: &Catalog) -> Result<()> {
+        let template = self.templates.intern(&isum_sql::parse(&q.sql)?);
+        self.record(q, catalog, template);
+        Ok(())
+    }
+
+    /// Observes one query whose template fingerprint the caller already
+    /// has, e.g. `workload.templates.fingerprint_of(q.template)`; `q.sql`
+    /// is not read. O(features of q).
+    pub fn observe_as(&mut self, q: &QueryInfo, catalog: &Catalog, fingerprint: &str) {
+        let template = self.templates.intern_fingerprint(fingerprint);
+        self.record(q, catalog, template);
+    }
+
+    fn record(&mut self, q: &QueryInfo, catalog: &Catalog, template: TemplateId) {
         let _s = isum_common::telemetry::span("incremental");
-        // Template interning re-parses the SQL; do it first so a failure
-        // leaves no partial state behind.
-        let stmt = isum_sql::parse(&q.sql)?;
         isum_common::count!("core.incremental.observed");
         let cols = indexable_columns(&q.bound, catalog);
         self.features.push(self.featurizer.features(&cols, catalog));
@@ -92,9 +106,7 @@ impl IncrementalIsum {
         };
         self.raw_reductions.push(delta);
         self.costs.push(q.cost);
-        let t = self.templates.intern(&stmt);
-        self.template_of.push(t);
-        Ok(())
+        self.template_of.push(template);
     }
 
     /// Observes every query of a workload, in order.
@@ -282,7 +294,7 @@ impl IncrementalIsum {
             .ok_or_else(|| corrupt("missing `templates`"))?;
         for fp in fps {
             let fp = fp.as_str().ok_or_else(|| corrupt("non-string template fingerprint"))?;
-            inc.templates.intern_fingerprint(fp.to_string());
+            inc.templates.intern_fingerprint(fp);
         }
         let queries = snapshot
             .get("queries")

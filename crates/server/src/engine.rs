@@ -7,7 +7,7 @@
 //! batch CLI uses: [`split_script`] carves up the script, `push_sql`
 //! parses/binds/interns, missing costs are filled by
 //! [`WhatIfOptimizer::cost_bound`] against the empty configuration, and
-//! the query is handed to [`IncrementalIsum::observe`]. Because the
+//! the query is handed to [`IncrementalIsum::observe_as`]. Because the
 //! incremental observer shares the batch weighting code (`weigh_selected`
 //! over the observed template slice), a live `/summary` over ingested
 //! statements is bit-identical to `isum compress` over the same script.
@@ -134,14 +134,17 @@ impl Engine {
             };
             self.workload.queries[id.index()].cost = filled;
         }
-        let Engine { workload, isum } = self;
-        if let Err(e) = isum.observe(&workload.queries[id.index()], &workload.catalog) {
-            // Unreachable in practice (`push_sql` already parsed this
-            // statement), but keep workload and observer in lockstep.
-            self.workload.queries.pop();
-            return Err(e);
-        }
+        self.observe_last();
         Ok(())
+    }
+
+    /// Hands the statement `push_sql` just appended to the observer, under
+    /// the template fingerprint the workload interned for it: a statement
+    /// is lexed once on its way in.
+    fn observe_last(&mut self) {
+        let Engine { workload, isum } = self;
+        let q = workload.queries.last().expect("push_sql appended a query");
+        isum.observe_as(q, &workload.catalog, workload.templates.fingerprint_of(q.template));
     }
 
     /// Compresses the observed workload to `k` queries and renders the
@@ -258,13 +261,10 @@ impl Engine {
         self.workload = Workload::empty(catalog);
         self.isum = IncrementalIsum::new(config);
         for (sql, cost) in &kept {
-            // Each statement already parsed, bound, and observed once, so
-            // failures are unreachable — but stay lenient like ingest.
-            if let Ok(id) = self.workload.push_sql(sql, *cost) {
-                let Engine { workload, isum } = self;
-                if isum.observe(&workload.queries[id.index()], &workload.catalog).is_err() {
-                    workload.queries.pop();
-                }
+            // Each statement already parsed and bound once, so a failure
+            // is unreachable — but stay lenient like ingest.
+            if self.workload.push_sql(sql, *cost).is_ok() {
+                self.observe_last();
             }
         }
         count!("server.resummarize");
@@ -358,12 +358,7 @@ impl Engine {
         wal_seq: u64,
         drift: Option<&Json>,
     ) -> Result<()> {
-        let doc = self.snapshot(next_seq, wal_seq, drift).to_pretty();
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, doc)?;
-        std::fs::rename(&tmp, path)?;
-        count!("server.checkpoints");
-        Ok(())
+        write_checkpoint(path, &self.snapshot(next_seq, wal_seq, drift))
     }
 
     /// Loads an engine from a checkpoint file written by
@@ -378,6 +373,18 @@ impl Engine {
             Json::parse(&text).map_err(|e| Error::Io(format!("corrupt server checkpoint: {e}")))?;
         Engine::restore(catalog, config, &snap)
     }
+}
+
+/// The file half of [`Engine::checkpoint_to`]: renders an
+/// [`Engine::snapshot`] document and puts it at `path` atomically (temp
+/// file + rename). Needs no engine, so a caller that shares the engine
+/// can take the snapshot under its lock and write it after releasing it.
+pub(crate) fn write_checkpoint(path: &Path, snapshot: &Json) -> Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, snapshot.to_pretty())?;
+    std::fs::rename(&tmp, path)?;
+    count!("server.checkpoints");
+    Ok(())
 }
 
 /// Renders a compressed selection as the canonical summary JSON shared by

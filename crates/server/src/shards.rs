@@ -1513,19 +1513,21 @@ fn compact_shard(
 ) {
     let wal_seq = w.next_wal_seq();
     let drift_snap = if drift.enabled() { Some(drift.snapshot()) } else { None };
-    let result = {
-        let engine = lock(&shard.engine);
-        if path.exists() {
-            if let Err(e) = std::fs::rename(path, snapshot_prev_path(path)) {
-                isum_common::warn!(
-                    "server.wal",
-                    format!("could not park previous snapshot: {e}"),
-                    tenant = shard.name
-                );
-            }
+    // The engine lock is held only while the snapshot document is built;
+    // rendering and writing it (most of a compaction) run with the lock
+    // released, so a `/summary` waits behind a fraction of it. Nothing
+    // can change the engine in between: this thread is its only writer.
+    let doc = lock(&shard.engine).snapshot(next_seq, wal_seq, drift_snap.as_ref());
+    if path.exists() {
+        if let Err(e) = std::fs::rename(path, snapshot_prev_path(path)) {
+            isum_common::warn!(
+                "server.wal",
+                format!("could not park previous snapshot: {e}"),
+                tenant = shard.name
+            );
         }
-        engine.checkpoint_to(path, next_seq, wal_seq, drift_snap.as_ref())
-    };
+    }
+    let result = crate::engine::write_checkpoint(path, &doc);
     match result {
         Ok(()) => {
             if let Err(e) = w.truncate_for_compaction() {

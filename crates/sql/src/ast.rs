@@ -1,7 +1,8 @@
 //! Abstract syntax tree for the supported SQL subset.
 //!
-//! The `Display` impls render the tree back to canonical SQL; the template
-//! module reuses that rendering with literals masked to compute fingerprints.
+//! One renderer, [`write_statement`], turns the tree back into canonical
+//! SQL: unmasked it is the `Display` impls, with every literal masked it is
+//! the template fingerprint (see [`crate::template`]).
 
 use std::fmt;
 
@@ -31,12 +32,19 @@ impl ColumnRef {
     }
 }
 
+impl ColumnRef {
+    fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        if let Some(q) = &self.qualifier {
+            out.write_str(q)?;
+            out.write_char('.')?;
+        }
+        out.write_str(&self.name)
+    }
+}
+
 impl fmt::Display for ColumnRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.qualifier {
-            Some(q) => write!(f, "{q}.{}", self.name),
-            None => write!(f, "{}", self.name),
-        }
+        self.write_to(f)
     }
 }
 
@@ -53,28 +61,28 @@ pub enum AggFunc {
 
 impl fmt::Display for AggFunc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+        f.write_str(self.name())
+    }
+}
+
+impl AggFunc {
+    const ALL: [AggFunc; 5] =
+        [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
+
+    /// The function's (lower-case) name.
+    pub fn name(self) -> &'static str {
+        match self {
             AggFunc::Count => "count",
             AggFunc::Sum => "sum",
             AggFunc::Avg => "avg",
             AggFunc::Min => "min",
             AggFunc::Max => "max",
-        };
-        f.write_str(s)
+        }
     }
-}
 
-impl AggFunc {
     /// Recognizes an aggregate function name.
     pub fn parse(name: &str) -> Option<Self> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "count" => AggFunc::Count,
-            "sum" => AggFunc::Sum,
-            "avg" => AggFunc::Avg,
-            "min" => AggFunc::Min,
-            "max" => AggFunc::Max,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|func| name.eq_ignore_ascii_case(func.name()))
     }
 }
 
@@ -96,9 +104,10 @@ pub enum BinaryOp {
     Div,
 }
 
-impl fmt::Display for BinaryOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl BinaryOp {
+    /// The operator as SQL spells it.
+    pub fn symbol(self) -> &'static str {
+        match self {
             BinaryOp::And => "AND",
             BinaryOp::Or => "OR",
             BinaryOp::Eq => "=",
@@ -111,8 +120,13 @@ impl fmt::Display for BinaryOp {
             BinaryOp::Sub => "-",
             BinaryOp::Mul => "*",
             BinaryOp::Div => "/",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for BinaryOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.symbol())
     }
 }
 
@@ -278,6 +292,63 @@ impl Expr {
     }
 }
 
+impl Expr {
+    fn visit_literals<'a>(&'a self, f: &mut impl FnMut(LiteralNode<'a>)) {
+        match self {
+            Expr::Number(_) | Expr::String(_) | Expr::Date(_) => f(LiteralNode::Expr(self)),
+            Expr::Column(_) | Expr::Null => {}
+            Expr::Binary { left, right, .. } => {
+                left.visit_literals(f);
+                right.visit_literals(f);
+            }
+            Expr::Between { expr, lo, hi, .. } => {
+                expr.visit_literals(f);
+                lo.visit_literals(f);
+                hi.visit_literals(f);
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.visit_literals(f);
+                for e in list {
+                    e.visit_literals(f);
+                }
+            }
+            Expr::InSubquery { expr, subquery, .. } => {
+                expr.visit_literals(f);
+                subquery.visit_literals(f);
+            }
+            Expr::Exists { subquery, .. } => subquery.visit_literals(f),
+            Expr::Like { expr, .. } => {
+                expr.visit_literals(f);
+                f(LiteralNode::Expr(self));
+            }
+            Expr::IsNull { expr, .. } => expr.visit_literals(f),
+            Expr::Not(e) => e.visit_literals(f),
+            Expr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    a.visit_literals(f);
+                }
+            }
+            Expr::Func { args, .. } => {
+                for a in args {
+                    a.visit_literals(f);
+                }
+            }
+            Expr::ScalarSubquery(q) => q.visit_literals(f),
+        }
+    }
+}
+
+/// A place in a statement that holds a literal value; see
+/// [`SelectStatement::visit_literals`].
+#[derive(Debug, Clone, Copy)]
+pub enum LiteralNode<'a> {
+    /// An [`Expr::Number`], [`Expr::String`] or [`Expr::Date`] node, or an
+    /// [`Expr::Like`] node standing for its pattern.
+    Expr(&'a Expr),
+    /// The row count of a block's `LIMIT`.
+    Limit(u64),
+}
+
 /// One item of a `SELECT` list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
@@ -308,12 +379,20 @@ impl TableRef {
     }
 }
 
+impl TableRef {
+    fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(&self.table)?;
+        if let Some(a) = &self.alias {
+            out.write_char(' ')?;
+            out.write_str(a)?;
+        }
+        Ok(())
+    }
+}
+
 impl fmt::Display for TableRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.alias {
-            Some(a) => write!(f, "{} {a}", self.table),
-            None => write!(f, "{}", self.table),
-        }
+        self.write_to(f)
     }
 }
 
@@ -394,6 +473,36 @@ impl SelectStatement {
         }
     }
 
+    /// Visits every literal of the statement and its subqueries in source
+    /// order — the order the parser met them, which is how the literals of
+    /// a statement are numbered everywhere (`crate::binder`,
+    /// `crate::prepared`).
+    pub fn visit_literals<'a>(&'a self, f: &mut impl FnMut(LiteralNode<'a>)) {
+        for item in &self.projections {
+            if let SelectItem::Expr { expr, .. } = item {
+                expr.visit_literals(f);
+            }
+        }
+        for j in &self.joins {
+            j.on.visit_literals(f);
+        }
+        if let Some(w) = &self.where_clause {
+            w.visit_literals(f);
+        }
+        for g in &self.group_by {
+            g.visit_literals(f);
+        }
+        if let Some(h) = &self.having {
+            h.visit_literals(f);
+        }
+        for o in &self.order_by {
+            o.expr.visit_literals(f);
+        }
+        if let Some(l) = self.limit {
+            f(LiteralNode::Limit(l));
+        }
+    }
+
     /// All table names referenced in this statement and nested subqueries.
     pub fn referenced_tables(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
@@ -463,142 +572,241 @@ fn collect_subquery_tables<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Column(c) => write!(f, "{c}"),
-            Expr::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Expr::String(s) => write!(f, "'{}'", s.replace('\'', "''")),
-            Expr::Date(d) => write!(f, "DATE '{}'", days_to_iso(*d)),
-            Expr::Null => write!(f, "NULL"),
-            Expr::Binary { op, left, right } => write!(f, "({left} {op} {right})"),
-            Expr::Between { expr, lo, hi, negated } => {
-                let not = if *negated { "NOT " } else { "" };
-                write!(f, "({expr} {not}BETWEEN {lo} AND {hi})")
-            }
-            Expr::InList { expr, list, negated } => {
-                let not = if *negated { "NOT " } else { "" };
-                write!(f, "({expr} {not}IN (")?;
-                for (i, e) in list.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "))")
-            }
-            Expr::InSubquery { expr, subquery, negated } => {
-                let not = if *negated { "NOT " } else { "" };
-                write!(f, "({expr} {not}IN ({subquery}))")
-            }
-            Expr::Exists { subquery, negated } => {
-                let not = if *negated { "NOT " } else { "" };
-                write!(f, "{not}EXISTS ({subquery})")
-            }
-            Expr::Like { expr, pattern, negated } => {
-                let not = if *negated { "NOT " } else { "" };
-                write!(f, "({expr} {not}LIKE '{pattern}')")
-            }
-            Expr::IsNull { expr, negated } => {
-                let not = if *negated { "NOT " } else { "" };
-                write!(f, "({expr} IS {not}NULL)")
-            }
-            Expr::Not(e) => write!(f, "(NOT {e})"),
-            Expr::Agg { func, arg, distinct } => {
-                let d = if *distinct { "DISTINCT " } else { "" };
-                match arg {
-                    Some(a) => write!(f, "{func}({d}{a})"),
-                    None => write!(f, "{func}(*)"),
-                }
-            }
-            Expr::Func { name, args } => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-            Expr::ScalarSubquery(q) => write!(f, "({q})"),
-        }
+        write_expr(f, self, false)
     }
 }
 
 impl fmt::Display for SelectStatement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT ")?;
-        if self.distinct {
-            write!(f, "DISTINCT ")?;
-        }
-        if self.projections.is_empty() {
-            write!(f, "*")?;
-        }
-        for (i, p) in self.projections.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            match p {
-                SelectItem::Wildcard => write!(f, "*")?,
-                SelectItem::Expr { expr, alias } => {
-                    write!(f, "{expr}")?;
-                    if let Some(a) = alias {
-                        write!(f, " AS {a}")?;
-                    }
-                }
-            }
-        }
-        write!(f, " FROM ")?;
-        for (i, t) in self.from.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{t}")?;
-        }
-        for j in &self.joins {
-            let kw = match j.kind {
-                JoinKind::Inner => "JOIN",
-                JoinKind::LeftOuter => "LEFT JOIN",
-            };
-            write!(f, " {kw} {} ON {}", j.table, j.on)?;
-        }
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
-        }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY ")?;
-            for (i, g) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{g}")?;
-            }
-        }
-        if let Some(h) = &self.having {
-            write!(f, " HAVING {h}")?;
-        }
-        if !self.order_by.is_empty() {
-            write!(f, " ORDER BY ")?;
-            for (i, o) in self.order_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", o.expr)?;
-                if o.desc {
-                    write!(f, " DESC")?;
-                }
-            }
-        }
-        if let Some(l) = self.limit {
-            write!(f, " LIMIT {l}")?;
-        }
-        Ok(())
+        write_statement(f, self, false)
     }
+}
+
+/// What a masked literal renders as. Distinct from anything the lexer can
+/// produce, so a fingerprint never collides with real SQL text.
+const PLACEHOLDER: &str = "?()";
+
+fn not_kw(negated: bool) -> &'static str {
+    if negated {
+        "NOT "
+    } else {
+        ""
+    }
+}
+
+/// Writes `s` as a single-quoted SQL string, doubling embedded quotes.
+fn write_quoted(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('\'')?;
+    let mut parts = s.split('\'');
+    if let Some(first) = parts.next() {
+        out.write_str(first)?;
+    }
+    for part in parts {
+        out.write_str("''")?;
+        out.write_str(part)?;
+    }
+    out.write_char('\'')
+}
+
+fn write_comma_separated<W: fmt::Write, T>(
+    out: &mut W,
+    items: &[T],
+    mut write_item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write_item(out, item)?;
+    }
+    Ok(())
+}
+
+/// Renders an expression as canonical SQL. With `mask` set every literal
+/// becomes a placeholder — `BETWEEN` bounds and `LIKE` patterns included,
+/// and an `IN` list collapses to one placeholder so lists of different
+/// lengths share a template, matching how production plan-cache
+/// fingerprints behave.
+pub fn write_expr(out: &mut impl fmt::Write, e: &Expr, mask: bool) -> fmt::Result {
+    match e {
+        Expr::Number(_) | Expr::String(_) | Expr::Date(_) if mask => out.write_str(PLACEHOLDER),
+        Expr::Column(c) => c.write_to(out),
+        Expr::Number(n) => {
+            if n.fract() == 0.0 && n.abs() < 1e15 {
+                write!(out, "{}", *n as i64)
+            } else {
+                write!(out, "{n}")
+            }
+        }
+        Expr::String(s) => write_quoted(out, s),
+        Expr::Date(d) => write!(out, "DATE '{}'", days_to_iso(*d)),
+        Expr::Null => out.write_str("NULL"),
+        Expr::Binary { op, left, right } => {
+            out.write_char('(')?;
+            write_expr(out, left, mask)?;
+            out.write_char(' ')?;
+            out.write_str(op.symbol())?;
+            out.write_char(' ')?;
+            write_expr(out, right, mask)?;
+            out.write_char(')')
+        }
+        Expr::Between { expr, lo, hi, negated } => {
+            out.write_char('(')?;
+            write_expr(out, expr, mask)?;
+            out.write_char(' ')?;
+            out.write_str(not_kw(*negated))?;
+            out.write_str("BETWEEN ")?;
+            if mask {
+                out.write_str(PLACEHOLDER)?;
+                out.write_str(" AND ")?;
+                out.write_str(PLACEHOLDER)?;
+            } else {
+                write_expr(out, lo, false)?;
+                out.write_str(" AND ")?;
+                write_expr(out, hi, false)?;
+            }
+            out.write_char(')')
+        }
+        Expr::InList { expr, list, negated } => {
+            out.write_char('(')?;
+            write_expr(out, expr, mask)?;
+            out.write_char(' ')?;
+            out.write_str(not_kw(*negated))?;
+            out.write_str("IN (")?;
+            if mask {
+                out.write_str(PLACEHOLDER)?;
+            } else {
+                write_comma_separated(out, list, |out, e| write_expr(out, e, false))?;
+            }
+            out.write_str("))")
+        }
+        Expr::InSubquery { expr, subquery, negated } => {
+            out.write_char('(')?;
+            write_expr(out, expr, mask)?;
+            out.write_char(' ')?;
+            out.write_str(not_kw(*negated))?;
+            out.write_str("IN (")?;
+            write_statement(out, subquery, mask)?;
+            out.write_str("))")
+        }
+        Expr::Exists { subquery, negated } => {
+            out.write_str(not_kw(*negated))?;
+            out.write_str("EXISTS (")?;
+            write_statement(out, subquery, mask)?;
+            out.write_char(')')
+        }
+        Expr::Like { expr, pattern, negated } => {
+            out.write_char('(')?;
+            write_expr(out, expr, mask)?;
+            out.write_char(' ')?;
+            out.write_str(not_kw(*negated))?;
+            out.write_str("LIKE ")?;
+            write_quoted(out, if mask { "?" } else { pattern })?;
+            out.write_char(')')
+        }
+        Expr::IsNull { expr, negated } => {
+            out.write_char('(')?;
+            write_expr(out, expr, mask)?;
+            out.write_str(" IS ")?;
+            out.write_str(not_kw(*negated))?;
+            out.write_str("NULL)")
+        }
+        Expr::Not(e) => {
+            out.write_str("(NOT ")?;
+            write_expr(out, e, mask)?;
+            out.write_char(')')
+        }
+        Expr::Agg { func, arg, distinct } => {
+            out.write_str(func.name())?;
+            out.write_char('(')?;
+            match arg {
+                Some(a) => {
+                    if *distinct {
+                        out.write_str("DISTINCT ")?;
+                    }
+                    write_expr(out, a, mask)?;
+                }
+                None => out.write_char('*')?,
+            }
+            out.write_char(')')
+        }
+        Expr::Func { name, args } => {
+            out.write_str(name)?;
+            out.write_char('(')?;
+            write_comma_separated(out, args, |out, a| write_expr(out, a, mask))?;
+            out.write_char(')')
+        }
+        Expr::ScalarSubquery(q) => {
+            out.write_char('(')?;
+            write_statement(out, q, mask)?;
+            out.write_char(')')
+        }
+    }
+}
+
+/// Renders a statement as canonical SQL; with `mask` set, as its template
+/// fingerprint text (literals masked, see [`write_expr`]; `LIMIT` values
+/// are parameters too).
+pub fn write_statement(
+    out: &mut impl fmt::Write,
+    stmt: &SelectStatement,
+    mask: bool,
+) -> fmt::Result {
+    out.write_str("SELECT ")?;
+    if stmt.distinct {
+        out.write_str("DISTINCT ")?;
+    }
+    if stmt.projections.is_empty() {
+        out.write_char('*')?;
+    }
+    write_comma_separated(out, &stmt.projections, |out, p| match p {
+        SelectItem::Wildcard => out.write_char('*'),
+        SelectItem::Expr { expr, alias } => {
+            write_expr(out, expr, mask)?;
+            if let Some(a) = alias {
+                out.write_str(" AS ")?;
+                out.write_str(a)?;
+            }
+            Ok(())
+        }
+    })?;
+    out.write_str(" FROM ")?;
+    write_comma_separated(out, &stmt.from, |out, t| t.write_to(out))?;
+    for j in &stmt.joins {
+        out.write_str(match j.kind {
+            JoinKind::Inner => " JOIN ",
+            JoinKind::LeftOuter => " LEFT JOIN ",
+        })?;
+        j.table.write_to(out)?;
+        out.write_str(" ON ")?;
+        write_expr(out, &j.on, mask)?;
+    }
+    if let Some(w) = &stmt.where_clause {
+        out.write_str(" WHERE ")?;
+        write_expr(out, w, mask)?;
+    }
+    if !stmt.group_by.is_empty() {
+        out.write_str(" GROUP BY ")?;
+        write_comma_separated(out, &stmt.group_by, |out, g| write_expr(out, g, mask))?;
+    }
+    if let Some(h) = &stmt.having {
+        out.write_str(" HAVING ")?;
+        write_expr(out, h, mask)?;
+    }
+    if !stmt.order_by.is_empty() {
+        out.write_str(" ORDER BY ")?;
+        write_comma_separated(out, &stmt.order_by, |out, o| {
+            write_expr(out, &o.expr, mask)?;
+            if o.desc {
+                out.write_str(" DESC")?;
+            }
+            Ok(())
+        })?;
+    }
+    if let Some(l) = stmt.limit {
+        write!(out, " LIMIT {}", if mask { 0 } else { l })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

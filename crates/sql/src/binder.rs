@@ -12,7 +12,8 @@
 use isum_catalog::{Catalog, CompareOp, Selectivity};
 use isum_common::{Error, GlobalColumnId, Result, TableId};
 
-use crate::ast::{BinaryOp, ColumnRef, Expr, SelectItem, SelectStatement};
+use crate::ast::{BinaryOp, ColumnRef, Expr, LiteralNode, SelectItem, SelectStatement};
+use crate::parser::Literal;
 
 /// Classification of a filter predicate on a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,9 +161,311 @@ pub struct Binder<'a> {
     catalog: &'a Catalog,
 }
 
+/// A bound statement with everything that reads a literal's *value* left
+/// open: the form shared by all statements of one token shape.
+///
+/// Binding is [`Binder::prepare`] — slots, name resolution, filter kinds
+/// and flags, join edges, group/order/projection columns, aggregate and
+/// block counts — followed by [`Prepared::instantiate`], which reads the
+/// literals: constant folding, `Selectivity::{compare, range}`, the `LIKE`
+/// heuristics, range bounds, range coalescing and `LIMIT`.
+#[derive(Debug, Clone)]
+pub(crate) struct Prepared {
+    /// The value-independent part, in final order. Filters named by a
+    /// [`Fixup`] hold [`OPEN`] in the fields the fixup fills.
+    query: BoundQuery,
+    fixups: Vec<Fixup>,
+    /// The constant-folding programs the fixups point into.
+    ops: Vec<FoldOp>,
+    /// Which literal is the outer block's `LIMIT`.
+    limit: Option<usize>,
+}
+
+/// Selectivity of a filter whose [`Fixup`] has not run yet.
+const OPEN: f64 = f64::NAN;
+
+/// One step of a constant-folding program over a statement's literals,
+/// numbered in source order. Prefix form: an operator is followed by the
+/// programs of its left and right operands.
+#[derive(Debug, Clone, Copy)]
+enum FoldOp {
+    Literal(usize),
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+/// Where a folding program starts in [`Prepared::ops`].
+type Fold = usize;
+
+/// The literal-dependent remainder of one filter.
+#[derive(Debug, Clone, Copy)]
+enum Fixup {
+    /// `column <op> value`.
+    Compare { filter: usize, op: CompareOp, negated: bool, value: Fold },
+    /// `column [NOT] BETWEEN lo AND hi`; a bound that does not fold is open.
+    Between { filter: usize, negated: bool, lo: Option<Fold>, hi: Option<Fold> },
+    /// `column [NOT] LIKE <literal number pattern>`.
+    Like { filter: usize, negated: bool, pattern: usize },
+}
+
+fn complement_if(negated: bool, sel: f64) -> f64 {
+    if negated {
+        (1.0 - sel).max(0.0)
+    } else {
+        sel
+    }
+}
+
+impl Prepared {
+    /// Binds one statement of this shape from its literals (in source
+    /// order). `None` when the literals do not fit the shape — never for
+    /// the literals of a statement this was prepared from.
+    pub(crate) fn instantiate(
+        &self,
+        catalog: &Catalog,
+        literals: &[Literal<'_>],
+    ) -> Option<BoundQuery> {
+        let mut query = self.query.clone();
+        self.fill(catalog, literals, &mut query)?;
+        Some(query)
+    }
+
+    fn fill(
+        &self,
+        catalog: &Catalog,
+        literals: &[Literal<'_>],
+        query: &mut BoundQuery,
+    ) -> Option<()> {
+        for fixup in &self.fixups {
+            match *fixup {
+                Fixup::Compare { filter, op, negated, value } => {
+                    let v = self.eval(value, literals)?;
+                    let f = &mut query.filters[filter];
+                    let sel = Selectivity::compare(catalog.column(f.column.gid), op, v);
+                    f.selectivity = complement_if(negated, sel).clamp(0.0, 1.0);
+                    if f.kind == FilterKind::Range && !negated {
+                        match op {
+                            CompareOp::Lt | CompareOp::LtEq => f.hi = Some(v),
+                            CompareOp::Gt | CompareOp::GtEq => f.lo = Some(v),
+                            _ => {}
+                        }
+                    }
+                }
+                Fixup::Between { filter, negated, lo, hi } => {
+                    let bound = |at: Option<Fold>| match at {
+                        Some(at) => self.eval(at, literals).map(Some),
+                        None => Some(None),
+                    };
+                    let (lo, hi) = (bound(lo)?, bound(hi)?);
+                    let f = &mut query.filters[filter];
+                    let sel = Selectivity::range(catalog.column(f.column.gid), lo, hi);
+                    f.selectivity = complement_if(negated, sel);
+                    if !negated {
+                        (f.lo, f.hi) = (lo, hi);
+                    }
+                }
+                Fixup::Like { filter, negated, pattern } => {
+                    let Literal::Pattern(pattern) = literals.get(pattern)? else { return None };
+                    let f = &mut query.filters[filter];
+                    f.selectivity = complement_if(negated, like_selectivity(pattern));
+                    // Only prefix patterns can drive a seek.
+                    let prefix = !pattern.starts_with('%') && !pattern.starts_with('_');
+                    f.sargable = prefix && !negated;
+                }
+            }
+        }
+        coalesce_ranges(catalog, query);
+        if let Some(limit) = self.limit {
+            let Literal::RowCount(n) = literals.get(limit)? else { return None };
+            query.limit = Some(*n);
+        }
+        Some(())
+    }
+
+    /// Folds literal arithmetic (numbers, dates, date arithmetic) to a
+    /// value on the shared numeric axis (dates are days since epoch).
+    fn eval(&self, at: Fold, literals: &[Literal<'_>]) -> Option<f64> {
+        let mut pos = at;
+        self.eval_next(&mut pos, literals)
+    }
+
+    fn eval_next(&self, pos: &mut usize, literals: &[Literal<'_>]) -> Option<f64> {
+        let op = self.ops[*pos];
+        *pos += 1;
+        if let FoldOp::Literal(i) = op {
+            return match literals.get(i)? {
+                Literal::Number(n) => Some(*n),
+                _ => None,
+            };
+        }
+        let l = self.eval_next(pos, literals)?;
+        let r = self.eval_next(pos, literals)?;
+        Some(match op {
+            FoldOp::Add => l + r,
+            FoldOp::Sub => l - r,
+            FoldOp::Mul => l * r,
+            FoldOp::Div => l / r,
+            FoldOp::Literal(_) => unreachable!("handled above"),
+        })
+    }
+}
+
+/// Merges paired one-sided range predicates on the same column instance
+/// (`col >= a AND col < b`) into a single range with the histogram's
+/// joint selectivity. Without this, independence would square the
+/// selectivity of every between-style date window (as classic
+/// optimizers, we special-case the pattern).
+fn coalesce_ranges(catalog: &Catalog, out: &mut BoundQuery) {
+    let mut i = 0;
+    while i < out.filters.len() {
+        let fi = out.filters[i].clone();
+        if fi.kind != FilterKind::Range || fi.in_disjunction || !fi.sargable {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        let mut merged = false;
+        while j < out.filters.len() {
+            let fj = &out.filters[j];
+            let complementary = fj.kind == FilterKind::Range
+                && fj.column == fi.column
+                && !fj.in_disjunction
+                && fj.sargable
+                && (fi.lo.is_some() != fj.lo.is_some() || fi.hi.is_some() != fj.hi.is_some());
+            if complementary {
+                let lo = match (fi.lo, fj.lo) {
+                    (Some(a), Some(b)) => Some(a.max(b)),
+                    (a, b) => a.or(b),
+                };
+                let hi = match (fi.hi, fj.hi) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                let column = catalog.column(fi.column.gid);
+                let sel = Selectivity::range(column, lo, hi);
+                out.filters[i] = BoundFilter {
+                    column: fi.column,
+                    kind: FilterKind::Range,
+                    selectivity: sel,
+                    in_disjunction: false,
+                    sargable: true,
+                    lo,
+                    hi,
+                };
+                out.filters.remove(j);
+                merged = true;
+                break;
+            }
+            j += 1;
+        }
+        if !merged {
+            i += 1;
+        }
+    }
+}
+
+/// The statement being prepared: the [`Prepared`] under construction plus
+/// the statement's literal nodes in source order (`None` for a `LIMIT`),
+/// by which a literal met during the walk finds its number.
+struct Preparing<'s> {
+    prepared: Prepared,
+    nodes: Vec<Option<&'s Expr>>,
+}
+
+impl Preparing<'_> {
+    /// A filter no literal value can change.
+    fn push_filter(
+        &mut self,
+        column: BoundColumn,
+        kind: FilterKind,
+        selectivity: f64,
+        in_disjunction: bool,
+        sargable: bool,
+    ) -> usize {
+        let filters = &mut self.prepared.query.filters;
+        filters.push(BoundFilter {
+            column,
+            kind,
+            selectivity,
+            in_disjunction,
+            sargable,
+            lo: None,
+            hi: None,
+        });
+        filters.len() - 1
+    }
+
+    /// A filter whose selectivity (and whatever else `fixup` names) waits
+    /// for the literals.
+    fn push_open_filter(
+        &mut self,
+        column: BoundColumn,
+        kind: FilterKind,
+        in_disjunction: bool,
+        sargable: bool,
+        fixup: impl FnOnce(usize) -> Fixup,
+    ) {
+        let filter = self.push_filter(column, kind, OPEN, in_disjunction, sargable);
+        self.prepared.fixups.push(fixup(filter));
+    }
+
+    /// The folding program of `e`, when `e` is literal arithmetic.
+    fn fold(&mut self, e: &Expr) -> Option<Fold> {
+        if !is_foldable(e) {
+            return None;
+        }
+        let start = self.prepared.ops.len();
+        self.push_ops(e);
+        Some(start)
+    }
+
+    fn push_ops(&mut self, e: &Expr) {
+        match e {
+            Expr::Binary { op, left, right } => {
+                self.prepared.ops.push(match op {
+                    BinaryOp::Add => FoldOp::Add,
+                    BinaryOp::Sub => FoldOp::Sub,
+                    BinaryOp::Mul => FoldOp::Mul,
+                    BinaryOp::Div => FoldOp::Div,
+                    _ => unreachable!("checked by is_foldable"),
+                });
+                self.push_ops(left);
+                self.push_ops(right);
+            }
+            literal => {
+                let i = self.literal_number(literal);
+                self.prepared.ops.push(FoldOp::Literal(i));
+            }
+        }
+    }
+
+    /// The position of a literal node among the statement's literals.
+    fn literal_number(&self, e: &Expr) -> usize {
+        self.nodes
+            .iter()
+            .position(|n| n.is_some_and(|n| std::ptr::eq(n, e)))
+            .expect("every literal of the statement was collected")
+    }
+}
+
+/// True for literal arithmetic: numbers and dates under `+ - * /`.
+fn is_foldable(e: &Expr) -> bool {
+    match e {
+        Expr::Number(_) | Expr::Date(_) => true,
+        Expr::Binary {
+            op: BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div,
+            left,
+            right,
+        } => is_foldable(left) && is_foldable(right),
+        _ => false,
+    }
+}
+
 struct Scope<'p> {
-    /// (binding name, table id, slot index)
-    slots: Vec<(String, TableId, usize)>,
+    /// (binding name as written, table id, slot index)
+    slots: Vec<(&'p str, TableId, usize)>,
     parent: Option<&'p Scope<'p>>,
 }
 
@@ -173,35 +476,38 @@ impl Scope<'_> {
         name: &str,
         catalog: &Catalog,
     ) -> Option<BoundColumn> {
-        for (alias, table, slot) in &self.slots {
-            if alias == qualifier {
-                let col = catalog.table(*table).column_id(name)?;
-                return Some(BoundColumn { slot: *slot, gid: GlobalColumnId::new(*table, col) });
+        for &(binding, table, slot) in &self.slots {
+            // Binding names compare lower-cased, qualifiers as written.
+            let same = binding.len() == qualifier.len()
+                && binding.bytes().zip(qualifier.bytes()).all(|(b, q)| b.to_ascii_lowercase() == q);
+            if same {
+                let col = catalog.table(table).column_id(name)?;
+                return Some(BoundColumn { slot, gid: GlobalColumnId::new(table, col) });
             }
         }
         self.parent.and_then(|p| p.resolve_qualified(qualifier, name, catalog))
     }
 
     fn resolve_bare(&self, name: &str, catalog: &Catalog) -> Result<Option<BoundColumn>> {
-        let mut found: Option<BoundColumn> = None;
-        for (_, table, slot) in &self.slots {
-            if let Some(col) = catalog.table(*table).column_id(name) {
-                let bc = BoundColumn { slot: *slot, gid: GlobalColumnId::new(*table, col) };
-                if let Some(prev) = &found {
-                    if prev.gid != bc.gid {
+        // One catalog lookup, then each scope picks out its own tables.
+        let candidates = catalog.columns_named(name);
+        let mut scope = Some(self);
+        while let Some(s) = scope {
+            let mut found: Option<BoundColumn> = None;
+            for &(_, table, slot) in &s.slots {
+                if let Some(&gid) = candidates.iter().find(|gid| gid.table == table) {
+                    if found.is_some_and(|prev| prev.gid != gid) {
                         return Err(Error::Bind(format!("ambiguous column `{name}`")));
                     }
+                    found = Some(BoundColumn { slot, gid });
                 }
-                found = Some(bc);
             }
+            if found.is_some() {
+                return Ok(found);
+            }
+            scope = s.parent;
         }
-        if found.is_some() {
-            return Ok(found);
-        }
-        match self.parent {
-            Some(p) => p.resolve_bare(name, catalog),
-            None => Ok(None),
-        }
+        Ok(None)
     }
 }
 
@@ -216,67 +522,45 @@ impl<'a> Binder<'a> {
     /// # Errors
     /// Returns [`Error::Bind`] on unknown/ambiguous tables or columns.
     pub fn bind(&self, stmt: &SelectStatement) -> Result<BoundQuery> {
-        let mut out = BoundQuery::default();
-        let root = Scope { slots: Vec::new(), parent: None };
-        self.bind_block(stmt, &root, &mut out, true)?;
-        out.limit = stmt.limit;
-        out.distinct = stmt.distinct;
-        self.coalesce_ranges(&mut out);
-        Ok(out)
+        let (mut prepared, literals) = self.prepare(stmt)?;
+        let mut query = std::mem::take(&mut prepared.query);
+        prepared
+            .fill(self.catalog, &literals, &mut query)
+            .expect("a statement's own literals fit its prepared form");
+        Ok(query)
     }
 
-    /// Merges paired one-sided range predicates on the same column instance
-    /// (`col >= a AND col < b`) into a single range with the histogram's
-    /// joint selectivity. Without this, independence would square the
-    /// selectivity of every between-style date window (as classic
-    /// optimizers, we special-case the pattern).
-    fn coalesce_ranges(&self, out: &mut BoundQuery) {
-        let mut i = 0;
-        while i < out.filters.len() {
-            let fi = out.filters[i].clone();
-            if fi.kind != FilterKind::Range || fi.in_disjunction || !fi.sargable {
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            let mut merged = false;
-            while j < out.filters.len() {
-                let fj = &out.filters[j];
-                let complementary = fj.kind == FilterKind::Range
-                    && fj.column == fi.column
-                    && !fj.in_disjunction
-                    && fj.sargable
-                    && (fi.lo.is_some() != fj.lo.is_some() || fi.hi.is_some() != fj.hi.is_some());
-                if complementary {
-                    let lo = match (fi.lo, fj.lo) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        (a, b) => a.or(b),
-                    };
-                    let hi = match (fi.hi, fj.hi) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    let column = self.catalog.column(fi.column.gid);
-                    let sel = Selectivity::range(column, lo, hi);
-                    out.filters[i] = BoundFilter {
-                        column: fi.column,
-                        kind: FilterKind::Range,
-                        selectivity: sel,
-                        in_disjunction: false,
-                        sargable: true,
-                        lo,
-                        hi,
-                    };
-                    out.filters.remove(j);
-                    merged = true;
-                    break;
-                }
-                j += 1;
-            }
-            if !merged {
-                i += 1;
-            }
-        }
+    /// The literal-independent part of binding `stmt` — reusable for every
+    /// statement of the same token shape — and `stmt`'s own literals.
+    ///
+    /// # Errors
+    /// Returns [`Error::Bind`] on unknown/ambiguous tables or columns.
+    pub(crate) fn prepare<'s>(
+        &self,
+        stmt: &'s SelectStatement,
+    ) -> Result<(Prepared, Vec<Literal<'s>>)> {
+        let mut nodes = Vec::new();
+        let mut literals = Vec::new();
+        stmt.visit_literals(&mut |node| {
+            nodes.push(match node {
+                LiteralNode::Expr(e) => Some(e),
+                LiteralNode::Limit(_) => None,
+            });
+            literals.push(Literal::from(node));
+        });
+        let mut out = Preparing {
+            prepared: Prepared {
+                query: BoundQuery { distinct: stmt.distinct, ..BoundQuery::default() },
+                fixups: Vec::new(),
+                ops: Vec::new(),
+                // The outer LIMIT is the last thing in the statement.
+                limit: stmt.limit.map(|_| nodes.len() - 1),
+            },
+            nodes,
+        };
+        let root = Scope { slots: Vec::new(), parent: None };
+        self.bind_block(stmt, &root, &mut out, true)?;
+        Ok((out.prepared, literals))
     }
 
     /// Binds one query block; returns the first projected column (used to
@@ -285,28 +569,21 @@ impl<'a> Binder<'a> {
         &self,
         stmt: &SelectStatement,
         parent: &Scope<'_>,
-        out: &mut BoundQuery,
+        out: &mut Preparing<'_>,
         is_outer: bool,
     ) -> Result<Option<BoundColumn>> {
-        out.n_blocks += 1;
-        let mut slots = Vec::new();
-        let mut register =
-            |table_name: &str, alias: Option<&str>, out: &mut BoundQuery| -> Result<()> {
-                let table = self
-                    .catalog
-                    .table_id(table_name)
-                    .ok_or_else(|| Error::Bind(format!("unknown table `{table_name}`")))?;
-                let binding = alias.unwrap_or(table_name).to_ascii_lowercase();
-                let slot = out.tables.len();
-                out.tables.push(BoundTable { table, alias: binding.clone() });
-                slots.push((binding, table, slot));
-                Ok(())
-            };
-        for t in &stmt.from {
-            register(&t.table, t.alias.as_deref(), out)?;
-        }
-        for j in &stmt.joins {
-            register(&j.table.table, j.table.alias.as_deref(), out)?;
+        let query = &mut out.prepared.query;
+        query.n_blocks += 1;
+        let mut slots = Vec::with_capacity(stmt.from.len() + stmt.joins.len());
+        for t in stmt.from.iter().chain(stmt.joins.iter().map(|j| &j.table)) {
+            let table = self
+                .catalog
+                .table_id(&t.table)
+                .ok_or_else(|| Error::Bind(format!("unknown table `{}`", t.table)))?;
+            let binding = t.binding_name();
+            let slot = query.tables.len();
+            query.tables.push(BoundTable { table, alias: binding.to_ascii_lowercase() });
+            slots.push((binding, table, slot));
         }
         let scope = Scope { slots, parent: Some(parent) };
 
@@ -316,43 +593,26 @@ impl<'a> Binder<'a> {
         if let Some(w) = &stmt.where_clause {
             self.walk_predicate(w, &scope, out, false, false)?;
         }
+        let query = &mut out.prepared.query;
         // HAVING references aggregates; its raw columns do not produce
         // sargable filters, but aggregates must be counted.
         if let Some(h) = &stmt.having {
-            out.n_aggregates += count_aggregates(h);
+            query.n_aggregates += count_aggregates(h);
         }
         for item in &stmt.projections {
             if let SelectItem::Expr { expr, .. } = item {
-                out.n_aggregates += count_aggregates(expr);
+                query.n_aggregates += count_aggregates(expr);
                 if is_outer {
-                    let mut cols = Vec::new();
-                    expr.visit_columns(false, &mut |c| cols.push(c.clone()));
-                    for c in cols {
-                        if let Some(bc) = self.resolve(&c, &scope)? {
-                            out.projections.push(bc);
-                        }
-                    }
+                    self.resolve_columns(expr, &scope, &mut |bc| query.projections.push(bc))?;
                 }
             }
         }
         if is_outer {
             for g in &stmt.group_by {
-                let mut cols = Vec::new();
-                g.visit_columns(false, &mut |c| cols.push(c.clone()));
-                for c in cols {
-                    if let Some(bc) = self.resolve(&c, &scope)? {
-                        out.group_by.push(bc);
-                    }
-                }
+                self.resolve_columns(g, &scope, &mut |bc| query.group_by.push(bc))?;
             }
             for o in &stmt.order_by {
-                let mut cols = Vec::new();
-                o.expr.visit_columns(false, &mut |c| cols.push(c.clone()));
-                for c in cols {
-                    if let Some(bc) = self.resolve(&c, &scope)? {
-                        out.order_by.push(bc);
-                    }
-                }
+                self.resolve_columns(&o.expr, &scope, &mut |bc| query.order_by.push(bc))?;
             }
         }
         // First projected column, to wire IN-subquery semi-joins.
@@ -371,13 +631,31 @@ impl<'a> Binder<'a> {
                 Some(bc) => Ok(Some(bc)),
                 None => Err(Error::Bind(format!("unknown column `{q}.{}`", c.name))),
             },
-            None => match scope.resolve_bare(&c.name, self.catalog)? {
-                Some(bc) => Ok(Some(bc)),
-                // Unqualified names that resolve nowhere are select-list
-                // aliases (e.g. ORDER BY revenue) — ignore.
-                None => Ok(None),
-            },
+            // Unqualified names that resolve nowhere are select-list
+            // aliases (e.g. ORDER BY revenue) — ignore.
+            None => scope.resolve_bare(&c.name, self.catalog),
         }
+    }
+
+    /// Hands every column under `e` (subqueries excluded) that resolves to
+    /// `sink`, in order; stops at the first resolution error.
+    fn resolve_columns(
+        &self,
+        e: &Expr,
+        scope: &Scope<'_>,
+        sink: &mut impl FnMut(BoundColumn),
+    ) -> Result<()> {
+        let mut outcome = Ok(());
+        e.visit_columns(false, &mut |c| {
+            if outcome.is_ok() {
+                match self.resolve(c, scope) {
+                    Ok(Some(bc)) => sink(bc),
+                    Ok(None) => {}
+                    Err(e) => outcome = Err(e),
+                }
+            }
+        });
+        outcome
     }
 
     /// Walks a predicate tree, registering filters and join edges.
@@ -388,7 +666,7 @@ impl<'a> Binder<'a> {
         &self,
         e: &Expr,
         scope: &Scope<'_>,
-        out: &mut BoundQuery,
+        out: &mut Preparing<'_>,
         under_or: bool,
         negated: bool,
     ) -> Result<()> {
@@ -437,19 +715,9 @@ impl<'a> Binder<'a> {
             Expr::Between { expr, lo, hi, negated: n } => {
                 let neg = negated ^ n;
                 if let Some(col) = self.sargable_column(expr, scope)? {
-                    let lo_v = const_fold(lo);
-                    let hi_v = const_fold(hi);
-                    let column = self.catalog.column(col.gid);
-                    let sel = isum_catalog::Selectivity::range(column, lo_v, hi_v);
-                    let sel = if neg { (1.0 - sel).max(0.0) } else { sel };
-                    out.filters.push(BoundFilter {
-                        column: col,
-                        kind: FilterKind::Range,
-                        selectivity: sel,
-                        in_disjunction: under_or || neg,
-                        sargable: !neg,
-                        lo: if neg { None } else { lo_v },
-                        hi: if neg { None } else { hi_v },
+                    let (lo, hi) = (out.fold(lo), out.fold(hi));
+                    out.push_open_filter(col, FilterKind::Range, under_or || neg, !neg, |filter| {
+                        Fixup::Between { filter, negated: neg, lo, hi }
                     });
                 } else {
                     self.bind_opaque_columns(expr, scope, out, under_or)?;
@@ -461,22 +729,19 @@ impl<'a> Binder<'a> {
                 if let Some(col) = self.sargable_column(expr, scope)? {
                     let column = self.catalog.column(col.gid);
                     let sel = Selectivity::in_list(column, list.len());
-                    let sel = if neg { (1.0 - sel).max(0.0) } else { sel };
-                    out.filters.push(BoundFilter {
-                        column: col,
-                        kind: FilterKind::InList,
-                        selectivity: sel,
-                        in_disjunction: under_or || neg,
-                        sargable: !neg,
-                        lo: None,
-                        hi: None,
-                    });
+                    out.push_filter(
+                        col,
+                        FilterKind::InList,
+                        complement_if(neg, sel),
+                        under_or || neg,
+                        !neg,
+                    );
                 } else {
                     self.bind_opaque_columns(expr, scope, out, under_or)?;
                 }
                 Ok(())
             }
-            Expr::InSubquery { expr, subquery, negated: n } => {
+            Expr::InSubquery { expr, subquery, .. } => {
                 let inner_first = self.bind_block(subquery, scope, out, false)?;
                 if let (Ok(Some(outer_col)), Some(inner_col)) =
                     (self.sargable_column(expr, scope), inner_first)
@@ -485,13 +750,13 @@ impl<'a> Binder<'a> {
                         self.catalog.column(outer_col.gid),
                         self.catalog.column(inner_col.gid),
                     );
-                    out.joins.push(BoundJoin {
+                    // Anti-joins (`NOT IN`) keep the same edge shape.
+                    out.prepared.query.joins.push(BoundJoin {
                         left: outer_col,
                         right: inner_col,
                         selectivity: sel,
                         semi: true,
                     });
-                    let _ = negated ^ n; // anti-joins keep the same edge shape
                 }
                 Ok(())
             }
@@ -501,21 +766,12 @@ impl<'a> Binder<'a> {
                 self.bind_block(subquery, scope, out, false)?;
                 Ok(())
             }
-            Expr::Like { expr, pattern, negated: n } => {
+            Expr::Like { expr, negated: n, .. } => {
                 let neg = negated ^ n;
                 if let Some(col) = self.sargable_column(expr, scope)? {
-                    let sel = like_selectivity(pattern);
-                    let sel = if neg { (1.0 - sel).max(0.0) } else { sel };
-                    // Only prefix patterns can drive a seek.
-                    let prefix = !pattern.starts_with('%') && !pattern.starts_with('_');
-                    out.filters.push(BoundFilter {
-                        column: col,
-                        kind: FilterKind::Like,
-                        selectivity: sel,
-                        in_disjunction: under_or || neg,
-                        sargable: prefix && !neg,
-                        lo: None,
-                        hi: None,
+                    let pattern = out.literal_number(e);
+                    out.push_open_filter(col, FilterKind::Like, under_or || neg, false, |filter| {
+                        Fixup::Like { filter, negated: neg, pattern }
                     });
                 }
                 Ok(())
@@ -525,16 +781,7 @@ impl<'a> Binder<'a> {
                 if let Some(col) = self.sargable_column(expr, scope)? {
                     let column = self.catalog.column(col.gid);
                     let sel = Selectivity::is_null(column);
-                    let sel = if neg { (1.0 - sel).max(0.0) } else { sel };
-                    out.filters.push(BoundFilter {
-                        column: col,
-                        kind: FilterKind::Null,
-                        selectivity: sel,
-                        in_disjunction: under_or,
-                        sargable: true,
-                        lo: None,
-                        hi: None,
-                    });
+                    out.push_filter(col, FilterKind::Null, complement_if(neg, sel), under_or, true);
                 }
                 Ok(())
             }
@@ -551,7 +798,7 @@ impl<'a> Binder<'a> {
         left: &Expr,
         right: &Expr,
         scope: &Scope<'_>,
-        out: &mut BoundQuery,
+        out: &mut Preparing<'_>,
         under_or: bool,
         negated: bool,
     ) -> Result<()> {
@@ -562,89 +809,68 @@ impl<'a> Binder<'a> {
                 // Join edge. Non-equi joins are modeled as a (weak) edge with
                 // range-ish selectivity so the optimizer still connects the
                 // graph, but only equi-joins are indexable join features.
-                if op == BinaryOp::Eq {
-                    let sel = Selectivity::equi_join(
-                        self.catalog.column(l.gid),
-                        self.catalog.column(r.gid),
-                    );
-                    out.joins.push(BoundJoin { left: l, right: r, selectivity: sel, semi: false });
+                let selectivity = if op == BinaryOp::Eq {
+                    Selectivity::equi_join(self.catalog.column(l.gid), self.catalog.column(r.gid))
                 } else {
-                    out.joins.push(BoundJoin {
-                        left: l,
-                        right: r,
-                        selectivity: isum_catalog::selectivity::DEFAULT_UNKNOWN,
-                        semi: false,
-                    });
-                }
+                    isum_catalog::selectivity::DEFAULT_UNKNOWN
+                };
+                out.prepared.query.joins.push(BoundJoin {
+                    left: l,
+                    right: r,
+                    selectivity,
+                    semi: false,
+                });
                 Ok(())
             }
             (Some(l), Some(_r)) => {
                 // Same-slot column comparison, e.g. l_commitdate < l_receiptdate.
-                out.filters.push(BoundFilter {
-                    column: l,
-                    kind: FilterKind::SameTable,
-                    selectivity: isum_catalog::selectivity::DEFAULT_UNKNOWN,
-                    in_disjunction: under_or,
-                    sargable: false,
-                    lo: None,
-                    hi: None,
-                });
+                out.push_filter(
+                    l,
+                    FilterKind::SameTable,
+                    isum_catalog::selectivity::DEFAULT_UNKNOWN,
+                    under_or,
+                    false,
+                );
                 Ok(())
             }
             (Some(col), None) | (None, Some(col)) => {
-                let lit = if lcol.is_some() { const_fold(right) } else { const_fold(left) };
-                let column = self.catalog.column(col.gid);
+                let lit = if lcol.is_some() { out.fold(right) } else { out.fold(left) };
                 let mut cmp = to_compare_op(op);
                 // `5 < col` means `col > 5`.
                 if lcol.is_none() {
                     cmp = flip(cmp);
                 }
-                let (kind, sel) = match lit {
-                    Some(v) => {
-                        let s = Selectivity::compare(column, cmp, v);
-                        let kind = match cmp {
-                            CompareOp::Eq => FilterKind::Eq,
-                            CompareOp::NotEq => FilterKind::NotEq,
-                            _ => FilterKind::Range,
-                        };
-                        (kind, s)
+                let kind = match cmp {
+                    CompareOp::Eq => FilterKind::Eq,
+                    CompareOp::NotEq => FilterKind::NotEq,
+                    _ => FilterKind::Range,
+                };
+                let sargable = !matches!(kind, FilterKind::NotEq) && !negated;
+                let in_disjunction = under_or || negated;
+                match lit {
+                    Some(value) => {
+                        out.push_open_filter(col, kind, in_disjunction, sargable, |filter| {
+                            Fixup::Compare { filter, op: cmp, negated, value }
+                        });
                     }
                     None => {
                         // Comparison against a string/unfoldable literal:
                         // fall back to density for Eq, default otherwise.
-                        let s = match cmp {
+                        let column = self.catalog.column(col.gid);
+                        let sel = match cmp {
                             CompareOp::Eq => column.stats.density(),
                             CompareOp::NotEq => 1.0 - column.stats.density(),
                             _ => isum_catalog::selectivity::DEFAULT_UNKNOWN,
                         };
-                        let kind = match cmp {
-                            CompareOp::Eq => FilterKind::Eq,
-                            CompareOp::NotEq => FilterKind::NotEq,
-                            _ => FilterKind::Range,
-                        };
-                        (kind, s)
+                        out.push_filter(
+                            col,
+                            kind,
+                            complement_if(negated, sel).clamp(0.0, 1.0),
+                            in_disjunction,
+                            sargable,
+                        );
                     }
-                };
-                let sel = if negated { (1.0 - sel).max(0.0) } else { sel };
-                let sargable = !matches!(kind, FilterKind::NotEq) && !negated;
-                let (lo_b, hi_b) = if kind == FilterKind::Range && !negated {
-                    match cmp {
-                        CompareOp::Lt | CompareOp::LtEq => (None, lit),
-                        CompareOp::Gt | CompareOp::GtEq => (lit, None),
-                        _ => (None, None),
-                    }
-                } else {
-                    (None, None)
-                };
-                out.filters.push(BoundFilter {
-                    column: col,
-                    kind,
-                    selectivity: sel.clamp(0.0, 1.0),
-                    in_disjunction: under_or || negated,
-                    sargable,
-                    lo: lo_b,
-                    hi: hi_b,
-                });
+                }
                 Ok(())
             }
             (None, None) => {
@@ -660,7 +886,7 @@ impl<'a> Binder<'a> {
         &self,
         e: &Expr,
         scope: &Scope<'_>,
-        out: &mut BoundQuery,
+        out: &mut Preparing<'_>,
     ) -> Result<()> {
         match e {
             Expr::ScalarSubquery(q) => {
@@ -687,12 +913,10 @@ impl<'a> Binder<'a> {
     fn sargable_column(&self, e: &Expr, scope: &Scope<'_>) -> Result<Option<BoundColumn>> {
         match e {
             Expr::Column(c) => self.resolve(c, scope),
-            Expr::Binary { op: BinaryOp::Add | BinaryOp::Sub, left, right } => {
-                match (&**left, const_fold(right)) {
-                    (Expr::Column(c), Some(_)) => self.resolve(c, scope),
-                    _ => Ok(None),
-                }
-            }
+            Expr::Binary { op: BinaryOp::Add | BinaryOp::Sub, left, right } => match &**left {
+                Expr::Column(c) if is_foldable(right) => self.resolve(c, scope),
+                _ => Ok(None),
+            },
             _ => Ok(None),
         }
     }
@@ -704,46 +928,18 @@ impl<'a> Binder<'a> {
         &self,
         e: &Expr,
         scope: &Scope<'_>,
-        out: &mut BoundQuery,
+        out: &mut Preparing<'_>,
         under_or: bool,
     ) -> Result<()> {
-        let mut cols = Vec::new();
-        e.visit_columns(false, &mut |c| cols.push(c.clone()));
-        for c in cols {
-            if let Some(bc) = self.resolve(&c, scope)? {
-                out.filters.push(BoundFilter {
-                    column: bc,
-                    kind: FilterKind::SameTable,
-                    selectivity: isum_catalog::selectivity::DEFAULT_UNKNOWN,
-                    in_disjunction: under_or,
-                    sargable: false,
-                    lo: None,
-                    hi: None,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Folds literal expressions (numbers, dates, date arithmetic) to a value on
-/// the shared numeric axis (dates are days since epoch).
-pub fn const_fold(e: &Expr) -> Option<f64> {
-    match e {
-        Expr::Number(n) => Some(*n),
-        Expr::Date(d) => Some(*d as f64),
-        Expr::Binary { op, left, right } => {
-            let l = const_fold(left)?;
-            let r = const_fold(right)?;
-            Some(match op {
-                BinaryOp::Add => l + r,
-                BinaryOp::Sub => l - r,
-                BinaryOp::Mul => l * r,
-                BinaryOp::Div => l / r,
-                _ => return None,
-            })
-        }
-        _ => None,
+        self.resolve_columns(e, scope, &mut |bc| {
+            out.push_filter(
+                bc,
+                FilterKind::SameTable,
+                isum_catalog::selectivity::DEFAULT_UNKNOWN,
+                under_or,
+                false,
+            );
+        })
     }
 }
 
@@ -951,6 +1147,16 @@ mod tests {
         );
         let sargable: Vec<bool> = q.filters.iter().map(|f| f.sargable).collect();
         assert_eq!(sargable, vec![true, false]);
+    }
+
+    #[test]
+    fn like_prefix_length_counts_characters_not_bytes() {
+        // `é` is two bytes; lexed byte by byte it counted as two characters.
+        let q = bind("SELECT o_orderkey FROM orders WHERE o_orderpriority LIKE 'é%'");
+        assert_eq!(q.filters[0].selectivity, 0.1);
+        assert!(q.filters[0].sargable);
+        let q = bind("SELECT o_orderkey FROM orders WHERE o_orderpriority LIKE '''%'");
+        assert_eq!(q.filters[0].selectivity, 0.1, "an escaped quote is one character");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //!
 //! Converts source text to a [`Token`] stream. Supports `--` line comments,
 //! single-quoted strings with `''` escaping, and decimal numeric literals.
+//! Tokens are spans into the input: lexing allocates nothing beyond the
+//! token buffer, which [`lex_into`] lets a caller reuse.
 
 use isum_common::{Error, Result};
 
@@ -12,94 +14,76 @@ use crate::token::{Keyword, Token, TokenKind};
 /// # Errors
 /// Returns [`Error::Lex`] on unterminated strings or unexpected characters.
 pub fn lex(input: &str) -> Result<Vec<Token>> {
+    // Statements average about five bytes per token.
+    let mut tokens = Vec::with_capacity(input.len() / 4 + 1);
+    lex_into(input, &mut tokens)?;
+    Ok(tokens)
+}
+
+/// [`lex`] into a caller-owned buffer (cleared first), so a loop over many
+/// statements allocates its token storage once.
+///
+/// # Errors
+/// Same as [`lex`]; the buffer's content is unspecified after an error.
+pub fn lex_into(input: &str, tokens: &mut Vec<Token>) -> Result<()> {
+    isum_common::count!("sql.lex.calls");
+    tokens.clear();
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
         let start = i;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
+        let kind = match bytes[i] {
+            b' ' | b'\t' | b'\r' | b'\n' => {
                 i += 1;
+                continue;
             }
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
+            b'-' if bytes.get(i + 1) == Some(&b'-') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '(' => {
-                tokens.push(Token { kind: TokenKind::LParen, offset: start });
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token { kind: TokenKind::RParen, offset: start });
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token { kind: TokenKind::Comma, offset: start });
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token { kind: TokenKind::Dot, offset: start });
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token { kind: TokenKind::Semicolon, offset: start });
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token { kind: TokenKind::Star, offset: start });
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token { kind: TokenKind::Plus, offset: start });
-                i += 1;
-            }
-            '-' => {
-                tokens.push(Token { kind: TokenKind::Minus, offset: start });
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token { kind: TokenKind::Slash, offset: start });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token { kind: TokenKind::Eq, offset: start });
-                i += 1;
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::NotEq, offset: start });
-                    i += 2;
-                } else {
+            b'(' => TokenKind::LParen,
+            b')' => TokenKind::RParen,
+            b',' => TokenKind::Comma,
+            b'.' => TokenKind::Dot,
+            b';' => TokenKind::Semicolon,
+            b'*' => TokenKind::Star,
+            b'+' => TokenKind::Plus,
+            b'-' => TokenKind::Minus,
+            b'/' => TokenKind::Slash,
+            b'=' => TokenKind::Eq,
+            b'!' => {
+                if bytes.get(i + 1) != Some(&b'=') {
                     return Err(Error::Lex { offset: start, message: "expected `!=`".into() });
                 }
+                i += 1;
+                TokenKind::NotEq
             }
-            '<' => match bytes.get(i + 1) {
+            b'<' => match bytes.get(i + 1) {
                 Some(&b'=') => {
-                    tokens.push(Token { kind: TokenKind::LtEq, offset: start });
-                    i += 2;
+                    i += 1;
+                    TokenKind::LtEq
                 }
                 Some(&b'>') => {
-                    tokens.push(Token { kind: TokenKind::NotEq, offset: start });
-                    i += 2;
-                }
-                _ => {
-                    tokens.push(Token { kind: TokenKind::Lt, offset: start });
                     i += 1;
+                    TokenKind::NotEq
                 }
+                _ => TokenKind::Lt,
             },
-            '>' => {
+            b'>' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::GtEq, offset: start });
-                    i += 2;
-                } else {
-                    tokens.push(Token { kind: TokenKind::Gt, offset: start });
                     i += 1;
+                    TokenKind::GtEq
+                } else {
+                    TokenKind::Gt
                 }
             }
-            '\'' => {
-                let mut s = String::new();
+            b'\'' => {
+                // The quote byte never occurs inside a multi-byte UTF-8
+                // sequence, so the literal's span falls on char boundaries
+                // and its text is sliced out of the input as UTF-8.
+                let mut escaped = false;
                 i += 1;
                 loop {
                     match bytes.get(i) {
@@ -110,22 +94,16 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                             })
                         }
                         Some(&b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
+                            escaped = true;
                             i += 2;
                         }
-                        Some(&b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(&b'\'') => break,
+                        Some(_) => i += 1,
                     }
                 }
-                tokens.push(Token { kind: TokenKind::String(s), offset: start });
+                TokenKind::String { escaped }
             }
-            '0'..='9' => {
+            b'0'..=b'9' => {
                 let mut end = i;
                 let mut seen_dot = false;
                 while end < bytes.len() {
@@ -145,34 +123,37 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                     offset: start,
                     message: format!("bad numeric literal `{text}`"),
                 })?;
-                tokens.push(Token { kind: TokenKind::Number(value), offset: start });
-                i = end;
+                i = end - 1;
+                TokenKind::Number(value)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut end = i;
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let mut end = i + 1;
                 while end < bytes.len()
-                    && ((bytes[end] as char).is_ascii_alphanumeric() || bytes[end] == b'_')
+                    && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_')
                 {
                     end += 1;
                 }
-                let word = &input[i..end];
-                let kind = match Keyword::parse(word) {
+                i = end - 1;
+                match Keyword::parse(&input[start..end]) {
                     Some(k) => TokenKind::Keyword(k),
-                    None => TokenKind::Ident(word.to_ascii_lowercase()),
-                };
-                tokens.push(Token { kind, offset: start });
-                i = end;
+                    None => TokenKind::Ident,
+                }
             }
-            other => {
+            _ => {
+                // Tokens start on char boundaries (everything consumed so
+                // far ended on an ASCII byte), so the offender decodes.
+                let other = input[start..].chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
                 return Err(Error::Lex {
                     offset: start,
                     message: format!("unexpected character `{other}`"),
-                })
+                });
             }
-        }
+        };
+        i += 1;
+        tokens.push(Token { kind, offset: start, end: i });
     }
-    tokens.push(Token { kind: TokenKind::Eof, offset: input.len() });
-    Ok(tokens)
+    tokens.push(Token { kind: TokenKind::Eof, offset: input.len(), end: input.len() });
+    Ok(())
 }
 
 #[cfg(test)]
@@ -183,6 +164,12 @@ mod tests {
         lex(sql).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
+    fn texts(sql: &str) -> Vec<&str> {
+        lex(sql).unwrap().into_iter().map(|t| t.text(sql)).collect()
+    }
+
+    const STR: TokenKind = TokenKind::String { escaped: false };
+
     #[test]
     fn lexes_simple_select() {
         use TokenKind::*;
@@ -190,13 +177,14 @@ mod tests {
             kinds("SELECT a FROM t;"),
             vec![
                 Keyword(crate::token::Keyword::Select),
-                Ident("a".into()),
+                Ident,
                 Keyword(crate::token::Keyword::From),
-                Ident("t".into()),
+                Ident,
                 Semicolon,
                 Eof
             ]
         );
+        assert_eq!(texts("SELECT a FROM t;"), vec!["SELECT", "a", "FROM", "t", ";", ""]);
     }
 
     #[test]
@@ -205,7 +193,7 @@ mod tests {
         assert_eq!(
             kinds("a <= 1 <> 2 != 3 >= 4 < 5 > 6 = 7"),
             vec![
-                Ident("a".into()),
+                Ident,
                 LtEq,
                 Number(1.0),
                 NotEq,
@@ -227,17 +215,38 @@ mod tests {
 
     #[test]
     fn lexes_strings_with_escapes() {
-        assert_eq!(kinds("'it''s'"), vec![TokenKind::String("it's".into()), TokenKind::Eof]);
+        let sql = "'it''s' 'plain'";
+        let tokens = lex(sql).unwrap();
+        assert_eq!(tokens[0].kind, TokenKind::String { escaped: true });
+        assert_eq!(tokens[0].string_value(sql), "it's");
+        assert_eq!(tokens[1].kind, STR);
+        assert_eq!(tokens[1].string_value(sql), "plain");
+        assert_eq!(tokens[1].text(sql), "'plain'");
+    }
+
+    #[test]
+    fn string_literals_are_sliced_as_utf8() {
+        // Pushing the bytes as chars turned `é` into `Ã©`.
+        let sql = "b = 'café' AND c = '日本''語'";
+        let tokens = lex(sql).unwrap();
+        let strings: Vec<_> = tokens
+            .iter()
+            .filter(|t| matches!(t.kind, TokenKind::String { .. }))
+            .map(|t| t.string_value(sql))
+            .collect();
+        assert_eq!(strings, vec!["café", "日本'語"]);
+        match lex("a = é").unwrap_err() {
+            Error::Lex { offset: 4, message } => assert!(message.contains('é'), "{message}"),
+            other => panic!("expected lex error, got {other}"),
+        }
     }
 
     #[test]
     fn lexes_decimal_numbers_and_dots() {
         use TokenKind::*;
         // `t.c` must lex as Ident Dot Ident, while `1.5` is one number.
-        assert_eq!(
-            kinds("t.c 1.5"),
-            vec![Ident("t".into()), Dot, Ident("c".into()), Number(1.5), Eof]
-        );
+        assert_eq!(kinds("t.c 1.5"), vec![Ident, Dot, Ident, Number(1.5), Eof]);
+        assert_eq!(kinds("1.x"), vec![Number(1.0), Dot, Ident, Eof]);
     }
 
     #[test]
@@ -246,12 +255,11 @@ mod tests {
     }
 
     #[test]
-    fn identifiers_lowercased_keywords_detected() {
+    fn keywords_detected_in_any_case_identifiers_keep_their_span() {
         use TokenKind::*;
-        assert_eq!(
-            kinds("Lineitem WHERE"),
-            vec![Ident("lineitem".into()), Keyword(crate::token::Keyword::Where), Eof]
-        );
+        let sql = "Lineitem WHERE";
+        assert_eq!(kinds(sql), vec![Ident, Keyword(crate::token::Keyword::Where), Eof]);
+        assert_eq!(lex(sql).unwrap()[0].text(sql), "Lineitem");
     }
 
     #[test]
@@ -272,5 +280,15 @@ mod tests {
             kinds("1 - 2"),
             vec![TokenKind::Number(1.0), TokenKind::Minus, TokenKind::Number(2.0), TokenKind::Eof]
         );
+    }
+
+    #[test]
+    fn lex_into_reuses_the_buffer() {
+        let mut tokens = Vec::new();
+        lex_into("SELECT a, b FROM t", &mut tokens).unwrap();
+        let capacity = tokens.capacity();
+        lex_into("SELECT a", &mut tokens).unwrap();
+        assert_eq!(tokens.len(), 3, "cleared before refilling");
+        assert_eq!(tokens.capacity(), capacity);
     }
 }

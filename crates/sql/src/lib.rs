@@ -24,13 +24,15 @@ pub mod binder;
 pub mod dates;
 pub mod lexer;
 pub mod parser;
+pub mod prepared;
 pub mod template;
 pub mod token;
 
 pub use ast::{
-    AggFunc, BinaryOp, ColumnRef, Expr, JoinKind, OrderByItem, SelectItem, SelectStatement,
-    TableRef,
+    AggFunc, BinaryOp, ColumnRef, Expr, JoinKind, LiteralNode, OrderByItem, SelectItem,
+    SelectStatement, TableRef,
 };
 pub use binder::{Binder, BoundFilter, BoundJoin, BoundQuery, BoundTable, FilterKind};
 pub use parser::parse;
+pub use prepared::PreparedCache;
 pub use template::{fingerprint, TemplateRegistry};

@@ -16,11 +16,13 @@
 //!              | EXISTS (select) | DATE '..' | CASE .. END
 //! ```
 
+use std::borrow::Cow;
+
 use isum_common::{Error, Result};
 
 use crate::ast::{
-    AggFunc, BinaryOp, ColumnRef, Expr, Join, JoinKind, OrderByItem, SelectItem, SelectStatement,
-    TableRef,
+    AggFunc, BinaryOp, ColumnRef, Expr, Join, JoinKind, LiteralNode, OrderByItem, SelectItem,
+    SelectStatement, TableRef,
 };
 use crate::dates::parse_iso_date;
 use crate::lexer::lex;
@@ -41,14 +43,22 @@ use crate::token::{Keyword, Token, TokenKind};
 /// # Errors
 /// Returns [`Error::Lex`]/[`Error::Parse`] with a byte offset on bad input.
 pub fn parse(sql: &str) -> Result<SelectStatement> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    parse_tokens(sql, &lex(sql)?).map(|(stmt, _)| stmt)
+}
+
+/// [`parse`] over an already lexed statement. Also returns how each of
+/// the statement's literals (in source order, see
+/// [`SelectStatement::visit_literals`]) came out of the literal tokens —
+/// what lets a later statement with the same token shape skip the parser.
+pub(crate) fn parse_tokens(
+    input: &str,
+    tokens: &[Token],
+) -> Result<(SelectStatement, Vec<LiteralSource>)> {
+    let mut p = Parser { input, tokens, pos: 0, sources: Vec::new() };
     let stmt = p.parse_select()?;
-    if p.peek_kind() == &TokenKind::Semicolon {
-        p.advance();
-    }
-    p.expect_kind(&TokenKind::Eof)?;
-    Ok(stmt)
+    p.eat_kind(TokenKind::Semicolon);
+    p.expect_kind(TokenKind::Eof)?;
+    Ok((stmt, p.sources))
 }
 
 /// Parses a file containing multiple `;`-separated statements.
@@ -57,108 +67,263 @@ pub fn parse(sql: &str) -> Result<SelectStatement> {
 /// Propagates the first parse error encountered.
 pub fn parse_many(sql: &str) -> Result<Vec<SelectStatement>> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { input: sql, tokens: &tokens, pos: 0, sources: Vec::new() };
     let mut out = Vec::new();
     loop {
-        while p.peek_kind() == &TokenKind::Semicolon {
-            p.advance();
-        }
-        if p.peek_kind() == &TokenKind::Eof {
+        while p.eat_kind(TokenKind::Semicolon) {}
+        if p.peek_kind() == TokenKind::Eof {
             return Ok(out);
         }
         out.push(p.parse_select()?);
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// The unit of an `INTERVAL` literal; intervals fold to a day count so
+/// date arithmetic stays numeric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntervalUnit {
+    Day,
+    Month,
+    Year,
 }
 
-impl Parser {
+impl IntervalUnit {
+    fn parse(unit: &str) -> Option<Self> {
+        Some(match unit {
+            "day" | "days" => IntervalUnit::Day,
+            "month" | "months" => IntervalUnit::Month,
+            "year" | "years" => IntervalUnit::Year,
+            _ => return None,
+        })
+    }
+
+    fn days(self, amount: f64) -> f64 {
+        match self {
+            IntervalUnit::Day => amount,
+            IntervalUnit::Month => amount * 30.0,
+            IntervalUnit::Year => amount * 365.0,
+        }
+    }
+}
+
+/// The value of one literal as the parser hands it to the AST. Strings
+/// that are compared or listed carry no value here: nothing downstream of
+/// the parser reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Literal<'a> {
+    /// A number, a date (days since epoch) or an interval (days).
+    Number(f64),
+    /// A `LIKE` pattern, unescaped.
+    Pattern(Cow<'a, str>),
+    /// A `LIMIT` row count.
+    RowCount(u64),
+    /// A string outside `LIKE` / `DATE` / `INTERVAL`.
+    Text,
+}
+
+impl<'a> From<LiteralNode<'a>> for Literal<'a> {
+    /// The literal as the AST holds it.
+    fn from(node: LiteralNode<'a>) -> Self {
+        match node {
+            LiteralNode::Expr(Expr::Number(n)) => Literal::Number(*n),
+            LiteralNode::Expr(Expr::Date(days)) => Literal::Number(*days as f64),
+            LiteralNode::Expr(Expr::Like { pattern, .. }) => {
+                Literal::Pattern(Cow::Borrowed(pattern))
+            }
+            LiteralNode::Expr(_) => Literal::Text,
+            LiteralNode::Limit(n) => Literal::RowCount(n),
+        }
+    }
+}
+
+/// How the parser turned literal tokens into one literal of the
+/// statement. Every variant except [`Zero`](LiteralSource::Zero) consumes
+/// the next Number/String token; which variant sits where depends only on
+/// the other tokens, so the list is the same for every statement with the
+/// same token shape. [`literals_of`] replays it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum LiteralSource {
+    /// A number, negated when under an odd count of unary minuses.
+    Number { negated: bool },
+    /// `INTERVAL <number or 'number'> <unit>`, possibly negated.
+    Interval { unit: IntervalUnit, negated: bool },
+    /// `DATE '<iso date>'`.
+    Date,
+    /// A string in an ordinary expression position.
+    Text,
+    /// The pattern of a `LIKE`.
+    Pattern,
+    /// The row count of a `LIMIT`.
+    RowCount,
+    /// The `0` that `-<expr>` desugars to (`0 - <expr>`); no token.
+    Zero,
+}
+
+/// A `LIMIT` operand is a non-negative whole number.
+fn row_count(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
+}
+
+fn interval_amount(text: &str) -> Option<f64> {
+    text.trim().parse().ok()
+}
+
+fn negate_if(negated: bool, n: f64) -> f64 {
+    if negated {
+        -n
+    } else {
+        n
+    }
+}
+
+/// Computes the literals of a statement from its tokens by replaying
+/// `sources` (recorded when a statement of the same token shape was
+/// parsed). `None` when a literal fails the check the parser applies to it
+/// (bad date, bad interval amount, fractional row count) or the tokens do
+/// not line up with the sources: the caller then parses the statement to
+/// get the canonical error.
+pub(crate) fn literals_of<'a>(
+    sources: &[LiteralSource],
+    input: &'a str,
+    tokens: &[Token],
+) -> Option<Vec<Literal<'a>>> {
+    let mut literal_tokens =
+        tokens.iter().filter(|t| matches!(t.kind, TokenKind::Number(_) | TokenKind::String { .. }));
+    let mut out = Vec::with_capacity(sources.len());
+    for source in sources {
+        if *source == LiteralSource::Zero {
+            out.push(Literal::Number(0.0));
+            continue;
+        }
+        let token = literal_tokens.next()?;
+        out.push(match (*source, token.kind) {
+            (LiteralSource::Number { negated }, TokenKind::Number(n)) => {
+                Literal::Number(negate_if(negated, n))
+            }
+            (LiteralSource::Interval { unit, negated }, kind) => {
+                let amount = match kind {
+                    TokenKind::Number(n) => n,
+                    _ => interval_amount(&token.string_value(input))?,
+                };
+                Literal::Number(negate_if(negated, unit.days(amount)))
+            }
+            (LiteralSource::Date, TokenKind::String { .. }) => {
+                Literal::Number(parse_iso_date(&token.string_value(input)).ok()? as f64)
+            }
+            (LiteralSource::Text, TokenKind::String { .. }) => Literal::Text,
+            (LiteralSource::Pattern, TokenKind::String { .. }) => {
+                Literal::Pattern(token.string_value(input))
+            }
+            (LiteralSource::RowCount, TokenKind::Number(n)) => Literal::RowCount(row_count(n)?),
+            _ => return None,
+        });
+    }
+    literal_tokens.next().is_none().then_some(out)
+}
+
+struct Parser<'a> {
+    input: &'a str,
+    tokens: &'a [Token],
+    pos: usize,
+    sources: Vec<LiteralSource>,
+}
+
+impl<'a> Parser<'a> {
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek_kind(&self) -> TokenKind {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_kind_at(&self, ahead: usize) -> &TokenKind {
+    fn peek_kind_at(&self, ahead: usize) -> TokenKind {
         let idx = (self.pos + ahead).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        self.tokens[idx].kind
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Steps past the current token (never past the final `Eof`).
+    fn advance(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn error(&self, message: impl Into<String>) -> Error {
         Error::Parse { offset: self.peek().offset, message: message.into() }
     }
 
+    /// `<what>, found <the current token>`.
+    fn unexpected(&self, what: impl std::fmt::Display) -> Error {
+        self.error(format!("{what}, found {}", self.peek().describe(self.input)))
+    }
+
     fn expect_keyword(&mut self, kw: Keyword) -> Result<()> {
-        if self.peek_kind() == &TokenKind::Keyword(kw) {
-            self.advance();
+        if self.eat_keyword(kw) {
             Ok(())
         } else {
-            Err(self.error(format!("expected {kw:?}, found {}", self.peek_kind())))
+            Err(self.unexpected(format_args!("expected {kw:?}")))
         }
     }
 
     fn eat_keyword(&mut self, kw: Keyword) -> bool {
-        if self.peek_kind() == &TokenKind::Keyword(kw) {
-            self.advance();
-            true
-        } else {
-            false
-        }
+        self.eat_kind(TokenKind::Keyword(kw))
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind) -> Result<()> {
-        if self.peek_kind() == kind {
-            self.advance();
+    fn expect_kind(&mut self, kind: TokenKind) -> Result<()> {
+        if self.eat_kind(kind) {
             Ok(())
         } else {
-            Err(self.error(format!("expected {kind}, found {}", self.peek_kind())))
+            Err(self.unexpected(format_args!("expected {kind}")))
         }
     }
 
-    fn eat_kind(&mut self, kind: &TokenKind) -> bool {
+    fn eat_kind(&mut self, kind: TokenKind) -> bool {
         if self.peek_kind() == kind {
             self.advance();
             true
         } else {
             false
         }
+    }
+
+    /// The current token's text lower-cased — the one place an identifier
+    /// is copied out of the input — when it is an identifier.
+    fn eat_ident(&mut self) -> Option<String> {
+        if self.peek_kind() != TokenKind::Ident {
+            return None;
+        }
+        let name = self.peek().text(self.input).to_ascii_lowercase();
+        self.advance();
+        Some(name)
     }
 
     fn expect_ident(&mut self) -> Result<String> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
-            other => Err(self.error(format!("expected identifier, found {other}"))),
+        self.eat_ident().ok_or_else(|| self.unexpected("expected identifier"))
+    }
+
+    /// The current token's value when it is a string literal.
+    fn eat_string(&mut self) -> Option<Cow<'a, str>> {
+        if !matches!(self.peek_kind(), TokenKind::String { .. }) {
+            return None;
         }
+        let value = self.tokens[self.pos].string_value(self.input);
+        self.advance();
+        Some(value)
     }
 
     fn parse_select(&mut self) -> Result<SelectStatement> {
         self.expect_keyword(Keyword::Select)?;
         let distinct = self.eat_keyword(Keyword::Distinct);
         let mut projections = vec![self.parse_select_item()?];
-        while self.eat_kind(&TokenKind::Comma) {
+        while self.eat_kind(TokenKind::Comma) {
             projections.push(self.parse_select_item()?);
         }
         self.expect_keyword(Keyword::From)?;
         let mut from = vec![self.parse_table_ref()?];
         let mut joins = Vec::new();
         loop {
-            if self.eat_kind(&TokenKind::Comma) {
+            if self.eat_kind(TokenKind::Comma) {
                 from.push(self.parse_table_ref()?);
             } else if self.peek_is_join() {
                 joins.push(self.parse_join()?);
@@ -172,7 +337,7 @@ impl Parser {
         if self.eat_keyword(Keyword::Group) {
             self.expect_keyword(Keyword::By)?;
             group_by.push(self.parse_expr()?);
-            while self.eat_kind(&TokenKind::Comma) {
+            while self.eat_kind(TokenKind::Comma) {
                 group_by.push(self.parse_expr()?);
             }
         }
@@ -190,19 +355,22 @@ impl Parser {
                     false
                 };
                 order_by.push(OrderByItem { expr, desc });
-                if !self.eat_kind(&TokenKind::Comma) {
+                if !self.eat_kind(TokenKind::Comma) {
                     break;
                 }
             }
         }
         let limit = if self.eat_keyword(Keyword::Limit) {
-            match self.peek_kind().clone() {
-                TokenKind::Number(n) if n >= 0.0 && n.fract() == 0.0 => {
-                    self.advance();
-                    Some(n as u64)
-                }
-                other => return Err(self.error(format!("expected row count, found {other}"))),
-            }
+            let count = match self.peek_kind() {
+                TokenKind::Number(n) => row_count(n),
+                _ => None,
+            };
+            let Some(count) = count else {
+                return Err(self.unexpected("expected row count"));
+            };
+            self.advance();
+            self.sources.push(LiteralSource::RowCount);
+            Some(count)
         } else {
             None
         };
@@ -243,34 +411,28 @@ impl Parser {
         Ok(Join { kind, table, on })
     }
 
+    /// `AS alias`, or a bare alias when an identifier directly follows
+    /// (`SELECT a b FROM ...`, `FROM lineitem l`).
+    fn parse_alias(&mut self) -> Result<Option<String>> {
+        if self.eat_keyword(Keyword::As) {
+            Ok(Some(self.expect_ident()?))
+        } else {
+            Ok(self.eat_ident())
+        }
+    }
+
     fn parse_select_item(&mut self) -> Result<SelectItem> {
-        if self.eat_kind(&TokenKind::Star) {
+        if self.eat_kind(TokenKind::Star) {
             return Ok(SelectItem::Wildcard);
         }
         let expr = self.parse_expr()?;
-        let alias = if self.eat_keyword(Keyword::As) {
-            Some(self.expect_ident()?)
-        } else if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            // Bare alias: `SELECT a b FROM ...` — only if an identifier
-            // directly follows the expression.
-            self.advance();
-            Some(name)
-        } else {
-            None
-        };
+        let alias = self.parse_alias()?;
         Ok(SelectItem::Expr { expr, alias })
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef> {
         let table = self.expect_ident()?;
-        let alias = if self.eat_keyword(Keyword::As) {
-            Some(self.expect_ident()?)
-        } else if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            self.advance();
-            Some(name)
-        } else {
-            None
-        };
+        let alias = self.parse_alias()?;
         Ok(TableRef { table, alias })
     }
 
@@ -297,8 +459,8 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
-        if self.peek_kind() == &TokenKind::Keyword(Keyword::Not)
-            && self.peek_kind_at(1) != &TokenKind::Keyword(Keyword::Exists)
+        if self.peek_kind() == TokenKind::Keyword(Keyword::Not)
+            && self.peek_kind_at(1) != TokenKind::Keyword(Keyword::Exists)
         {
             self.advance();
             return Ok(Expr::Not(Box::new(self.parse_not()?)));
@@ -308,7 +470,7 @@ impl Parser {
 
     fn parse_predicate(&mut self) -> Result<Expr> {
         let left = self.parse_additive()?;
-        let negated = if self.peek_kind() == &TokenKind::Keyword(Keyword::Not)
+        let negated = if self.peek_kind() == TokenKind::Keyword(Keyword::Not)
             && matches!(
                 self.peek_kind_at(1),
                 TokenKind::Keyword(Keyword::Between)
@@ -320,25 +482,21 @@ impl Parser {
         } else {
             false
         };
-        match self.peek_kind().clone() {
-            TokenKind::Eq
-            | TokenKind::NotEq
-            | TokenKind::Lt
-            | TokenKind::LtEq
-            | TokenKind::Gt
-            | TokenKind::GtEq => {
-                let op = match self.advance().kind {
-                    TokenKind::Eq => BinaryOp::Eq,
-                    TokenKind::NotEq => BinaryOp::NotEq,
-                    TokenKind::Lt => BinaryOp::Lt,
-                    TokenKind::LtEq => BinaryOp::LtEq,
-                    TokenKind::Gt => BinaryOp::Gt,
-                    TokenKind::GtEq => BinaryOp::GtEq,
-                    _ => unreachable!("matched comparison token"),
-                };
-                let right = self.parse_additive()?;
-                Ok(Expr::binary(op, left, right))
-            }
+        let comparison = match self.peek_kind() {
+            TokenKind::Eq => Some(BinaryOp::Eq),
+            TokenKind::NotEq => Some(BinaryOp::NotEq),
+            TokenKind::Lt => Some(BinaryOp::Lt),
+            TokenKind::LtEq => Some(BinaryOp::LtEq),
+            TokenKind::Gt => Some(BinaryOp::Gt),
+            TokenKind::GtEq => Some(BinaryOp::GtEq),
+            _ => None,
+        };
+        if let Some(op) = comparison {
+            self.advance();
+            let right = self.parse_additive()?;
+            return Ok(Expr::binary(op, left, right));
+        }
+        match self.peek_kind() {
             TokenKind::Keyword(Keyword::Between) => {
                 self.advance();
                 let lo = self.parse_additive()?;
@@ -353,29 +511,27 @@ impl Parser {
             }
             TokenKind::Keyword(Keyword::In) => {
                 self.advance();
-                self.expect_kind(&TokenKind::LParen)?;
-                if self.peek_kind() == &TokenKind::Keyword(Keyword::Select) {
+                self.expect_kind(TokenKind::LParen)?;
+                if self.peek_kind() == TokenKind::Keyword(Keyword::Select) {
                     let sub = self.parse_select()?;
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     Ok(Expr::InSubquery { expr: Box::new(left), subquery: Box::new(sub), negated })
                 } else {
                     let mut list = vec![self.parse_additive()?];
-                    while self.eat_kind(&TokenKind::Comma) {
+                    while self.eat_kind(TokenKind::Comma) {
                         list.push(self.parse_additive()?);
                     }
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     Ok(Expr::InList { expr: Box::new(left), list, negated })
                 }
             }
             TokenKind::Keyword(Keyword::Like) => {
                 self.advance();
-                match self.peek_kind().clone() {
-                    TokenKind::String(pattern) => {
-                        self.advance();
-                        Ok(Expr::Like { expr: Box::new(left), pattern, negated })
-                    }
-                    other => Err(self.error(format!("expected pattern string, found {other}"))),
-                }
+                let Some(pattern) = self.eat_string().map(String::from) else {
+                    return Err(self.unexpected("expected pattern string"));
+                };
+                self.sources.push(LiteralSource::Pattern);
+                Ok(Expr::Like { expr: Box::new(left), pattern, negated })
             }
             TokenKind::Keyword(Keyword::Is) => {
                 self.advance();
@@ -418,20 +574,36 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Number(n) => {
                 self.advance();
+                self.sources.push(LiteralSource::Number { negated: false });
                 Ok(Expr::Number(n))
             }
             TokenKind::Minus => {
                 self.advance();
+                let mark = self.sources.len();
                 match self.parse_primary()? {
-                    Expr::Number(n) => Ok(Expr::Number(-n)),
-                    e => Ok(Expr::binary(BinaryOp::Sub, Expr::Number(0.0), e)),
+                    Expr::Number(n) => {
+                        // A number leaves exactly one source behind.
+                        match self.sources.last_mut() {
+                            Some(
+                                LiteralSource::Number { negated }
+                                | LiteralSource::Interval { negated, .. },
+                            ) => *negated = !*negated,
+                            other => unreachable!("number literal came from {other:?}"),
+                        }
+                        Ok(Expr::Number(-n))
+                    }
+                    e => {
+                        self.sources.insert(mark, LiteralSource::Zero);
+                        Ok(Expr::binary(BinaryOp::Sub, Expr::Number(0.0), e))
+                    }
                 }
             }
-            TokenKind::String(s) => {
-                self.advance();
+            TokenKind::String { .. } => {
+                let s = self.eat_string().map(String::from).expect("peeked a string");
+                self.sources.push(LiteralSource::Text);
                 Ok(Expr::String(s))
             }
             TokenKind::Keyword(Keyword::Null) => {
@@ -440,106 +612,99 @@ impl Parser {
             }
             TokenKind::Keyword(Keyword::Date) => {
                 self.advance();
-                match self.peek_kind().clone() {
-                    TokenKind::String(s) => {
-                        self.advance();
-                        Ok(Expr::Date(parse_iso_date(&s)?))
-                    }
-                    other => Err(self.error(format!("expected date string, found {other}"))),
-                }
+                let Some(text) = self.eat_string() else {
+                    return Err(self.unexpected("expected date string"));
+                };
+                let days = parse_iso_date(&text)?;
+                self.sources.push(LiteralSource::Date);
+                Ok(Expr::Date(days))
             }
             TokenKind::Keyword(Keyword::Interval) => {
                 // INTERVAL '<n>' DAY|MONTH|YEAR — folded to a day count so
                 // date arithmetic stays numeric.
                 self.advance();
-                let amount = match self.peek_kind().clone() {
-                    TokenKind::String(s) => {
-                        self.advance();
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| self.error(format!("bad interval amount '{s}'")))?
+                let amount = match self.peek_kind() {
+                    TokenKind::String { .. } => {
+                        let text = self.eat_string().expect("peeked a string");
+                        interval_amount(&text)
+                            .ok_or_else(|| self.error(format!("bad interval amount '{text}'")))?
                     }
                     TokenKind::Number(n) => {
                         self.advance();
                         n
                     }
-                    other => {
-                        return Err(self.error(format!("expected interval amount, found {other}")))
-                    }
+                    _ => return Err(self.unexpected("expected interval amount")),
                 };
                 let unit = self.expect_ident()?;
-                let days = match unit.as_str() {
-                    "day" | "days" => amount,
-                    "month" | "months" => amount * 30.0,
-                    "year" | "years" => amount * 365.0,
-                    other => return Err(self.error(format!("unknown interval unit `{other}`"))),
-                };
-                Ok(Expr::Number(days))
+                let unit = IntervalUnit::parse(&unit)
+                    .ok_or_else(|| self.error(format!("unknown interval unit `{unit}`")))?;
+                self.sources.push(LiteralSource::Interval { unit, negated: false });
+                Ok(Expr::Number(unit.days(amount)))
             }
             TokenKind::Keyword(Keyword::Exists) => {
                 self.advance();
-                self.expect_kind(&TokenKind::LParen)?;
-                let sub = self.parse_select()?;
-                self.expect_kind(&TokenKind::RParen)?;
-                Ok(Expr::Exists { subquery: Box::new(sub), negated: false })
+                self.parse_exists(false)
             }
             TokenKind::Keyword(Keyword::Not)
-                if self.peek_kind_at(1) == &TokenKind::Keyword(Keyword::Exists) =>
+                if self.peek_kind_at(1) == TokenKind::Keyword(Keyword::Exists) =>
             {
                 self.advance();
                 self.advance();
-                self.expect_kind(&TokenKind::LParen)?;
-                let sub = self.parse_select()?;
-                self.expect_kind(&TokenKind::RParen)?;
-                Ok(Expr::Exists { subquery: Box::new(sub), negated: true })
+                self.parse_exists(true)
             }
             TokenKind::Keyword(Keyword::Case) => self.parse_case(),
             TokenKind::LParen => {
                 self.advance();
-                if self.peek_kind() == &TokenKind::Keyword(Keyword::Select) {
+                if self.peek_kind() == TokenKind::Keyword(Keyword::Select) {
                     let sub = self.parse_select()?;
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     Ok(Expr::ScalarSubquery(Box::new(sub)))
                 } else {
                     let e = self.parse_expr()?;
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     Ok(e)
                 }
             }
-            TokenKind::Ident(name) => {
-                self.advance();
-                if self.peek_kind() == &TokenKind::LParen {
-                    self.advance();
+            TokenKind::Ident => {
+                let name = self.expect_ident()?;
+                if self.eat_kind(TokenKind::LParen) {
                     if let Some(func) = AggFunc::parse(&name) {
                         // COUNT(*) / aggregate over expression.
-                        if func == AggFunc::Count && self.eat_kind(&TokenKind::Star) {
-                            self.expect_kind(&TokenKind::RParen)?;
+                        if func == AggFunc::Count && self.eat_kind(TokenKind::Star) {
+                            self.expect_kind(TokenKind::RParen)?;
                             return Ok(Expr::Agg { func, arg: None, distinct: false });
                         }
                         let distinct = self.eat_keyword(Keyword::Distinct);
                         let arg = self.parse_expr()?;
-                        self.expect_kind(&TokenKind::RParen)?;
+                        self.expect_kind(TokenKind::RParen)?;
                         return Ok(Expr::Agg { func, arg: Some(Box::new(arg)), distinct });
                     }
                     let mut args = Vec::new();
-                    if self.peek_kind() != &TokenKind::RParen {
+                    if self.peek_kind() != TokenKind::RParen {
                         args.push(self.parse_expr()?);
-                        while self.eat_kind(&TokenKind::Comma) {
+                        while self.eat_kind(TokenKind::Comma) {
                             args.push(self.parse_expr()?);
                         }
                     }
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     return Ok(Expr::Func { name, args });
                 }
-                if self.peek_kind() == &TokenKind::Dot {
-                    self.advance();
-                    let col = self.expect_ident()?;
-                    return Ok(Expr::Column(ColumnRef::qualified(name, col)));
+                if self.eat_kind(TokenKind::Dot) {
+                    let column = self.expect_ident()?;
+                    return Ok(Expr::Column(ColumnRef { qualifier: Some(name), name: column }));
                 }
-                Ok(Expr::Column(ColumnRef::bare(name)))
+                Ok(Expr::Column(ColumnRef { qualifier: None, name }))
             }
-            other => Err(self.error(format!("unexpected {other}"))),
+            _ => Err(self.error(format!("unexpected {}", self.peek().describe(self.input)))),
         }
+    }
+
+    /// The `(SELECT ...)` after `[NOT] EXISTS`.
+    fn parse_exists(&mut self, negated: bool) -> Result<Expr> {
+        self.expect_kind(TokenKind::LParen)?;
+        let sub = self.parse_select()?;
+        self.expect_kind(TokenKind::RParen)?;
+        Ok(Expr::Exists { subquery: Box::new(sub), negated })
     }
 
     /// `CASE WHEN e THEN e [WHEN ...] [ELSE e] END`, lowered to an

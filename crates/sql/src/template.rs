@@ -2,111 +2,29 @@
 //!
 //! Two query *instances* share a template when they are identical up to
 //! parameter bindings (Sec 1 of the paper). We compute a fingerprint by
-//! rendering the AST with every literal masked to `?`, then intern
-//! fingerprints in a [`TemplateRegistry`] that hands out dense
-//! [`TemplateId`]s. Template identity drives the Stratified baseline, the
-//! per-template utility redistribution of Alg 4, and the Fig 12a
-//! instances-per-template experiment.
+//! rendering the AST with every literal masked (the same renderer as
+//! `Display`, [`crate::ast::write_statement`]), then intern fingerprints in
+//! a [`TemplateRegistry`] that hands out dense [`TemplateId`]s. Template
+//! identity drives the Stratified baseline, the per-template utility
+//! redistribution of Alg 4, and the Fig 12a instances-per-template
+//! experiment.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use isum_common::TemplateId;
 
-use crate::ast::{Expr, OrderByItem, SelectItem, SelectStatement};
+use crate::ast::{write_statement, SelectStatement};
 
 /// Renders a statement with literals masked, producing the template
 /// fingerprint text.
 pub fn fingerprint(stmt: &SelectStatement) -> String {
-    let masked = mask_statement(stmt);
-    masked.to_string()
+    let mut fp = String::new();
+    write_fingerprint(&mut fp, stmt);
+    fp
 }
 
-fn mask_statement(stmt: &SelectStatement) -> SelectStatement {
-    SelectStatement {
-        distinct: stmt.distinct,
-        projections: stmt
-            .projections
-            .iter()
-            .map(|p| match p {
-                SelectItem::Wildcard => SelectItem::Wildcard,
-                SelectItem::Expr { expr, alias } => {
-                    SelectItem::Expr { expr: mask(expr), alias: alias.clone() }
-                }
-            })
-            .collect(),
-        from: stmt.from.clone(),
-        joins: stmt
-            .joins
-            .iter()
-            .map(|j| crate::ast::Join { kind: j.kind, table: j.table.clone(), on: mask(&j.on) })
-            .collect(),
-        where_clause: stmt.where_clause.as_ref().map(mask),
-        group_by: stmt.group_by.iter().map(mask).collect(),
-        having: stmt.having.as_ref().map(mask),
-        order_by: stmt
-            .order_by
-            .iter()
-            .map(|o| OrderByItem { expr: mask(&o.expr), desc: o.desc })
-            .collect(),
-        // LIMIT values are parameters too.
-        limit: stmt.limit.map(|_| 0),
-    }
-}
-
-/// Masks literals to a placeholder. `IN` lists collapse to a single
-/// placeholder so lists of different lengths share a template, matching how
-/// production plan-cache fingerprints behave.
-fn mask(e: &Expr) -> Expr {
-    match e {
-        Expr::Number(_) | Expr::String(_) | Expr::Date(_) => placeholder(),
-        Expr::Null => Expr::Null,
-        Expr::Column(c) => Expr::Column(c.clone()),
-        Expr::Binary { op, left, right } => {
-            Expr::Binary { op: *op, left: Box::new(mask(left)), right: Box::new(mask(right)) }
-        }
-        Expr::Between { expr, negated, .. } => Expr::Between {
-            expr: Box::new(mask(expr)),
-            lo: Box::new(placeholder()),
-            hi: Box::new(placeholder()),
-            negated: *negated,
-        },
-        Expr::InList { expr, negated, .. } => Expr::InList {
-            expr: Box::new(mask(expr)),
-            list: vec![placeholder()],
-            negated: *negated,
-        },
-        Expr::InSubquery { expr, subquery, negated } => Expr::InSubquery {
-            expr: Box::new(mask(expr)),
-            subquery: Box::new(mask_statement(subquery)),
-            negated: *negated,
-        },
-        Expr::Exists { subquery, negated } => {
-            Expr::Exists { subquery: Box::new(mask_statement(subquery)), negated: *negated }
-        }
-        Expr::Like { expr, negated, .. } => {
-            Expr::Like { expr: Box::new(mask(expr)), pattern: "?".into(), negated: *negated }
-        }
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(mask(expr)), negated: *negated }
-        }
-        Expr::Not(inner) => Expr::Not(Box::new(mask(inner))),
-        Expr::Agg { func, arg, distinct } => Expr::Agg {
-            func: *func,
-            arg: arg.as_ref().map(|a| Box::new(mask(a))),
-            distinct: *distinct,
-        },
-        Expr::Func { name, args } => {
-            Expr::Func { name: name.clone(), args: args.iter().map(mask).collect() }
-        }
-        Expr::ScalarSubquery(q) => Expr::ScalarSubquery(Box::new(mask_statement(q))),
-    }
-}
-
-fn placeholder() -> Expr {
-    // Rendered as '?' by Display; distinct from any real literal the lexer
-    // can produce because bare strings render quoted.
-    Expr::Func { name: "?".into(), args: Vec::new() }
+fn write_fingerprint(out: &mut String, stmt: &SelectStatement) {
+    write_statement(out, stmt, true).expect("writing to a String cannot fail");
 }
 
 /// Interns template fingerprints, assigning dense [`TemplateId`]s.
@@ -114,6 +32,9 @@ fn placeholder() -> Expr {
 pub struct TemplateRegistry {
     by_fingerprint: HashMap<String, TemplateId>,
     fingerprints: Vec<String>,
+    /// Reused by [`intern`](Self::intern) to render each fingerprint, so
+    /// only a template seen for the first time allocates.
+    scratch: String,
 }
 
 impl TemplateRegistry {
@@ -124,18 +45,22 @@ impl TemplateRegistry {
 
     /// Returns the id for a statement's template, creating it if new.
     pub fn intern(&mut self, stmt: &SelectStatement) -> TemplateId {
-        let fp = fingerprint(stmt);
-        self.intern_fingerprint(fp)
+        let mut fp = std::mem::take(&mut self.scratch);
+        fp.clear();
+        write_fingerprint(&mut fp, stmt);
+        let id = self.intern_fingerprint(&fp);
+        self.scratch = fp;
+        id
     }
 
-    /// Interns a pre-computed fingerprint string.
-    pub fn intern_fingerprint(&mut self, fp: String) -> TemplateId {
-        if let Some(&id) = self.by_fingerprint.get(&fp) {
+    /// Interns a pre-computed fingerprint text.
+    pub fn intern_fingerprint(&mut self, fp: &str) -> TemplateId {
+        if let Some(&id) = self.by_fingerprint.get(fp) {
             return id;
         }
         let id = TemplateId::from_index(self.fingerprints.len());
-        self.by_fingerprint.insert(fp.clone(), id);
-        self.fingerprints.push(fp);
+        self.by_fingerprint.insert(fp.to_string(), id);
+        self.fingerprints.push(fp.to_string());
         id
     }
 
@@ -157,8 +82,7 @@ impl TemplateRegistry {
     /// Short human label: the fingerprint truncated for reports.
     pub fn label_of(&self, id: TemplateId) -> String {
         let fp = self.fingerprint_of(id);
-        let mut s = String::new();
-        let _ = write!(s, "{}", &fp[..fp.len().min(60)]);
+        let mut s = fp[..fp.len().min(60)].to_string();
         if fp.len() > 60 {
             s.push('…');
         }

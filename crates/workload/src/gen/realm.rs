@@ -95,6 +95,23 @@ fn realm_fact_meta(catalog: &Catalog) -> Vec<FactMeta> {
     out
 }
 
+/// The first `n` Real-M template structures over [`realm_catalog`]
+/// (deterministic: a prefix of the same seeded stream for every `n`).
+pub fn realm_templates(catalog: &Catalog, n: usize) -> Vec<SyntheticTemplate> {
+    let gen = TemplateGenerator::new(catalog, realm_fact_meta(catalog));
+    let mut template_rng = DetRng::seeded(SCHEMA_SEED ^ 0x7E);
+    (0..n)
+        .map(|i| {
+            let class = match i % 10 {
+                0..=4 => QueryClass::Spj,
+                5..=7 => QueryClass::Aggregate,
+                _ => QueryClass::Complex,
+            };
+            gen.generate(class, &mut template_rng)
+        })
+        .collect()
+}
+
 /// Generates the Real-M workload: [`N_QUERIES`] queries over
 /// [`N_TEMPLATES`] templates; template *usage* is Zipf-skewed over the hubs
 /// so a few huge tables dominate cost, and the class mix leans simple
@@ -114,20 +131,8 @@ pub fn realm_workload(seed: u64) -> Result<Workload> {
 /// Propagates parse/bind errors.
 pub fn realm_workload_sized(n_queries: usize, seed: u64) -> Result<Workload> {
     let catalog = realm_catalog();
-    let facts = realm_fact_meta(&catalog);
-    let gen = TemplateGenerator::new(&catalog, facts);
-    let mut template_rng = DetRng::seeded(SCHEMA_SEED ^ 0x7E);
     let n_templates = n_queries.min(N_TEMPLATES);
-    let templates: Vec<SyntheticTemplate> = (0..n_templates)
-        .map(|i| {
-            let class = match i % 10 {
-                0..=4 => QueryClass::Spj,
-                5..=7 => QueryClass::Aggregate,
-                _ => QueryClass::Complex,
-            };
-            gen.generate(class, &mut template_rng)
-        })
-        .collect();
+    let templates = realm_templates(&catalog, n_templates);
     // Instance i uses template i while templates last, then re-draws
     // Zipf-skewed (hot templates repeat) — preserving near-uniqueness.
     let zipf = Zipf::new(n_templates, 1.0);

@@ -53,36 +53,64 @@ pub fn load_script_lenient(
 /// Splits a script into statements and their optional cost annotations
 /// (shared by the loaders above and the serving daemon's ingest path, so
 /// both carve up a script identically).
+///
+/// A statement ends at a `;` that is outside a string literal and outside
+/// a `--` comment. Lines that are blank or hold only a comment are dropped
+/// (a `-- cost: <float>` line annotates the next statement to end), as is
+/// a comment that trails a statement's `;` on the same line; comments
+/// inside a statement stay in its text, which the lexer skips.
 pub fn split_script(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
     let mut sqls = Vec::new();
     let mut costs = Vec::new();
     let mut pending_cost: Option<f64> = None;
     let mut current = String::new();
+    let mut finish = |current: &mut String, pending_cost: &mut Option<f64>| {
+        let stmt = current.trim().trim_end_matches(';').trim();
+        if !stmt.is_empty() {
+            sqls.push(stmt.to_string());
+            costs.push(pending_cost.take());
+        }
+        current.clear();
+    };
+    // Whether the text so far ends inside a string literal (a `''` escape
+    // leaves and re-enters it, which comes to the same).
+    let mut in_string = false;
     for line in script.lines() {
-        let trimmed = line.trim();
-        if let Some(rest) = trimmed.strip_prefix("-- cost:") {
-            pending_cost = rest.trim().parse::<f64>().ok();
-            continue;
-        }
-        if trimmed.starts_with("--") || trimmed.is_empty() {
-            continue;
-        }
-        current.push_str(line);
-        current.push('\n');
-        if trimmed.ends_with(';') {
-            let stmt = current.trim().trim_end_matches(';').trim().to_string();
-            if !stmt.is_empty() {
-                sqls.push(stmt);
-                costs.push(pending_cost.take());
+        if !in_string {
+            let trimmed = line.trim();
+            if let Some(rest) = trimmed.strip_prefix("-- cost:") {
+                pending_cost = rest.trim().parse::<f64>().ok();
+                continue;
             }
-            current.clear();
+            if trimmed.starts_with("--") || trimmed.is_empty() {
+                continue;
+            }
+        }
+        let bytes = line.as_bytes();
+        let mut rest_from = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            match b {
+                b'\'' => in_string = !in_string,
+                b'-' if !in_string && bytes.get(i + 1) == Some(&b'-') => break,
+                b';' if !in_string => {
+                    current.push_str(&line[rest_from..=i]);
+                    finish(&mut current, &mut pending_cost);
+                    rest_from = i + 1;
+                }
+                _ => {}
+            }
+        }
+        let rest = &line[rest_from..];
+        let only_comment = rest_from > 0 && {
+            let rest = rest.trim_start();
+            rest.is_empty() || rest.starts_with("--")
+        };
+        if !only_comment {
+            current.push_str(rest);
+            current.push('\n');
         }
     }
-    let tail = current.trim().trim_end_matches(';').trim().to_string();
-    if !tail.is_empty() {
-        sqls.push(tail);
-        costs.push(pending_cost);
-    }
+    finish(&mut current, &mut pending_cost);
     (sqls, costs)
 }
 
@@ -168,8 +196,160 @@ SELECT a FROM no_such_table;
     }
 
     #[test]
+    fn a_comment_after_the_semicolon_does_not_glue_statements_together() {
+        // Ends used to be detected as "the line ends with `;`".
+        let script = "-- cost: 7\nSELECT a FROM t; -- first\nSELECT b FROM t;";
+        let (sqls, costs) = split_script(script);
+        assert_eq!(sqls, ["SELECT a FROM t", "SELECT b FROM t"]);
+        assert_eq!(costs, [Some(7.0), None]);
+        assert_eq!(load_script(catalog(), script).expect("both statements load").len(), 2);
+        let (sqls, _) = split_script("SELECT a FROM t; SELECT b FROM t -- ; not an end\n;  \n");
+        assert_eq!(sqls, ["SELECT a FROM t", "SELECT b FROM t -- ; not an end"]);
+    }
+
+    #[test]
+    fn semicolons_and_line_breaks_inside_string_literals_do_not_split() {
+        let script = "SELECT a FROM t WHERE c = 'x;\ny';\nSELECT a FROM t WHERE c = 'it''s;'\n;";
+        let (sqls, _) = split_script(script);
+        assert_eq!(
+            sqls,
+            ["SELECT a FROM t WHERE c = 'x;\ny'", "SELECT a FROM t WHERE c = 'it''s;'"]
+        );
+        // Inside a literal nothing is a comment or a blank line to drop.
+        let (sqls, _) = split_script("SELECT 'a\n\n-- b\n' FROM t;");
+        assert_eq!(sqls, ["SELECT 'a\n\n-- b\n' FROM t"]);
+    }
+
+    #[test]
     fn empty_script_is_empty_workload() {
         let w = load_script(catalog(), "  \n-- nothing here\n").expect("loads");
         assert!(w.is_empty());
+    }
+}
+
+/// The splitter this module shipped before it learned about string
+/// literals and trailing comments, kept as the oracle for every script
+/// that one already split correctly.
+#[cfg(test)]
+mod oracle {
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+
+    use super::split_script;
+    use crate::gen::dsb::{dsb_catalog, dsb_templates};
+    use crate::gen::realm::{realm_catalog, realm_templates};
+    use crate::gen::synth::SyntheticTemplate;
+    use crate::gen::tpcds::{tpcds_catalog, tpcds_templates};
+    use crate::gen::{tpcds_templates as hand_written, tpch};
+    use isum_common::rng::DetRng;
+
+    fn line_based_split(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
+        let mut sqls = Vec::new();
+        let mut costs = Vec::new();
+        let mut pending_cost: Option<f64> = None;
+        let mut current = String::new();
+        for line in script.lines() {
+            let trimmed = line.trim();
+            if let Some(rest) = trimmed.strip_prefix("-- cost:") {
+                pending_cost = rest.trim().parse::<f64>().ok();
+                continue;
+            }
+            if trimmed.starts_with("--") || trimmed.is_empty() {
+                continue;
+            }
+            current.push_str(line);
+            current.push('\n');
+            if trimmed.ends_with(';') {
+                let stmt = current.trim().trim_end_matches(';').trim().to_string();
+                if !stmt.is_empty() {
+                    sqls.push(stmt);
+                    costs.push(pending_cost.take());
+                }
+                current.clear();
+            }
+        }
+        let tail = current.trim().trim_end_matches(';').trim().to_string();
+        if !tail.is_empty() {
+            sqls.push(tail);
+            costs.push(pending_cost);
+        }
+        (sqls, costs)
+    }
+
+    /// A few synthesized templates of each of the other generators.
+    fn synthesized() -> &'static [SyntheticTemplate] {
+        static TEMPLATES: OnceLock<Vec<SyntheticTemplate>> = OnceLock::new();
+        TEMPLATES.get_or_init(|| {
+            let mut all = tpcds_templates(&tpcds_catalog(1, 0.0), 8);
+            all.extend(dsb_templates(&dsb_catalog(1), 8, None));
+            all.extend(realm_templates(&realm_catalog(), 8));
+            all
+        })
+    }
+
+    /// One statement of any generator, the way a log would hold it.
+    fn statement(rng: &mut DetRng) -> String {
+        match rng.below(4) {
+            0 => tpch::instantiate_template(1 + rng.below(22), rng),
+            1 => hand_written::instantiate(rng.below(hand_written::N_HAND_WRITTEN), rng),
+            _ => rng.pick(synthesized()).instantiate(rng),
+        }
+    }
+
+    /// A script the line-based splitter handles: statements broken over
+    /// lines at spaces outside literals, with cost annotations, comment
+    /// lines (free text, quotes and semicolons included) and blank lines
+    /// anywhere between the lines, `;` always last on its line.
+    fn script(seed: u64) -> String {
+        let mut rng = DetRng::seeded(seed);
+        let noise = |rng: &mut DetRng, out: &mut String| {
+            while rng.chance(0.3) {
+                out.push_str(match rng.below(6) {
+                    0 => "\n",
+                    1 => "   \t\n",
+                    2 => "-- it's a comment; with a semicolon;\n",
+                    3 => "  -- cost: 12.5\n",
+                    4 => "-- cost: oops\n",
+                    _ => "-- cost:3\n",
+                });
+            }
+        };
+        let mut out = String::new();
+        let statements = 1 + rng.below(6);
+        noise(&mut rng, &mut out);
+        for i in 0..statements {
+            let sql = statement(&mut rng);
+            let mut in_string = false;
+            for c in sql.trim_end_matches(';').chars() {
+                in_string ^= c == '\'';
+                if c == ' ' && !in_string && rng.chance(0.1) {
+                    out.push_str(if rng.chance(0.5) { "\n" } else { "  \r\n\t" });
+                    noise(&mut rng, &mut out);
+                } else {
+                    out.push(c);
+                }
+            }
+            out.push_str(match rng.below(4) {
+                0 => ";",
+                1 => " ;  ",
+                2 => ";;",
+                _ => "\n;",
+            });
+            // The script may end right after the last terminator.
+            if i + 1 < statements || rng.chance(0.5) {
+                out.push('\n');
+                noise(&mut rng, &mut out);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn scripts_that_split_correctly_before_split_the_same_now(seed in any::<u64>()) {
+            let script = script(seed);
+            prop_assert_eq!(split_script(&script), line_based_split(&script), "{}", script);
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use isum_catalog::Catalog;
 use isum_common::{Error, QueryId, Result, TemplateId};
-use isum_sql::{parse, Binder, BoundQuery, TemplateRegistry};
+use isum_sql::{BoundQuery, PreparedCache, TemplateRegistry};
 
 /// Complexity class of a query, following the DSB benchmark's split used by
 /// Fig 12 of the paper.
@@ -58,6 +58,10 @@ pub struct Workload {
     pub templates: TemplateRegistry,
     /// Process-unique identity (see [`Workload::uid`]).
     uid: u64,
+    /// One prepared form per token shape seen so far, so a statement that
+    /// repeats an earlier one up to its literals is bound without being
+    /// parsed. Its template ids are ids of `templates`.
+    prepared: PreparedCache,
 }
 
 /// Monotonic source for [`Workload::uid`]. Never reused within a process,
@@ -74,25 +78,12 @@ impl Workload {
     /// # Errors
     /// Propagates parse/bind errors, annotated with the failing query index.
     pub fn from_sql<S: AsRef<str>>(catalog: Catalog, sqls: &[S]) -> Result<Workload> {
-        let binder = Binder::new(&catalog);
-        let mut templates = TemplateRegistry::new();
-        let mut queries = Vec::with_capacity(sqls.len());
+        let mut w = Workload::empty(catalog);
+        w.queries.reserve(sqls.len());
         for (i, sql) in sqls.iter().enumerate() {
-            let sql = sql.as_ref();
-            let stmt = parse(sql).map_err(|e| annotate(e, i, sql))?;
-            let bound = binder.bind(&stmt).map_err(|e| annotate(e, i, sql))?;
-            let template = templates.intern(&stmt);
-            let class = QueryClass::classify(&bound);
-            queries.push(QueryInfo {
-                id: QueryId::from_index(i),
-                sql: sql.to_string(),
-                bound,
-                template,
-                cost: 0.0,
-                class,
-            });
+            w.analyze(sql.as_ref(), 0.0, i)?;
         }
-        Ok(Workload { catalog, queries, templates, uid: next_uid() })
+        Ok(w)
     }
 
     /// Lenient form of [`Workload::from_sql`] for real-world query logs,
@@ -105,36 +96,16 @@ impl Workload {
         catalog: Catalog,
         sqls: &[S],
     ) -> (Workload, Vec<(usize, Error)>) {
-        let binder = Binder::new(&catalog);
-        let mut templates = TemplateRegistry::new();
-        let mut queries = Vec::with_capacity(sqls.len());
+        let mut w = Workload::empty(catalog);
+        w.queries.reserve(sqls.len());
         let mut skipped = Vec::new();
         for (i, sql) in sqls.iter().enumerate() {
-            let sql = sql.as_ref();
-            let analyzed = parse(sql).and_then(|stmt| {
-                let bound = binder.bind(&stmt)?;
-                Ok((stmt, bound))
-            });
-            let (stmt, bound) = match analyzed {
-                Ok(ok) => ok,
-                Err(e) => {
-                    isum_common::count!("workload.parse_skipped");
-                    skipped.push((i, annotate(e, i, sql)));
-                    continue;
-                }
-            };
-            let template = templates.intern(&stmt);
-            let class = QueryClass::classify(&bound);
-            queries.push(QueryInfo {
-                id: QueryId::from_index(queries.len()),
-                sql: sql.to_string(),
-                bound,
-                template,
-                cost: 0.0,
-                class,
-            });
+            if let Err(e) = w.analyze(sql.as_ref(), 0.0, i) {
+                isum_common::count!("workload.parse_skipped");
+                skipped.push((i, e));
+            }
         }
-        (Workload { catalog, queries, templates, uid: next_uid() }, skipped)
+        (w, skipped)
     }
 
     /// An empty workload over a catalog, grown one statement at a time via
@@ -147,6 +118,7 @@ impl Workload {
             queries: Vec::new(),
             templates: TemplateRegistry::new(),
             uid: next_uid(),
+            prepared: PreparedCache::new(),
         }
     }
 
@@ -159,12 +131,21 @@ impl Workload {
     /// Propagates parse/bind errors annotated with the would-be query
     /// index; the workload is unchanged in that case.
     pub fn push_sql(&mut self, sql: &str, cost: f64) -> Result<QueryId> {
-        let i = self.queries.len();
-        let stmt = parse(sql).map_err(|e| annotate(e, i, sql))?;
-        let bound = Binder::new(&self.catalog).bind(&stmt).map_err(|e| annotate(e, i, sql))?;
-        let template = self.templates.intern(&stmt);
+        self.analyze(sql, cost, self.queries.len())
+    }
+
+    /// The one front-end step under every constructor: lexes `sql`, binds
+    /// it (through its shape's prepared form when the shape was seen
+    /// before), interns its template and appends the query. Errors name
+    /// `input_index`, the statement's position in the caller's input, and
+    /// leave the workload unchanged.
+    fn analyze(&mut self, sql: &str, cost: f64, input_index: usize) -> Result<QueryId> {
+        let (bound, template) = self
+            .prepared
+            .analyze(sql, &self.catalog, &mut self.templates)
+            .map_err(|e| annotate(e, input_index, sql))?;
         let class = QueryClass::classify(&bound);
-        let id = QueryId::from_index(i);
+        let id = QueryId::from_index(self.queries.len());
         self.queries.push(QueryInfo { id, sql: sql.to_string(), bound, template, cost, class });
         Ok(id)
     }
@@ -227,10 +208,9 @@ impl Workload {
         // Rebuild the registry so counts reflect the restricted set.
         let mut templates = TemplateRegistry::new();
         for q in &mut queries {
-            let fp = self.templates.fingerprint_of(q.template).to_string();
-            q.template = templates.intern_fingerprint(fp);
+            q.template = templates.intern_fingerprint(self.templates.fingerprint_of(q.template));
         }
-        Workload { catalog: self.catalog.clone(), queries, templates, uid: next_uid() }
+        Workload { queries, templates, ..Workload::empty(self.catalog.clone()) }
     }
 }
 
