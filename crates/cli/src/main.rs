@@ -41,7 +41,7 @@ use isum_common::{Error, Result};
 use isum_core::{Compressor, Isum, IsumConfig};
 use isum_optimizer::{CostModel, IndexConfig, WhatIfOptimizer};
 use isum_server::{install_signal_handlers, summary_to_json, Client, Server, ServerConfig};
-use isum_workload::{load_script, split_script, Workload};
+use isum_workload::{load_script_lenient, split_script, Workload};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -146,8 +146,9 @@ fn usage() -> String {
          isum serve shards by X-Isum-Tenant header by default; ISUM_SHARDS switches to n\n\
          hash-routed shards for parallel single-tenant ingest (DESIGN.md \u{a7}13); the\n\
          ISUM_DRIFT_* variables configure workload-drift tracking (DESIGN.md \u{a7}12); with\n\
-         --checkpoint each acknowledged batch is fsynced to a per-shard write-ahead log before\n\
-         the ack, and the ISUM_WAL_COMPACT_* pair sets the snapshot+truncate cadence\n\
+         --checkpoint <file> as the stem each acknowledged batch is fsynced to a per-shard\n\
+         write-ahead log (<stem>.wal.<n> segments, the only files the daemon writes) before the\n\
+         ack, and ISUM_WAL_SEGMENT_BYTES sets the size at which a segment is closed\n\
          (DESIGN.md \u{a7}14),\n\
          isum client --tenant <name> pins every request to one tenant\n\
          (names: \u{2264}64 bytes, visible ASCII, no `/`),\n\
@@ -414,7 +415,16 @@ impl Options {
                 .ok_or_else(|| Error::InvalidConfig("--schema is required".into()))?;
             let script = std::fs::read_to_string(workload_spec)?;
             let catalog = resolve_catalog(schema_spec)?;
-            load_script(catalog, &script)?
+            // Lenient like the daemon's ingest: a statement that does not
+            // parse or bind is reported and skipped, the rest compress.
+            let (w, skipped) = load_script_lenient(catalog, &script);
+            for (i, why) in &skipped {
+                eprintln!("warning: statement {i} skipped: {why}");
+            }
+            if let Some((_, first)) = skipped.into_iter().next().filter(|_| w.is_empty()) {
+                return Err(first);
+            }
+            w
         };
         if w.is_empty() {
             return Err(Error::InvalidConfig("workload script has no statements".into()));
@@ -865,6 +875,32 @@ mod tests {
     }
 
     #[test]
+    fn statements_that_do_not_parse_are_skipped_not_fatal() {
+        let (schema, workload) = write_fixtures();
+        let script = workload.with_file_name("deep.sql");
+        // Each of these once overflowed the stack (exit 134).
+        let deep = format!(
+            "SELECT id FROM t WHERE {}grp = 1{};\nSELECT id FROM t WHERE {}grp = 1;\n\
+             SELECT id FROM t WHERE grp = 1{};\nSELECT id FROM t WHERE grp = 1{};\n\
+             SELECT id FROM t WHERE grp = 7;\n",
+            "(".repeat(200_000),
+            ")".repeat(200_000),
+            "NOT ".repeat(200_000),
+            " AND grp = 1".repeat(200_000),
+            " + 1".repeat(200_000),
+        );
+        std::fs::write(&script, deep).expect("write script");
+        let args = ["--schema", &schema.to_string_lossy(), "--workload", &script.to_string_lossy()]
+            .map(String::from);
+        let o = Options::parse(&args).expect("flags parse");
+        assert_eq!(o.load().expect("the valid statement loads").len(), 1);
+        compress(&o).expect("and compresses");
+        // Nothing valid at all is still an error, carrying the first reason.
+        std::fs::write(&script, "SELECT FROM;\nSELECT id FROM nowhere;\n").expect("write script");
+        assert!(o.load().unwrap_err().to_string().contains("parse error"));
+    }
+
+    #[test]
     fn commands_run_end_to_end() {
         let o = opts(&["-k", "2", "-m", "4", "--report"]);
         compress(&o).expect("compress runs");
@@ -947,19 +983,16 @@ mod tests {
 
     #[test]
     fn wal_flags_parse_and_reject_bad_values() {
-        let c = serve_config_for(&["--wal-compact-every", "5", "--wal-compact-bytes", "4096"])
-            .expect("valid");
-        assert_eq!(c.wal_compact_every, 5);
-        assert_eq!(c.wal_compact_bytes, 4096);
+        let c = serve_config_for(&["--wal-segment-bytes", "4096"]).expect("valid");
+        assert_eq!(c.wal_segment_bytes, 4096);
         assert!(opts(&[]).serve_flags.is_empty(), "unset flags defer to env/defaults");
-        let from_env = |name: &str| (name == "ISUM_WAL_COMPACT_EVERY").then(|| "9".to_string());
-        assert_eq!(serve_config(&opts(&[]), from_env).expect("valid").wal_compact_every, 9);
-        assert!(Options::parse(&["--wal-compact-every".into()]).is_err());
-        assert!(serve_config_for(&["--wal-compact-every", "abc"]).is_err());
-        assert!(serve_config_for(&["--wal-compact-every", "0"]).is_err());
-        assert!(Options::parse(&["--wal-compact-bytes".into()]).is_err());
-        assert!(serve_config_for(&["--wal-compact-bytes", "-1"]).is_err());
-        assert!(serve_config_for(&["--wal-compact-bytes", "0"]).is_err());
+        let from_env = |name: &str| (name == "ISUM_WAL_SEGMENT_BYTES").then(|| "9".to_string());
+        assert_eq!(serve_config(&opts(&[]), from_env).expect("valid").wal_segment_bytes, 9);
+        assert!(Options::parse(&["--wal-segment-bytes".into()]).is_err());
+        assert!(serve_config_for(&["--wal-segment-bytes", "-1"]).is_err());
+        assert!(serve_config_for(&["--wal-segment-bytes", "0"]).is_err());
+        let retired = ["--wal-compact-every".to_string(), "3".to_string()];
+        assert!(Options::parse(&retired).is_err(), "went with the snapshot");
     }
 
     #[test]

@@ -66,12 +66,23 @@ pub enum FrameStatus<'a> {
 
 /// Encodes `payload` as one frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME_PAYLOAD, "frame payload too large");
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_into(&mut out, |out| out.extend_from_slice(payload));
     out
+}
+
+/// Appends one frame to `out` whose payload is whatever `write` appends:
+/// the header is reserved first and filled in afterwards, so a caller
+/// that reuses `out` frames a record without allocating or copying it.
+pub fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    write(out);
+    let payload = header + FRAME_HEADER_LEN;
+    assert!(out.len() - payload <= MAX_FRAME_PAYLOAD, "frame payload too large");
+    let (len, crc) = ((out.len() - payload) as u32, crc32(&out[payload..]));
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Decodes the frame at the front of `buf`. Never panics on arbitrary

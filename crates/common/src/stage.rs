@@ -42,14 +42,12 @@ pub enum Stage {
     Fsync = 5,
     /// Applying statements to the engine (or rendering a summary).
     Apply = 6,
-    /// A compaction (snapshot + WAL truncation) this request triggered.
-    Checkpoint = 7,
     /// From the last pipeline stage to the response write.
-    Respond = 8,
+    Respond = 7,
 }
 
 /// Every stage, in the order they appear on the wire.
-pub const STAGES: [Stage; 9] = [
+pub const STAGES: [Stage; 8] = [
     Stage::Recv,
     Stage::Parse,
     Stage::Queue,
@@ -57,7 +55,6 @@ pub const STAGES: [Stage; 9] = [
     Stage::WalAppend,
     Stage::Fsync,
     Stage::Apply,
-    Stage::Checkpoint,
     Stage::Respond,
 ];
 
@@ -72,7 +69,6 @@ impl Stage {
             Stage::WalAppend => "wal_append",
             Stage::Fsync => "fsync",
             Stage::Apply => "apply",
-            Stage::Checkpoint => "checkpoint",
             Stage::Respond => "respond",
         }
     }

@@ -44,11 +44,9 @@ pub struct ServerConfig {
     pub shards: ShardMode,
     /// Cap (≥ 1) on concurrently live tenant shards; the cap answers 429.
     pub max_tenants: usize,
-    /// Compact (snapshot + truncate) a shard's WAL after this many
-    /// appended records (≥ 1)…
-    pub wal_compact_every: u64,
-    /// …or once it exceeds this many bytes (≥ 1), whichever first.
-    pub wal_compact_bytes: u64,
+    /// Close a shard's active WAL segment and open the next once it
+    /// reaches this many bytes (≥ 1).
+    pub wal_segment_bytes: u64,
     /// Slow-request capture threshold in milliseconds: a request whose
     /// total stage time reaches it has its full timeline retained for
     /// `GET /trace/recent`. `None` (the default) disables capture; `0`
@@ -68,7 +66,7 @@ struct Knob {
 }
 
 /// Every tunable `isum serve` reads, in documentation order.
-const KNOBS: [Knob; 7] = [
+const KNOBS: [Knob; 6] = [
     Knob {
         env: "ISUM_DRIFT_WINDOW",
         flag: None,
@@ -100,16 +98,10 @@ const KNOBS: [Knob; 7] = [
         },
     },
     Knob {
-        env: "ISUM_WAL_COMPACT_EVERY",
-        flag: Some("--wal-compact-every"),
+        env: "ISUM_WAL_SEGMENT_BYTES",
+        flag: Some("--wal-segment-bytes"),
         want: "an integer >= 1",
-        set: |c, v| assign(&mut c.wal_compact_every, v.parse().ok().and_then(at_least_one)),
-    },
-    Knob {
-        env: "ISUM_WAL_COMPACT_BYTES",
-        flag: Some("--wal-compact-bytes"),
-        want: "an integer >= 1",
-        set: |c, v| assign(&mut c.wal_compact_bytes, v.parse().ok().and_then(at_least_one)),
+        set: |c, v| assign(&mut c.wal_segment_bytes, v.parse().ok().and_then(at_least_one)),
     },
     Knob {
         env: "ISUM_SLOW_MS",
@@ -134,8 +126,7 @@ fn unit_interval(t: f64) -> Option<f64> {
 impl ServerConfig {
     /// Defaults: queue of 64 batches, 30 s ingest wait, no checkpoint,
     /// drift window of 256 observations with an alert threshold of 0.5,
-    /// tenant-mode sharding capped at 64 tenants, WAL compaction every
-    /// 64 records or 1 MiB.
+    /// tenant-mode sharding capped at 64 tenants, 1 MiB WAL segments.
     pub fn new(catalog: Catalog) -> ServerConfig {
         ServerConfig {
             catalog,
@@ -149,8 +140,7 @@ impl ServerConfig {
             drift_action: DriftAction::Warn,
             shards: ShardMode::Tenant,
             max_tenants: 64,
-            wal_compact_every: 64,
-            wal_compact_bytes: 1 << 20,
+            wal_segment_bytes: 1 << 20,
             slow_ms: None,
         }
     }
@@ -204,8 +194,7 @@ impl ServerConfig {
         let counts = [
             ("queue_cap", self.queue_cap as u64),
             ("max_tenants", self.max_tenants as u64),
-            ("wal_compact_every", self.wal_compact_every),
-            ("wal_compact_bytes", self.wal_compact_bytes),
+            ("wal_segment_bytes", self.wal_segment_bytes),
             ("shards", shards),
         ];
         if let Some((name, _)) = counts.iter().find(|(_, n)| at_least_one(*n).is_none()) {
@@ -240,7 +229,7 @@ mod tests {
             &'static str,
             &'static [&'static str],
         );
-        let rows: [Row; 7] = [
+        let rows: [Row; 6] = [
             ("ISUM_DRIFT_WINDOW", |c| c.drift_window.to_string(), "256", "64", &["not-a-number"]),
             ("ISUM_DRIFT_THRESHOLD", |c| c.drift_threshold.to_string(), "0.5", "0.25", &["1.5"]),
             (
@@ -261,15 +250,8 @@ mod tests {
                 &["0", "-2", "lots"],
             ),
             (
-                "ISUM_WAL_COMPACT_EVERY",
-                |c| c.wal_compact_every.to_string(),
-                "64",
-                "5",
-                &["0", "-3", "soon"],
-            ),
-            (
-                "ISUM_WAL_COMPACT_BYTES",
-                |c| c.wal_compact_bytes.to_string(),
+                "ISUM_WAL_SEGMENT_BYTES",
+                |c| c.wal_segment_bytes.to_string(),
                 "1048576",
                 "4096",
                 &["0", "-3", "soon"],
@@ -320,11 +302,10 @@ mod tests {
     #[test]
     fn bind_refuses_what_the_loader_would() {
         assert!(config().validate().is_ok());
-        let cases: [fn(&mut ServerConfig); 6] = [
+        let cases: [fn(&mut ServerConfig); 5] = [
             |c| c.queue_cap = 0,
             |c| c.max_tenants = 0,
-            |c| c.wal_compact_every = 0,
-            |c| c.wal_compact_bytes = 0,
+            |c| c.wal_segment_bytes = 0,
             |c| c.shards = ShardMode::Hashed(0),
             |c| c.drift_threshold = 1.5,
         ];

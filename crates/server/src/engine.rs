@@ -1,5 +1,5 @@
 //! The serving engine: an incrementally grown [`Workload`] paired with an
-//! [`IncrementalIsum`] observer, plus a crash-safe checkpoint of both.
+//! [`IncrementalIsum`] observer.
 //!
 //! # Bit-identity contract
 //!
@@ -14,30 +14,27 @@
 //!
 //! # Snapshot format
 //!
-//! The snapshot is a JSON document written atomically (temp file +
-//! rename). Since the write-ahead log became the primary durability
-//! mechanism (DESIGN.md §14) it is a periodic *compaction artifact* —
-//! written every N batches / M bytes of WAL growth and at drain, not
-//! after every batch:
+//! An engine's state is a pure function of the statements it accepted, so
+//! the daemon's durability is the statement log alone (`crate::wal`,
+//! DESIGN.md §14) and nothing writes a snapshot while serving. The
+//! snapshot below is an **import/export format only**: [`Engine::snapshot`]
+//! / [`Engine::checkpoint_to`] export a state for inspection and tests,
+//! and [`Engine::restore_from`] is how the daemon reads, once, the state
+//! directory of a release that still compacted its log into snapshots.
 //!
 //! ```text
 //! { "version": 1,
 //!   "next_seq": <u64>,                     // sequencer high-water mark
-//!   "wal_seq": <u64>,                      // WAL records already folded in
+//!   "wal_seq": <u64>,                      // v1 log records already folded in
 //!   "statements": [[<sql>, <cost bits>]],  // accepted statements in order
 //!   "isum": { ... },                       // IncrementalIsum snapshot
 //!   "drift": { ... } }                     // DriftTracker snapshot (optional)
 //! ```
 //!
-//! `wal_seq` is the per-shard WAL record watermark: recovery replays only
-//! log records with `wal_seq >=` the snapshot's value, so a crash between
-//! snapshot rotation and WAL truncation converges instead of
-//! double-applying. Snapshots written before the WAL existed carry no
-//! `wal_seq` field and restore as watermark 0. `drift` carries the
-//! sequencer's drift-tracker window and edge-trigger state
-//! ([`crate::drift::DriftTracker::snapshot`]); snapshots written before
-//! drift state was persisted carry no `drift` field and restore a fresh
-//! tracker.
+//! `wal_seq` is the v1 log's record watermark: the importer replays only
+//! v1 records with `wal_seq >=` the snapshot's value. Snapshots written
+//! before that log existed carry no `wal_seq` field and restore as
+//! watermark 0; a missing `drift` field restores a fresh tracker.
 //!
 //! Costs are serialized as 16-hex-digit IEEE-754 bit patterns
 //! ([`isum_common::hex_bits`]), so a restore rebuilds the observed
@@ -244,26 +241,29 @@ impl Engine {
         ]))
     }
 
-    /// Rebuilds the engine keeping only the most recent `n` observed
-    /// statements — the adaptive re-summarization action behind
-    /// `ISUM_DRIFT_ACTION=resummarize`. Costs were populated at ingest
-    /// time, so the rebuild re-parses and re-binds with the existing
-    /// cost values and never calls the what-if optimizer: for a fixed
-    /// request stream the result is a pure function of the retained
-    /// statements, exactly like a checkpoint restore of those statements.
-    /// Returns the number of statements retained.
-    pub fn resummarize_keep_last(&mut self, n: usize) -> usize {
+    /// The most recent `n` observed statements with their costs, oldest
+    /// first — what a re-summarization over the recent window retains, in
+    /// the shape of a log record's statement list.
+    pub fn last_statements(&self, n: usize) -> Vec<(String, Option<f64>)> {
         let start = self.workload.len().saturating_sub(n);
-        let kept: Vec<(String, f64)> =
-            self.workload.queries[start..].iter().map(|q| (q.sql.clone(), q.cost)).collect();
+        self.workload.queries[start..].iter().map(|q| (q.sql.clone(), Some(q.cost))).collect()
+    }
+
+    /// Replaces the engine's state with exactly `stmts` — the whole effect
+    /// of a rebase record (`crate::wal`), live and on replay. Costs were
+    /// populated when the statements were first ingested, so the rebuild
+    /// re-parses and re-binds with them and never calls the what-if
+    /// optimizer: the result is a pure function of `stmts`, exactly like a
+    /// fresh engine that ingested them. Returns the statements retained.
+    pub fn rebase(&mut self, stmts: &[(String, Option<f64>)]) -> usize {
         let catalog = self.workload.catalog.clone();
         let config = self.isum.config();
         self.workload = Workload::empty(catalog);
         self.isum = IncrementalIsum::new(config);
-        for (sql, cost) in &kept {
+        for (sql, cost) in stmts {
             // Each statement already parsed and bound once, so a failure
             // is unreachable — but stay lenient like ingest.
-            if self.workload.push_sql(sql, *cost).is_ok() {
+            if self.workload.push_sql(sql, cost.unwrap_or(0.0)).is_ok() {
                 self.observe_last();
             }
         }
@@ -348,9 +348,9 @@ impl Engine {
         Ok((Engine { workload, isum }, next_seq, wal_seq, drift))
     }
 
-    /// Writes [`Engine::snapshot`] to `path` atomically: the document is
-    /// written to `<path>.tmp` and renamed into place, so a crash leaves
-    /// either the previous checkpoint or the new one, never a torn file.
+    /// Exports [`Engine::snapshot`] to `path` (temp file + rename, so a
+    /// reader never sees half a document). Not a durability mechanism:
+    /// nothing is fsynced, and the daemon never calls it.
     pub fn checkpoint_to(
         &self,
         path: &Path,
@@ -358,7 +358,10 @@ impl Engine {
         wal_seq: u64,
         drift: Option<&Json>,
     ) -> Result<()> {
-        write_checkpoint(path, &self.snapshot(next_seq, wal_seq, drift))
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, self.snapshot(next_seq, wal_seq, drift).to_pretty())?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
     }
 
     /// Loads an engine from a checkpoint file written by
@@ -373,18 +376,6 @@ impl Engine {
             Json::parse(&text).map_err(|e| Error::Io(format!("corrupt server checkpoint: {e}")))?;
         Engine::restore(catalog, config, &snap)
     }
-}
-
-/// The file half of [`Engine::checkpoint_to`]: renders an
-/// [`Engine::snapshot`] document and puts it at `path` atomically (temp
-/// file + rename). Needs no engine, so a caller that shares the engine
-/// can take the snapshot under its lock and write it after releasing it.
-pub(crate) fn write_checkpoint(path: &Path, snapshot: &Json) -> Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, snapshot.to_pretty())?;
-    std::fs::rename(&tmp, path)?;
-    count!("server.checkpoints");
-    Ok(())
 }
 
 /// Renders a compressed selection as the canonical summary JSON shared by
@@ -537,10 +528,10 @@ mod tests {
     }
 
     #[test]
-    fn resummarize_keeps_suffix_bit_identically() {
+    fn rebase_over_the_suffix_equals_a_fresh_engine_over_it() {
         let mut engine = Engine::new(catalog(), IsumConfig::isum());
         engine.apply_script(&script(12));
-        let kept = engine.resummarize_keep_last(5);
+        let kept = engine.rebase(&engine.last_statements(5));
         assert_eq!(kept, 5);
         assert_eq!(engine.observed(), 5);
 
@@ -568,7 +559,7 @@ mod tests {
         );
 
         // Keeping more than observed keeps everything.
-        assert_eq!(engine.resummarize_keep_last(100), 5);
+        assert_eq!(engine.rebase(&engine.last_statements(100)), 5);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! or a full index recommendation — at any time, instead of re-running
 //! batch compression from scratch (DESIGN.md §10). The daemon is
 //! multi-tenant: each `X-Isum-Tenant` value owns an isolated shard
-//! (engine + sequencer + drift tracker + checkpoint), and a cross-shard
+//! (engine + sequencer + drift tracker + write-ahead log), and a cross-shard
 //! `GET /summary` merges every shard's partial sums deterministically
 //! (DESIGN.md §13). `ISUM_SHARDS=n` instead spreads a single-tenant
 //! stream over `n` hash-routed shards for parallel ingest.
@@ -18,12 +18,12 @@
 //! | `POST /ingest[?seq=N]` | apply a `;`-separated SQL script (lenient per statement) to the request's tenant |
 //! | `GET /summary?k=N[&tenant=T]` | per-tenant: compress that shard to `k`, exact weight bits; no tenant + several shards: the merged template-level summary |
 //! | `GET /summary/explain?k=N[&tenant=T]` | per-member template attribution + coverage gauges (per-shard) |
-//! | `GET /status[?k=N]` | one-document rollup: seq, queue, checkpoint age, WAL durability, coverage, drift, span timings, per-shard breakdown |
+//! | `GET /status[?k=N]` | one-document rollup: seq, queue, WAL durability (position, bytes, segments), coverage, drift, span timings, per-shard breakdown |
 //! | `POST /tune?k=N[&m=M&advisor=dta\|dexter&budget_bytes=B&tenant=T]` | advisor on the shard's compressed workload |
 //! | `GET /healthz` | liveness + totals + shard count |
 //! | `GET /telemetry` | telemetry snapshot (when enabled) |
 //! | `GET /metrics` | Prometheus exposition + tenant-labeled `isum_shard_*` families |
-//! | `POST /shutdown` | graceful drain + final per-shard WAL compactions |
+//! | `POST /shutdown` | graceful drain (the log already holds every acknowledged batch) |
 //!
 //! Every endpoint accepts the tenant as either the `X-Isum-Tenant`
 //! header or a `tenant` query parameter (the parameter wins). Tenant
@@ -65,16 +65,17 @@
 //!   shard assignment, and ingest interleaving: partial sums are
 //!   re-sorted canonically before every floating-point fold and ties
 //!   break on template fingerprints ([`isum_core::merge_partials`]).
-//! * With a checkpoint configured, every acknowledged batch is **durably
-//!   logged** before the ack: the batch's statements are appended to a
-//!   per-shard write-ahead log (CRC-checksummed, length-prefixed
-//!   records) and `fsync`ed first; snapshots are periodic compaction
-//!   artifacts, after which the log is truncated. A `SIGKILL` at any
-//!   point and restart replays the newest valid snapshot plus the WAL
-//!   tail through the normal observe path and resumes every shard
-//!   bit-identically; a torn final record (crash mid-append) is
-//!   truncated with a warning, and client retries of unacknowledged
-//!   batches converge via duplicate detection (DESIGN.md §14).
+//! * With a checkpoint stem configured, every acknowledged batch is
+//!   **durably logged** before the ack: the batch's statements are
+//!   appended to a per-shard write-ahead log (CRC-checksummed,
+//!   length-prefixed records in immutable segments) and `fsync`ed first.
+//!   The log is the only durable artifact — nothing is snapshotted,
+//!   truncated or renamed while serving — so a `SIGKILL` *or a power
+//!   cut* at any point, then a restart, replays every segment through
+//!   the normal observe path and resumes every shard bit-identically; a
+//!   torn final record (crash mid-append) is cut with a warning, and
+//!   client retries of unacknowledged batches converge via duplicate
+//!   detection (DESIGN.md §14).
 
 mod client;
 mod config;

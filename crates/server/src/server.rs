@@ -14,7 +14,7 @@
 //!                ▼
 //!   shard router (crate::shards): one request pipeline — bounded queue
 //!   ── full ⇒ 429 + Retry-After ── strict-seq admission, durable-apply
-//!   (WAL append + fsync, engine apply, drift, compaction), ack. A
+//!   (WAL append + fsync, engine apply, drift), ack. A
 //!   tenant's shard runs all of it on one thread; hashed mode puts the
 //!   admission on a front stream that splits batches by
 //!   template-fingerprint hash over the shards
@@ -31,10 +31,9 @@
 //!
 //! `POST /shutdown`, SIGTERM, or SIGINT set a flag the accept loop polls.
 //! The loop stops accepting, in-flight connection handlers finish, every
-//! ingest queue is closed and drained to the last acknowledged batch,
-//! final per-shard WAL compactions run (snapshot, then truncate the
-//! log), and — when telemetry is enabled — a final snapshot is printed
-//! to stderr.
+//! ingest queue is closed and drained to the last acknowledged batch
+//! (each already durable in its shard's log), and — when telemetry is
+//! enabled — a final snapshot is printed to stderr.
 
 use std::collections::VecDeque;
 use std::io;
@@ -51,8 +50,8 @@ use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock
 use crate::config::ServerConfig;
 use crate::http::{retry_after_value, Request, Response};
 use crate::shards::{
-    lock, mono_ms, unix_ms, validate_tenant, Shard, ShardCells, ShardMode, ShardRouter,
-    DEFAULT_TENANT, UNSEQ_KEY_BASE,
+    lock, unix_ms, validate_tenant, Shard, ShardCells, ShardMode, ShardRouter, DEFAULT_TENANT,
+    UNSEQ_KEY_BASE,
 };
 
 /// Cap on retained slow-request timelines: old entries are evicted FIFO,
@@ -81,7 +80,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `listen` (e.g. `127.0.0.1:7071`, port 0 for ephemeral),
-    /// restores every discoverable checkpoint, and starts serving on a
+    /// recovers every discoverable shard, and starts serving on a
     /// background thread. A `config` with an out-of-range field is
     /// refused (`InvalidInput`) before anything is bound.
     pub fn bind(listen: &str, config: ServerConfig) -> io::Result<Server> {
@@ -137,7 +136,7 @@ impl Drop for Server {
     }
 }
 
-/// The serve thread: accept loop, then drain and final checkpoints.
+/// The serve thread: accept loop, then drain.
 fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
     // Each connection gets a dedicated thread: a keep-alive socket holds
     // its handler for as long as the client likes (and an ingest handler
@@ -178,7 +177,7 @@ fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
         let _ = t.join();
     }
     // All connection handlers have finished. Close every queue: each
-    // shard drains whatever was accepted, checkpoints, and exits.
+    // shard drains whatever was accepted and exits.
     shared.shutdown.store(true, Ordering::SeqCst);
     shared.router.drain();
     isum_common::info!("server", "drained and shut down");
@@ -723,8 +722,8 @@ fn drift_score(ppm: i64) -> Json {
 }
 
 /// Builds the `GET /status` document: one JSON object rolling up the
-/// lead sequencer position, total queue pressure, checkpoint age,
-/// durability state (WAL position, size, and compaction backlog),
+/// lead sequencer position, total queue pressure, durability state (WAL
+/// position, size, segments, and when it last fsynced and rotated),
 /// summary quality (coverage at `k`, default `min(observed, 10)` —
 /// single-shard only), drift state, span timings, and a per-shard
 /// breakdown — reads only, so polling it cannot perturb results.
@@ -766,37 +765,13 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
         // merged one).
         None => (sum(|c| &c.observed) as usize, sum(|c| &c.templates) as usize, Json::Null),
     };
-    let checkpoint = {
-        let last = max(|c| &c.last_checkpoint_unix_ms);
-        let last_mono = max(|c| &c.last_checkpoint_mono_ms);
-        Json::Obj(vec![
-            ("configured".into(), Json::from(config.checkpoint.is_some())),
-            ("last_unix_ms".into(), nonzero(last)),
-            (
-                "age_ms".into(),
-                if last == 0 { Json::Null } else { Json::from(unix_ms().saturating_sub(last)) },
-            ),
-            // The monotonic age sits next to the wall-clock one: it cannot
-            // go negative or jump when the system clock steps, so alerting
-            // on "no checkpoint in N minutes" stays truthful across NTP
-            // slews.
-            (
-                "ms_since_last_checkpoint".into(),
-                if last_mono == 0 {
-                    Json::Null
-                } else {
-                    Json::from(mono_ms().saturating_sub(last_mono))
-                },
-            ),
-        ])
-    };
     let durability = Json::Obj(vec![
         ("configured".into(), Json::from(config.checkpoint.is_some())),
         ("wal_seq".into(), Json::from(max(|c| &c.wal_seq))),
         ("wal_bytes".into(), Json::from(sum(|c| &c.wal_bytes))),
-        ("records_since_compaction".into(), Json::from(sum(|c| &c.wal_records_since_compaction))),
+        ("segments".into(), Json::from(sum(|c| &c.wal_segments))),
         ("last_fsync_unix_ms".into(), nonzero(max(|c| &c.wal_last_fsync_unix_ms))),
-        ("last_compaction_unix_ms".into(), nonzero(max(|c| &c.wal_last_compaction_unix_ms))),
+        ("last_rotation_unix_ms".into(), nonzero(max(|c| &c.wal_last_rotation_unix_ms))),
     ]);
     let drift = {
         // Single-shard: that shard's cells verbatim. Multi-shard: the
@@ -847,15 +822,16 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
                 ("observed".into(), load(&c.observed)),
                 ("templates".into(), load(&c.templates)),
                 (
-                    "checkpoint_unix_ms".into(),
-                    nonzero(c.last_checkpoint_unix_ms.load(Ordering::Relaxed)),
-                ),
-                (
                     "wal".into(),
                     Json::Obj(vec![
                         ("seq".into(), load(&c.wal_seq)),
+                        ("oldest_wal_seq".into(), load(&c.wal_oldest_seq)),
                         ("bytes".into(), load(&c.wal_bytes)),
-                        ("records_since_compaction".into(), load(&c.wal_records_since_compaction)),
+                        ("segments".into(), load(&c.wal_segments)),
+                        (
+                            "last_rotation_unix_ms".into(),
+                            nonzero(c.wal_last_rotation_unix_ms.load(Ordering::Relaxed)),
+                        ),
                     ]),
                 ),
                 (
@@ -885,7 +861,6 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
             ),
             ("observed".into(), Json::from(observed)),
             ("templates".into(), Json::from(templates)),
-            ("checkpoint".into(), checkpoint),
             ("durability".into(), durability),
             ("summary".into(), summary),
             ("drift".into(), drift),

@@ -28,26 +28,24 @@
 //!
 //! # Durability layout
 //!
-//! Durability is WAL-first (DESIGN.md §14): every applied batch appends
-//! one fsynced record to the shard's write-ahead log *before* the ack,
-//! and the [`Engine`] snapshot is a periodic compaction artifact. With
-//! checkpoint stem `dir/ckpt.json`:
+//! The write-ahead log is the one durable artifact (DESIGN.md §14):
+//! every applied batch appends one fsynced record to the shard's log
+//! *before* the ack, the log is a run of immutable segments, and nothing
+//! else is written while serving. With checkpoint stem `dir/ckpt.json`:
 //!
 //! ```text
-//! dir/ckpt.json                 default tenant snapshot (pre-sharding path)
-//! dir/ckpt.wal                  default tenant WAL
-//! dir/ckpt.t-<hex(tenant)>.json every other tenant (hex keeps names filesystem-safe)
-//! dir/ckpt.t-<hex(tenant)>.wal  that tenant's WAL
-//! dir/ckpt.h<i>.json            hashed shard i
-//! dir/ckpt.h<i>.wal             hashed shard i's WAL
-//! dir/ckpt.*.json.prev          the pre-compaction snapshot, kept for fallback
+//! dir/ckpt.wal.<n>                 default tenant, segment n (8 digits)
+//! dir/ckpt.t-<hex(tenant)>.wal.<n> every other tenant (hex keeps names filesystem-safe)
+//! dir/ckpt.h<i>.wal.<n>            hashed shard i
 //! ```
 //!
 //! Startup scans the stem's directory for `.t-<hex>` siblings, so a
-//! restart resurrects every tenant that ever checkpointed. Recovery per
-//! shard = newest valid snapshot (quarantining a corrupt one and falling
-//! back to `.prev`) + replay of the WAL tail through the normal observe
-//! path, byte-identical to the never-crashed run.
+//! restart resurrects every tenant that was ever acknowledged a batch.
+//! Recovery per shard = replay every segment in order through the normal
+//! observe path, byte-identical to the never-crashed run; first boot,
+//! crash and clean restart are the same loop. A state directory written
+//! by a release that compacted into snapshots (`ckpt.json`, `.prev`, one
+//! `ckpt.wal`) is imported once: see [`import_v1`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -65,10 +63,10 @@ use isum_core::{merge_partials, MergedWorkload};
 use isum_workload::split_script;
 
 use crate::config::ServerConfig;
-use crate::drift::{DriftAction, DriftTracker};
+use crate::drift::{DriftAction, DriftSample, DriftTracker};
 use crate::engine::{Engine, IngestOutcome};
 use crate::http::{retry_after_value, Response};
-use crate::wal::{self, FsyncHist, WalWriter};
+use crate::wal::{self, DiskStorage, FsyncHist, Kind, Record, WalWriter};
 
 /// Marker bit for fault-injection keys of unsequenced batches, so they
 /// draw from a different site-key space than `seq` numbers.
@@ -154,8 +152,6 @@ pub(crate) struct ShardCells {
     pub observed: AtomicU64,
     /// Distinct templates in this shard's engine.
     pub templates: AtomicU64,
-    /// Wall-clock ms of the last successful checkpoint; `0` = never.
-    pub last_checkpoint_unix_ms: AtomicU64,
     /// Last drift score in parts-per-million; `-1` = no sample yet.
     pub drift_score_ppm: AtomicI64,
     /// Observations currently in the drift window.
@@ -174,26 +170,26 @@ pub(crate) struct ShardCells {
     pub last_resummarize_unix_ms: AtomicU64,
     /// WAL record watermark: the `wal_seq` the next append gets.
     pub wal_seq: AtomicU64,
-    /// Current WAL file length in bytes (header included).
+    /// `wal_seq` of the oldest record still on disk.
+    pub wal_oldest_seq: AtomicU64,
+    /// Bytes across the live WAL segments (headers included).
     pub wal_bytes: AtomicU64,
-    /// Records appended since the last compaction.
-    pub wal_records_since_compaction: AtomicU64,
+    /// Live WAL segments, the active one included; `0` without a WAL.
+    pub wal_segments: AtomicU64,
     /// Wall-clock ms of the last WAL fsync; `0` = never. Annotates only.
     pub wal_last_fsync_unix_ms: AtomicU64,
-    /// Wall-clock ms of the last compaction; `0` = never. Annotates only.
-    pub wal_last_compaction_unix_ms: AtomicU64,
+    /// Wall-clock ms of the last rotation; `0` = never. Annotates only.
+    pub wal_last_rotation_unix_ms: AtomicU64,
     /// Total bytes ever appended to the WAL (monotone counter).
     pub wal_appended_bytes_total: AtomicU64,
-    /// Compactions since startup.
-    pub wal_compactions: AtomicU64,
+    /// Segment rotations since startup.
+    pub wal_rotations: AtomicU64,
+    /// Rebase records logged since startup.
+    pub wal_rebases: AtomicU64,
     /// WAL fsync latency histogram.
     pub wal_fsync_hist: FsyncHist,
     /// Per-stage latency histograms of the requests this stream served.
     pub stage_hist: StageHist,
-    /// Monotonic-clock ms (see [`mono_ms`]) of the last successful
-    /// checkpoint; `0` = never. Pairs with the wall-clock cell so
-    /// `/status` can expose an age that survives clock steps.
-    pub last_checkpoint_mono_ms: AtomicU64,
 }
 
 /// The sending half of a worker thread's bounded queue; `None` once
@@ -208,7 +204,6 @@ pub(crate) struct Shard {
     pub engine: Mutex<Engine>,
     queue: Queue,
     pub cells: Arc<ShardCells>,
-    pub checkpoint: Option<PathBuf>,
     /// Rendered `/summary` cache: `(state_version, k, document)`. One
     /// entry suffices — pollers overwhelmingly ask for one `k` — and the
     /// version key makes staleness impossible: any ingest or
@@ -254,7 +249,7 @@ enum Job {
         script: String,
         request_id: String,
         /// The request's timeline; the worker stamps queue wait,
-        /// sequencing, WAL append/fsync, apply, and checkpoint onto it.
+        /// sequencing, WAL append/fsync, and apply onto it.
         clock: Arc<StageClock>,
         reply: SyncSender<Response>,
     },
@@ -301,10 +296,9 @@ pub(crate) struct ShardRouter {
 
 impl ShardRouter {
     /// Builds the shard layout for `cfg`: recovers every discoverable
-    /// shard (snapshot + WAL replay, quarantining a corrupt snapshot),
-    /// spawns one worker per shard, and (in hashed mode) the front
-    /// stream. Fails on mid-log WAL corruption — refusing to serve beats
-    /// silently dropping acknowledged history.
+    /// shard (replay of its WAL segments), spawns one worker per shard,
+    /// and (in hashed mode) the front stream. Fails on WAL corruption —
+    /// refusing to serve beats silently dropping acknowledged history.
     pub(crate) fn start(cfg: Arc<ServerConfig>) -> io::Result<ShardRouter> {
         let mut router = ShardRouter {
             cfg: Arc::clone(&cfg),
@@ -456,9 +450,9 @@ impl ShardRouter {
             .map_err(|e| retryable(503, &format!("could not create shard for tenant: {e}")))
     }
 
-    /// Creates and registers one shard (restoring its checkpoint if
-    /// present) and spawns its worker thread. Racing creators for the
-    /// same name converge on the first registration.
+    /// Creates and registers one shard (recovering its log if present)
+    /// and spawns its worker thread. Racing creators for the same name
+    /// converge on the first registration.
     fn create_shard(&self, name: &str) -> io::Result<Arc<Shard>> {
         let mut shards = lock(&self.shards);
         if let Some(existing) = shards.get(name) {
@@ -466,32 +460,37 @@ impl ShardRouter {
         }
         let cfg = &self.cfg;
         let checkpoint = cfg.checkpoint.as_ref().map(|stem| checkpoint_path_for(stem, name));
-        let (engine, next_seq, wal, drift) = recover_shard_state(cfg, name, checkpoint.as_ref())?;
+        let (log, wal, rebase_over) = recover_shard_state(cfg, name, checkpoint.as_deref())?;
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
         let cells = ShardCells::default();
-        cells.next_seq.store(next_seq, Ordering::Relaxed);
-        cells.observed.store(engine.observed() as u64, Ordering::Relaxed);
-        cells.templates.store(engine.template_count() as u64, Ordering::Relaxed);
         cells.drift_score_ppm.store(-1, Ordering::Relaxed);
-        if let Some(w) = &wal {
-            cells.wal_seq.store(w.next_wal_seq(), Ordering::Relaxed);
-            cells.wal_bytes.store(w.len(), Ordering::Relaxed);
-        }
         let shard = Arc::new(Shard {
             name: name.to_string(),
-            engine: Mutex::new(engine),
+            engine: Mutex::new(log.engine),
             queue: Mutex::new(Some(tx)),
             cells: Arc::new(cells),
-            checkpoint,
             summary_cache: Mutex::new(None),
             fault_salt: fault_salt_for(name),
         });
+        let mut state =
+            ShardState { shard: Arc::clone(&shard), next_seq: log.next_seq, drift: log.drift, wal };
+        if let Some(window_len) = rebase_over {
+            // The log ends on a batch whose drift crossing was never
+            // acted on (a crash between its fsync and the rebase's).
+            state.rebase(cfg, window_len);
+        }
+        publish_engine_cells(&shard, &lock(&shard.engine));
+        shard.cells.next_seq.store(state.next_seq, Ordering::Relaxed);
+        if let Some(w) = &state.wal {
+            publish_wal_cells(&shard.cells, w);
+        }
+        let next_seq = state.next_seq;
         let worker = Worker {
             name: name.to_string(),
             cfg: Arc::clone(cfg),
             cells: Arc::clone(&shard.cells),
             sequencer: Sequencer::resuming_at(next_seq, shard.fault_salt),
-            sink: Sink::Shard(ShardState { shard: Arc::clone(&shard), next_seq, drift, wal }),
+            sink: Sink::Shard(Box::new(state)),
         };
         let handle = std::thread::Builder::new()
             .name(format!("isum-shard-{name}"))
@@ -502,10 +501,10 @@ impl ShardRouter {
         Ok(shard)
     }
 
-    /// Graceful drain: stops accepting, lets every queue empty, runs the
-    /// final per-shard compactions, and joins every thread. Order
-    /// matters in hashed mode: the front must drain (and receive its
-    /// last slice acks) before the shard queues close.
+    /// Graceful drain: stops accepting, lets every queue empty, and joins
+    /// every thread — the log already holds everything acknowledged.
+    /// Order matters in hashed mode: the front must drain (and receive
+    /// its last slice acks) before the shard queues close.
     pub(crate) fn drain(&self) {
         if let Some(front) = &self.front {
             *lock(&front.queue) = None;
@@ -532,7 +531,7 @@ impl ShardRouter {
         fn load(cell: &AtomicU64) -> i64 {
             cell.load(Ordering::Relaxed) as i64
         }
-        let families: [Family; 10] = [
+        let families: [Family; 13] = [
             ("isum_shard_observed", "gauge", "Queries observed by the shard.", |c| {
                 load(&c.observed)
             }),
@@ -560,11 +559,20 @@ impl ShardRouter {
                 "Bytes appended to the shard's write-ahead log.",
                 |c| load(&c.wal_appended_bytes_total),
             ),
+            ("isum_wal_bytes", "gauge", "Bytes across the shard's live WAL segments.", |c| {
+                load(&c.wal_bytes)
+            }),
+            ("isum_wal_segments", "gauge", "Live WAL segments of the shard.", |c| {
+                load(&c.wal_segments)
+            }),
+            ("isum_wal_rotations_total", "counter", "WAL segments closed and succeeded.", |c| {
+                load(&c.wal_rotations)
+            }),
             (
-                "isum_wal_compactions_total",
+                "isum_wal_rebases_total",
                 "counter",
-                "WAL compactions (snapshot written, log truncated).",
-                |c| load(&c.wal_compactions),
+                "Rebase records logged (older segments unlinked).",
+                |c| load(&c.wal_rebases),
             ),
             (
                 "isum_shard_resummarizes_total",
@@ -698,22 +706,9 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Wall-clock milliseconds since the Unix epoch — used only to annotate
-/// `/status` (checkpoint age), never in any data-path decision.
+/// `/status`, never in any data-path decision.
 pub(crate) fn unix_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
-}
-
-/// Monotonic milliseconds since the first call (process start, in
-/// practice — the server binds before any checkpoint can complete).
-/// `/status` derives `ms_since_last_checkpoint` from this clock so the
-/// age survives wall-clock steps; values are never `0` (the cell's
-/// "never" sentinel), because the first call returns at least the cost
-/// of initializing the anchor — and the anchor call itself happens
-/// strictly before any checkpoint stores a reading.
-pub(crate) fn mono_ms() -> u64 {
-    static ANCHOR: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    let anchor = *ANCHOR.get_or_init(Instant::now);
-    (anchor.elapsed().as_millis() as u64).max(1)
 }
 
 /// FNV-1a over `bytes` — the stable, dependency-free hash both the
@@ -789,30 +784,29 @@ fn sibling_with_tag(stem: &Path, tag: &str) -> PathBuf {
     stem.with_file_name(named)
 }
 
-/// Tenants with a `.t-<hex>` snapshot or WAL next to `stem`, so a
-/// restart in tenant mode resurrects every tenant that was ever
-/// acknowledged a batch — a young tenant has a log long before its first
-/// compaction writes a snapshot.
+/// Tenants with a `.t-<hex>` log next to `stem` (segments, or the v1
+/// snapshot and single log the importer still reads), so a restart in
+/// tenant mode resurrects every tenant that was ever acknowledged a
+/// batch.
 fn discover_tenant_checkpoints(stem: &Path) -> Vec<String> {
     let Some(file) = stem.file_name().and_then(|f| f.to_str()) else {
         return Vec::new();
     };
-    let (prefix, suffix) = match file.rsplit_once('.') {
+    let (prefix, v1_snapshot) = match file.rsplit_once('.') {
         Some((base, ext)) => (format!("{base}.t-"), format!(".{ext}")),
         None => (format!("{file}.t-"), String::new()),
     };
-    let dir = stem.parent().filter(|p| !p.as_os_str().is_empty());
-    let Ok(entries) = std::fs::read_dir(dir.unwrap_or(Path::new("."))) else {
+    let Ok(entries) = std::fs::read_dir(wal::dir_of(stem)) else {
         return Vec::new();
     };
     let mut tenants = Vec::new();
     for entry in entries.flatten() {
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else { continue };
-        let Some(hex) = rest.strip_suffix(&suffix).or_else(|| rest.strip_suffix(".wal")) else {
+        let Some(rest) = name.to_str().and_then(|n| n.strip_prefix(&prefix)) else { continue };
+        let (hex, kind) = rest.split_at(rest.find('.').unwrap_or(rest.len()));
+        if kind != v1_snapshot && kind != ".wal" && wal::segment_number(".wal", kind).is_none() {
             continue;
-        };
+        }
         if let Some(tenant) = unhex_name(hex) {
             if validate_tenant(&tenant).is_ok() && tenant != DEFAULT_TENANT {
                 tenants.push(tenant);
@@ -825,163 +819,227 @@ fn discover_tenant_checkpoints(stem: &Path) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------
-// Recovery: snapshot + WAL replay
+// Recovery: replay the log
 // ---------------------------------------------------------------------
 
-/// Where a corrupt snapshot is quarantined: `<path>.corrupt-<unix_ms>`.
-fn quarantine_path(path: &Path) -> PathBuf {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot");
-    path.with_file_name(format!("{name}.corrupt-{}", unix_ms()))
+/// A shard's state as its log dictates it, record by record.
+struct LogState {
+    engine: Engine,
+    /// The sequencer high-water mark.
+    next_seq: u64,
+    drift: DriftTracker,
+    /// Window length of the drift crossing the *latest* record caused, if
+    /// it caused one. Inside the log only rebase records change history
+    /// (a restart under a different `ISUM_DRIFT_*` must not rewrite it);
+    /// a crossing is acted on only when the log ends there.
+    crossed: Option<usize>,
+    statements: u64,
 }
 
-/// Where compaction parks the pre-compaction snapshot: `<path>.prev`.
-fn snapshot_prev_path(path: &Path) -> PathBuf {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot");
-    path.with_file_name(format!("{name}.prev"))
+fn fresh_tracker(cfg: &ServerConfig, observed: usize) -> DriftTracker {
+    DriftTracker::new(cfg.drift_window, cfg.drift_threshold).starting_at(observed)
 }
 
-/// Loads the newest usable snapshot for a shard. A current snapshot that
-/// fails to parse is renamed to `<path>.corrupt-<unix_ms>` (never
-/// deleted) and recovery falls back to the `.prev` snapshot from the
-/// previous compaction, then to an empty engine — the WAL tail replays
-/// on top either way. Returns `(engine, next_seq, wal_seq watermark,
-/// drift-tracker state)`.
-fn load_snapshot_with_quarantine(
-    cfg: &ServerConfig,
-    path: &Path,
-) -> (Engine, u64, u64, Option<Json>) {
-    if path.exists() {
-        match Engine::restore_from(cfg.catalog.clone(), cfg.isum, path) {
-            Ok(state) => return state,
-            Err(e) => {
-                let quarantine = quarantine_path(path);
-                let moved = std::fs::rename(path, &quarantine);
-                count!("server.checkpoint.corrupt");
-                isum_common::error!(
-                    "server.wal",
-                    format!(
-                        "corrupt snapshot {} ({e}); quarantined to {} and falling back",
-                        path.display(),
-                        quarantine.display()
-                    ),
-                    renamed = moved.is_ok()
-                );
-            }
+impl LogState {
+    fn empty(cfg: &ServerConfig) -> LogState {
+        LogState {
+            engine: Engine::new(cfg.catalog.clone(), cfg.isum),
+            next_seq: 0,
+            drift: fresh_tracker(cfg, 0),
+            crossed: None,
+            statements: 0,
         }
     }
-    let prev = snapshot_prev_path(path);
-    if prev.exists() {
-        match Engine::restore_from(cfg.catalog.clone(), cfg.isum, &prev) {
-            Ok(state) => {
-                isum_common::warn!(
-                    "server.wal",
-                    format!(
-                        "recovering from previous snapshot {}; the WAL tail replays on top",
-                        prev.display()
-                    )
-                );
-                return state;
-            }
-            Err(e) => {
-                isum_common::error!(
-                    "server.wal",
-                    format!("previous snapshot {} is also unusable: {e}", prev.display())
-                );
-            }
-        }
-    }
-    (Engine::new(cfg.catalog.clone(), cfg.isum), 0, 0, None)
-}
 
-/// Recovers one shard's full state: newest usable snapshot plus a replay
-/// of the WAL tail through the normal observe path, then an open WAL
-/// writer positioned after the last valid record, plus the sequencer's
-/// drift tracker (window and edge-trigger state restored from the
-/// snapshot when persisted there). WAL replay feeds the tracker the same
-/// per-record observations the live run saw — including, under
-/// `ISUM_DRIFT_ACTION=resummarize`, re-running the re-summarization a
-/// crossing would have triggered — so a crash-recovered shard converges
-/// on the never-crashed run's state instead of silently re-arming.
-/// Mid-log WAL corruption is the only fatal case.
-fn recover_shard_state(
-    cfg: &ServerConfig,
-    name: &str,
-    checkpoint: Option<&PathBuf>,
-) -> io::Result<(Engine, u64, Option<WalWriter>, DriftTracker)> {
-    let fresh_tracker = |engine: &Engine| {
-        DriftTracker::new(cfg.drift_window, cfg.drift_threshold).starting_at(engine.observed())
-    };
-    let Some(path) = checkpoint else {
-        let engine = Engine::new(cfg.catalog.clone(), cfg.isum);
-        let drift = fresh_tracker(&engine);
-        return Ok((engine, 0, None, drift));
-    };
-    let (mut engine, mut next_seq, snap_wal_seq, drift_snap) =
-        load_snapshot_with_quarantine(cfg, path);
-    let mut drift = fresh_tracker(&engine);
-    if let Some(snap) = &drift_snap {
-        drift = drift.restore_state(snap);
-    }
-    let wal_path = wal::wal_sibling(path);
-    let replay = wal::read_wal(&wal_path)
-        .map_err(|e| io::Error::new(e.kind(), format!("shard `{name}`: {e}")))?;
-    if replay.torn_at.is_some() {
-        // `read_wal` already warned with the byte offset; the counter
-        // makes crash-repair visible to telemetry-only observers.
-        count!("server.wal.torn_repairs");
-    }
-    let mut next_wal_seq = snap_wal_seq;
-    let mut replayed = 0usize;
-    for rec in &replay.records {
-        next_wal_seq = next_wal_seq.max(rec.wal_seq + 1);
-        if rec.wal_seq < snap_wal_seq {
-            // Already folded into the snapshot (a crash between snapshot
-            // write and WAL truncation leaves such records behind).
-            continue;
-        }
-        if rec.shard != name {
+    /// Applies one record exactly as the live shard did: a batch through
+    /// the same lenient path (rejects re-reject, accepts re-apply,
+    /// bit-identically) and the same drift feed — silently, the alerts
+    /// fired before the crash — a rebase through [`apply_rebase`].
+    fn apply(&mut self, cfg: &ServerConfig, name: &str, record: Record) {
+        if record.shard != name {
             isum_common::warn!(
                 "server.wal",
                 format!(
-                    "WAL record {} names shard `{}` but this is `{name}`; skipped \
-                     (was the log file moved?)",
-                    rec.wal_seq, rec.shard
+                    "WAL record {} names shard `{}` but this is `{name}`; skipped (was the log \
+                     file moved?)",
+                    record.wal_seq, record.shard
                 )
             );
-            continue;
+            return;
         }
-        // The same lenient path the live batch took: rejects re-reject,
-        // accepts re-apply, bit-identically.
-        engine.apply_statements(&rec.stmts);
-        if let Some(s) = rec.seq {
-            next_seq = next_seq.max(s + 1);
-        }
-        replayed += 1;
-        // Feed the tracker exactly what the live batch fed it. Replay is
-        // silent — alerts already fired before the crash — but a crossing
-        // under `resummarize` re-runs the adaptation so the recovered
-        // engine matches the never-crashed one.
-        if drift.enabled() {
-            let fresh = engine.observations_since(drift.seen());
-            let mass = engine.template_mass();
-            if let Some(sample) = drift.on_batch(&fresh, &mass) {
-                if sample.crossed && cfg.drift_action == DriftAction::Resummarize {
-                    engine.resummarize_keep_last(sample.window_len);
-                    drift.reset_after_resummarize(engine.observed());
+        self.statements += record.stmts.len() as u64;
+        match record.kind {
+            Kind::Batch => {
+                self.engine.apply_statements(&record.stmts);
+                if let Some(s) = record.seq {
+                    self.next_seq = self.next_seq.max(s + 1);
                 }
+                let sample = feed_drift(&self.engine, &mut self.drift);
+                self.crossed = sample.filter(|s| s.crossed).map(|s| s.window_len);
+            }
+            Kind::Rebase => {
+                apply_rebase(cfg, &mut self.engine, &mut self.drift, &record);
+                self.next_seq = record.seq.unwrap_or(0);
+                self.crossed = None;
             }
         }
     }
-    if replayed > 0 {
-        isum_common::info!(
-            "server.wal",
-            format!("replayed {replayed} WAL record(s) from {}", wal_path.display()),
-            tenant = name,
-            next_seq = next_seq
-        );
+}
+
+/// Feeds the tracker the observations it has not seen yet and scores the
+/// window — once per applied batch, live and on replay.
+fn feed_drift(engine: &Engine, drift: &mut DriftTracker) -> Option<DriftSample> {
+    if !drift.enabled() {
+        return None;
     }
-    let writer = WalWriter::open(&wal_path, replay.valid_len, next_wal_seq)?;
-    Ok((engine, next_seq, Some(writer), drift))
+    let fresh = engine.observations_since(drift.seen());
+    drift.on_batch(&fresh, &engine.template_mass())
+}
+
+/// The whole effect of a rebase record on a shard, live and on replay:
+/// the engine holds exactly the record's statements, and the tracker
+/// either continues from the state the record carries (an import) or
+/// re-arms against the new history (a re-summarization).
+fn apply_rebase(
+    cfg: &ServerConfig,
+    engine: &mut Engine,
+    drift: &mut DriftTracker,
+    rebase: &Record,
+) -> usize {
+    let kept = engine.rebase(&rebase.stmts);
+    match &rebase.tracker {
+        Some(snap) => *drift = fresh_tracker(cfg, kept).restore_state(snap),
+        None => drift.reset_after_resummarize(kept),
+    }
+    kept
+}
+
+/// Recovers one shard: replays every segment of its log, in order, into
+/// a fresh engine and tracker, and opens the log for appending. Also
+/// returns the window to rebase over when the log ends on an unanswered
+/// drift crossing under `ISUM_DRIFT_ACTION=resummarize`. A corrupt log —
+/// or a v1 snapshot that cannot be imported — is the only fatal case.
+fn recover_shard_state(
+    cfg: &ServerConfig,
+    name: &str,
+    checkpoint: Option<&Path>,
+) -> io::Result<(LogState, Option<WalWriter>, Option<usize>)> {
+    let mut log = LogState::empty(cfg);
+    let Some(path) = checkpoint else {
+        return Ok((log, None, None));
+    };
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("shard `{name}`: {e}"));
+    let start = Instant::now();
+    let base = wal::wal_sibling(path);
+    let end =
+        wal::replay(&DiskStorage, &base, |record| log.apply(cfg, name, record)).map_err(named)?;
+    if end.torn {
+        // `replay` already warned with the byte offset; the counter makes
+        // crash-repair visible to telemetry-only observers.
+        count!("server.wal.torn_repairs");
+    }
+    let (segments, records) = (end.segments.len(), end.records());
+    let v1 = if records == 0 { import_v1(cfg, name, path, &base).map_err(named)? } else { None };
+    let mut writer =
+        WalWriter::open(DiskStorage, &base, cfg.wal_segment_bytes, end).map_err(named)?;
+    if let Some(v1) = v1 {
+        // The imported state becomes the log's first record, and the
+        // shard serves what that record replays to — what every later
+        // boot will compute.
+        let tracker = v1.drift.enabled().then(|| v1.drift.snapshot());
+        let stmts = v1.engine.last_statements(usize::MAX);
+        let (rebase, _) = writer.rebase(v1.next_seq, name, stmts, tracker).map_err(named)?;
+        log.apply(cfg, name, rebase);
+        log.crossed = v1.crossed;
+    }
+    retire_v1_files(path, &base).map_err(named)?;
+    count!("server.recovery.replayed_statements", log.statements);
+    isum_common::info!(
+        "server.wal",
+        format!("recovered shard `{name}` from {}", base.display()),
+        segments = segments,
+        records = records,
+        statements = log.statements,
+        seconds = format!("{:.3}", start.elapsed().as_secs_f64()),
+        next_seq = log.next_seq
+    );
+    let rebase_over = log.crossed.filter(|_| cfg.drift_action == DriftAction::Resummarize);
+    Ok((log, Some(writer), rebase_over))
+}
+
+/// The three files a release that compacted into snapshots left per
+/// shard: the snapshot, its predecessor, and the single log.
+fn v1_files(path: &Path, base: &Path) -> [PathBuf; 3] {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+    [path.to_path_buf(), path.with_file_name(format!("{name}.prev")), base.to_path_buf()]
+}
+
+/// Reads a v1 state directory, once: the snapshot (else `.prev`, which a
+/// crash mid-compaction leaves as the newest) through
+/// [`Engine::restore_from`], then the v1 log's records at or past the
+/// snapshot's watermark through the normal replay path. `None` when no v1
+/// file exists. A snapshot that does not parse refuses to start, naming
+/// the file — silently falling back to an older one would drop
+/// acknowledged batches.
+fn import_v1(
+    cfg: &ServerConfig,
+    name: &str,
+    path: &Path,
+    base: &Path,
+) -> io::Result<Option<LogState>> {
+    let [snapshot, prev, v1_log] = v1_files(path, base);
+    let snapshot = [snapshot, prev].into_iter().find(|p| p.exists());
+    if snapshot.is_none() && !v1_log.exists() {
+        return Ok(None);
+    }
+    let mut log = LogState::empty(cfg);
+    let mut watermark = 0;
+    if let Some(file) = &snapshot {
+        let (engine, next_seq, wal_seq, drift) =
+            Engine::restore_from(cfg.catalog.clone(), cfg.isum, file).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("cannot import v1 snapshot {}: {e}", file.display()),
+                )
+            })?;
+        log.drift = fresh_tracker(cfg, engine.observed());
+        if let Some(snap) = &drift {
+            log.drift = log.drift.restore_state(snap);
+        }
+        (log.engine, log.next_seq, watermark) = (engine, next_seq, wal_seq);
+    }
+    if v1_log.exists() {
+        let bytes = std::fs::read(&v1_log)?;
+        wal::read_records(&v1_log, &bytes, true, |record| {
+            // Below the watermark: already folded into the snapshot (a
+            // crash between snapshot write and log truncation).
+            if record.wal_seq >= watermark {
+                log.apply(cfg, name, record);
+            }
+            Ok(())
+        })?;
+    }
+    isum_common::info!(
+        "server.wal",
+        format!("importing v1 state of shard `{name}` next to {}", base.display()),
+        statements = log.engine.observed()
+    );
+    Ok(Some(log))
+}
+
+/// Renames whatever v1 files exist aside (`<name>.imported`) once the
+/// segments hold their content, and makes the renames durable.
+fn retire_v1_files(path: &Path, base: &Path) -> io::Result<()> {
+    let mut renamed = false;
+    for file in v1_files(path, base).iter().filter(|p| p.exists()) {
+        let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot");
+        std::fs::rename(file, file.with_file_name(format!("{name}.imported")))?;
+        renamed = true;
+    }
+    if renamed {
+        std::fs::File::open(wal::dir_of(base))?.sync_all()?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1005,7 +1063,7 @@ struct Worker {
 enum Sink {
     /// This thread owns a shard's durable state and applies in place: a
     /// tenant's stream, or a hashed shard taking slices from the front.
-    Shard(ShardState),
+    Shard(Box<ShardState>),
     /// The hashed front: split by template hash over the shards' queues.
     FanOut(Vec<(Arc<Shard>, SyncSender<Job>)>),
 }
@@ -1013,13 +1071,10 @@ enum Sink {
 /// The durable half of a shard, owned by its worker thread.
 struct ShardState {
     shard: Arc<Shard>,
-    /// The shard's high-water mark, persisted in every snapshot.
+    /// The shard's high-water mark.
     next_seq: u64,
-    /// Built by recovery: starts at the engine high-water mark for a fresh
-    /// shard (checkpoint-restored history counts as "already summarized"),
-    /// with window and edge-trigger state restored from the snapshot when
-    /// persisted there — so a restart cannot re-fire an alert the
-    /// pre-restart run already raised.
+    /// Built by recovery, which feeds it every logged batch again — so a
+    /// restart cannot re-fire an alert the pre-restart run already raised.
     drift: DriftTracker,
     wal: Option<WalWriter>,
 }
@@ -1091,8 +1146,8 @@ impl Sequencer {
 }
 
 impl Worker {
-    /// Serves the queue strictly in order until it closes, then folds
-    /// everything acknowledged into a final snapshot.
+    /// Serves the queue strictly in order until it closes. Nothing is
+    /// left to do then: every acknowledged batch is already in the log.
     fn run(mut self, rx: Receiver<Job>) {
         for job in rx {
             self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -1124,24 +1179,6 @@ impl Worker {
                     };
                     let _ = reply.try_send(SliceOutcome { result, clock });
                 }
-            }
-        }
-        // Final compaction: everything acknowledged is folded into the
-        // snapshot and the WAL truncated — unless an earlier torn append
-        // poisoned the writer, in which case the on-disk WAL is exactly what
-        // a crash would leave and recovery repairs it at the next start.
-        let Sink::Shard(ShardState { shard, next_seq, drift, mut wal }) = self.sink else { return };
-        if let Some(path) = &shard.checkpoint {
-            match &mut wal {
-                Some(w) if w.poisoned() => {
-                    isum_common::warn!(
-                        "server.wal",
-                        "skipping final compaction: WAL is poisoned; recovery will repair the tail",
-                        tenant = shard.name
-                    );
-                }
-                Some(w) => compact_shard(&shard, path, w, next_seq, &drift),
-                None => {}
             }
         }
     }
@@ -1245,10 +1282,10 @@ fn ack(
 
 impl ShardState {
     /// The durable-apply step, the only code that mutates a live shard:
-    /// log → fsync → apply → publish → drift → compact, each stamped on
-    /// `clock` (the request's own in tenant mode, a slice-local one in
-    /// hashed mode). `Err` means the batch could not be logged: nothing
-    /// was applied, and the caller answers a retryable 503.
+    /// log → fsync → apply → publish → drift, each stamped on `clock`
+    /// (the request's own in tenant mode, a slice-local one in hashed
+    /// mode). `Err` means the batch could not be logged: nothing was
+    /// applied, and the caller answers a retryable 503.
     fn durable_apply(
         &mut self,
         cfg: &ServerConfig,
@@ -1289,14 +1326,73 @@ impl ShardState {
             self.next_seq = s + 1;
         }
         shard.cells.next_seq.store(self.next_seq, Ordering::Relaxed);
-        // Drift first: a re-summarization must be captured by the
-        // compaction that follows (forced when it happened), or a
-        // restart would replay the WAL onto pre-adaptation state.
-        let resummarized = observe_drift(shard, cfg, &mut self.drift, seq);
-        if maybe_compact(shard, cfg, &mut self.wal, self.next_seq, &self.drift, resummarized) {
-            clock.stamp(Stage::Checkpoint);
+        if let Some(window_len) = observe_drift(shard, cfg, &mut self.drift, seq) {
+            self.rebase(cfg, window_len);
         }
         Ok(outcome)
+    }
+
+    /// Drift-adaptive re-summarization: rebuilds the shard over its most
+    /// recent `window_len` accepted queries (behind the sequencer, so the
+    /// adaptation is deterministic for a fixed request stream). The
+    /// retained statements are logged as a rebase record before the
+    /// engine changes and the segments before it are unlinked after;
+    /// replay takes the same [`apply_rebase`] step when it meets the
+    /// record. Readers only ever observe the engine before or after
+    /// (never during) the rebuild. If the record cannot be logged the
+    /// shard keeps its history (and its poisoned writer refuses further
+    /// ingest until a restart, which finds the crossing at the end of the
+    /// log and rebases then).
+    fn rebase(&mut self, cfg: &ServerConfig, window_len: usize) {
+        let shard = &*self.shard;
+        let start = Instant::now();
+        let stmts = lock(&shard.engine).last_statements(window_len);
+        let rebase = match self.wal.as_mut() {
+            Some(w) => match w.rebase(self.next_seq, &shard.name, stmts, None) {
+                Ok((rebase, stats)) => {
+                    shard.cells.wal_rebases.fetch_add(1, Ordering::Relaxed);
+                    note_durable_write(&shard.cells, &stats);
+                    rebase
+                }
+                Err(e) => {
+                    isum_common::error!(
+                        "server.wal",
+                        format!("could not log the rebase record, history kept: {e}"),
+                        tenant = shard.name
+                    );
+                    return;
+                }
+            },
+            None => Record {
+                kind: Kind::Rebase,
+                wal_seq: 0,
+                seq: Some(self.next_seq),
+                shard: shard.name.clone(),
+                stmts,
+                tracker: None,
+            },
+        };
+        let kept = {
+            let mut engine = lock(&shard.engine);
+            let kept = apply_rebase(cfg, &mut engine, &mut self.drift, &rebase);
+            publish_engine_cells(shard, &engine);
+            kept
+        };
+        if let Some(w) = self.wal.as_mut() {
+            w.retire_rebased();
+            publish_wal_cells(&shard.cells, w);
+        }
+        let ms = start.elapsed().as_millis() as u64;
+        shard.cells.drift_window_len.store(0, Ordering::Relaxed);
+        shard.cells.resummarizes.fetch_add(1, Ordering::Relaxed);
+        shard.cells.resummarize_total_ms.fetch_add(ms, Ordering::Relaxed);
+        shard.cells.last_resummarize_unix_ms.store(unix_ms(), Ordering::Relaxed);
+        count!("drift.resummarizes");
+        isum_common::info!(
+            "server.drift",
+            format!("re-summarized over the recent window ({kept} queries kept) in {ms} ms"),
+            tenant = shard.name
+        );
     }
 }
 
@@ -1344,8 +1440,7 @@ fn fan_out(
     // Per-stage maxima over the involved shards: the fan-out runs
     // concurrently, so the slowest shard's share of each stage is the
     // critical-path attribution the timeline reports.
-    let (mut max_wal, mut max_fsync, mut max_ckpt) =
-        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+    let (mut max_wal, mut max_fsync) = (Duration::ZERO, Duration::ZERO);
     for (shard, indexes, answer) in waits {
         let Ok(slice) = answer.recv_timeout(cfg.ingest_timeout.max(Duration::from_secs(1))) else {
             count!("server.ingest.timeouts");
@@ -1374,18 +1469,16 @@ fn fan_out(
         let spent = |stage| slice.clock.get(stage).unwrap_or_default();
         max_wal = max_wal.max(spent(Stage::WalAppend) + spent(Stage::Fsync));
         max_fsync = max_fsync.max(spent(Stage::Fsync));
-        max_ckpt = max_ckpt.max(spent(Stage::Checkpoint));
     }
     merged.rejected.sort_by_key(|(i, _)| *i);
     // The Apply stamp covers the whole fan-out wall time; the shards'
-    // critical-path maxima are then carved out into the durability and
-    // checkpoint stages (fsync nested inside wal_append, as
-    // `durable_apply` carved it on the slice clocks). Whatever remains
-    // under `apply` is engine work plus fan-out coordination.
+    // critical-path maxima are then carved out into the durability
+    // stages (fsync nested inside wal_append, as `durable_apply` carved
+    // it on the slice clocks). Whatever remains under `apply` is engine
+    // work plus fan-out coordination.
     clock.stamp(Stage::Apply);
     clock.shift(Stage::Apply, Stage::WalAppend, max_wal);
     clock.shift(Stage::WalAppend, Stage::Fsync, max_fsync);
-    clock.shift(Stage::Apply, Stage::Checkpoint, max_ckpt);
     let observed = shards.iter().map(|(s, _)| s.cells.observed.load(Ordering::Relaxed)).sum();
     Ok((any_fresh || !duplicate).then_some((merged, observed)))
 }
@@ -1424,10 +1517,35 @@ fn publish_engine_cells(shard: &Shard, engine: &Engine) {
     shard.cells.state_version.fetch_add(1, Ordering::Release);
 }
 
+/// Publishes the log's position and size into the shard's mirror cells.
+fn publish_wal_cells(cells: &ShardCells, w: &WalWriter) {
+    cells.wal_seq.store(w.next_wal_seq(), Ordering::Relaxed);
+    cells.wal_oldest_seq.store(w.oldest_wal_seq(), Ordering::Relaxed);
+    cells.wal_bytes.store(w.bytes(), Ordering::Relaxed);
+    cells.wal_segments.store(w.segments(), Ordering::Relaxed);
+}
+
+/// Accounts one durable log write: its bytes, its fsync, and the
+/// rotations that went with it. Returns the time spent in fsyncs.
+fn note_durable_write(cells: &ShardCells, stats: &wal::AppendStats) -> Duration {
+    let now = unix_ms();
+    cells.wal_last_fsync_unix_ms.store(now, Ordering::Relaxed);
+    cells.wal_appended_bytes_total.fetch_add(stats.bytes, Ordering::Relaxed);
+    cells.wal_fsync_hist.observe(stats.fsync);
+    let mut spent = stats.fsync;
+    for rotation in stats.rotations.into_iter().flatten() {
+        cells.wal_fsync_hist.observe(rotation);
+        cells.wal_rotations.fetch_add(1, Ordering::Relaxed);
+        cells.wal_last_rotation_unix_ms.store(now, Ordering::Relaxed);
+        spent += rotation;
+    }
+    spent
+}
+
 /// Appends one batch to the shard's WAL and fsyncs, updating the mirror
 /// cells. `Ok` carries the measured fsync duration so callers can
 /// attribute it as its own pipeline stage. `Err` carries the 503 body:
-/// the batch was *not* applied (and a torn append poisons the writer
+/// the batch was *not* applied (and a failed append poisons the writer
 /// until restart), so a retrying client converges once the shard
 /// recovers.
 fn wal_append(
@@ -1447,16 +1565,8 @@ fn wal_append(
     };
     match w.append(seq, &shard.name, stmts, tear) {
         Ok(stats) => {
-            shard.cells.wal_seq.store(stats.wal_seq + 1, Ordering::Relaxed);
-            shard.cells.wal_bytes.store(w.len(), Ordering::Relaxed);
-            shard
-                .cells
-                .wal_records_since_compaction
-                .store(w.records_since_compaction(), Ordering::Relaxed);
-            shard.cells.wal_last_fsync_unix_ms.store(unix_ms(), Ordering::Relaxed);
-            shard.cells.wal_appended_bytes_total.fetch_add(stats.bytes, Ordering::Relaxed);
-            shard.cells.wal_fsync_hist.observe(stats.fsync);
-            Ok(stats.fsync)
+            publish_wal_cells(&shard.cells, w);
+            Ok(note_durable_write(&shard.cells, &stats))
         }
         Err(e) => {
             isum_common::error!(
@@ -1470,134 +1580,22 @@ fn wal_append(
     }
 }
 
-/// Compacts when the WAL has grown past either configured bound, or
-/// unconditionally when `force` is set (a re-summarization just rewrote
-/// the engine, and replaying the WAL tail onto the *previous* snapshot
-/// would diverge from the live state — the new snapshot resynchronizes).
-fn maybe_compact(
-    shard: &Shard,
-    cfg: &ServerConfig,
-    wal: &mut Option<WalWriter>,
-    next_seq: u64,
-    drift: &DriftTracker,
-    force: bool,
-) -> bool {
-    let Some(w) = wal.as_mut() else { return false };
-    let Some(path) = &shard.checkpoint else { return false };
-    if w.poisoned() || (!force && w.records_since_compaction() == 0) {
-        return false;
-    }
-    if force
-        || w.records_since_compaction() >= cfg.wal_compact_every
-        || w.len() >= cfg.wal_compact_bytes
-    {
-        compact_shard(shard, path, w, next_seq, drift);
-        return true;
-    }
-    false
-}
-
-/// One compaction: parks the current snapshot as `.prev`, writes a fresh
-/// snapshot carrying the WAL watermark, then truncates the WAL back to
-/// its header. Every step is crash-ordered — at any interruption point,
-/// snapshot-or-`.prev` plus the surviving WAL tail reconstruct the full
-/// state (the `wal_seq` watermark dedups records the snapshot already
-/// folded in). Failures are logged, never fatal: the WAL still holds
-/// everything since the last successful compaction.
-fn compact_shard(
-    shard: &Shard,
-    path: &Path,
-    w: &mut WalWriter,
-    next_seq: u64,
-    drift: &DriftTracker,
-) {
-    let wal_seq = w.next_wal_seq();
-    let drift_snap = if drift.enabled() { Some(drift.snapshot()) } else { None };
-    // The engine lock is held only while the snapshot document is built;
-    // rendering and writing it (most of a compaction) run with the lock
-    // released, so a `/summary` waits behind a fraction of it. Nothing
-    // can change the engine in between: this thread is its only writer.
-    let doc = lock(&shard.engine).snapshot(next_seq, wal_seq, drift_snap.as_ref());
-    if path.exists() {
-        if let Err(e) = std::fs::rename(path, snapshot_prev_path(path)) {
-            isum_common::warn!(
-                "server.wal",
-                format!("could not park previous snapshot: {e}"),
-                tenant = shard.name
-            );
-        }
-    }
-    let result = crate::engine::write_checkpoint(path, &doc);
-    match result {
-        Ok(()) => {
-            if let Err(e) = w.truncate_for_compaction() {
-                // Safe to leave the tail: every record is below the
-                // snapshot's watermark, so replay skips it.
-                count!("server.wal.errors");
-                isum_common::error!(
-                    "server.wal",
-                    format!("WAL truncation after compaction failed: {e}"),
-                    tenant = shard.name
-                );
-            }
-            count!("server.wal.compactions");
-            let now = unix_ms();
-            shard.cells.last_checkpoint_unix_ms.store(now, Ordering::Relaxed);
-            shard.cells.last_checkpoint_mono_ms.store(mono_ms(), Ordering::Relaxed);
-            shard.cells.wal_last_compaction_unix_ms.store(now, Ordering::Relaxed);
-            shard.cells.wal_compactions.fetch_add(1, Ordering::Relaxed);
-            shard.cells.wal_bytes.store(w.len(), Ordering::Relaxed);
-            shard
-                .cells
-                .wal_records_since_compaction
-                .store(w.records_since_compaction(), Ordering::Relaxed);
-            isum_common::debug!(
-                "server.wal",
-                "compacted WAL into snapshot",
-                tenant = shard.name,
-                next_seq = next_seq,
-                wal_seq = wal_seq
-            );
-        }
-        Err(e) => {
-            count!("server.checkpoint.errors");
-            isum_common::error!(
-                "server.ingest",
-                format!("compaction snapshot failed: {e}"),
-                tenant = shard.name,
-                next_seq = next_seq
-            );
-        }
-    }
-}
-
 /// Post-batch drift observation: folds the batch's fresh observations
 /// into the shard's sliding window, publishes the score (telemetry
 /// gauges + histogram and the `/status` mirror cells), and emits the
 /// edge-triggered `warn!` when the score first exceeds the threshold.
 /// Runs on the shard thread with the submitting request's ID already
 /// installed, so the alert is attributed to the batch that caused it.
-/// Under `DriftAction::Warn` (the default) strictly observation-only:
-/// reads engine state, feeds nothing back. Under
-/// `DriftAction::Resummarize` a crossing additionally re-summarizes the
-/// shard over the recent window; the return value reports whether that
-/// happened (so the caller forces a compaction).
+/// Reads engine state and feeds nothing back; under
+/// `DriftAction::Resummarize` a crossing returns the window length the
+/// caller re-summarizes over.
 fn observe_drift(
     shard: &Shard,
     cfg: &ServerConfig,
     drift: &mut DriftTracker,
     seq: Option<u64>,
-) -> bool {
-    if !drift.enabled() {
-        return false;
-    }
-    let (fresh, total_mass) = {
-        let engine = lock(&shard.engine);
-        (engine.observations_since(drift.seen()), engine.template_mass())
-    };
-    let Some(sample) = drift.on_batch(&fresh, &total_mass) else {
-        return false;
-    };
+) -> Option<usize> {
+    let sample = feed_drift(&lock(&shard.engine), drift)?;
     let ppm = (sample.score * 1e6).round() as i64;
     shard.cells.drift_score_ppm.store(ppm, Ordering::Relaxed);
     shard.cells.drift_window_len.store(sample.window_len as u64, Ordering::Relaxed);
@@ -1606,55 +1604,24 @@ fn observe_drift(
         telemetry::gauge("drift.window_len").set(sample.window_len as i64);
         isum_common::record!("drift.batch_score_ppm", ppm.max(0) as u64);
     }
-    if sample.crossed {
-        shard.cells.drift_alerts.fetch_add(1, Ordering::Relaxed);
-        count!("drift.alerts");
-        isum_common::warn!(
-            "server.drift",
-            format!(
-                "workload drift score {:.4} crossed threshold {:.4}; \
-                 recent templates diverge from the summarized history",
-                sample.score, cfg.drift_threshold
-            ),
-            tenant = shard.name,
-            seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string()),
-            window_len = sample.window_len,
-            score_ppm = ppm
-        );
-        if cfg.drift_action == DriftAction::Resummarize {
-            resummarize_shard(shard, drift, sample.window_len);
-            return true;
-        }
+    if !sample.crossed {
+        return None;
     }
-    false
-}
-
-/// Drift-adaptive re-summarization: rebuilds the shard's engine over the
-/// most recent `window_len` accepted queries (behind the sequencer, so
-/// the adaptation is deterministic for a fixed request stream), re-arms
-/// the tracker, and publishes the counters `/status` and `/metrics`
-/// expose. Runs on the shard thread; readers only ever observe the
-/// engine before or after (never during) the rebuild.
-fn resummarize_shard(shard: &Shard, drift: &mut DriftTracker, window_len: usize) {
-    let start = std::time::Instant::now();
-    let kept = {
-        let mut engine = lock(&shard.engine);
-        let kept = engine.resummarize_keep_last(window_len);
-        publish_engine_cells(shard, &engine);
-        kept
-    };
-    drift.reset_after_resummarize(kept);
-    let ms = start.elapsed().as_millis() as u64;
-    shard.cells.drift_window_len.store(0, Ordering::Relaxed);
-    shard.cells.resummarizes.fetch_add(1, Ordering::Relaxed);
-    shard.cells.resummarize_total_ms.fetch_add(ms, Ordering::Relaxed);
-    shard.cells.last_resummarize_unix_ms.store(unix_ms(), Ordering::Relaxed);
-    count!("drift.resummarizes");
-    isum_common::info!(
+    shard.cells.drift_alerts.fetch_add(1, Ordering::Relaxed);
+    count!("drift.alerts");
+    isum_common::warn!(
         "server.drift",
-        format!("re-summarized over the recent window ({kept} queries kept) in {ms} ms"),
-        tenant = shard.name
+        format!(
+            "workload drift score {:.4} crossed threshold {:.4}; \
+             recent templates diverge from the summarized history",
+            sample.score, cfg.drift_threshold
+        ),
+        tenant = shard.name,
+        seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string()),
+        window_len = sample.window_len,
+        score_ppm = ppm
     );
+    (cfg.drift_action == DriftAction::Resummarize).then_some(sample.window_len)
 }
 
 #[cfg(test)]
@@ -1689,24 +1656,27 @@ mod tests {
     }
 
     #[test]
-    fn tenant_checkpoints_round_trip_through_discovery() {
+    fn tenants_are_discovered_by_their_segments_and_by_v1_files() {
         let dir = std::env::temp_dir().join(format!("isum-shards-disc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let stem = dir.join("ckpt.json");
-        for tenant in ["acme", "zeta-9"] {
-            std::fs::write(checkpoint_path_for(&stem, tenant), "{}").unwrap();
-        }
-        // Acknowledged batches but no compaction yet: only a log exists.
-        // And a compacted tenant has both files — found once.
-        std::fs::write(wal::wal_sibling(&checkpoint_path_for(&stem, "young")), "").unwrap();
-        std::fs::write(wal::wal_sibling(&checkpoint_path_for(&stem, "acme")), "").unwrap();
-        // Distractors: the default stem, a hashed shard, junk hex.
-        std::fs::write(&stem, "{}").unwrap();
-        std::fs::write(checkpoint_path_for(&stem, "h0"), "{}").unwrap();
-        std::fs::write(dir.join("ckpt.t-zz.json"), "{}").unwrap();
-        let mut found = discover_tenant_checkpoints(&stem);
-        found.sort();
-        assert_eq!(found, ["acme", "young", "zeta-9"]);
+        let log_of = |tenant: &str| wal::wal_sibling(&checkpoint_path_for(&stem, tenant));
+        // A tenant with two segments is found once.
+        std::fs::write(wal::segment_path(&log_of("acme"), 1), "").unwrap();
+        std::fs::write(wal::segment_path(&log_of("acme"), 2), "").unwrap();
+        std::fs::write(wal::segment_path(&log_of("zeta-9"), 41), "").unwrap();
+        // What the importer still reads: a v1 snapshot, a v1 log.
+        std::fs::write(checkpoint_path_for(&stem, "old-snap"), "{}").unwrap();
+        std::fs::write(log_of("old-log"), "").unwrap();
+        // Distractors: the default tenant, a hashed shard, junk hex,
+        // files an import renamed aside, a short segment number.
+        std::fs::write(wal::segment_path(&wal::wal_sibling(&stem), 1), "").unwrap();
+        std::fs::write(wal::segment_path(&log_of("h0"), 1), "").unwrap();
+        std::fs::write(dir.join("ckpt.t-zz.wal.00000001"), "").unwrap();
+        std::fs::write(dir.join("ckpt.t-676f6e65.json.imported"), "{}").unwrap();
+        std::fs::write(dir.join("ckpt.t-676f6e65.wal.imported"), "").unwrap();
+        std::fs::write(dir.join("ckpt.t-676f6e65.wal.7"), "").unwrap();
+        assert_eq!(discover_tenant_checkpoints(&stem), ["acme", "old-log", "old-snap", "zeta-9"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

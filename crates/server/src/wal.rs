@@ -1,311 +1,596 @@
-//! Per-shard append-only write-ahead log — the daemon's primary
-//! durability mechanism (DESIGN.md §14).
+//! Per-shard segmented write-ahead log — the daemon's one durability
+//! artifact (DESIGN.md §14).
 //!
 //! Each applied batch appends exactly one record and fsyncs before the
-//! sequencer acks, so an acknowledged batch survives any crash. The
-//! engine snapshot is demoted to a periodic compaction artifact: every N
-//! records / M bytes the shard writes a fresh snapshot and truncates the
-//! log back to its header. Recovery loads the newest valid snapshot and
-//! replays the WAL tail through the normal observe path, which keeps a
-//! restarted server byte-identical to one that never crashed.
+//! sequencer acks, so an acknowledged batch survives any crash, power
+//! loss included. The log is a run of immutable *segments*; only the
+//! newest is ever written, nothing is truncated or renamed while
+//! serving, and recovery replays every live segment in order through the
+//! normal observe path, which keeps a restarted server byte-identical to
+//! one that never crashed.
 //!
-//! # File format
+//! # Files
 //!
 //! ```text
-//! [8-byte magic "ISUMWAL1"]
+//! <base>.wal.00000001        closed segment (immutable)
+//! <base>.wal.00000002        closed segment
+//! <base>.wal.00000003        active segment: appends go here
+//! ```
+//!
+//! Segment numbers are contiguous. A segment is
+//!
+//! ```text
+//! [8-byte magic "ISUMWAL2"]
 //! [frame]*            // isum_common::framing: [len u32][crc32 u32][payload]
 //! ```
 //!
-//! Each frame's payload is one record, all integers little-endian:
+//! and a frame's payload is one record, all integers little-endian:
 //!
 //! ```text
-//! wal_seq: u64        // per-shard monotone record number
-//! has_seq: u8         // 1 if the batch was client-sequenced
-//! seq:     u64        // the client sequence number (0 if has_seq = 0)
-//! shard_len: u16, shard: [u8]   // owning shard name (UTF-8)
-//! count:   u32        // statements in the batch
-//! per statement:
-//!   sql_len: u32, sql: [u8]     // lenient-parsed statement text (UTF-8)
-//!   has_cost: u8                // 1 if the client annotated a cost
-//!   cost_bits: u64              // IEEE-754 bits of the cost (0 if absent)
+//! kind: u8                    // 0 = batch, 1 = rebase
+//! wal_seq: u64                // per-shard record number, contiguous across segments
+//! has_seq: u8, seq: u64       // batch: the client sequence number, if sequenced;
+//!                             // rebase: the shard's high-water mark (always present)
+//! shard_len: u16, shard: [u8] // owning shard name (UTF-8)
+//! count: u32, then per statement:
+//!   sql_len: u32, sql: [u8]   // lenient-split statement text (UTF-8)
+//!   has_cost: u8, cost_bits: u64
+//! rebase only:
+//!   tracker_len: u32, tracker: [u8]   // drift-tracker JSON; empty = re-armed
 //! ```
 //!
-//! # Torn tail vs mid-log corruption
+//! A *rebase* record replaces everything before it: the shard's state is
+//! exactly its statements. It is always the first record of its segment,
+//! which is what makes the older segments deletable.
 //!
-//! A crash can only tear the *final* record (appends are sequential and
-//! fsynced), so [`read_wal`] truncates at the first bad length or CRC
-//! **iff nothing follows it** and warns with the byte offset. A bad frame
-//! with more bytes after it cannot be a torn write — that is mid-log
-//! corruption, and the reader refuses to start rather than silently drop
-//! acknowledged batches.
+//! # Orders that make it power-loss safe
+//!
+//! * **Append**: write the frame, fsync the file, then ack.
+//! * **Rotate** (the active segment reached the size threshold): fsync
+//!   the file, create the next segment, fsync the directory. A record is
+//!   only ever acked from a segment whose directory entry is durable. A
+//!   rotation that fails after its record's fsync still acks that record
+//!   (it is durable and will be replayed) and refuses the next.
+//! * **Rebase**: rotate if the active segment holds anything, append the
+//!   rebase record, fsync the file and the directory; only then unlink
+//!   the older segments, oldest first, so what is left is a contiguous
+//!   run at every instant. The unlinks need no fsync: a segment that
+//!   comes back is replayed and then overruled by the rebase record.
+//!
+//! # Torn tail vs corruption
+//!
+//! A crash can only tear the end of the *last* segment (appends are
+//! sequential and fsynced, closed segments are never written again), so
+//! [`replay`] cuts the last segment at its first bad length or CRC **iff
+//! nothing follows it**. Anything else — a bad frame with bytes after
+//! it, any bad frame in a closed segment, a missing segment, a jump in
+//! `wal_seq` — is corruption, and the reader refuses to start rather
+//! than silently drop acknowledged batches.
 
-use std::fs::OpenOptions;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::collections::VecDeque;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use isum_common::framing::{encode_frame, ByteReader, FrameStatus, MAX_FRAME_PAYLOAD};
-use isum_common::{count, warn};
+use isum_common::framing::{decode_frame, frame_into, ByteReader, FrameStatus};
+use isum_common::{count, warn, Json};
 
-/// Leading magic identifying a WAL file and its format version.
-pub const WAL_MAGIC: &[u8; 8] = b"ISUMWAL1";
+/// Leading magic of a segment file.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"ISUMWAL2";
+/// Leading magic of the single-file log older releases wrote; read once
+/// by the importer (`crate::shards`), never written.
+const V1_MAGIC: &[u8; 8] = b"ISUMWAL1";
 
-/// One logged ingest batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalRecord {
-    /// Per-shard monotone record number; recovery replays records with
-    /// `wal_seq >=` the snapshot's watermark.
-    pub wal_seq: u64,
-    /// Client sequence number, when the batch was sequenced.
-    pub seq: Option<u64>,
-    /// Name of the shard that applied the batch — a safety check that a
-    /// log file was not moved between shards.
-    pub shard: String,
-    /// The batch's lenient-split `(sql, explicit cost)` statements, in
-    /// order — exactly the input `Engine::apply_statements` consumes.
-    pub stmts: Vec<(String, Option<f64>)>,
+/// What a record does to the state before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Its statements are applied on top (one ingest batch).
+    Batch = 0,
+    /// Its statements replace it: the shard was rebuilt over a suffix of
+    /// its history (drift re-summarization) or imported from a v1 snapshot.
+    Rebase = 1,
 }
 
-/// Encodes a record as one frame payload (module docs for the layout).
-pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(64 + rec.stmts.iter().map(|(s, _)| s.len() + 13).sum::<usize>());
-    out.extend_from_slice(&rec.wal_seq.to_le_bytes());
-    out.push(rec.seq.is_some() as u8);
-    out.extend_from_slice(&rec.seq.unwrap_or(0).to_le_bytes());
-    let shard = rec.shard.as_bytes();
-    assert!(shard.len() <= u16::MAX as usize, "shard name too long for WAL record");
-    out.extend_from_slice(&(shard.len() as u16).to_le_bytes());
-    out.extend_from_slice(shard);
-    out.extend_from_slice(&(rec.stmts.len() as u32).to_le_bytes());
-    for (sql, cost) in &rec.stmts {
-        let sql = sql.as_bytes();
-        assert!(sql.len() <= MAX_FRAME_PAYLOAD, "statement too long for WAL record");
-        out.extend_from_slice(&(sql.len() as u32).to_le_bytes());
-        out.extend_from_slice(sql);
+/// One log record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// Batch or rebase.
+    pub kind: Kind,
+    /// Per-shard record number.
+    pub wal_seq: u64,
+    /// Batch: the client sequence number, when the batch was sequenced.
+    /// Rebase: the shard's sequencer high-water mark (always `Some`).
+    pub seq: Option<u64>,
+    /// Name of the shard that wrote the record — a safety check that a
+    /// log was not moved between shards.
+    pub shard: String,
+    /// Lenient-split `(sql, explicit cost)` statements, in order — exactly
+    /// the input `Engine::apply_statements` (batch) or `Engine::rebase`
+    /// (rebase: every cost present, as first ingested) consumes.
+    pub stmts: Vec<(String, Option<f64>)>,
+    /// Rebase only: `DriftTracker::snapshot` to continue from; `None`
+    /// re-arms the tracker, as after a live re-summarization.
+    pub tracker: Option<Json>,
+}
+
+/// Appends a record's frame payload to `out` (module docs for the
+/// layout).
+fn encode_record(
+    out: &mut Vec<u8>,
+    kind: Kind,
+    wal_seq: u64,
+    seq: Option<u64>,
+    shard: &str,
+    stmts: &[(String, Option<f64>)],
+    tracker: Option<&Json>,
+) {
+    let put_bytes = |out: &mut Vec<u8>, bytes: &[u8]| {
+        out.extend_from_slice(&u32::try_from(bytes.len()).expect("fits a frame").to_le_bytes());
+        out.extend_from_slice(bytes);
+    };
+    out.push(kind as u8);
+    out.extend_from_slice(&wal_seq.to_le_bytes());
+    out.push(seq.is_some() as u8);
+    out.extend_from_slice(&seq.unwrap_or(0).to_le_bytes());
+    let shard_len = u16::try_from(shard.len()).expect("tenant names are at most 64 bytes");
+    out.extend_from_slice(&shard_len.to_le_bytes());
+    out.extend_from_slice(shard.as_bytes());
+    out.extend_from_slice(&(stmts.len() as u32).to_le_bytes());
+    for (sql, cost) in stmts {
+        put_bytes(out, sql.as_bytes());
         out.push(cost.is_some() as u8);
         out.extend_from_slice(&cost.unwrap_or(0.0).to_bits().to_le_bytes());
     }
-    out
+    if kind == Kind::Rebase {
+        put_bytes(out, tracker.map(Json::to_compact).unwrap_or_default().as_bytes());
+    }
 }
 
-/// Decodes one frame payload back into a record. `Err` carries the parse
-/// failure; a CRC-valid payload that does not decode is corruption, not a
-/// torn write.
-pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
-    let mut r = ByteReader::new(payload);
+/// Decodes one frame payload back into a record; `v1` payloads have no
+/// kind byte and are all batches. `Err` carries the parse failure: a
+/// CRC-valid payload that does not decode is corruption, not a torn
+/// write.
+pub fn decode_record(payload: &[u8], v1: bool) -> Result<Record, String> {
     let short = || "record payload truncated".to_string();
+    let mut r = ByteReader::new(payload);
+    let text = |r: &mut ByteReader<'_>, len: usize, what: &str| {
+        let bytes = r.bytes(len).ok_or_else(short)?;
+        std::str::from_utf8(bytes).map(str::to_string).map_err(|_| format!("{what} is not UTF-8"))
+    };
+    let flag = |r: &mut ByteReader<'_>, what: &str| match r.u8().ok_or_else(short)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(format!("bad {what} flag {other}")),
+    };
+    let kind = match if v1 { 0 } else { r.u8().ok_or_else(short)? } {
+        0 => Kind::Batch,
+        1 => Kind::Rebase,
+        other => return Err(format!("unknown record kind {other}")),
+    };
     let wal_seq = r.u64().ok_or_else(short)?;
-    let has_seq = r.u8().ok_or_else(short)?;
-    let seq_raw = r.u64().ok_or_else(short)?;
-    if has_seq > 1 {
-        return Err(format!("bad seq flag {has_seq}"));
+    let has_seq = flag(&mut r, "seq")?;
+    let seq = Some(r.u64().ok_or_else(short)?).filter(|_| has_seq);
+    if kind == Kind::Rebase && seq.is_none() {
+        return Err("rebase record without a sequencer mark".into());
     }
     let shard_len = r.u16().ok_or_else(short)? as usize;
-    let shard = std::str::from_utf8(r.bytes(shard_len).ok_or_else(short)?)
-        .map_err(|_| "shard name is not UTF-8".to_string())?
-        .to_string();
+    let shard = text(&mut r, shard_len, "shard name")?;
     let n = r.u32().ok_or_else(short)? as usize;
     let mut stmts = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         let sql_len = r.u32().ok_or_else(short)? as usize;
-        let sql = std::str::from_utf8(r.bytes(sql_len).ok_or_else(short)?)
-            .map_err(|_| "statement is not UTF-8".to_string())?
-            .to_string();
-        let has_cost = r.u8().ok_or_else(short)?;
+        let sql = text(&mut r, sql_len, "statement")?;
+        let has_cost = flag(&mut r, "cost")?;
         let bits = r.u64().ok_or_else(short)?;
-        if has_cost > 1 {
-            return Err(format!("bad cost flag {has_cost}"));
+        stmts.push((sql, has_cost.then(|| f64::from_bits(bits))));
+    }
+    let mut tracker = None;
+    if kind == Kind::Rebase {
+        let len = r.u32().ok_or_else(short)? as usize;
+        let state = text(&mut r, len, "tracker state")?;
+        if !state.is_empty() {
+            tracker = Some(Json::parse(&state).map_err(|e| format!("tracker state: {e}"))?);
         }
-        stmts.push((sql, (has_cost == 1).then(|| f64::from_bits(bits))));
     }
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after record", r.remaining()));
     }
-    Ok(WalRecord { wal_seq, seq: (has_seq == 1).then_some(seq_raw), shard, stmts })
+    Ok(Record { kind, wal_seq, seq, shard, stmts, tracker })
 }
 
-/// Everything recovery needs from an existing log file.
-#[derive(Debug)]
-pub struct WalReplay {
-    /// Whole records, in append order.
-    pub records: Vec<WalRecord>,
-    /// Byte length of the valid prefix (≥ the 8-byte header). The writer
-    /// truncates the file here before appending.
-    pub valid_len: u64,
-    /// When the log ended in a torn record, the byte offset of the cut.
-    pub torn_at: Option<u64>,
+// ---------------------------------------------------------------------
+// The storage seam
+// ---------------------------------------------------------------------
+
+/// Everything the log asks of a file system: create a file and append
+/// to it, make a file durable, make a directory's entries durable, list
+/// and read, unlink — plus cutting a torn tail off the last segment at
+/// start-up. Production is [`DiskStorage`]; the tests substitute a model
+/// that can lose power.
+pub trait Storage {
+    /// An open, append-only file.
+    type File;
+    /// Creates `path`, which must not exist.
+    fn create(&self, path: &Path) -> io::Result<Self::File>;
+    /// Opens `path` for appending after cutting it to `len` bytes.
+    fn open_end(&self, path: &Path, len: u64) -> io::Result<Self::File>;
+    /// Appends all of `bytes`.
+    fn append(&self, file: &mut Self::File, bytes: &[u8]) -> io::Result<()>;
+    /// Returns once the file's bytes are on stable storage.
+    fn sync_file(&self, file: &mut Self::File) -> io::Result<()>;
+    /// Returns once `dir`'s creates and unlinks are on stable storage.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+    /// File names in `dir` (a missing directory is an error).
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
+    /// The whole file.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Removes `path`.
+    fn unlink(&self, path: &Path) -> io::Result<()>;
 }
 
-/// Reads and repairs a WAL file. A missing file is an empty log. A torn
-/// final record truncates with a warning (the crash the log exists to
-/// survive); a bad frame with bytes after it is mid-log corruption and an
-/// `InvalidData` error — see the module docs for the policy.
-pub fn read_wal(path: &Path) -> io::Result<WalReplay> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(WalReplay {
-                records: Vec::new(),
-                valid_len: WAL_MAGIC.len() as u64,
-                torn_at: None,
-            })
+/// [`Storage`] on `std::fs`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DiskStorage;
+
+impl Storage for DiskStorage {
+    type File = std::fs::File;
+
+    fn create(&self, path: &Path) -> io::Result<std::fs::File> {
+        std::fs::OpenOptions::new().append(true).create_new(true).open(path)
+    }
+
+    fn open_end(&self, path: &Path, len: u64) -> io::Result<std::fs::File> {
+        let file = std::fs::OpenOptions::new().append(true).open(path)?;
+        if file.metadata()?.len() > len {
+            // Start-up repair of a torn tail: the one in-place cut.
+            file.set_len(len)?;
         }
-        Err(e) => return Err(e),
+        Ok(file)
+    }
+
+    fn append(&self, file: &mut std::fs::File, bytes: &[u8]) -> io::Result<()> {
+        file.write_all(bytes)
+    }
+
+    fn sync_file(&self, file: &mut std::fs::File) -> io::Result<()> {
+        file.sync_data()
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        std::fs::File::open(dir)?.sync_all()
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            if let Ok(name) = entry?.file_name().into_string() {
+                names.push(name);
+            }
+        }
+        Ok(names)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
+    }
+
+    fn unlink(&self, path: &Path) -> io::Result<()> {
+        std::fs::remove_file(path)
+    }
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+pub fn dir_of(path: &Path) -> &Path {
+    path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."))
+}
+
+/// Derives a shard's log base from its checkpoint path by swapping the
+/// final extension: `ckpt.json → ckpt.wal`, `ckpt.t-<hex>.json →
+/// ckpt.t-<hex>.wal`, extensionless `ckpt → ckpt.wal`. Segments are
+/// `<base>.<8-digit n>`; the bare base is where v1 kept its single log.
+pub fn wal_sibling(snapshot: &Path) -> PathBuf {
+    let name = snapshot.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+    let base = match name.rsplit_once('.') {
+        Some((base, _ext)) => base,
+        None => name,
     };
-    if bytes.len() < WAL_MAGIC.len() {
-        // Crash while writing the header itself: nothing was ever logged.
-        warn!(
-            "server.wal",
-            format!("torn WAL header in {}, starting empty", path.display()),
-            len = bytes.len()
-        );
-        return Ok(WalReplay {
-            records: Vec::new(),
-            valid_len: WAL_MAGIC.len() as u64,
-            torn_at: Some(0),
-        });
+    snapshot.with_file_name(format!("{base}.wal"))
+}
+
+/// Segment `n` of the log at `base`.
+pub fn segment_path(base: &Path, n: u64) -> PathBuf {
+    let name = base.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+    base.with_file_name(format!("{name}.{n:08}"))
+}
+
+/// The segment number `file` carries if it is a segment of the log whose
+/// base file is named `base_name`.
+pub fn segment_number(base_name: &str, file: &str) -> Option<u64> {
+    let digits = file.strip_prefix(base_name)?.strip_prefix('.')?;
+    (digits.len() >= 8 && digits.bytes().all(|b| b.is_ascii_digit()))
+        .then(|| digits.parse().ok())
+        .flatten()
+}
+
+// ---------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------
+
+fn corrupt(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// Decodes the records of one log file (`bytes` of `path`) in order. A
+/// torn tail — a short header, a frame cut short, or a bad final frame —
+/// is tolerated only when `last`; returns the length of the valid prefix
+/// and whether anything was cut. A file with `v1` magic holds v1 records.
+pub fn read_records(
+    path: &Path,
+    bytes: &[u8],
+    last: bool,
+    mut each: impl FnMut(Record) -> io::Result<()>,
+) -> io::Result<(u64, bool)> {
+    let name = path.display();
+    let torn = |at: usize, what: &str| {
+        if last {
+            warn!(
+                "server.wal",
+                format!("{what} in {name}, truncating"),
+                offset = at,
+                dropped_bytes = bytes.len() - at
+            );
+            Ok((at as u64, true))
+        } else {
+            Err(corrupt(format!(
+                "{what} at byte {at} of closed segment {name}; refusing to drop acknowledged \
+                 batches"
+            )))
+        }
+    };
+    if bytes.len() < SEGMENT_MAGIC.len() {
+        // Crash while the header itself was being written.
+        return torn(0, "torn log header");
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{} is not an ISUM WAL (bad magic)", path.display()),
-        ));
+    let v1 = &bytes[..V1_MAGIC.len()] == V1_MAGIC;
+    if !v1 && &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+        return Err(corrupt(format!("{name} is not an ISUM WAL (bad magic)")));
     }
-    let mut records = Vec::new();
-    let mut pos = WAL_MAGIC.len();
+    let mut pos = SEGMENT_MAGIC.len();
     while pos < bytes.len() {
-        match isum_common::framing::decode_frame(&bytes[pos..]) {
+        match decode_frame(&bytes[pos..]) {
             FrameStatus::Complete { payload, consumed } => {
-                let rec = decode_record(payload).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt WAL record at byte {pos} of {}: {e}", path.display()),
-                    )
+                let record = decode_record(payload, v1).map_err(|e| {
+                    corrupt(format!("corrupt WAL record at byte {pos} of {name}: {e}"))
                 })?;
-                records.push(rec);
+                each(record)?;
                 pos += consumed;
             }
-            FrameStatus::Torn => {
-                warn!(
-                    "server.wal",
-                    format!("torn final WAL record in {}, truncating", path.display()),
-                    offset = pos,
-                    dropped_bytes = bytes.len() - pos
-                );
-                return Ok(WalReplay { records, valid_len: pos as u64, torn_at: Some(pos as u64) });
+            FrameStatus::Torn => return torn(pos, "torn final WAL record"),
+            FrameStatus::Corrupt { consumed } if pos + consumed >= bytes.len() => {
+                // The bad frame is the last thing in the file — a torn
+                // write whose tail happened to be present-but-wrong.
+                return torn(pos, "checksum-failed final WAL record");
             }
             FrameStatus::Corrupt { consumed } => {
-                if pos + consumed >= bytes.len() {
-                    // The bad frame is the last thing in the file — a torn
-                    // write whose tail happened to be present-but-wrong.
-                    warn!(
-                        "server.wal",
-                        format!(
-                            "checksum-failed final WAL record in {}, truncating",
-                            path.display()
-                        ),
-                        offset = pos,
-                        dropped_bytes = bytes.len() - pos
-                    );
-                    return Ok(WalReplay {
-                        records,
-                        valid_len: pos as u64,
-                        torn_at: Some(pos as u64),
-                    });
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "mid-log corruption at byte {pos} of {} ({} bytes follow the bad record); \
-                         refusing to drop acknowledged batches",
-                        path.display(),
-                        bytes.len() - pos - consumed
-                    ),
-                ));
+                return Err(corrupt(format!(
+                    "mid-log corruption at byte {pos} of {name} ({} bytes follow the bad record); \
+                     refusing to drop acknowledged batches",
+                    bytes.len() - pos - consumed
+                )));
             }
         }
     }
-    Ok(WalReplay { records, valid_len: pos as u64, torn_at: None })
+    Ok((pos as u64, false))
 }
+
+/// One live segment as [`replay`] found it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentInfo {
+    /// The segment's number.
+    pub number: u64,
+    /// Its valid length in bytes (header included).
+    pub len: u64,
+    /// `wal_seq` of its first record (of the next record, while empty).
+    pub first_wal_seq: u64,
+    /// Records it holds.
+    pub records: u64,
+}
+
+/// Where a log ends — what [`WalWriter::open`] resumes from.
+#[derive(Debug, Default)]
+pub struct LogEnd {
+    /// Live segments, oldest first; empty for a log that never existed.
+    pub segments: Vec<SegmentInfo>,
+    /// True when the last segment ended in a torn record.
+    pub torn: bool,
+    /// `wal_seq` the next record gets.
+    pub next_wal_seq: u64,
+    /// The newest segment that starts with a rebase record: everything
+    /// older is dead weight a crash kept from being unlinked.
+    pub rebase_segment: Option<u64>,
+}
+
+impl LogEnd {
+    /// Records across all live segments.
+    pub fn records(&self) -> u64 {
+        self.segments.iter().map(|s| s.records).sum()
+    }
+}
+
+/// Replays the log at `base`: every live segment in order, every record
+/// through `each`. One segment is in memory at a time.
+pub fn replay<S: Storage>(
+    storage: &S,
+    base: &Path,
+    mut each: impl FnMut(Record),
+) -> io::Result<LogEnd> {
+    let base_name = base.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+    let mut numbers: Vec<u64> = storage
+        .list(dir_of(base))?
+        .iter()
+        .filter_map(|file| segment_number(base_name, file))
+        .collect();
+    numbers.sort_unstable();
+    let mut end = LogEnd::default();
+    let mut expected: Option<u64> = None;
+    for (i, &number) in numbers.iter().enumerate() {
+        let path = segment_path(base, number);
+        if i > 0 && number != numbers[i - 1] + 1 {
+            return Err(corrupt(format!(
+                "segment {} is missing before {}; refusing to drop acknowledged batches",
+                numbers[i - 1] + 1,
+                path.display()
+            )));
+        }
+        let bytes = storage.read(&path)?;
+        let last = i + 1 == numbers.len();
+        let mut info = SegmentInfo { number, len: 0, first_wal_seq: 0, records: 0 };
+        let (len, torn) = read_records(&path, &bytes, last, |record| {
+            let wal_seq = record.wal_seq;
+            if expected.is_some_and(|e| e != wal_seq) {
+                return Err(corrupt(format!(
+                    "record {wal_seq} follows record {} in {}; refusing to drop acknowledged \
+                     batches",
+                    expected.unwrap_or_default().wrapping_sub(1),
+                    path.display()
+                )));
+            }
+            match (record.kind, info.records) {
+                (Kind::Rebase, 0) => end.rebase_segment = Some(number),
+                (Kind::Rebase, _) => {
+                    return Err(corrupt(format!(
+                        "rebase record {wal_seq} is not the first record of {}",
+                        path.display()
+                    )))
+                }
+                (Kind::Batch, _) => {}
+            }
+            if info.records == 0 {
+                info.first_wal_seq = wal_seq;
+            }
+            info.records += 1;
+            expected = Some(wal_seq + 1);
+            each(record);
+            Ok(())
+        })?;
+        info.len = len;
+        if info.records == 0 {
+            info.first_wal_seq = expected.unwrap_or(0);
+        }
+        end.torn = torn;
+        end.segments.push(info);
+    }
+    // Segments only ever go missing from the front because a rebase
+    // record overruled them (a crash mid-unlink leaves any suffix of the
+    // overruled ones behind).
+    if let Some(first) = end.segments.first().filter(|s| s.number != 1) {
+        if end.rebase_segment.is_none() {
+            return Err(corrupt(format!(
+                "the log starts at {} and holds no rebase record; the segments before it are \
+                 missing",
+                segment_path(base, first.number).display()
+            )));
+        }
+    }
+    end.next_wal_seq = expected.unwrap_or(0);
+    Ok(end)
+}
+
+// ---------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------
 
 /// The append side of the log, owned by a shard's sequencer thread.
 ///
-/// `append` writes one frame and fsyncs before returning, so a batch is
-/// durable before it is acknowledged. A failed or injected-torn append
-/// poisons the writer: the partial bytes stay on disk (exactly what a
-/// crash would leave) and every later append refuses, turning the shard
-/// read-only-for-ingest until restart — recovery then truncates the torn
-/// tail.
-pub struct WalWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    len: u64,
+/// Every operation is durable before it returns. A failed or
+/// injected-torn append poisons the writer: the partial bytes stay on
+/// disk (exactly what a crash would leave) and every later append
+/// refuses, turning the shard read-only-for-ingest until restart —
+/// recovery then cuts the torn tail.
+pub struct WalWriter<S: Storage = DiskStorage> {
+    storage: S,
+    base: PathBuf,
+    /// Size at which the active segment is closed.
+    segment_bytes: u64,
+    file: S::File,
+    active: SegmentInfo,
+    /// Closed live segments, oldest first.
+    closed: VecDeque<SegmentInfo>,
+    /// Bytes across `closed` and `active`.
+    live_bytes: u64,
+    /// The segment the latest rebase record opens, until the segments
+    /// before it are unlinked.
+    rebase_segment: Option<u64>,
     next_wal_seq: u64,
-    records_since_compaction: u64,
+    /// The frame being appended; kept so an append allocates nothing.
+    frame: Vec<u8>,
     poisoned: bool,
 }
 
-/// What one successful append cost, for telemetry.
+/// What one durable append cost, for telemetry.
 #[derive(Debug)]
 pub struct AppendStats {
-    /// The record's assigned `wal_seq`.
-    pub wal_seq: u64,
     /// Bytes appended (framing + payload).
     pub bytes: u64,
-    /// How long the fsync took.
+    /// How long the write and its fsync took.
     pub fsync: Duration,
+    /// How long each rotation took: the one a rebase makes first when
+    /// the active segment holds anything, and the one after a record that
+    /// filled its segment.
+    pub rotations: [Option<Duration>; 2],
 }
 
-impl WalWriter {
-    /// Opens (creating if absent) the log at `path`, truncating to
-    /// `valid_len` as reported by [`read_wal`] so a torn tail is repaired
-    /// before the first append. `next_wal_seq` seeds record numbering —
-    /// `max(snapshot watermark, last replayed record + 1)`.
-    pub fn open(path: &Path, valid_len: u64, next_wal_seq: u64) -> io::Result<WalWriter> {
-        // truncate(false): existing log bytes are the durability state —
-        // any tail repair happens below via the explicit `set_len`.
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let disk_len = file.metadata()?.len();
-        if disk_len < WAL_MAGIC.len() as u64 {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(WAL_MAGIC)?;
-            file.sync_data()?;
-        } else {
-            if valid_len < WAL_MAGIC.len() as u64 || valid_len > disk_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("WAL valid_len {valid_len} out of range for {} bytes", disk_len),
-                ));
+impl<S: Storage> WalWriter<S> {
+    /// Opens the log [`replay`] just read for appending: cuts a torn
+    /// tail, creates segment 1 for a new log, makes what recovery saw
+    /// durable (a crashed process can leave bytes and directory entries
+    /// the disk never got, and recovery is about to serve them), and
+    /// finishes any unlinking a crash interrupted.
+    pub fn open(storage: S, base: &Path, segment_bytes: u64, end: LogEnd) -> io::Result<Self> {
+        let header = SEGMENT_MAGIC.len() as u64;
+        let mut closed: VecDeque<SegmentInfo> = end.segments.into();
+        let (mut file, active) = match closed.pop_back() {
+            Some(mut last) => {
+                // A header the crash tore is written again from byte 0.
+                let keep = if last.len < header { 0 } else { last.len };
+                let mut file = storage.open_end(&segment_path(base, last.number), keep)?;
+                if keep == 0 {
+                    storage.append(&mut file, SEGMENT_MAGIC)?;
+                    last.len = header;
+                }
+                (file, last)
             }
-            if valid_len < disk_len {
-                file.set_len(valid_len)?;
-                file.sync_data()?;
+            None => {
+                let mut file = storage.create(&segment_path(base, 1))?;
+                storage.append(&mut file, SEGMENT_MAGIC)?;
+                let first = SegmentInfo {
+                    number: 1,
+                    len: header,
+                    first_wal_seq: end.next_wal_seq,
+                    records: 0,
+                };
+                (file, first)
             }
-            // Double-check the header really is ours before appending.
-            let mut magic = [0u8; 8];
-            file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut magic)?;
-            if &magic != WAL_MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{} is not an ISUM WAL (bad magic)", path.display()),
-                ));
-            }
-        }
-        let len = valid_len.max(WAL_MAGIC.len() as u64);
-        file.seek(SeekFrom::Start(len))?;
-        Ok(WalWriter {
+        };
+        storage.sync_file(&mut file)?;
+        storage.sync_dir(dir_of(base))?;
+        let live_bytes = closed.iter().map(|s| s.len).sum::<u64>() + active.len;
+        let mut writer = WalWriter {
+            storage,
+            base: base.to_path_buf(),
+            segment_bytes,
             file,
-            path: path.to_path_buf(),
-            len,
-            next_wal_seq,
-            records_since_compaction: 0,
+            active,
+            closed,
+            live_bytes,
+            rebase_segment: end.rebase_segment,
+            next_wal_seq: end.next_wal_seq,
+            frame: Vec::new(),
             poisoned: false,
-        })
+        };
+        writer.retire_rebased();
+        Ok(writer)
     }
 
     /// Logs one batch durably: encodes the record (assigning the next
@@ -320,18 +605,14 @@ impl WalWriter {
         stmts: &[(String, Option<f64>)],
         tear: impl FnOnce(usize) -> Option<usize>,
     ) -> io::Result<AppendStats> {
-        if self.poisoned {
-            return Err(io::Error::other(format!(
-                "WAL {} is poisoned by an earlier failed append; restart to recover",
-                self.path.display()
-            )));
-        }
-        let wal_seq = self.next_wal_seq;
-        let record = WalRecord { wal_seq, seq, shard: shard.to_string(), stmts: stmts.to_vec() };
-        let frame = encode_frame(&encode_record(&record));
+        self.refuse_if_poisoned()?;
+        let frame = self.frame_of(Kind::Batch, seq, shard, stmts, None);
         if let Some(cut) = tear(frame.len()) {
             let cut = cut.min(frame.len());
-            let wrote = self.file.write_all(&frame[..cut]).and_then(|()| self.file.sync_data());
+            let wrote = self
+                .storage
+                .append(&mut self.file, &frame[..cut])
+                .and_then(|()| self.storage.sync_file(&mut self.file));
             self.poisoned = true;
             count!("server.wal.errors");
             return Err(match wrote {
@@ -343,62 +624,177 @@ impl WalWriter {
                 Err(e) => e,
             });
         }
-        let start = Instant::now();
-        if let Err(e) = self.file.write_all(&frame).and_then(|()| self.file.sync_data()) {
-            self.poisoned = true;
-            count!("server.wal.errors");
-            return Err(e);
+        let stats = self.commit(&frame);
+        self.frame = frame;
+        if stats.is_ok() {
+            count!("server.wal.appends");
         }
-        let fsync = start.elapsed();
-        self.len += frame.len() as u64;
-        self.next_wal_seq += 1;
-        self.records_since_compaction += 1;
-        count!("server.wal.appends");
-        Ok(AppendStats { wal_seq, bytes: frame.len() as u64, fsync })
+        self.poison_on_error(stats)
     }
 
-    /// Truncates the log back to its header after a snapshot compaction
-    /// folded every logged record into the snapshot.
-    pub fn truncate_for_compaction(&mut self) -> io::Result<()> {
-        self.file.set_len(WAL_MAGIC.len() as u64)?;
-        self.file.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))?;
-        self.file.sync_data()?;
-        self.len = WAL_MAGIC.len() as u64;
-        self.records_since_compaction = 0;
+    /// The next record (it gets `next_wal_seq`) as one frame, in the
+    /// writer's buffer. `append` puts the buffer back; `rebase` drops it
+    /// (its frame can be as large as the shard's whole state).
+    fn frame_of(
+        &mut self,
+        kind: Kind,
+        seq: Option<u64>,
+        shard: &str,
+        stmts: &[(String, Option<f64>)],
+        tracker: Option<&Json>,
+    ) -> Vec<u8> {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        let wal_seq = self.next_wal_seq;
+        frame_into(&mut frame, |out| encode_record(out, kind, wal_seq, seq, shard, stmts, tracker));
+        frame
+    }
+
+    /// Logs a rebase record durably as the first record of a segment
+    /// (rotating first if the active one holds anything) and fsyncs file
+    /// and directory. The caller applies the record and then calls
+    /// [`retire_rebased`](Self::retire_rebased).
+    pub fn rebase(
+        &mut self,
+        next_seq: u64,
+        shard: &str,
+        stmts: Vec<(String, Option<f64>)>,
+        tracker: Option<Json>,
+    ) -> io::Result<(Record, AppendStats)> {
+        self.refuse_if_poisoned()?;
+        let (kind, wal_seq, seq) = (Kind::Rebase, self.next_wal_seq, Some(next_seq));
+        let frame = self.frame_of(kind, seq, shard, &stmts, tracker.as_ref());
+        let stats = self.log_rebase(&frame);
+        count!("server.wal.rebases");
+        let record = Record { kind, wal_seq, seq, shard: shard.to_string(), stmts, tracker };
+        self.poison_on_error(stats.map(|stats| (record, stats)))
+    }
+
+    fn log_rebase(&mut self, frame: &[u8]) -> io::Result<AppendStats> {
+        let before = if self.active.records > 0 { Some(self.rotate()?) } else { None };
+        let at = self.active.number;
+        let mut stats = self.commit(frame)?;
+        self.storage.sync_dir(dir_of(&self.base))?;
+        self.rebase_segment = Some(at);
+        stats.rotations[0] = before;
+        Ok(stats)
+    }
+
+    /// Unlinks the segments the latest rebase record made irrelevant,
+    /// oldest first. A failure is logged and left for the next start-up
+    /// (or rebase): a stale segment costs replay time, never correctness.
+    pub fn retire_rebased(&mut self) {
+        let Some(keep_from) = self.rebase_segment else { return };
+        while let Some(oldest) = self.closed.front().filter(|s| s.number < keep_from) {
+            let path = segment_path(&self.base, oldest.number);
+            if let Err(e) = self.storage.unlink(&path) {
+                count!("server.wal.errors");
+                warn!("server.wal", format!("could not unlink {}: {e}", path.display()));
+                return;
+            }
+            self.live_bytes -= oldest.len;
+            self.closed.pop_front();
+        }
+        self.rebase_segment = None;
+    }
+
+    /// Appends one frame to the active segment, fsyncs it, and closes
+    /// the segment if that filled it. Once the fsync returned the record
+    /// is durable and will be replayed, so a rotation that fails after it
+    /// must not turn the append into an error (the client would retry a
+    /// batch that a restart applies anyway): the record is acked and the
+    /// writer refuses whatever comes next.
+    fn commit(&mut self, frame: &[u8]) -> io::Result<AppendStats> {
+        let start = Instant::now();
+        self.storage.append(&mut self.file, frame)?;
+        self.storage.sync_file(&mut self.file)?;
+        let fsync = start.elapsed();
+        self.next_wal_seq += 1;
+        self.active.len += frame.len() as u64;
+        self.live_bytes += frame.len() as u64;
+        self.active.records += 1;
+        let mut after = None;
+        if self.active.len >= self.segment_bytes {
+            match self.rotate() {
+                Ok(took) => after = Some(took),
+                Err(e) => {
+                    self.poisoned = true;
+                    count!("server.wal.errors");
+                    warn!(
+                        "server.wal",
+                        format!(
+                            "rotation failed after record {} was durable: {e}",
+                            self.next_wal_seq - 1
+                        )
+                    );
+                }
+            }
+        }
+        Ok(AppendStats { bytes: frame.len() as u64, fsync, rotations: [None, after] })
+    }
+
+    /// Closes the active segment and opens the next: fsync the file,
+    /// create its successor, fsync the directory — in that order, so no
+    /// record is ever acked from a segment a power cut can make vanish.
+    /// Returns how long it took.
+    fn rotate(&mut self) -> io::Result<Duration> {
+        let start = Instant::now();
+        self.storage.sync_file(&mut self.file)?;
+        let number = self.active.number + 1;
+        let mut file = self.storage.create(&segment_path(&self.base, number))?;
+        self.storage.append(&mut file, SEGMENT_MAGIC)?;
+        self.storage.sync_dir(dir_of(&self.base))?;
+        self.file = file;
+        self.live_bytes += SEGMENT_MAGIC.len() as u64;
+        self.closed.push_back(self.active);
+        self.active = SegmentInfo {
+            number,
+            len: SEGMENT_MAGIC.len() as u64,
+            first_wal_seq: self.next_wal_seq,
+            records: 0,
+        };
+        count!("server.wal.rotations");
+        Ok(start.elapsed())
+    }
+
+    fn refuse_if_poisoned(&self) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(format!(
+                "WAL {} is poisoned by an earlier failed append; restart to recover",
+                self.base.display()
+            )));
+        }
         Ok(())
     }
 
-    /// Current file length in bytes (header included).
-    pub fn len(&self) -> u64 {
-        self.len
+    fn poison_on_error<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if result.is_err() {
+            self.poisoned = true;
+            count!("server.wal.errors");
+        }
+        result
+    }
+
+    /// Bytes across live segments (headers included).
+    pub fn bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
+    /// Live segments, the active one included.
+    pub fn segments(&self) -> u64 {
+        self.closed.len() as u64 + 1
+    }
+
+    /// `wal_seq` of the oldest record still on disk (of the next record,
+    /// for an empty log).
+    pub fn oldest_wal_seq(&self) -> u64 {
+        self.closed.front().unwrap_or(&self.active).first_wal_seq
     }
 
     /// `wal_seq` the next append will be assigned.
     pub fn next_wal_seq(&self) -> u64 {
         self.next_wal_seq
     }
-
-    /// Records appended since the last compaction (or open).
-    pub fn records_since_compaction(&self) -> u64 {
-        self.records_since_compaction
-    }
-
-    /// True once an append failed; all later appends refuse.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
-    }
-}
-
-/// Derives a shard's WAL path from its snapshot path by swapping the
-/// final extension: `ckpt.json → ckpt.wal`, `ckpt.t-<hex>.json →
-/// ckpt.t-<hex>.wal`, extensionless `ckpt → ckpt.wal`.
-pub fn wal_sibling(snapshot: &Path) -> PathBuf {
-    let name = snapshot.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-    let base = match name.rsplit_once('.') {
-        Some((base, _ext)) => base,
-        None => name,
-    };
-    snapshot.with_file_name(format!("{base}.wal"))
 }
 
 /// Fixed-bucket histogram of fsync latencies, mirrored by lock-free
@@ -445,329 +841,4 @@ impl FsyncHist {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use isum_common::framing::FRAME_HEADER_LEN;
-    use proptest::prelude::*;
-
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("isum_wal_{tag}_{}.wal", std::process::id()))
-    }
-
-    fn rec(wal_seq: u64, seq: Option<u64>, n: usize) -> WalRecord {
-        WalRecord {
-            wal_seq,
-            seq,
-            shard: "default".into(),
-            stmts: (0..n)
-                .map(|i| {
-                    (
-                        format!("SELECT id FROM t WHERE v = {i};"),
-                        (i % 2 == 0).then_some(i as f64 * 1.5 + 0.25),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn records_round_trip_bit_exactly() {
-        for record in [
-            rec(0, Some(0), 0),
-            rec(7, None, 3),
-            rec(u64::MAX, Some(u64::MAX), 1),
-            WalRecord {
-                wal_seq: 2,
-                seq: Some(9),
-                shard: "t-61636d65".into(),
-                stmts: vec![
-                    ("".into(), Some(f64::MIN_POSITIVE)),
-                    ("sql with \u{00e9} unicode".into(), Some(-0.0)),
-                    ("x".repeat(10_000), None),
-                ],
-            },
-        ] {
-            let decoded = decode_record(&encode_record(&record)).expect("decodes");
-            assert_eq!(decoded.wal_seq, record.wal_seq);
-            assert_eq!(decoded.seq, record.seq);
-            assert_eq!(decoded.shard, record.shard);
-            assert_eq!(decoded.stmts.len(), record.stmts.len());
-            for ((sql, cost), (dsql, dcost)) in record.stmts.iter().zip(&decoded.stmts) {
-                assert_eq!(sql, dsql);
-                // Bit-exact, including -0.0 and subnormals.
-                assert_eq!(cost.map(f64::to_bits), dcost.map(f64::to_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn undecodable_payloads_error_without_panicking() {
-        let good = encode_record(&rec(1, Some(2), 2));
-        for cut in 0..good.len() {
-            decode_record(&good[..cut]).expect_err("truncated payload must not decode");
-        }
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(decode_record(&trailing).unwrap_err().contains("trailing"));
-    }
-
-    #[test]
-    fn writer_appends_and_reader_replays() {
-        let path = temp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(&path, WAL_MAGIC.len() as u64, 0).expect("opens");
-        let mut appended = 0u64;
-        for i in 0..5u64 {
-            let r = rec(0, Some(i), 2);
-            let stats = w.append(r.seq, &r.shard, &r.stmts, |_| None).expect("appends");
-            assert_eq!(stats.wal_seq, i);
-            appended += stats.bytes;
-        }
-        assert_eq!(w.len(), WAL_MAGIC.len() as u64 + appended);
-        assert_eq!(w.records_since_compaction(), 5);
-        drop(w);
-
-        let replay = read_wal(&path).expect("reads");
-        assert_eq!(replay.torn_at, None);
-        assert_eq!(replay.records.len(), 5);
-        assert_eq!(replay.valid_len, WAL_MAGIC.len() as u64 + appended);
-        for (i, r) in replay.records.iter().enumerate() {
-            assert_eq!(r.wal_seq, i as u64);
-            assert_eq!(r.seq, Some(i as u64));
-            assert_eq!(r.stmts.len(), 2);
-        }
-
-        // Reopening resumes numbering and appending where the log ends.
-        let mut w =
-            WalWriter::open(&path, replay.valid_len, replay.records.last().unwrap().wal_seq + 1)
-                .expect("reopens");
-        assert_eq!(w.next_wal_seq(), 5);
-        w.append(None, "default", &rec(0, None, 1).stmts, |_| None).expect("appends");
-        drop(w);
-        assert_eq!(read_wal(&path).expect("reads").records.len(), 6);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_appends_poison_the_writer_and_recover_as_a_prefix() {
-        let path = temp_path("torn");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(&path, WAL_MAGIC.len() as u64, 0).expect("opens");
-        let stmts = rec(0, None, 3).stmts;
-        w.append(Some(0), "default", &stmts, |_| None).expect("appends");
-        let err = w.append(Some(1), "default", &stmts, |len| Some(len / 2)).expect_err("tears");
-        assert!(err.to_string().contains("torn"), "{err}");
-        assert!(w.poisoned());
-        let err = w.append(Some(2), "default", &stmts, |_| None).expect_err("poisoned");
-        assert!(err.to_string().contains("poisoned"), "{err}");
-        drop(w);
-
-        let replay = read_wal(&path).expect("repairs");
-        assert_eq!(replay.records.len(), 1, "only the fsynced record survives");
-        assert!(replay.torn_at.is_some());
-        assert_eq!(replay.valid_len, replay.torn_at.unwrap());
-        // The repaired length is where the next writer resumes.
-        let mut w = WalWriter::open(&path, replay.valid_len, 1).expect("reopens");
-        w.append(Some(1), "default", &stmts, |_| None).expect("appends after repair");
-        drop(w);
-        let replay = read_wal(&path).expect("reads");
-        assert_eq!(replay.records.len(), 2);
-        assert_eq!(replay.torn_at, None);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn compaction_truncates_to_the_header_and_keeps_numbering() {
-        let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(&path, WAL_MAGIC.len() as u64, 0).expect("opens");
-        let stmts = rec(0, None, 2).stmts;
-        for i in 0..3 {
-            w.append(Some(i), "default", &stmts, |_| None).expect("appends");
-        }
-        w.truncate_for_compaction().expect("truncates");
-        assert_eq!(w.len(), WAL_MAGIC.len() as u64);
-        assert_eq!(w.records_since_compaction(), 0);
-        assert_eq!(w.next_wal_seq(), 3, "record numbering survives compaction");
-        let stats = w.append(Some(3), "default", &stmts, |_| None).expect("appends");
-        assert_eq!(stats.wal_seq, 3);
-        drop(w);
-        let replay = read_wal(&path).expect("reads");
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.records[0].wal_seq, 3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn missing_and_foreign_files_are_handled() {
-        let path = temp_path("missing");
-        let _ = std::fs::remove_file(&path);
-        let replay = read_wal(&path).expect("missing file is an empty log");
-        assert!(replay.records.is_empty());
-        assert_eq!(replay.valid_len, WAL_MAGIC.len() as u64);
-        assert_eq!(replay.torn_at, None);
-
-        std::fs::write(&path, b"NOTAWAL0 trailing bytes").expect("writes");
-        let err = read_wal(&path).expect_err("bad magic must refuse");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::write(&path, b"abc").expect("writes");
-        let replay = read_wal(&path).expect("short header is torn-empty");
-        assert_eq!(replay.torn_at, Some(0));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn wal_sibling_swaps_the_final_extension() {
-        assert_eq!(wal_sibling(Path::new("/x/ckpt.json")), Path::new("/x/ckpt.wal"));
-        assert_eq!(
-            wal_sibling(Path::new("/x/ckpt.t-61636d65.json")),
-            Path::new("/x/ckpt.t-61636d65.wal")
-        );
-        assert_eq!(wal_sibling(Path::new("/x/ckpt.h3.json")), Path::new("/x/ckpt.h3.wal"));
-        assert_eq!(wal_sibling(Path::new("/x/ckpt")), Path::new("/x/ckpt.wal"));
-    }
-
-    #[test]
-    fn truncating_a_log_at_every_offset_yields_an_exact_prefix_or_torn() {
-        // The crash-repair contract, exhaustively: whatever byte a crash
-        // stops the disk at, recovery either replays a whole-record
-        // prefix (clean cut on a frame boundary) or reports a torn tail
-        // at the last boundary — never a panic, never half a batch.
-        let path = temp_path("offset_fuzz");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(&path, WAL_MAGIC.len() as u64, 0).expect("opens");
-        for i in 0..3u64 {
-            w.append(Some(i), "default", &rec(0, Some(i), 2).stmts, |_| None).expect("appends");
-        }
-        drop(w);
-        let bytes = std::fs::read(&path).expect("reads");
-        // Frame end offsets, from the framing layer the reader trusts.
-        let mut boundaries = vec![WAL_MAGIC.len()];
-        let mut pos = WAL_MAGIC.len();
-        while pos < bytes.len() {
-            match isum_common::framing::decode_frame(&bytes[pos..]) {
-                FrameStatus::Complete { consumed, .. } => {
-                    pos += consumed;
-                    boundaries.push(pos);
-                }
-                other => panic!("fresh log has a bad frame at {pos}: {other:?}"),
-            }
-        }
-        assert_eq!(boundaries.len(), 4, "header + three records");
-
-        for cut in 0..=bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).expect("writes truncation");
-            let replay = read_wal(&path).expect("truncations are torn, never mid-log corrupt");
-            if cut < WAL_MAGIC.len() {
-                assert_eq!((replay.records.len(), replay.torn_at), (0, Some(0)), "cut {cut}");
-                continue;
-            }
-            let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(replay.records.len(), whole, "cut {cut} must replay whole records only");
-            for (i, r) in replay.records.iter().enumerate() {
-                assert_eq!((r.wal_seq, r.seq), (i as u64, Some(i as u64)), "cut {cut}");
-            }
-            if boundaries.contains(&cut) {
-                assert_eq!(replay.torn_at, None, "cut {cut} is a clean frame boundary");
-                assert_eq!(replay.valid_len, cut as u64);
-            } else {
-                let last = *boundaries.iter().filter(|&&b| b <= cut).max().unwrap();
-                assert_eq!(replay.torn_at, Some(last as u64), "cut {cut}");
-                assert_eq!(replay.valid_len, last as u64);
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mid_log_corruption_refuses_but_final_frame_corruption_truncates() {
-        let path = temp_path("midlog");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(&path, WAL_MAGIC.len() as u64, 0).expect("opens");
-        for i in 0..3u64 {
-            w.append(Some(i), "default", &rec(0, Some(i), 2).stmts, |_| None).expect("appends");
-        }
-        drop(w);
-        let good = std::fs::read(&path).expect("reads");
-
-        // Flip one payload byte in the *first* frame: the CRC fails with
-        // two frames after it — unambiguous mid-log corruption.
-        let mut bad = good.clone();
-        bad[WAL_MAGIC.len() + FRAME_HEADER_LEN + 3] ^= 0x40;
-        std::fs::write(&path, &bad).expect("writes");
-        let err = read_wal(&path).expect_err("mid-log corruption must refuse");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("mid-log"), "{err}");
-
-        // The same flip in the *final* frame is indistinguishable from a
-        // torn write and truncates to the previous boundary.
-        let mut last_frame = WAL_MAGIC.len();
-        let mut pos = WAL_MAGIC.len();
-        while pos < good.len() {
-            match isum_common::framing::decode_frame(&good[pos..]) {
-                FrameStatus::Complete { consumed, .. } => {
-                    last_frame = pos;
-                    pos += consumed;
-                }
-                other => panic!("bad frame: {other:?}"),
-            }
-        }
-        let mut bad = good.clone();
-        bad[last_frame + FRAME_HEADER_LEN + 3] ^= 0x40;
-        std::fs::write(&path, &bad).expect("writes");
-        let replay = read_wal(&path).expect("final-frame corruption is repaired as torn");
-        assert_eq!(replay.records.len(), 2);
-        assert_eq!(replay.torn_at, Some(last_frame as u64));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fsync_hist_buckets_and_sums() {
-        let h = FsyncHist::default();
-        h.observe(Duration::from_nanos(500)); // <= 1e-6
-        h.observe(Duration::from_micros(50)); // <= 1e-4
-        h.observe(Duration::from_millis(500)); // <= 1.0
-        h.observe(Duration::from_secs(3)); // overflow
-        let (counts, overflow, count, sum) = h.snapshot();
-        assert_eq!(counts, [1, 0, 1, 0, 0, 0, 1]);
-        assert_eq!(overflow, 1);
-        assert_eq!(count, 4);
-        assert!((sum - 3.50005005).abs() < 1e-6, "sum {sum}");
-    }
-
-    proptest! {
-        #[test]
-        fn arbitrary_records_round_trip_bit_exactly(
-            wal_seq in any::<u64>(),
-            has_seq in any::<bool>(),
-            seq in any::<u64>(),
-            shard in "[ -~]{0,40}",
-            raw_stmts in prop::collection::vec(("[ -~]{0,120}", prop::option::of(any::<u64>())), 0..8),
-        ) {
-            // Costs travel as raw bits so NaNs, -0.0, and subnormals are
-            // all fair inputs — the codec must preserve every pattern.
-            let stmts: Vec<(String, Option<f64>)> =
-                raw_stmts.into_iter().map(|(s, c)| (s, c.map(f64::from_bits))).collect();
-            let record = WalRecord { wal_seq, seq: has_seq.then_some(seq), shard, stmts };
-            let decoded = decode_record(&encode_record(&record)).expect("decodes");
-            prop_assert_eq!(decoded.wal_seq, record.wal_seq);
-            prop_assert_eq!(decoded.seq, record.seq);
-            prop_assert_eq!(&decoded.shard, &record.shard);
-            prop_assert_eq!(decoded.stmts.len(), record.stmts.len());
-            for ((sql, cost), (dsql, dcost)) in record.stmts.iter().zip(&decoded.stmts) {
-                prop_assert_eq!(sql, dsql);
-                prop_assert_eq!(cost.map(f64::to_bits), dcost.map(f64::to_bits));
-            }
-        }
-
-        #[test]
-        fn arbitrary_byte_soup_never_panics_the_decoder(
-            payload in prop::collection::vec(any::<u8>(), 0..200),
-        ) {
-            // Random payloads overwhelmingly fail to decode; the contract
-            // is that they fail with an error, not a panic or a bogus
-            // record that smuggles garbage into replay.
-            let _ = decode_record(&payload);
-        }
-    }
-}
+mod tests;

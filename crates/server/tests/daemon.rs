@@ -1,6 +1,6 @@
 //! End-to-end tests of the serving daemon over real TCP sockets:
 //! concurrent-client determinism, backpressure, malformed input,
-//! graceful-shutdown drain, and checkpoint resume.
+//! graceful-shutdown drain, and resume from the log.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -273,9 +273,9 @@ fn isum_server_read_response(stream: &TcpStream) -> (u16, Vec<(String, String)>,
 #[test]
 fn graceful_shutdown_drains_queued_batches() {
     let dir = std::env::temp_dir().join(format!("isum_serve_drain_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ckpt = dir.join("drain.json");
-    let _ = std::fs::remove_file(&ckpt);
 
     let mut config = ServerConfig::new(catalog());
     config.checkpoint = Some(ckpt.clone());
@@ -305,30 +305,35 @@ fn graceful_shutdown_drains_queued_batches() {
     });
     server.join();
 
-    // The final checkpoint covers every acknowledged batch.
-    let (restored, next_seq) =
-        isum_server_restore(&ckpt).expect("final checkpoint is a valid engine");
-    assert_eq!(next_seq, 0, "unsequenced ingest leaves the high-water mark alone");
-    assert_eq!(restored.observed(), 15);
-    let _ = std::fs::remove_file(&ckpt);
-}
-
-fn isum_server_restore(path: &std::path::Path) -> Result<(Engine, u64), isum_common::Error> {
-    Engine::restore_from(catalog(), IsumConfig::isum(), path)
-        .map(|(e, seq, _wal_seq, _drift)| (e, seq))
+    // The log covers every acknowledged batch, and the drain wrote
+    // nothing on top of it: no snapshot at the checkpoint path.
+    assert!(!ckpt.exists(), "the checkpoint path is only the stem of the log's name");
+    let mut config = ServerConfig::new(catalog());
+    config.checkpoint = Some(ckpt.clone());
+    let (server, client) = start(config);
+    let status = client.status(None).expect("status");
+    assert_eq!(status.field("observed").and_then(|v| v.as_u64()), Some(15), "{}", status.body);
+    assert_eq!(
+        status.field("seq").and_then(|v| v.as_u64()),
+        Some(0),
+        "unsequenced ingest leaves the high-water mark alone"
+    );
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn restart_from_checkpoint_resumes_bit_identically() {
+fn restart_from_the_log_resumes_bit_identically() {
     let dir = std::env::temp_dir().join(format!("isum_serve_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ckpt = dir.join("resume.json");
-    let _ = std::fs::remove_file(&ckpt);
 
     let all = batches(4);
 
     // First incarnation: ingest the first three batches, then vanish
-    // without any graceful drain (the per-batch checkpoint is all that
+    // without any graceful drain (the per-batch log record is all that
     // survives — the crash story).
     let mut config = ServerConfig::new(catalog());
     config.checkpoint = Some(ckpt.clone());
@@ -342,7 +347,7 @@ fn restart_from_checkpoint_resumes_bit_identically() {
         drop(server);
     }
 
-    // Second incarnation resumes from the checkpoint. The client, unsure
+    // Second incarnation resumes from the log. The client, unsure
     // what was acknowledged before the crash, replays everything.
     let mut config = ServerConfig::new(catalog());
     config.checkpoint = Some(ckpt.clone());
@@ -375,5 +380,5 @@ fn restart_from_checkpoint_resumes_bit_identically() {
     );
     server.shutdown();
     server.join();
-    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -136,7 +136,7 @@ fn drift_tracking_end_to_end() {
     assert!(field(&status, &["queue", "capacity"]).as_u64().unwrap() > 0);
     assert_eq!(field(&status, &["observed"]).as_u64(), Some(30));
     assert_eq!(field(&status, &["templates"]).as_u64(), Some(2));
-    assert_eq!(field(&status, &["checkpoint", "configured"]).as_bool(), Some(false));
+    assert_eq!(field(&status, &["durability", "configured"]).as_bool(), Some(false));
     let cov = field(&status, &["summary", "coverage"]).as_f64().expect("coverage gauge");
     assert!(cov > 0.0 && cov <= 1.0, "coverage in (0,1]: {cov}");
     assert!(field(&status, &["summary", "represented_fraction"]).as_f64().unwrap() > 0.0);

@@ -1,10 +1,10 @@
 //! DriftTracker re-arm semantics across restarts (DESIGN.md §12/§15):
-//! the tracker's recent window *and* its edge-trigger latch travel
-//! through both durability paths — the checkpoint snapshot on clean
-//! shutdown, and silent WAL replay after a simulated crash — so an
-//! excursion that already fired never double-fires on reboot, and the
-//! tracker still re-arms and fires again once the score has genuinely
-//! dropped below the threshold and a fresh excursion arrives.
+//! the tracker's recent window *and* its edge-trigger latch are rebuilt
+//! by silent WAL replay — the same path after a clean shutdown and after
+//! a simulated crash — so an excursion that already fired never
+//! double-fires on reboot, and the tracker still re-arms and fires again
+//! once the score has genuinely dropped below the threshold and a fresh
+//! excursion arrives.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -48,9 +48,6 @@ fn boot(checkpoint: &Path) -> (Server, Client) {
     cfg.drift_window = 8;
     cfg.drift_threshold = 0.3;
     cfg.checkpoint = Some(checkpoint.to_path_buf());
-    // Keep every record in the WAL between compactions so the crash
-    // image below carries the full drift-relevant history.
-    cfg.wal_compact_every = 1_000_000;
     let server = Server::bind("127.0.0.1:0", cfg).expect("binds");
     let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
     (server, client)
@@ -79,8 +76,8 @@ fn drift_score(client: &Client) -> f64 {
     field(&status, &["drift", "score"]).as_f64().expect("score sampled")
 }
 
-/// Clean-shutdown path: the latch and window ride the checkpoint
-/// snapshot. Three reboots: steady → shifted (fires once) → still-above
+/// Clean-shutdown path: replay rebuilds the latch and window. Three
+/// reboots: steady → shifted (fires once) → still-above
 /// (must NOT re-fire) → decay below threshold, then a fresh excursion
 /// (MUST re-fire).
 #[test]
@@ -164,15 +161,14 @@ fn latch_survives_wal_replay_without_refiring() {
         }
         assert_eq!(drift_u64(&client, "alerts"), 1, "excursion fired before the crash");
         assert!(drift_score(&client) > 0.3);
-        assert!(!dir.join("ckpt.json").exists(), "no compaction: the WAL carries everything");
-        let wal = std::fs::read(dir.join("ckpt.wal")).expect("wal exists while live");
+        let wal = std::fs::read(dir.join("ckpt.wal.00000001")).expect("wal exists while live");
         server.shutdown();
         server.join();
         wal
     };
 
     let dir2 = temp_dir("crash_boot");
-    std::fs::write(dir2.join("ckpt.wal"), &live_wal).expect("writes crash image");
+    std::fs::write(dir2.join("ckpt.wal.00000001"), &live_wal).expect("writes crash image");
     let (server, client) = boot(&dir2.join("ckpt.json"));
     assert_eq!(
         drift_u64(&client, "alerts"),

@@ -232,24 +232,27 @@ fn observability_end_to_end() {
     assert_eq!(resp.status, 404);
     assert!(resp.body.contains("ISUM_SLOW_MS"), "disabled capture names the knob: {}", resp.body);
 
-    // --- No checkpoint ever: the monotonic age is null, not a lie. ---
+    // --- No log configured: /status says so and reports no segments. ---
     let status = client.status(None).expect("status");
     assert_eq!(status.status, 200);
-    let age = status.field("checkpoint").and_then(|c| c.get("ms_since_last_checkpoint"));
-    assert!(
-        matches!(age, Some(Json::Null)),
-        "never-checkpointed server reports a null age: {}",
+    let durability = status.field("durability").expect("durability block");
+    assert_eq!(
+        durability.get("configured").and_then(Json::as_bool),
+        Some(false),
+        "{}",
         status.body
     );
+    assert_eq!(durability.get("segments").and_then(Json::as_u64), Some(0), "{}", status.body);
+    assert!(status.field("checkpoint").is_none(), "the snapshot block went with the snapshot");
 
-    // --- Slow capture + monotonic checkpoint age on a configured server. ---
+    // --- Slow capture on a durable server: the stages of a logged batch. ---
     let dir = std::env::temp_dir().join(format!("isum_obs_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let mut config = ServerConfig::new(catalog());
     config.slow_ms = Some(0); // capture everything
     config.checkpoint = Some(dir.join("ckpt.json"));
-    config.wal_compact_every = 1; // checkpoint after every batch
+    config.wal_segment_bytes = 1; // rotate after every batch
     let slow_server = Server::bind("127.0.0.1:0", config).expect("binds");
     let slow_client =
         Client::new(slow_server.addr().to_string()).with_timeout(Duration::from_secs(30));
@@ -271,16 +274,22 @@ fn observability_end_to_end() {
         .expect("threshold 0 captures every request");
     let entry = Json::parse(line).expect("trace entries are JSON");
     let captured = entry.get("stages").expect("entry carries the stage breakdown");
-    for want in ["recv", "queue", "wal_append", "fsync", "apply", "checkpoint"] {
+    for want in ["recv", "queue", "wal_append", "fsync", "apply"] {
         assert!(captured.get(want).is_some(), "WAL-backed ingest records `{want}`: {line}");
     }
+    // Nothing is snapshotted on the ack path any more, rotation included
+    // (its fsyncs are charged to `fsync`).
+    assert!(captured.get("checkpoint").is_none(), "{line}");
+    let timing = resp.header("server-timing").expect("ingest carries Server-Timing");
+    assert!(timing.contains("fsync;dur=") && !timing.contains("checkpoint"), "{timing}");
     assert!(entry.get("total_ms").and_then(Json::as_f64).is_some(), "{line}");
     assert_eq!(entry.get("path").and_then(Json::as_str), Some("/ingest"), "{line}");
     let status = slow_client.status(None).expect("status");
-    let age = status.field("checkpoint").and_then(|c| c.get("ms_since_last_checkpoint"));
+    let durability = status.field("durability").expect("durability block");
+    assert_eq!(durability.get("segments").and_then(Json::as_u64), Some(2), "{}", status.body);
     assert!(
-        matches!(age, Some(Json::Num(_))),
-        "checkpointed server reports a monotonic age: {}",
+        durability.get("last_rotation_unix_ms").and_then(Json::as_u64).is_some(),
+        "the one batch filled its 1-byte segment: {}",
         status.body
     );
     slow_server.shutdown();

@@ -1,7 +1,7 @@
 //! End-to-end tests of the multi-tenant sharded daemon (DESIGN.md §13):
 //! per-tenant isolation and byte-identity with the batch pipeline,
 //! deterministic cross-shard merge under shard-count and ingest-order
-//! variation, per-shard checkpoint recovery, tenant-labeled metrics,
+//! variation, per-shard log recovery, tenant-labeled metrics,
 //! and the tenant-validation wire contract.
 
 use std::time::Duration;
@@ -226,8 +226,8 @@ fn hashed_restart_resumes_and_replays_dedup() {
         let resp = client.summary(5).expect("summary");
         assert_eq!(resp.status, 200, "{}", resp.body);
         let body = resp.body.clone();
-        // No /shutdown: dropping drains, and each shard's WAL is
-        // compacted into its snapshot before the thread exits.
+        // No /shutdown: dropping drains; each shard's log already holds
+        // everything it acknowledged.
         drop(server);
         body
     };
@@ -269,7 +269,7 @@ fn hashed_restart_resumes_and_replays_dedup() {
 }
 
 #[test]
-fn tenant_checkpoints_restart_bit_identically() {
+fn tenant_logs_restart_bit_identically() {
     let dir = std::env::temp_dir().join(format!("isum_shards_tenant_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ckpt = dir.join("tenants.json");
@@ -284,11 +284,11 @@ fn tenant_checkpoints_restart_bit_identically() {
         ingest_all(&server, "bolt", &bolt);
         let a = client.get("/summary?k=4&tenant=acme").expect("summary").body;
         let b = client.get("/summary?k=4&tenant=bolt").expect("summary").body;
-        drop(server); // drain: per-tenant WALs compact into their snapshots
+        drop(server);
         (a, b)
     };
 
-    // The restarted server discovers the tenant checkpoint files next to
+    // The restarted server discovers the tenants' log segments next to
     // the configured stem and revives each shard before the first request.
     let mut config = ServerConfig::new(catalog());
     config.checkpoint = Some(ckpt.clone());

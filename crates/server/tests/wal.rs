@@ -1,16 +1,18 @@
-//! End-to-end tests of WAL-based durability (DESIGN.md §14): crash
-//! recovery replays acknowledged batches bit-identically, truncating a
-//! crashed log at any byte offset recovers an exact whole-record prefix,
-//! mid-log corruption refuses to start, corrupt snapshots are
-//! quarantined, and steady-state disk writes are O(batch), not O(state).
+//! End-to-end tests of the segmented write-ahead log (DESIGN.md §14):
+//! crash recovery replays acknowledged batches bit-identically, a torn
+//! tail boots an exact whole-record prefix, damage anywhere else refuses
+//! to start, rotation keeps disk writes O(batch) and never touches a
+//! closed segment, a re-summarization is a logged rebase that converges
+//! across crashes and configuration changes, and a v1 state directory
+//! (snapshot + log) imports to the byte-identical `/summary`.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use isum_catalog::{Catalog, CatalogBuilder};
-use isum_common::framing::{decode_frame, FrameStatus};
+use isum_common::framing::{decode_frame, encode_frame, FrameStatus};
 use isum_core::IsumConfig;
-use isum_server::{Client, Engine, Server, ServerConfig};
+use isum_server::{Client, DriftAction, Engine, Server, ServerConfig};
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -23,8 +25,7 @@ fn catalog() -> Catalog {
         .build()
 }
 
-/// `n` single-statement batches, kept tiny so the per-offset fuzz stays
-/// fast (the WAL is a few hundred bytes).
+/// `n` single-statement batches (a record is about a hundred bytes).
 fn tiny_batches(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("SELECT o_id FROM orders WHERE o_cust = {};\n", i * 7 % 9999)).collect()
 }
@@ -44,8 +45,8 @@ fn batches(n: usize) -> Vec<String> {
 }
 
 /// The serial reference: one engine applying every batch in order.
-fn reference_summary(all: &[String], k: usize) -> String {
-    let mut engine = Engine::new(catalog(), IsumConfig::isum());
+fn reference_summary(catalog: Catalog, all: &[String], k: usize) -> String {
+    let mut engine = Engine::new(catalog, IsumConfig::isum());
     for b in all {
         let outcome = engine.apply_script(b);
         assert!(outcome.rejected.is_empty(), "reference batch rejected: {:?}", outcome.rejected);
@@ -75,49 +76,73 @@ fn ingest_all(client: &Client, all: &[String]) {
     }
 }
 
-fn config_with(checkpoint: &Path, compact_every: u64) -> ServerConfig {
+fn config_with(checkpoint: &Path, segment_bytes: u64) -> ServerConfig {
     let mut config = ServerConfig::new(catalog());
     config.checkpoint = Some(checkpoint.to_path_buf());
-    config.wal_compact_every = compact_every;
+    config.wal_segment_bytes = segment_bytes;
     config
 }
 
+/// File names in `dir`, sorted.
+fn names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("lists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Copies a state directory as a SIGKILL would leave it: the daemon
+/// fsyncs before every ack and writes nothing else, so the files under a
+/// *live* server are the crash image.
+fn crash_image(from: &Path, tag: &str) -> PathBuf {
+    let to = temp_dir(tag);
+    for name in names(from) {
+        std::fs::copy(from.join(&name), to.join(&name)).expect("copies");
+    }
+    to
+}
+
+/// Offsets at which the frames of a segment end, the 8-byte header first.
+fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = vec![8];
+    while *ends.last().unwrap() < bytes.len() {
+        let pos = *ends.last().unwrap();
+        match decode_frame(&bytes[pos..]) {
+            FrameStatus::Complete { consumed, .. } => ends.push(pos + consumed),
+            other => panic!("fresh segment has a bad frame at byte {pos}: {other:?}"),
+        }
+    }
+    ends
+}
+
+fn observed(client: &Client) -> u64 {
+    client.healthz().expect("healthz").field("observed").and_then(|v| v.as_u64()).expect("observed")
+}
+
 #[test]
-fn acked_batches_survive_a_simulated_crash_via_wal_replay() {
-    // The WAL is copied out from under a *live* server — the on-disk
-    // bytes at that instant are exactly what a SIGKILL would leave —
-    // and a second server boots from the copy alone.
+fn acked_batches_survive_a_simulated_crash_and_nothing_but_segments_is_written() {
     let dir = temp_dir("crash_replay");
     let all = batches(5);
-    let (live_summary, live_wal) = {
-        let (server, client) = start(config_with(&dir.join("ckpt.json"), 1_000_000));
-        ingest_all(&client, &all);
-        let resp = client.summary(4).expect("summary");
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        assert!(
-            !dir.join("ckpt.json").exists(),
-            "no compaction yet: the WAL alone carries the acked batches"
-        );
-        let wal = std::fs::read(dir.join("ckpt.wal")).expect("wal exists while live");
-        server.shutdown();
-        server.join();
-        (resp.body.clone(), wal)
-    };
-    assert_eq!(live_summary, reference_summary(&all, 4));
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 200));
+    ingest_all(&client, &all);
+    let live = client.summary(4).expect("summary");
+    assert_eq!(live.status, 200, "{}", live.body);
+    assert_eq!(live.body, reference_summary(catalog(), &all, 4));
+    let image = crash_image(&dir, "crash_replay_boot");
+    server.shutdown();
+    server.join();
+    // The drain wrote nothing: the log was already durable.
+    assert_eq!(names(&dir), names(&image));
+    assert!(names(&dir).iter().all(|n| n.starts_with("ckpt.wal.0000")), "{:?}", names(&dir));
+    assert!(names(&dir).len() >= 5, "200-byte segments rotate on every batch: {:?}", names(&dir));
 
-    let dir2 = temp_dir("crash_replay_boot");
-    std::fs::write(dir2.join("ckpt.wal"), &live_wal).expect("writes crash image");
-    let (server, client) = start(config_with(&dir2.join("ckpt.json"), 1_000_000));
-    let health = client.healthz().expect("healthz");
-    assert_eq!(
-        health.field("observed").and_then(|v| v.as_u64()),
-        Some(15),
-        "replay resumes every acked statement: {}",
-        health.body
-    );
+    let (server, client) = start(config_with(&image.join("ckpt.json"), 200));
+    assert_eq!(observed(&client), 15, "replay resumes every acked statement");
     assert_eq!(
         client.summary(4).expect("summary").body,
-        live_summary,
+        live.body,
         "restart is byte-identical to the never-crashed run"
     );
     // A client unsure what landed replays everything: all duplicates.
@@ -128,289 +153,534 @@ fn acked_batches_survive_a_simulated_crash_via_wal_replay() {
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
+    let _ = std::fs::remove_dir_all(&image);
 }
 
 #[test]
-fn truncating_a_crashed_wal_at_every_offset_boots_an_exact_prefix() {
-    let dir = temp_dir("offset_boot");
-    let all = tiny_batches(3);
-    let wal_bytes = {
-        let (server, client) = start(config_with(&dir.join("ckpt.json"), 1_000_000));
-        ingest_all(&client, &all);
-        let bytes = std::fs::read(dir.join("ckpt.wal")).expect("wal exists");
-        server.shutdown();
-        server.join();
-        bytes
-    };
-    // Frame boundaries, via the shared framing layer the server trusts.
-    let mut boundaries = vec![8usize];
-    let mut pos = 8usize;
-    while pos < wal_bytes.len() {
-        match decode_frame(&wal_bytes[pos..]) {
-            FrameStatus::Complete { consumed, .. } => {
-                pos += consumed;
-                boundaries.push(pos);
-            }
-            other => panic!("fresh WAL has a bad frame at byte {pos}: {other:?}"),
-        }
+fn a_logged_statement_that_nests_too_deep_is_rejected_live_and_on_every_replay() {
+    // Statements are logged before they are parsed, so whatever the
+    // parser does to a hostile one it does again on every restart. Each
+    // of these once overflowed the shard thread's stack — after the
+    // fsync: a crash loop until someone edited the log by hand.
+    let dir = temp_dir("deep");
+    let head = "SELECT o_id FROM orders WHERE ";
+    let n = 200_000;
+    let hostile = [
+        format!("{head}{}o_cust = 1{};\n", "(".repeat(n), ")".repeat(n)),
+        format!("{head}{}o_cust = 1;\n", "NOT ".repeat(n)),
+        format!("{head}o_cust = 1{};\n", " AND o_cust = 1".repeat(n)),
+        format!("{head}o_cust = 1{};\n", " + 1".repeat(n)),
+    ];
+    let valid = tiny_batches(2);
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    for (seq, deep) in hostile.iter().enumerate() {
+        let script = format!("{}{deep}{}", valid[0], valid[1]);
+        let resp = client.ingest_with_retry(&script, Some(seq as u64), 400).expect("delivers");
+        assert_eq!(resp.status, 200, "{}", &resp.body[..resp.body.len().min(400)]);
+        assert_eq!(resp.field("applied").and_then(|v| v.as_u64()), Some(2));
+        let rejected = resp.field("rejected").and_then(|v| v.as_array()).expect("rejected");
+        assert_eq!(rejected.len(), 1, "a per-statement reject");
+        assert_eq!(rejected[0].get("statement").and_then(|v| v.as_u64()), Some(1));
+        let why = rejected[0].get("error").and_then(|v| v.as_str()).expect("typed error");
+        assert!(why.contains("parse error") && why.contains("nests deeper"), "{why}");
     }
-    assert_eq!(boundaries.len(), 4, "header + three records");
-    let references: Vec<String> = (1..=3).map(|k| reference_summary(&all[..k], 3)).collect();
+    let served = client.summary(3).expect("summary").body;
+    server.shutdown();
+    server.join();
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    assert_eq!(observed(&client), 8, "the restart replays the same rejects and the same accepts");
+    assert_eq!(client.summary(3).expect("summary").body, served);
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let dir2 = temp_dir("offset_boot_cut");
-    for cut in 0..=wal_bytes.len() {
-        std::fs::write(dir2.join("ckpt.wal"), &wal_bytes[..cut]).expect("writes truncation");
-        let whole = if cut < 8 { 0 } else { boundaries.iter().filter(|&&b| b <= cut).count() - 1 };
-        let (server, client) = start(config_with(&dir2.join("ckpt.json"), 1_000_000));
-        let health = client.healthz().expect("healthz");
+#[test]
+fn a_torn_last_segment_boots_an_exact_prefix() {
+    // Every cut offset is covered at the log layer (`wal::tests`); here
+    // one boot per kind of cut shows the daemon serves the prefix.
+    let dir = temp_dir("torn_boot");
+    let all = tiny_batches(4);
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 150));
+    ingest_all(&client, &all[..2]);
+    server.shutdown();
+    server.join();
+    // Two records filled segment 1; boot again with room and add two.
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    ingest_all(&client, &all);
+    server.shutdown();
+    server.join();
+    assert_eq!(names(&dir), ["ckpt.wal.00000001", "ckpt.wal.00000002"]);
+    let last = dir.join("ckpt.wal.00000002");
+    let whole = std::fs::read(&last).expect("reads");
+    let ends = frame_ends(&whole);
+    assert_eq!(ends.len(), 3, "header + two records");
+
+    let cuts = [
+        ("inside the header", 5, 2),
+        ("inside the first frame", ends[0] + 11, 2),
+        ("on a frame boundary", ends[1], 3),
+        ("inside the last frame", ends[2] - 1, 3),
+    ];
+    for (what, cut, whole_batches) in cuts {
+        std::fs::write(&last, &whole[..cut]).expect("cuts");
+        let (server, client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+        assert_eq!(observed(&client), whole_batches as u64, "cut {what}");
         assert_eq!(
-            health.field("observed").and_then(|v| v.as_u64()),
-            Some(whole as u64),
-            "cut {cut} must boot exactly {whole} whole batches: {}",
-            health.body
+            client.summary(3).expect("summary").body,
+            reference_summary(catalog(), &all[..whole_batches], 3),
+            "cut {what}: the replayed prefix must match its serial reference"
         );
-        if whole > 0 {
-            assert_eq!(
-                client.summary(3).expect("summary").body,
-                references[whole - 1],
-                "cut {cut}: the replayed prefix must match its serial reference"
-            );
-        }
+        // The client's retries land after the repaired tail.
+        ingest_all(&client, &all);
+        assert_eq!(client.summary(3).expect("summary").body, reference_summary(catalog(), &all, 3));
         server.shutdown();
         server.join();
-        // A fresh append after repair must not trip over leftover bytes.
-        let _ = std::fs::remove_file(dir2.join("ckpt.json"));
-        let _ = std::fs::remove_file(dir2.join("ckpt.prev"));
     }
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
 }
 
 #[test]
-fn mid_log_corruption_refuses_to_start_but_final_frame_damage_recovers() {
-    let dir = temp_dir("midlog_boot");
-    let all = tiny_batches(3);
-    let wal_bytes = {
-        let (server, client) = start(config_with(&dir.join("ckpt.json"), 1_000_000));
-        ingest_all(&client, &all);
-        let bytes = std::fs::read(dir.join("ckpt.wal")).expect("wal exists");
-        server.shutdown();
-        server.join();
-        bytes
-    };
-    let mut last_frame = 8usize;
-    let mut pos = 8usize;
-    while pos < wal_bytes.len() {
-        match decode_frame(&wal_bytes[pos..]) {
-            FrameStatus::Complete { consumed, .. } => {
-                last_frame = pos;
-                pos += consumed;
-            }
-            other => panic!("bad frame: {other:?}"),
-        }
-    }
-
-    // A payload bit-flip in the first record with records after it is
-    // mid-log corruption: refusing to start beats silently dropping
-    // acknowledged batches.
-    let dir2 = temp_dir("midlog_boot_bad");
-    let mut bad = wal_bytes.clone();
-    bad[8 + 8 + 3] ^= 0x40; // first frame, 3 bytes into its payload
-    std::fs::write(dir2.join("ckpt.wal"), &bad).expect("writes");
-    let err = match Server::bind("127.0.0.1:0", config_with(&dir2.join("ckpt.json"), 1_000_000)) {
-        Err(e) => e,
-        Ok(_) => panic!("mid-log corruption must refuse to start"),
-    };
-    assert!(err.to_string().contains("mid-log"), "{err}");
-
-    // The same flip in the final record is indistinguishable from a torn
-    // write: truncate, warn, and serve the two-batch prefix.
-    let mut torn = wal_bytes.clone();
-    torn[last_frame + 8 + 3] ^= 0x40;
-    std::fs::write(dir2.join("ckpt.wal"), &torn).expect("writes");
-    let (server, client) = start(config_with(&dir2.join("ckpt.json"), 1_000_000));
-    assert_eq!(
-        client.healthz().expect("healthz").field("observed").and_then(|v| v.as_u64()),
-        Some(2)
-    );
-    assert_eq!(client.summary(3).expect("summary").body, reference_summary(&all[..2], 3));
+fn a_gap_or_a_bad_frame_in_a_closed_segment_refuses_to_start() {
+    let dir = temp_dir("closed_damage");
+    let all = tiny_batches(4);
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 1));
+    ingest_all(&client, &all);
     server.shutdown();
     server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
-}
-
-#[test]
-fn corrupt_snapshot_is_quarantined_and_the_previous_snapshot_restores() {
-    let dir = temp_dir("quarantine");
-    let ckpt = dir.join("ckpt.json");
-    let all = batches(4);
-    let pre = {
-        let (server, client) = start(config_with(&ckpt, 2)); // compacts during ingest
-        ingest_all(&client, &all);
-        let body = client.summary(4).expect("summary").body;
-        server.shutdown();
-        server.join();
-        body
+    assert_eq!(names(&dir).len(), 5, "one record per segment and an empty active one");
+    let refuses = |image: &Path, needle: &str| {
+        let err = match Server::bind("127.0.0.1:0", config_with(&image.join("ckpt.json"), 1)) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a damaged log must refuse to start (wanted `{needle}`)"),
+        };
+        assert!(err.contains(needle) && err.contains("shard `default`"), "{err}");
+        let _ = std::fs::remove_dir_all(image);
     };
-    assert!(ckpt.exists(), "graceful drain leaves a compacted snapshot");
 
-    // Scribble over the snapshot. Recovery must quarantine it (rename,
-    // keep the bytes for forensics) and fall back to `.prev` + WAL tail.
-    std::fs::rename(&ckpt, dir.join("ckpt.prev")).expect("stages prev");
-    std::fs::write(&ckpt, b"{ this is not a snapshot ]").expect("corrupts");
-    let (server, client) = start(config_with(&ckpt, 2));
-    assert_eq!(
-        client.summary(4).expect("summary").body,
-        pre,
-        "state restores from the previous snapshot plus the WAL tail"
-    );
-    let quarantined: Vec<_> = std::fs::read_dir(&dir)
-        .expect("lists")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().contains(".corrupt-"))
-        .collect();
-    assert_eq!(quarantined.len(), 1, "the bad snapshot is renamed, not deleted");
-    // The shard stays fully writable after quarantine.
-    let resp = client.ingest_with_retry(&all[0], None, 400).expect("delivers");
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    server.shutdown();
-    server.join();
+    // A payload bit-flip in a closed segment — even in its final frame,
+    // which the last segment would shrug off as a torn write.
+    let image = crash_image(&dir, "closed_damage_flip");
+    let second = image.join("ckpt.wal.00000002");
+    let mut bytes = std::fs::read(&second).expect("reads");
+    bytes[8 + 8 + 3] ^= 0x40;
+    std::fs::write(&second, &bytes).expect("writes");
+    refuses(&image, "closed segment");
+
+    // A closed segment that lost its tail.
+    let image = crash_image(&dir, "closed_damage_cut");
+    std::fs::write(image.join("ckpt.wal.00000003"), &bytes[..20]).expect("writes");
+    refuses(&image, "closed segment");
+
+    // A segment gone from the middle, and from the front.
+    let image = crash_image(&dir, "closed_damage_gap");
+    std::fs::remove_file(image.join("ckpt.wal.00000002")).expect("removes");
+    refuses(&image, "is missing");
+    let image = crash_image(&dir, "closed_damage_head");
+    std::fs::remove_file(image.join("ckpt.wal.00000001")).expect("removes");
+    refuses(&image, "missing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn steady_state_wal_growth_is_o_batch_and_compaction_truncates() {
+fn rotation_keeps_appends_o_batch_and_closed_segments_never_change() {
     let dir = temp_dir("obatch");
     let ckpt = dir.join("ckpt.json");
-    let wal = dir.join("ckpt.wal");
-    let all = batches(5);
-    let (server, client) = start(config_with(&ckpt, 5));
+    let all = batches(8);
+    let (server, client) = start(config_with(&ckpt, 700));
+    let dir_bytes = || -> u64 {
+        names(&dir).iter().map(|n| std::fs::metadata(dir.join(n)).expect("stat").len()).sum()
+    };
+    assert_eq!((names(&dir), dir_bytes()), (vec!["ckpt.wal.00000001".to_string()], 8));
 
-    // Fixed framing overhead per record: 8 frame header + 8 wal_seq +
-    // 1 has_seq + 8 seq + 2 shard_len + 7 "default" + 4 count, plus
-    // 13 bytes per statement (sql_len + cost flag + cost bits).
-    let mut prev = 8u64; // magic only
-    for (seq, script) in all.iter().take(4).enumerate() {
+    // Fixed overhead per record: 8 frame header + 1 kind + 8 wal_seq +
+    // 1 has_seq + 8 seq + 2 shard_len + 7 "default" + 4 count, plus 13
+    // bytes per statement (sql_len + cost flag + cost bits) — and 8 more
+    // when the append fills the segment and opens the next.
+    let mut frozen: Vec<(String, Vec<u8>)> = Vec::new();
+    for (seq, script) in all.iter().enumerate() {
+        let before = dir_bytes();
         let resp = client.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let now = std::fs::metadata(&wal).expect("wal exists").len();
-        let grown = now - prev;
-        let budget = script.len() as u64 + 38 + 13 * 3;
+        let grown = dir_bytes() - before;
+        let budget = script.len() as u64 + 39 + 13 * 3 + 8;
         assert!(
-            grown <= budget,
-            "batch {seq} grew the WAL by {grown} bytes, over its O(batch) budget {budget}"
+            grown <= budget && grown > script.len() as u64 / 2,
+            "batch {seq} grew the state directory by {grown} bytes (budget {budget})"
         );
-        assert!(grown > script.len() as u64 / 2, "the statements really are on disk");
-        prev = now;
-        assert!(!ckpt.exists(), "no snapshot before the compaction interval");
+        // Only the newest file is ever written.
+        for (name, bytes) in &frozen {
+            assert_eq!(&std::fs::read(dir.join(name)).expect("reads"), bytes, "{name} changed");
+        }
+        let live = names(&dir);
+        for name in &live[..live.len() - 1] {
+            if !frozen.iter().any(|(n, _)| n == name) {
+                frozen.push((name.clone(), std::fs::read(dir.join(name)).expect("reads")));
+            }
+        }
     }
-
-    // The 5th batch crosses the interval: snapshot lands, log truncates.
-    let resp = client.ingest_with_retry(&all[4], Some(4), 400).expect("delivers");
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(ckpt.exists(), "compaction wrote the snapshot");
-    assert_eq!(std::fs::metadata(&wal).expect("wal").len(), 8, "compaction truncated the log");
+    let segments = names(&dir).len() as u64;
+    assert!(segments >= 3, "eight ~280-byte records over 700-byte segments: {:?}", names(&dir));
 
     // /status narrates the same story.
     let status = client.get("/status").expect("status");
     assert_eq!(status.status, 200, "{}", status.body);
+    assert!(status.field("checkpoint").is_none(), "no snapshot, no snapshot age: {}", status.body);
     let d = status.field("durability").expect("durability section");
     assert_eq!(d.get("configured").and_then(|v| v.as_bool()), Some(true), "{}", status.body);
-    assert_eq!(d.get("wal_seq").and_then(|v| v.as_u64()), Some(5), "{}", status.body);
-    assert_eq!(d.get("wal_bytes").and_then(|v| v.as_u64()), Some(8), "{}", status.body);
-    assert_eq!(
-        d.get("records_since_compaction").and_then(|v| v.as_u64()),
-        Some(0),
-        "{}",
-        status.body
-    );
-    assert!(d.get("last_fsync_unix_ms").is_some_and(|v| v.as_u64().is_some()), "{}", status.body);
-    assert!(
-        d.get("last_compaction_unix_ms").is_some_and(|v| v.as_u64().is_some()),
-        "{}",
-        status.body
-    );
+    assert_eq!(d.get("wal_seq").and_then(|v| v.as_u64()), Some(8), "{}", status.body);
+    assert_eq!(d.get("wal_bytes").and_then(|v| v.as_u64()), Some(dir_bytes()), "{}", status.body);
+    assert_eq!(d.get("segments").and_then(|v| v.as_u64()), Some(segments), "{}", status.body);
+    for stamp in ["last_fsync_unix_ms", "last_rotation_unix_ms"] {
+        assert!(d.get(stamp).is_some_and(|v| v.as_u64().is_some()), "{stamp}: {}", status.body);
+    }
+    let shard = &status.field("shards").and_then(|s| s.as_array()).expect("shards")[0];
+    let wal = shard.get("wal").expect("per-shard wal block");
+    assert_eq!(wal.get("segments").and_then(|v| v.as_u64()), Some(segments), "{}", status.body);
+    assert_eq!(wal.get("bytes").and_then(|v| v.as_u64()), Some(dir_bytes()), "{}", status.body);
+    assert_eq!(wal.get("oldest_wal_seq").and_then(|v| v.as_u64()), Some(0), "{}", status.body);
+    assert!(wal.get("last_rotation_unix_ms").is_some_and(|v| v.as_u64().is_some()));
 
-    // /metrics exposes the WAL families with tenant labels.
+    // /metrics exposes the WAL families with tenant labels; an fsync is
+    // counted per append and per rotation.
     let body = client.metrics().expect("metrics").body;
-    assert!(body.contains("isum_wal_appended_bytes_total{tenant=\"default\"}"), "{body}");
-    assert!(body.contains("isum_wal_compactions_total{tenant=\"default\"} 1"), "{body}");
-    assert!(
-        body.contains("isum_wal_fsync_seconds_bucket{tenant=\"default\",le=\"+Inf\"} 5"),
-        "{body}"
-    );
-    assert!(body.contains("isum_wal_fsync_seconds_count{tenant=\"default\"} 5"), "{body}");
-    server.shutdown();
-    server.join();
-
-    // A byte-based trigger compacts on its own, without a record count.
-    let dir2 = temp_dir("obatch_bytes");
-    let mut config = config_with(&dir2.join("ckpt.json"), 1_000_000);
-    config.wal_compact_bytes = 1; // every append crosses the threshold
-    let (server, client) = start(config);
-    let resp = client.ingest_with_retry(&all[0], Some(0), 400).expect("delivers");
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert!(dir2.join("ckpt.json").exists(), "byte threshold triggers compaction");
-    assert_eq!(std::fs::metadata(dir2.join("ckpt.wal")).expect("wal").len(), 8);
+    let rotations = segments - 1;
+    for sample in [
+        format!("isum_wal_segments{{tenant=\"default\"}} {segments}"),
+        format!("isum_wal_rotations_total{{tenant=\"default\"}} {rotations}"),
+        format!("isum_wal_bytes{{tenant=\"default\"}} {}", dir_bytes()),
+        format!(
+            "isum_wal_appended_bytes_total{{tenant=\"default\"}} {}",
+            dir_bytes() - 8 * segments
+        ),
+        format!("isum_wal_fsync_seconds_count{{tenant=\"default\"}} {}", 8 + rotations),
+        "isum_wal_rebases_total{tenant=\"default\"} 0".to_string(),
+    ] {
+        assert!(body.contains(&sample), "missing `{sample}` in {body}");
+    }
+    assert!(!body.contains("isum_wal_compactions_total"), "{body}");
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
 }
 
 #[test]
-fn tenant_and_hashed_shards_keep_their_own_wal_siblings() {
-    // Tenant mode: each tenant logs to its own `<stem>.t-<hex>.wal`.
+fn tenant_and_hashed_shards_keep_their_own_segments() {
+    // Tenant mode: each tenant logs to its own `<stem>.t-<hex>.wal.<n>`.
     let dir = temp_dir("sharded_wals");
-    let ckpt = dir.join("ckpt.json");
     let all = batches(2);
-    {
-        let (server, _client) = start(config_with(&ckpt, 1_000_000));
+    let acme_summary = {
+        let (server, _client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
         let acme = Client::new(server.addr().to_string()).with_tenant("acme").expect("tenant");
-        for (seq, script) in all.iter().enumerate() {
-            let resp = acme.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
-            assert_eq!(resp.status, 200, "{}", resp.body);
-        }
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .expect("lists")
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            names.iter().any(|n| n.starts_with("ckpt.t-") && n.ends_with(".wal")),
-            "tenant WAL sibling missing: {names:?}"
-        );
-        server.shutdown();
-        server.join();
-    }
-
-    // Hashed mode: `<stem>.h<i>.wal` per shard, and a crash image built
-    // from the live WALs restores the merged view bit-identically.
-    let dir2 = temp_dir("sharded_wals_hashed");
-    let mut config = config_with(&dir2.join("ckpt.json"), 1_000_000);
-    config.shards = isum_server::ShardMode::Hashed(2);
-    let merged = {
-        let (server, client) = start(config);
-        ingest_all(&client, &all);
-        let body = client.summary(3).expect("summary").body;
-        for i in 0..2 {
-            assert!(dir2.join(format!("ckpt.h{i}.wal")).exists(), "hashed WAL sibling h{i}");
-        }
+        ingest_all(&acme, &all);
+        let body = acme.summary(3).expect("summary").body;
         server.shutdown();
         server.join();
         body
     };
-    // Graceful drain compacted; wipe the snapshots and keep only WALs
-    // from a pre-drain copy? Simpler: a second cold boot replays the
-    // compacted snapshots and must agree byte-for-byte.
-    let mut config = config_with(&dir2.join("ckpt.json"), 1_000_000);
-    config.shards = isum_server::ShardMode::Hashed(2);
-    let (server, client) = start(config);
+    assert_eq!(names(&dir), ["ckpt.t-61636d65.wal.00000001", "ckpt.wal.00000001"]);
+    // A restart discovers the tenant by its segments alone.
+    let (server, _client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    let acme = Client::new(server.addr().to_string()).with_tenant("acme").expect("tenant");
+    assert_eq!(acme.summary(3).expect("summary").body, acme_summary);
+    server.shutdown();
+    server.join();
+
+    // Hashed mode: `<stem>.h<i>.wal.<n>` per shard, and a crash image of
+    // the live logs restores the merged view bit-identically.
+    let dir2 = temp_dir("sharded_wals_hashed");
+    let hashed = |dir: &Path| {
+        let mut config = config_with(&dir.join("ckpt.json"), 1 << 20);
+        config.shards = isum_server::ShardMode::Hashed(2);
+        config
+    };
+    let (server, client) = start(hashed(&dir2));
+    ingest_all(&client, &all);
+    let merged = client.summary(3).expect("summary").body;
+    let image = crash_image(&dir2, "sharded_wals_hashed_boot");
+    server.shutdown();
+    server.join();
+    assert_eq!(names(&image), ["ckpt.h0.wal.00000001", "ckpt.h1.wal.00000001"]);
+    let (server, client) = start(hashed(&image));
     assert_eq!(client.summary(3).expect("summary").body, merged);
     server.shutdown();
     server.join();
+    for dir in [dir, dir2, image] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rebase: re-summarization as a log record
+// ---------------------------------------------------------------------
+
+fn drift_catalog() -> Catalog {
+    CatalogBuilder::new()
+        .table("t", 50_000)
+        .col_key("id")
+        .col_int("grp", 200, 0, 200)
+        .col_int("v", 1_000, 0, 10_000)
+        .finish()
+        .expect("fresh table")
+        .build()
+}
+
+/// `steady` single-statement batches of one template, then twenty of a
+/// second (the shift crosses the drift threshold and becomes the new
+/// normal), then ten of a third (a second excursion after the re-arm) —
+/// the stream of `tests/resummarize.rs`.
+fn drifting_stream(steady: usize) -> Vec<String> {
+    let mut stream: Vec<String> =
+        (0..steady).map(|i| format!("SELECT id FROM t WHERE grp = {};\n", i % 13)).collect();
+    stream.extend((0..20).map(|i| format!("SELECT grp FROM t WHERE v = {};\n", i * 17)));
+    stream.extend((0..10).map(|i| format!("SELECT v FROM t WHERE id = {};\n", i * 3 + 1)));
+    stream
+}
+
+fn drift_config(checkpoint: &Path, action: DriftAction, threshold: f64) -> ServerConfig {
+    let mut config = ServerConfig::new(drift_catalog());
+    config.checkpoint = Some(checkpoint.to_path_buf());
+    config.drift_window = 8;
+    config.drift_threshold = threshold;
+    config.drift_action = action;
+    config.wal_segment_bytes = 400;
+    config
+}
+
+fn drift_count(client: &Client, name: &str) -> u64 {
+    let status = client.status(None).expect("status");
+    status.field("drift").and_then(|d| d.get(name)).and_then(|v| v.as_u64()).expect("drift field")
+}
+
+fn summaries(client: &Client) -> Vec<String> {
+    [1, 3, 5].iter().map(|&k| client.summary(k).expect("summary").body).collect()
+}
+
+#[test]
+fn a_rebase_converges_across_a_crash_before_it_and_a_changed_threshold_after_it() {
+    let stream = drifting_stream(20);
+    // The never-crashed run, noting the batch whose ack carried the first
+    // re-summarization and what the shard looked like right after it.
+    let dir = temp_dir("rebase_ref");
+    let (server, client) =
+        start(drift_config(&dir.join("ckpt.json"), DriftAction::Resummarize, 0.5));
+    let mut crossing = None;
+    for (seq, script) in stream.iter().enumerate() {
+        let resp = client.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        if crossing.is_none() && drift_count(&client, "resummarizes") == 1 {
+            crossing = Some((seq, observed(&client), summaries(&client)));
+        }
+    }
+    let (crossing, observed_after, summaries_after) = crossing.expect("the shift re-summarizes");
+    assert_eq!(drift_count(&client, "resummarizes"), 2, "and the third template does again");
+    let (final_observed, final_summaries) = (observed(&client), summaries(&client));
+    server.shutdown();
+    server.join();
+
+    // Kill between the crossing batch's fsync and its rebase: the log ends
+    // on that batch and holds no rebase record. (A daemon that only warns
+    // leaves exactly that log.)
+    let crashed = temp_dir("rebase_crash");
+    let (server, client) = start(drift_config(&crashed.join("ckpt.json"), DriftAction::Warn, 0.5));
+    ingest_all(&client, &stream[..=crossing]);
+    assert_eq!(observed(&client), crossing as u64 + 1, "nothing was re-summarized");
+    server.shutdown();
+    server.join();
+    let (server, client) =
+        start(drift_config(&crashed.join("ckpt.json"), DriftAction::Resummarize, 0.5));
+    assert_eq!(drift_count(&client, "resummarizes"), 1, "recovery acts on the crossing it ends on");
+    assert_eq!((observed(&client), summaries(&client)), (observed_after, summaries_after));
+    for (seq, script) in stream.iter().enumerate().skip(crossing + 1) {
+        let resp = client.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    assert_eq!((observed(&client), summaries(&client)), (final_observed, final_summaries.clone()));
+    server.shutdown();
+    server.join();
+
+    // Inside the log the rebase records decide: a restart under another
+    // threshold (or with re-summarization off) cannot rewrite history.
+    for (action, threshold) in
+        [(DriftAction::Resummarize, 0.9), (DriftAction::Resummarize, 0.1), (DriftAction::Warn, 0.5)]
+    {
+        let (server, client) = start(drift_config(&dir.join("ckpt.json"), action, threshold));
+        assert_eq!(
+            (observed(&client), summaries(&client)),
+            (final_observed, final_summaries.clone()),
+            "restart with {action:?} at {threshold}"
+        );
+        assert_eq!(drift_count(&client, "resummarizes"), 0, "replay re-summarizes nothing itself");
+        server.shutdown();
+        server.join();
+    }
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
+    let _ = std::fs::remove_dir_all(&crashed);
+}
+
+#[test]
+fn segments_before_a_rebase_are_unlinked_and_recovery_forgets_the_history_before_it() {
+    // Long and short histories before the same shift leave the same log.
+    let mut live_bytes = Vec::new();
+    for steady in [20usize, 300] {
+        let dir = temp_dir(&format!("rebase_retire_{steady}"));
+        let stream = drifting_stream(steady);
+        let (server, client) =
+            start(drift_config(&dir.join("ckpt.json"), DriftAction::Resummarize, 0.5));
+        ingest_all(&client, &stream[..steady]);
+        let before = names(&dir);
+        ingest_all(&client, &stream);
+        assert_eq!(drift_count(&client, "resummarizes"), 2);
+        let after = names(&dir);
+        assert!(
+            after.first() > before.last(),
+            "every segment from before the rebase is gone: {before:?} -> {after:?}"
+        );
+        let status = client.status(None).expect("status");
+        let wal = status.field("shards").and_then(|s| s.as_array()).expect("shards")[0]
+            .get("wal")
+            .expect("wal block");
+        let oldest = wal.get("oldest_wal_seq").and_then(|v| v.as_u64()).expect("oldest");
+        assert!(
+            oldest > steady as u64,
+            "the log starts at the last rebase record: {}",
+            status.body
+        );
+        live_bytes.push(wal.get("bytes").and_then(|v| v.as_u64()).expect("bytes"));
+        let metrics = client.metrics().expect("metrics").body;
+        assert!(metrics.contains("isum_wal_rebases_total{tenant=\"default\"} 2"), "{metrics}");
+        let served = summaries(&client);
+        server.shutdown();
+        server.join();
+        let (server, client) =
+            start(drift_config(&dir.join("ckpt.json"), DriftAction::Resummarize, 0.5));
+        assert_eq!(summaries(&client), served);
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    // What a restart replays does not depend on the history before the
+    // last rebase (280 more batches would be ~25 KB more log).
+    assert!(live_bytes[0].abs_diff(live_bytes[1]) < 200, "{live_bytes:?}");
+}
+
+// ---------------------------------------------------------------------
+// The v1 importer
+// ---------------------------------------------------------------------
+
+/// The catalog `fixtures/engine_v1_checkpoint.json` was written under.
+fn v1_catalog() -> Catalog {
+    CatalogBuilder::new()
+        .table("t", 100_000)
+        .col_key("id")
+        .col_int("grp", 500, 0, 500)
+        .col_int("v", 1000, 0, 10_000)
+        .finish()
+        .expect("fresh table")
+        .build()
+}
+
+const V1_SNAPSHOT: &str = include_str!("fixtures/engine_v1_checkpoint.json");
+
+fn v1_statement(i: usize) -> String {
+    format!("SELECT id FROM t WHERE grp = {} AND v > {}", i % 7, i * 3)
+}
+
+/// One record of the v1 single-file log, as `ISUMWAL1` framed it: no kind
+/// byte, otherwise today's batch layout.
+fn v1_record(wal_seq: u64, seq: u64, stmts: &[String]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&wal_seq.to_le_bytes());
+    payload.push(1);
+    payload.extend_from_slice(&seq.to_le_bytes());
+    payload.extend_from_slice(&7u16.to_le_bytes());
+    payload.extend_from_slice(b"default");
+    payload.extend_from_slice(&(stmts.len() as u32).to_le_bytes());
+    for sql in stmts {
+        payload.extend_from_slice(&(sql.len() as u32).to_le_bytes());
+        payload.extend_from_slice(sql.as_bytes());
+        payload.push(0);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+    }
+    encode_frame(&payload)
+}
+
+#[test]
+fn a_v1_state_directory_imports_to_the_byte_identical_summary() {
+    // The fixture holds statements 0..9 at next_seq 4 and watermark 17.
+    // The v1 log next to it still holds record 16 (already folded into
+    // the snapshot: a crash between snapshot write and truncation), then
+    // records 17 and 18, then half of record 19.
+    let tail: Vec<Vec<String>> =
+        (0..3).map(|b| (0..2).map(|j| v1_statement(9 + b * 2 + j)).collect()).collect();
+    let mut v1_log = b"ISUMWAL1".to_vec();
+    v1_log.extend(v1_record(16, 3, &[v1_statement(8)]));
+    v1_log.extend(v1_record(17, 4, &tail[0]));
+    v1_log.extend(v1_record(18, 5, &tail[1]));
+    let torn = v1_record(19, 6, &tail[2]);
+    v1_log.extend(&torn[..torn.len() / 2]);
+    let acked: Vec<String> = (0..13).map(|i| format!("{};\n", v1_statement(i))).collect();
+    let expected = reference_summary(v1_catalog(), &acked, 5);
+    let v1_config = |dir: &Path| {
+        let mut config = ServerConfig::new(v1_catalog());
+        config.checkpoint = Some(dir.join("ckpt.json"));
+        config
+    };
+
+    // As the snapshot + tail a SIGKILL left, and as `.prev` + tail (the
+    // kill landed between parking the old snapshot and writing the new).
+    for snapshot_name in ["ckpt.json", "ckpt.json.prev"] {
+        let dir = temp_dir(&format!("import_{}", snapshot_name.replace('.', "_")));
+        std::fs::write(dir.join(snapshot_name), V1_SNAPSHOT).expect("writes");
+        std::fs::write(dir.join("ckpt.wal"), &v1_log).expect("writes");
+        let (server, client) = start(v1_config(&dir));
+        assert_eq!(observed(&client), 13, "{snapshot_name}: snapshot + the two whole tail records");
+        assert_eq!(client.summary(5).expect("summary").body, expected, "{snapshot_name}");
+        let status = client.status(None).expect("status");
+        assert_eq!(status.field("seq").and_then(|v| v.as_u64()), Some(6), "{}", status.body);
+        let d = status.field("durability").expect("durability");
+        assert_eq!(
+            d.get("wal_seq").and_then(|v| v.as_u64()),
+            Some(1),
+            "the log is one rebase record"
+        );
+        // The client retries what was never acked; it lands in the log.
+        let resp = client.ingest_with_retry(&format!("{};\n", v1_statement(13)), Some(6), 400);
+        assert_eq!(resp.expect("delivers").status, 200);
+        let served = client.summary(5).expect("summary").body;
+        server.shutdown();
+        server.join();
+        assert_eq!(
+            names(&dir),
+            [
+                format!("{snapshot_name}.imported"),
+                "ckpt.wal.00000001".into(),
+                "ckpt.wal.imported".into()
+            ],
+            "the v1 files are renamed aside, one segment holds their content"
+        );
+
+        // The second boot reads only segments.
+        std::fs::remove_file(dir.join(format!("{snapshot_name}.imported"))).expect("removes");
+        std::fs::remove_file(dir.join("ckpt.wal.imported")).expect("removes");
+        let (server, client) = start(v1_config(&dir));
+        assert_eq!(client.summary(5).expect("summary").body, served);
+        server.shutdown();
+        server.join();
+        assert_eq!(names(&dir), ["ckpt.wal.00000001"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // A snapshot that does not parse refuses to start, naming the file:
+    // quietly falling back to `.prev` would drop what it held.
+    let dir = temp_dir("import_corrupt");
+    std::fs::write(dir.join("ckpt.json"), b"{ this is not a snapshot ]").expect("writes");
+    std::fs::write(dir.join("ckpt.json.prev"), V1_SNAPSHOT).expect("writes");
+    let err = match Server::bind("127.0.0.1:0", v1_config(&dir)) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("an unparseable snapshot must refuse to start"),
+    };
+    assert!(err.contains("ckpt.json") && err.contains("cannot import v1 snapshot"), "{err}");
+    assert_eq!(names(&dir), ["ckpt.json", "ckpt.json.prev"], "nothing was moved or written");
+    let _ = std::fs::remove_dir_all(&dir);
 }

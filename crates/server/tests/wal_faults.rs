@@ -64,8 +64,8 @@ fn injected_torn_appends_reject_the_batch_and_recovery_repairs_the_tail() {
         server.shutdown();
         server.join();
     }
-    assert!(!ckpt.exists(), "a poisoned shard skips its final compaction");
-    let torn_len = std::fs::metadata(dir.join("ckpt.wal")).expect("wal").len();
+    assert!(!ckpt.exists(), "no snapshot is ever written");
+    let torn_len = std::fs::metadata(dir.join("ckpt.wal.00000001")).expect("wal").len();
     assert!(torn_len >= 8, "the torn partial record stays on disk, like a real crash");
 
     // Faults off, restart: recovery truncates the torn tail and the

@@ -33,6 +33,6 @@ pub use ast::{
     SelectStatement, TableRef,
 };
 pub use binder::{Binder, BoundFilter, BoundJoin, BoundQuery, BoundTable, FilterKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_EXPR_DEPTH};
 pub use prepared::PreparedCache;
 pub use template::{fingerprint, TemplateRegistry};

@@ -15,6 +15,10 @@
 //! primary   := literal | column | agg(..) | func(..) | (expr) | (select)
 //!              | EXISTS (select) | DATE '..' | CASE .. END
 //! ```
+//!
+//! A statement whose expressions nest deeper than [`MAX_EXPR_DEPTH`] —
+//! by recursion or by a long operator chain, which folds into a
+//! left-deep tree — is a parse error like any other.
 
 use std::borrow::Cow;
 
@@ -54,7 +58,7 @@ pub(crate) fn parse_tokens(
     input: &str,
     tokens: &[Token],
 ) -> Result<(SelectStatement, Vec<LiteralSource>)> {
-    let mut p = Parser { input, tokens, pos: 0, sources: Vec::new() };
+    let mut p = Parser::new(input, tokens);
     let stmt = p.parse_select()?;
     p.eat_kind(TokenKind::Semicolon);
     p.expect_kind(TokenKind::Eof)?;
@@ -67,7 +71,7 @@ pub(crate) fn parse_tokens(
 /// Propagates the first parse error encountered.
 pub fn parse_many(sql: &str) -> Result<Vec<SelectStatement>> {
     let tokens = lex(sql)?;
-    let mut p = Parser { input: sql, tokens: &tokens, pos: 0, sources: Vec::new() };
+    let mut p = Parser::new(sql, &tokens);
     let mut out = Vec::new();
     loop {
         while p.eat_kind(TokenKind::Semicolon) {}
@@ -221,14 +225,88 @@ pub(crate) fn literals_of<'a>(
     literal_tokens.next().is_none().then_some(out)
 }
 
+/// Deepest expression tree the parser builds, counted in nodes from a
+/// root to its deepest leaf (a subquery's `SELECT` is a node); also the
+/// deepest it recurses, where a pair of parentheses adds a call but no
+/// node. Everything downstream of the parser — bind, render, `Drop` —
+/// recurses once per level, so this is what keeps a hostile statement
+/// from overflowing a thread's stack: an unoptimized build needs about
+/// 11 KiB per level, a 2 MiB thread holds that with a quarter to spare.
+/// Loop-built operator chains count too (a chain of n terms is a tree n
+/// levels tall), so a `WHERE` of 128 `AND`ed comparisons is refused.
+/// Measured headroom: over the 621 generator templates (every benchmark
+/// workload draws from them) the tallest expression is 12 levels and the
+/// longest chain 11 terms — pinned below 16 by
+/// `crates/workload/tests/deep_statements.rs`.
+pub const MAX_EXPR_DEPTH: u32 = 128;
+
 struct Parser<'a> {
     input: &'a str,
     tokens: &'a [Token],
     pos: usize,
     sources: Vec<LiteralSource>,
+    /// Self-recursive productions entered and not yet left.
+    depth: u32,
+    /// Height of the expression the last expression production returned
+    /// (of the tallest clause, after `parse_select`).
+    height: u32,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str, tokens: &'a [Token]) -> Self {
+        Parser { input, tokens, pos: 0, sources: Vec::new(), depth: 0, height: 0 }
+    }
+
+    fn too_deep(&self) -> Error {
+        self.error(format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"))
+    }
+
+    /// Runs a production that can reach itself again, one level down.
+    fn nested<T>(&mut self, production: fn(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = production(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Records the height of a node about to be built over children of
+    /// height `tallest`, so no expression taller than the cap ever exists
+    /// (dropping one would recurse as deep as it is tall).
+    fn grow(&mut self, tallest: u32) -> Result<()> {
+        if tallest >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.height = tallest + 1;
+        Ok(())
+    }
+
+    /// `operand {op operand}`, folded into a left-deep tree.
+    fn parse_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr>,
+        eat_op: fn(&mut Self) -> Option<BinaryOp>,
+    ) -> Result<Expr> {
+        let mut left = operand(self)?;
+        while let Some(op) = eat_op(self) {
+            let height = self.height;
+            let right = operand(self)?;
+            self.grow(height.max(self.height))?;
+            left = Expr::binary(op, left, right);
+        }
+        Ok(left)
+    }
+
+    /// One clause expression of a `SELECT`; `tallest` keeps the maximum
+    /// height over the clauses.
+    fn parse_clause(&mut self, tallest: &mut u32) -> Result<Expr> {
+        let expr = self.parse_expr()?;
+        *tallest = (*tallest).max(self.height);
+        Ok(expr)
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -315,9 +393,10 @@ impl<'a> Parser<'a> {
     fn parse_select(&mut self) -> Result<SelectStatement> {
         self.expect_keyword(Keyword::Select)?;
         let distinct = self.eat_keyword(Keyword::Distinct);
-        let mut projections = vec![self.parse_select_item()?];
+        let mut tallest = 0;
+        let mut projections = vec![self.parse_select_item(&mut tallest)?];
         while self.eat_kind(TokenKind::Comma) {
-            projections.push(self.parse_select_item()?);
+            projections.push(self.parse_select_item(&mut tallest)?);
         }
         self.expect_keyword(Keyword::From)?;
         let mut from = vec![self.parse_table_ref()?];
@@ -326,28 +405,34 @@ impl<'a> Parser<'a> {
             if self.eat_kind(TokenKind::Comma) {
                 from.push(self.parse_table_ref()?);
             } else if self.peek_is_join() {
-                joins.push(self.parse_join()?);
+                joins.push(self.parse_join(&mut tallest)?);
             } else {
                 break;
             }
         }
-        let where_clause =
-            if self.eat_keyword(Keyword::Where) { Some(self.parse_expr()?) } else { None };
+        let where_clause = if self.eat_keyword(Keyword::Where) {
+            Some(self.parse_clause(&mut tallest)?)
+        } else {
+            None
+        };
         let mut group_by = Vec::new();
         if self.eat_keyword(Keyword::Group) {
             self.expect_keyword(Keyword::By)?;
-            group_by.push(self.parse_expr()?);
+            group_by.push(self.parse_clause(&mut tallest)?);
             while self.eat_kind(TokenKind::Comma) {
-                group_by.push(self.parse_expr()?);
+                group_by.push(self.parse_clause(&mut tallest)?);
             }
         }
-        let having =
-            if self.eat_keyword(Keyword::Having) { Some(self.parse_expr()?) } else { None };
+        let having = if self.eat_keyword(Keyword::Having) {
+            Some(self.parse_clause(&mut tallest)?)
+        } else {
+            None
+        };
         let mut order_by = Vec::new();
         if self.eat_keyword(Keyword::Order) {
             self.expect_keyword(Keyword::By)?;
             loop {
-                let expr = self.parse_expr()?;
+                let expr = self.parse_clause(&mut tallest)?;
                 let desc = if self.eat_keyword(Keyword::Desc) {
                     true
                 } else {
@@ -374,6 +459,7 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
+        self.height = tallest;
         Ok(SelectStatement {
             distinct,
             projections,
@@ -396,7 +482,7 @@ impl<'a> Parser<'a> {
         )
     }
 
-    fn parse_join(&mut self) -> Result<Join> {
+    fn parse_join(&mut self, tallest: &mut u32) -> Result<Join> {
         let kind = if self.eat_keyword(Keyword::Left) {
             self.eat_keyword(Keyword::Outer);
             JoinKind::LeftOuter
@@ -407,7 +493,7 @@ impl<'a> Parser<'a> {
         self.expect_keyword(Keyword::Join)?;
         let table = self.parse_table_ref()?;
         self.expect_keyword(Keyword::On)?;
-        let on = self.parse_expr()?;
+        let on = self.parse_clause(tallest)?;
         Ok(Join { kind, table, on })
     }
 
@@ -421,11 +507,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_select_item(&mut self) -> Result<SelectItem> {
+    fn parse_select_item(&mut self, tallest: &mut u32) -> Result<SelectItem> {
         if self.eat_kind(TokenKind::Star) {
             return Ok(SelectItem::Wildcard);
         }
-        let expr = self.parse_expr()?;
+        let expr = self.parse_clause(tallest)?;
         let alias = self.parse_alias()?;
         Ok(SelectItem::Expr { expr, alias })
     }
@@ -437,25 +523,15 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_keyword(Keyword::Or) {
-            let right = self.parse_and()?;
-            left = Expr::binary(BinaryOp::Or, left, right);
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_and, |p| p.eat_keyword(Keyword::Or).then_some(BinaryOp::Or))
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_keyword(Keyword::And) {
-            let right = self.parse_not()?;
-            left = Expr::binary(BinaryOp::And, left, right);
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_not, |p| p.eat_keyword(Keyword::And).then_some(BinaryOp::And))
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
@@ -463,7 +539,9 @@ impl<'a> Parser<'a> {
             && self.peek_kind_at(1) != TokenKind::Keyword(Keyword::Exists)
         {
             self.advance();
-            return Ok(Expr::Not(Box::new(self.parse_not()?)));
+            let inner = self.nested(Self::parse_not)?;
+            self.grow(self.height)?;
+            return Ok(Expr::Not(Box::new(inner)));
         }
         self.parse_predicate()
     }
@@ -491,17 +569,35 @@ impl<'a> Parser<'a> {
             TokenKind::GtEq => Some(BinaryOp::GtEq),
             _ => None,
         };
+        // What the predicate node stands on: `left`, then each operand.
+        let tallest = self.height;
         if let Some(op) = comparison {
             self.advance();
             let right = self.parse_additive()?;
+            self.grow(tallest.max(self.height))?;
             return Ok(Expr::binary(op, left, right));
         }
+        match self.peek_kind() {
+            TokenKind::Keyword(Keyword::Between | Keyword::In | Keyword::Like | Keyword::Is) => {
+                self.parse_predicate_tail(left, negated)
+            }
+            _ => Ok(left),
+        }
+    }
+
+    /// `left [NOT] BETWEEN .. | [NOT] IN (..) | [NOT] LIKE '..' | IS [NOT]
+    /// NULL`, from the keyword on (apart from `parse_predicate` for the
+    /// reason `parse_primary` gives).
+    fn parse_predicate_tail(&mut self, left: Expr, negated: bool) -> Result<Expr> {
+        let mut tallest = self.height;
         match self.peek_kind() {
             TokenKind::Keyword(Keyword::Between) => {
                 self.advance();
                 let lo = self.parse_additive()?;
+                tallest = tallest.max(self.height);
                 self.expect_keyword(Keyword::And)?;
                 let hi = self.parse_additive()?;
+                self.grow(tallest.max(self.height))?;
                 Ok(Expr::Between {
                     expr: Box::new(left),
                     lo: Box::new(lo),
@@ -513,15 +609,20 @@ impl<'a> Parser<'a> {
                 self.advance();
                 self.expect_kind(TokenKind::LParen)?;
                 if self.peek_kind() == TokenKind::Keyword(Keyword::Select) {
-                    let sub = self.parse_select()?;
-                    self.expect_kind(TokenKind::RParen)?;
-                    Ok(Expr::InSubquery { expr: Box::new(left), subquery: Box::new(sub), negated })
+                    let subquery = self.parse_subquery()?;
+                    self.grow(tallest.max(self.height))?;
+                    Ok(Expr::InSubquery { expr: Box::new(left), subquery, negated })
                 } else {
-                    let mut list = vec![self.parse_additive()?];
-                    while self.eat_kind(TokenKind::Comma) {
+                    let mut list = Vec::new();
+                    loop {
                         list.push(self.parse_additive()?);
+                        tallest = tallest.max(self.height);
+                        if !self.eat_kind(TokenKind::Comma) {
+                            break;
+                        }
                     }
                     self.expect_kind(TokenKind::RParen)?;
+                    self.grow(tallest)?;
                     Ok(Expr::InList { expr: Box::new(left), list, negated })
                 }
             }
@@ -531,76 +632,57 @@ impl<'a> Parser<'a> {
                     return Err(self.unexpected("expected pattern string"));
                 };
                 self.sources.push(LiteralSource::Pattern);
+                self.grow(tallest)?;
                 Ok(Expr::Like { expr: Box::new(left), pattern, negated })
             }
             TokenKind::Keyword(Keyword::Is) => {
                 self.advance();
                 let negated = self.eat_keyword(Keyword::Not);
                 self.expect_keyword(Keyword::Null)?;
+                self.grow(tallest)?;
                 Ok(Expr::IsNull { expr: Box::new(left), negated })
             }
-            _ => Ok(left),
+            _ => unreachable!("the caller peeked one of the four keywords"),
         }
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek_kind() {
+        self.parse_chain(Self::parse_multiplicative, |p| {
+            let op = match p.peek_kind() {
                 TokenKind::Plus => BinaryOp::Add,
                 TokenKind::Minus => BinaryOp::Sub,
-                _ => break,
+                _ => return None,
             };
-            self.advance();
-            let right = self.parse_multiplicative()?;
-            left = Expr::binary(op, left, right);
-        }
-        Ok(left)
+            p.advance();
+            Some(op)
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_primary()?;
-        loop {
-            let op = match self.peek_kind() {
+        self.parse_chain(Self::parse_primary, |p| {
+            let op = match p.peek_kind() {
                 TokenKind::Star => BinaryOp::Mul,
                 TokenKind::Slash => BinaryOp::Div,
-                _ => break,
+                _ => return None,
             };
-            self.advance();
-            let right = self.parse_primary()?;
-            left = Expr::binary(op, left, right);
-        }
-        Ok(left)
+            p.advance();
+            Some(op)
+        })
     }
 
+    /// Dispatch only: each arm that needs locals is a function of its
+    /// own, so that the frames a nested `(` or call costs stay small (an
+    /// unoptimized build lays out every arm's locals side by side).
     fn parse_primary(&mut self) -> Result<Expr> {
+        // A leaf, unless an arm below builds on something.
+        self.height = 1;
         match self.peek_kind() {
             TokenKind::Number(n) => {
                 self.advance();
                 self.sources.push(LiteralSource::Number { negated: false });
                 Ok(Expr::Number(n))
             }
-            TokenKind::Minus => {
-                self.advance();
-                let mark = self.sources.len();
-                match self.parse_primary()? {
-                    Expr::Number(n) => {
-                        // A number leaves exactly one source behind.
-                        match self.sources.last_mut() {
-                            Some(
-                                LiteralSource::Number { negated }
-                                | LiteralSource::Interval { negated, .. },
-                            ) => *negated = !*negated,
-                            other => unreachable!("number literal came from {other:?}"),
-                        }
-                        Ok(Expr::Number(-n))
-                    }
-                    e => {
-                        self.sources.insert(mark, LiteralSource::Zero);
-                        Ok(Expr::binary(BinaryOp::Sub, Expr::Number(0.0), e))
-                    }
-                }
-            }
+            TokenKind::Minus => self.parse_negation(),
             TokenKind::String { .. } => {
                 let s = self.eat_string().map(String::from).expect("peeked a string");
                 self.sources.push(LiteralSource::Text);
@@ -610,37 +692,8 @@ impl<'a> Parser<'a> {
                 self.advance();
                 Ok(Expr::Null)
             }
-            TokenKind::Keyword(Keyword::Date) => {
-                self.advance();
-                let Some(text) = self.eat_string() else {
-                    return Err(self.unexpected("expected date string"));
-                };
-                let days = parse_iso_date(&text)?;
-                self.sources.push(LiteralSource::Date);
-                Ok(Expr::Date(days))
-            }
-            TokenKind::Keyword(Keyword::Interval) => {
-                // INTERVAL '<n>' DAY|MONTH|YEAR — folded to a day count so
-                // date arithmetic stays numeric.
-                self.advance();
-                let amount = match self.peek_kind() {
-                    TokenKind::String { .. } => {
-                        let text = self.eat_string().expect("peeked a string");
-                        interval_amount(&text)
-                            .ok_or_else(|| self.error(format!("bad interval amount '{text}'")))?
-                    }
-                    TokenKind::Number(n) => {
-                        self.advance();
-                        n
-                    }
-                    _ => return Err(self.unexpected("expected interval amount")),
-                };
-                let unit = self.expect_ident()?;
-                let unit = IntervalUnit::parse(&unit)
-                    .ok_or_else(|| self.error(format!("unknown interval unit `{unit}`")))?;
-                self.sources.push(LiteralSource::Interval { unit, negated: false });
-                Ok(Expr::Number(unit.days(amount)))
-            }
+            TokenKind::Keyword(Keyword::Date) => self.parse_date(),
+            TokenKind::Keyword(Keyword::Interval) => self.parse_interval(),
             TokenKind::Keyword(Keyword::Exists) => {
                 self.advance();
                 self.parse_exists(false)
@@ -653,58 +706,134 @@ impl<'a> Parser<'a> {
                 self.parse_exists(true)
             }
             TokenKind::Keyword(Keyword::Case) => self.parse_case(),
-            TokenKind::LParen => {
-                self.advance();
-                if self.peek_kind() == TokenKind::Keyword(Keyword::Select) {
-                    let sub = self.parse_select()?;
-                    self.expect_kind(TokenKind::RParen)?;
-                    Ok(Expr::ScalarSubquery(Box::new(sub)))
-                } else {
-                    let e = self.parse_expr()?;
-                    self.expect_kind(TokenKind::RParen)?;
-                    Ok(e)
-                }
-            }
-            TokenKind::Ident => {
-                let name = self.expect_ident()?;
-                if self.eat_kind(TokenKind::LParen) {
-                    if let Some(func) = AggFunc::parse(&name) {
-                        // COUNT(*) / aggregate over expression.
-                        if func == AggFunc::Count && self.eat_kind(TokenKind::Star) {
-                            self.expect_kind(TokenKind::RParen)?;
-                            return Ok(Expr::Agg { func, arg: None, distinct: false });
-                        }
-                        let distinct = self.eat_keyword(Keyword::Distinct);
-                        let arg = self.parse_expr()?;
-                        self.expect_kind(TokenKind::RParen)?;
-                        return Ok(Expr::Agg { func, arg: Some(Box::new(arg)), distinct });
-                    }
-                    let mut args = Vec::new();
-                    if self.peek_kind() != TokenKind::RParen {
-                        args.push(self.parse_expr()?);
-                        while self.eat_kind(TokenKind::Comma) {
-                            args.push(self.parse_expr()?);
-                        }
-                    }
-                    self.expect_kind(TokenKind::RParen)?;
-                    return Ok(Expr::Func { name, args });
-                }
-                if self.eat_kind(TokenKind::Dot) {
-                    let column = self.expect_ident()?;
-                    return Ok(Expr::Column(ColumnRef { qualifier: Some(name), name: column }));
-                }
-                Ok(Expr::Column(ColumnRef { qualifier: None, name }))
-            }
+            TokenKind::LParen => self.parse_parenthesized(),
+            TokenKind::Ident => self.parse_name(),
             _ => Err(self.error(format!("unexpected {}", self.peek().describe(self.input)))),
         }
+    }
+
+    /// `-<primary>`: a negative literal, or `0 - <primary>`.
+    fn parse_negation(&mut self) -> Result<Expr> {
+        self.advance();
+        let mark = self.sources.len();
+        match self.nested(Self::parse_primary)? {
+            Expr::Number(n) => {
+                // A number leaves exactly one source behind.
+                match self.sources.last_mut() {
+                    Some(
+                        LiteralSource::Number { negated } | LiteralSource::Interval { negated, .. },
+                    ) => *negated = !*negated,
+                    other => unreachable!("number literal came from {other:?}"),
+                }
+                Ok(Expr::Number(-n))
+            }
+            e => {
+                self.sources.insert(mark, LiteralSource::Zero);
+                self.grow(self.height)?;
+                Ok(Expr::binary(BinaryOp::Sub, Expr::Number(0.0), e))
+            }
+        }
+    }
+
+    /// `DATE '<iso date>'`.
+    fn parse_date(&mut self) -> Result<Expr> {
+        self.advance();
+        let Some(text) = self.eat_string() else {
+            return Err(self.unexpected("expected date string"));
+        };
+        let days = parse_iso_date(&text)?;
+        self.sources.push(LiteralSource::Date);
+        Ok(Expr::Date(days))
+    }
+
+    /// `INTERVAL '<n>' DAY|MONTH|YEAR` — folded to a day count so date
+    /// arithmetic stays numeric.
+    fn parse_interval(&mut self) -> Result<Expr> {
+        self.advance();
+        let amount = match self.peek_kind() {
+            TokenKind::String { .. } => {
+                let text = self.eat_string().expect("peeked a string");
+                interval_amount(&text)
+                    .ok_or_else(|| self.error(format!("bad interval amount '{text}'")))?
+            }
+            TokenKind::Number(n) => {
+                self.advance();
+                n
+            }
+            _ => return Err(self.unexpected("expected interval amount")),
+        };
+        let unit = self.expect_ident()?;
+        let unit = IntervalUnit::parse(&unit)
+            .ok_or_else(|| self.error(format!("unknown interval unit `{unit}`")))?;
+        self.sources.push(LiteralSource::Interval { unit, negated: false });
+        Ok(Expr::Number(unit.days(amount)))
+    }
+
+    /// `(<expr>)` or a scalar `(SELECT ...)`.
+    fn parse_parenthesized(&mut self) -> Result<Expr> {
+        self.advance();
+        if self.peek_kind() == TokenKind::Keyword(Keyword::Select) {
+            let subquery = self.parse_subquery()?;
+            self.grow(self.height)?;
+            Ok(Expr::ScalarSubquery(subquery))
+        } else {
+            let e = self.parse_expr()?;
+            self.expect_kind(TokenKind::RParen)?;
+            Ok(e)
+        }
+    }
+
+    /// What starts with an identifier: a column, an aggregate or a call.
+    fn parse_name(&mut self) -> Result<Expr> {
+        let name = self.expect_ident()?;
+        if self.eat_kind(TokenKind::LParen) {
+            if let Some(func) = AggFunc::parse(&name) {
+                // COUNT(*) / aggregate over expression.
+                if func == AggFunc::Count && self.eat_kind(TokenKind::Star) {
+                    self.expect_kind(TokenKind::RParen)?;
+                    return Ok(Expr::Agg { func, arg: None, distinct: false });
+                }
+                let distinct = self.eat_keyword(Keyword::Distinct);
+                let arg = self.parse_expr()?;
+                self.expect_kind(TokenKind::RParen)?;
+                self.grow(self.height)?;
+                return Ok(Expr::Agg { func, arg: Some(Box::new(arg)), distinct });
+            }
+            let mut args = Vec::new();
+            let mut tallest = 0;
+            if self.peek_kind() != TokenKind::RParen {
+                args.push(self.parse_clause(&mut tallest)?);
+                while self.eat_kind(TokenKind::Comma) {
+                    args.push(self.parse_clause(&mut tallest)?);
+                }
+            }
+            self.expect_kind(TokenKind::RParen)?;
+            self.grow(tallest)?;
+            return Ok(Expr::Func { name, args });
+        }
+        if self.eat_kind(TokenKind::Dot) {
+            let column = self.expect_ident()?;
+            return Ok(Expr::Column(ColumnRef { qualifier: Some(name), name: column }));
+        }
+        Ok(Expr::Column(ColumnRef { qualifier: None, name }))
     }
 
     /// The `(SELECT ...)` after `[NOT] EXISTS`.
     fn parse_exists(&mut self, negated: bool) -> Result<Expr> {
         self.expect_kind(TokenKind::LParen)?;
-        let sub = self.parse_select()?;
+        let subquery = self.parse_subquery()?;
+        self.grow(self.height)?;
+        Ok(Expr::Exists { subquery, negated })
+    }
+
+    /// `SELECT ...)` of a subquery, which is one level itself: whatever
+    /// walks the tree spends a call on the statement between the
+    /// expression that holds it and the expressions it holds.
+    fn parse_subquery(&mut self) -> Result<Box<SelectStatement>> {
+        let subquery = Box::new(self.nested(Self::parse_select)?);
         self.expect_kind(TokenKind::RParen)?;
-        Ok(Expr::Exists { subquery: Box::new(sub), negated })
+        self.grow(self.height)?;
+        Ok(subquery)
     }
 
     /// `CASE WHEN e THEN e [WHEN ...] [ELSE e] END`, lowered to an
@@ -712,18 +841,20 @@ impl<'a> Parser<'a> {
     fn parse_case(&mut self) -> Result<Expr> {
         self.expect_keyword(Keyword::Case)?;
         let mut args = Vec::new();
+        let mut tallest = 0;
         while self.eat_keyword(Keyword::When) {
-            args.push(self.parse_expr()?);
+            args.push(self.parse_clause(&mut tallest)?);
             self.expect_keyword(Keyword::Then)?;
-            args.push(self.parse_expr()?);
+            args.push(self.parse_clause(&mut tallest)?);
         }
         if self.eat_keyword(Keyword::Else) {
-            args.push(self.parse_expr()?);
+            args.push(self.parse_clause(&mut tallest)?);
         }
         self.expect_keyword(Keyword::End)?;
         if args.is_empty() {
             return Err(self.error("CASE without WHEN branches"));
         }
+        self.grow(tallest)?;
         Ok(Expr::Func { name: "case".into(), args })
     }
 }
