@@ -5,7 +5,7 @@
 //! isum tune     --schema schema.json --workload workload.sql -k 20 -m 16 [--advisor dta|dexter] [--report]
 //! isum explain  --schema schema.json --workload workload.sql --query 3 [--tuned]
 //! isum dump     --workload gen:tpch:1:200:42 [--out workload.sql]
-//! isum serve    --schema tpch:1 --listen 127.0.0.1:7071 [--checkpoint state.json] [--queue-cap 64] [--shards 4]
+//! isum serve    --schema tpch:1 --listen 127.0.0.1:7071 [--checkpoint state.json] [--queue-cap 64]
 //! isum client   <ingest|summary|explain|status|tune|healthz|telemetry|shutdown> --server 127.0.0.1:7071 [--tenant acme] ...
 //! isum load     --server 127.0.0.1:7071 [--seed 42] [--connections 4] [--tenants 4] [--templates 12] [--rate 2.5]
 //! ```
@@ -143,8 +143,7 @@ fn usage() -> String {
          isum serve reads these tunables (environment variable, flag, accepted values; a flag\n\
          beats its variable, a malformed variable is ignored with a warning):\n\
          {tunables}\
-         isum serve shards by X-Isum-Tenant header by default; ISUM_SHARDS switches to n\n\
-         hash-routed shards for parallel single-tenant ingest (DESIGN.md \u{a7}13); the\n\
+         isum serve keeps one shard per X-Isum-Tenant header value (DESIGN.md \u{a7}13); the\n\
          ISUM_DRIFT_* variables configure workload-drift tracking (DESIGN.md \u{a7}12); with\n\
          --checkpoint <file> as the stem each acknowledged batch is fsynced to a per-shard\n\
          write-ahead log (<stem>.wal.<n> segments, the only files the daemon writes) before the\n\
@@ -819,7 +818,6 @@ fn load_cmd(opts: &Options) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isum_server::ShardMode;
 
     /// Written once per process: tests run on parallel threads, and a
     /// rewrite under a concurrent reader hands it a truncated file.
@@ -971,17 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_parses_and_rejects_bad_values() {
-        let c = serve_config_for(&["--shards", "4"]).expect("valid");
-        assert_eq!(c.shards, ShardMode::Hashed(4));
-        let c = serve_config_for(&[]).expect("valid");
-        assert_eq!(c.shards, ShardMode::Tenant);
-        assert!(Options::parse(&["--shards".into()]).is_err());
-        assert!(serve_config_for(&["--shards", "abc"]).is_err());
-        assert!(serve_config_for(&["--shards", "0"]).is_err());
-    }
-
-    #[test]
     fn wal_flags_parse_and_reject_bad_values() {
         let c = serve_config_for(&["--wal-segment-bytes", "4096"]).expect("valid");
         assert_eq!(c.wal_segment_bytes, 4096);
@@ -993,6 +980,12 @@ mod tests {
         assert!(serve_config_for(&["--wal-segment-bytes", "0"]).is_err());
         let retired = ["--wal-compact-every".to_string(), "3".to_string()];
         assert!(Options::parse(&retired).is_err(), "went with the snapshot");
+        // `--shards` went with hashed mode: the parser does not know it,
+        // and the serve table would refuse it by name.
+        assert!(Options::parse(&["--shards".to_string(), "2".to_string()]).is_err());
+        let shards = [("--shards".to_string(), "2".to_string())];
+        let refused = serve_config_for(&[]).expect("valid").apply_env(|_| None, &shards);
+        assert_eq!(refused.err().as_deref(), Some("--shards is not a serve flag"));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use isum_catalog::Catalog;
 use isum_core::IsumConfig;
 
 use crate::drift::DriftAction;
-use crate::shards::ShardMode;
 
 /// Configuration for a [`crate::Server`].
 pub struct ServerConfig {
@@ -39,9 +38,6 @@ pub struct ServerConfig {
     /// default — strictly observation-only) or adaptively re-summarize
     /// the shard over the recent window.
     pub drift_action: DriftAction,
-    /// Shard layout: per-tenant shards (default) or `n ≥ 1` hash-routed
-    /// shards.
-    pub shards: ShardMode,
     /// Cap (≥ 1) on concurrently live tenant shards; the cap answers 429.
     pub max_tenants: usize,
     /// Close a shard's active WAL segment and open the next once it
@@ -66,7 +62,7 @@ struct Knob {
 }
 
 /// Every tunable `isum serve` reads, in documentation order.
-const KNOBS: [Knob; 6] = [
+const KNOBS: [Knob; 5] = [
     Knob {
         env: "ISUM_DRIFT_WINDOW",
         flag: None,
@@ -86,15 +82,6 @@ const KNOBS: [Knob; 6] = [
         set: |c, v| {
             let known = [DriftAction::Warn, DriftAction::Resummarize];
             assign(&mut c.drift_action, known.into_iter().find(|a| a.as_str() == v))
-        },
-    },
-    Knob {
-        env: "ISUM_SHARDS",
-        flag: Some("--shards"),
-        want: "an integer >= 1",
-        set: |c, v| {
-            let n = v.parse().ok().and_then(at_least_one);
-            assign(&mut c.shards, n.map(|n| ShardMode::Hashed(n as usize)))
         },
     },
     Knob {
@@ -126,7 +113,7 @@ fn unit_interval(t: f64) -> Option<f64> {
 impl ServerConfig {
     /// Defaults: queue of 64 batches, 30 s ingest wait, no checkpoint,
     /// drift window of 256 observations with an alert threshold of 0.5,
-    /// tenant-mode sharding capped at 64 tenants, 1 MiB WAL segments.
+    /// one shard per tenant capped at 64 tenants, 1 MiB WAL segments.
     pub fn new(catalog: Catalog) -> ServerConfig {
         ServerConfig {
             catalog,
@@ -138,7 +125,6 @@ impl ServerConfig {
             drift_window: 256,
             drift_threshold: 0.5,
             drift_action: DriftAction::Warn,
-            shards: ShardMode::Tenant,
             max_tenants: 64,
             wal_segment_bytes: 1 << 20,
             slow_ms: None,
@@ -187,15 +173,10 @@ impl ServerConfig {
     /// The range checks behind [`crate::Server::bind`], for fields set
     /// directly rather than through [`ServerConfig::apply_env`].
     pub(crate) fn validate(&self) -> Result<(), String> {
-        let shards = match self.shards {
-            ShardMode::Tenant => 1,
-            ShardMode::Hashed(n) => n as u64,
-        };
         let counts = [
             ("queue_cap", self.queue_cap as u64),
             ("max_tenants", self.max_tenants as u64),
             ("wal_segment_bytes", self.wal_segment_bytes),
-            ("shards", shards),
         ];
         if let Some((name, _)) = counts.iter().find(|(_, n)| at_least_one(*n).is_none()) {
             return Err(format!("{name} must be at least 1"));
@@ -229,7 +210,7 @@ mod tests {
             &'static str,
             &'static [&'static str],
         );
-        let rows: [Row; 6] = [
+        let rows: [Row; 5] = [
             ("ISUM_DRIFT_WINDOW", |c| c.drift_window.to_string(), "256", "64", &["not-a-number"]),
             ("ISUM_DRIFT_THRESHOLD", |c| c.drift_threshold.to_string(), "0.5", "0.25", &["1.5"]),
             (
@@ -238,16 +219,6 @@ mod tests {
                 "warn",
                 "resummarize",
                 &["RESUMMARIZE", "panic", ""],
-            ),
-            (
-                "ISUM_SHARDS",
-                |c| match c.shards {
-                    ShardMode::Tenant => "tenant".into(),
-                    ShardMode::Hashed(n) => n.to_string(),
-                },
-                "tenant",
-                "4",
-                &["0", "-2", "lots"],
             ),
             (
                 "ISUM_WAL_SEGMENT_BYTES",
@@ -302,11 +273,10 @@ mod tests {
     #[test]
     fn bind_refuses_what_the_loader_would() {
         assert!(config().validate().is_ok());
-        let cases: [fn(&mut ServerConfig); 5] = [
+        let cases: [fn(&mut ServerConfig); 4] = [
             |c| c.queue_cap = 0,
             |c| c.max_tenants = 0,
             |c| c.wal_segment_bytes = 0,
-            |c| c.shards = ShardMode::Hashed(0),
             |c| c.drift_threshold = 1.5,
         ];
         for (i, breakage) in cases.into_iter().enumerate() {

@@ -8,8 +8,7 @@
 //! multi-tenant: each `X-Isum-Tenant` value owns an isolated shard
 //! (engine + sequencer + drift tracker + write-ahead log), and a cross-shard
 //! `GET /summary` merges every shard's partial sums deterministically
-//! (DESIGN.md §13). `ISUM_SHARDS=n` instead spreads a single-tenant
-//! stream over `n` hash-routed shards for parallel ingest.
+//! (DESIGN.md §13).
 //!
 //! # Wire API
 //!
@@ -92,4 +91,4 @@ pub use drift::DriftAction;
 pub use engine::{summary_to_json, Engine, IngestOutcome};
 pub use http::{read_response, RawResponse, Request, Response};
 pub use server::{install_signal_handlers, signal_pending, Server};
-pub use shards::{validate_tenant, ShardMode, DEFAULT_TENANT};
+pub use shards::{validate_tenant, DEFAULT_TENANT};

@@ -14,10 +14,8 @@
 //!                ▼
 //!   shard router (crate::shards): one request pipeline — bounded queue
 //!   ── full ⇒ 429 + Retry-After ── strict-seq admission, durable-apply
-//!   (WAL append + fsync, engine apply, drift), ack. A
-//!   tenant's shard runs all of it on one thread; hashed mode puts the
-//!   admission on a front stream that splits batches by
-//!   template-fingerprint hash over the shards
+//!   (WAL append + fsync, engine apply, drift), ack, all of it on the
+//!   tenant's shard thread
 //! ```
 //!
 //! # Determinism under concurrency
@@ -50,8 +48,7 @@ use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock
 use crate::config::ServerConfig;
 use crate::http::{retry_after_value, Request, Response};
 use crate::shards::{
-    lock, unix_ms, validate_tenant, Shard, ShardCells, ShardMode, ShardRouter, DEFAULT_TENANT,
-    UNSEQ_KEY_BASE,
+    lock, unix_ms, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT, UNSEQ_KEY_BASE,
 };
 
 /// Cap on retained slow-request timelines: old entries are evicted FIFO,
@@ -360,27 +357,15 @@ fn tenant_spec(req: &Request) -> Result<Option<String>, Response> {
 
 /// Resolves the shard a read endpoint should answer from. `Ok(None)`
 /// means "no tenant named and several shards exist" — the caller serves
-/// the merged view (or requires a tenant, endpoint depending). In hashed
-/// mode, `tenant` may name a shard (`h0`…) to inspect it directly;
-/// `default` reads the global view.
+/// the merged view (or requires a tenant, endpoint depending).
 fn read_shard(shared: &Shared, req: &Request) -> Result<Option<Arc<Shard>>, Response> {
     let router = &shared.router;
     match tenant_spec(req)? {
         None => Ok(router.single()),
-        Some(t) => match shared.config.shards {
-            ShardMode::Hashed(_) if t == DEFAULT_TENANT => Ok(router.single()),
-            ShardMode::Hashed(n) => router.shard_named(&t).map(Some).ok_or_else(|| {
-                let last = n - 1;
-                param_error(
-                    "tenant",
-                    &format!("does not name a shard in hashed mode (use h0..h{last})"),
-                )
-            }),
-            ShardMode::Tenant => router
-                .shard_named(&t)
-                .map(Some)
-                .ok_or_else(|| Response::error(404, &format!("unknown tenant `{t}`"))),
-        },
+        Some(t) => router
+            .shard_named(&t)
+            .map(Some)
+            .ok_or_else(|| Response::error(404, &format!("unknown tenant `{t}`"))),
     }
 }
 
@@ -424,7 +409,6 @@ fn try_route(
                 ("observed".into(), Json::from(shared.router.observed_total())),
                 ("templates".into(), Json::from(shared.router.templates_total())),
                 ("shards".into(), Json::from(shared.router.shard_count())),
-                ("mode".into(), Json::from(shared.config.shards.as_str())),
                 ("draining".into(), Json::from(shared.shutdown.load(Ordering::SeqCst))),
             ]),
         ),
@@ -865,7 +849,6 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
             ("summary".into(), summary),
             ("drift".into(), drift),
             ("spans".into(), spans),
-            ("mode".into(), Json::from(shared.config.shards.as_str())),
             ("shards".into(), Json::Arr(shard_docs)),
         ]),
     )
@@ -906,12 +889,6 @@ fn handle_ingest(
         Some(_) => return Err(param_error("seq", "must be an integer below 2^63")),
     };
     let tenant = tenant_spec(req)?.unwrap_or_else(|| DEFAULT_TENANT.to_string());
-    if matches!(shared.config.shards, ShardMode::Hashed(_)) && tenant != DEFAULT_TENANT {
-        return Err(param_error(
-            "tenant",
-            "cannot steer hashed-mode ingest (statements are split by template hash)",
-        ));
-    }
     let request_id = trace::current_request_id().unwrap_or_else(trace::next_request_id);
     Ok(shared.router.ingest(&tenant, seq, script.to_string(), request_id, clock))
 }

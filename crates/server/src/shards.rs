@@ -1,30 +1,19 @@
 //! Multi-tenant sharding and the one ingest pipeline every batch takes:
 //! enqueue → admit → durable-apply → ack (DESIGN.md §13).
 //!
-//! # Streams and shards
+//! # Shards
 //!
-//! A *stream* is a bounded queue feeding one worker thread that admits
-//! client batches in strict contiguous `seq` order. A *shard* is an
-//! engine plus its durability files, mutated by exactly one thread.
-//!
-//! * **Tenant mode** (the default): every distinct `X-Isum-Tenant` header
-//!   value owns one shard, and the shard's thread is also its stream —
-//!   admission and durable-apply run back to back on the request's own
-//!   stage clock. Requests without the header land on the `default`
-//!   tenant, whose checkpoint stays at the exact configured path so a
-//!   single-tenant deployment is indistinguishable from the pre-sharding
-//!   daemon. Tenant streams are fully independent.
-//! * **Hashed mode** (`ISUM_SHARDS=n` / `--shards n`): one *front* stream
-//!   runs the same admission for the whole daemon, then splits each batch
-//!   over `n` fixed shards `h0..h{n-1}` by the FNV-1a hash of each
-//!   statement's *template fingerprint* (computed in parallel on the exec
-//!   pool; unparseable statements hash their raw text) and acks the
-//!   client only after every involved shard has run the same
-//!   durable-apply step on its slice. Shards dedup slices monotonically
-//!   (apply iff `seq >= shard_next`), which is what makes crash recovery
-//!   converge: the restarted front resumes at the *maximum* shard
-//!   high-water mark, and a retried below-maximum batch is still split
-//!   and offered so lagging shards catch up while caught-up shards skip.
+//! A *shard* is an engine plus its log, mutated by exactly one thread:
+//! a bounded queue feeds the shard's worker, which admits client batches
+//! in strict contiguous `seq` order and runs admission and durable-apply
+//! back to back on the request's own stage clock. Every distinct
+//! `X-Isum-Tenant` header value owns one shard, created on first ingest;
+//! requests without the header land on the `default` tenant, whose log
+//! stays at the exact configured stem so a single-tenant deployment is
+//! indistinguishable from the pre-sharding daemon. Shards are fully
+//! independent; a `/summary` that names no tenant while several exist is
+//! the deterministic merge of their partial sums
+//! ([`isum_core::merge_partials`]).
 //!
 //! # Durability layout
 //!
@@ -36,7 +25,6 @@
 //! ```text
 //! dir/ckpt.wal.<n>                 default tenant, segment n (8 digits)
 //! dir/ckpt.t-<hex(tenant)>.wal.<n> every other tenant (hex keeps names filesystem-safe)
-//! dir/ckpt.h<i>.wal.<n>            hashed shard i
 //! ```
 //!
 //! Startup scans the stem's directory for `.t-<hex>` siblings, so a
@@ -74,25 +62,6 @@ pub(crate) const UNSEQ_KEY_BASE: u64 = 1 << 63;
 
 /// The tenant requests land on when no `X-Isum-Tenant` header is sent.
 pub const DEFAULT_TENANT: &str = "default";
-
-/// How shards are laid out; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardMode {
-    /// One shard per distinct tenant name, created on first ingest.
-    Tenant,
-    /// `n` fixed shards fed by hashing template fingerprints.
-    Hashed(usize),
-}
-
-impl ShardMode {
-    /// The name `/healthz` and `/status` report.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShardMode::Tenant => "tenant",
-            ShardMode::Hashed(_) => "hashed",
-        }
-    }
-}
 
 /// Validates a tenant name the same way on both ends of the wire: the
 /// server rejects bad names with a typed 400, and `isum client --tenant`
@@ -137,11 +106,9 @@ impl StageHist {
     }
 }
 
-/// Mirror cells a stream's and a shard's hot paths update so `/status`,
-/// `/healthz`, and `/metrics` can answer without touching the worker
-/// threads. Strictly observation-only: nothing reads these back into any
-/// decision. The hashed front stream owns a set too and only ever moves
-/// the stream cells (`queue_depth`, `next_seq`, `stage_hist`).
+/// Mirror cells a shard's hot paths update so `/status`, `/healthz`, and
+/// `/metrics` can answer without touching the worker threads. Strictly
+/// observation-only: nothing reads these back into any decision.
 #[derive(Default)]
 pub(crate) struct ShardCells {
     /// Ingest jobs accepted into this queue and not yet received.
@@ -188,32 +155,25 @@ pub(crate) struct ShardCells {
     pub wal_rebases: AtomicU64,
     /// WAL fsync latency histogram.
     pub wal_fsync_hist: FsyncHist,
-    /// Per-stage latency histograms of the requests this stream served.
+    /// Per-stage latency histograms of the requests this shard served.
     pub stage_hist: StageHist,
 }
-
-/// The sending half of a worker thread's bounded queue; `None` once
-/// drain begins — closing the channel is what lets the worker drain to
-/// empty and exit.
-type Queue = Mutex<Option<SyncSender<Job>>>;
 
 /// One shard: a name, an engine, a bounded queue, and its worker's
 /// observable state.
 pub(crate) struct Shard {
     pub name: String,
     pub engine: Mutex<Engine>,
-    queue: Queue,
-    pub cells: Arc<ShardCells>,
+    /// The sending half of the worker's bounded queue; `None` once drain
+    /// begins — closing the channel is what lets the worker drain to
+    /// empty and exit.
+    queue: Mutex<Option<SyncSender<Job>>>,
+    pub cells: ShardCells,
     /// Rendered `/summary` cache: `(state_version, k, document)`. One
     /// entry suffices — pollers overwhelmingly ask for one `k` — and the
     /// version key makes staleness impossible: any ingest or
     /// re-summarization bumps `state_version`, so the next read recomputes.
     summary_cache: Mutex<Option<(u64, usize, Json)>>,
-    /// XOR-folded into fault-injection keys so distinct tenants draw
-    /// independent deterministic fault decisions. `0` for the default
-    /// tenant, keeping its keys equal to bare `seq` numbers (the contract
-    /// the fault-injection suite pins).
-    fault_salt: u64,
 }
 
 impl Shard {
@@ -241,113 +201,42 @@ impl Shard {
     }
 }
 
-/// One queued unit of work for a worker thread.
-enum Job {
-    /// A whole client batch, admitted by the stream that receives it.
-    Batch {
-        seq: Option<u64>,
-        script: String,
-        request_id: String,
-        /// The request's timeline; the worker stamps queue wait,
-        /// sequencing, WAL append/fsync, and apply onto it.
-        clock: Arc<StageClock>,
-        reply: SyncSender<Response>,
-    },
-    /// One shard's slice of a batch the hashed front stream already
-    /// admitted: the shard dedups monotonically (apply iff
-    /// `seq >= shard_next`) and never answers "ahead".
-    Slice {
-        seq: Option<u64>,
-        stmts: Vec<(String, Option<f64>)>,
-        request_id: String,
-        reply: SyncSender<SliceOutcome>,
-    },
+/// One queued client batch, admitted by the shard worker that receives it.
+struct Job {
+    seq: Option<u64>,
+    script: String,
+    request_id: String,
+    /// The request's timeline; the worker stamps queue wait, sequencing,
+    /// WAL append/fsync, and apply onto it.
+    clock: Arc<StageClock>,
+    reply: SyncSender<Response>,
 }
 
-/// What a shard reports back to the front stream for one slice.
-struct SliceOutcome {
-    /// `Ok(None)`: a monotone duplicate, nothing touched. `Err`: the
-    /// shard could not log the slice durably — nothing was applied, and
-    /// the front must answer a retryable 503 without advancing the stream.
-    result: Result<Option<IngestOutcome>, String>,
-    /// The slice's own timeline, stamped by the same durable-apply step
-    /// that stamps the request's clock in tenant mode.
-    clock: StageClock,
-}
-
-/// The hashed-mode front stream: the queue every client batch enters,
-/// its mirror cells, and the thread that admits and fans out.
-struct Front {
-    queue: Queue,
-    cells: Arc<ShardCells>,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// The shard router: owns every shard, their worker threads, and (in
-/// hashed mode) the front stream that sequences the global stream.
+/// The shard router: owns every shard and their worker threads.
 pub(crate) struct ShardRouter {
     cfg: Arc<ServerConfig>,
     /// Shards by name; `BTreeMap` so every iteration (status, metrics,
     /// merge) walks shards in one deterministic order.
     shards: Mutex<BTreeMap<String, Arc<Shard>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    front: Option<Front>,
 }
 
 impl ShardRouter {
-    /// Builds the shard layout for `cfg`: recovers every discoverable
-    /// shard (replay of its WAL segments), spawns one worker per shard,
-    /// and (in hashed mode) the front stream. Fails on WAL corruption —
-    /// refusing to serve beats silently dropping acknowledged history.
+    /// Recovers every discoverable shard (replay of its WAL segments) and
+    /// spawns one worker per shard. Fails on WAL corruption, and on logs
+    /// this release would not read — refusing to serve beats silently
+    /// dropping acknowledged history.
     pub(crate) fn start(cfg: Arc<ServerConfig>) -> io::Result<ShardRouter> {
-        let mut router = ShardRouter {
+        let router = ShardRouter {
             cfg: Arc::clone(&cfg),
             shards: Mutex::new(BTreeMap::new()),
             threads: Mutex::new(Vec::new()),
-            front: None,
         };
-        match cfg.shards {
-            ShardMode::Tenant => {
-                router.create_shard(DEFAULT_TENANT)?;
-                if let Some(stem) = &cfg.checkpoint {
-                    for tenant in discover_tenant_checkpoints(stem) {
-                        router.create_shard(&tenant)?;
-                    }
-                }
-            }
-            ShardMode::Hashed(n) => {
-                let mut shards = Vec::with_capacity(n);
-                for i in 0..n {
-                    let shard = router.create_shard(&format!("h{i}"))?;
-                    let tx = lock(&shard.queue).clone().expect("fresh shard has a sender");
-                    shards.push((shard, tx));
-                }
-                // Resume the global stream at the furthest shard: retried
-                // batches below it re-offer to the shards that lag.
-                let next_seq = shards
-                    .iter()
-                    .map(|(s, _)| s.cells.next_seq.load(Ordering::Relaxed))
-                    .max()
-                    .unwrap_or(0);
-                let cells = Arc::new(ShardCells::default());
-                cells.next_seq.store(next_seq, Ordering::Relaxed);
-                let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
-                let worker = Worker {
-                    name: DEFAULT_TENANT.to_string(),
-                    cfg,
-                    cells: Arc::clone(&cells),
-                    sequencer: Sequencer::resuming_at(next_seq, 0),
-                    sink: Sink::FanOut(shards),
-                };
-                let thread = std::thread::Builder::new()
-                    .name("isum-shard-router".into())
-                    .spawn(move || worker.run(rx))?;
-                router.front = Some(Front {
-                    queue: Mutex::new(Some(tx)),
-                    cells,
-                    thread: Mutex::new(Some(thread)),
-                });
-            }
+        let siblings = cfg.checkpoint.as_deref().map(shard_files).unwrap_or_default();
+        refuse_hashed_logs(&siblings)?;
+        router.create_shard(DEFAULT_TENANT)?;
+        for tenant in tenants_of(&siblings) {
+            router.create_shard(&tenant)?;
         }
         Ok(router)
     }
@@ -386,9 +275,8 @@ impl ShardRouter {
         merge_partials(&partials)
     }
 
-    /// Enqueues one ingest batch on the stream that sequences it — the
-    /// front in hashed mode, else the tenant's shard (created on first
-    /// contact) — and waits for the worker's answer.
+    /// Enqueues one ingest batch on the tenant's shard (created on first
+    /// contact) and waits for the worker's answer.
     pub(crate) fn ingest(
         &self,
         tenant: &str,
@@ -398,14 +286,8 @@ impl ShardRouter {
         clock: Arc<StageClock>,
     ) -> Response {
         let (reply, answer) = mpsc::sync_channel::<Response>(1);
-        let job = Job::Batch { seq, script, request_id, clock, reply };
-        let queued = match &self.front {
-            Some(front) => enqueue(&front.queue, &front.cells, job),
-            None => self
-                .shard_for_tenant(tenant)
-                .and_then(|shard| enqueue(&shard.queue, &shard.cells, job)),
-        };
-        if let Err(resp) = queued {
+        let job = Job { seq, script, request_id, clock, reply };
+        if let Err(resp) = self.shard_for_tenant(tenant).and_then(|shard| enqueue(&shard, job)) {
             return resp;
         }
         answer.recv_timeout(self.cfg.ingest_timeout).unwrap_or_else(|_| {
@@ -415,23 +297,16 @@ impl ShardRouter {
     }
 
     /// Folds one finished request's stage timeline into the latency
-    /// histograms of the stream that served it: the front in hashed mode
-    /// (where the stream is global, not per-shard), else the tenant's
-    /// shard. A tenant without a shard (e.g. a `/summary` for a name that
-    /// never ingested) contributes nothing. Observation-only,
-    /// post-response.
+    /// histograms of the tenant's shard. A tenant without a shard (e.g. a
+    /// `/summary` for a name that never ingested) contributes nothing.
+    /// Observation-only, post-response.
     pub(crate) fn observe_stages(&self, tenant: &str, clock: &StageClock) {
-        match &self.front {
-            Some(front) => front.cells.stage_hist.observe(clock),
-            None => {
-                if let Some(shard) = self.shard_named(tenant) {
-                    shard.cells.stage_hist.observe(clock);
-                }
-            }
+        if let Some(shard) = self.shard_named(tenant) {
+            shard.cells.stage_hist.observe(clock);
         }
     }
 
-    /// The tenant's shard, created on first contact (tenant mode only).
+    /// The tenant's shard, created on first contact.
     fn shard_for_tenant(&self, tenant: &str) -> Result<Arc<Shard>, Response> {
         if let Some(shard) = self.shard_named(tenant) {
             return Ok(shard);
@@ -468,9 +343,8 @@ impl ShardRouter {
             name: name.to_string(),
             engine: Mutex::new(log.engine),
             queue: Mutex::new(Some(tx)),
-            cells: Arc::new(cells),
+            cells,
             summary_cache: Mutex::new(None),
-            fault_salt: fault_salt_for(name),
         });
         let mut state =
             ShardState { shard: Arc::clone(&shard), next_seq: log.next_seq, drift: log.drift, wal };
@@ -485,13 +359,8 @@ impl ShardRouter {
             publish_wal_cells(&shard.cells, w);
         }
         let next_seq = state.next_seq;
-        let worker = Worker {
-            name: name.to_string(),
-            cfg: Arc::clone(cfg),
-            cells: Arc::clone(&shard.cells),
-            sequencer: Sequencer::resuming_at(next_seq, shard.fault_salt),
-            sink: Sink::Shard(Box::new(state)),
-        };
+        let worker =
+            Worker { cfg: Arc::clone(cfg), sequencer: Sequencer::new(fault_salt_for(name)), state };
         let handle = std::thread::Builder::new()
             .name(format!("isum-shard-{name}"))
             .spawn(move || worker.run(rx))?;
@@ -503,15 +372,7 @@ impl ShardRouter {
 
     /// Graceful drain: stops accepting, lets every queue empty, and joins
     /// every thread — the log already holds everything acknowledged.
-    /// Order matters in hashed mode: the front must drain (and receive
-    /// its last slice acks) before the shard queues close.
     pub(crate) fn drain(&self) {
-        if let Some(front) = &self.front {
-            *lock(&front.queue) = None;
-            if let Some(handle) = lock(&front.thread).take() {
-                let _ = handle.join();
-            }
-        }
         for shard in self.shards() {
             *lock(&shard.queue) = None;
         }
@@ -604,17 +465,10 @@ impl ShardRouter {
         }
         let _ = writeln!(out, "# HELP isum_stage_seconds Per-request pipeline stage latency.");
         let _ = writeln!(out, "# TYPE isum_stage_seconds histogram");
-        // One series set per stream: each tenant's shard, or the hashed
-        // front (one global ingest stream) under the default tenant label
-        // so dashboards see one stable shape.
-        let streams: Vec<(&str, &ShardCells)> = match &self.front {
-            Some(front) => vec![(DEFAULT_TENANT, &front.cells)],
-            None => shards.iter().map(|s| (s.name.as_str(), &*s.cells)).collect(),
-        };
-        for (tenant, cells) in streams {
+        for s in &shards {
             for stage in STAGES {
-                let labels = [("tenant", tenant), ("stage", stage.as_str())];
-                let hist = &cells.stage_hist.hists[stage as usize];
+                let labels = [("tenant", s.name.as_str()), ("stage", stage.as_str())];
+                let hist = &s.cells.stage_hist.hists[stage as usize];
                 render_histogram(out, "isum_stage_seconds", &labels, hist);
             }
         }
@@ -633,41 +487,29 @@ impl ShardRouter {
         self.shards().iter().map(|s| s.cells.templates.load(Ordering::Relaxed)).sum()
     }
 
-    /// Queue depth summed over every queue (front + shards).
+    /// Queue depth summed over every shard.
     pub(crate) fn queue_depth_total(&self) -> u64 {
-        let shard_depth: u64 =
-            self.shards().iter().map(|s| s.cells.queue_depth.load(Ordering::Relaxed)).sum();
-        let front_depth = self.front.as_ref().map(|f| f.cells.queue_depth.load(Ordering::Relaxed));
-        shard_depth + front_depth.unwrap_or(0)
+        self.shards().iter().map(|s| s.cells.queue_depth.load(Ordering::Relaxed)).sum()
     }
 
-    /// The `seq` the `/status` document leads with: the front's global
-    /// high-water mark in hashed mode, otherwise the maximum shard mark
-    /// (equal to the only shard's mark single-tenant).
+    /// The `seq` the `/status` document leads with: the maximum shard
+    /// mark (equal to the only shard's mark single-tenant).
     pub(crate) fn lead_seq(&self) -> u64 {
-        match &self.front {
-            Some(front) => front.cells.next_seq.load(Ordering::Relaxed),
-            None => self
-                .shards()
-                .iter()
-                .map(|s| s.cells.next_seq.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0),
-        }
+        self.shards().iter().map(|s| s.cells.next_seq.load(Ordering::Relaxed)).max().unwrap_or(0)
     }
 }
 
-/// Offers `job` to a worker's bounded queue without blocking: a closed
+/// Offers `job` to the shard's bounded queue without blocking: a closed
 /// queue is a drain in progress (503), a full one is backpressure (429
 /// with `Retry-After`).
-fn enqueue(queue: &Queue, cells: &ShardCells, job: Job) -> Result<(), Response> {
-    let sent = match lock(queue).as_ref() {
+fn enqueue(shard: &Shard, job: Job) -> Result<(), Response> {
+    let sent = match lock(&shard.queue).as_ref() {
         Some(tx) => tx.try_send(job),
         None => Err(TrySendError::Disconnected(job)),
     };
     match sent {
         Ok(()) => {
-            cells.queue_depth.fetch_add(1, Ordering::Relaxed);
+            shard.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
         Err(TrySendError::Full(_)) => {
@@ -711,8 +553,8 @@ pub(crate) fn unix_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
 }
 
-/// FNV-1a over `bytes` — the stable, dependency-free hash both the
-/// statement router and the tenant fault salt use.
+/// FNV-1a over `bytes` — the stable, dependency-free hash behind the
+/// tenant fault salt.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
@@ -734,31 +576,15 @@ fn fault_salt_for(name: &str) -> u64 {
     }
 }
 
-/// The shard hash of one statement: the FNV-1a of its template
-/// fingerprint when it parses, else of the raw SQL text (so malformed
-/// statements still land deterministically — on whichever shard then
-/// rejects them).
-pub(crate) fn route_hash(sql: &str) -> u64 {
-    match isum_sql::parse(sql) {
-        Ok(stmt) => fnv1a(isum_sql::fingerprint(&stmt).as_bytes()),
-        Err(_) => fnv1a(sql.as_bytes()),
-    }
-}
-
 /// The checkpoint file for shard `name` under checkpoint stem `stem`.
 /// The default tenant keeps the stem itself — bit-for-bit the
-/// pre-sharding layout — and every other shard gets a sibling file (see
+/// pre-sharding layout — and every other tenant gets a sibling file (see
 /// the module docs for the naming).
 pub(crate) fn checkpoint_path_for(stem: &Path, name: &str) -> PathBuf {
     if name == DEFAULT_TENANT {
         return stem.to_path_buf();
     }
-    let tag = if name.starts_with('h') && name[1..].chars().all(|c| c.is_ascii_digit()) {
-        name.to_string()
-    } else {
-        format!("t-{}", hex_of(name))
-    };
-    sibling_with_tag(stem, &tag)
+    sibling_with_tag(stem, &format!("t-{}", hex_of(name)))
 }
 
 fn hex_of(name: &str) -> String {
@@ -784,38 +610,73 @@ fn sibling_with_tag(stem: &Path, tag: &str) -> PathBuf {
     stem.with_file_name(named)
 }
 
-/// Tenants with a `.t-<hex>` log next to `stem` (segments, or the v1
-/// snapshot and single log the importer still reads), so a restart in
-/// tenant mode resurrects every tenant that was ever acknowledged a
-/// batch.
-fn discover_tenant_checkpoints(stem: &Path) -> Vec<String> {
+/// `(tag, file name)` of every tagged shard file next to `stem`, in file
+/// name order: `<base>.<tag>.wal.<n>` segments, and the v1 snapshot
+/// `<base>.<tag>.<ext>` and single log `<base>.<tag>.wal` the importer
+/// still reads.
+fn shard_files(stem: &Path) -> Vec<(String, String)> {
     let Some(file) = stem.file_name().and_then(|f| f.to_str()) else {
         return Vec::new();
     };
     let (prefix, v1_snapshot) = match file.rsplit_once('.') {
-        Some((base, ext)) => (format!("{base}.t-"), format!(".{ext}")),
-        None => (format!("{file}.t-"), String::new()),
+        Some((base, ext)) => (format!("{base}."), format!(".{ext}")),
+        None => (format!("{file}."), String::new()),
     };
     let Ok(entries) = std::fs::read_dir(wal::dir_of(stem)) else {
         return Vec::new();
     };
-    let mut tenants = Vec::new();
+    let mut files = Vec::new();
     for entry in entries.flatten() {
         let name = entry.file_name();
-        let Some(rest) = name.to_str().and_then(|n| n.strip_prefix(&prefix)) else { continue };
-        let (hex, kind) = rest.split_at(rest.find('.').unwrap_or(rest.len()));
-        if kind != v1_snapshot && kind != ".wal" && wal::segment_number(".wal", kind).is_none() {
-            continue;
-        }
-        if let Some(tenant) = unhex_name(hex) {
-            if validate_tenant(&tenant).is_ok() && tenant != DEFAULT_TENANT {
-                tenants.push(tenant);
-            }
+        let Some(name) = name.to_str() else { continue };
+        let Some(rest) = name.strip_prefix(&prefix) else { continue };
+        let (tag, kind) = rest.split_at(rest.find('.').unwrap_or(rest.len()));
+        if kind == v1_snapshot || kind == ".wal" || wal::segment_number(".wal", kind).is_some() {
+            files.push((tag.to_string(), name.to_string()));
         }
     }
+    files.sort_by(|a, b| a.1.cmp(&b.1));
+    files
+}
+
+/// Tenants with a `t-<hex>` log among `files`, so a restart resurrects
+/// every tenant that was ever acknowledged a batch.
+fn tenants_of(files: &[(String, String)]) -> Vec<String> {
+    let mut tenants: Vec<String> = files
+        .iter()
+        .filter_map(|(tag, _)| unhex_name(tag.strip_prefix("t-")?))
+        .filter(|tenant| validate_tenant(tenant).is_ok() && tenant != DEFAULT_TENANT)
+        .collect();
     tenants.sort();
     tenants.dedup();
     tenants
+}
+
+/// Refuses to start next to `h<i>`-tagged files: the logs of the retired
+/// hashed mode (`--shards n`), which no shard of this release would read
+/// — serving without them would silently drop acknowledged history.
+fn refuse_hashed_logs(files: &[(String, String)]) -> io::Result<()> {
+    let digits = |d: &str| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit());
+    let hashed: Vec<_> =
+        files.iter().filter(|(tag, _)| tag.strip_prefix('h').is_some_and(digits)).collect();
+    if hashed.is_empty() {
+        return Ok(());
+    }
+    let names: Vec<&str> = hashed.iter().map(|(_, file)| file.as_str()).collect();
+    // Sorted by file name, so one shard's files — one tag — are adjacent.
+    let mut renames: Vec<String> =
+        hashed.iter().map(|(tag, _)| format!("{tag} -> t-{}", hex_of(tag))).collect();
+    renames.dedup();
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "found logs of the retired hashed mode (--shards): {}; a hashed shard's log is an \
+             ordinary tenant log: rename the tag in each file name ({}) and the merged /summary \
+             over those tenants is what hashed mode served",
+            names.join(", "),
+            renames.join(", ")
+        ),
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -1046,32 +907,18 @@ fn retire_v1_files(path: &Path, base: &Path) -> io::Result<()> {
 // The request pipeline: admit → durable-apply → ack
 // ---------------------------------------------------------------------
 
-/// One worker thread: a stream's admission state plus where its admitted
-/// batches go.
+/// One shard's worker thread: the shard's admission state and its
+/// durable half.
 struct Worker {
-    /// The stream's name on events: the tenant, or `default` for the
-    /// hashed front.
-    name: String,
     cfg: Arc<ServerConfig>,
-    /// The cells of the queue this worker drains.
-    cells: Arc<ShardCells>,
     sequencer: Sequencer,
-    sink: Sink,
-}
-
-/// Where a stream's admitted batches go.
-enum Sink {
-    /// This thread owns a shard's durable state and applies in place: a
-    /// tenant's stream, or a hashed shard taking slices from the front.
-    Shard(Box<ShardState>),
-    /// The hashed front: split by template hash over the shards' queues.
-    FanOut(Vec<(Arc<Shard>, SyncSender<Job>)>),
+    state: ShardState,
 }
 
 /// The durable half of a shard, owned by its worker thread.
 struct ShardState {
     shard: Arc<Shard>,
-    /// The shard's high-water mark.
+    /// The shard's high-water mark: the only `seq` admitted as fresh.
     next_seq: u64,
     /// Built by recovery, which feeds it every logged batch again — so a
     /// restart cannot re-fire an alert the pre-restart run already raised.
@@ -1079,12 +926,12 @@ struct ShardState {
     wal: Option<WalWriter>,
 }
 
-/// Strict-`seq` admission for one stream, owned by the stream's worker.
+/// Strict-`seq` admission for one shard, owned by the shard's worker.
 struct Sequencer {
-    /// The stream's high-water mark: the only `seq` admitted as fresh.
-    next_seq: u64,
-    /// XOR-folded into fault keys; see [`Shard`]. `0` on the hashed
-    /// front, whose keys are bare like the default tenant's.
+    /// XOR-folded into fault-injection keys so distinct tenants draw
+    /// independent deterministic fault decisions. `0` for the default
+    /// tenant, keeping its keys equal to bare `seq` numbers (the contract
+    /// the fault-injection suite pins).
     fault_salt: u64,
     /// Injected-fault attempts so far, per fault key.
     attempts: HashMap<u64, u32>,
@@ -1092,27 +939,31 @@ struct Sequencer {
 }
 
 impl Sequencer {
-    fn resuming_at(next_seq: u64, fault_salt: u64) -> Sequencer {
-        Sequencer { next_seq, fault_salt, attempts: HashMap::new(), unseq_counter: 0 }
+    fn new(fault_salt: u64) -> Sequencer {
+        Sequencer { fault_salt, attempts: HashMap::new(), unseq_counter: 0 }
     }
 
-    /// Classifies a batch against the high-water mark. `Err` is the
-    /// retryable 503 for a batch ahead of the stream (holding it would
-    /// pin its connection's thread) or an injected fault; `Ok` carries
-    /// the batch's fault-injection key and whether it sits below the
-    /// mark — a duplicate. Fault rolls only guard fresh positions: a
+    /// Classifies a batch against the shard's high-water mark `next_seq`.
+    /// `Err` is the retryable 503 for a batch ahead of the stream (holding
+    /// it would pin its connection's thread) or an injected fault; `Ok`
+    /// carries the batch's fault-injection key and whether it sits below
+    /// the mark — a duplicate. Fault rolls only guard fresh positions: a
     /// duplicate rides on the retry the client already performed.
-    fn admit(&mut self, stream: &str, seq: Option<u64>) -> Result<(u64, bool), Response> {
-        if let Some(seq) = seq.filter(|&s| s > self.next_seq) {
+    fn admit(
+        &mut self,
+        tenant: &str,
+        seq: Option<u64>,
+        next_seq: u64,
+    ) -> Result<(u64, bool), Response> {
+        if let Some(seq) = seq.filter(|&s| s > next_seq) {
             count!("server.ingest.out_of_order");
             isum_common::debug!(
                 "server.ingest",
                 "batch ahead of the stream; told to retry",
-                tenant = stream,
+                tenant = tenant,
                 seq = seq,
-                next_seq = self.next_seq
+                next_seq = next_seq
             );
-            let next_seq = self.next_seq;
             return Err(Response::error(
                 503,
                 &format!("seq {seq} is ahead of the stream (next is {next_seq}); retry shortly"),
@@ -1127,7 +978,7 @@ impl Sequencer {
                     UNSEQ_KEY_BASE | self.unseq_counter
                 }
             };
-        let duplicate = seq.is_some_and(|s| s < self.next_seq);
+        let duplicate = seq.is_some_and(|s| s < next_seq);
         if !duplicate {
             if let Some(resp) = fault_roll(key, &mut self.attempts) {
                 return Err(resp);
@@ -1136,12 +987,9 @@ impl Sequencer {
         Ok((key, duplicate))
     }
 
-    /// Advances past `seq` once its batch is durably applied.
-    fn commit(&mut self, seq: Option<u64>, key: u64) {
-        if seq == Some(self.next_seq) {
-            self.next_seq += 1;
-            self.attempts.remove(&key);
-        }
+    /// Forgets the fault attempts of a batch once it is durably applied.
+    fn commit(&mut self, key: u64) {
+        self.attempts.remove(&key);
     }
 }
 
@@ -1150,77 +998,46 @@ impl Worker {
     /// left to do then: every acknowledged batch is already in the log.
     fn run(mut self, rx: Receiver<Job>) {
         for job in rx {
-            self.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            match job {
-                Job::Batch { seq, script, request_id, clock, reply } => {
-                    let _rid = trace::with_request_id(&request_id);
-                    clock.stamp(Stage::Queue);
-                    let answer = self.ingest(seq, &script, &request_id, &clock);
-                    let _ = reply.try_send(answer.unwrap_or_else(|refusal| refusal));
-                }
-                Job::Slice { seq, stmts, request_id, reply } => {
-                    let _rid = trace::with_request_id(&request_id);
-                    let Sink::Shard(state) = &mut self.sink else {
-                        unreachable!("slices are only ever sent to shard workers")
-                    };
-                    let clock = StageClock::new();
-                    // Monotone dedup: the front re-offers batches below
-                    // its mark after a crash, and only the shards that
-                    // lag still need them.
-                    let result = if seq.is_some_and(|s| s < state.next_seq) {
-                        note_duplicate(&self.name, seq, state.next_seq);
-                        Ok(None)
-                    } else {
-                        // The front rolled the ingest fault already; the
-                        // torn-append site is keyed per shard so distinct
-                        // shards tear independently under one seeded spec.
-                        let torn_key = state.shard.fault_salt ^ seq.unwrap_or(UNSEQ_KEY_BASE);
-                        state.durable_apply(&self.cfg, seq, &stmts, torn_key, &clock).map(Some)
-                    };
-                    let _ = reply.try_send(SliceOutcome { result, clock });
-                }
-            }
+            self.state.shard.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            let _rid = trace::with_request_id(&job.request_id);
+            job.clock.stamp(Stage::Queue);
+            let answer = self.ingest(job.seq, &job.script, &job.clock);
+            let _ = job.reply.try_send(answer.unwrap_or_else(|refusal| refusal));
         }
     }
 
-    /// One client batch, end to end: admit, hand to the sink, ack. `Err`
-    /// is the early exit for a batch refused along the way.
+    /// One client batch, end to end: admit, durable-apply, ack. `Err` is
+    /// the early exit for a batch refused along the way.
     fn ingest(
         &mut self,
         seq: Option<u64>,
         script: &str,
-        request_id: &str,
         clock: &StageClock,
     ) -> Result<Response, Response> {
-        let (key, duplicate) = self.sequencer.admit(&self.name, seq)?;
-        let applied = match &mut self.sink {
-            // Strict dedup: below this stream's mark means this shard
-            // already applied it; acknowledge without touching state.
-            Sink::Shard(state) if duplicate => {
-                note_duplicate(&self.name, seq, state.next_seq);
-                None
-            }
-            Sink::Shard(state) => {
-                let stmts = split_batch(script);
-                clock.stamp(Stage::Sequence);
-                let outcome = state
-                    .durable_apply(&self.cfg, seq, &stmts, key, clock)
-                    .map_err(|why| retryable(503, &why))?;
-                Some((outcome, state.shard.cells.observed.load(Ordering::Relaxed)))
-            }
-            // A below-the-mark batch is *still split and offered*: after
-            // a crash the front resumes at the maximum shard mark, and
-            // the client's retries are how lagging shards receive the
-            // slices they missed.
-            Sink::FanOut(shards) => {
-                let stmts = split_batch(script);
-                fan_out(shards, &self.cfg, seq, duplicate, stmts, request_id, clock)?
-            }
-        };
-        self.sequencer.commit(seq, key);
-        let next_seq = self.sequencer.next_seq;
-        self.cells.next_seq.store(next_seq, Ordering::Relaxed);
-        Ok(ack(seq, applied.as_ref(), duplicate.then_some(next_seq)))
+        let state = &mut self.state;
+        let tenant = &state.shard.name;
+        let (key, duplicate) = self.sequencer.admit(tenant, seq, state.next_seq)?;
+        if duplicate {
+            // Below the mark means this shard already applied it;
+            // acknowledge without touching state.
+            count!("server.ingest.duplicates");
+            isum_common::debug!(
+                "server.ingest",
+                "batch below the high-water mark; not re-applied",
+                tenant = tenant,
+                seq = seq.unwrap_or_default(),
+                next_seq = state.next_seq
+            );
+            return Ok(ack(seq, None, state.next_seq));
+        }
+        let stmts = split_batch(script);
+        clock.stamp(Stage::Sequence);
+        let outcome = state
+            .durable_apply(&self.cfg, seq, &stmts, key, clock)
+            .map_err(|why| retryable(503, &why))?;
+        self.sequencer.commit(key);
+        let observed = state.shard.cells.observed.load(Ordering::Relaxed);
+        Ok(ack(seq, Some((&outcome, observed)), state.next_seq))
     }
 }
 
@@ -1233,34 +1050,20 @@ fn split_batch(script: &str) -> Vec<(String, Option<f64>)> {
     sqls.into_iter().zip(costs).collect()
 }
 
-fn note_duplicate(stream: &str, seq: Option<u64>, next_seq: u64) {
-    count!("server.ingest.duplicates");
-    isum_common::debug!(
-        "server.ingest",
-        "batch below the high-water mark; not re-applied",
-        tenant = stream,
-        seq = seq.unwrap_or_default(),
-        next_seq = next_seq
-    );
-}
-
-/// The 200 ack. `applied` is `None` when nothing was (re-)applied — a
-/// pure duplicate — else the outcome and the observed total to report;
-/// `duplicate` carries the stream's high-water mark when the batch sat
-/// below it (the stream position did not move, but a recovery re-offer
-/// that refreshed a lagging shard keeps its applied count honest).
-fn ack(
-    seq: Option<u64>,
-    applied: Option<&(IngestOutcome, u64)>,
-    duplicate: Option<u64>,
-) -> Response {
-    let status = if duplicate.is_some() { Json::from("duplicate") } else { Json::from("ok") };
-    let mut fields = vec![("status".into(), status)];
+/// The 200 ack: `ok` with the outcome and the observed total of a batch
+/// that was applied, or — `applied` is `None` — `duplicate` with the
+/// shard's high-water mark `next_seq`.
+fn ack(seq: Option<u64>, applied: Option<(&IngestOutcome, u64)>, next_seq: u64) -> Response {
+    let status = if applied.is_some() { "ok" } else { "duplicate" };
+    let mut fields = vec![("status".into(), Json::from(status))];
     if let Some(s) = seq {
         fields.push(("seq".into(), Json::from(s)));
     }
     match applied {
-        None => fields.push(("applied".into(), Json::from(0u64))),
+        None => {
+            fields.push(("applied".into(), Json::from(0u64)));
+            fields.push(("next_seq".into(), Json::from(next_seq)));
+        }
         Some((outcome, observed)) => {
             let rejected = outcome.rejected.iter().map(|(i, reason)| {
                 Json::Obj(vec![
@@ -1271,21 +1074,17 @@ fn ack(
             fields.push(("applied".into(), Json::from(outcome.accepted)));
             fields.push(("total".into(), Json::from(outcome.total)));
             fields.push(("rejected".into(), Json::Arr(rejected.collect())));
-            fields.push(("observed".into(), Json::from(*observed)));
+            fields.push(("observed".into(), Json::from(observed)));
         }
-    }
-    if let Some(next_seq) = duplicate {
-        fields.push(("next_seq".into(), Json::from(next_seq)));
     }
     Response::json(200, &Json::Obj(fields))
 }
 
 impl ShardState {
     /// The durable-apply step, the only code that mutates a live shard:
-    /// log → fsync → apply → publish → drift, each stamped on `clock`
-    /// (the request's own in tenant mode, a slice-local one in hashed
-    /// mode). `Err` means the batch could not be logged: nothing was
-    /// applied, and the caller answers a retryable 503.
+    /// log → fsync → apply → publish → drift, each stamped on the
+    /// request's `clock`. `Err` means the batch could not be logged:
+    /// nothing was applied, and the caller answers a retryable 503.
     fn durable_apply(
         &mut self,
         cfg: &ServerConfig,
@@ -1394,93 +1193,6 @@ impl ShardState {
             tenant = shard.name
         );
     }
-}
-
-/// The hashed front's sink: splits an admitted batch by
-/// template-fingerprint hash (in parallel on the exec pool), offers each
-/// involved shard its slice, and waits until every one of them has
-/// durably logged and applied it. `Ok(None)` is a duplicate no shard
-/// still needed; `Err` is the retryable answer when a shard could not
-/// log its slice or did not answer in time — the stream does not
-/// advance, the client's retry re-offers every slice, and shards that
-/// already applied theirs dedup monotonically.
-fn fan_out(
-    shards: &[(Arc<Shard>, SyncSender<Job>)],
-    cfg: &ServerConfig,
-    seq: Option<u64>,
-    duplicate: bool,
-    stmts: Vec<(String, Option<f64>)>,
-    request_id: &str,
-    clock: &StageClock,
-) -> Result<Option<(IngestOutcome, u64)>, Response> {
-    let mut merged = IngestOutcome { accepted: 0, rejected: Vec::new(), total: stmts.len() };
-    // Per shard: the slice, and each statement's index in the batch.
-    let mut slices = vec![(Vec::new(), Vec::new()); shards.len()];
-    let hashes = isum_exec::par_map(&stmts, |(sql, _)| route_hash(sql));
-    for (i, stmt) in stmts.into_iter().enumerate() {
-        let (slice, indexes) = &mut slices[(hashes[i] % shards.len() as u64) as usize];
-        slice.push(stmt);
-        indexes.push(i);
-    }
-    clock.stamp(Stage::Sequence);
-    let mut waits = Vec::new();
-    for ((shard, tx), (stmts, indexes)) in shards.iter().zip(slices) {
-        if stmts.is_empty() {
-            continue;
-        }
-        let (reply, answer) = mpsc::sync_channel::<SliceOutcome>(1);
-        shard.cells.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let slice = Job::Slice { seq, stmts, request_id: request_id.to_string(), reply };
-        if tx.send(slice).is_err() {
-            return Err(Response::error(503, "server is shutting down"));
-        }
-        waits.push((shard, indexes, answer));
-    }
-    let mut any_fresh = false;
-    // Per-stage maxima over the involved shards: the fan-out runs
-    // concurrently, so the slowest shard's share of each stage is the
-    // critical-path attribution the timeline reports.
-    let (mut max_wal, mut max_fsync) = (Duration::ZERO, Duration::ZERO);
-    for (shard, indexes, answer) in waits {
-        let Ok(slice) = answer.recv_timeout(cfg.ingest_timeout.max(Duration::from_secs(1))) else {
-            count!("server.ingest.timeouts");
-            isum_common::warn!(
-                "server.ingest",
-                format!("shard {} did not ack its slice in time", shard.name),
-                seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string())
-            );
-            return Err(retryable(
-                503,
-                "a shard did not apply its slice in time; retry with the same seq",
-            ));
-        };
-        match slice.result {
-            Err(why) => {
-                return Err(retryable(503, &format!("a shard could not log its slice: {why}")))
-            }
-            Ok(None) => {}
-            Ok(Some(outcome)) => {
-                any_fresh = true;
-                merged.accepted += outcome.accepted;
-                let rekeyed = outcome.rejected.into_iter().map(|(i, why)| (indexes[i], why));
-                merged.rejected.extend(rekeyed);
-            }
-        }
-        let spent = |stage| slice.clock.get(stage).unwrap_or_default();
-        max_wal = max_wal.max(spent(Stage::WalAppend) + spent(Stage::Fsync));
-        max_fsync = max_fsync.max(spent(Stage::Fsync));
-    }
-    merged.rejected.sort_by_key(|(i, _)| *i);
-    // The Apply stamp covers the whole fan-out wall time; the shards'
-    // critical-path maxima are then carved out into the durability
-    // stages (fsync nested inside wal_append, as `durable_apply` carved
-    // it on the slice clocks). Whatever remains under `apply` is engine
-    // work plus fan-out coordination.
-    clock.stamp(Stage::Apply);
-    clock.shift(Stage::Apply, Stage::WalAppend, max_wal);
-    clock.shift(Stage::WalAppend, Stage::Fsync, max_fsync);
-    let observed = shards.iter().map(|(s, _)| s.cells.observed.load(Ordering::Relaxed)).sum();
-    Ok((any_fresh || !duplicate).then_some((merged, observed)))
 }
 
 /// Rolls the deterministic ingest fault for `key`; `Some` is the 503 the
@@ -1650,7 +1362,11 @@ mod tests {
             Path::new("dir/ckpt.t-61636d65.json"),
             "tenant files are hex-tagged siblings"
         );
-        assert_eq!(checkpoint_path_for(stem, "h3"), Path::new("dir/ckpt.h3.json"));
+        assert_eq!(
+            checkpoint_path_for(stem, "h3"),
+            Path::new("dir/ckpt.t-6833.json"),
+            "no name is special: restart discovery scans `t-<hex>` only"
+        );
         // No extension: tags append without inventing one.
         assert_eq!(checkpoint_path_for(Path::new("ckpt"), "acme"), Path::new("ckpt.t-61636d65"));
     }
@@ -1668,15 +1384,28 @@ mod tests {
         // What the importer still reads: a v1 snapshot, a v1 log.
         std::fs::write(checkpoint_path_for(&stem, "old-snap"), "{}").unwrap();
         std::fs::write(log_of("old-log"), "").unwrap();
-        // Distractors: the default tenant, a hashed shard, junk hex,
-        // files an import renamed aside, a short segment number.
+        // Distractors: the default tenant, junk hex, files an import
+        // renamed aside, a short segment number.
         std::fs::write(wal::segment_path(&wal::wal_sibling(&stem), 1), "").unwrap();
-        std::fs::write(wal::segment_path(&log_of("h0"), 1), "").unwrap();
         std::fs::write(dir.join("ckpt.t-zz.wal.00000001"), "").unwrap();
         std::fs::write(dir.join("ckpt.t-676f6e65.json.imported"), "{}").unwrap();
         std::fs::write(dir.join("ckpt.t-676f6e65.wal.imported"), "").unwrap();
         std::fs::write(dir.join("ckpt.t-676f6e65.wal.7"), "").unwrap();
-        assert_eq!(discover_tenant_checkpoints(&stem), ["acme", "old-log", "old-snap", "zeta-9"]);
+        assert_eq!(tenants_of(&shard_files(&stem)), ["acme", "old-log", "old-snap", "zeta-9"]);
+        assert!(refuse_hashed_logs(&shard_files(&stem)).is_ok(), "none of these is a hashed log");
+        // What the retired hashed mode wrote, now and as v1; `hx`/`h` are
+        // not shard tags.
+        for name in
+            ["ckpt.h0.wal.00000003", "ckpt.h0.json", "ckpt.h12.wal", "ckpt.hx.wal", "ckpt.h.wal"]
+        {
+            std::fs::write(dir.join(name), "").unwrap();
+        }
+        let refusal = refuse_hashed_logs(&shard_files(&stem)).unwrap_err().to_string();
+        assert!(
+            refusal.contains(": ckpt.h0.json, ckpt.h0.wal.00000003, ckpt.h12.wal;")
+                && refusal.contains("(h0 -> t-6830, h12 -> t-683132)"),
+            "{refusal}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1689,16 +1418,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a & UNSEQ_KEY_BASE, 0, "salts never touch the unsequenced marker bit");
         assert_ne!(a & (1 << 62), 0, "salts are confined to a distinct key plane");
-    }
-
-    #[test]
-    fn route_hash_groups_template_instances_together() {
-        let a = route_hash("SELECT id FROM t WHERE grp = 1");
-        let b = route_hash("SELECT id FROM t WHERE grp = 99");
-        assert_eq!(a, b, "same template (different literals) routes to the same shard");
-        let c = route_hash("SELECT other FROM t WHERE grp = 1");
-        assert_ne!(a, c, "different templates may split");
-        // Unparseable text still hashes deterministically.
-        assert_eq!(route_hash("NOT SQL AT ALL"), route_hash("NOT SQL AT ALL"));
     }
 }

@@ -4,11 +4,12 @@
 //! variation, per-shard log recovery, tenant-labeled metrics,
 //! and the tenant-validation wire contract.
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use isum_catalog::{Catalog, CatalogBuilder};
 use isum_core::IsumConfig;
-use isum_server::{Client, Engine, Server, ServerConfig, ShardMode};
+use isum_server::{Client, Engine, Server, ServerConfig};
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -152,32 +153,31 @@ fn default_tenant_stays_byte_identical_to_the_unsharded_pipeline() {
     server.join();
 }
 
-/// Ingests `all` into a fresh hashed-mode server with `shards` shards,
-/// from `producers` concurrent sequenced producers, and returns the
+/// Deals `all` round-robin over `tenants` tenants of a fresh server (batch
+/// `i` is tenant `i % tenants`'s batch `i / tenants`), sent by `producers`
+/// concurrent producers that each take every `producers`-th batch — so a
+/// tenant's stream arrives interleaved and out of order — and returns the
 /// merged `/summary?k=5` body.
-fn hashed_merged_summary(all: &[String], shards: usize, producers: usize) -> String {
-    let mut config = ServerConfig::new(catalog());
-    config.shards = ShardMode::Hashed(shards);
-    let (server, client) = start(config);
+fn dealt_merged_summary(all: &[String], tenants: usize, producers: usize) -> String {
+    let (server, client) = start(ServerConfig::new(catalog()));
     std::thread::scope(|s| {
-        for t in 0..producers {
-            let slice: Vec<(u64, &String)> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % producers == t)
-                .map(|(i, b)| (i as u64, b))
-                .collect();
-            let client = Client::new(server.addr().to_string());
+        for p in 0..producers {
+            let clients: Vec<Client> =
+                (0..tenants).map(|t| tenant_client(&server, &format!("t{t}"))).collect();
             s.spawn(move || {
-                for (seq, script) in slice {
-                    let resp = client.ingest_with_retry(script, Some(seq), 400).expect("delivers");
-                    assert_eq!(resp.status, 200, "seq {seq}: {}", resp.body);
+                for (i, script) in all.iter().enumerate().filter(|(i, _)| i % producers == p) {
+                    let (tenant, seq) = (i % tenants, (i / tenants) as u64);
+                    let resp = clients[tenant]
+                        .ingest_with_retry(script, Some(seq), 400)
+                        .expect("delivers");
+                    assert_eq!(resp.status, 200, "t{tenant} seq {seq}: {}", resp.body);
                 }
             });
         }
     });
     let resp = client.summary(5).expect("merged summary");
     assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.field("merged").and_then(|v| v.as_bool()), Some(true), "{}", resp.body);
     let body = resp.body.clone();
     server.shutdown();
     server.join();
@@ -195,91 +195,40 @@ fn without_shard_count(body: &str) -> String {
 
 #[test]
 fn merged_summary_is_invariant_under_shard_count_and_ingest_order() {
-    let all = batches(10, 0);
-    let two = hashed_merged_summary(&all, 2, 1);
-    let two_racy = hashed_merged_summary(&all, 2, 3);
-    assert_eq!(two, two_racy, "same shard count, different ingest interleaving: byte-identical");
-    let four = hashed_merged_summary(&all, 4, 2);
-    assert_eq!(
-        without_shard_count(&two),
-        without_shard_count(&four),
-        "different shard counts must agree on everything but the count"
-    );
+    let all = batches(12, 0);
+    let two = dealt_merged_summary(&all, 2, 1);
+    let two_racy = dealt_merged_summary(&all, 2, 3);
+    assert_eq!(two, two_racy, "same assignment, different ingest interleaving: byte-identical");
+    for (tenants, producers) in [(3, 2), (4, 3)] {
+        assert_eq!(
+            without_shard_count(&two),
+            without_shard_count(&dealt_merged_summary(&all, tenants, producers)),
+            "{tenants} tenants must agree with 2 on everything but the count"
+        );
+    }
 }
 
-#[test]
-fn hashed_restart_resumes_and_replays_dedup() {
-    let dir = std::env::temp_dir().join(format!("isum_shards_hashed_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let ckpt = dir.join("hashed.json");
-    let all = batches(4, 0);
-
+fn durable(dir: &Path) -> ServerConfig {
     let mut config = ServerConfig::new(catalog());
-    config.shards = ShardMode::Hashed(3);
-    config.checkpoint = Some(ckpt.clone());
-    let pre_crash = {
-        let (server, client) = start(config);
-        for (seq, script) in all.iter().take(3).enumerate() {
-            let resp = client.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
-            assert_eq!(resp.status, 200, "{}", resp.body);
-        }
-        let resp = client.summary(5).expect("summary");
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        let body = resp.body.clone();
-        // No /shutdown: dropping drains; each shard's log already holds
-        // everything it acknowledged.
-        drop(server);
-        body
-    };
+    config.checkpoint = Some(dir.join("ckpt.json"));
+    config
+}
 
-    let mut config = ServerConfig::new(catalog());
-    config.shards = ShardMode::Hashed(3);
-    config.checkpoint = Some(ckpt.clone());
-    let (server, client) = start(config);
-    let health = client.healthz().expect("healthz");
-    assert_eq!(
-        health.field("observed").and_then(|v| v.as_u64()),
-        Some(9),
-        "restart resumes acknowledged statements: {}",
-        health.body
-    );
-    assert_eq!(
-        client.summary(5).expect("summary").body,
-        pre_crash,
-        "restart restores the merged summary bit-identically"
-    );
-
-    // The client, unsure what was acknowledged, replays everything;
-    // acknowledged batches dedup, the lost one applies.
-    let mut statuses = Vec::new();
-    for (seq, script) in all.iter().enumerate() {
-        let resp = client.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        statuses
-            .push(resp.field("status").and_then(|v| v.as_str()).unwrap_or_default().to_string());
-    }
-    assert_eq!(statuses, vec!["duplicate", "duplicate", "duplicate", "ok"]);
-    assert_eq!(
-        client.healthz().expect("healthz").field("observed").and_then(|v| v.as_u64()),
-        Some(12)
-    );
-    server.shutdown();
-    server.join();
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("isum_shards_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
 }
 
 #[test]
 fn tenant_logs_restart_bit_identically() {
-    let dir = std::env::temp_dir().join(format!("isum_shards_tenant_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let ckpt = dir.join("tenants.json");
+    let dir = temp_dir("tenant");
     let acme = batches(5, 0);
     let bolt = batches(4, 2);
 
-    let mut config = ServerConfig::new(catalog());
-    config.checkpoint = Some(ckpt.clone());
     let (pre_acme, pre_bolt) = {
-        let (server, client) = start(config);
+        let (server, client) = start(durable(&dir));
         ingest_all(&server, "acme", &acme);
         ingest_all(&server, "bolt", &bolt);
         let a = client.get("/summary?k=4&tenant=acme").expect("summary").body;
@@ -290,9 +239,7 @@ fn tenant_logs_restart_bit_identically() {
 
     // The restarted server discovers the tenants' log segments next to
     // the configured stem and revives each shard before the first request.
-    let mut config = ServerConfig::new(catalog());
-    config.checkpoint = Some(ckpt.clone());
-    let (server, client) = start(config);
+    let (server, client) = start(durable(&dir));
     let health = client.healthz().expect("healthz");
     assert_eq!(
         health.field("shards").and_then(|v| v.as_u64()),
@@ -302,6 +249,72 @@ fn tenant_logs_restart_bit_identically() {
     );
     assert_eq!(client.get("/summary?k=4&tenant=acme").expect("summary").body, pre_acme);
     assert_eq!(client.get("/summary?k=4&tenant=bolt").expect("summary").body, pre_bolt);
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tenant_named_like_a_retired_shard_tag_survives_a_crash() {
+    // `h3` is a valid tenant name; its log must sit where restart
+    // discovery looks, like any other tenant's.
+    let dir = temp_dir("h3_live");
+    let image = temp_dir("h3_crashed");
+    let served = |client: &Client| {
+        ["/summary?k=4&tenant=h3", "/summary?k=4&tenant=bob", "/summary?k=4", "/healthz"].map(
+            |target| {
+                let resp = client.get(target).expect("sends");
+                (target, resp.status, resp.body)
+            },
+        )
+    };
+    let (server, client) = start(durable(&dir));
+    ingest_all(&server, "h3", &batches(4, 0));
+    ingest_all(&server, "bob", &batches(3, 1));
+    let before = served(&client);
+    assert!(before.iter().all(|(_, status, _)| *status == 200), "{before:#?}");
+    // The daemon fsyncs before every ack and writes nothing else, so the
+    // files under a live server are what a SIGKILL leaves.
+    for entry in std::fs::read_dir(&dir).expect("lists") {
+        let name = entry.expect("entry").file_name();
+        std::fs::copy(dir.join(&name), image.join(&name)).expect("copies");
+    }
+    server.shutdown();
+    server.join();
+
+    let (server, client) = start(durable(&image));
+    assert_eq!(served(&client), before, "every acknowledged batch is served again");
+    server.shutdown();
+    server.join();
+    for dir in [dir, image] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn logs_of_the_retired_hashed_mode_refuse_to_start_until_renamed() {
+    let dir = temp_dir("retired_tag");
+    let summary = {
+        let (server, _client) = start(durable(&dir));
+        ingest_all(&server, "h0", &batches(3, 0));
+        let body = tenant_client(&server, "h0").summary(4).expect("summary").body;
+        server.shutdown();
+        server.join();
+        body
+    };
+    // What `--shards n` left behind: the same log under the `h<i>` tag.
+    let (current, retired) =
+        (dir.join("ckpt.t-6830.wal.00000001"), dir.join("ckpt.h0.wal.00000001"));
+    std::fs::rename(&current, &retired).expect("segment of tenant h0");
+    let refusal = Server::bind("127.0.0.1:0", durable(&dir)).err().expect("must not serve");
+    assert_eq!(refusal.kind(), std::io::ErrorKind::InvalidData, "{refusal}");
+    let why = refusal.to_string();
+    assert!(why.contains("ckpt.h0.wal.00000001") && why.contains("h0 -> t-6830"), "{why}");
+
+    // The migration the refusal spells out.
+    std::fs::rename(&retired, &current).expect("renames back");
+    let (server, _client) = start(durable(&dir));
+    assert_eq!(tenant_client(&server, "h0").summary(4).expect("summary").body, summary);
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -342,18 +355,6 @@ fn tenant_validation_and_typed_errors_on_the_wire() {
     assert_eq!((resp.status, resp.field("param").and_then(|v| v.as_str())), (400, Some("k")));
     let resp = client.post("/ingest?seq=notanumber", "SELECT o_id FROM orders;").expect("sends");
     assert_eq!((resp.status, resp.field("param").and_then(|v| v.as_str())), (400, Some("seq")));
-    server.shutdown();
-    server.join();
-
-    // Hashed mode: tenants cannot steer ingest, and reads address shards.
-    let mut config = ServerConfig::new(catalog());
-    config.shards = ShardMode::Hashed(2);
-    let (server, client) = start(config);
-    let resp =
-        tenant_client(&server, "acme").ingest("SELECT o_id FROM orders;", None).expect("sends");
-    assert_eq!((resp.status, resp.field("param").and_then(|v| v.as_str())), (400, Some("tenant")));
-    let resp = client.get("/summary?k=3&tenant=acme").expect("sends");
-    assert_eq!((resp.status, resp.field("param").and_then(|v| v.as_str())), (400, Some("tenant")));
     server.shutdown();
     server.join();
 }
@@ -397,56 +398,40 @@ fn metrics_carry_escaped_tenant_labels() {
 }
 
 #[test]
-fn tenant_and_hashed_modes_run_the_same_pipeline() {
-    // One script through both modes' front doors: a tenant-mode daemon
-    // with its one default tenant, and a hashed daemon with one shard.
-    // Admission (duplicate / ahead / unsequenced) and durable-apply
-    // (accepts, rejects, counts) are the same code, so every answer —
-    // status, Retry-After, ack body — and the final summary must agree.
+fn every_admission_outcome_answers_on_the_wire() {
+    // One script through the front door exercising every admission
+    // outcome: fresh, replayed duplicate, ahead of the stream,
+    // unsequenced, a batch with a rejected statement, and a duplicate
+    // after the stream moved on.
     let fresh = batches(2, 0);
     let with_reject = format!("{}SELECT nope FROM missing;\n{}", fresh[0], fresh[1]);
     let script: [(&str, Option<u64>); 6] = [
         (&fresh[0], Some(0)),
-        (&fresh[0], Some(0)), // replayed duplicate
-        (&fresh[1], Some(5)), // ahead of the stream
-        (&fresh[1], None),    // unsequenced
+        (&fresh[0], Some(0)),
+        (&fresh[1], Some(5)),
+        (&fresh[1], None),
         (&with_reject, Some(1)),
-        (&fresh[1], Some(1)), // duplicate after the stream moved on
+        (&fresh[1], Some(1)),
     ];
-    let run = |mode: ShardMode| {
-        let mut config = ServerConfig::new(catalog());
-        config.shards = mode;
-        let (server, client) = start(config);
-        let mut answers: Vec<(u16, Option<u64>, String)> = script
-            .iter()
-            .map(|(sql, seq)| {
-                let resp = client.ingest(sql, *seq).expect("sends");
-                (resp.status, resp.retry_after(), resp.body)
-            })
-            .collect();
-        let summary = client.summary(4).expect("summary");
-        answers.push((summary.status, summary.retry_after(), summary.body));
-        server.shutdown();
-        server.join();
-        answers
-    };
-    let tenant = run(ShardMode::Tenant);
+    let (server, client) = start(ServerConfig::new(catalog()));
+    let answers: Vec<(u16, Option<u64>, String)> = script
+        .iter()
+        .map(|(sql, seq)| {
+            let resp = client.ingest(sql, *seq).expect("sends");
+            (resp.status, resp.retry_after(), resp.body)
+        })
+        .collect();
     assert_eq!(
-        tenant.iter().map(|a| (a.0, a.1)).collect::<Vec<_>>(),
-        [
-            (200, None),
-            (200, None),
-            (503, Some(0)),
-            (200, None),
-            (200, None),
-            (200, None),
-            (200, None)
-        ],
-        "the script exercises every admission outcome: {tenant:#?}"
+        answers.iter().map(|a| (a.0, a.1)).collect::<Vec<_>>(),
+        [(200, None), (200, None), (503, Some(0)), (200, None), (200, None), (200, None)],
+        "{answers:#?}"
     );
     assert!(
-        tenant[1].2.contains("\"duplicate\"") && tenant[4].2.contains("missing"),
-        "{tenant:#?}"
+        answers[1].2.contains("\"duplicate\"") && answers[4].2.contains("missing"),
+        "{answers:#?}"
     );
-    assert_eq!(tenant, run(ShardMode::Hashed(1)));
+    assert!(answers[5].2.contains("\"duplicate\""), "{answers:#?}");
+    assert_eq!(client.summary(4).expect("summary").status, 200);
+    server.shutdown();
+    server.join();
 }

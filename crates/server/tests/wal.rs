@@ -365,8 +365,8 @@ fn rotation_keeps_appends_o_batch_and_closed_segments_never_change() {
 }
 
 #[test]
-fn tenant_and_hashed_shards_keep_their_own_segments() {
-    // Tenant mode: each tenant logs to its own `<stem>.t-<hex>.wal.<n>`.
+fn tenant_shards_keep_their_own_segments() {
+    // Each tenant logs to its own `<stem>.t-<hex>.wal.<n>`.
     let dir = temp_dir("sharded_wals");
     let all = batches(2);
     let acme_summary = {
@@ -385,29 +385,7 @@ fn tenant_and_hashed_shards_keep_their_own_segments() {
     assert_eq!(acme.summary(3).expect("summary").body, acme_summary);
     server.shutdown();
     server.join();
-
-    // Hashed mode: `<stem>.h<i>.wal.<n>` per shard, and a crash image of
-    // the live logs restores the merged view bit-identically.
-    let dir2 = temp_dir("sharded_wals_hashed");
-    let hashed = |dir: &Path| {
-        let mut config = config_with(&dir.join("ckpt.json"), 1 << 20);
-        config.shards = isum_server::ShardMode::Hashed(2);
-        config
-    };
-    let (server, client) = start(hashed(&dir2));
-    ingest_all(&client, &all);
-    let merged = client.summary(3).expect("summary").body;
-    let image = crash_image(&dir2, "sharded_wals_hashed_boot");
-    server.shutdown();
-    server.join();
-    assert_eq!(names(&image), ["ckpt.h0.wal.00000001", "ckpt.h1.wal.00000001"]);
-    let (server, client) = start(hashed(&image));
-    assert_eq!(client.summary(3).expect("summary").body, merged);
-    server.shutdown();
-    server.join();
-    for dir in [dir, dir2, image] {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
