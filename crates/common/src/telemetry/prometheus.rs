@@ -5,14 +5,13 @@
 //! slash-separated span paths (`compress/isum/select`) are mapped onto the
 //! Prometheus grammar by replacing every character outside `[a-zA-Z0-9_]`
 //! with `_` and prefixing `isum_` (spans get `isum_span_` so the two
-//! namespaces cannot collide). Histograms and spans render as cumulative
-//! `_bucket{le="..."}` series using the registry's power-of-two bucket
-//! bounds — quantiles read off them inherit the same documented 2×
-//! resolution — plus the exact `_sum` and `_count`.
+//! namespaces cannot collide). Histograms and spans render through
+//! [`HistogramSnapshot::write_prometheus`], the one histogram renderer,
+//! which the daemon's tenant-labeled families use as well.
 
 use std::fmt::Write as _;
 
-use super::histogram::{bucket_hi, HistogramSnapshot};
+use super::histogram::{HistogramSnapshot, BUCKETS};
 use super::snapshot::Snapshot;
 
 /// Maps an internal metric name or span path onto a valid Prometheus
@@ -85,25 +84,45 @@ pub fn labeled_sample(
     out
 }
 
-/// Appends one histogram family: HELP/TYPE, cumulative buckets (only the
-/// bounds that hold samples, plus the mandatory `+Inf`), `_sum`, `_count`.
-fn push_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
+/// Appends a family's `# HELP` and `# TYPE` lines.
+fn push_family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    for (i, &c) in h.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+impl HistogramSnapshot {
+    /// Appends one labeled series of a histogram family: cumulative
+    /// `_bucket` samples at the ladder's power-of-two edges that hold
+    /// samples, then `+Inf`, `_sum` and `_count`. Every fourth bucket of
+    /// the ladder ends on a power of two, so the cumulative counts at those
+    /// edges are exact. Bounds and the sum are divided by `per_unit` (`1e9`
+    /// renders nanoseconds as seconds); the caller writes HELP and TYPE.
+    pub fn write_prometheus(
+        &self,
+        out: &mut String,
+        name: &str,
+        labels: &[(&str, &str)],
+        per_unit: f64,
+    ) {
+        let bucket = format!("{name}_bucket");
+        let mut push_bucket = |le: &str, cumulative: u64| {
+            let mut with_le = labels.to_vec();
+            with_le.push(("le", le));
+            out.push_str(&labeled_sample(&bucket, &with_le, cumulative));
+        };
+        let mut cumulative = 0u64;
+        // The last group ends at 2^64, which `+Inf` already covers.
+        for (j, group) in self.buckets.chunks(4).enumerate().take(BUCKETS / 4 - 1) {
+            let n: u64 = group.iter().sum();
+            if n > 0 {
+                cumulative += n;
+                push_bucket(&(2f64.powi(j as i32 + 1) / per_unit).to_string(), cumulative);
+            }
         }
-        cumulative += c;
-        // Bucket 63's upper bound is u64::MAX; +Inf already covers it.
-        if i < 63 {
-            let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", bucket_hi(i));
-        }
+        push_bucket("+Inf", self.count);
+        out.push_str(&labeled_sample(&format!("{name}_sum"), labels, self.sum as f64 / per_unit));
+        out.push_str(&labeled_sample(&format!("{name}_count"), labels, self.count));
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-    let _ = writeln!(out, "{name}_sum {}", h.sum);
-    let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
 impl Snapshot {
@@ -114,31 +133,26 @@ impl Snapshot {
         let mut out = String::new();
         for (name, value) in &self.counters {
             let pname = sanitize("isum_", name);
-            let help = escape_help(&format!("ISUM counter `{name}`."));
-            let _ = writeln!(out, "# HELP {pname} {help}");
-            let _ = writeln!(out, "# TYPE {pname} counter");
+            push_family(&mut out, &pname, "counter", &format!("ISUM counter `{name}`."));
             let _ = writeln!(out, "{pname} {value}");
         }
         for (name, value) in &self.gauges {
             let pname = sanitize("isum_", name);
-            let help = escape_help(&format!("ISUM gauge `{name}`."));
-            let _ = writeln!(out, "# HELP {pname} {help}");
-            let _ = writeln!(out, "# TYPE {pname} gauge");
+            push_family(&mut out, &pname, "gauge", &format!("ISUM gauge `{name}`."));
             let _ = writeln!(out, "{pname} {value}");
         }
         for (name, hist) in &self.histograms {
             let pname = sanitize("isum_", name);
             let unit = if name.ends_with("_ns") { " (nanoseconds)" } else { "" };
-            push_histogram(&mut out, &pname, &format!("ISUM histogram `{name}`{unit}."), hist);
+            let help = format!("ISUM histogram `{name}`{unit}.");
+            push_family(&mut out, &pname, "histogram", &help);
+            hist.write_prometheus(&mut out, &pname, &[], 1.0);
         }
         for span in &self.spans {
             let pname = sanitize("isum_span_", &span.path);
-            push_histogram(
-                &mut out,
-                &pname,
-                &format!("ISUM span `{}` duration (nanoseconds).", span.path),
-                &span.hist,
-            );
+            let help = format!("ISUM span `{}` duration (nanoseconds).", span.path);
+            push_family(&mut out, &pname, "histogram", &help);
+            span.hist.write_prometheus(&mut out, &pname, &[], 1.0);
         }
         out
     }
@@ -193,13 +207,37 @@ mod tests {
         }
         let snap = Snapshot { histograms: vec![("m".into(), snap_of(&h))], ..Snapshot::default() };
         let text = snap.render_prometheus();
-        // 1,1 land in bucket 0 (le=2); 6,6,6 in bucket 2 (le=8); 1000 in
-        // bucket 9 (le=1024). Cumulative counts must be monotone.
-        assert!(text.contains("isum_m_bucket{le=\"2\"} 2\n"), "{text}");
-        assert!(text.contains("isum_m_bucket{le=\"8\"} 5\n"), "{text}");
-        assert!(text.contains("isum_m_bucket{le=\"1024\"} 6\n"), "{text}");
-        assert!(text.contains("isum_m_bucket{le=\"+Inf\"} 6\n"), "{text}");
+        // 1,1 fall under le=2; 6,6,6 under le=8; 1000 under le=1024. Edges
+        // without samples are left out; cumulative counts are monotone.
+        let buckets: Vec<&str> = text.lines().filter(|l| l.starts_with("isum_m_bucket")).collect();
+        assert_eq!(
+            buckets,
+            [
+                "isum_m_bucket{le=\"2\"} 2",
+                "isum_m_bucket{le=\"8\"} 5",
+                "isum_m_bucket{le=\"1024\"} 6",
+                "isum_m_bucket{le=\"+Inf\"} 6"
+            ],
+            "{text}"
+        );
         assert!(text.contains("isum_m_sum 1020\n"), "{text}");
+    }
+
+    #[test]
+    fn labeled_series_scale_nanoseconds_to_seconds() {
+        let h = Histogram::new();
+        h.record(1_000); // 1 µs, under the 1024 ns edge
+        h.record(1_048_576); // exactly 2^20 ns: its own edge, inclusive
+        let mut out = String::new();
+        h.snap().write_prometheus(&mut out, "fam", &[("tenant", "a\"b")], 1e9);
+        assert_eq!(
+            out,
+            "fam_bucket{tenant=\"a\\\"b\",le=\"0.000001024\"} 1\n\
+             fam_bucket{tenant=\"a\\\"b\",le=\"0.001048576\"} 2\n\
+             fam_bucket{tenant=\"a\\\"b\",le=\"+Inf\"} 2\n\
+             fam_sum{tenant=\"a\\\"b\"} 0.001049576\n\
+             fam_count{tenant=\"a\\\"b\"} 2\n"
+        );
     }
 
     #[test]

@@ -129,9 +129,9 @@ impl Snapshot {
                 ("min".into(), Json::from(h.min)),
                 ("max".into(), Json::from(h.max)),
                 ("mean".into(), Json::Num(h.mean())),
-                ("p50".into(), Json::from(h.quantile(0.5))),
-                ("p90".into(), Json::from(h.quantile(0.9))),
-                ("p99".into(), Json::from(h.quantile(0.99))),
+                ("p50".into(), Json::from(h.quantile(0.5) as u64)),
+                ("p90".into(), Json::from(h.quantile(0.9) as u64)),
+                ("p99".into(), Json::from(h.quantile(0.99) as u64)),
             ])
         };
         Json::Obj(vec![
@@ -201,10 +201,11 @@ impl Snapshot {
             for (n, h) in &active_hists {
                 // The `_ns` suffix marks duration histograms; everything
                 // else (e.g. per-round call counts) renders as raw values.
+                let p99 = h.quantile(0.99) as u64;
                 let (mean, p99) = if n.ends_with("_ns") {
-                    (fmt_ns(h.mean() as u64), fmt_ns(h.quantile(0.99)))
+                    (fmt_ns(h.mean() as u64), fmt_ns(p99))
                 } else {
-                    (format!("{:.1}", h.mean()), h.quantile(0.99).to_string())
+                    (format!("{:.1}", h.mean()), p99.to_string())
                 };
                 rows.push((n.clone(), h.count.to_string(), mean, p99));
             }

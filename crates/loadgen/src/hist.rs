@@ -1,59 +1,13 @@
-//! Client-side latency histogram: fixed log-spaced buckets, merge-able
-//! across worker threads, quantiles by linear interpolation inside the
-//! landing bucket.
-//!
-//! Buckets are geometric with ratio 2^(1/4) starting at 1 µs, so the
-//! worst-case quantile error from bucketing is under ~19% — plenty for
-//! p50/p90/p99 reporting — while the struct stays a flat array of
-//! counters that merges with one addition per bucket (no allocation on
-//! the record path, no unbounded memory under soak).
+//! Client-side latency histogram: the one
+//! [`isum_common::telemetry::Histogram`] (DESIGN.md §7), fed microseconds
+//! and read in milliseconds. Workers record into their own and merge at
+//! the end of a run.
 
-/// Number of geometric buckets. `2^(96/4)` µs ≈ 16.8 s; anything slower
-/// lands in the overflow bucket.
-const BUCKETS: usize = 96;
+use isum_common::telemetry::Histogram;
 
 /// A latency histogram over microsecond samples.
-#[derive(Debug, Clone)]
-pub struct LatencyHist {
-    counts: [u64; BUCKETS],
-    overflow: u64,
-    count: u64,
-    sum_us: u64,
-    min_us: u64,
-    max_us: u64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        LatencyHist {
-            counts: [0; BUCKETS],
-            overflow: 0,
-            count: 0,
-            sum_us: 0,
-            min_us: u64::MAX,
-            max_us: 0,
-        }
-    }
-}
-
-/// Upper bound of bucket `i` in microseconds: `2^(i/4 + 1/4)` rounded up,
-/// i.e. buckets step by a factor of 2^(1/4).
-fn bucket_hi_us(i: usize) -> f64 {
-    2f64.powf((i as f64 + 1.0) / 4.0)
-}
-
-/// The bucket a sample lands in: the first whose upper bound reaches it.
-fn bucket_of(us: u64) -> Option<usize> {
-    let us = us.max(1) as f64;
-    // log2(us) * 4 - 1 rounds to the first index with hi >= us.
-    let idx = (us.log2() * 4.0).ceil() as isize - 1;
-    let idx = idx.max(0) as usize;
-    if idx < BUCKETS {
-        Some(idx)
-    } else {
-        None
-    }
-}
+#[derive(Debug, Default, Clone)]
+pub struct LatencyHist(Histogram);
 
 impl LatencyHist {
     /// An empty histogram.
@@ -61,129 +15,34 @@ impl LatencyHist {
         LatencyHist::default()
     }
 
-    /// Records one sample in microseconds.
+    /// Records one sample in microseconds. A zero sample (e.g. a
+    /// sub-microsecond pipeline stage) counts as 1 µs, the ladder's floor.
     pub fn record_us(&mut self, us: u64) {
-        // The ladder's resolution floor is 1 µs: a zero sample (e.g. a
-        // sub-microsecond pipeline stage) lands there, keeping
-        // `min_us <= max_us` for the quantile clamp.
-        let us = us.max(1);
-        match bucket_of(us) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-        self.count += 1;
-        self.sum_us += us;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
+        self.0.record(us.max(1));
     }
 
     /// Folds another histogram in (worker merge at the end of a run).
     pub fn merge(&mut self, other: &LatencyHist) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
+        self.0.merge(&other.0);
     }
 
     /// Recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.snap().count
     }
 
     /// Mean in milliseconds (0 when empty).
     pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64 / 1e3
-        }
+        self.0.snap().mean() / 1e3
     }
 
     /// Largest recorded sample in milliseconds.
     pub fn max_ms(&self) -> f64 {
-        self.max_us as f64 / 1e3
+        self.0.snap().max as f64 / 1e3
     }
 
-    /// Quantile `q` in `[0, 1]`, in milliseconds: walks the cumulative
-    /// counts to the landing bucket and interpolates linearly inside it.
-    /// Samples past the last bucket answer the recorded maximum.
+    /// Quantile `q` in `[0, 1]`, in milliseconds.
     pub fn quantile_ms(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c > rank {
-                let lo = if i == 0 { 1.0 } else { bucket_hi_us(i - 1) };
-                let hi = bucket_hi_us(i);
-                let frac = (rank - seen) as f64 / c as f64;
-                let us = (lo + (hi - lo) * frac).clamp(self.min_us as f64, self.max_us as f64);
-                return us / 1e3;
-            }
-            seen += c;
-        }
-        self.max_ms()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn buckets_cover_the_sample_domain_monotonically() {
-        let mut last = 0usize;
-        for us in [1u64, 2, 10, 100, 1_000, 50_000, 1_000_000, 10_000_000] {
-            let b = bucket_of(us).expect("in range");
-            assert!(b >= last, "bucket index is monotone in the sample");
-            assert!(bucket_hi_us(b) >= us as f64, "sample fits under its bucket bound");
-            last = b;
-        }
-        assert!(bucket_of(60_000_000).is_none(), "a minute overflows");
-    }
-
-    #[test]
-    fn quantiles_track_a_known_distribution() {
-        let mut h = LatencyHist::new();
-        // 100 samples: 1 ms .. 100 ms.
-        for ms in 1..=100u64 {
-            h.record_us(ms * 1000);
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile_ms(0.5);
-        let p99 = h.quantile_ms(0.99);
-        assert!((40.0..=62.0).contains(&p50), "p50 ≈ 50 ms, got {p50}");
-        assert!((80.0..=100.0).contains(&p99), "p99 ≈ 99 ms, got {p99}");
-        assert!(h.quantile_ms(0.0) <= h.quantile_ms(1.0));
-        assert!((h.mean_ms() - 50.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = LatencyHist::new();
-        let mut b = LatencyHist::new();
-        let mut whole = LatencyHist::new();
-        for i in 0..500u64 {
-            let us = 37 * i + 11;
-            if i % 2 == 0 {
-                a.record_us(us)
-            } else {
-                b.record_us(us)
-            }
-            whole.record_us(us);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.quantile_ms(0.5), whole.quantile_ms(0.5));
-        assert_eq!(a.quantile_ms(0.99), whole.quantile_ms(0.99));
-        assert_eq!(a.max_ms(), whole.max_ms());
+        self.0.snap().quantile(q) / 1e3
     }
 }

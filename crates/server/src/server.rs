@@ -246,7 +246,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         count!("server.requests");
         let rid = request_id_for(&req);
         let _rid = trace::with_request_id(&rid);
-        let resp = match catch_unwind(AssertUnwindSafe(|| route(&req, shared, &clock))) {
+        let mut served_by = None;
+        let routed = AssertUnwindSafe(|| route(&req, shared, &clock, &mut served_by));
+        let resp = match catch_unwind(routed) {
             Ok(resp) => resp,
             Err(payload) => {
                 count!("server.panics");
@@ -286,12 +288,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         clock.stamp(Stage::Respond);
         let timing = clock.server_timing();
         let total_ms = clock.total().as_secs_f64() * 1e3;
-        if matches!(req.path.as_str(), "/ingest" | "/summary") {
-            let tenant = req
-                .param("tenant")
-                .or_else(|| req.header("x-isum-tenant"))
-                .unwrap_or(DEFAULT_TENANT);
-            shared.router.observe_stages(tenant, &clock);
+        if let Some(shard) = served_by {
+            shard.observe_stages(&clock);
         }
         if let Some(threshold) = shared.config.slow_ms {
             if total_ms >= threshold as f64 {
@@ -390,9 +388,17 @@ fn json_response(body: isum_common::Result<Json>) -> Response {
 /// Dispatches one parsed request to its endpoint. `clock` is the
 /// request's stage timeline; only the ingest path hands it onward (the
 /// sequencer stamps its stages), read endpoints leave everything after
-/// parse to the `respond` stage.
-fn route(req: &Request, shared: &Shared, clock: &Arc<StageClock>) -> Response {
-    try_route(req, shared, clock).unwrap_or_else(|refusal| refusal)
+/// parse to the `respond` stage. `served_by` receives the shard an ingest
+/// or a single-shard `/summary` resolved to — the one its timeline is
+/// charged to. A merged `/summary` reads every shard and is charged to
+/// none.
+fn route(
+    req: &Request,
+    shared: &Shared,
+    clock: &Arc<StageClock>,
+    served_by: &mut Option<Arc<Shard>>,
+) -> Response {
+    try_route(req, shared, clock, served_by).unwrap_or_else(|refusal| refusal)
 }
 
 /// [`route`], with `Err` as the early exit for a refused request.
@@ -400,6 +406,7 @@ fn try_route(
     req: &Request,
     shared: &Shared,
     clock: &Arc<StageClock>,
+    served_by: &mut Option<Arc<Shard>>,
 ) -> Result<Response, Response> {
     Ok(match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::json(
@@ -515,13 +522,13 @@ fn try_route(
             count!("server.requests.summary");
             let k = required_param(req, "k")?;
             match read_shard(shared, req)? {
-                Some(shard) => json_response(shard.summary_json_cached(k)),
+                Some(shard) => json_response(served_by.insert(shard).summary_json_cached(k)),
                 None => merged_summary_response(shared, k),
             }
         }
         ("POST", "/ingest") => {
             count!("server.requests.ingest");
-            handle_ingest(req, shared, Arc::clone(clock))?
+            handle_ingest(req, shared, Arc::clone(clock), served_by)?
         }
         ("POST", "/tune") => {
             count!("server.requests.tune");
@@ -573,7 +580,7 @@ fn render_process_metrics(shared: &Shared, out: &mut String) {
     let _ = writeln!(out, "# TYPE isum_process_uptime_seconds gauge");
     let _ =
         writeln!(out, "isum_process_uptime_seconds {:.3}", shared.started.elapsed().as_secs_f64());
-    let _ = writeln!(out, "# HELP isum_process_open_shards Live shards (tenants or hash slots).");
+    let _ = writeln!(out, "# HELP isum_process_open_shards Live tenant shards.");
     let _ = writeln!(out, "# TYPE isum_process_open_shards gauge");
     let _ = writeln!(out, "isum_process_open_shards {}", shared.router.shard_count());
     if let Some(rss) = resident_set_bytes() {
@@ -879,6 +886,7 @@ fn handle_ingest(
     req: &Request,
     shared: &Shared,
     clock: Arc<StageClock>,
+    served_by: &mut Option<Arc<Shard>>,
 ) -> Result<Response, Response> {
     let Ok(script) = std::str::from_utf8(&req.body) else {
         return Err(Response::error(400, "ingest body must be UTF-8 SQL text"));
@@ -889,8 +897,9 @@ fn handle_ingest(
         Some(_) => return Err(param_error("seq", "must be an integer below 2^63")),
     };
     let tenant = tenant_spec(req)?.unwrap_or_else(|| DEFAULT_TENANT.to_string());
+    let shard = served_by.insert(shared.router.shard_for_tenant(&tenant)?);
     let request_id = trace::current_request_id().unwrap_or_else(trace::next_request_id);
-    Ok(shared.router.ingest(&tenant, seq, script.to_string(), request_id, clock))
+    Ok(shared.router.ingest(shard, seq, script.to_string(), request_id, clock))
 }
 
 // ---------------------------------------------------------------------

@@ -45,8 +45,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use isum_common::stage::STAGES;
+use isum_common::telemetry::{self, Histogram};
 use isum_common::trace;
-use isum_common::{count, telemetry, Json, Stage, StageClock};
+use isum_common::{count, Json, Stage, StageClock};
 use isum_core::{merge_partials, MergedWorkload};
 use isum_workload::split_script;
 
@@ -54,7 +55,7 @@ use crate::config::ServerConfig;
 use crate::drift::{DriftAction, DriftSample, DriftTracker};
 use crate::engine::{Engine, IngestOutcome};
 use crate::http::{retry_after_value, Response};
-use crate::wal::{self, DiskStorage, FsyncHist, Kind, Record, WalWriter};
+use crate::wal::{self, DiskStorage, Kind, Record, WalWriter};
 
 /// Marker bit for fault-injection keys of unsequenced batches, so they
 /// draw from a different site-key space than `seq` numbers.
@@ -83,27 +84,6 @@ pub fn validate_tenant(name: &str) -> Result<(), String> {
         return Err("must not contain `/`".into());
     }
     Ok(())
-}
-
-/// Per-stage latency histograms (`isum_stage_seconds`): one fsync-style
-/// lock-free histogram per pipeline stage. Strictly observation-only,
-/// like every other mirror cell.
-#[derive(Default)]
-pub(crate) struct StageHist {
-    hists: [FsyncHist; STAGES.len()],
-}
-
-impl StageHist {
-    /// Folds one finished request's timeline in: every *recorded* stage
-    /// contributes one sample (absent stages contribute nothing, so a
-    /// read-only endpoint never pollutes the WAL stages).
-    pub(crate) fn observe(&self, clock: &StageClock) {
-        for stage in STAGES {
-            if let Some(d) = clock.get(stage) {
-                self.hists[stage as usize].observe(d);
-            }
-        }
-    }
 }
 
 /// Mirror cells a shard's hot paths update so `/status`, `/healthz`, and
@@ -153,10 +133,11 @@ pub(crate) struct ShardCells {
     pub wal_rotations: AtomicU64,
     /// Rebase records logged since startup.
     pub wal_rebases: AtomicU64,
-    /// WAL fsync latency histogram.
-    pub wal_fsync_hist: FsyncHist,
-    /// Per-stage latency histograms of the requests this shard served.
-    pub stage_hist: StageHist,
+    /// WAL fsync latencies in nanoseconds (`isum_wal_fsync_seconds`).
+    pub wal_fsync_hist: Histogram,
+    /// Per-stage latencies in nanoseconds of the requests this shard
+    /// served, indexed by [`Stage`] (`isum_stage_seconds`).
+    pub stage_hists: [Histogram; STAGES.len()],
 }
 
 /// One shard: a name, an engine, a bounded queue, and its worker's
@@ -198,6 +179,18 @@ impl Shard {
         let doc = engine.summary_json(k)?;
         *lock(&self.summary_cache) = Some((version, k, doc.clone()));
         Ok(doc)
+    }
+
+    /// Folds one finished request's stage timeline into this shard's
+    /// latency histograms: every *recorded* stage contributes one sample
+    /// (absent stages contribute nothing, so a read-only endpoint never
+    /// pollutes the WAL stages). Observation-only, post-response.
+    pub(crate) fn observe_stages(&self, clock: &StageClock) {
+        for stage in STAGES {
+            if let Some(d) = clock.get(stage) {
+                self.cells.stage_hists[stage as usize].record_duration(d);
+            }
+        }
     }
 }
 
@@ -275,11 +268,11 @@ impl ShardRouter {
         merge_partials(&partials)
     }
 
-    /// Enqueues one ingest batch on the tenant's shard (created on first
-    /// contact) and waits for the worker's answer.
+    /// Enqueues one ingest batch on `shard` and waits for the worker's
+    /// answer.
     pub(crate) fn ingest(
         &self,
-        tenant: &str,
+        shard: &Shard,
         seq: Option<u64>,
         script: String,
         request_id: String,
@@ -287,7 +280,7 @@ impl ShardRouter {
     ) -> Response {
         let (reply, answer) = mpsc::sync_channel::<Response>(1);
         let job = Job { seq, script, request_id, clock, reply };
-        if let Err(resp) = self.shard_for_tenant(tenant).and_then(|shard| enqueue(&shard, job)) {
+        if let Err(resp) = enqueue(shard, job) {
             return resp;
         }
         answer.recv_timeout(self.cfg.ingest_timeout).unwrap_or_else(|_| {
@@ -296,18 +289,8 @@ impl ShardRouter {
         })
     }
 
-    /// Folds one finished request's stage timeline into the latency
-    /// histograms of the tenant's shard. A tenant without a shard (e.g. a
-    /// `/summary` for a name that never ingested) contributes nothing.
-    /// Observation-only, post-response.
-    pub(crate) fn observe_stages(&self, tenant: &str, clock: &StageClock) {
-        if let Some(shard) = self.shard_named(tenant) {
-            shard.cells.stage_hist.observe(clock);
-        }
-    }
-
     /// The tenant's shard, created on first contact.
-    fn shard_for_tenant(&self, tenant: &str) -> Result<Arc<Shard>, Response> {
+    pub(crate) fn shard_for_tenant(&self, tenant: &str) -> Result<Arc<Shard>, Response> {
         if let Some(shard) = self.shard_named(tenant) {
             return Ok(shard);
         }
@@ -459,17 +442,19 @@ impl ShardRouter {
         }
         let _ = writeln!(out, "# HELP isum_wal_fsync_seconds WAL append fsync latency.");
         let _ = writeln!(out, "# TYPE isum_wal_fsync_seconds histogram");
+        // The histograms hold nanoseconds; the families are in seconds.
         for s in &shards {
             let labels = [("tenant", s.name.as_str())];
-            render_histogram(out, "isum_wal_fsync_seconds", &labels, &s.cells.wal_fsync_hist);
+            let fsync = s.cells.wal_fsync_hist.snap();
+            fsync.write_prometheus(out, "isum_wal_fsync_seconds", &labels, 1e9);
         }
         let _ = writeln!(out, "# HELP isum_stage_seconds Per-request pipeline stage latency.");
         let _ = writeln!(out, "# TYPE isum_stage_seconds histogram");
         for s in &shards {
             for stage in STAGES {
                 let labels = [("tenant", s.name.as_str()), ("stage", stage.as_str())];
-                let hist = &s.cells.stage_hist.hists[stage as usize];
-                render_histogram(out, "isum_stage_seconds", &labels, hist);
+                let hist = s.cells.stage_hists[stage as usize].snap();
+                hist.write_prometheus(out, "isum_stage_seconds", &labels, 1e9);
             }
         }
     }
@@ -523,24 +508,6 @@ fn enqueue(shard: &Shard, job: Job) -> Result<(), Response> {
 /// A retryable failure: the status plus a jittered `Retry-After`.
 fn retryable(status: u16, message: &str) -> Response {
     Response::error(status, message).with_header("Retry-After", &retry_after_value(1))
-}
-
-/// Appends one labeled series of a Prometheus histogram family:
-/// cumulative `_bucket` samples (every finite bound, then `+Inf`), then
-/// `_sum` and `_count`.
-fn render_histogram(out: &mut String, family: &str, labels: &[(&str, &str)], hist: &FsyncHist) {
-    let (counts, overflow, count, sum) = hist.snapshot();
-    let bounds = wal::FSYNC_BUCKET_BOUNDS.iter().map(f64::to_string).chain(["+Inf".to_string()]);
-    let bucket = format!("{family}_bucket");
-    let mut cumulative = 0u64;
-    for (le, n) in bounds.zip(counts.into_iter().chain([overflow])) {
-        cumulative += n;
-        let mut bucket_labels = labels.to_vec();
-        bucket_labels.push(("le", &le));
-        out.push_str(&telemetry::labeled_sample(&bucket, &bucket_labels, cumulative));
-    }
-    out.push_str(&telemetry::labeled_sample(&format!("{family}_sum"), labels, sum));
-    out.push_str(&telemetry::labeled_sample(&format!("{family}_count"), labels, count));
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -1243,10 +1210,10 @@ fn note_durable_write(cells: &ShardCells, stats: &wal::AppendStats) -> Duration 
     let now = unix_ms();
     cells.wal_last_fsync_unix_ms.store(now, Ordering::Relaxed);
     cells.wal_appended_bytes_total.fetch_add(stats.bytes, Ordering::Relaxed);
-    cells.wal_fsync_hist.observe(stats.fsync);
+    cells.wal_fsync_hist.record_duration(stats.fsync);
     let mut spent = stats.fsync;
     for rotation in stats.rotations.into_iter().flatten() {
-        cells.wal_fsync_hist.observe(rotation);
+        cells.wal_fsync_hist.record_duration(rotation);
         cells.wal_rotations.fetch_add(1, Ordering::Relaxed);
         cells.wal_last_rotation_unix_ms.store(now, Ordering::Relaxed);
         spent += rotation;

@@ -70,7 +70,6 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use isum_common::framing::{decode_frame, frame_into, ByteReader, FrameStatus};
@@ -794,49 +793,6 @@ impl<S: Storage> WalWriter<S> {
     /// `wal_seq` the next append will be assigned.
     pub fn next_wal_seq(&self) -> u64 {
         self.next_wal_seq
-    }
-}
-
-/// Fixed-bucket histogram of fsync latencies, mirrored by lock-free
-/// atomics so `/metrics` never touches the sequencer thread. Bucket
-/// upper bounds are seconds; counts are stored per-bucket and rendered
-/// cumulatively by the exposition code.
-#[derive(Debug, Default)]
-pub struct FsyncHist {
-    buckets: [AtomicU64; FSYNC_BUCKET_BOUNDS.len()],
-    overflow: AtomicU64,
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-}
-
-/// Upper bounds (seconds) of the fsync histogram's finite buckets.
-pub const FSYNC_BUCKET_BOUNDS: [f64; 7] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0];
-
-impl FsyncHist {
-    /// Records one fsync duration.
-    pub fn observe(&self, d: Duration) {
-        let secs = d.as_secs_f64();
-        match FSYNC_BUCKET_BOUNDS.iter().position(|&hi| secs <= hi) {
-            Some(i) => self.buckets[i].fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
-        };
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// `(per-bucket counts, overflow count, total count, total sum in
-    /// seconds)` — per-bucket counts are *not* cumulative.
-    pub fn snapshot(&self) -> ([u64; FSYNC_BUCKET_BOUNDS.len()], u64, u64, f64) {
-        let mut counts = [0u64; FSYNC_BUCKET_BOUNDS.len()];
-        for (i, b) in self.buckets.iter().enumerate() {
-            counts[i] = b.load(Ordering::Relaxed);
-        }
-        (
-            counts,
-            self.overflow.load(Ordering::Relaxed),
-            self.count.load(Ordering::Relaxed),
-            self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        )
     }
 }
 

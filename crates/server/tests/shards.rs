@@ -398,6 +398,40 @@ fn metrics_carry_escaped_tenant_labels() {
 }
 
 #[test]
+fn stage_latencies_are_charged_to_the_shard_that_served_the_request() {
+    let (server, client) = start(ServerConfig::new(catalog()));
+    let one = batches(1, 0);
+    ingest_all(&server, "default", &one);
+    ingest_all(&server, "acme", &one);
+    let respond_count = |tenant: &str| -> u64 {
+        let body = client.metrics().expect("metrics").body;
+        let series = format!("isum_stage_seconds_count{{tenant=\"{tenant}\",stage=\"respond\"}} ");
+        body.lines()
+            .find_map(|l| l.strip_prefix(series.as_str()))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no respond count for {tenant}:\n{body}"))
+    };
+    let (default_before, acme_before) = (respond_count("default"), respond_count("acme"));
+
+    // Two shards, no tenant named: the merged view reads every shard and
+    // is charged to none of them.
+    for _ in 0..3 {
+        let resp = client.summary(4).expect("summary");
+        assert!(resp.status == 200 && resp.body.contains("\"merged\": true"), "{}", resp.body);
+    }
+    assert_eq!(respond_count("default"), default_before, "merged reads charged to `default`");
+    assert_eq!(respond_count("acme"), acme_before);
+
+    // A named read is charged to its tenant's shard, and only to it.
+    let resp = tenant_client(&server, "acme").summary(4).expect("summary");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(respond_count("acme"), acme_before + 1);
+    assert_eq!(respond_count("default"), default_before);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn every_admission_outcome_answers_on_the_wire() {
     // One script through the front door exercising every admission
     // outcome: fresh, replayed duplicate, ahead of the stream,
