@@ -46,7 +46,8 @@ pub(crate) fn select_all_pairs_grouped(
 ) -> Selection {
     let n = groups.len();
     let mut state = GreedyState::new(groups, utilities, vec![false; n]);
-    greedy_select(&mut state, k, strategy, |state| {
+    let mut evaluations = 0u64;
+    let selection = greedy_select(&mut state, k, strategy, |state| {
         // Algorithm 1: find the max-conditional-benefit query, skipping
         // queries whose features are fully covered (all-zero). Benefits
         // are independent pure computations, so they fan out over the
@@ -57,8 +58,11 @@ pub(crate) fn select_all_pairs_grouped(
         let benefits = isum_exec::par_map_indexed(groups.group_of(), |i, _| {
             state.candidate(i).then(|| conditional_benefit(i, state))
         });
+        evaluations += benefits.iter().flatten().count() as u64;
         first_strict_max(benefits.into_iter().enumerate().filter_map(|(i, b)| Some((i, b?))))
-    })
+    });
+    isum_common::count!("core.select.evaluations", evaluations);
+    selection
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use isum_common::{QueryId, TemplateId};
 use isum_workload::Workload;
 
-use crate::features::{FeatureVec, Featurizer, SparseVec, WorkloadFeatures};
+use crate::features::{FeatureVec, Featurizer, SparseVec};
 use crate::groups::Grouping;
 use crate::similarity::weighted_jaccard;
 use crate::summary::Accumulator;
@@ -107,9 +107,8 @@ fn coverage(selected: &[QueryId], groups: &Grouping, utilities: &[f64]) -> f64 {
 /// this to report one coverage gauge that is comparable across methods
 /// (ISUM, GSUM, random, ...) in the same figure.
 pub fn workload_coverage(workload: &Workload, selected: &[QueryId]) -> f64 {
-    let wf = WorkloadFeatures::build(workload, &Featurizer::default());
     let u = utilities(workload, UtilityMode::CostTimesSelectivity);
-    selection_coverage(selected, &wf.original, &u)
+    coverage(selected, &Featurizer::default().group(workload), &u)
 }
 
 /// Derives attribution and coverage for a finished selection.

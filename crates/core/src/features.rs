@@ -13,11 +13,23 @@
 //!
 //! Weights are min–max normalized per query. Vectors are sparse, sorted by
 //! feature id, so similarity computations are merge joins without hashing.
+//!
+//! A workload repeats a few query shapes many times, and a query's vector
+//! depends on a handful of facts about its indexable columns, not on its
+//! literals. [`Featurizer::group`] therefore featurizes once per distinct
+//! *signature* — exactly the inputs [`Featurizer::features`] reads — and
+//! every other query of that signature costs one hash lookup.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use isum_catalog::Catalog;
 use isum_common::stats::min_max_normalize;
 use isum_common::GlobalColumnId;
+use isum_sql::BoundQuery;
 use isum_workload::{indexable_columns, IndexableColumn, Workload};
+
+use crate::groups::Grouping;
 
 /// Weighting scheme for feature values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -233,6 +245,79 @@ impl Featurizer {
         let norm = min_max_normalize(&raw);
         FeatureVec::from_entries(cols.iter().map(|c| c.gid).zip(norm).collect())
     }
+
+    /// Featurizes every query of a workload, in order, into groups of
+    /// bit-equal vectors: exactly [`features`](Self::features) of every
+    /// query followed by [`Grouping::from_queries`], computing `features`
+    /// once per distinct signature. A query's signature is what `features`
+    /// reads of its indexable columns, in first-seen order: per column its
+    /// id, its four position bits and `sargable`, plus — under
+    /// [`WeightScheme::StatsBased`] only — the bits of its selectivity.
+    pub fn group(&self, workload: &Workload) -> Grouping {
+        let mut memo = FeatureMemo::new(*self);
+        let mut groups = Grouping::default();
+        for q in &workload.queries {
+            memo.push(&mut groups, &q.bound, &workload.catalog);
+        }
+        groups
+    }
+}
+
+/// [`Featurizer::features`] memoized per signature (see
+/// [`Featurizer::group`]), with no eviction: one entry per distinct
+/// signature, the policy of the SQL front end's prepared-template cache.
+/// `density` and `table_rows` are functions of the column id under the one
+/// catalog every query of a workload binds against, so two queries with
+/// equal signatures get bit-equal vectors: a hit returns the stored
+/// vector's id and builds nothing.
+#[derive(Debug)]
+pub(crate) struct FeatureMemo {
+    featurizer: Featurizer,
+    /// Signature → id of its vector in the grouping pushed into.
+    known: HashMap<Box<[u64]>, u32>,
+    /// The signature being looked up, reused across queries.
+    key: Vec<u64>,
+}
+
+impl FeatureMemo {
+    pub(crate) fn new(featurizer: Featurizer) -> Self {
+        Self { featurizer, known: HashMap::new(), key: Vec::new() }
+    }
+
+    /// Appends one query to `groups`, featurizing it only when its
+    /// signature is new. The memo holds vector ids of the one grouping it
+    /// is always handed, and every query must bind against one catalog.
+    pub(crate) fn push(&mut self, groups: &mut Grouping, bound: &BoundQuery, catalog: &Catalog) {
+        let cols = indexable_columns(bound, catalog);
+        let stats = self.featurizer.scheme == WeightScheme::StatsBased;
+        self.key.clear();
+        for c in &cols {
+            let p = c.positions;
+            self.key.push(u64::from(c.gid.table.0) << 32 | u64::from(c.gid.column.0));
+            self.key.push(
+                u64::from(p.filter)
+                    | u64::from(p.join) << 1
+                    | u64::from(p.group_by) << 2
+                    | u64::from(p.order_by) << 3
+                    | u64::from(c.sargable) << 4,
+            );
+            if stats {
+                self.key.push(c.selectivity.to_bits());
+            }
+        }
+        let vector = match self.known.get(self.key.as_slice()) {
+            Some(&v) => v,
+            None => {
+                isum_common::count!("core.featurize.misses");
+                // Two signatures may still give bit-equal vectors; interning
+                // makes them share one.
+                let v = groups.intern(Cow::Owned(self.featurizer.features(&cols, catalog)));
+                self.known.insert(self.key.as_slice().into(), v);
+                v
+            }
+        };
+        groups.push_vector(vector);
+    }
 }
 
 /// Rule-based weights: for each table, enumerate the candidate key-sets the
@@ -309,15 +394,13 @@ pub struct WorkloadFeatures {
 }
 
 impl WorkloadFeatures {
-    /// Featurizes every query of a workload. Queries are independent, so
-    /// featurization fans out over the [`isum_exec`] pool; results are
-    /// collected in query order, making the output identical to the
-    /// sequential map.
+    /// Featurizes every query of a workload, once per distinct signature
+    /// ([`Featurizer::group`]), and gives each query its own copy of its
+    /// vector.
     pub fn build(workload: &Workload, featurizer: &Featurizer) -> Self {
-        let features: Vec<FeatureVec> = isum_exec::par_map(&workload.queries, |q| {
-            let cols = indexable_columns(&q.bound, &workload.catalog);
-            featurizer.features(&cols, &workload.catalog)
-        });
+        let groups = featurizer.group(workload);
+        let features: Vec<FeatureVec> =
+            (0..groups.len()).map(|i| groups.original_of(i).clone()).collect();
         Self { original: features.clone(), features }
     }
 

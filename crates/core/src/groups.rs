@@ -8,7 +8,10 @@
 //! ([`crate::update`]) is a pure function of (a query's vector, the chosen
 //! vector), so queries whose (current, original) vectors are bit-equal stay
 //! bit-equal for a whole greedy run: storing one vector per *group* and
-//! updating it once is exactly the per-query computation.
+//! updating it once is exactly the per-query computation. The compressors
+//! build their grouping through [`Featurizer::group`](crate::Featurizer::group),
+//! which hands over a stored vector's id for every query whose signature
+//! it has seen, so no per-query vector is built or hashed.
 //!
 //! Equality is on IEEE-754 bit patterns, not `==`: `0.0` and `-0.0` are
 //! different vectors here, so sharing can never change a single bit of a
@@ -86,7 +89,7 @@ impl Grouping {
     /// Appends a query whose current and original vectors are `vector`.
     pub fn push(&mut self, vector: FeatureVec) {
         let v = self.intern(Cow::Owned(vector));
-        self.push_group(v, v);
+        self.push_vector(v);
     }
 
     /// Appends a query with distinct current and original vectors.
@@ -100,9 +103,15 @@ impl Grouping {
         self.push_group(c, o);
     }
 
+    /// Appends a query whose current and original vector is the stored
+    /// vector `v`, an id [`intern`](Self::intern) returned.
+    pub(crate) fn push_vector(&mut self, v: u32) {
+        self.push_group(v, v);
+    }
+
     /// Id of the stored vector bit-equal to `v`, storing it (cloning a
     /// borrowed one) only when it is new.
-    fn intern(&mut self, v: Cow<'_, FeatureVec>) -> u32 {
+    pub(crate) fn intern(&mut self, v: Cow<'_, FeatureVec>) -> u32 {
         let hash = bits_hash(&self.hasher, &v);
         let mut last = NONE;
         let mut at = self.heads.get(&hash).copied().unwrap_or(NONE);

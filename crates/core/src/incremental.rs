@@ -15,18 +15,25 @@
 //! utilities, same greedy selection, same
 //! Alg 4 + Alg 5 weighting — so for the same observed queries the streamed
 //! result is bit-identical to the batch result (pinned by the
-//! streaming/batch equivalence tests). The accumulated state also
-//! serializes to a crash-safe [`snapshot`](IncrementalIsum::snapshot) and
-//! [`restore`](IncrementalIsum::restore)s bit-exactly, which is how the
-//! serving daemon (`crates/server`) survives a SIGKILL.
+//! streaming/batch equivalence tests). Featurization is the batch path's
+//! too ([`Featurizer::group`], one query at a time): each distinct
+//! signature is featurized once.
+//!
+//! The accumulated state serializes to a
+//! [`snapshot`](IncrementalIsum::snapshot) and
+//! [`restore`](IncrementalIsum::restore)s bit-exactly; that is an
+//! import/export format only. The serving daemon (`crates/server`) survives
+//! a SIGKILL by replaying its write-ahead log: the state is a pure function
+//! of the observed statements, so re-observing them rebuilds it (DESIGN.md
+//! §14).
 
 use isum_catalog::Catalog;
 use isum_common::{hex_bits, unhex_bits, Json};
 use isum_common::{ColumnId, GlobalColumnId, Result, TableId, TemplateId};
 use isum_sql::TemplateRegistry;
-use isum_workload::{indexable_columns, QueryInfo, Workload};
+use isum_workload::{QueryInfo, Workload};
 
-use crate::features::{FeatureVec, Featurizer};
+use crate::features::{FeatureMemo, FeatureVec, Featurizer};
 use crate::groups::Grouping;
 use crate::isum::{weighted, IsumConfig};
 use crate::utility::UtilityMode;
@@ -37,7 +44,9 @@ use isum_workload::CompressedWorkload;
 #[derive(Debug)]
 pub struct IncrementalIsum {
     config: IsumConfig,
-    featurizer: Featurizer,
+    /// Featurizes each distinct signature once — the batch compressor's
+    /// [`Featurizer::group`] path, one query at a time.
+    memo: FeatureMemo,
     /// One stored feature vector per distinct vector observed, plus each
     /// query's group, assigned as the query arrives: selection borrows
     /// this and clones nothing.
@@ -54,10 +63,10 @@ impl IncrementalIsum {
     pub fn new(config: IsumConfig) -> Self {
         Self {
             config,
-            featurizer: Featurizer {
+            memo: FeatureMemo::new(Featurizer {
                 scheme: config.scheme,
                 use_table_weight: config.use_table_weight,
-            },
+            }),
             features: Grouping::default(),
             raw_reductions: Vec::new(),
             costs: Vec::new(),
@@ -96,8 +105,7 @@ impl IncrementalIsum {
     fn record(&mut self, q: &QueryInfo, catalog: &Catalog, template: TemplateId) {
         let _s = isum_common::telemetry::span("incremental");
         isum_common::count!("core.incremental.observed");
-        let cols = indexable_columns(&q.bound, catalog);
-        self.features.push(self.featurizer.features(&cols, catalog));
+        self.memo.push(&mut self.features, &q.bound, catalog);
         let delta = match self.config.utility {
             UtilityMode::CostOnly => q.cost,
             UtilityMode::CostTimesSelectivity => {

@@ -6,12 +6,12 @@
 //! pick (step 3B), then weigh the selected queries (step 4).
 
 use isum_common::trace::{self, Level};
-use isum_common::{telemetry, QueryId, Result};
+use isum_common::{telemetry, QueryId, Result, TemplateId};
 use isum_workload::{CompressedWorkload, Workload};
 
 use crate::allpairs::{select_all_pairs_grouped, Selection};
 use crate::compressor::{validate, Compressor};
-use crate::features::{Featurizer, WeightScheme, WorkloadFeatures};
+use crate::features::{Featurizer, WeightScheme};
 use crate::groups::Grouping;
 use crate::summary::select_grouped;
 use crate::update::UpdateStrategy;
@@ -150,18 +150,9 @@ impl Isum {
     /// Runs selection only, returning indices and selection-time benefits
     /// (exposed for the experiment harness).
     pub fn select(&self, workload: &Workload, k: usize) -> crate::allpairs::Selection {
-        let featurizer = Featurizer {
-            scheme: self.config.scheme,
-            use_table_weight: self.config.use_table_weight,
-        };
-        let (wf, u) = {
-            let _s = telemetry::span("featurize");
-            let wf = WorkloadFeatures::build(workload, &featurizer);
-            let u = utilities(workload, self.config.utility);
-            (wf, u)
-        };
+        let (groups, u) = self.featurize(workload);
         let _s = telemetry::span("select");
-        self.config.select(&Grouping::from_pairs(wf.features, &wf.original), u, k)
+        self.config.select(&groups, u, k)
     }
 
     /// Compresses and derives attribution + coverage for the result
@@ -171,17 +162,79 @@ impl Isum {
     /// # Errors
     /// Same failure modes as [`Compressor::compress`].
     pub fn explain(&self, workload: &Workload, k: usize) -> Result<crate::SummaryExplanation> {
-        let cw = self.compress(workload, k)?;
+        validate(workload, k)?;
+        let _isum = telemetry::span("isum");
+        let (groups, u) = self.featurize(workload);
+        let templates = templates(workload);
+        let cw = self.select_and_weigh(&groups, &u, &templates, k);
+        Ok(crate::explain::explain_grouped(&cw.entries, &templates, &groups, &u))
+    }
+
+    /// Step 1 of Fig 4: every query's feature group and utility.
+    fn featurize(&self, workload: &Workload) -> (Grouping, Vec<f64>) {
+        let _s = telemetry::span("featurize");
         let featurizer = Featurizer {
             scheme: self.config.scheme,
             use_table_weight: self.config.use_table_weight,
         };
-        let wf = WorkloadFeatures::build(workload, &featurizer);
-        let u = utilities(workload, self.config.utility);
-        let templates: Vec<isum_common::TemplateId> =
-            workload.queries.iter().map(|q| q.template).collect();
-        Ok(crate::explain::explain_selection(&cw.entries, &templates, &wf.original, &u))
+        let t = trace::enabled(Level::Debug).then(std::time::Instant::now);
+        let featurized = (featurizer.group(workload), utilities(workload, self.config.utility));
+        if let Some(t) = t {
+            isum_common::debug!(
+                "core.isum",
+                "featurize done",
+                queries = workload.queries.len(),
+                elapsed_us = t.elapsed().as_micros()
+            );
+        }
+        featurized
     }
+
+    /// Steps 2–4 of Fig 4 over a featurized workload.
+    fn select_and_weigh(
+        &self,
+        groups: &Grouping,
+        u: &[f64],
+        templates: &[TemplateId],
+        k: usize,
+    ) -> CompressedWorkload {
+        // Per-phase events are debug-level; the clock is only read when
+        // some sink or ring can actually receive them.
+        let trace_on = trace::enabled(Level::Debug);
+        let t = trace_on.then(std::time::Instant::now);
+        let selection = {
+            let _s = telemetry::span("select");
+            self.config.select(groups, u.to_vec(), k)
+        };
+        if let Some(t) = t {
+            isum_common::debug!(
+                "core.isum",
+                "select done",
+                candidates = groups.len(),
+                selected = selection.order.len(),
+                k = k,
+                elapsed_us = t.elapsed().as_micros()
+            );
+        }
+        let t = trace_on.then(std::time::Instant::now);
+        let _w = telemetry::span("weight");
+        let weights = weigh_grouped(self.config.weighting, templates, &selection, groups, u);
+        let cw = weighted(&selection, weights);
+        if let Some(t) = t {
+            isum_common::debug!(
+                "core.isum",
+                "weight done",
+                entries = cw.entries.len(),
+                elapsed_us = t.elapsed().as_micros()
+            );
+        }
+        cw
+    }
+}
+
+/// The template of every query of a workload, in order.
+fn templates(workload: &Workload) -> Vec<TemplateId> {
+    workload.queries.iter().map(|q| q.template).collect()
 }
 
 impl Compressor for Isum {
@@ -200,60 +253,8 @@ impl Compressor for Isum {
     fn compress(&self, workload: &Workload, k: usize) -> Result<CompressedWorkload> {
         validate(workload, k)?;
         let _isum = telemetry::span("isum");
-        // Per-phase events are debug-level; the clock is only read when
-        // some sink or ring can actually receive them.
-        let trace_on = trace::enabled(Level::Debug);
-        let featurizer = Featurizer {
-            scheme: self.config.scheme,
-            use_table_weight: self.config.use_table_weight,
-        };
-        let t = trace_on.then(std::time::Instant::now);
-        let (wf, u) = {
-            let _s = telemetry::span("featurize");
-            let wf = WorkloadFeatures::build(workload, &featurizer);
-            let u = utilities(workload, self.config.utility);
-            (wf, u)
-        };
-        if let Some(t) = t {
-            isum_common::debug!(
-                "core.isum",
-                "featurize done",
-                queries = workload.queries.len(),
-                elapsed_us = t.elapsed().as_micros()
-            );
-        }
-        let t = trace_on.then(std::time::Instant::now);
-        let (groups, selection) = {
-            let _s = telemetry::span("select");
-            let groups = Grouping::from_pairs(wf.features, &wf.original);
-            let selection = self.config.select(&groups, u.clone(), k);
-            (groups, selection)
-        };
-        if let Some(t) = t {
-            isum_common::debug!(
-                "core.isum",
-                "select done",
-                candidates = workload.queries.len(),
-                selected = selection.order.len(),
-                k = k,
-                elapsed_us = t.elapsed().as_micros()
-            );
-        }
-        let t = trace_on.then(std::time::Instant::now);
-        let _w = telemetry::span("weight");
-        let templates: Vec<isum_common::TemplateId> =
-            workload.queries.iter().map(|q| q.template).collect();
-        let weights = weigh_grouped(self.config.weighting, &templates, &selection, &groups, &u);
-        let cw = weighted(&selection, weights);
-        if let Some(t) = t {
-            isum_common::debug!(
-                "core.isum",
-                "weight done",
-                entries = cw.entries.len(),
-                elapsed_us = t.elapsed().as_micros()
-            );
-        }
-        Ok(cw)
+        let (groups, u) = self.featurize(workload);
+        Ok(self.select_and_weigh(&groups, &u, &templates(workload), k))
     }
 }
 

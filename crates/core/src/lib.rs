@@ -9,7 +9,8 @@
 //!   vector over its indexable columns, weighted rule-based (fraction of
 //!   Table-1 candidate indexes containing the column × table size) or
 //!   stats-based ((1 − selectivity/density) × table size), min–max
-//!   normalized (Sec 4.2).
+//!   normalized (Sec 4.2); computed once per distinct signature and
+//!   stored once per distinct vector ([`Grouping`]).
 //! * **Utility** ([`utility`]): each query's share of the workload's
 //!   estimated cost reduction, from cost alone or cost × (1 − avg
 //!   selectivity) (Sec 4.1, Def 2).
@@ -46,6 +47,7 @@ pub use explain::{
     explain_selection, selection_coverage, workload_coverage, MemberAttribution, SummaryExplanation,
 };
 pub use features::{FeatureVec, Featurizer, SparseVec, WeightScheme, WorkloadFeatures};
+pub use groups::Grouping;
 pub use incremental::IncrementalIsum;
 pub use isum::{Algorithm, Isum, IsumConfig};
 pub use merge::{

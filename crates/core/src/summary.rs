@@ -9,6 +9,8 @@
 //! the all-pairs algorithm and the summary is *regenerated* (updating `V`
 //! in place is noted by the paper to be more erroneous).
 
+use std::collections::HashMap;
+
 use isum_common::GlobalColumnId;
 
 use crate::allpairs::Selection;
@@ -189,7 +191,8 @@ pub(crate) fn summary_influence<K: Ord + Copy>(
 }
 
 /// The linear-time greedy selection (Algorithm 3 inside the Algorithm 2
-/// loop): per iteration one summary build plus one similarity per query.
+/// loop): per iteration one summary build plus one similarity per class of
+/// queries with equal vectors and utilities.
 pub fn select_summary(
     features: Vec<FeatureVec>,
     original: &[FeatureVec],
@@ -201,6 +204,17 @@ pub fn select_summary(
 }
 
 /// [`select_summary`] over an already grouped workload.
+///
+/// The benefit of query `i` is a function of its group's vector and its
+/// utility alone, and both evolve as pure functions of themselves: the
+/// update is per group, and `U −= U·S_g` is per (utility, group). So the
+/// members of a class — equal group, bit-equal utility at the start of the
+/// run — have bit-equal benefits in every round, and a later member can
+/// never strictly beat an earlier one in the index-order argmax. Each round
+/// therefore evaluates only the smallest unselected member of each class,
+/// and picks exactly what the per-query scan picks, under every
+/// [`UpdateStrategy`] and NaN utilities included. The summary stays a
+/// per-query fold: its per-column operand order fixes its bits.
 pub(crate) fn select_grouped(
     groups: &Grouping,
     utilities: Vec<f64>,
@@ -208,19 +222,100 @@ pub(crate) fn select_grouped(
     strategy: UpdateStrategy,
 ) -> Selection {
     let n = groups.len();
+    let mut classes = Classes::new(groups.group_of(), &utilities);
     let mut state = GreedyState::new(groups, utilities, vec![false; n]);
-    greedy_select(&mut state, k, strategy, |state| {
+    let mut evaluations = 0u64;
+    let selection = greedy_select(&mut state, k, strategy, |state| {
         // Regenerate the summary over unselected queries, then one
-        // similarity per candidate against it, in index order. The scan is
-        // sequential: a round is ~0.2 ms of work on 8,000 queries, and
-        // handing half of it to the pool measured between 13 % faster and
-        // 10 % slower end to end depending on how fast a worker woke up.
+        // similarity per class against it, in index order.
         let total_utility = state.summarize();
-        first_strict_max((0..n).filter(|&i| state.candidate(i)).map(|i| {
+        classes.skip_selected(&state.selected);
+        first_strict_max(classes.heads().filter(|&i| state.candidate(i)).map(|i| {
+            evaluations += 1;
             let u = state.utilities[i];
             (i, u + summary_influence(state.vector(i), u, state.summary(), total_utility))
         }))
-    })
+    });
+    isum_common::count!("core.select.evaluations", evaluations);
+    selection
+}
+
+/// The queries of a greedy run partitioned into classes of equal group and
+/// bit-equal starting utility, each class represented by its smallest
+/// unselected member.
+struct Classes {
+    /// Members of every class, class after class, each in index order.
+    members: Vec<u32>,
+    /// One past the last member of each class in `members`.
+    end: Vec<usize>,
+    /// Per class, where its smallest unselected member is in `members`.
+    next: Vec<usize>,
+    /// `(smallest unselected member, class)` of every class that has one,
+    /// in ascending member order.
+    heads: Vec<(u32, u32)>,
+}
+
+impl Classes {
+    fn new(group_of: &[u32], utilities: &[f64]) -> Self {
+        assert!(u32::try_from(group_of.len()).is_ok(), "query indices fit u32");
+        let mut ids: HashMap<(u32, u64), u32> = HashMap::new();
+        let class_of: Vec<u32> = group_of
+            .iter()
+            .zip(utilities)
+            .map(|(&g, u)| {
+                let next = ids.len() as u32;
+                *ids.entry((g, u.to_bits())).or_insert(next)
+            })
+            .collect();
+        // Counting sort by class keeps each class in index order.
+        let mut end = vec![0usize; ids.len()];
+        for &c in &class_of {
+            end[c as usize] += 1;
+        }
+        let mut at = 0;
+        for e in &mut end {
+            at += *e;
+            *e = at;
+        }
+        let mut next = end.clone();
+        let mut members = vec![0u32; class_of.len()];
+        for (i, &c) in class_of.iter().enumerate().rev() {
+            next[c as usize] -= 1;
+            members[next[c as usize]] = i as u32;
+        }
+        // Classes are numbered by first appearance, so their first members
+        // ascend in class order.
+        let heads = next.iter().enumerate().map(|(c, &at)| (members[at], c as u32)).collect();
+        Self { members, end, next, heads }
+    }
+
+    /// Replaces every selected head by its class's next unselected member.
+    fn skip_selected(&mut self, selected: &[bool]) {
+        let mut h = 0;
+        while h < self.heads.len() {
+            let (i, c) = self.heads[h];
+            if !selected[i as usize] {
+                h += 1;
+                continue;
+            }
+            self.heads.remove(h);
+            let c = c as usize;
+            while self.next[c] < self.end[c] && selected[self.members[self.next[c]] as usize] {
+                self.next[c] += 1;
+            }
+            if self.next[c] < self.end[c] {
+                // A later member of the class: its place is at or after `h`.
+                let m = self.members[self.next[c]];
+                let at = self.heads.partition_point(|&(j, _)| j < m);
+                self.heads.insert(at, (m, c as u32));
+            }
+        }
+    }
+
+    /// The class representatives, in ascending index order.
+    fn heads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.heads.iter().map(|&(i, _)| i as usize)
+    }
 }
 
 /// The two-sided bound of Theorem 3 on `F_qs(V) / F_qs(W)`:
@@ -232,8 +327,7 @@ pub fn theorem3_bounds(features: &[FeatureVec], utilities: &[f64]) -> (f64, f64)
     let us = utilities.iter().copied().filter(|u| *u > 0.0).fold(f64::INFINITY, f64::min);
     let ul = utilities.iter().copied().fold(0.0, f64::max);
     // R = min over columns of (min value / max value).
-    let mut per_col: std::collections::HashMap<isum_common::GlobalColumnId, (f64, f64)> =
-        std::collections::HashMap::new();
+    let mut per_col: HashMap<GlobalColumnId, (f64, f64)> = HashMap::new();
     for f in features {
         for &(g, w) in f.entries() {
             if w > 0.0 {

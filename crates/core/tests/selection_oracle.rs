@@ -451,17 +451,29 @@ struct Case {
     templates: Vec<TemplateId>,
 }
 
+/// Utility codes are taken modulo one of these: the full range spreads
+/// utilities over three orders of magnitude, the small alphabet makes
+/// bit-equal utilities common, so the summary scan's classes (equal
+/// vector, equal utility) hold many members that selections then split.
+const UTILITY_ALPHABETS: [u32; 2] = [2000, 6];
+
 /// `same`: every query starts from its original vector (what the
 /// compressors do); otherwise current and original are drawn separately,
 /// which also yields queries that start covered and need the reset.
-fn case(pool: &[RawVector], queries: &[RawQuery], same: bool, zero_utilities: bool) -> Case {
+fn case(
+    pool: &[RawVector],
+    queries: &[RawQuery],
+    same: bool,
+    zero_utilities: bool,
+    alphabet: u32,
+) -> Case {
     let pool: Vec<FeatureVec> = pool.iter().map(vector).collect();
     let pick = |i: usize| pool[i % pool.len()].clone();
-    // Utility codes 0 and 1 are zeros and repeat often; the rest spread
-    // over three orders of magnitude. Normalized like `utility::utilities`.
+    // Utility codes 0 and 1 are zeros and repeat often; the rest are
+    // multiples of 1.7. Normalized like `utility::utilities`.
     let raw: Vec<f64> = queries
         .iter()
-        .map(|&(_, _, u, _)| if zero_utilities { 0.0 } else { f64::from(u / 2) * 1.7 })
+        .map(|&(_, _, u, _)| if zero_utilities { 0.0 } else { f64::from(u % alphabet / 2) * 1.7 })
         .collect();
     let total: f64 = raw.iter().sum();
     Case {
@@ -528,8 +540,9 @@ proptest! {
         k in 1usize..50,
         same in any::<bool>(),
         zero_utilities in prop::sample::select(vec![false, false, false, true]),
+        alphabet in prop::sample::select(UTILITY_ALPHABETS.to_vec()),
     ) {
-        let c = case(&pool, &queries, same, zero_utilities);
+        let c = case(&pool, &queries, same, zero_utilities, alphabet);
         check_summary(&c, k);
         check_all_pairs(&c, k);
     }
@@ -541,7 +554,7 @@ proptest! {
         pool in prop::collection::vec(raw_vector(), 1..7),
         queries in prop::collection::vec((0usize..7, 0usize..7, 0u32..2000, 0usize..5), 1..40),
     ) {
-        let c = case(&pool, &queries, true, false);
+        let c = case(&pool, &queries, true, false, UTILITY_ALPHABETS[0]);
         let new = summary_features(&c.original, &c.utilities);
         let old = oracle::summary_features(&c.original, &c.utilities);
         let entries = |v: &FeatureVec| -> Vec<(GlobalColumnId, u64)> {
@@ -562,7 +575,9 @@ proptest! {
         queries in prop::collection::vec((0usize..30, 0usize..30, 0u32..2000, 0usize..9), 1100..1400),
         k in 1usize..12,
     ) {
-        check_summary(&case(&pool, &queries, true, false), k);
+        for alphabet in UTILITY_ALPHABETS {
+            check_summary(&case(&pool, &queries, true, false, alphabet), k);
+        }
     }
 }
 

@@ -360,6 +360,32 @@ fn tenant_validation_and_typed_errors_on_the_wire() {
 }
 
 #[test]
+fn a_non_finite_cost_annotation_is_costed_like_no_annotation() {
+    // One `NaN` or `inf` cost made every utility of the tenant non-finite,
+    // and the summary degenerated to the first k queries at equal weights.
+    let plain = batches(6, 0);
+    let (server, client) = start(ServerConfig::new(catalog()));
+    ingest_all(&server, "plain", &plain);
+    for bad in ["NaN", "inf"] {
+        let mut annotated = plain.clone();
+        annotated[0] = format!("-- cost: {bad}\n{}", annotated[0]);
+        ingest_all(&server, bad, &annotated);
+    }
+    let summary = |tenant: &str| {
+        let resp = client.get(&format!("/summary?k=5&tenant={tenant}")).expect("summary");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp.body
+    };
+    let expected = summary("plain");
+    assert_eq!(expected, reference_summary(&plain, 5));
+    for bad in ["NaN", "inf"] {
+        assert_eq!(summary(bad), expected, "`-- cost: {bad}` must read as no cost");
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn tenant_cap_answers_429_with_retry_after() {
     let mut config = ServerConfig::new(catalog());
     config.max_tenants = 2; // default shard + one named tenant

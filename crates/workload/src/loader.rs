@@ -56,9 +56,10 @@ pub fn load_script_lenient(
 ///
 /// A statement ends at a `;` that is outside a string literal and outside
 /// a `--` comment. Lines that are blank or hold only a comment are dropped
-/// (a `-- cost: <float>` line annotates the next statement to end), as is
-/// a comment that trails a statement's `;` on the same line; comments
-/// inside a statement stay in its text, which the lexer skips.
+/// (a `-- cost: <float>` line annotates the next statement to end, unless
+/// the value does not parse or is not finite), as is a comment that trails
+/// a statement's `;` on the same line; comments inside a statement stay in
+/// its text, which the lexer skips.
 pub fn split_script(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
     let mut sqls = Vec::new();
     let mut costs = Vec::new();
@@ -79,7 +80,7 @@ pub fn split_script(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
         if !in_string {
             let trimmed = line.trim();
             if let Some(rest) = trimmed.strip_prefix("-- cost:") {
-                pending_cost = rest.trim().parse::<f64>().ok();
+                pending_cost = parse_cost(rest);
                 continue;
             }
             if trimmed.starts_with("--") || trimmed.is_empty() {
@@ -112,6 +113,13 @@ pub fn split_script(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
     }
     finish(&mut current, &mut pending_cost);
     (sqls, costs)
+}
+
+/// The value of a `-- cost:` annotation. A non-finite one (`NaN`, `inf`)
+/// counts as unparsable, so the optimizer costs the statement: one `NaN`
+/// would make every utility of the workload `NaN`.
+fn parse_cost(text: &str) -> Option<f64> {
+    text.trim().parse::<f64>().ok().filter(|c| c.is_finite())
 }
 
 #[cfg(test)]
@@ -157,6 +165,19 @@ SELECT a FROM t WHERE b = 3;
         assert_eq!(w.queries[0].cost, 120.5);
         assert_eq!(w.queries[1].cost, 0.0, "unannotated statement keeps default");
         assert_eq!(w.queries[2].cost, 33.0);
+    }
+
+    #[test]
+    fn non_finite_cost_annotations_are_ignored() {
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            let script = format!(
+                "-- cost: {bad}\nSELECT a FROM t WHERE b = 1;\n-- cost: 5\nSELECT a FROM t;"
+            );
+            let (_, costs) = split_script(&script);
+            assert_eq!(costs, [None, Some(5.0)], "`-- cost: {bad}` is no cost");
+            let w = load_script(catalog(), &script).expect("script loads");
+            assert_eq!(w.queries[0].cost, 0.0, "`{bad}`: left for the optimizer to fill");
+        }
     }
 
     #[test]
@@ -252,7 +273,7 @@ mod oracle {
         for line in script.lines() {
             let trimmed = line.trim();
             if let Some(rest) = trimmed.strip_prefix("-- cost:") {
-                pending_cost = rest.trim().parse::<f64>().ok();
+                pending_cost = rest.trim().parse::<f64>().ok().filter(|c| c.is_finite());
                 continue;
             }
             if trimmed.starts_with("--") || trimmed.is_empty() {
@@ -305,12 +326,13 @@ mod oracle {
         let mut rng = DetRng::seeded(seed);
         let noise = |rng: &mut DetRng, out: &mut String| {
             while rng.chance(0.3) {
-                out.push_str(match rng.below(6) {
+                out.push_str(match rng.below(7) {
                     0 => "\n",
                     1 => "   \t\n",
                     2 => "-- it's a comment; with a semicolon;\n",
                     3 => "  -- cost: 12.5\n",
                     4 => "-- cost: oops\n",
+                    5 => "-- cost: NaN\n",
                     _ => "-- cost:3\n",
                 });
             }
