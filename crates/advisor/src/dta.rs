@@ -44,22 +44,17 @@ impl DtaAdvisor {
     ) -> Vec<Index> {
         let q = workload.query(query);
         let base = optimizer.cost_query(workload, query, &IndexConfig::empty());
-        // Each candidate costing is an independent what-if call; fan them
-        // out, then keep the winners in candidate order so the stable
-        // gain sort below ties exactly as the sequential scan did.
-        let candidates = candidate_indexes(&q.bound, &workload.catalog, &self.options);
-        let gains = isum_exec::par_map(&candidates, |ix| {
-            let cfg = IndexConfig::from_indexes([ix.clone()]);
-            optimizer.cost_query(workload, query, &cfg)
-        });
-        let mut scored: Vec<(f64, Index)> = candidates
-            .into_iter()
-            .zip(gains)
-            .filter_map(|(ix, cost)| {
-                let gain = base - cost;
-                (gain > 1e-9).then_some((gain, ix))
-            })
-            .collect();
+        // Winners stay in candidate order, so the stable gain sort below
+        // breaks ties by candidate position.
+        let mut scored: Vec<(f64, Index)> =
+            candidate_indexes(&q.bound, &workload.catalog, &self.options)
+                .into_iter()
+                .filter_map(|ix| {
+                    let cfg = IndexConfig::from_indexes([ix.clone()]);
+                    let gain = base - optimizer.cost_query(workload, query, &cfg);
+                    (gain > 1e-9).then_some((gain, ix))
+                })
+                .collect();
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite gains"));
         scored.truncate(self.per_query_keep);
         scored.into_iter().map(|(_, ix)| ix).collect()
@@ -82,16 +77,12 @@ impl IndexAdvisor for DtaAdvisor {
         // Phase 1+2 per tuned query.
         let mut pool: Vec<Index> = {
             let _s = isum_common::telemetry::span("candidates");
-            // Per-query selection runs concurrently (the optimizer is
-            // Sync); the dedup merge stays a sequential scan in subset
-            // order, so the pool order is thread-count independent.
-            let per_query = isum_exec::par_map(&subset.entries, |&(id, _)| {
-                self.selected_candidates(optimizer, workload, id)
-            });
             let mut pool: Vec<Index> = Vec::new();
-            for ix in per_query.into_iter().flatten() {
-                if !pool.contains(&ix) {
-                    pool.push(ix);
+            for &(id, _) in &subset.entries {
+                for ix in self.selected_candidates(optimizer, workload, id) {
+                    if !pool.contains(&ix) {
+                        pool.push(ix);
+                    }
                 }
             }
             pool

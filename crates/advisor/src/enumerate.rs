@@ -35,25 +35,16 @@ pub fn greedy_enumerate(
     while cfg.len() < constraints.max_indexes && !remaining.is_empty() {
         count!("advisor.greedy.iterations");
         let calls_before = optimizer.optimizer_calls();
-        // Every trial configuration of this round is independent: fan the
-        // what-if costings out over the pool, then pick the winner in a
-        // sequential index-order scan (first strict maximum), so the pick
-        // matches the sequential loop at any thread count.
-        let trials = isum_exec::par_map(&remaining, |ix| {
+        // The winner is the first strict maximum in pool order.
+        let mut best: Option<(usize, f64, u64)> = None;
+        for (i, ix) in remaining.iter().enumerate() {
             let bytes = ix.size_bytes(catalog);
-            if let Some(budget) = constraints.storage_budget_bytes {
-                if used_bytes + bytes > budget {
-                    return None;
-                }
+            if constraints.storage_budget_bytes.is_some_and(|budget| used_bytes + bytes > budget) {
+                continue;
             }
             let mut trial = cfg.clone();
             trial.add((*ix).clone());
-            let cost = weighted_cost(optimizer, workload, tuned, &trial);
-            Some((current - cost, bytes))
-        });
-        let mut best: Option<(usize, f64, u64)> = None;
-        for (i, t) in trials.into_iter().enumerate() {
-            let Some((gain, bytes)) = t else { continue };
+            let gain = current - weighted_cost(optimizer, workload, tuned, &trial);
             if gain > 1e-9 && best.is_none_or(|(_, g, _)| gain > g) {
                 best = Some((i, gain, bytes));
             }

@@ -7,7 +7,7 @@
 //! precisely the weakness ISUM targets (Sec 9: "the featurization ... is
 //! agnostic of the features that are more relevant to index tuning").
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use isum_common::{GlobalColumnId, QueryId, Result};
 use isum_core::compressor::{validate, Compressor};
@@ -62,7 +62,10 @@ impl Compressor for Gsum {
                 cols
             })
             .collect();
-        let mut freq: HashMap<GlobalColumnId, f64> = HashMap::new();
+        // Ordered: the L1 distance below sums over it, and a per-process
+        // random hash order made that float sum, and so near-tied picks,
+        // differ from run to run.
+        let mut freq: BTreeMap<GlobalColumnId, f64> = BTreeMap::new();
         for cols in &per_query {
             for &c in cols {
                 *freq.entry(c).or_insert(0.0) += 1.0;
@@ -194,5 +197,24 @@ mod tests {
     fn deterministic() {
         let w = workload();
         assert_eq!(Gsum::new().compress(&w, 3).unwrap(), Gsum::new().compress(&w, 3).unwrap());
+    }
+
+    #[test]
+    fn near_tied_picks_do_not_depend_on_hash_order() {
+        // Fig 12's DSB-complex workload has a near tie at k = 25 that a
+        // sum in hash order broke differently from run to run. Each new
+        // thread seeds its hash maps afresh, like a new process.
+        let w = isum_workload::gen::dsb::dsb_workload_classed(
+            10,
+            isum_workload::QueryClass::Complex,
+            156,
+            121,
+        )
+        .unwrap();
+        let first = Gsum::new().compress(&w, 25).unwrap();
+        for _ in 0..40 {
+            let again = std::thread::scope(|s| s.spawn(|| Gsum::new().compress(&w, 25)).join());
+            assert_eq!(again.unwrap().unwrap(), first);
+        }
     }
 }

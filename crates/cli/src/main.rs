@@ -24,11 +24,13 @@
 //! Passing `--stats` (or setting `ISUM_TELEMETRY=1`) enables the
 //! [`isum_common::telemetry`] registry and prints a phase/counter table
 //! after the command finishes. Passing `--threads <n>` (or setting
-//! `ISUM_THREADS=<n>`) sizes the [`isum_exec`] worker pool; `--threads 1`
-//! runs everything sequentially and produces bit-identical results to any
-//! other thread count. Passing `--faults <spec>` (or setting
-//! `ISUM_FAULTS=<spec>`) activates the deterministic fault injector —
-//! see DESIGN.md §9 for the spec grammar and degradation contract.
+//! `ISUM_THREADS=<n>`) sets how many threads [`isum_exec::par_map`] fans
+//! out to. No `isum` command has a parallel loop today (DESIGN.md §8
+//! keeps only the experiment harness's method evaluation parallel), so
+//! every thread count gives the same results and, here, the same speed.
+//! Passing `--faults <spec>` (or setting `ISUM_FAULTS=<spec>`) activates
+//! the deterministic fault injector — see DESIGN.md §9 for the spec
+//! grammar and degradation contract.
 
 mod schema;
 
@@ -155,7 +157,7 @@ fn usage() -> String {
          connections (closed loop by default; --rate paces each connection open-loop,\n\
          --shift-at off disables the drift-provoking mix shift) and prints a JSON report,\n\
          any command accepts --stats (or ISUM_TELEMETRY=1) to print a telemetry table,\n\
-         --threads <n> (or ISUM_THREADS=<n>) to size the worker pool (1 = sequential),\n\
+         --threads <n> (or ISUM_THREADS=<n>) for the threads of parallel loops (1 = sequential),\n\
          --faults <spec> (or ISUM_FAULTS=<spec>) for deterministic fault injection\n\
          (e.g. whatif_transient:0.05,parse:0.01,seed:7 — see DESIGN.md \u{a7}9),\n\
          and ISUM_LOG=<filter> (e.g. info,server=debug) with --log-file <path>\n\

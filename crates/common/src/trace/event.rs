@@ -28,7 +28,7 @@ pub struct Event {
     /// Request being served when the event fired, if any (set by the
     /// daemon via [`super::with_request_id`]).
     pub request_id: Option<String>,
-    /// Executor identity (`exec-3`, set by the worker pool) so events
+    /// Executor identity (`exec-3`, set by `isum_exec::par_map`) so events
     /// from inside `par_map` closures stay attributable at any thread
     /// count.
     pub thread_label: Option<String>,

@@ -241,8 +241,8 @@ pub fn current_request_id() -> Option<String> {
 }
 
 /// Sets this thread's sticky executor label (e.g. `exec-3`); events
-/// emitted on the thread carry it in their `worker` field. The worker
-/// pool calls this once per worker thread so events from inside parallel
+/// emitted on the thread carry it in their `worker` field. `par_map`
+/// calls this once per thread it spawns so events from inside parallel
 /// closures stay attributable at any thread count.
 pub fn set_thread_label(label: &str) {
     THREAD_LABEL.with(|slot| *slot.borrow_mut() = Some(label.to_string()));

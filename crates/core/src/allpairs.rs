@@ -49,17 +49,13 @@ pub(crate) fn select_all_pairs_grouped(
     let mut evaluations = 0u64;
     let selection = greedy_select(&mut state, k, strategy, |state| {
         // Algorithm 1: find the max-conditional-benefit query, skipping
-        // queries whose features are fully covered (all-zero). Benefits
-        // are independent pure computations, so they fan out over the
-        // pool; the argmax stays a sequential index-order scan, so the
-        // pick (first strict maximum) is identical to the sequential
-        // algorithm at any thread count.
+        // queries whose features are fully covered (all-zero). The pick is
+        // the first strict maximum in index order.
         let state = &*state;
-        let benefits = isum_exec::par_map_indexed(groups.group_of(), |i, _| {
-            state.candidate(i).then(|| conditional_benefit(i, state))
-        });
-        evaluations += benefits.iter().flatten().count() as u64;
-        first_strict_max(benefits.into_iter().enumerate().filter_map(|(i, b)| Some((i, b?))))
+        first_strict_max((0..n).filter(|&i| state.candidate(i)).map(|i| {
+            evaluations += 1;
+            (i, conditional_benefit(i, state))
+        }))
     });
     isum_common::count!("core.select.evaluations", evaluations);
     selection

@@ -7,9 +7,9 @@ use isum_workload::{CompressedWorkload, Workload};
 /// workload (Problem 1 of the paper).
 ///
 /// `Send + Sync` is part of the contract: the experiments harness
-/// evaluates independent methods concurrently on the [`isum_exec`] pool,
-/// so a compressor must not hold thread-affine state (interior
-/// mutability, if any, must be synchronized).
+/// evaluates independent methods concurrently through
+/// `isum_exec::par_map`, so a compressor must not hold thread-affine state
+/// (interior mutability, if any, must be synchronized).
 pub trait Compressor: Send + Sync {
     /// Display name used in experiment reports (e.g. "ISUM", "GSUM").
     fn name(&self) -> String;

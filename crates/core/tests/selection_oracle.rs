@@ -16,8 +16,6 @@
 //! Alg 2 line-12 reset), both sides pick by utility. No input on which the
 //! old loop terminated reaches that branch.
 //!
-//! The thread count (it matters to the all-pairs scan, which fans out over
-//! the pool) comes from `ISUM_THREADS`: CI runs this file at 1 and 4.
 //! `PROPTEST_CASES` raises the number of generated cases.
 
 use std::sync::mpsc;

@@ -1,170 +1,187 @@
-//! `isum_exec` — zero-dependency parallel execution for the ISUM
-//! reproduction.
+//! `isum_exec` — the one parallel map of the ISUM reproduction.
 //!
-//! Every hot path in this codebase — all-pairs similarity, featurization,
-//! what-if costing inside the advisor's greedy rounds, and the experiment
-//! harness — fans out over independent inputs. This crate gives them a
-//! single, `std`-only substrate: a work-stealing scoped thread pool
-//! ([`ThreadPool`]) with three primitives:
+//! [`par_map`] and [`par_map_indexed`] run a function over a slice on
+//! `min(global_threads(), n)` scoped threads ([`std::thread::scope`]). The
+//! threads take indices from one shared cursor and the results come back
+//! in input order, so for a pure function the output is the sequential
+//! map's, bit for bit, at any thread count (pinned by `tests/par_map.rs`,
+//! and for the experiment harness by its `fault_smoke.rs`).
 //!
-//! * [`par_map`] / [`ThreadPool::par_map`] — parallel map whose output is
-//!   collected **by input index**, so the result is bit-identical to the
-//!   sequential map for pure functions (the determinism contract the
-//!   regression tests in `tests/determinism.rs` enforce end-to-end);
-//! * [`par_chunks`] / [`ThreadPool::par_chunks`] — the chunked form;
-//! * [`try_par_map`] / [`ThreadPool::try_par_map`] — the panic-isolating
-//!   form: a panicking item is quarantined into an `Err(TaskPanic)` slot
-//!   (counted as `faults.quarantined`) while every sibling completes;
-//! * [`scope`] / [`ThreadPool::scope`] — structured spawning of tasks that
-//!   borrow from the caller's stack, joined before the scope returns, with
-//!   panic propagation (first panic re-raised, pool never poisoned) and
-//!   nested-scope support (waiters execute queued tasks instead of
-//!   blocking).
+//! * A call made from inside a `par_map` thread runs inline on that
+//!   thread: one level of parallelism, never more threads than configured.
+//! * If an item panics, the other items still run; the first panic is
+//!   re-raised after every thread has joined. [`try_par_map`] instead turns
+//!   each panicking item into an `Err(TaskPanic)` slot.
+//! * Each thread carries the caller's request ID and the trace label
+//!   `exec-<i>`, so events emitted inside stay attributed.
+//!
+//! DESIGN.md §8 lists the call sites and the measurement that kept each.
 //!
 //! # Configuration
 //!
-//! The process-wide pool defaults to the machine's available parallelism,
-//! overridden by the `ISUM_THREADS` environment variable or
-//! programmatically via [`set_global_threads`] (the CLI's `--threads`
-//! flag). `threads == 1` is the sequential reference: no workers are
-//! spawned and every task runs inline on the caller in submission order.
+//! The thread count defaults to the machine's available parallelism,
+//! overridden by the `ISUM_THREADS` environment variable or by
+//! [`set_global_threads`] (the CLI's `--threads`). One thread is the
+//! sequential program: nothing is spawned.
 //!
 //! # Telemetry
 //!
-//! When [`isum_common::telemetry`] is enabled the pool reports under the
-//! `exec.*` vocabulary: per-worker task counters
-//! (`exec.worker.<i>.tasks`), tasks executed by scope-waiting helper
-//! threads (`exec.helper.tasks`), a total (`exec.tasks`), successful
-//! steals (`exec.steals`), the live queue depth (`exec.queue_depth`
-//! gauge), the configured executor count (`exec.pool.threads` gauge), and
-//! timing histograms for pool spans (`exec.scope_ns`, `exec.par_map_ns`).
+//! `exec.par_map.calls` counts calls and `exec.par_map.threads` the
+//! threads they spawned (none for a call that ran inline). [`try_par_map`]
+//! counts each quarantined item as `exec.task_panics` and
+//! `faults.quarantined`.
 //!
 //! # Example
 //!
 //! ```
-//! let pool = isum_exec::ThreadPool::new(4);
-//! let squares = pool.par_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! let squares = isum_exec::par_map(&[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]); // always in input order
 //! ```
 
-mod pool;
+#![forbid(unsafe_code)]
 
-pub use pool::{Scope, TaskPanic, ThreadPool};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use std::sync::{Arc, Mutex, OnceLock};
+use isum_common::count;
+use isum_common::trace;
 
-static GLOBAL: OnceLock<Mutex<Arc<ThreadPool>>> = OnceLock::new();
+/// The configured thread count; 0 until first read or set.
+static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Executor count for a fresh global pool: `ISUM_THREADS` when set to a
-/// positive integer, otherwise the machine's available parallelism.
+thread_local! {
+    /// True on a thread spawned by [`par_map_indexed`].
+    static INSIDE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// `ISUM_THREADS` when set to a positive integer, otherwise the machine's
+/// available parallelism.
 fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("ISUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    std::env::var("ISUM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
 }
 
-fn global_slot() -> &'static Mutex<Arc<ThreadPool>> {
-    GLOBAL.get_or_init(|| Mutex::new(Arc::new(ThreadPool::new(default_threads()))))
-}
-
-/// The process-wide pool (created on first use; sized per the
-/// configuration rules in the module docs).
-pub fn global() -> Arc<ThreadPool> {
-    global_slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-}
-
-/// Replaces the global pool with one of `n` executors (clamped to at
-/// least 1). The previous pool finishes any in-flight scopes held by
-/// other threads and shuts down when its last handle drops. No-op when
-/// the pool already has `n` executors.
+/// Sets the thread count of every later call (clamped to at least 1).
 pub fn set_global_threads(n: usize) {
-    let n = n.max(1);
-    let mut slot = global_slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if slot.threads() != n {
-        *slot = Arc::new(ThreadPool::new(n));
-    }
+    THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Executor count of the current global pool.
+/// The thread count a call fans out to (read from the environment on
+/// first use unless [`set_global_threads`] came first).
 pub fn global_threads() -> usize {
-    global().threads()
+    if THREADS.load(Ordering::Relaxed) == 0 {
+        let _ =
+            THREADS.compare_exchange(0, default_threads(), Ordering::Relaxed, Ordering::Relaxed);
+    }
+    THREADS.load(Ordering::Relaxed)
 }
 
-/// [`ThreadPool::par_map`] on the global pool.
+/// Parallel map in input order: `items.iter().map(f).collect()`.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    global().par_map(items, f)
+    par_map_indexed(items, |_, t| f(t))
 }
 
-/// [`ThreadPool::par_map_indexed`] on the global pool.
+/// [`par_map`] whose function also receives the input index.
 pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    global().par_map_indexed(items, f)
+    count!("exec.par_map.calls");
+    let threads = global_threads().min(items.len());
+    if threads <= 1 || INSIDE.with(Cell::get) {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    count!("exec.par_map.threads", threads);
+    let cursor = AtomicUsize::new(0);
+    let request_id = trace::current_request_id();
+    let work = |label: usize| {
+        INSIDE.with(|inside| inside.set(true));
+        trace::set_thread_label(&format!("exec-{label}"));
+        let _rid = request_id.as_deref().map(trace::with_request_id);
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(i, item)));
+        }
+    };
+    let joined: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let work = &work;
+                std::thread::Builder::new()
+                    .name(format!("exec-{t}"))
+                    .spawn_scoped(s, move || work(t))
+                    .expect("spawn par_map thread")
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for part in joined {
+        match part {
+            Ok(done) => done.into_iter().for_each(|(i, r)| slots[i] = Some(r)),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+    slots.into_iter().map(|r| r.expect("every index mapped")).collect()
 }
 
-/// [`ThreadPool::try_par_map`] on the global pool: parallel map with
-/// per-item panic quarantine (`Err(TaskPanic)` slots instead of a
-/// propagated panic).
+/// [`par_map`] with per-item panic quarantine: a panicking item yields
+/// `Err(TaskPanic)` in its slot, counted as `exec.task_panics` and
+/// `faults.quarantined`, and every other item still completes.
 pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    global().try_par_map(items, f)
+    par_map(items, |t| {
+        catch_unwind(AssertUnwindSafe(|| f(t))).map_err(|payload| {
+            count!("exec.task_panics");
+            count!("faults.quarantined");
+            TaskPanic::from_payload(payload.as_ref())
+        })
+    })
 }
 
-/// [`ThreadPool::par_chunks`] on the global pool.
-pub fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    global().par_chunks(items, chunk_size, f)
+/// A panic captured by [`try_par_map`] in place of the item's result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskPanic {
+    /// The panic payload as text (`&str`/`String` payloads verbatim).
+    pub message: String,
 }
 
-/// [`ThreadPool::scope`] on the global pool.
-pub fn scope<'env, R>(f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-    global().scope(f)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_pool_is_reconfigurable() {
-        set_global_threads(2);
-        assert_eq!(global_threads(), 2);
-        let out = par_map(&[1u32, 2, 3], |&x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
-        set_global_threads(1);
-        assert_eq!(global_threads(), 1);
-        let out = par_map_indexed(&[5u32, 6], |i, &x| (i, x));
-        assert_eq!(out, vec![(0, 5), (1, 6)]);
-    }
-
-    #[test]
-    fn global_scope_runs() {
-        let flag = std::sync::atomic::AtomicBool::new(false);
-        scope(|s| {
-            let flag = &flag;
-            s.spawn(move || flag.store(true, std::sync::atomic::Ordering::SeqCst));
-        });
-        assert!(flag.load(std::sync::atomic::Ordering::SeqCst));
+impl TaskPanic {
+    fn from_payload(payload: &(dyn std::any::Any + Send)) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "<non-string panic payload>".to_string()
+        };
+        Self { message }
     }
 }
+
+impl std::fmt::Display for TaskPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "task panicked: {}", self.message)
+    }
+}
+
+impl std::error::Error for TaskPanic {}

@@ -86,23 +86,18 @@ impl ExperimentCtx {
     ///
     /// When the process-wide fault injector is active, ingestion models a
     /// production log pipeline: queries hit by `parse` faults are dropped
-    /// (unparseable log entries), and queries whose costing task is hit
-    /// by a `panic` fault are quarantined by the exec pool's panic
-    /// isolation (`faults.quarantined`) and likewise dropped — the run
-    /// continues over the surviving queries. With no active injector this
-    /// is the exact pre-existing path, bit-identical to earlier releases.
+    /// (unparseable log entries), and queries whose costing is hit by a
+    /// `panic` fault are quarantined by [`isum_exec::try_par_map`]
+    /// (`faults.quarantined`) and likewise dropped — the run continues
+    /// over the surviving queries. With no active injector this is
+    /// [`isum_optimizer::populate_costs`].
     pub fn prepare(name: &'static str, mut workload: Workload) -> Self {
         let _s = telemetry::span("prepare");
         let injector = isum_faults::global();
         if injector.is_active() {
             return Self::prepare_with_faults(name, workload, &injector);
         }
-        let costs: Vec<f64> = {
-            let opt = WhatIfOptimizer::new(&workload.catalog);
-            let empty = isum_optimizer::IndexConfig::empty();
-            isum_exec::par_map(&workload.queries, |q| opt.cost_bound(&q.bound, &empty))
-        };
-        workload.set_costs(&costs);
+        isum_optimizer::populate_costs(&mut workload);
         Self { workload, name }
     }
 
@@ -285,9 +280,10 @@ pub fn evaluate_method(
     Ok(MethodEval { improvement_pct, compression_secs, tuning_calls, tuning_secs, coverage })
 }
 
-/// Evaluates several independent methods concurrently (one pool task per
-/// method), returning per-method outcomes in method order — a failed
-/// method occupies its own `Err` slot instead of aborting the figure.
+/// Evaluates several independent methods concurrently (one
+/// [`isum_exec::par_map_indexed`] item per method), returning per-method
+/// outcomes in method order — a failed method occupies its own `Err` slot
+/// instead of aborting the figure.
 ///
 /// Each evaluation builds its own [`WhatIfOptimizer`], so methods share
 /// nothing but the read-only context. Use this for quality-comparison

@@ -4,7 +4,7 @@
 //! faults through telemetry, and stay bit-identical across thread counts.
 //!
 //! Single `#[test]`: the fault injector, the telemetry registry, and the
-//! exec pool are process-global.
+//! thread count are process-global.
 
 use isum_advisor::TuningConstraints;
 use isum_common::telemetry;
@@ -42,7 +42,7 @@ fn faulted_pipeline_completes_and_is_thread_count_invariant() {
     let injected = snap.counter("faults.injected").unwrap_or(0);
     let quarantined = snap.counter("faults.quarantined").unwrap_or(0);
     assert!(injected > 0, "what-if/parse/panic faults fired");
-    assert!(quarantined > 0, "panic faults were quarantined by the pool");
+    assert!(quarantined > 0, "panic faults were quarantined by try_par_map");
     assert!(snap.counter("optimizer.whatif.retries").unwrap_or(0) > 0, "transients retried");
 
     // Same spec, more threads: identical survivors, bit-identical results.
@@ -50,9 +50,11 @@ fn faulted_pipeline_completes_and_is_thread_count_invariant() {
     assert_eq!(n1, n8, "fault decisions are independent of thread count");
     assert_eq!(imp1, imp8, "bit-identical improvements across thread counts");
 
-    // Deactivating restores the fault-free pipeline.
+    // Deactivating restores the fault-free pipeline, also thread-count
+    // invariant.
     isum_faults::set_global_spec("").expect("empty spec deactivates");
-    let (n_clean, _) = run_once(1);
+    let (n_clean, clean1) = run_once(1);
     assert_eq!(n_clean, full, "no drops without faults");
+    assert_eq!(run_once(8).1, clean1, "fault-free improvements at 1 vs 8 threads");
     telemetry::set_enabled(false);
 }

@@ -11,7 +11,7 @@
 //! * **what-if permanent errors** — immediate heuristic-cost fallback;
 //! * **latency spikes** — exercise per-call timeouts;
 //! * **parse failures** — queries dropped at workload ingestion;
-//! * **worker panics** — quarantined by the exec pool's panic isolation;
+//! * **worker panics** — quarantined per item by `isum_exec::try_par_map`;
 //! * **ingest-batch failures** — whole server ingest batches rejected
 //!   with a retryable 503 before any state changes (`crates/server`);
 //! * **torn WAL appends** — a batch's write-ahead-log record truncated
@@ -48,8 +48,8 @@
 //!
 //! When [`isum_common::telemetry`] is enabled, each fired fault counts
 //! `faults.injected` plus a per-kind counter
-//! (`faults.injected.whatif_transient`, …). Quarantined tasks are counted
-//! by the exec pool as `faults.quarantined`.
+//! (`faults.injected.whatif_transient`, …). Quarantined items are counted
+//! by `isum_exec::try_par_map` as `faults.quarantined`.
 
 mod injector;
 mod spec;

@@ -10,12 +10,9 @@
 //!
 //! # Thread safety
 //!
-//! [`WhatIfOptimizer`] is `Sync`: the advisor's greedy rounds fan
-//! per-candidate costings out over [`isum_exec`]'s thread pool, so many
-//! threads cost queries against one optimizer concurrently. The cost
-//! cache is lock-striped across [`CACHE_SHARDS`] shards (keyed by a
-//! deterministic hash of the cache key), so concurrent costings of
-//! different keys rarely contend, and no shard lock is ever held across a
+//! [`WhatIfOptimizer`] is `Sync`, so the call sites that run in parallel
+//! (DESIGN.md §8) can cost queries against one optimizer from several
+//! threads. The cost cache is one `Mutex<HashMap>`, never held across a
 //! cost-model evaluation. Costing itself ([`CostModel::cost`]) is a pure
 //! function of `(query, configuration)`, which makes cached values
 //! deterministic regardless of which thread inserted them. Two threads
@@ -26,8 +23,8 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use isum_catalog::Catalog;
@@ -40,28 +37,14 @@ use isum_workload::Workload;
 use crate::cost::{CostModel, CPU_ROW, IO_PAGE};
 use crate::index::IndexConfig;
 
-/// Number of lock stripes in the what-if cost cache. Power of two, sized
-/// so a pool of a few dozen threads rarely collides on a stripe.
-pub const CACHE_SHARDS: usize = 32;
-
 /// One cache key: (workload uid, query, relevant-config fingerprint).
 type CacheKey = (u64, QueryId, u64);
-
-/// Picks the shard of a key with `DefaultHasher::new()`, whose keys are
-/// fixed (unlike `RandomState`), keeping shard assignment deterministic
-/// across runs — shard contents then depend only on the key set, not on
-/// per-process hash seeds.
-fn shard_of(key: &CacheKey) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % CACHE_SHARDS
-}
 
 /// Resource budget and retry policy for what-if costing (DESIGN.md §9).
 ///
 /// * `max_calls` — hard cap on optimizer invocations for this instance;
 ///   once reached, every further costing returns the heuristic fallback.
-///   The cutoff is by call-arrival order, so under a multi-thread pool
+///   The cutoff is by call-arrival order, so at a parallel call site
 ///   *which* costings fall back is scheduling-dependent — budgets are a
 ///   production-degradation knob, not an experiment knob, and default to
 ///   unlimited (experiments keep bit-identical results at any thread
@@ -144,7 +127,7 @@ impl WhatIfBudget {
 /// attribute calls to one tuning run; the same increments also feed the
 /// process-wide telemetry registry under `optimizer.whatif.*` when
 /// telemetry is enabled. The instance is `Sync` — see the module docs for
-/// the sharded-cache thread-safety argument.
+/// the thread-safety argument.
 #[derive(Debug)]
 pub struct WhatIfOptimizer<'a> {
     catalog: &'a Catalog,
@@ -153,14 +136,12 @@ pub struct WhatIfOptimizer<'a> {
     cache_hits: Counter,
     retries: Counter,
     fallbacks: Counter,
+    /// Set by the first fallback, which is the one that warns.
+    warned: AtomicBool,
     timeouts: Counter,
     budget: WhatIfBudget,
     injector: Arc<FaultInjector>,
-    shards: Vec<Mutex<HashMap<CacheKey, f64>>>,
-    /// Total entries across all shards, maintained on insert/clear so the
-    /// `optimizer.whatif.cache_entries` gauge reports the true total
-    /// without sweeping (and locking) every shard.
-    entries: AtomicI64,
+    cache: Mutex<HashMap<CacheKey, f64>>,
 }
 
 impl<'a> WhatIfOptimizer<'a> {
@@ -174,11 +155,11 @@ impl<'a> WhatIfOptimizer<'a> {
             cache_hits: Counter::new(),
             retries: Counter::new(),
             fallbacks: Counter::new(),
+            warned: AtomicBool::new(false),
             timeouts: Counter::new(),
             budget: WhatIfBudget::from_env(),
             injector: isum_faults::global(),
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            entries: AtomicI64::new(0),
+            cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -211,23 +192,22 @@ impl<'a> WhatIfOptimizer<'a> {
     pub fn cost_query(&self, w: &Workload, id: QueryId, cfg: &IndexConfig) -> f64 {
         let q = w.query(id);
         let key = (w.uid(), id, cfg.fingerprint_for(&q.bound.referenced_tables()));
-        let shard = &self.shards[shard_of(&key)];
-        if let Some(&c) = lock(shard).get(&key) {
+        if let Some(&c) = self.cache().get(&key) {
             self.cache_hits.inc();
             count!("optimizer.whatif.cache_hits");
             return c;
         }
-        // Compute outside the shard lock: the cost model is pure, so a
-        // racing thread that also misses produces the identical value.
+        // Compute outside the lock: the cost model is pure, so a racing
+        // thread that also misses produces the identical value.
         let (c, degraded) = self.cost_bound_outcome(&q.bound, cfg);
         // A heuristic fallback is an *estimate in lieu of* an optimizer
         // answer, never cached as authoritative: the next costing of this
         // key retries the real optimizer, and the entry gauge stays exact
         // (it counts genuine what-if answers only).
-        if !degraded && lock(shard).insert(key, c).is_none() {
-            let total = self.entries.fetch_add(1, Ordering::Relaxed) + 1;
-            if telemetry::enabled() {
-                telemetry::gauge("optimizer.whatif.cache_entries").set(total);
+        if !degraded {
+            let mut cache = self.cache();
+            if cache.insert(key, c).is_none() && telemetry::enabled() {
+                telemetry::gauge("optimizer.whatif.cache_entries").set(cache.len() as i64);
             }
         }
         c
@@ -340,11 +320,12 @@ impl<'a> WhatIfOptimizer<'a> {
     /// Records one degradation to the heuristic estimate. The first
     /// fallback of an optimizer instance warns (results are about to be
     /// degraded); the rest are debug-level so a budget-exhausted sweep
-    /// does not emit one warning per query.
+    /// does not emit one warning per query. "First" is decided by one
+    /// atomic swap, so concurrent fallbacks still warn exactly once.
     fn fallback(&self, bound: &BoundQuery, reason: &str) -> f64 {
         self.fallbacks.inc();
         count!("optimizer.whatif.fallbacks");
-        if self.fallbacks.get() == 1 {
+        if !self.warned.swap(true, Ordering::Relaxed) {
             isum_common::warn!(
                 "optimizer.whatif",
                 format!("degrading to heuristic cost: {reason}"),
@@ -400,9 +381,14 @@ impl<'a> WhatIfOptimizer<'a> {
     /// hypothetical indexes) — the pre-processing step the paper assumes
     /// Query Store provides.
     pub fn populate_costs(&self, w: &mut Workload) {
-        let empty = IndexConfig::empty();
-        let costs = isum_exec::par_map(&w.queries, |q| self.cost_bound(&q.bound, &empty));
+        let costs = self.base_costs(w);
         w.set_costs(&costs);
+    }
+
+    /// `C(q)` of every query of `w` under the existing design, uncached.
+    fn base_costs(&self, w: &Workload) -> Vec<f64> {
+        let empty = IndexConfig::empty();
+        w.queries.iter().map(|q| self.cost_bound(&q.bound, &empty)).collect()
     }
 
     /// Number of optimizer invocations so far (cache hits excluded), for
@@ -433,19 +419,22 @@ impl<'a> WhatIfOptimizer<'a> {
 
     /// Clears the cost cache (counters are preserved).
     pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            lock(shard).clear();
-        }
-        self.entries.store(0, Ordering::Relaxed);
+        self.cache().clear();
         if telemetry::enabled() {
             telemetry::gauge("optimizer.whatif.cache_entries").set(0);
         }
     }
 
-    /// Number of cached (workload, query, relevant-config) entries across
-    /// all shards.
+    /// Number of cached (workload, query, relevant-config) entries.
     pub fn cache_entries(&self) -> u64 {
-        self.entries.load(Ordering::Relaxed).max(0) as u64
+        self.cache().len() as u64
+    }
+
+    /// Locks the cache, recovering from poisoning: a panic inside the cost
+    /// model can never corrupt the map mid-operation because no costing
+    /// happens under the lock.
+    fn cache(&self) -> MutexGuard<'_, HashMap<CacheKey, f64>> {
+        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -467,22 +456,11 @@ fn fault_key(bound: &BoundQuery, cfg: &IndexConfig) -> u64 {
     h.finish()
 }
 
-/// Locks a shard, recovering from poisoning: a panic inside the cost
-/// model can never corrupt a `HashMap<_, f64>` mid-operation because no
-/// costing happens under a shard lock.
-fn lock<K, V>(m: &Mutex<HashMap<K, V>>) -> std::sync::MutexGuard<'_, HashMap<K, V>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Fills `C(q)` for every query with a scoped optimizer, sidestepping the
 /// borrow conflict of holding a [`WhatIfOptimizer`] (which borrows the
 /// workload's catalog) while mutating the workload.
 pub fn populate_costs(workload: &mut Workload) {
-    let costs: Vec<f64> = {
-        let opt = WhatIfOptimizer::new(&workload.catalog);
-        let empty = IndexConfig::empty();
-        isum_exec::par_map(&workload.queries, |q| opt.cost_bound(&q.bound, &empty))
-    };
+    let costs = WhatIfOptimizer::new(&workload.catalog).base_costs(workload);
     workload.set_costs(&costs);
 }
 
@@ -596,16 +574,11 @@ mod tests {
         // entry count must equal the distinct-key count, not the number of
         // insert attempts.
         let opt = WhatIfOptimizer::new(&catalog);
-        let pool = isum_exec::ThreadPool::new(8);
-        pool.scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                let opt = &opt;
-                let w = &w;
-                let cfg = &cfg;
-                let expected = &expected;
-                s.spawn(move || {
-                    for (q, want) in w.queries.iter().zip(expected) {
-                        let got = opt.cost_query(w, q.id, cfg);
+                s.spawn(|| {
+                    for (q, want) in w.queries.iter().zip(&expected) {
+                        let got = opt.cost_query(&w, q.id, &cfg);
                         assert_eq!(got.to_bits(), want.to_bits());
                     }
                 });

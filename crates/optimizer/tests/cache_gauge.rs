@@ -1,6 +1,5 @@
 //! The `optimizer.whatif.cache_entries` gauge must report the true entry
-//! total across every cache shard, not the occupancy of whichever stripe
-//! happened to take the last insert.
+//! count, on insert and on clear.
 //!
 //! This file deliberately holds a single test: it flips the process-wide
 //! telemetry flag, so it runs alone in its own test binary where no
@@ -12,7 +11,7 @@ use isum_optimizer::whatif::WhatIfOptimizer;
 use isum_workload::gen::tpch::{tpch_catalog, tpch_workload};
 
 #[test]
-fn cache_entries_gauge_reports_total_across_shards() {
+fn cache_entries_gauge_reports_the_entry_count() {
     telemetry::set_enabled(true);
     let mut w = tpch_workload(1, 22, 4).unwrap();
     let catalog = tpch_catalog(1);
@@ -21,9 +20,7 @@ fn cache_entries_gauge_reports_total_across_shards() {
     let cfg = IndexConfig::empty();
     let _ = opt.workload_cost(&w, &cfg);
     telemetry::set_enabled(false);
-    // 22 distinct keys spread across the lock stripes: any single stripe
-    // holds only a handful, so a gauge fed from inside one shard's lock
-    // would under-report badly.
+    // One entry per query: the empty configuration is one key each.
     assert_eq!(opt.cache_entries(), 22);
     let snap = telemetry::snapshot();
     assert_eq!(snap.gauge("optimizer.whatif.cache_entries"), Some(22));

@@ -1,8 +1,8 @@
 //! The what-if degradation contract under injected faults (DESIGN.md §9):
 //! transient faults retry with capped backoff, permanent faults fall back
 //! to the heuristic exactly once, budgets degrade instead of failing, and
-//! the cache never stores a fallback cost as authoritative (the shard
-//! entry gauge stays exact under injection).
+//! the cache never stores a fallback cost as authoritative (the entry
+//! gauge stays exact under injection).
 
 use std::sync::Arc;
 use std::time::Duration;

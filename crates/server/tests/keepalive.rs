@@ -65,10 +65,10 @@ fn many_requests_ride_one_socket_until_connection_close() {
 
 #[test]
 fn idle_keepalive_connections_cannot_starve_the_next_one() {
-    // One more persistent connection than the exec pool has threads, all
+    // One more persistent connection than `isum_exec` has threads, all
     // open at once: each must be answered while the others sit idle. A
-    // server that runs handlers on the pool pins a worker per socket and
-    // never gets to the last connection.
+    // server that ran one handler per exec thread would pin a thread per
+    // socket and never get to the last connection.
     let server = Server::bind("127.0.0.1:0", ServerConfig::new(catalog())).expect("binds");
     let mut streams: Vec<TcpStream> = (0..isum_exec::global_threads() + 1)
         .map(|_| TcpStream::connect(server.addr()).expect("connects"))

@@ -1,12 +1,15 @@
 //! End-to-end determinism regression: the full pipeline — ISUM
 //! compression followed by DTA tuning — must produce bit-identical
-//! results on a 1-thread pool and a saturated multi-thread pool.
+//! results at 1 thread and at 8 threads.
 //!
 //! This is the contract that makes `--threads` safe to flip in
-//! production: every parallel stage computes independent pure values and
+//! production: a parallel stage computes independent pure values and
 //! reduces them in input-index order, so thread count can change
-//! scheduling but never results. The file holds a single test because it
-//! reconfigures the process-global pool.
+//! scheduling but never results. No stage of this pipeline is parallel
+//! today (DESIGN.md §8); the test holds any that becomes parallel to the
+//! contract. The harness's parallel method evaluation is pinned by
+//! `crates/experiments/tests/fault_smoke.rs`. The file holds a single test
+//! because it reconfigures the process-global thread count.
 
 use isum_advisor::{DtaAdvisor, IndexAdvisor, TuningConstraints};
 use isum_common::QueryId;
