@@ -86,12 +86,6 @@ impl Grouping {
         groups
     }
 
-    /// Appends a query whose current and original vectors are `vector`.
-    pub fn push(&mut self, vector: FeatureVec) {
-        let v = self.intern(Cow::Owned(vector));
-        self.push_vector(v);
-    }
-
     /// Appends a query with distinct current and original vectors.
     pub fn push_pair(&mut self, current: FeatureVec, original: &FeatureVec) {
         let c = self.intern(Cow::Owned(current));

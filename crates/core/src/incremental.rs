@@ -19,21 +19,17 @@
 //! too ([`Featurizer::group`], one query at a time): each distinct
 //! signature is featurized once.
 //!
-//! The accumulated state serializes to a
-//! [`snapshot`](IncrementalIsum::snapshot) and
-//! [`restore`](IncrementalIsum::restore)s bit-exactly; that is an
-//! import/export format only. The serving daemon (`crates/server`) survives
-//! a SIGKILL by replaying its write-ahead log: the state is a pure function
-//! of the observed statements, so re-observing them rebuilds it (DESIGN.md
-//! §14).
+//! The state is a pure function of the observed statements, so it has no
+//! serialized form: the serving daemon (`crates/server`) survives a
+//! SIGKILL by replaying its write-ahead log, re-observing every statement
+//! (DESIGN.md §14).
 
 use isum_catalog::Catalog;
-use isum_common::{hex_bits, unhex_bits, Json};
-use isum_common::{ColumnId, GlobalColumnId, Result, TableId, TemplateId};
+use isum_common::{Result, TemplateId};
 use isum_sql::TemplateRegistry;
 use isum_workload::{QueryInfo, Workload};
 
-use crate::features::{FeatureMemo, FeatureVec, Featurizer};
+use crate::features::{FeatureMemo, Featurizer};
 use crate::groups::Grouping;
 use crate::isum::{weighted, IsumConfig};
 use crate::utility::UtilityMode;
@@ -53,7 +49,6 @@ pub struct IncrementalIsum {
     features: Grouping,
     /// Unnormalized Δ(q) per observed query.
     raw_reductions: Vec<f64>,
-    costs: Vec<f64>,
     templates: TemplateRegistry,
     template_of: Vec<TemplateId>,
 }
@@ -69,7 +64,6 @@ impl IncrementalIsum {
             }),
             features: Grouping::default(),
             raw_reductions: Vec::new(),
-            costs: Vec::new(),
             templates: TemplateRegistry::new(),
             template_of: Vec::new(),
         }
@@ -113,7 +107,6 @@ impl IncrementalIsum {
             }
         };
         self.raw_reductions.push(delta);
-        self.costs.push(q.cost);
         self.template_of.push(template);
     }
 
@@ -245,113 +238,6 @@ impl IncrementalIsum {
             });
         }
         crate::merge::ShardPartial { templates: grouped }
-    }
-
-    /// Serializes the observed state to JSON. Every `f64` is stored as its
-    /// IEEE-754 bit pattern ([`isum_common::hex_bits`]), so
-    /// [`restore`](Self::restore) rebuilds the state bit-exactly and a
-    /// post-restore [`select`](Self::select) returns the same compressed
-    /// workload as the original instance would have.
-    pub fn snapshot(&self) -> Json {
-        let queries: Vec<Json> = (0..self.len())
-            .map(|i| {
-                let feats: Vec<Json> = self
-                    .features
-                    .original_of(i)
-                    .entries()
-                    .iter()
-                    .map(|(g, w)| {
-                        Json::Arr(vec![
-                            Json::from(g.table.index()),
-                            Json::from(g.column.index()),
-                            Json::from(hex_bits(*w)),
-                        ])
-                    })
-                    .collect();
-                Json::Obj(vec![
-                    ("features".into(), Json::Arr(feats)),
-                    ("delta_bits".into(), Json::from(hex_bits(self.raw_reductions[i]))),
-                    ("cost_bits".into(), Json::from(hex_bits(self.costs[i]))),
-                    ("template".into(), Json::from(self.template_of[i].index())),
-                ])
-            })
-            .collect();
-        let fps: Vec<Json> = (0..self.templates.len())
-            .map(|t| Json::from(self.templates.fingerprint_of(TemplateId::from_index(t))))
-            .collect();
-        Json::Obj(vec![
-            ("version".into(), Json::from(1u64)),
-            ("templates".into(), Json::Arr(fps)),
-            ("queries".into(), Json::Arr(queries)),
-        ])
-    }
-
-    /// Rebuilds an observer from a [`snapshot`](Self::snapshot).
-    ///
-    /// # Errors
-    /// `Io` when the snapshot is structurally corrupt (missing fields, bad
-    /// bit patterns, out-of-range template references).
-    pub fn restore(config: IsumConfig, snapshot: &Json) -> Result<Self> {
-        fn corrupt(what: &str) -> isum_common::Error {
-            isum_common::Error::Io(format!("corrupt IncrementalIsum snapshot: {what}"))
-        }
-        let mut inc = Self::new(config);
-        let fps = snapshot
-            .get("templates")
-            .and_then(Json::as_array)
-            .ok_or_else(|| corrupt("missing `templates`"))?;
-        for fp in fps {
-            let fp = fp.as_str().ok_or_else(|| corrupt("non-string template fingerprint"))?;
-            inc.templates.intern_fingerprint(fp);
-        }
-        let queries = snapshot
-            .get("queries")
-            .and_then(Json::as_array)
-            .ok_or_else(|| corrupt("missing `queries`"))?;
-        for q in queries {
-            let feats = q
-                .get("features")
-                .and_then(Json::as_array)
-                .ok_or_else(|| corrupt("missing `features`"))?;
-            let mut entries = Vec::with_capacity(feats.len());
-            for f in feats {
-                let triple = f.as_array().ok_or_else(|| corrupt("non-array feature"))?;
-                let [t, c, w] = triple else {
-                    return Err(corrupt("feature is not [table, column, bits]"));
-                };
-                let gid = GlobalColumnId::new(
-                    TableId::from_index(
-                        t.as_u64().ok_or_else(|| corrupt("feature table id"))? as usize
-                    ),
-                    ColumnId::from_index(
-                        c.as_u64().ok_or_else(|| corrupt("feature column id"))? as usize
-                    ),
-                );
-                let w = w
-                    .as_str()
-                    .and_then(unhex_bits)
-                    .ok_or_else(|| corrupt("feature weight bits"))?;
-                entries.push((gid, w));
-            }
-            inc.features.push(FeatureVec::from_entries(entries));
-            let bits = |key: &str| -> Result<f64> {
-                q.get(key)
-                    .and_then(Json::as_str)
-                    .and_then(unhex_bits)
-                    .ok_or_else(|| corrupt(&format!("`{key}`")))
-            };
-            inc.raw_reductions.push(bits("delta_bits")?);
-            inc.costs.push(bits("cost_bits")?);
-            let t = q
-                .get("template")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| corrupt("missing `template`"))? as usize;
-            if t >= inc.templates.len() {
-                return Err(corrupt("template index out of range"));
-            }
-            inc.template_of.push(TemplateId::from_index(t));
-        }
-        Ok(inc)
     }
 }
 
@@ -514,36 +400,5 @@ mod tests {
             bits(&merged_whole),
             "split observers merge bit-identically"
         );
-    }
-
-    #[test]
-    fn snapshot_restore_is_bit_exact() {
-        let w = workload();
-        let mut inc = IncrementalIsum::new(IsumConfig::isum());
-        inc.observe_workload(&w).expect("observes");
-        let snap = inc.snapshot();
-        // Through a serialize/parse round trip, like the server checkpoint.
-        let reparsed = Json::parse(&snap.to_pretty()).expect("snapshot is valid JSON");
-        let back = IncrementalIsum::restore(IsumConfig::isum(), &reparsed).expect("restores");
-        assert_eq!(back.len(), inc.len());
-        assert_eq!(back.template_count(), inc.template_count());
-        let a = inc.select(3).expect("selects");
-        let b = back.select(3).expect("selects");
-        assert_eq!(a.ids(), b.ids());
-        for ((_, wa), (_, wb)) in a.entries.iter().zip(&b.entries) {
-            assert_eq!(wa.to_bits(), wb.to_bits());
-        }
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_snapshots() {
-        let bad = Json::parse(r#"{"version": 1, "templates": ["fp"]}"#).expect("parses");
-        assert!(IncrementalIsum::restore(IsumConfig::isum(), &bad).is_err());
-        let bad = Json::parse(
-            r#"{"version": 1, "templates": [], "queries":
-               [{"features": [], "delta_bits": "xyz", "cost_bits": "0", "template": 0}]}"#,
-        )
-        .expect("parses");
-        assert!(IncrementalIsum::restore(IsumConfig::isum(), &bad).is_err());
     }
 }

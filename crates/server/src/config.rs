@@ -15,8 +15,8 @@ pub struct ServerConfig {
     pub catalog: Catalog,
     /// Compression configuration for the incremental observers.
     pub isum: IsumConfig,
-    /// Checkpoint stem: the default tenant checkpoints to exactly this
-    /// path; other shards derive sibling files from it (see
+    /// Checkpoint stem: nothing is written at this path; every shard's log
+    /// segments sit next to it under names derived from it (see
     /// `crate::shards` for the layout).
     pub checkpoint: Option<PathBuf>,
     /// Per-queue ingest capacity (≥ 1); a full queue answers 429 with

@@ -19,14 +19,14 @@
 //! `shards::observe_drift`). Threshold crossings are edge-triggered —
 //! [`DriftSample::crossed`] is true only on the transition from below to
 //! above — which is the rate limit on the operator-facing `warn!` the
-//! server emits (one alert per excursion, not one per batch). The
-//! edge-trigger state and window contents serialize into shard snapshots
-//! ([`DriftTracker::snapshot`]) so a restart neither double-fires an
-//! alert already raised nor forgets an excursion in progress.
+//! server emits (one alert per excursion, not one per batch). Recovery
+//! feeds every logged batch through the tracker again, so a restart
+//! neither double-fires an alert already raised nor forgets an excursion
+//! in progress.
 
 use std::collections::VecDeque;
 
-use isum_common::{hex_bits, unhex_bits, Json, TemplateId};
+use isum_common::{unhex_bits, Json, TemplateId};
 
 /// What a shard's sequencer does when the drift score crosses the
 /// threshold (`ISUM_DRIFT_ACTION`).
@@ -110,8 +110,8 @@ impl DriftTracker {
         self.cap > 0
     }
 
-    /// Starts consumption at observation `seen` instead of `0`, so a
-    /// checkpoint-restored history does not flood the window at startup.
+    /// Starts consumption at observation `seen` instead of `0`, so the
+    /// history a rebase record restores does not flood the window.
     pub fn starting_at(mut self, seen: usize) -> DriftTracker {
         self.seen = seen;
         self
@@ -153,24 +153,12 @@ impl DriftTracker {
         Some(DriftSample { score, window_len: self.window.len(), crossed })
     }
 
-    /// Serializes the window contents and edge-trigger state for
-    /// embedding in a shard snapshot. Masses carry exact IEEE-754 bit
-    /// patterns so a restore replays scoring bit-identically.
-    pub fn snapshot(&self) -> Json {
-        let window: Vec<Json> = self
-            .window
-            .iter()
-            .map(|&(t, mass)| Json::Arr(vec![Json::from(t), Json::from(hex_bits(mass))]))
-            .collect();
-        Json::Obj(vec![
-            ("window".into(), Json::Arr(window)),
-            ("above".into(), Json::from(self.above)),
-            ("refilling".into(), Json::from(self.refilling)),
-        ])
-    }
-
-    /// Restores window contents and edge-trigger state from a
-    /// [`DriftTracker::snapshot`] document. Best-effort: entries that do
+    /// Restores window contents and edge-trigger state from the document a
+    /// rebase record may carry: `{"window": [[template, mass bits]],
+    /// "above", "refilling"}`, masses as exact IEEE-754 bit patterns so
+    /// scoring replays bit-identically. The daemon writes no such document
+    /// (its rebases re-arm the tracker); logs written by an earlier
+    /// release's v1 import carry one. Best-effort: entries that do
     /// not parse are skipped and a missing document leaves the tracker
     /// fresh — drift state is advisory, never worth failing a recovery
     /// over. Capacity still binds: excess restored entries are dropped
@@ -243,9 +231,26 @@ impl DriftTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isum_common::hex_bits;
 
     fn t(i: usize) -> TemplateId {
         TemplateId::from_index(i)
+    }
+
+    impl DriftTracker {
+        /// The document [`DriftTracker::restore_state`] reads.
+        fn snapshot(&self) -> Json {
+            let window: Vec<Json> = self
+                .window
+                .iter()
+                .map(|&(t, mass)| Json::Arr(vec![Json::from(t), Json::from(hex_bits(mass))]))
+                .collect();
+            Json::Obj(vec![
+                ("window".into(), Json::Arr(window)),
+                ("above".into(), Json::from(self.above)),
+                ("refilling".into(), Json::from(self.refilling)),
+            ])
+        }
     }
 
     #[test]

@@ -8,33 +8,26 @@
 //! parses/binds/interns, missing costs are filled by
 //! [`WhatIfOptimizer::cost_bound`] against the empty configuration, and
 //! the query is handed to [`IncrementalIsum::observe_as`]. Because the
-//! incremental observer shares the batch weighting code (`weigh_selected`
-//! over the observed template slice), a live `/summary` over ingested
+//! incremental observer shares the batch weighting code (`weigh_grouped`
+//! over the observed feature groups), a live `/summary` over ingested
 //! statements is bit-identical to `isum compress` over the same script.
 //!
-//! # Snapshot format
+//! # Export format
 //!
 //! An engine's state is a pure function of the statements it accepted, so
 //! the daemon's durability is the statement log alone (`crate::wal`,
-//! DESIGN.md §14) and nothing writes a snapshot while serving. The
-//! snapshot below is an **import/export format only**: [`Engine::snapshot`]
-//! / [`Engine::checkpoint_to`] export a state for inspection and tests,
-//! and [`Engine::restore_from`] is how the daemon reads, once, the state
-//! directory of a release that still compacted its log into snapshots.
+//! DESIGN.md §14), and the export is that statement list too. The daemon
+//! never reads or writes it: [`Engine::snapshot`] / [`Engine::checkpoint_to`]
+//! export a state for inspection and tests, and [`Engine::restore_from`]
+//! re-binds and re-observes the statements, as log replay does.
 //!
 //! ```text
 //! { "version": 1,
 //!   "next_seq": <u64>,                     // sequencer high-water mark
-//!   "wal_seq": <u64>,                      // v1 log records already folded in
+//!   "wal_seq": <u64>,                      // log record watermark
 //!   "statements": [[<sql>, <cost bits>]],  // accepted statements in order
-//!   "isum": { ... },                       // IncrementalIsum snapshot
-//!   "drift": { ... } }                     // DriftTracker snapshot (optional)
+//!   "drift": { ... } }                     // drift-tracker state (optional)
 //! ```
-//!
-//! `wal_seq` is the v1 log's record watermark: the importer replays only
-//! v1 records with `wal_seq >=` the snapshot's value. Snapshots written
-//! before that log existed carry no `wal_seq` field and restore as
-//! watermark 0; a missing `drift` field restores a fresh tracker.
 //!
 //! Costs are serialized as 16-hex-digit IEEE-754 bit patterns
 //! ([`isum_common::hex_bits`]), so a restore rebuilds the observed
@@ -95,8 +88,8 @@ impl Engine {
         self.apply_statements(&stmts)
     }
 
-    /// Applies pre-split `(sql, explicit cost)` statements — the shard
-    /// router uses this to apply a hash-routed slice of a batch without
+    /// Applies pre-split `(sql, explicit cost)` statements — a shard
+    /// applies a batch (live, and replaying its log record) without
     /// re-splitting. Identical semantics to [`Engine::apply_script`].
     pub fn apply_statements(&mut self, stmts: &[(String, Option<f64>)]) -> IngestOutcome {
         let mut outcome = IngestOutcome { accepted: 0, rejected: Vec::new(), total: stmts.len() };
@@ -271,10 +264,9 @@ impl Engine {
         self.workload.len()
     }
 
-    /// Serializes the full engine state plus the sequencer high-water
-    /// mark, the WAL record watermark, and (when present) the drift
-    /// tracker's window/edge-trigger state; see the module docs for the
-    /// format.
+    /// Exports the accepted statements plus the sequencer high-water
+    /// mark, the WAL record watermark, and (when given) drift-tracker
+    /// state; see the module docs for the format.
     pub fn snapshot(&self, next_seq: u64, wal_seq: u64, drift: Option<&Json>) -> Json {
         let statements: Vec<Json> = self
             .workload
@@ -287,7 +279,6 @@ impl Engine {
             ("next_seq".into(), Json::from(next_seq)),
             ("wal_seq".into(), Json::from(wal_seq)),
             ("statements".into(), Json::Arr(statements)),
-            ("isum".into(), self.isum.snapshot()),
         ];
         if let Some(d) = drift {
             fields.push(("drift".into(), d.clone()));
@@ -296,12 +287,11 @@ impl Engine {
     }
 
     /// Rebuilds an engine (plus the sequencer high-water mark, the WAL
-    /// record watermark, and the checkpointed drift state, if any) from a
-    /// [`Engine::snapshot`] document. Statements are re-parsed and
-    /// re-bound in order with their checkpointed cost bits, and the
-    /// observer state is restored bit-exactly from its own snapshot. A
-    /// missing `wal_seq` (pre-WAL snapshot) restores as 0; a missing
-    /// `drift` field restores as `None` (fresh tracker).
+    /// record watermark, and the drift state, if any) from a
+    /// [`Engine::snapshot`] document: its statements are re-parsed,
+    /// re-bound and re-observed in order with their exported cost bits,
+    /// exactly as [`Engine::rebase`] and log replay rebuild a shard. A
+    /// statement that no longer binds is an error, not a skip.
     pub fn restore(
         catalog: Catalog,
         config: IsumConfig,
@@ -314,13 +304,14 @@ impl Engine {
             Some(1) => {}
             other => return Err(corrupt(&format!("unsupported version {other:?}"))),
         }
-        let next_seq =
-            field("next_seq").and_then(Json::as_u64).ok_or_else(|| corrupt("missing next_seq"))?;
-        let wal_seq = field("wal_seq").and_then(Json::as_u64).unwrap_or(0);
+        let number = |name: &str| {
+            field(name).and_then(Json::as_u64).ok_or_else(|| corrupt(&format!("missing {name}")))
+        };
+        let (next_seq, wal_seq) = (number("next_seq")?, number("wal_seq")?);
         let statements = field("statements")
             .and_then(Json::as_array)
             .ok_or_else(|| corrupt("missing statements"))?;
-        let mut workload = Workload::empty(catalog);
+        let mut engine = Engine::new(catalog, config);
         for (i, entry) in statements.iter().enumerate() {
             let Some([sql, bits]) = entry.as_array().and_then(|a| <&[Json; 2]>::try_from(a).ok())
             else {
@@ -331,21 +322,13 @@ impl Engine {
                 .as_str()
                 .and_then(unhex_bits)
                 .ok_or_else(|| corrupt("statement cost is not a bit pattern"))?;
-            workload
+            engine
+                .workload
                 .push_sql(sql, cost)
                 .map_err(|e| corrupt(&format!("statement {i} no longer binds: {e}")))?;
+            engine.observe_last();
         }
-        let isum_snap = field("isum").ok_or_else(|| corrupt("missing isum snapshot"))?;
-        let isum = IncrementalIsum::restore(config, isum_snap)?;
-        if isum.len() != workload.len() {
-            return Err(corrupt(&format!(
-                "observer has {} queries but workload has {}",
-                isum.len(),
-                workload.len()
-            )));
-        }
-        let drift = field("drift").cloned();
-        Ok((Engine { workload, isum }, next_seq, wal_seq, drift))
+        Ok((engine, next_seq, wal_seq, field("drift").cloned()))
     }
 
     /// Exports [`Engine::snapshot`] to `path` (temp file + rename, so a
@@ -481,34 +464,15 @@ mod tests {
             engine.summary_json(4).unwrap().to_pretty(),
             "restored engine summarizes bit-identically"
         );
-
-        // The on-disk format did not change when the observer started
-        // storing one feature vector per *distinct* vector: a checkpoint
-        // of these nine statements written before that reads back, and is
-        // written again, byte for byte.
-        let v1 = include_str!("../tests/fixtures/engine_v1_checkpoint.json");
-        assert_eq!(engine.snapshot(4, 17, None).to_pretty(), v1, "same bytes from fresh state");
-        let (from_v1, ..) =
-            Engine::restore(catalog(), IsumConfig::isum(), &Json::parse(v1).expect("parses"))
-                .expect("v1 checkpoint restores");
-        assert_eq!(from_v1.snapshot(4, 17, None).to_pretty(), v1, "same bytes after a restore");
-        assert_eq!(from_v1.isum.distinct_vectors(), engine.isum.distinct_vectors());
-
-        // Snapshots written before the WAL existed carry no `wal_seq`
-        // field and restore with watermark 0, not an error. The same
-        // compatibility holds for the optional `drift` field: a snapshot
-        // without one restores drift state `None`.
-        let legacy = engine
-            .snapshot(4, 17, None)
-            .to_pretty()
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("\"wal_seq\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let legacy = Json::parse(&legacy).expect("legacy doc parses");
-        let (_, next_seq, wal_seq, drift) =
-            Engine::restore(catalog(), IsumConfig::isum(), &legacy).expect("legacy restores");
-        assert_eq!((next_seq, wal_seq), (4, 0));
+        assert_eq!(restored.isum.distinct_vectors(), engine.isum.distinct_vectors());
+        assert_eq!(
+            restored.snapshot(4, 17, None).to_pretty(),
+            engine.snapshot(4, 17, None).to_pretty(),
+            "and exports the same bytes"
+        );
+        let (.., drift) =
+            Engine::restore(catalog(), IsumConfig::isum(), &engine.snapshot(0, 0, None))
+                .expect("restores");
         assert!(drift.is_none(), "no drift field restores as None");
     }
 
@@ -516,9 +480,9 @@ mod tests {
     fn corrupt_checkpoints_are_errors() {
         for bad in [
             "[]",
-            r#"{"version": 2, "next_seq": 0, "statements": [], "isum": {}}"#,
-            r#"{"version": 1, "statements": [], "isum": {}}"#,
-            r#"{"version": 1, "next_seq": 0, "statements": [["SELECT FROM", "0"]], "isum": {}}"#,
+            r#"{"version": 2, "next_seq": 0, "wal_seq": 0, "statements": []}"#,
+            r#"{"version": 1, "wal_seq": 0, "statements": []}"#,
+            r#"{"version": 1, "next_seq": 0, "wal_seq": 0, "statements": [["SELECT FROM", "0"]]}"#,
         ] {
             let snap = Json::parse(bad).expect("test doc parses");
             let err =

@@ -9,7 +9,7 @@
 //! back to back on the request's own stage clock. Every distinct
 //! `X-Isum-Tenant` header value owns one shard, created on first ingest;
 //! requests without the header land on the `default` tenant, whose log
-//! stays at the exact configured stem so a single-tenant deployment is
+//! sits at the stem's own `.wal` base so a single-tenant deployment is
 //! indistinguishable from the pre-sharding daemon. Shards are fully
 //! independent; a `/summary` that names no tenant while several exist is
 //! the deterministic merge of their partial sums
@@ -20,7 +20,8 @@
 //! The write-ahead log is the one durable artifact (DESIGN.md §14):
 //! every applied batch appends one fsynced record to the shard's log
 //! *before* the ack, the log is a run of immutable segments, and nothing
-//! else is written while serving. With checkpoint stem `dir/ckpt.json`:
+//! else is written while serving. With checkpoint stem `dir/ckpt.json`
+//! (or `dir/ckpt`: the stem's extension, if any, is dropped):
 //!
 //! ```text
 //! dir/ckpt.wal.<n>                 default tenant, segment n (8 digits)
@@ -31,9 +32,9 @@
 //! restart resurrects every tenant that was ever acknowledged a batch.
 //! Recovery per shard = replay every segment in order through the normal
 //! observe path, byte-identical to the never-crashed run; first boot,
-//! crash and clean restart are the same loop. A state directory written
-//! by a release that compacted into snapshots (`ckpt.json`, `.prev`, one
-//! `ckpt.wal`) is imported once: see [`import_v1`].
+//! crash and clean restart are the same loop. Files of retired layouts —
+//! hashed-mode logs and the snapshots and single-file logs of releases
+//! before segments — refuse to start: see [`refuse_retired_layouts`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -225,10 +226,10 @@ impl ShardRouter {
             shards: Mutex::new(BTreeMap::new()),
             threads: Mutex::new(Vec::new()),
         };
-        let siblings = cfg.checkpoint.as_deref().map(shard_files).unwrap_or_default();
-        refuse_hashed_logs(&siblings)?;
+        let files = cfg.checkpoint.as_deref().map(state_files).unwrap_or_default();
+        refuse_retired_layouts(&files)?;
         router.create_shard(DEFAULT_TENANT)?;
-        for tenant in tenants_of(&siblings) {
+        for tenant in tenants_of(&files) {
             router.create_shard(&tenant)?;
         }
         Ok(router)
@@ -317,8 +318,8 @@ impl ShardRouter {
             return Ok(Arc::clone(existing));
         }
         let cfg = &self.cfg;
-        let checkpoint = cfg.checkpoint.as_ref().map(|stem| checkpoint_path_for(stem, name));
-        let (log, wal, rebase_over) = recover_shard_state(cfg, name, checkpoint.as_deref())?;
+        let base = cfg.checkpoint.as_ref().map(|stem| log_base(stem, name));
+        let (log, wal, rebase_over) = recover_shard_state(cfg, name, base.as_deref())?;
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
         let cells = ShardCells::default();
         cells.drift_score_ppm.store(-1, Ordering::Relaxed);
@@ -543,15 +544,25 @@ fn fault_salt_for(name: &str) -> u64 {
     }
 }
 
-/// The checkpoint file for shard `name` under checkpoint stem `stem`.
-/// The default tenant keeps the stem itself — bit-for-bit the
-/// pre-sharding layout — and every other tenant gets a sibling file (see
-/// the module docs for the naming).
-pub(crate) fn checkpoint_path_for(stem: &Path, name: &str) -> PathBuf {
+/// The file name of the stem with its extension dropped (`ckpt.json` →
+/// `ckpt`, extensionless `ckpt` as is): what every log name next to the
+/// stem starts with.
+fn stem_base(stem: &Path) -> &str {
+    let file = stem.file_name().and_then(|f| f.to_str()).unwrap_or("checkpoint");
+    file.rsplit_once('.').map_or(file, |(base, _ext)| base)
+}
+
+/// The log base of shard `name` under checkpoint stem `stem`:
+/// `<base>.wal` for the default tenant and `<base>.t-<hex(name)>.wal` for
+/// every other, where `<base>` is [`stem_base`]. Segments are
+/// `<log base>.<n>`; nothing is written at the stem itself.
+pub(crate) fn log_base(stem: &Path, name: &str) -> PathBuf {
+    let base = stem_base(stem);
     if name == DEFAULT_TENANT {
-        return stem.to_path_buf();
+        stem.with_file_name(format!("{base}.wal"))
+    } else {
+        stem.with_file_name(format!("{base}.t-{}.wal", hex_of(name)))
     }
-    sibling_with_tag(stem, &format!("t-{}", hex_of(name)))
 }
 
 fn hex_of(name: &str) -> String {
@@ -567,51 +578,68 @@ fn unhex_name(hex: &str) -> Option<String> {
     String::from_utf8(bytes?).ok()
 }
 
-/// `dir/ckpt.json` + tag `t-<hex>` → `dir/ckpt.t-<hex>.json`.
-fn sibling_with_tag(stem: &Path, tag: &str) -> PathBuf {
-    let file = stem.file_name().and_then(|f| f.to_str()).unwrap_or("checkpoint");
-    let named = match file.rsplit_once('.') {
-        Some((base, ext)) => format!("{base}.{tag}.{ext}"),
-        None => format!("{file}.{tag}"),
-    };
-    stem.with_file_name(named)
+/// A file next to the stem that holds some shard's state.
+struct StateFile {
+    /// The shard tag in its name (`t-<hex>`, `h<i>`); empty for the
+    /// default tenant.
+    tag: String,
+    name: String,
+    /// A v1 snapshot (`<stem>`, `<stem>.prev`) or single-file log
+    /// (`<base>.wal`), or a tenant's equivalent: what releases before
+    /// segment logs wrote.
+    v1: bool,
 }
 
-/// `(tag, file name)` of every tagged shard file next to `stem`, in file
-/// name order: `<base>.<tag>.wal.<n>` segments, and the v1 snapshot
-/// `<base>.<tag>.<ext>` and single log `<base>.<tag>.wal` the importer
-/// still reads.
-fn shard_files(stem: &Path) -> Vec<(String, String)> {
+/// Every state file next to `stem` except the default tenant's segments,
+/// in file name order: tagged segments `<base>.<tag>.wal.<n>`, and the v1
+/// files of the default tenant and of every tagged shard. `*.imported`
+/// files — what an earlier release's v1 import renamed aside — are not
+/// state.
+fn state_files(stem: &Path) -> Vec<StateFile> {
     let Some(file) = stem.file_name().and_then(|f| f.to_str()) else {
         return Vec::new();
     };
-    let (prefix, v1_snapshot) = match file.rsplit_once('.') {
-        Some((base, ext)) => (format!("{base}."), format!(".{ext}")),
-        None => (format!("{file}."), String::new()),
-    };
+    let base = stem_base(stem);
+    let ext = &file[base.len()..];
+    let default_v1 = [file.to_string(), format!("{file}.prev"), format!("{base}.wal")];
+    let shard_tag = |tag: &str| tag.starts_with("t-") || is_hashed_tag(tag);
     let Ok(entries) = std::fs::read_dir(wal::dir_of(stem)) else {
         return Vec::new();
     };
     let mut files = Vec::new();
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else { continue };
+        let Ok(name) = entry.file_name().into_string() else { continue };
+        if name.ends_with(".imported") {
+            continue;
+        }
+        if default_v1.contains(&name) {
+            files.push(StateFile { tag: String::new(), name, v1: true });
+            continue;
+        }
+        let Some(rest) = name.strip_prefix(base).and_then(|r| r.strip_prefix('.')) else {
+            continue;
+        };
         let (tag, kind) = rest.split_at(rest.find('.').unwrap_or(rest.len()));
-        if kind == v1_snapshot || kind == ".wal" || wal::segment_number(".wal", kind).is_some() {
-            files.push((tag.to_string(), name.to_string()));
+        let v1 = kind == ext || kind == format!("{ext}.prev") || kind == ".wal";
+        if shard_tag(tag) && (v1 || wal::segment_number(".wal", kind).is_some()) {
+            files.push(StateFile { tag: tag.to_string(), name, v1 });
         }
     }
-    files.sort_by(|a, b| a.1.cmp(&b.1));
+    files.sort_by(|a, b| a.name.cmp(&b.name));
     files
+}
+
+/// `h<digits>`: the shard tag of the retired hashed mode (`--shards n`).
+fn is_hashed_tag(tag: &str) -> bool {
+    tag.strip_prefix('h').is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// Tenants with a `t-<hex>` log among `files`, so a restart resurrects
 /// every tenant that was ever acknowledged a batch.
-fn tenants_of(files: &[(String, String)]) -> Vec<String> {
+fn tenants_of(files: &[StateFile]) -> Vec<String> {
     let mut tenants: Vec<String> = files
         .iter()
-        .filter_map(|(tag, _)| unhex_name(tag.strip_prefix("t-")?))
+        .filter_map(|f| unhex_name(f.tag.strip_prefix("t-")?))
         .filter(|tenant| validate_tenant(tenant).is_ok() && tenant != DEFAULT_TENANT)
         .collect();
     tenants.sort();
@@ -619,30 +647,44 @@ fn tenants_of(files: &[(String, String)]) -> Vec<String> {
     tenants
 }
 
-/// Refuses to start next to `h<i>`-tagged files: the logs of the retired
-/// hashed mode (`--shards n`), which no shard of this release would read
-/// — serving without them would silently drop acknowledged history.
-fn refuse_hashed_logs(files: &[(String, String)]) -> io::Result<()> {
-    let digits = |d: &str| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit());
-    let hashed: Vec<_> =
-        files.iter().filter(|(tag, _)| tag.strip_prefix('h').is_some_and(digits)).collect();
-    if hashed.is_empty() {
+/// Refuses to start next to files of a retired layout, naming every one
+/// and saying how to proceed — serving without them would silently drop
+/// acknowledged history. Two layouts are retired: the v1 files of
+/// releases that compacted the log into snapshots (no shard of this
+/// release reads them), and the logs of hashed mode (`--shards n`), whose
+/// `h<i>` tag no tenant log carries.
+fn refuse_retired_layouts(files: &[StateFile]) -> io::Result<()> {
+    let v1: Vec<&str> = files.iter().filter(|f| f.v1).map(|f| f.name.as_str()).collect();
+    let hashed: Vec<&StateFile> = files.iter().filter(|f| !f.v1 && is_hashed_tag(&f.tag)).collect();
+    if v1.is_empty() && hashed.is_empty() {
         return Ok(());
     }
-    let names: Vec<&str> = hashed.iter().map(|(_, file)| file.as_str()).collect();
-    // Sorted by file name, so one shard's files — one tag — are adjacent.
-    let mut renames: Vec<String> =
-        hashed.iter().map(|(tag, _)| format!("{tag} -> t-{}", hex_of(tag))).collect();
-    renames.dedup();
-    Err(io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "found logs of the retired hashed mode (--shards): {}; a hashed shard's log is an \
-             ordinary tenant log: rename the tag in each file name ({}) and the merged /summary \
-             over those tenants is what hashed mode served",
+    let mut found = Vec::new();
+    if !v1.is_empty() {
+        found.push(format!(
+            "v1 snapshots and single-file logs: {}; start that directory once under a release \
+             that imports v1 state (it rewrites it as segments and renames these files \
+             `*.imported`), or move them aside to start without that history",
+            v1.join(", ")
+        ));
+    }
+    if !hashed.is_empty() {
+        let names: Vec<&str> = hashed.iter().map(|f| f.name.as_str()).collect();
+        // Sorted by file name, so one shard's files — one tag — are adjacent.
+        let mut renames: Vec<String> =
+            hashed.iter().map(|f| format!("{} -> t-{}", f.tag, hex_of(&f.tag))).collect();
+        renames.dedup();
+        found.push(format!(
+            "logs of the hashed mode (--shards): {}; a hashed shard's log is an ordinary tenant \
+             log: rename the tag in each file name ({}) and the merged /summary over those \
+             tenants is what hashed mode served",
             names.join(", "),
             renames.join(", ")
-        ),
+        ));
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("found state files of retired layouts: {}", found.join("; and ")),
     ))
 }
 
@@ -683,18 +725,7 @@ impl LogState {
     /// the same lenient path (rejects re-reject, accepts re-apply,
     /// bit-identically) and the same drift feed — silently, the alerts
     /// fired before the crash — a rebase through [`apply_rebase`].
-    fn apply(&mut self, cfg: &ServerConfig, name: &str, record: Record) {
-        if record.shard != name {
-            isum_common::warn!(
-                "server.wal",
-                format!(
-                    "WAL record {} names shard `{}` but this is `{name}`; skipped (was the log \
-                     file moved?)",
-                    record.wal_seq, record.shard
-                )
-            );
-            return;
-        }
+    fn apply(&mut self, cfg: &ServerConfig, record: Record) {
         self.statements += record.stmts.len() as u64;
         match record.kind {
             Kind::Batch => {
@@ -726,8 +757,9 @@ fn feed_drift(engine: &Engine, drift: &mut DriftTracker) -> Option<DriftSample> 
 
 /// The whole effect of a rebase record on a shard, live and on replay:
 /// the engine holds exactly the record's statements, and the tracker
-/// either continues from the state the record carries (an import) or
-/// re-arms against the new history (a re-summarization).
+/// either continues from the state the record carries (a log an earlier
+/// release's v1 import wrote) or re-arms against the new history (a
+/// re-summarization).
 fn apply_rebase(
     cfg: &ServerConfig,
     engine: &mut Engine,
@@ -742,45 +774,31 @@ fn apply_rebase(
     kept
 }
 
-/// Recovers one shard: replays every segment of its log, in order, into
-/// a fresh engine and tracker, and opens the log for appending. Also
-/// returns the window to rebase over when the log ends on an unanswered
-/// drift crossing under `ISUM_DRIFT_ACTION=resummarize`. A corrupt log —
-/// or a v1 snapshot that cannot be imported — is the only fatal case.
+/// Recovers one shard: replays every segment of its log at `base`, in
+/// order, into a fresh engine and tracker, and opens the log for
+/// appending. Also returns the window to rebase over when the log ends on
+/// an unanswered drift crossing under `ISUM_DRIFT_ACTION=resummarize`. A
+/// corrupt log is the only fatal case.
 fn recover_shard_state(
     cfg: &ServerConfig,
     name: &str,
-    checkpoint: Option<&Path>,
+    base: Option<&Path>,
 ) -> io::Result<(LogState, Option<WalWriter>, Option<usize>)> {
     let mut log = LogState::empty(cfg);
-    let Some(path) = checkpoint else {
+    let Some(base) = base else {
         return Ok((log, None, None));
     };
     let named = |e: io::Error| io::Error::new(e.kind(), format!("shard `{name}`: {e}"));
     let start = Instant::now();
-    let base = wal::wal_sibling(path);
     let end =
-        wal::replay(&DiskStorage, &base, |record| log.apply(cfg, name, record)).map_err(named)?;
+        wal::replay(&DiskStorage, base, name, |record| log.apply(cfg, record)).map_err(named)?;
     if end.torn {
         // `replay` already warned with the byte offset; the counter makes
         // crash-repair visible to telemetry-only observers.
         count!("server.wal.torn_repairs");
     }
     let (segments, records) = (end.segments.len(), end.records());
-    let v1 = if records == 0 { import_v1(cfg, name, path, &base).map_err(named)? } else { None };
-    let mut writer =
-        WalWriter::open(DiskStorage, &base, cfg.wal_segment_bytes, end).map_err(named)?;
-    if let Some(v1) = v1 {
-        // The imported state becomes the log's first record, and the
-        // shard serves what that record replays to — what every later
-        // boot will compute.
-        let tracker = v1.drift.enabled().then(|| v1.drift.snapshot());
-        let stmts = v1.engine.last_statements(usize::MAX);
-        let (rebase, _) = writer.rebase(v1.next_seq, name, stmts, tracker).map_err(named)?;
-        log.apply(cfg, name, rebase);
-        log.crossed = v1.crossed;
-    }
-    retire_v1_files(path, &base).map_err(named)?;
+    let writer = WalWriter::open(DiskStorage, base, cfg.wal_segment_bytes, end).map_err(named)?;
     count!("server.recovery.replayed_statements", log.statements);
     isum_common::info!(
         "server.wal",
@@ -793,81 +811,6 @@ fn recover_shard_state(
     );
     let rebase_over = log.crossed.filter(|_| cfg.drift_action == DriftAction::Resummarize);
     Ok((log, Some(writer), rebase_over))
-}
-
-/// The three files a release that compacted into snapshots left per
-/// shard: the snapshot, its predecessor, and the single log.
-fn v1_files(path: &Path, base: &Path) -> [PathBuf; 3] {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-    [path.to_path_buf(), path.with_file_name(format!("{name}.prev")), base.to_path_buf()]
-}
-
-/// Reads a v1 state directory, once: the snapshot (else `.prev`, which a
-/// crash mid-compaction leaves as the newest) through
-/// [`Engine::restore_from`], then the v1 log's records at or past the
-/// snapshot's watermark through the normal replay path. `None` when no v1
-/// file exists. A snapshot that does not parse refuses to start, naming
-/// the file — silently falling back to an older one would drop
-/// acknowledged batches.
-fn import_v1(
-    cfg: &ServerConfig,
-    name: &str,
-    path: &Path,
-    base: &Path,
-) -> io::Result<Option<LogState>> {
-    let [snapshot, prev, v1_log] = v1_files(path, base);
-    let snapshot = [snapshot, prev].into_iter().find(|p| p.exists());
-    if snapshot.is_none() && !v1_log.exists() {
-        return Ok(None);
-    }
-    let mut log = LogState::empty(cfg);
-    let mut watermark = 0;
-    if let Some(file) = &snapshot {
-        let (engine, next_seq, wal_seq, drift) =
-            Engine::restore_from(cfg.catalog.clone(), cfg.isum, file).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("cannot import v1 snapshot {}: {e}", file.display()),
-                )
-            })?;
-        log.drift = fresh_tracker(cfg, engine.observed());
-        if let Some(snap) = &drift {
-            log.drift = log.drift.restore_state(snap);
-        }
-        (log.engine, log.next_seq, watermark) = (engine, next_seq, wal_seq);
-    }
-    if v1_log.exists() {
-        let bytes = std::fs::read(&v1_log)?;
-        wal::read_records(&v1_log, &bytes, true, |record| {
-            // Below the watermark: already folded into the snapshot (a
-            // crash between snapshot write and log truncation).
-            if record.wal_seq >= watermark {
-                log.apply(cfg, name, record);
-            }
-            Ok(())
-        })?;
-    }
-    isum_common::info!(
-        "server.wal",
-        format!("importing v1 state of shard `{name}` next to {}", base.display()),
-        statements = log.engine.observed()
-    );
-    Ok(Some(log))
-}
-
-/// Renames whatever v1 files exist aside (`<name>.imported`) once the
-/// segments hold their content, and makes the renames durable.
-fn retire_v1_files(path: &Path, base: &Path) -> io::Result<()> {
-    let mut renamed = false;
-    for file in v1_files(path, base).iter().filter(|p| p.exists()) {
-        let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot");
-        std::fs::rename(file, file.with_file_name(format!("{name}.imported")))?;
-        renamed = true;
-    }
-    if renamed {
-        std::fs::File::open(wal::dir_of(base))?.sync_all()?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1114,7 +1057,7 @@ impl ShardState {
         let start = Instant::now();
         let stmts = lock(&shard.engine).last_statements(window_len);
         let rebase = match self.wal.as_mut() {
-            Some(w) => match w.rebase(self.next_seq, &shard.name, stmts, None) {
+            Some(w) => match w.rebase(self.next_seq, &shard.name, stmts) {
                 Ok((rebase, stats)) => {
                     shard.cells.wal_rebases.fetch_add(1, Ordering::Relaxed);
                     note_durable_write(&shard.cells, &stats);
@@ -1321,59 +1264,76 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_paths_keep_default_at_the_stem() {
-        let stem = Path::new("dir/ckpt.json");
-        assert_eq!(checkpoint_path_for(stem, DEFAULT_TENANT), stem);
+    fn log_bases_drop_the_stem_extension_once() {
+        let base = |stem: &str, tenant: &str| log_base(Path::new(stem), tenant);
+        assert_eq!(base("dir/ckpt.json", DEFAULT_TENANT), Path::new("dir/ckpt.wal"));
         assert_eq!(
-            checkpoint_path_for(stem, "acme"),
-            Path::new("dir/ckpt.t-61636d65.json"),
-            "tenant files are hex-tagged siblings"
+            base("dir/ckpt.json", "acme"),
+            Path::new("dir/ckpt.t-61636d65.wal"),
+            "tenant logs are hex-tagged siblings"
         );
         assert_eq!(
-            checkpoint_path_for(stem, "h3"),
-            Path::new("dir/ckpt.t-6833.json"),
+            base("dir/ckpt.json", "h3"),
+            Path::new("dir/ckpt.t-6833.wal"),
             "no name is special: restart discovery scans `t-<hex>` only"
         );
-        // No extension: tags append without inventing one.
-        assert_eq!(checkpoint_path_for(Path::new("ckpt"), "acme"), Path::new("ckpt.t-61636d65"));
+        assert_eq!(base("dir/my.ckpt.json", "acme"), Path::new("dir/my.ckpt.t-61636d65.wal"));
+        // No extension: a tenant's tag is never mistaken for one, so every
+        // tenant keeps its own log.
+        assert_eq!(base("state", DEFAULT_TENANT), Path::new("state.wal"));
+        assert_eq!(base("state", "acme"), Path::new("state.t-61636d65.wal"));
     }
 
     #[test]
-    fn tenants_are_discovered_by_their_segments_and_by_v1_files() {
-        let dir = std::env::temp_dir().join(format!("isum-shards-disc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let stem = dir.join("ckpt.json");
-        let log_of = |tenant: &str| wal::wal_sibling(&checkpoint_path_for(&stem, tenant));
-        // A tenant with two segments is found once.
-        std::fs::write(wal::segment_path(&log_of("acme"), 1), "").unwrap();
-        std::fs::write(wal::segment_path(&log_of("acme"), 2), "").unwrap();
-        std::fs::write(wal::segment_path(&log_of("zeta-9"), 41), "").unwrap();
-        // What the importer still reads: a v1 snapshot, a v1 log.
-        std::fs::write(checkpoint_path_for(&stem, "old-snap"), "{}").unwrap();
-        std::fs::write(log_of("old-log"), "").unwrap();
-        // Distractors: the default tenant, junk hex, files an import
-        // renamed aside, a short segment number.
-        std::fs::write(wal::segment_path(&wal::wal_sibling(&stem), 1), "").unwrap();
-        std::fs::write(dir.join("ckpt.t-zz.wal.00000001"), "").unwrap();
-        std::fs::write(dir.join("ckpt.t-676f6e65.json.imported"), "{}").unwrap();
-        std::fs::write(dir.join("ckpt.t-676f6e65.wal.imported"), "").unwrap();
-        std::fs::write(dir.join("ckpt.t-676f6e65.wal.7"), "").unwrap();
-        assert_eq!(tenants_of(&shard_files(&stem)), ["acme", "old-log", "old-snap", "zeta-9"]);
-        assert!(refuse_hashed_logs(&shard_files(&stem)).is_ok(), "none of these is a hashed log");
-        // What the retired hashed mode wrote, now and as v1; `hx`/`h` are
-        // not shard tags.
-        for name in
-            ["ckpt.h0.wal.00000003", "ckpt.h0.json", "ckpt.h12.wal", "ckpt.hx.wal", "ckpt.h.wal"]
-        {
-            std::fs::write(dir.join(name), "").unwrap();
+    fn tenants_are_discovered_by_their_segments_and_every_retired_file_is_named() {
+        for (stem_name, ext) in [("ckpt.json", ".json"), ("ckpt", "")] {
+            let dir = std::env::temp_dir().join(format!(
+                "isum-shards-disc-{}-{}",
+                ext.len(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let stem = dir.join(stem_name);
+            let touch = |name: &str| std::fs::write(dir.join(name), "").unwrap();
+            let segment = |tenant: &str, n: u64| wal::segment_path(&log_base(&stem, tenant), n);
+            // A tenant with two segments is found once.
+            for (tenant, n) in [("acme", 1), ("acme", 2), ("zeta-9", 41), (DEFAULT_TENANT, 1)] {
+                std::fs::write(segment(tenant, n), "").unwrap();
+            }
+            // Distractors: junk hex, a short segment number, what a v1
+            // import renamed aside, tags that are not shard tags.
+            for name in ["ckpt.t-zz.wal.00000001", "ckpt.t-676f6e65.wal.7", "ckpt.notes"] {
+                touch(name);
+            }
+            for name in [stem_name, "ckpt.wal", "ckpt.t-676f6e65", "ckpt.h0.wal", "ckpt.hx.wal"] {
+                touch(&format!("{name}.imported"));
+            }
+            touch("ckpt.h.wal");
+            let files = state_files(&stem);
+            assert_eq!(tenants_of(&files), ["acme", "zeta-9"], "{stem_name}");
+            assert!(refuse_retired_layouts(&files).is_ok(), "{stem_name}: nothing is retired");
+
+            // v1 files of the default tenant, of a tenant and of a hashed
+            // shard, and a hashed-mode segment.
+            let prev = format!("{stem_name}.prev");
+            let tenant_v1 = format!("ckpt.t-676f6e65{ext}");
+            let hashed_v1 = format!("ckpt.h0{ext}");
+            let v1 = [stem_name, &prev, "ckpt.wal", &tenant_v1, "ckpt.t-676f6e65.wal", &hashed_v1];
+            for name in v1.iter().chain(&["ckpt.h12.wal", "ckpt.h0.wal.00000003"]) {
+                touch(name);
+            }
+            let refusal = refuse_retired_layouts(&state_files(&stem)).unwrap_err().to_string();
+            for name in v1.iter().chain(&["ckpt.h12.wal"]) {
+                assert!(refusal.contains(name), "{stem_name}: {name} unnamed in {refusal}");
+            }
+            assert!(
+                refusal.contains("(--shards): ckpt.h0.wal.00000003;")
+                    && refusal.contains("(h0 -> t-6830)"),
+                "{refusal}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let refusal = refuse_hashed_logs(&shard_files(&stem)).unwrap_err().to_string();
-        assert!(
-            refusal.contains(": ckpt.h0.json, ckpt.h0.wal.00000003, ckpt.h12.wal;")
-                && refusal.contains("(h0 -> t-6830, h12 -> t-683132)"),
-            "{refusal}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -77,9 +77,6 @@ use isum_common::{count, warn, Json};
 
 /// Leading magic of a segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"ISUMWAL2";
-/// Leading magic of the single-file log older releases wrote; read once
-/// by the importer (`crate::shards`), never written.
-const V1_MAGIC: &[u8; 8] = b"ISUMWAL1";
 
 /// What a record does to the state before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +84,7 @@ pub enum Kind {
     /// Its statements are applied on top (one ingest batch).
     Batch = 0,
     /// Its statements replace it: the shard was rebuilt over a suffix of
-    /// its history (drift re-summarization) or imported from a v1 snapshot.
+    /// its history (drift re-summarization).
     Rebase = 1,
 }
 
@@ -108,8 +105,9 @@ pub struct Record {
     /// the input `Engine::apply_statements` (batch) or `Engine::rebase`
     /// (rebase: every cost present, as first ingested) consumes.
     pub stmts: Vec<(String, Option<f64>)>,
-    /// Rebase only: `DriftTracker::snapshot` to continue from; `None`
-    /// re-arms the tracker, as after a live re-summarization.
+    /// Rebase only: drift-tracker state to continue from; `None` re-arms
+    /// the tracker, as after a live re-summarization. The daemon writes
+    /// `None`; logs written by an earlier release's import may carry one.
     pub tracker: Option<Json>,
 }
 
@@ -146,11 +144,10 @@ fn encode_record(
     }
 }
 
-/// Decodes one frame payload back into a record; `v1` payloads have no
-/// kind byte and are all batches. `Err` carries the parse failure: a
-/// CRC-valid payload that does not decode is corruption, not a torn
-/// write.
-pub fn decode_record(payload: &[u8], v1: bool) -> Result<Record, String> {
+/// Decodes one frame payload back into a record. `Err` carries the parse
+/// failure: a CRC-valid payload that does not decode is corruption, not a
+/// torn write.
+pub fn decode_record(payload: &[u8]) -> Result<Record, String> {
     let short = || "record payload truncated".to_string();
     let mut r = ByteReader::new(payload);
     let text = |r: &mut ByteReader<'_>, len: usize, what: &str| {
@@ -162,7 +159,7 @@ pub fn decode_record(payload: &[u8], v1: bool) -> Result<Record, String> {
         1 => Ok(true),
         other => Err(format!("bad {what} flag {other}")),
     };
-    let kind = match if v1 { 0 } else { r.u8().ok_or_else(short)? } {
+    let kind = match r.u8().ok_or_else(short)? {
         0 => Kind::Batch,
         1 => Kind::Rebase,
         other => return Err(format!("unknown record kind {other}")),
@@ -284,19 +281,6 @@ pub fn dir_of(path: &Path) -> &Path {
     path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."))
 }
 
-/// Derives a shard's log base from its checkpoint path by swapping the
-/// final extension: `ckpt.json → ckpt.wal`, `ckpt.t-<hex>.json →
-/// ckpt.t-<hex>.wal`, extensionless `ckpt → ckpt.wal`. Segments are
-/// `<base>.<8-digit n>`; the bare base is where v1 kept its single log.
-pub fn wal_sibling(snapshot: &Path) -> PathBuf {
-    let name = snapshot.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-    let base = match name.rsplit_once('.') {
-        Some((base, _ext)) => base,
-        None => name,
-    };
-    snapshot.with_file_name(format!("{base}.wal"))
-}
-
 /// Segment `n` of the log at `base`.
 pub fn segment_path(base: &Path, n: u64) -> PathBuf {
     let name = base.file_name().and_then(|n| n.to_str()).unwrap_or_default();
@@ -323,7 +307,7 @@ fn corrupt(what: String) -> io::Error {
 /// Decodes the records of one log file (`bytes` of `path`) in order. A
 /// torn tail — a short header, a frame cut short, or a bad final frame —
 /// is tolerated only when `last`; returns the length of the valid prefix
-/// and whether anything was cut. A file with `v1` magic holds v1 records.
+/// and whether anything was cut.
 pub fn read_records(
     path: &Path,
     bytes: &[u8],
@@ -351,15 +335,14 @@ pub fn read_records(
         // Crash while the header itself was being written.
         return torn(0, "torn log header");
     }
-    let v1 = &bytes[..V1_MAGIC.len()] == V1_MAGIC;
-    if !v1 && &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         return Err(corrupt(format!("{name} is not an ISUM WAL (bad magic)")));
     }
     let mut pos = SEGMENT_MAGIC.len();
     while pos < bytes.len() {
         match decode_frame(&bytes[pos..]) {
             FrameStatus::Complete { payload, consumed } => {
-                let record = decode_record(payload, v1).map_err(|e| {
+                let record = decode_record(payload).map_err(|e| {
                     corrupt(format!("corrupt WAL record at byte {pos} of {name}: {e}"))
                 })?;
                 each(record)?;
@@ -417,11 +400,14 @@ impl LogEnd {
     }
 }
 
-/// Replays the log at `base`: every live segment in order, every record
-/// through `each`. One segment is in memory at a time.
+/// Replays the log of shard `shard` at `base`: every live segment in
+/// order, every record through `each`. One segment is in memory at a time.
+/// A record that names another shard is corruption like any other: the
+/// file was copied or renamed from another shard's log.
 pub fn replay<S: Storage>(
     storage: &S,
     base: &Path,
+    shard: &str,
     mut each: impl FnMut(Record),
 ) -> io::Result<LogEnd> {
     let base_name = base.file_name().and_then(|n| n.to_str()).unwrap_or_default();
@@ -453,6 +439,14 @@ pub fn replay<S: Storage>(
                      batches",
                     expected.unwrap_or_default().wrapping_sub(1),
                     path.display()
+                )));
+            }
+            if record.shard != shard {
+                return Err(corrupt(format!(
+                    "record {wal_seq} in {} names shard `{}` but this is shard `{shard}`'s log \
+                     (was the file copied or renamed?); refusing to start",
+                    path.display(),
+                    record.shard
                 )));
             }
             match (record.kind, info.records) {
@@ -605,7 +599,7 @@ impl<S: Storage> WalWriter<S> {
         tear: impl FnOnce(usize) -> Option<usize>,
     ) -> io::Result<AppendStats> {
         self.refuse_if_poisoned()?;
-        let frame = self.frame_of(Kind::Batch, seq, shard, stmts, None);
+        let frame = self.frame_of(Kind::Batch, seq, shard, stmts);
         if let Some(cut) = tear(frame.len()) {
             let cut = cut.min(frame.len());
             let wrote = self
@@ -640,32 +634,31 @@ impl<S: Storage> WalWriter<S> {
         seq: Option<u64>,
         shard: &str,
         stmts: &[(String, Option<f64>)],
-        tracker: Option<&Json>,
     ) -> Vec<u8> {
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         let wal_seq = self.next_wal_seq;
-        frame_into(&mut frame, |out| encode_record(out, kind, wal_seq, seq, shard, stmts, tracker));
+        frame_into(&mut frame, |out| encode_record(out, kind, wal_seq, seq, shard, stmts, None));
         frame
     }
 
     /// Logs a rebase record durably as the first record of a segment
     /// (rotating first if the active one holds anything) and fsyncs file
-    /// and directory. The caller applies the record and then calls
+    /// and directory. The record re-arms the drift tracker. The caller
+    /// applies the record and then calls
     /// [`retire_rebased`](Self::retire_rebased).
     pub fn rebase(
         &mut self,
         next_seq: u64,
         shard: &str,
         stmts: Vec<(String, Option<f64>)>,
-        tracker: Option<Json>,
     ) -> io::Result<(Record, AppendStats)> {
         self.refuse_if_poisoned()?;
         let (kind, wal_seq, seq) = (Kind::Rebase, self.next_wal_seq, Some(next_seq));
-        let frame = self.frame_of(kind, seq, shard, &stmts, tracker.as_ref());
+        let frame = self.frame_of(kind, seq, shard, &stmts);
         let stats = self.log_rebase(&frame);
         count!("server.wal.rebases");
-        let record = Record { kind, wal_seq, seq, shard: shard.to_string(), stmts, tracker };
+        let record = Record { kind, wal_seq, seq, shard: shard.to_string(), stmts, tracker: None };
         self.poison_on_error(stats.map(|stats| (record, stats)))
     }
 

@@ -310,7 +310,7 @@ impl Folded {
 /// Recovery as `crate::shards` runs it: replay, then open for appending.
 fn boot<S: Storage + Clone>(storage: &S, segment_bytes: u64) -> io::Result<(Folded, WalWriter<S>)> {
     let mut state = Folded::default();
-    let end = replay(storage, &base(), |record| state.apply(&record))?;
+    let end = replay(storage, &base(), SHARD, |record| state.apply(&record))?;
     state.next_wal_seq = end.next_wal_seq;
     let writer = WalWriter::open(storage.clone(), &base(), segment_bytes, end)?;
     Ok((state, writer))
@@ -389,17 +389,9 @@ fn records_round_trip_bit_exactly() {
     ] {
         // Compare through `Debug`: it spells out float bits' meaning
         // (`-0.0`, `NaN`) where `==` would not.
-        let decoded = decode_record(&encode(&record), false).expect("decodes");
+        let decoded = decode_record(&encode(&record)).expect("decodes");
         assert_eq!(format!("{decoded:?}"), format!("{record:?}"));
     }
-}
-
-#[test]
-fn v1_payloads_are_batches_without_a_kind_byte() {
-    let record = batch(4, Some(2), 2);
-    let v2 = encode(&record);
-    assert_eq!(decode_record(&v2[1..], true).expect("decodes"), record);
-    assert!(decode_record(&v2[1..], false).is_err(), "a v1 payload is not a v2 record");
 }
 
 #[test]
@@ -408,16 +400,16 @@ fn undecodable_payloads_error_without_panicking() {
     let rebase = Record { tracker, ..rebase_of(1, 2, vec![("SELECT 1".into(), Some(2.0))]) };
     for good in [encode(&batch(1, Some(2), 2)), encode(&rebase)] {
         for cut in 0..good.len() {
-            decode_record(&good[..cut], false).expect_err("truncated payload must not decode");
+            decode_record(&good[..cut]).expect_err("truncated payload must not decode");
         }
         let mut trailing = good.clone();
         trailing.push(0);
-        assert!(decode_record(&trailing, false).unwrap_err().contains("trailing"));
+        assert!(decode_record(&trailing).unwrap_err().contains("trailing"));
     }
-    assert!(decode_record(&[9, 0, 0, 0, 0, 0, 0, 0, 0], false).unwrap_err().contains("kind"));
+    assert!(decode_record(&[9, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err().contains("kind"));
     let mut unmarked = encode(&rebase);
     unmarked[9] = 0; // has_seq
-    assert!(decode_record(&unmarked, false).unwrap_err().contains("mark"));
+    assert!(decode_record(&unmarked).unwrap_err().contains("mark"));
 }
 
 proptest! {
@@ -434,7 +426,7 @@ proptest! {
         let bits: Vec<Option<u64>> = raw_stmts.iter().map(|(_, c)| *c).collect();
         let stmts = raw_stmts.into_iter().map(|(s, c)| (s, c.map(f64::from_bits))).collect();
         let sent = Record { shard, ..batch_of(wal_seq, has_seq.then_some(seq), stmts) };
-        let decoded = decode_record(&encode(&sent), false).expect("decodes");
+        let decoded = decode_record(&encode(&sent)).expect("decodes");
         prop_assert_eq!(decoded.kind, Kind::Batch);
         prop_assert_eq!((decoded.wal_seq, decoded.seq, &decoded.shard), (wal_seq, sent.seq, &sent.shard));
         let decoded_bits: Vec<Option<u64>> =
@@ -452,20 +444,12 @@ proptest! {
         // Random payloads overwhelmingly fail to decode; the contract
         // is that they fail with an error, not a panic or a bogus
         // record that smuggles garbage into replay.
-        let _ = decode_record(&payload, false);
-        let _ = decode_record(&payload, true);
+        let _ = decode_record(&payload);
     }
 }
 
 #[test]
 fn paths_and_segment_names() {
-    assert_eq!(wal_sibling(Path::new("/x/ckpt.json")), Path::new("/x/ckpt.wal"));
-    assert_eq!(
-        wal_sibling(Path::new("/x/ckpt.t-61636d65.json")),
-        Path::new("/x/ckpt.t-61636d65.wal")
-    );
-    assert_eq!(wal_sibling(Path::new("/x/ckpt.h3.json")), Path::new("/x/ckpt.h3.wal"));
-    assert_eq!(wal_sibling(Path::new("/x/ckpt")), Path::new("/x/ckpt.wal"));
     assert_eq!(segment_path(Path::new("/x/ckpt.wal"), 7), Path::new("/x/ckpt.wal.00000007"));
     assert_eq!(segment_number("ckpt.wal", "ckpt.wal.00000007"), Some(7));
     assert_eq!(segment_number("ckpt.wal", "ckpt.wal.123456789"), Some(123_456_789));
@@ -533,7 +517,7 @@ fn torn_appends_poison_the_writer_and_recover_as_a_prefix() {
     assert!(err.to_string().contains("torn"), "{err}");
     let err = w.append(Some(2), SHARD, &s, |_| None).expect_err("poisoned");
     assert!(err.to_string().contains("poisoned"), "{err}");
-    let err = w.rebase(2, SHARD, Vec::new(), None).expect_err("poisoned");
+    let err = w.rebase(2, SHARD, Vec::new()).expect_err("poisoned");
     assert!(err.to_string().contains("poisoned"), "{err}");
     drop(w);
 
@@ -661,6 +645,15 @@ fn damage_in_a_closed_segment_a_gap_or_a_foreign_file_refuses_to_start() {
     storage.put(&segment_path(&base(), 1), b"NOTAWAL0 trailing bytes");
     assert!(refuses(&storage, "bad magic").contains("bad magic"));
 
+    // Another shard's log under this shard's name.
+    let storage = MemStorage::default();
+    let (_, mut w) = boot(&storage, 100).expect("boots");
+    w.append(Some(0), "acme", &stmts(1, 0), |_| None).expect("appends");
+    drop(w);
+    assert!(
+        refuses(&storage, "foreign").contains("record 0 in /ckpt.wal.00000001 names shard `acme`")
+    );
+
     // The same flip in the *last* segment's final frame is a torn tail...
     let flip_in_last = |frame: usize| {
         let storage = build();
@@ -690,7 +683,7 @@ fn a_rebase_opens_a_segment_and_retires_the_ones_before_it() {
     let before = storage.names();
     assert!(before.len() >= 2 && w.active.records > 0);
     let rotated = w.segments();
-    let (rebase, stats) = w.rebase(6, SHARD, expected.last(3), None).expect("logs the rebase");
+    let (rebase, stats) = w.rebase(6, SHARD, expected.last(3)).expect("logs the rebase");
     assert_eq!((rebase.wal_seq, rebase.stmts.len()), (6, 3));
     let rotations = stats.rotations.iter().flatten().count() as u64;
     assert_eq!(w.segments() - rotated, rotations, "every rotation a rebase makes is reported");
@@ -758,7 +751,7 @@ fn run_schedule(seed: u64) {
                 let keep = acked.last(below(6) as usize);
                 let mut landed = acked.clone();
                 landed.apply(&rebase_of(acked.next_wal_seq, acked.next_seq, keep.clone()));
-                match writer.rebase(acked.next_seq, SHARD, keep, None) {
+                match writer.rebase(acked.next_seq, SHARD, keep) {
                     Ok(_) => {
                         acked = landed;
                         writer.retire_rebased();
@@ -822,13 +815,13 @@ fn the_retired_snapshot_then_truncate_sequence_loses_acked_batches() {
         let storage = MemStorage::seeded(seed);
         let log_path = Path::new("/ckpt.wal");
         let mut log = storage.create(log_path).expect("creates");
-        storage.append(&mut log, V1_MAGIC).expect("writes");
+        storage.append(&mut log, SEGMENT_MAGIC).expect("writes");
         storage.sync_file(&mut log).expect("fsyncs");
         storage.sync_dir(Path::new("/")).expect("fsyncs");
         let mut acked = Vec::new();
         for wal_seq in 0..4u64 {
             let record = batch(wal_seq, Some(wal_seq), 2);
-            storage.append(&mut log, &encode_frame(&encode(&record)[1..])).expect("writes");
+            storage.append(&mut log, &encode_frame(&encode(&record))).expect("writes");
             storage.sync_file(&mut log).expect("fsyncs before the ack");
             acked.push(record);
         }

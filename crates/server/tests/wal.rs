@@ -3,14 +3,15 @@
 //! tail boots an exact whole-record prefix, damage anywhere else refuses
 //! to start, rotation keeps disk writes O(batch) and never touches a
 //! closed segment, a re-summarization is a logged rebase that converges
-//! across crashes and configuration changes, and a v1 state directory
-//! (snapshot + log) imports to the byte-identical `/summary`.
+//! across crashes and configuration changes, every tenant keeps its own
+//! log whatever the stem looks like, and a log copied from another shard
+//! or a file of a retired layout refuses to start and changes nothing.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use isum_catalog::{Catalog, CatalogBuilder};
-use isum_common::framing::{decode_frame, encode_frame, FrameStatus};
+use isum_common::framing::{decode_frame, FrameStatus};
 use isum_core::IsumConfig;
 use isum_server::{Client, DriftAction, Engine, Server, ServerConfig};
 
@@ -115,6 +116,22 @@ fn frame_ends(bytes: &[u8]) -> Vec<usize> {
         }
     }
     ends
+}
+
+/// Every file in `dir` with its bytes, to show a refusal changed nothing.
+fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    names(dir)
+        .into_iter()
+        .map(|n| (n.clone(), std::fs::read(dir.join(&n)).expect("reads")))
+        .collect()
+}
+
+/// The start-up error of a daemon on `config`, which must refuse.
+fn refusal(config: ServerConfig) -> String {
+    match Server::bind("127.0.0.1:0", config) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("this state directory must refuse to start"),
+    }
 }
 
 fn observed(client: &Client) -> u64 {
@@ -388,6 +405,65 @@ fn tenant_shards_keep_their_own_segments() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn an_extensionless_stem_keeps_every_tenant_in_its_own_log() {
+    // The stem's extension is dropped once, so a tenant's `.t-<hex>` tag
+    // is never mistaken for one and folded into the default tenant's log.
+    let dir = temp_dir("extensionless");
+    let streams = [("default", batches(4)), ("acme", tiny_batches(5)), ("bolt", batches(2))];
+    let clients = |server: &Server| -> Vec<Client> {
+        let addr = server.addr().to_string();
+        streams
+            .iter()
+            .map(|(t, _)| Client::new(addr.clone()).with_tenant(t).expect("valid"))
+            .collect()
+    };
+    let (server, _client) = start(config_with(&dir.join("state"), 1 << 20));
+    for (client, (_, stream)) in clients(&server).iter().zip(&streams) {
+        ingest_all(client, stream);
+    }
+    let served: Vec<String> =
+        clients(&server).iter().map(|c| c.summary(3).expect("summary").body).collect();
+    server.shutdown();
+    server.join();
+    assert_eq!(
+        names(&dir),
+        ["state.t-61636d65.wal.00000001", "state.t-626f6c74.wal.00000001", "state.wal.00000001"]
+    );
+
+    let (server, _client) = start(config_with(&dir.join("state"), 1 << 20));
+    for (client, before) in clients(&server).iter().zip(&served) {
+        let after = client.summary(3).expect("summary");
+        assert_eq!((after.status, &after.body), (200, before), "every acked batch is served again");
+    }
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_record_of_another_shard_refuses_to_start_and_writes_nothing() {
+    let dir = temp_dir("foreign");
+    let (server, _client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    let acme = Client::new(server.addr().to_string()).with_tenant("acme").expect("tenant");
+    ingest_all(&acme, &batches(2));
+    server.shutdown();
+    server.join();
+    // The tenant's log lands under the default tenant's name.
+    std::fs::copy(dir.join("ckpt.t-61636d65.wal.00000001"), dir.join("ckpt.wal.00000001"))
+        .expect("copies");
+    let before = dir_image(&dir);
+    let why = refusal(config_with(&dir.join("ckpt.json"), 1 << 20));
+    assert!(
+        why.contains("record 0 in ")
+            && why.contains("ckpt.wal.00000001 names shard `acme`")
+            && why.contains("shard `default`'s log"),
+        "{why}"
+    );
+    assert_eq!(dir_image(&dir), before, "nothing was replayed into, repaired or created");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Rebase: re-summarization as a log record
 // ---------------------------------------------------------------------
@@ -543,122 +619,49 @@ fn segments_before_a_rebase_are_unlinked_and_recovery_forgets_the_history_before
 }
 
 // ---------------------------------------------------------------------
-// The v1 importer
+// Retired layouts
 // ---------------------------------------------------------------------
 
-/// The catalog `fixtures/engine_v1_checkpoint.json` was written under.
-fn v1_catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("t", 100_000)
-        .col_key("id")
-        .col_int("grp", 500, 0, 500)
-        .col_int("v", 1000, 0, 10_000)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
-
-const V1_SNAPSHOT: &str = include_str!("fixtures/engine_v1_checkpoint.json");
-
-fn v1_statement(i: usize) -> String {
-    format!("SELECT id FROM t WHERE grp = {} AND v > {}", i % 7, i * 3)
-}
-
-/// One record of the v1 single-file log, as `ISUMWAL1` framed it: no kind
-/// byte, otherwise today's batch layout.
-fn v1_record(wal_seq: u64, seq: u64, stmts: &[String]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&wal_seq.to_le_bytes());
-    payload.push(1);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&7u16.to_le_bytes());
-    payload.extend_from_slice(b"default");
-    payload.extend_from_slice(&(stmts.len() as u32).to_le_bytes());
-    for sql in stmts {
-        payload.extend_from_slice(&(sql.len() as u32).to_le_bytes());
-        payload.extend_from_slice(sql.as_bytes());
-        payload.push(0);
-        payload.extend_from_slice(&0u64.to_le_bytes());
-    }
-    encode_frame(&payload)
-}
-
 #[test]
-fn a_v1_state_directory_imports_to_the_byte_identical_summary() {
-    // The fixture holds statements 0..9 at next_seq 4 and watermark 17.
-    // The v1 log next to it still holds record 16 (already folded into
-    // the snapshot: a crash between snapshot write and truncation), then
-    // records 17 and 18, then half of record 19.
-    let tail: Vec<Vec<String>> =
-        (0..3).map(|b| (0..2).map(|j| v1_statement(9 + b * 2 + j)).collect()).collect();
-    let mut v1_log = b"ISUMWAL1".to_vec();
-    v1_log.extend(v1_record(16, 3, &[v1_statement(8)]));
-    v1_log.extend(v1_record(17, 4, &tail[0]));
-    v1_log.extend(v1_record(18, 5, &tail[1]));
-    let torn = v1_record(19, 6, &tail[2]);
-    v1_log.extend(&torn[..torn.len() / 2]);
-    let acked: Vec<String> = (0..13).map(|i| format!("{};\n", v1_statement(i))).collect();
-    let expected = reference_summary(v1_catalog(), &acked, 5);
-    let v1_config = |dir: &Path| {
-        let mut config = ServerConfig::new(v1_catalog());
-        config.checkpoint = Some(dir.join("ckpt.json"));
-        config
+fn files_of_a_v1_state_directory_refuse_to_start_and_are_left_alone() {
+    // What a release that compacted its log into snapshots left: the
+    // snapshot at the stem, its predecessor, the single-file log, and a
+    // tenant's snapshot. Each one alone refuses, and so do all of them,
+    // next to the segments of today's layout, named in one error.
+    let dir = temp_dir("v1_refusal");
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    ingest_all(&client, &batches(2));
+    server.shutdown();
+    server.join();
+    let v1 = [
+        ("ckpt.json", &b"{\"version\": 1}"[..]),
+        ("ckpt.json.prev", b"{\"version\": 1}"),
+        ("ckpt.wal", b"ISUMWAL1"),
+        ("ckpt.t-61636d65.json", b"{\"version\": 1}"),
+    ];
+    let refuses = |files: &[(&str, &[u8])]| {
+        for (name, bytes) in files {
+            std::fs::write(dir.join(name), bytes).expect("writes");
+        }
+        let before = dir_image(&dir);
+        let why = refusal(config_with(&dir.join("ckpt.json"), 1 << 20));
+        for (name, _) in files {
+            assert!(why.contains(name) && why.contains("v1 snapshots"), "{name}: {why}");
+        }
+        assert_eq!(dir_image(&dir), before, "nothing was moved or written");
+        for (name, _) in files {
+            std::fs::remove_file(dir.join(name)).expect("removes");
+        }
     };
-
-    // As the snapshot + tail a SIGKILL left, and as `.prev` + tail (the
-    // kill landed between parking the old snapshot and writing the new).
-    for snapshot_name in ["ckpt.json", "ckpt.json.prev"] {
-        let dir = temp_dir(&format!("import_{}", snapshot_name.replace('.', "_")));
-        std::fs::write(dir.join(snapshot_name), V1_SNAPSHOT).expect("writes");
-        std::fs::write(dir.join("ckpt.wal"), &v1_log).expect("writes");
-        let (server, client) = start(v1_config(&dir));
-        assert_eq!(observed(&client), 13, "{snapshot_name}: snapshot + the two whole tail records");
-        assert_eq!(client.summary(5).expect("summary").body, expected, "{snapshot_name}");
-        let status = client.status(None).expect("status");
-        assert_eq!(status.field("seq").and_then(|v| v.as_u64()), Some(6), "{}", status.body);
-        let d = status.field("durability").expect("durability");
-        assert_eq!(
-            d.get("wal_seq").and_then(|v| v.as_u64()),
-            Some(1),
-            "the log is one rebase record"
-        );
-        // The client retries what was never acked; it lands in the log.
-        let resp = client.ingest_with_retry(&format!("{};\n", v1_statement(13)), Some(6), 400);
-        assert_eq!(resp.expect("delivers").status, 200);
-        let served = client.summary(5).expect("summary").body;
-        server.shutdown();
-        server.join();
-        assert_eq!(
-            names(&dir),
-            [
-                format!("{snapshot_name}.imported"),
-                "ckpt.wal.00000001".into(),
-                "ckpt.wal.imported".into()
-            ],
-            "the v1 files are renamed aside, one segment holds their content"
-        );
-
-        // The second boot reads only segments.
-        std::fs::remove_file(dir.join(format!("{snapshot_name}.imported"))).expect("removes");
-        std::fs::remove_file(dir.join("ckpt.wal.imported")).expect("removes");
-        let (server, client) = start(v1_config(&dir));
-        assert_eq!(client.summary(5).expect("summary").body, served);
-        server.shutdown();
-        server.join();
-        assert_eq!(names(&dir), ["ckpt.wal.00000001"]);
-        let _ = std::fs::remove_dir_all(&dir);
+    for file in &v1 {
+        refuses(std::slice::from_ref(file));
     }
-
-    // A snapshot that does not parse refuses to start, naming the file:
-    // quietly falling back to `.prev` would drop what it held.
-    let dir = temp_dir("import_corrupt");
-    std::fs::write(dir.join("ckpt.json"), b"{ this is not a snapshot ]").expect("writes");
-    std::fs::write(dir.join("ckpt.json.prev"), V1_SNAPSHOT).expect("writes");
-    let err = match Server::bind("127.0.0.1:0", v1_config(&dir)) {
-        Err(e) => e.to_string(),
-        Ok(_) => panic!("an unparseable snapshot must refuse to start"),
-    };
-    assert!(err.contains("ckpt.json") && err.contains("cannot import v1 snapshot"), "{err}");
-    assert_eq!(names(&dir), ["ckpt.json", "ckpt.json.prev"], "nothing was moved or written");
+    refuses(&v1);
+    // What an earlier release's import renamed aside is not state.
+    std::fs::write(dir.join("ckpt.json.imported"), b"{}").expect("writes");
+    let (server, client) = start(config_with(&dir.join("ckpt.json"), 1 << 20));
+    assert_eq!(observed(&client), 6);
+    server.shutdown();
+    server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

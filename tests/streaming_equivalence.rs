@@ -10,8 +10,7 @@
 //! of `k`, per DESIGN.md §10.
 
 use isum_catalog::CatalogBuilder;
-use isum_common::Json;
-use isum_core::{Compressor, IncrementalIsum, Isum, IsumConfig};
+use isum_core::{Compressor, Contribution, IncrementalIsum, Isum, IsumConfig};
 use isum_workload::gen::{dsb_workload, tpch_workload};
 use isum_workload::Workload;
 
@@ -82,30 +81,56 @@ fn repeated_vectors() -> Workload {
     w
 }
 
-/// `IncrementalIsum::snapshot` of [`repeated_vectors`] as written when the
-/// observer stored one feature vector per query. The observer now stores
-/// one per distinct vector; the snapshot is the durable format of the
-/// serving daemon, so it must not have moved by a byte.
-const V1_SNAPSHOT: &str = include_str!("fixtures/incremental_v1.json");
+/// Per template of [`repeated_vectors`], in first-seen order: its
+/// fingerprint and, per instance, Δ and the feature entries `(table,
+/// column, weight)`, all as IEEE-754 bits. The one absolute pin of
+/// per-query feature weights and utilities: a change to featurization or
+/// to Δ that moves a bit fails here.
+type Pinned = (&'static str, &'static [(u64, &'static [(usize, usize, u64)])]);
+const PINNED: [Pinned; 4] = [
+    (
+        "SELECT a FROM t WHERE (b = ?())",
+        &[
+            (0x407f3e6666666667, &[(0, 1, 0x3ff0000000000000)]),
+            (0x407c1e8f5c28f5c3, &[(0, 1, 0x3ff0000000000000)]),
+            (0x4078feb851eb851f, &[(0, 1, 0x3ff0000000000000)]),
+        ],
+    ),
+    (
+        "SELECT a FROM t WHERE (c > ?()) GROUP BY c",
+        &[(0x4062c00000000000, &[(0, 2, 0x3ff0000000000000)])],
+    ),
+    ("SELECT count(*) FROM t", &[(0, &[])]),
+    (
+        "SELECT count(*) FROM t WHERE (c = ?()) GROUP BY c ORDER BY c",
+        &[(0x406ef00000000000, &[(0, 2, 0x3ff0000000000000)])],
+    ),
+];
 
 #[test]
-fn group_interned_state_reads_and_writes_the_v1_snapshot_bytes() {
+fn repeated_vectors_pin_feature_and_delta_bits() {
     let w = repeated_vectors();
     let mut inc = IncrementalIsum::new(IsumConfig::isum());
     inc.observe_workload(&w).expect("observes");
     assert_eq!(inc.len(), 6);
     assert_eq!(inc.distinct_vectors(), 3, "identical vectors are stored once");
-    assert_eq!(inc.snapshot().to_pretty(), V1_SNAPSHOT, "fresh state writes the v1 bytes");
-
-    let v1 = Json::parse(V1_SNAPSHOT).expect("fixture parses");
-    let restored = IncrementalIsum::restore(IsumConfig::isum(), &v1).expect("v1 restores");
-    assert_eq!(restored.distinct_vectors(), 3, "restore interns the same groups");
-    assert_eq!(restored.snapshot().to_pretty(), V1_SNAPSHOT, "restored state writes them back");
+    let partial = inc.shard_partial();
+    assert_eq!(partial.templates.len(), PINNED.len());
+    for ((fingerprint, instances), (pinned_fp, pinned)) in partial.templates.iter().zip(PINNED) {
+        assert_eq!(fingerprint, pinned_fp);
+        let bits = |c: &Contribution| {
+            let entries =
+                c.entries.iter().map(|(g, wt)| (g.table.index(), g.column.index(), wt.to_bits()));
+            (c.delta.to_bits(), entries.collect::<Vec<_>>())
+        };
+        let pinned: Vec<_> =
+            pinned.iter().map(|(delta, entries)| (*delta, entries.to_vec())).collect();
+        assert_eq!(instances.iter().map(bits).collect::<Vec<_>>(), pinned, "{fingerprint}");
+    }
 
     // Four of the six statements can be picked on their features; k = 6
     // also takes the two that cannot (by utility), as batch does.
     for k in [2, 6] {
         assert_equivalent(&w, k, &format!("repeated vectors k={k}"));
-        assert_eq!(restored.select(k).expect("selects"), inc.select(k).expect("selects"));
     }
 }
