@@ -6,7 +6,7 @@
 //! isum explain  --schema schema.json --workload workload.sql --query 3 [--tuned]
 //! isum dump     --workload gen:tpch:1:200:42 [--out workload.sql]
 //! isum serve    --schema tpch:1 --listen 127.0.0.1:7071 [--checkpoint state.json] [--queue-cap 64]
-//! isum client   <ingest|summary|explain|status|tune|healthz|telemetry|shutdown> --server 127.0.0.1:7071 [--tenant acme] ...
+//! isum client   <ingest|summary|explain|status|tune|healthz|shutdown> --server 127.0.0.1:7071 [--tenant acme] ...
 //! isum load     --server 127.0.0.1:7071 [--seed 42] [--connections 4] [--tenants 4] [--templates 12] [--rate 2.5]
 //! ```
 //!
@@ -137,7 +137,7 @@ fn usage() -> String {
          isum serve    --schema <json|tpch:sf|tpcds:sf|dsb:sf> [--listen <addr>]\n                \
          [--checkpoint <file>] [--queue-cap <n>] [--variant <v>]\n                \
          {}\n  \
-         isum client   <ingest|summary|explain|status|tune|healthz|telemetry|shutdown> --server <addr>\n                \
+         isum client   <ingest|summary|explain|status|tune|healthz|shutdown> --server <addr>\n                \
          [--workload <sql|gen:spec>] [-k <n>] [-m <n>] [--batch <n>] [--tenant <name>]\n  \
          isum load     --server <addr> [--seed <n>] [--connections <n>] [--tenants <n>]\n                \
          [--templates <1..22>] [--batch <n>] [--warmup <n>] [--measure <n>] [--soak <n>]\n                \
@@ -693,7 +693,6 @@ fn client_cmd(verb: Option<&str>, opts: &Options) -> Result<()> {
     let send = |r: std::io::Result<isum_server::ApiResponse>| -> Result<()> { show(r?) };
     match verb {
         Some("healthz") => send(client.healthz()),
-        Some("telemetry") => send(client.telemetry()),
         Some("shutdown") => send(client.shutdown()),
         Some("summary") => send(client.summary(opts.k)),
         Some("explain") => send(client.explain(opts.k)),
@@ -709,7 +708,7 @@ fn client_cmd(verb: Option<&str>, opts: &Options) -> Result<()> {
         }
         Some("ingest") => client_ingest(&client, opts),
         other => Err(Error::InvalidConfig(format!(
-            "client verb {} (expected ingest | summary | explain | status | tune | healthz | telemetry | shutdown)",
+            "client verb {} (expected ingest | summary | explain | status | tune | healthz | shutdown)",
             other.map_or("missing".into(), |v| format!("`{v}`"))
         ))),
     }
@@ -988,6 +987,15 @@ mod tests {
         let shards = [("--shards".to_string(), "2".to_string())];
         let refused = serve_config_for(&[]).expect("valid").apply_env(|_| None, &shards);
         assert_eq!(refused.err().as_deref(), Some("--shards is not a serve flag"));
+    }
+
+    #[test]
+    fn retired_client_verbs_are_unknown() {
+        // `/metrics` is the registry's one wire format, so there is no JSON
+        // verb for it. Refused before any connection is attempted.
+        let o = opts(&["--server", "127.0.0.1:1"]);
+        let err = client_cmd(Some("telemetry"), &o).expect_err("not a verb").to_string();
+        assert!(err.contains("client verb `telemetry`") && !err.contains("| telemetry"), "{err}");
     }
 
     #[test]

@@ -55,6 +55,14 @@ pub fn parse_level(s: &str) -> Option<Option<Level>> {
     }
 }
 
+/// True when `prefix` selects `target`: equal to it, or a `.`-boundary
+/// prefix of it (`server` matches `server.ingest`, not `serverless`).
+/// Public so wire endpoints (`/events?target=`) match exactly as the env
+/// filter does.
+pub fn target_matches(prefix: &str, target: &str) -> bool {
+    target.strip_prefix(prefix).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+}
+
 impl Filter {
     /// The default level used when `ISUM_LOG` is unset or its default
     /// directive is malformed.
@@ -95,16 +103,10 @@ impl Filter {
     /// The level in force for `target`: the most specific matching
     /// directive, else the default.
     pub fn level_for(&self, target: &str) -> Option<Level> {
-        for (prefix, level) in &self.directives {
-            if target == prefix
-                || (target.len() > prefix.len()
-                    && target.starts_with(prefix.as_str())
-                    && target.as_bytes()[prefix.len()] == b'.')
-            {
-                return *level;
-            }
-        }
-        self.default
+        self.directives
+            .iter()
+            .find(|(prefix, _)| target_matches(prefix, target))
+            .map_or(self.default, |(_, level)| *level)
     }
 
     /// True when an event at `level` from `target` passes the filter.
@@ -157,6 +159,11 @@ mod tests {
         let (f, _) = Filter::parse("off,server=debug");
         assert!(f.enabled("server.conn", Level::Debug));
         assert!(!f.enabled("serverless", Level::Error), "no substring matches");
+        assert!(target_matches("server", "server"), "equal target");
+        assert!(target_matches("server", "server.conn"), "child target");
+        assert!(target_matches("server", "server.conn.read"), "grandchild target");
+        assert!(!target_matches("server", "serverless"), "no substring matches");
+        assert!(!target_matches("server.conn", "server"), "a child never selects its parent");
     }
 
     #[test]

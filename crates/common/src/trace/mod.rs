@@ -39,7 +39,7 @@ mod event;
 mod ring;
 
 pub use event::Event;
-pub use filter::{parse_level, Filter};
+pub use filter::{parse_level, target_matches, Filter};
 pub use ring::Ring;
 
 use std::cell::RefCell;
@@ -94,7 +94,7 @@ struct TraceState {
     ring_level: Option<Level>,
 }
 
-/// Default ring capacity; override per-process with `ISUM_EVENTS_CAP`.
+/// Ring capacity: the newest 1,024 events stay inspectable.
 const DEFAULT_RING_CAPACITY: usize = 1024;
 
 /// Must equal `Filter::default().max_level()` so the gate is correct
@@ -121,13 +121,7 @@ fn state() -> MutexGuard<'static, TraceState> {
 
 /// The global event ring (created on first use).
 fn ring() -> &'static Ring {
-    RING.get_or_init(|| {
-        let cap = std::env::var("ISUM_EVENTS_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_RING_CAPACITY);
-        Ring::new(cap)
-    })
+    RING.get_or_init(|| Ring::new(DEFAULT_RING_CAPACITY))
 }
 
 /// Recomputes the cheap global gate from the locked state.

@@ -151,11 +151,6 @@ impl Client {
         }
     }
 
-    /// `GET /telemetry`.
-    pub fn telemetry(&self) -> io::Result<ApiResponse> {
-        self.get("/telemetry")
-    }
-
     /// `GET /metrics` (Prometheus text exposition in `body`).
     pub fn metrics(&self) -> io::Result<ApiResponse> {
         self.get("/metrics")

@@ -43,10 +43,10 @@ pub struct ServerConfig {
     /// Close a shard's active WAL segment and open the next once it
     /// reaches this many bytes (≥ 1).
     pub wal_segment_bytes: u64,
-    /// Slow-request capture threshold in milliseconds: a request whose
-    /// total stage time reaches it has its full timeline retained for
-    /// `GET /trace/recent`. `None` (the default) disables capture; `0`
-    /// captures everything.
+    /// Slow-request threshold in milliseconds: a request whose total
+    /// stage time reaches it emits one `warn!` event on target
+    /// `server.slow` carrying its `Server-Timing` timeline. `None` (the
+    /// default) emits none; `0` reports every request.
     pub slow_ms: Option<u64>,
 }
 
@@ -93,7 +93,7 @@ const KNOBS: [Knob; 5] = [
     Knob {
         env: "ISUM_SLOW_MS",
         flag: None,
-        want: "milliseconds (0 captures everything)",
+        want: "milliseconds (0 reports every request)",
         set: |c, v| assign(&mut c.slow_ms, v.parse().ok().map(Some)),
     },
 ];
@@ -265,7 +265,7 @@ mod tests {
         assert_eq!(
             config().apply_env(zero, &[]).unwrap().slow_ms,
             Some(0),
-            "0 captures everything"
+            "0 reports every request"
         );
         assert!(config().apply_env(|_| None, &[("--bogus".into(), "1".into())]).is_err());
     }

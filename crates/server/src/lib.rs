@@ -17,12 +17,16 @@
 //! | `POST /ingest[?seq=N]` | apply a `;`-separated SQL script (lenient per statement) to the request's tenant |
 //! | `GET /summary?k=N[&tenant=T]` | per-tenant: compress that shard to `k`, exact weight bits; no tenant + several shards: the merged template-level summary |
 //! | `GET /summary/explain?k=N[&tenant=T]` | per-member template attribution + coverage gauges (per-shard) |
-//! | `GET /status[?k=N]` | one-document rollup: seq, queue, WAL durability (position, bytes, segments), coverage, drift, span timings, per-shard breakdown |
+//! | `GET /status[?k=N]` | one-document rollup: seq, queue, WAL durability (position, bytes, segments), coverage, drift, per-shard breakdown |
 //! | `POST /tune?k=N[&m=M&advisor=dta\|dexter&budget_bytes=B&tenant=T]` | advisor on the shard's compressed workload |
 //! | `GET /healthz` | liveness + totals + shard count |
-//! | `GET /telemetry` | telemetry snapshot (when enabled) |
-//! | `GET /metrics` | Prometheus exposition + tenant-labeled `isum_shard_*` families |
+//! | `GET /metrics` | the telemetry registry in Prometheus exposition + tenant-labeled `isum_shard_*` / `isum_stage_seconds` families |
+//! | `GET /events?n=N[&level=L&target=T]` | newest trace events as JSON Lines, including `server.slow` when `ISUM_SLOW_MS` is set |
 //! | `POST /shutdown` | graceful drain (the log already holds every acknowledged batch) |
+//!
+//! Every response carries a `Server-Timing` header with its stage
+//! timeline. With `/metrics`, `/status` and `/events` that makes the
+//! daemon's four observability surfaces.
 //!
 //! Every endpoint accepts the tenant as either the `X-Isum-Tenant`
 //! header or a `tenant` query parameter (the parameter wins). Tenant

@@ -6,8 +6,8 @@
 //!           accept loop (nonblocking, polls shutdown flag)
 //!                │ one dedicated thread per connection
 //!                ▼
-//!   connection handler ──reads──► GET  /summary │ /telemetry │ /metrics
-//!                │                     /events  │ /healthz   │ /status
+//!   connection handler ──reads──► GET  /summary │ /metrics │ /status
+//!                │                     /events  │ /healthz
 //!                │              (resolve tenant's shard, answer inline;
 //!                │               no tenant + many shards ⇒ merged view)
 //!                │ POST /ingest (tenant from X-Isum-Tenant)
@@ -33,12 +33,11 @@
 //! (each already durable in its shard's log), and — when telemetry is
 //! enabled — a final snapshot is printed to stderr.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use isum_advisor::TuningConstraints;
@@ -48,21 +47,14 @@ use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock
 use crate::config::ServerConfig;
 use crate::http::{retry_after_value, Request, Response};
 use crate::shards::{
-    lock, unix_ms, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT, UNSEQ_KEY_BASE,
+    lock, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT, UNSEQ_KEY_BASE,
 };
-
-/// Cap on retained slow-request timelines: old entries are evicted FIFO,
-/// so the ring holds the most recent captures at a fixed memory bound.
-const SLOW_RING_CAP: usize = 256;
 
 /// State shared between the accept loop and connection handlers.
 struct Shared {
     router: ShardRouter,
     config: Arc<ServerConfig>,
     shutdown: AtomicBool,
-    /// The captured slow-request timelines, newest last, bounded at
-    /// [`SLOW_RING_CAP`]. Served verbatim by `GET /trace/recent`.
-    slow_ring: Mutex<VecDeque<Json>>,
     /// Bind time, for the `isum_process_uptime_seconds` gauge.
     started: Instant,
 }
@@ -95,7 +87,6 @@ impl Server {
             router: ShardRouter::start(Arc::clone(&config))?,
             config,
             shutdown: AtomicBool::new(false),
-            slow_ring: Mutex::new(VecDeque::new()),
             started: Instant::now(),
         });
 
@@ -287,13 +278,26 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         // split measured latency into server-side and network shares.
         clock.stamp(Stage::Respond);
         let timing = clock.server_timing();
-        let total_ms = clock.total().as_secs_f64() * 1e3;
         if let Some(shard) = served_by {
             shard.observe_stages(&clock);
         }
         if let Some(threshold) = shared.config.slow_ms {
+            // A slow request is one event under its request ID, carrying
+            // the header's own timeline string: the header and the log
+            // share one vocabulary (`parse_server_timing` reads both), and
+            // `total_ms` renders exactly as the header's `total` entry.
+            let total_ms = clock.total().as_nanos() as f64 / 1e6;
             if total_ms >= threshold as f64 {
-                capture_slow_request(shared, &req, &rid, resp.status, &clock);
+                count!("server.slow_captures");
+                isum_common::warn!(
+                    "server.slow",
+                    "slow request",
+                    method = req.method,
+                    path = req.path,
+                    status = resp.status,
+                    total_ms = format!("{total_ms:.3}"),
+                    server_timing = timing
+                );
             }
         }
         let keep_alive = req.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
@@ -306,40 +310,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             return;
         }
     }
-}
-
-/// Retains one slow request's full timeline in the bounded capture ring,
-/// as the JSON object `GET /trace/recent` serves verbatim: request ID,
-/// method, path, status, per-stage milliseconds, their total, and a
-/// wall-clock stamp (annotation only, like every timestamp here).
-fn capture_slow_request(
-    shared: &Shared,
-    req: &Request,
-    rid: &str,
-    status: u16,
-    clock: &StageClock,
-) {
-    count!("server.slow_captures");
-    let stages: Vec<(String, Json)> = isum_common::stage::STAGES
-        .iter()
-        .filter_map(|&s| {
-            clock.get(s).map(|d| (s.as_str().to_string(), Json::from(d.as_secs_f64() * 1e3)))
-        })
-        .collect();
-    let entry = Json::Obj(vec![
-        ("request_id".into(), Json::from(rid)),
-        ("method".into(), Json::from(req.method.as_str())),
-        ("path".into(), Json::from(req.path.as_str())),
-        ("status".into(), Json::from(u64::from(status))),
-        ("total_ms".into(), Json::from(clock.total().as_secs_f64() * 1e3)),
-        ("stages".into(), Json::Obj(stages)),
-        ("ts_ms".into(), Json::from(unix_ms())),
-    ]);
-    let mut ring = lock(&shared.slow_ring);
-    if ring.len() >= SLOW_RING_CAP {
-        ring.pop_front();
-    }
-    ring.push_back(entry);
 }
 
 /// The tenant a request addresses: the `tenant` query parameter when
@@ -419,26 +389,6 @@ fn try_route(
                 ("draining".into(), Json::from(shared.shutdown.load(Ordering::SeqCst))),
             ]),
         ),
-        ("GET", "/telemetry") => {
-            count!("server.requests.telemetry");
-            if telemetry::enabled() {
-                Response::json(200, &telemetry::snapshot().to_json())
-            } else {
-                Response::json(
-                    200,
-                    &Json::Obj(vec![
-                        ("enabled".into(), Json::from(false)),
-                        (
-                            "hint".into(),
-                            Json::from(
-                                "telemetry is disabled; start the server with ISUM_TELEMETRY=1 \
-                                 (or --stats) to collect metrics",
-                            ),
-                        ),
-                    ]),
-                )
-            }
-        }
         ("GET", "/metrics") => {
             count!("server.requests.metrics");
             let mut body = if telemetry::enabled() {
@@ -458,54 +408,27 @@ fn try_route(
             count!("server.requests.events");
             let n = positive_param(req, "n")?.unwrap_or(100);
             // `level=` accepts exactly the ISUM_LOG level vocabulary and
-            // keeps events at that severity or worse; `target=` matches
-            // the same dot-boundary prefix semantics the env filter uses.
-            let max_level = match req.param("level").map(parse_level) {
-                None => None,
-                Some(Some(Some(l))) => Some(l),
-                // Explicit `off`: a well-formed request for nothing.
-                Some(Some(None)) => return Ok(Response::raw(200, "application/x-ndjson", vec![])),
-                Some(None) => {
-                    return Err(param_error(
-                        "level",
-                        "must be one of off, error, warn, info, debug",
-                    ))
-                }
+            // keeps events at that severity or worse (`off` keeps none);
+            // `target=` is the env filter's dot-boundary prefix match.
+            let max_level = match req.param("level") {
+                None => Some(Level::Debug),
+                Some(level) => parse_level(level).ok_or_else(|| {
+                    param_error("level", "must be one of off, error, warn, info, debug")
+                })?,
             };
-            let target = match req.param("target") {
-                Some("") => return Err(param_error("target", "must be non-empty")),
-                target => target,
-            };
-            let matches_target = |event_target: &str| match target {
-                None => true,
-                Some(prefix) => {
-                    event_target == prefix
-                        || (event_target.len() > prefix.len()
-                            && event_target.starts_with(prefix)
-                            && event_target.as_bytes()[prefix.len()] == b'.')
-                }
-            };
+            let target = req.param("target");
+            if target == Some("") {
+                return Err(param_error("target", "must be non-empty"));
+            }
             // Filter over the whole ring (tail clamps to its capacity),
             // then keep the newest `n` survivors — so a narrow filter
             // still fills its quota from older events.
             let filtered: Vec<_> = trace::ring_tail(usize::MAX)
                 .into_iter()
-                .filter(|e| max_level.is_none_or(|max| e.level <= max))
-                .filter(|e| matches_target(&e.target))
+                .filter(|e| max_level.is_some_and(|max| e.level <= max))
+                .filter(|e| target.is_none_or(|prefix| trace::target_matches(prefix, &e.target)))
                 .collect();
             ndjson(filtered.iter().rev().take(n).rev().map(|event| event.to_jsonl()))
-        }
-        ("GET", "/trace/recent") => {
-            count!("server.requests.trace");
-            let n = positive_param(req, "n")?.unwrap_or(100);
-            if shared.config.slow_ms.is_none() {
-                return Err(Response::error(
-                    404,
-                    "slow-request capture is disabled; start the server with ISUM_SLOW_MS=<ms>",
-                ));
-            }
-            let ring = lock(&shared.slow_ring);
-            ndjson(ring.iter().rev().take(n).rev().map(Json::to_compact))
         }
         ("GET", "/status") => {
             count!("server.requests.status");
@@ -548,11 +471,9 @@ fn try_route(
             shared.shutdown.store(true, Ordering::SeqCst);
             Response::json(200, &Json::Obj(vec![("status".into(), Json::from("draining"))]))
         }
-        (
-            _,
-            "/healthz" | "/telemetry" | "/metrics" | "/events" | "/summary" | "/status"
-            | "/summary/explain" | "/trace/recent",
-        ) => Response::error(405, "use GET for this endpoint"),
+        (_, "/healthz" | "/metrics" | "/events" | "/summary" | "/status" | "/summary/explain") => {
+            Response::error(405, "use GET for this endpoint")
+        }
         (_, "/ingest" | "/tune" | "/shutdown") => {
             Response::error(405, "use POST for this endpoint")
         }
@@ -716,8 +637,9 @@ fn drift_score(ppm: i64) -> Json {
 /// lead sequencer position, total queue pressure, durability state (WAL
 /// position, size, segments, and when it last fsynced and rotated),
 /// summary quality (coverage at `k`, default `min(observed, 10)` —
-/// single-shard only), drift state, span timings, and a per-shard
-/// breakdown — reads only, so polling it cannot perturb results.
+/// single-shard only), drift state, and a per-shard breakdown — reads
+/// only, so polling it cannot perturb results. Span timings are
+/// `/metrics`' `isum_span_*` families.
 fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
     let shards = shared.router.shards();
     let config = &shared.config;
@@ -781,26 +703,6 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
             ("last_resummarize_unix_ms".into(), nonzero(max(|c| &c.last_resummarize_unix_ms))),
         ])
     };
-    let spans = if telemetry::enabled() {
-        let snap = telemetry::snapshot();
-        let tree: Vec<Json> = snap
-            .spans
-            .iter()
-            .map(|s| {
-                let count = s.count();
-                let total_ns = s.total_ns();
-                Json::Obj(vec![
-                    ("path".into(), Json::from(s.path.as_str())),
-                    ("count".into(), Json::from(count)),
-                    ("total_ns".into(), Json::from(total_ns)),
-                    ("mean_ns".into(), Json::from(total_ns.checked_div(count).unwrap_or(0))),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![("enabled".into(), Json::from(true)), ("tree".into(), Json::Arr(tree))])
-    } else {
-        Json::Obj(vec![("enabled".into(), Json::from(false)), ("tree".into(), Json::Arr(vec![]))])
-    };
     let shard_docs: Vec<Json> = shards
         .iter()
         .map(|s| {
@@ -855,7 +757,6 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
             ("durability".into(), durability),
             ("summary".into(), summary),
             ("drift".into(), drift),
-            ("spans".into(), spans),
             ("shards".into(), Json::Arr(shard_docs)),
         ]),
     )

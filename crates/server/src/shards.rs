@@ -517,7 +517,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Wall-clock milliseconds since the Unix epoch — used only to annotate
 /// `/status`, never in any data-path decision.
-pub(crate) fn unix_ms() -> u64 {
+fn unix_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
 }
 

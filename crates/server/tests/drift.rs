@@ -142,8 +142,7 @@ fn drift_tracking_end_to_end() {
     assert!(field(&status, &["summary", "represented_fraction"]).as_f64().unwrap() > 0.0);
     assert_eq!(field(&status, &["drift", "window"]).as_u64(), Some(8));
     assert_eq!(field(&status, &["drift", "window_len"]).as_u64(), Some(8));
-    assert_eq!(field(&status, &["spans", "enabled"]).as_bool(), Some(true));
-    assert!(field(&status, &["spans", "tree"]).as_array().is_some());
+    assert!(status.field("spans").is_none(), "span timings are /metrics' isum_span_* families");
 
     // --- The disabled server reports drift off and has no alerts. ---
     let status_b = b.status(None).expect("status");

@@ -92,12 +92,13 @@ fn injected_ingest_faults_are_retryable_and_converge() {
     assert_eq!(live.body, expected, "converged state is bit-identical to fault-free");
 
     // Telemetry saw the injected faults.
-    let telem = client.telemetry().expect("telemetry");
-    assert_eq!(telem.status, 200);
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.status, 200);
     assert!(
-        telem.body.contains("server.ingest.faults") && telem.body.contains("faults.injected"),
+        metrics.body.contains("\nisum_server_ingest_faults ")
+            && metrics.body.contains("\nisum_faults_injected "),
         "fault counters must be visible: {}",
-        telem.body
+        metrics.body
     );
 
     isum_faults::set_global_spec("").expect("reset");

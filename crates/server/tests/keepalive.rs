@@ -96,16 +96,15 @@ fn summary_render_cache_hits_and_invalidates_on_ingest() {
     let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
 
     let counters = || {
-        let telem = client.telemetry().expect("telemetry");
+        let metrics = client.metrics().expect("metrics");
         let count = |name: &str| {
-            telem
-                .json
-                .get("counters")
-                .and_then(|c| c.get(name))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
+            metrics
+                .body
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or(0u64)
         };
-        (count("server.summary.cache_hits"), count("server.summary.cache_misses"))
+        (count("isum_server_summary_cache_hits"), count("isum_server_summary_cache_misses"))
     };
 
     for seq in 0..6u64 {

@@ -1,6 +1,6 @@
 //! Observability end to end over real TCP: request-ID round-trip,
 //! `/metrics` Prometheus exposition, `/events` attribution of injected
-//! faults, and the explicit disabled-telemetry bodies.
+//! faults and of slow requests, and the explicit disabled-telemetry body.
 //!
 //! One test function: the trace ring, telemetry flag, and fault injector
 //! are process-global, so the phases must run in a fixed order (and this
@@ -36,14 +36,6 @@ fn observability_end_to_end() {
     let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
 
     // --- Disabled telemetry is explicit, not an empty response. ---
-    let telem = client.telemetry().expect("telemetry");
-    assert_eq!(telem.status, 200);
-    assert_eq!(telem.field("enabled").and_then(|v| v.as_bool()), Some(false));
-    assert!(
-        telem.field("hint").and_then(|v| v.as_str()).unwrap_or("").contains("ISUM_TELEMETRY"),
-        "disabled body names the enabling env var: {}",
-        telem.body
-    );
     let metrics = client.metrics().expect("metrics");
     assert_eq!(metrics.status, 200);
     assert!(
@@ -226,11 +218,21 @@ fn observability_end_to_end() {
     let bad = client.get("/events?target=").expect("events");
     assert_eq!(bad.status, 400);
     assert_eq!(bad.field("param").and_then(Json::as_str), Some("target"), "{}", bad.body);
+    // `level=off` asks for nothing, but a malformed `target` is still reported.
+    let bad = client.get("/events?level=off&target=").expect("events");
+    assert_eq!(bad.status, 400, "{}", bad.body);
+    assert_eq!(bad.field("param").and_then(Json::as_str), Some("target"), "{}", bad.body);
 
-    // --- Capture off by default: /trace/recent 404s and names the knob. ---
-    let resp = client.get("/trace/recent").expect("trace");
-    assert_eq!(resp.status, 404);
-    assert!(resp.body.contains("ISUM_SLOW_MS"), "disabled capture names the knob: {}", resp.body);
+    // --- Four surfaces: the registry's JSON face and the capture ring are gone. ---
+    for retired in ["/telemetry", "/trace/recent"] {
+        let resp = client.get(retired).expect("answers");
+        assert_eq!(resp.status, 404, "{retired}: {}", resp.body);
+        assert!(resp.body.contains("no such endpoint"), "{retired}: {}", resp.body);
+    }
+    // Without ISUM_SLOW_MS no request is reported slow.
+    let slow = client.get("/events?target=server.slow&n=1024").expect("events");
+    assert_eq!(slow.status, 200);
+    assert_eq!(slow.body, "", "slow reporting is off by default");
 
     // --- No log configured: /status says so and reports no segments. ---
     let status = client.status(None).expect("status");
@@ -245,12 +247,12 @@ fn observability_end_to_end() {
     assert_eq!(durability.get("segments").and_then(Json::as_u64), Some(0), "{}", status.body);
     assert!(status.field("checkpoint").is_none(), "the snapshot block went with the snapshot");
 
-    // --- Slow capture on a durable server: the stages of a logged batch. ---
+    // --- Slow requests on a durable server: the stages of a logged batch. ---
     let dir = std::env::temp_dir().join(format!("isum_obs_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let mut config = ServerConfig::new(catalog());
-    config.slow_ms = Some(0); // capture everything
+    config.slow_ms = Some(0); // every request is slow
     config.checkpoint = Some(dir.join("ckpt.json"));
     config.wal_segment_bytes = 1; // rotate after every batch
     let slow_server = Server::bind("127.0.0.1:0", config).expect("binds");
@@ -265,25 +267,34 @@ fn observability_end_to_end() {
         )
         .expect("ingest");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let traces = slow_client.get("/trace/recent?n=8").expect("trace");
-    assert_eq!(traces.status, 200, "{}", traces.body);
-    let line = traces
+    let slow = slow_client.get("/events?level=warn&target=server.slow&n=1024").expect("events");
+    assert_eq!(slow.status, 200, "{}", slow.body);
+    let mine: Vec<Json> = slow
         .body
         .lines()
-        .find(|l| l.contains("\"request_id\":\"slow-0\""))
-        .expect("threshold 0 captures every request");
-    let entry = Json::parse(line).expect("trace entries are JSON");
-    let captured = entry.get("stages").expect("entry carries the stage breakdown");
+        .map(|l| Json::parse(l).expect("events are JSON"))
+        .filter(|e| e.get("request_id").and_then(Json::as_str) == Some("slow-0"))
+        .collect();
+    assert_eq!(mine.len(), 1, "threshold 0 reports the request exactly once:\n{}", slow.body);
+    let event = &mine[0];
+    assert_eq!(event.get("level").and_then(Json::as_str), Some("warn"));
+    let fields = event.get("fields").expect("the event carries fields");
+    assert_eq!(fields.get("method").and_then(Json::as_str), Some("POST"));
+    assert_eq!(fields.get("path").and_then(Json::as_str), Some("/ingest"));
+    assert_eq!(fields.get("status").and_then(Json::as_str), Some("200"));
+    // The log and the header share one string, so one parser reads both.
+    let timing = resp.header("server-timing").expect("ingest carries Server-Timing");
+    assert_eq!(fields.get("server_timing").and_then(Json::as_str), Some(timing));
+    let total_ms = fields.get("total_ms").and_then(Json::as_str).expect("total_ms field");
+    assert!(timing.ends_with(&format!("total;dur={total_ms}")), "{total_ms} vs {timing}");
+    let stages = parse_server_timing(timing);
     for want in ["recv", "queue", "wal_append", "fsync", "apply"] {
-        assert!(captured.get(want).is_some(), "WAL-backed ingest records `{want}`: {line}");
+        let recorded = stages.iter().any(|(s, _)| s == want);
+        assert!(recorded, "WAL-backed ingest records `{want}`: {timing}");
     }
     // Nothing is snapshotted on the ack path any more, rotation included
     // (its fsyncs are charged to `fsync`).
-    assert!(captured.get("checkpoint").is_none(), "{line}");
-    let timing = resp.header("server-timing").expect("ingest carries Server-Timing");
-    assert!(timing.contains("fsync;dur=") && !timing.contains("checkpoint"), "{timing}");
-    assert!(entry.get("total_ms").and_then(Json::as_f64).is_some(), "{line}");
-    assert_eq!(entry.get("path").and_then(Json::as_str), Some("/ingest"), "{line}");
+    assert!(!stages.iter().any(|(s, _)| s == "checkpoint"), "{timing}");
     let status = slow_client.status(None).expect("status");
     let durability = status.field("durability").expect("durability block");
     assert_eq!(durability.get("segments").and_then(Json::as_u64), Some(2), "{}", status.body);
