@@ -32,7 +32,7 @@ use isum_workload::{QueryInfo, Workload};
 use crate::features::{FeatureMemo, Featurizer};
 use crate::groups::Grouping;
 use crate::isum::{weighted, IsumConfig};
-use crate::utility::UtilityMode;
+use crate::utility::{normalize, UtilityMode};
 use crate::weighting::weigh_grouped;
 use isum_workload::CompressedWorkload;
 
@@ -152,7 +152,8 @@ impl IncrementalIsum {
             return Err(isum_common::Error::InvalidConfig("no queries observed".into()));
         }
         let _s = isum_common::telemetry::span("incremental");
-        let utilities = self.normalized_utilities();
+        // The batch path's normalization (`utility::utilities`).
+        let utilities = normalize(&self.raw_reductions);
         let selection = self.config.select(&self.features, utilities.clone(), k);
         let weights = weigh_grouped(
             self.config.weighting,
@@ -164,16 +165,6 @@ impl IncrementalIsum {
         Ok(weighted(&selection, weights))
     }
 
-    /// Same normalization as `utility::utilities` on the batch path.
-    fn normalized_utilities(&self) -> Vec<f64> {
-        let total: f64 = self.raw_reductions.iter().sum();
-        if total <= 0.0 {
-            vec![0.0; self.len()]
-        } else {
-            self.raw_reductions.iter().map(|r| r / total).collect()
-        }
-    }
-
     /// Selects `k` queries and derives per-member attribution + coverage
     /// for the result. Observation-only: the underlying selection is
     /// exactly what [`select`](Self::select) returns, and this method
@@ -183,7 +174,7 @@ impl IncrementalIsum {
     /// Same failure modes as [`select`](Self::select).
     pub fn explain(&self, k: usize) -> Result<crate::SummaryExplanation> {
         let cw = self.select(k)?;
-        let utilities = self.normalized_utilities();
+        let utilities = normalize(&self.raw_reductions);
         Ok(crate::explain::explain_grouped(
             &cw.entries,
             &self.template_of,

@@ -70,6 +70,13 @@ impl Accumulator {
         dense
     }
 
+    /// Every column of `v`, zero weights included, each with weight 1.
+    pub fn support(&self, v: &FeatureVec) -> SparseVec<u32> {
+        let mut support = SparseVec::default();
+        support.refill(v.entries().iter().map(|&(g, _)| (self.rank(g) as u32, 1.0)));
+        support
+    }
+
     /// Forgets every sum.
     pub fn clear(&mut self) {
         self.v.fill(UNTOUCHED);
@@ -190,9 +197,89 @@ pub(crate) fn summary_influence<K: Ord + Copy>(
     }
 }
 
+/// Relative amount by which [`benefit_bound`] is inflated away from zero.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// An upper bound on the benefit `u + summary_influence(q, u, summary,
+/// total_utility)` that holds for every utility `u` in `[u_lo, u_hi]`:
+/// one bound for all classes of a feature group, which share `q` and
+/// differ only in their utility.
+///
+/// With `T` the total utility, `scale(u) = T/(T−u)` increases with `u` and
+/// `max(0, s_c − u·w)` decreases with it, so for a column `c` of `q` the
+/// reduced summary entry lies in `[v'_lo, v'_hi]`, where
+/// `v'_lo = max(0, s_c − u_hi·w)·scale(u_lo)` and
+/// `v'_hi = max(0, s_c − u_lo·w)·scale(u_hi)`; a summary column outside
+/// `q` adds at least `s_c·scale(u_lo)` to the max-sum. Hence
+/// `J ≤ min(1, Σ min(w, v'_hi) / max_lo)` with `max_lo` the max-sum
+/// taken at the `v'_lo` ends, and the bound is `u_hi + J`.
+///
+/// **Rounding.** Every term above is computed by the operations
+/// [`influence_via_summary`] performs on the same operands, with `u` replaced
+/// by an end of the range, and both sums fold in the same column order.
+/// IEEE-754 rounding is monotone, so each computed term, partial sum,
+/// quotient and the final addition is on the right side of its
+/// counterpart bit for bit: the unscaled bound already holds exactly.
+/// The margin keeps it sound for any fold order: a sum of `m`
+/// non-negative terms rounded in any order is within a relative
+/// `(m−1)·2⁻⁵³` of the exact one, and the min-sum has `|q|` terms, the
+/// max-sum at most `|q| + |summary|`. A relative 1e-9 is about `9·10⁶`
+/// such units, so it covers both sums, the quotient and the final
+/// addition for up to ~3 million columns, far beyond any catalog's.
+///
+/// **Non-finite inputs.** The bound is `+∞` — "evaluate exactly" — when
+/// `T` or an end of the range is non-finite, when `u_lo < 0` (the
+/// monotonicity argument needs `u ≥ 0`), when `T − u_hi ≤ ε` (the exact
+/// evaluation takes its zero branch) and when the bound itself comes out
+/// non-finite.
+pub fn benefit_bound<K: Ord + Copy>(
+    q: &SparseVec<K>,
+    (u_lo, u_hi): (f64, f64),
+    summary: &SparseVec<K>,
+    total_utility: f64,
+) -> f64 {
+    let reduced = total_utility - u_hi;
+    let finite = total_utility.is_finite() && u_lo.is_finite() && u_hi.is_finite();
+    if !finite || u_lo < 0.0 || reduced <= f64::EPSILON {
+        return f64::INFINITY;
+    }
+    let scale_lo = total_utility / (total_utility - u_lo);
+    let scale_hi = total_utility / reduced;
+    // The fold of `summary_influence`, with the min-sum taken at the
+    // `v'_hi` ends and the max-sum at the `v'_lo` ends.
+    let se = summary.entries();
+    let mut min_hi = 0.0;
+    let mut max_lo = 0.0;
+    let mut b = 0;
+    for &(c, w) in q.entries() {
+        while b < se.len() && se[b].0 < c {
+            max_lo += se[b].1.max(0.0) * scale_lo;
+            b += 1;
+        }
+        if b < se.len() && se[b].0 == c {
+            min_hi += w.min((se[b].1 - u_lo * w).max(0.0) * scale_hi);
+            max_lo += w.max((se[b].1 - u_hi * w).max(0.0) * scale_lo);
+            b += 1;
+        } else {
+            min_hi += w.min(0.0);
+            max_lo += w.max(0.0);
+        }
+    }
+    for &(_, v) in &se[b..] {
+        max_lo += v.max(0.0) * scale_lo;
+    }
+    let ratio = min_hi / max_lo;
+    let bound = u_hi + ratio.min(1.0);
+    if !ratio.is_finite() || !bound.is_finite() {
+        return f64::INFINITY;
+    }
+    bound + bound.abs() * BOUND_MARGIN
+}
+
 /// The linear-time greedy selection (Algorithm 3 inside the Algorithm 2
-/// loop): per iteration one summary build plus one similarity per class of
-/// queries with equal vectors and utilities.
+/// loop): per iteration one summary build, one bound per feature group
+/// and one similarity per class of queries with equal vectors and
+/// utilities whose group's bound can reach the best pick.
 pub fn select_summary(
     features: Vec<FeatureVec>,
     original: &[FeatureVec],
@@ -210,11 +297,27 @@ pub fn select_summary(
 /// update is per group, and `U −= U·S_g` is per (utility, group). So the
 /// members of a class — equal group, bit-equal utility at the start of the
 /// run — have bit-equal benefits in every round, and a later member can
-/// never strictly beat an earlier one in the index-order argmax. Each round
-/// therefore evaluates only the smallest unselected member of each class,
-/// and picks exactly what the per-query scan picks, under every
-/// [`UpdateStrategy`] and NaN utilities included. The summary stays a
-/// per-query fold: its per-column operand order fixes its bits.
+/// never strictly beat an earlier one in the index-order argmax. Only the
+/// smallest unselected member of each class, its *head*, is a contender.
+///
+/// Each round bounds before it refines. The classes of a group share its
+/// vector, so one [`benefit_bound`] over the range of their utilities
+/// bounds every head of the group. Groups are visited in descending bound;
+/// each visited group has all its heads evaluated exactly, and the visit
+/// stops at the first group whose bound is below the best benefit found
+/// so far. A skipped head's benefit is below that best, hence below the
+/// round's maximum, so the first strict maximum over the evaluated heads
+/// in index order is the per-query scan's pick, tie-break and recorded
+/// benefit, under every [`UpdateStrategy`].
+///
+/// Non-finite inputs evaluate everything: a non-finite total (which any
+/// non-finite head utility makes it) turns every bound into `+∞`, and so
+/// index order decides exactly as in the plain scan, NaN ordering
+/// included. A NaN benefit from finite inputs can only come from a group
+/// whose bound is itself non-finite, hence `+∞`; such groups are visited
+/// first, and once one yields NaN the visit no longer stops early. The
+/// summary stays a per-query fold: its per-column operand order fixes its
+/// bits.
 pub(crate) fn select_grouped(
     groups: &Grouping,
     utilities: Vec<f64>,
@@ -222,22 +325,74 @@ pub(crate) fn select_grouped(
     strategy: UpdateStrategy,
 ) -> Selection {
     let n = groups.len();
-    let mut classes = Classes::new(groups.group_of(), &utilities);
+    let mut classes = Classes::new(groups.group_of(), groups.groups(), &utilities);
     let mut state = GreedyState::new(groups, utilities, vec![false; n]);
-    let mut evaluations = 0u64;
+    let mut heads: Vec<u32> = Vec::new();
+    let mut spans: Vec<Span> = Vec::new();
+    let mut evaluated: Vec<(usize, f64)> = Vec::new();
+    let (mut bounds, mut evaluations) = (0u64, 0u64);
     let selection = greedy_select(&mut state, k, strategy, |state| {
-        // Regenerate the summary over unselected queries, then one
-        // similarity per class against it, in index order.
         let total_utility = state.summarize();
-        classes.skip_selected(&state.selected);
-        first_strict_max(classes.heads().filter(|&i| state.candidate(i)).map(|i| {
-            evaluations += 1;
-            let u = state.utilities[i];
-            (i, u + summary_influence(state.vector(i), u, state.summary(), total_utility))
-        }))
+        // The heads of every group that has candidates, group after
+        // group, and one bound over the range of their utilities. A
+        // non-finite head utility makes the total non-finite too, so every
+        // bound is then `+∞`.
+        heads.clear();
+        spans.clear();
+        for g in 0..groups.groups() {
+            let q = state.group(g);
+            if q.is_empty() {
+                continue;
+            }
+            let start = heads.len();
+            classes.heads(g, &state.selected, &mut heads);
+            if heads.len() == start {
+                continue;
+            }
+            let range = heads[start..]
+                .iter()
+                .map(|&i| state.utilities[i as usize])
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), u| (lo.min(u), hi.max(u)));
+            let bound = benefit_bound(q, range, state.summary(), total_utility);
+            spans.push(Span { group: g, start, end: heads.len(), bound });
+        }
+        bounds += spans.len() as u64;
+        spans.sort_unstable_by(|a, b| b.bound.total_cmp(&a.bound));
+        // Refine: exact benefits, best bound first, until no bound left
+        // can reach the best benefit.
+        evaluated.clear();
+        let mut best = f64::NEG_INFINITY;
+        let mut exhaustive = false;
+        for span in &spans {
+            if !exhaustive && span.bound < best {
+                break;
+            }
+            let q = state.group(span.group);
+            for &i in &heads[span.start..span.end] {
+                let i = i as usize;
+                let u = state.utilities[i];
+                let b = u + summary_influence(q, u, state.summary(), total_utility);
+                exhaustive |= b.is_nan();
+                best = best.max(b);
+                evaluated.push((i, b));
+            }
+        }
+        evaluations += evaluated.len() as u64;
+        evaluated.sort_unstable_by_key(|&(i, _)| i);
+        first_strict_max(evaluated.iter().copied())
     });
+    isum_common::count!("core.select.bounds", bounds);
     isum_common::count!("core.select.evaluations", evaluations);
     selection
+}
+
+/// The heads of one group in one round, `heads[start..end]` of
+/// [`select_grouped`], and the group's bound.
+struct Span {
+    group: usize,
+    start: usize,
+    end: usize,
+    bound: f64,
 }
 
 /// The queries of a greedy run partitioned into classes of equal group and
@@ -250,13 +405,13 @@ struct Classes {
     end: Vec<usize>,
     /// Per class, where its smallest unselected member is in `members`.
     next: Vec<usize>,
-    /// `(smallest unselected member, class)` of every class that has one,
-    /// in ascending member order.
-    heads: Vec<(u32, u32)>,
+    /// Per group, its classes that had an unselected member when last
+    /// visited.
+    of_group: Vec<Vec<u32>>,
 }
 
 impl Classes {
-    fn new(group_of: &[u32], utilities: &[f64]) -> Self {
+    fn new(group_of: &[u32], groups: usize, utilities: &[f64]) -> Self {
         assert!(u32::try_from(group_of.len()).is_ok(), "query indices fit u32");
         let mut ids: HashMap<(u32, u64), u32> = HashMap::new();
         let class_of: Vec<u32> = group_of
@@ -283,38 +438,28 @@ impl Classes {
             next[c as usize] -= 1;
             members[next[c as usize]] = i as u32;
         }
-        // Classes are numbered by first appearance, so their first members
-        // ascend in class order.
-        let heads = next.iter().enumerate().map(|(c, &at)| (members[at], c as u32)).collect();
-        Self { members, end, next, heads }
-    }
-
-    /// Replaces every selected head by its class's next unselected member.
-    fn skip_selected(&mut self, selected: &[bool]) {
-        let mut h = 0;
-        while h < self.heads.len() {
-            let (i, c) = self.heads[h];
-            if !selected[i as usize] {
-                h += 1;
-                continue;
-            }
-            self.heads.remove(h);
-            let c = c as usize;
-            while self.next[c] < self.end[c] && selected[self.members[self.next[c]] as usize] {
-                self.next[c] += 1;
-            }
-            if self.next[c] < self.end[c] {
-                // A later member of the class: its place is at or after `h`.
-                let m = self.members[self.next[c]];
-                let at = self.heads.partition_point(|&(j, _)| j < m);
-                self.heads.insert(at, (m, c as u32));
-            }
+        let mut of_group = vec![Vec::new(); groups];
+        for (c, &at) in next.iter().enumerate() {
+            of_group[group_of[members[at] as usize] as usize].push(c as u32);
         }
+        Self { members, end, next, of_group }
     }
 
-    /// The class representatives, in ascending index order.
-    fn heads(&self) -> impl Iterator<Item = usize> + '_ {
-        self.heads.iter().map(|&(i, _)| i as usize)
+    /// Appends the head of every class of group `g` that has one to
+    /// `out`, first moving each class past its selected members and
+    /// forgetting the classes that have none left.
+    fn heads(&mut self, g: usize, selected: &[bool], out: &mut Vec<u32>) {
+        let Self { members, end, next, of_group } = self;
+        of_group[g].retain(|&c| {
+            let c = c as usize;
+            while next[c] < end[c] && selected[members[next[c]] as usize] {
+                next[c] += 1;
+            }
+            if next[c] < end[c] {
+                out.push(members[next[c]]);
+            }
+            next[c] < end[c]
+        });
     }
 }
 

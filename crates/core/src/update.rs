@@ -43,6 +43,10 @@ pub(crate) struct GreedyState<'a> {
     acc: Accumulator,
     /// Current (updated) vector of every group.
     current: Vec<SparseVec<u32>>,
+    /// Every column of each group's vector as a per-query fold holds it:
+    /// updates zero weights but keep the column, so this is the start
+    /// vector's columns until a reset restores the original's.
+    supports: Vec<SparseVec<u32>>,
     /// Unselected members of every group.
     members: Vec<u32>,
     /// Per-group `S(q_s, ·)` of the update in progress.
@@ -77,6 +81,7 @@ impl<'a> GreedyState<'a> {
             (0..g).flat_map(|g| [groups.current(g).entries(), groups.original(g).entries()]),
         );
         let current: Vec<SparseVec<u32>> = (0..g).map(|g| acc.densify(start(groups, g))).collect();
+        let supports = (0..g).map(|g| acc.support(start(groups, g))).collect();
         let mut members = vec![0u32; g];
         for (&g, &sel) in groups.group_of().iter().zip(&selected) {
             members[g as usize] += u32::from(!sel);
@@ -85,6 +90,7 @@ impl<'a> GreedyState<'a> {
             groups,
             acc,
             current,
+            supports,
             members,
             sims: vec![0.0; g],
             summary: SparseVec::default(),
@@ -95,7 +101,12 @@ impl<'a> GreedyState<'a> {
 
     /// The current vector of query `i`.
     pub fn vector(&self, i: usize) -> &SparseVec<u32> {
-        &self.current[self.groups.group_of()[i] as usize]
+        self.group(self.groups.group_of()[i] as usize)
+    }
+
+    /// The current vector of group `g`.
+    pub fn group(&self, g: usize) -> &SparseVec<u32> {
+        &self.current[g]
     }
 
     /// `v` over this state's dense column ranks; its columns must be
@@ -116,6 +127,12 @@ impl<'a> GreedyState<'a> {
     /// total utility. Only the positive entries of `V` are kept: a column
     /// where `V` is zero adds `+0.0` to both weighted-Jaccard sums of any
     /// vector it is compared with, so dropping it changes no bit.
+    ///
+    /// That holds while the total is finite. A non-finite total makes the
+    /// rescale factor `T/(T − u)` of every benefit NaN, so every column the
+    /// fold touched counts by its presence alone, whatever its value; the
+    /// summary is then the columns of every in-play query of positive
+    /// utility, zero weights included, each with weight 1.
     pub fn summarize(&mut self) -> f64 {
         self.acc.clear();
         let mut total = 0.0;
@@ -124,6 +141,14 @@ impl<'a> GreedyState<'a> {
                 total += self.utilities[i];
                 if self.utilities[i] > 0.0 {
                     self.acc.add(&self.current[g as usize], self.utilities[i]);
+                }
+            }
+        }
+        if !total.is_finite() {
+            self.acc.clear();
+            for (i, &g) in self.groups.group_of().iter().enumerate() {
+                if !self.selected[i] && self.utilities[i] > 0.0 {
+                    self.acc.add(&self.supports[g as usize], 1.0);
                 }
             }
         }
@@ -180,6 +205,7 @@ impl<'a> GreedyState<'a> {
         for g in 0..self.current.len() {
             if self.members[g] > 0 {
                 self.current[g] = self.acc.densify(self.groups.original(g));
+                self.supports[g] = self.acc.support(self.groups.original(g));
                 restored |= !self.current[g].is_empty();
             }
         }

@@ -34,11 +34,23 @@ pub fn raw_reduction(workload: &Workload, idx: usize, mode: UtilityMode) -> f64 
 /// reduction is positive; all zeros otherwise).
 pub fn utilities(workload: &Workload, mode: UtilityMode) -> Vec<f64> {
     let raw: Vec<f64> = (0..workload.len()).map(|i| raw_reduction(workload, i, mode)).collect();
+    normalize(&raw)
+}
+
+/// `Δ_i / Σ_j Δ_j` for every reduction, or all zeros when the total is not
+/// positive. Finite reductions whose total overflows to `+∞` are first
+/// divided by the largest of them, so they keep their proportions instead
+/// of all becoming 0; a finite total keeps the plain quotients' bits.
+pub(crate) fn normalize(raw: &[f64]) -> Vec<f64> {
     let total: f64 = raw.iter().sum();
+    if total == f64::INFINITY && raw.iter().all(|r| r.is_finite()) {
+        let largest = raw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        return normalize(&raw.iter().map(|r| r / largest).collect::<Vec<_>>());
+    }
     if total <= 0.0 {
         return vec![0.0; raw.len()];
     }
-    raw.into_iter().map(|r| r / total).collect()
+    raw.iter().map(|r| r / total).collect()
 }
 
 #[cfg(test)]
@@ -101,6 +113,25 @@ mod tests {
         w.set_costs(&[0.0, 0.0, 0.0]);
         let u = utilities(&w, UtilityMode::CostOnly);
         assert_eq!(u, vec![0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn overflowing_total_keeps_proportions() {
+        let u = normalize(&[1e308, 1e308, 1e308, 10.0]);
+        assert!(u[..3].iter().all(|&x| x == 1.0 / 3.0), "{u:?}");
+        assert!(u[3] > 0.0 && u[3] < 1e-300, "the cheap one keeps a tiny share: {u:?}");
+        assert!((u.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        // The batch path, through the workload's costs.
+        let mut w = workload();
+        w.set_costs(&[1e308, 1e308, 10.0]);
+        let u = utilities(&w, UtilityMode::CostOnly);
+        assert_eq!(&u[..2], &[0.5, 0.5]);
+        assert!(u[2] > 0.0 && u[2] < 1e-300, "{u:?}");
+        // A finite total keeps the plain quotients, bit for bit.
+        let raw = [0.1, 0.7, 1e300, 3.0];
+        let total: f64 = raw.iter().sum();
+        let plain: Vec<u64> = raw.iter().map(|r| (r / total).to_bits()).collect();
+        assert_eq!(normalize(&raw).iter().map(|x| x.to_bits()).collect::<Vec<_>>(), plain);
     }
 
     #[test]

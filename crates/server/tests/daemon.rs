@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use isum_catalog::{Catalog, CatalogBuilder};
-use isum_core::IsumConfig;
+use isum_core::{Compressor, Isum, IsumConfig};
 use isum_server::{Client, Engine, Server, ServerConfig};
 
 fn catalog() -> Catalog {
@@ -139,6 +139,35 @@ fn summary_over_featureless_statements_answers_and_ingest_goes_on() {
         done.send(()).expect("test is waiting");
     });
     finished.recv_timeout(Duration::from_secs(30)).expect("daemon answered and shut down");
+}
+
+/// Finite `-- cost:` annotations whose total overflows: the live summary
+/// is the batch compressor's, byte for byte, and the cheap statement keeps
+/// its tiny utility instead of weighing as much as the expensive ones.
+#[test]
+fn overflowing_costs_serve_what_batch_compresses() {
+    let script = "-- cost: 1e308\nSELECT o_id FROM orders WHERE o_cust = 7;\n\
+                  -- cost: 1e308\nSELECT l_id FROM lines WHERE l_order = 11;\n\
+                  -- cost: 1e308\nSELECT o_id FROM orders WHERE o_total = 5;\n\
+                  -- cost: 10\nSELECT l_id FROM lines WHERE l_qty = 3;\n";
+    let (server, client) = start(ServerConfig::new(catalog()));
+    let resp = client.ingest_with_retry(script, Some(0), 10).expect("ingest delivers");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let live = client.summary(4).expect("summary");
+    assert_eq!(live.status, 200, "{}", live.body);
+    server.shutdown();
+    server.join();
+
+    let w = isum_workload::load_script(catalog(), script).expect("script loads");
+    let batch = Isum::new().compress(&w, 4).expect("batch compresses");
+    let mut body =
+        isum_server::summary_to_json(4, w.len(), w.template_count(), &batch.entries).to_pretty();
+    body.push('\n');
+    assert_eq!(live.body, body, "served ≡ batch");
+    let weight = |q: usize| batch.entries.iter().find(|(id, _)| id.index() == q).expect("picked").1;
+    for q in 0..3 {
+        assert!(weight(3) < weight(q) * 1e-6, "cheap {} vs {}: {}", weight(3), weight(q), body);
+    }
 }
 
 #[test]
