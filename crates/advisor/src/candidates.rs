@@ -147,11 +147,11 @@ fn slot_used_columns(bound: &BoundQuery, table: TableId) -> Vec<ColumnId> {
     for f in &bound.filters {
         add(f.column.gid.table, f.column.gid.column);
     }
-    for j in &bound.joins {
+    for j in bound.joins.iter() {
         add(j.left.gid.table, j.left.gid.column);
         add(j.right.gid.table, j.right.gid.column);
     }
-    for c in bound.group_by.iter().chain(&bound.order_by).chain(&bound.projections) {
+    for c in bound.group_by.iter().chain(bound.order_by.iter()).chain(bound.projections.iter()) {
         add(c.gid.table, c.gid.column);
     }
     out

@@ -288,27 +288,13 @@ impl FeatureMemo {
     /// signature is new. The memo holds vector ids of the one grouping it
     /// is always handed, and every query must bind against one catalog.
     pub(crate) fn push(&mut self, groups: &mut Grouping, bound: &BoundQuery, catalog: &Catalog) {
-        let cols = indexable_columns(bound, catalog);
         let stats = self.featurizer.scheme == WeightScheme::StatsBased;
-        self.key.clear();
-        for c in &cols {
-            let p = c.positions;
-            self.key.push(u64::from(c.gid.table.0) << 32 | u64::from(c.gid.column.0));
-            self.key.push(
-                u64::from(p.filter)
-                    | u64::from(p.join) << 1
-                    | u64::from(p.group_by) << 2
-                    | u64::from(p.order_by) << 3
-                    | u64::from(c.sargable) << 4,
-            );
-            if stats {
-                self.key.push(c.selectivity.to_bits());
-            }
-        }
+        write_signature(bound, stats, &mut self.key);
         let vector = match self.known.get(self.key.as_slice()) {
             Some(&v) => v,
             None => {
                 isum_common::count!("core.featurize.misses");
+                let cols = indexable_columns(bound, catalog);
                 // Two signatures may still give bit-equal vectors; interning
                 // makes them share one.
                 let v = groups.intern(Cow::Owned(self.featurizer.features(&cols, catalog)));
@@ -317,6 +303,54 @@ impl FeatureMemo {
             }
         };
         groups.push_vector(vector);
+    }
+}
+
+/// Position bits of a signature entry, then `IndexableColumn::sargable`.
+const FILTER: u64 = 1;
+const JOIN: u64 = 1 << 1;
+const GROUP_BY: u64 = 1 << 2;
+const ORDER_BY: u64 = 1 << 3;
+const SARGABLE: u64 = 1 << 4;
+
+/// Writes the signature of `bound` (see [`Featurizer::group`]) into `key`
+/// straight from its predicate lists, without building its
+/// [`IndexableColumn`]s: the walk [`indexable_columns`] makes, in its
+/// first-seen order, with its dedup by column id, position flags,
+/// `sargable` rule and — under ISUM-S, `stats` — its minimum selectivity.
+/// Per column the key holds the id, the position bits and, under ISUM-S,
+/// the selectivity's bits.
+fn write_signature(bound: &BoundQuery, stats: bool, key: &mut Vec<u64>) {
+    let stride = if stats { 3 } else { 2 };
+    key.clear();
+    let mut mark = |gid: GlobalColumnId, bits: u64, selectivity: Option<f64>| {
+        let id = u64::from(gid.table.0) << 32 | u64::from(gid.column.0);
+        let at = match key.chunks_exact(stride).position(|entry| entry[0] == id) {
+            Some(i) => i * stride,
+            None => {
+                key.extend([id, 0, 1f64.to_bits()].into_iter().take(stride));
+                key.len() - stride
+            }
+        };
+        key[at + 1] |= bits;
+        if let (true, Some(selectivity)) = (stats, selectivity) {
+            key[at + 2] = f64::from_bits(key[at + 2]).min(selectivity).to_bits();
+        }
+    };
+    for f in &bound.filters {
+        let sargable = if f.sargable && !f.in_disjunction { SARGABLE } else { 0 };
+        mark(f.column.gid, FILTER | sargable, Some(f.selectivity));
+    }
+    for j in bound.joins.iter() {
+        for gid in [j.left.gid, j.right.gid] {
+            mark(gid, JOIN | SARGABLE, Some(j.selectivity));
+        }
+    }
+    for g in bound.group_by.iter() {
+        mark(g.gid, GROUP_BY, None);
+    }
+    for o in bound.order_by.iter() {
+        mark(o.gid, ORDER_BY, None);
     }
 }
 
@@ -424,8 +458,11 @@ impl WorkloadFeatures {
 mod tests {
     use super::*;
     use isum_catalog::CatalogBuilder;
+    use isum_common::rng::DetRng;
     use isum_common::{ColumnId, TableId};
-    use isum_sql::{parse, Binder};
+    use isum_sql::binder::BoundColumn;
+    use isum_sql::{parse, Binder, BoundFilter, BoundJoin, FilterKind};
+    use proptest::prelude::*;
 
     fn catalog() -> Catalog {
         CatalogBuilder::new()
@@ -563,5 +600,70 @@ mod tests {
         assert!(wf.features[0].all_zero());
         wf.reset();
         assert_eq!(wf.features[0], orig);
+    }
+
+    /// The signature read off the indexable columns, as `FeatureMemo`
+    /// built it before it walked the predicate lists itself.
+    fn signature_of_columns(cols: &[IndexableColumn], stats: bool) -> Vec<u64> {
+        let mut key = Vec::new();
+        for c in cols {
+            let p = c.positions;
+            key.push(u64::from(c.gid.table.0) << 32 | u64::from(c.gid.column.0));
+            key.push(
+                u64::from(p.filter)
+                    | u64::from(p.join) << 1
+                    | u64::from(p.group_by) << 2
+                    | u64::from(p.order_by) << 3
+                    | u64::from(c.sargable) << 4,
+            );
+            if stats {
+                key.push(c.selectivity.to_bits());
+            }
+        }
+        key
+    }
+
+    proptest! {
+        #[test]
+        fn signature_walk_equals_the_indexable_columns_signature(seed in any::<u64>()) {
+            let c = catalog();
+            let mut rng = DetRng::seeded(seed);
+            let gids = [gid(0, 0), gid(0, 1), gid(0, 2), gid(1, 0), gid(1, 1)];
+            let sels = [0.0, -0.0, 1e-3, 0.25, 0.5, 1.0, f64::NAN];
+            let column = |rng: &mut DetRng| BoundColumn { slot: rng.below(3), gid: *rng.pick(&gids) };
+            let columns = |rng: &mut DetRng| (0..rng.below(4)).map(|_| column(rng)).collect::<Vec<_>>();
+            let filters = (0..rng.below(7))
+                .map(|_| BoundFilter {
+                    column: column(&mut rng),
+                    kind: *rng.pick(&[FilterKind::Eq, FilterKind::Range, FilterKind::SameTable]),
+                    selectivity: *rng.pick(&sels),
+                    in_disjunction: rng.chance(0.3),
+                    sargable: rng.chance(0.7),
+                    lo: None,
+                    hi: None,
+                })
+                .collect();
+            let joins: Vec<BoundJoin> = (0..rng.below(4))
+                .map(|_| BoundJoin {
+                    left: column(&mut rng),
+                    right: column(&mut rng),
+                    selectivity: *rng.pick(&sels),
+                    semi: rng.chance(0.2),
+                })
+                .collect();
+            let bound = BoundQuery {
+                filters,
+                joins: joins.into(),
+                group_by: columns(&mut rng).into(),
+                order_by: columns(&mut rng).into(),
+                ..BoundQuery::default()
+            };
+            let cols = indexable_columns(&bound, &c);
+            for stats in [false, true] {
+                let mut key = vec![u64::MAX];
+                write_signature(&bound, stats, &mut key);
+                prop_assert_eq!(&key, &signature_of_columns(&cols, stats), "{:?}", bound);
+            }
+        }
     }
 }

@@ -292,13 +292,13 @@ impl<'a> CostModel<'a> {
                 }
             }
         }
-        for j in &q.joins {
+        for j in q.joins.iter() {
             for bc in [j.left, j.right] {
                 touch(&mut slots, bc.slot, bc.gid.column);
                 slots[bc.slot].join_cols.push(bc.gid.column);
             }
         }
-        for g in q.group_by.iter().chain(&q.order_by).chain(&q.projections) {
+        for g in q.group_by.iter().chain(q.order_by.iter()).chain(q.projections.iter()) {
             touch(&mut slots, g.slot, g.gid.column);
         }
         for s in &mut slots {

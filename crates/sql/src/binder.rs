@@ -9,6 +9,8 @@
 //! information both consumers need — ISUM's indexable-column featurization
 //! (Def 5 of the paper) and the what-if optimizer's join graph.
 
+use std::sync::Arc;
+
 use isum_catalog::{Catalog, CompareOp, Selectivity};
 use isum_common::{Error, GlobalColumnId, Result, TableId};
 
@@ -89,20 +91,25 @@ pub struct BoundJoin {
 }
 
 /// The flat bound form of a query.
+///
+/// The lists no literal value can change — tables, joins, group/order and
+/// projection columns — are shared: every statement of one token shape
+/// points at the lists its shape's prepared form built once. Only
+/// `filters` and `limit` are the statement's own.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BoundQuery {
     /// Table instances (slots).
-    pub tables: Vec<BoundTable>,
+    pub tables: Arc<[BoundTable]>,
     /// Filter predicates.
     pub filters: Vec<BoundFilter>,
     /// Equi-join edges.
-    pub joins: Vec<BoundJoin>,
+    pub joins: Arc<[BoundJoin]>,
     /// `GROUP BY` columns (outer block only).
-    pub group_by: Vec<BoundColumn>,
+    pub group_by: Arc<[BoundColumn]>,
     /// `ORDER BY` columns (outer block only).
-    pub order_by: Vec<BoundColumn>,
+    pub order_by: Arc<[BoundColumn]>,
     /// Columns referenced by the outer `SELECT` list.
-    pub projections: Vec<BoundColumn>,
+    pub projections: Arc<[BoundColumn]>,
     /// Number of aggregate function applications.
     pub n_aggregates: usize,
     /// Number of query blocks (1 + subqueries) before flattening.
@@ -132,7 +139,7 @@ impl BoundQuery {
             sum += f.selectivity;
             n += 1;
         }
-        for j in &self.joins {
+        for j in self.joins.iter() {
             sum += j.selectivity;
             n += 1;
         }
@@ -168,7 +175,9 @@ pub struct Binder<'a> {
 /// and flags, join edges, group/order/projection columns, aggregate and
 /// block counts — followed by [`Prepared::instantiate`], which reads the
 /// literals: constant folding, `Selectivity::{compare, range}`, the `LIKE`
-/// heuristics, range bounds, range coalescing and `LIMIT`.
+/// heuristics, range bounds, range coalescing and `LIMIT`. Those write
+/// only `filters` and `limit`; an instance shares every other list with
+/// `query`.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     /// The value-independent part, in final order. Filters named by a
@@ -366,15 +375,33 @@ fn coalesce_ranges(catalog: &Catalog, out: &mut BoundQuery) {
     }
 }
 
-/// The statement being prepared: the [`Prepared`] under construction plus
-/// the statement's literal nodes in source order (`None` for a `LIMIT`),
-/// by which a literal met during the walk finds its number.
+/// The statement being prepared: the [`Prepared`] under construction, the
+/// shared lists it grows until [`Binder::prepare`] freezes them into its
+/// query, and the statement's literal nodes in source order (`None` for a
+/// `LIMIT`), by which a literal met during the walk finds its number.
 struct Preparing<'s> {
     prepared: Prepared,
+    tables: Vec<BoundTable>,
+    joins: Vec<BoundJoin>,
+    group_by: Vec<BoundColumn>,
+    order_by: Vec<BoundColumn>,
+    projections: Vec<BoundColumn>,
     nodes: Vec<Option<&'s Expr>>,
 }
 
 impl Preparing<'_> {
+    /// The finished [`Prepared`], its shared lists frozen.
+    fn finish(self) -> Prepared {
+        let mut prepared = self.prepared;
+        let query = &mut prepared.query;
+        query.tables = self.tables.into();
+        query.joins = self.joins.into();
+        query.group_by = self.group_by.into();
+        query.order_by = self.order_by.into();
+        query.projections = self.projections.into();
+        prepared
+    }
+
     /// A filter no literal value can change.
     fn push_filter(
         &mut self,
@@ -556,11 +583,16 @@ impl<'a> Binder<'a> {
                 // The outer LIMIT is the last thing in the statement.
                 limit: stmt.limit.map(|_| nodes.len() - 1),
             },
+            tables: Vec::new(),
+            joins: Vec::new(),
+            group_by: Vec::new(),
+            order_by: Vec::new(),
+            projections: Vec::new(),
             nodes,
         };
         let root = Scope { slots: Vec::new(), parent: None };
         self.bind_block(stmt, &root, &mut out, true)?;
-        Ok((out.prepared, literals))
+        Ok((out.finish(), literals))
     }
 
     /// Binds one query block; returns the first projected column (used to
@@ -572,8 +604,7 @@ impl<'a> Binder<'a> {
         out: &mut Preparing<'_>,
         is_outer: bool,
     ) -> Result<Option<BoundColumn>> {
-        let query = &mut out.prepared.query;
-        query.n_blocks += 1;
+        out.prepared.query.n_blocks += 1;
         let mut slots = Vec::with_capacity(stmt.from.len() + stmt.joins.len());
         for t in stmt.from.iter().chain(stmt.joins.iter().map(|j| &j.table)) {
             let table = self
@@ -581,8 +612,8 @@ impl<'a> Binder<'a> {
                 .table_id(&t.table)
                 .ok_or_else(|| Error::Bind(format!("unknown table `{}`", t.table)))?;
             let binding = t.binding_name();
-            let slot = query.tables.len();
-            query.tables.push(BoundTable { table, alias: binding.to_ascii_lowercase() });
+            let slot = out.tables.len();
+            out.tables.push(BoundTable { table, alias: binding.to_ascii_lowercase() });
             slots.push((binding, table, slot));
         }
         let scope = Scope { slots, parent: Some(parent) };
@@ -593,26 +624,25 @@ impl<'a> Binder<'a> {
         if let Some(w) = &stmt.where_clause {
             self.walk_predicate(w, &scope, out, false, false)?;
         }
-        let query = &mut out.prepared.query;
         // HAVING references aggregates; its raw columns do not produce
         // sargable filters, but aggregates must be counted.
         if let Some(h) = &stmt.having {
-            query.n_aggregates += count_aggregates(h);
+            out.prepared.query.n_aggregates += count_aggregates(h);
         }
         for item in &stmt.projections {
             if let SelectItem::Expr { expr, .. } = item {
-                query.n_aggregates += count_aggregates(expr);
+                out.prepared.query.n_aggregates += count_aggregates(expr);
                 if is_outer {
-                    self.resolve_columns(expr, &scope, &mut |bc| query.projections.push(bc))?;
+                    self.resolve_columns(expr, &scope, &mut |bc| out.projections.push(bc))?;
                 }
             }
         }
         if is_outer {
             for g in &stmt.group_by {
-                self.resolve_columns(g, &scope, &mut |bc| query.group_by.push(bc))?;
+                self.resolve_columns(g, &scope, &mut |bc| out.group_by.push(bc))?;
             }
             for o in &stmt.order_by {
-                self.resolve_columns(&o.expr, &scope, &mut |bc| query.order_by.push(bc))?;
+                self.resolve_columns(&o.expr, &scope, &mut |bc| out.order_by.push(bc))?;
             }
         }
         // First projected column, to wire IN-subquery semi-joins.
@@ -751,7 +781,7 @@ impl<'a> Binder<'a> {
                         self.catalog.column(inner_col.gid),
                     );
                     // Anti-joins (`NOT IN`) keep the same edge shape.
-                    out.prepared.query.joins.push(BoundJoin {
+                    out.joins.push(BoundJoin {
                         left: outer_col,
                         right: inner_col,
                         selectivity: sel,
@@ -814,12 +844,7 @@ impl<'a> Binder<'a> {
                 } else {
                     isum_catalog::selectivity::DEFAULT_UNKNOWN
                 };
-                out.prepared.query.joins.push(BoundJoin {
-                    left: l,
-                    right: r,
-                    selectivity,
-                    semi: false,
-                });
+                out.joins.push(BoundJoin { left: l, right: r, selectivity, semi: false });
                 Ok(())
             }
             (Some(l), Some(_r)) => {

@@ -20,8 +20,9 @@
 //! reject (bad date, bad interval amount, fractional row count) sends the
 //! statement down the full path, which produces the canonical error.
 //! Shapes are compared by equality, never by hash alone. There is one
-//! entry per distinct shape and no eviction: an entry is smaller than the
-//! bound statement a workload keeps for every instance anyway.
+//! entry per distinct shape and no eviction. An entry holds what its
+//! instances share: a hit points at the shape's tables, joins and
+//! group/order/projection columns, and owns only its filters and `LIMIT`.
 
 use std::collections::HashMap;
 

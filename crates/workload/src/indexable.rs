@@ -80,7 +80,7 @@ pub fn indexable_columns(bound: &BoundQuery, catalog: &Catalog) -> Vec<Indexable
         out[i].selectivity = out[i].selectivity.min(f.selectivity);
         out[i].sargable |= f.sargable && !f.in_disjunction;
     }
-    for j in &bound.joins {
+    for j in bound.joins.iter() {
         for gid in [j.left.gid, j.right.gid] {
             let i = find(gid, &mut out);
             out[i].positions.join = true;
@@ -88,11 +88,11 @@ pub fn indexable_columns(bound: &BoundQuery, catalog: &Catalog) -> Vec<Indexable
             out[i].sargable = true;
         }
     }
-    for g in &bound.group_by {
+    for g in bound.group_by.iter() {
         let i = find(g.gid, &mut out);
         out[i].positions.group_by = true;
     }
-    for o in &bound.order_by {
+    for o in bound.order_by.iter() {
         let i = find(o.gid, &mut out);
         out[i].positions.order_by = true;
     }

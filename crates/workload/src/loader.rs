@@ -6,6 +6,8 @@
 //! `;`-separated SQL scripts and an optional `-- cost: <value>` annotation
 //! convention for carrying logged costs alongside each statement.
 
+use std::borrow::Cow;
+
 use isum_catalog::Catalog;
 use isum_common::Result;
 
@@ -19,14 +21,7 @@ use crate::query::Workload;
 /// # Errors
 /// Propagates parse/bind errors with the failing statement index.
 pub fn load_script(catalog: Catalog, script: &str) -> Result<Workload> {
-    let (sqls, costs) = split_script(script);
-    let mut w = Workload::from_sql(catalog, &sqls)?;
-    for (q, c) in w.queries.iter_mut().zip(costs) {
-        if let Some(c) = c {
-            q.cost = c;
-        }
-    }
-    Ok(w)
+    Workload::from_statements(catalog, statements(script))
 }
 
 /// Lenient form of [`load_script`] for production logs: statements that
@@ -37,17 +32,14 @@ pub fn load_script_lenient(
     catalog: Catalog,
     script: &str,
 ) -> (Workload, Vec<(usize, isum_common::Error)>) {
+    Workload::from_statements_lenient(catalog, statements(script))
+}
+
+/// The script's statements with their costs (0 when unannotated), each
+/// text owned so that it moves into its query.
+fn statements(script: &str) -> impl ExactSizeIterator<Item = (Cow<'static, str>, f64)> {
     let (sqls, costs) = split_script(script);
-    let (mut w, skipped) = Workload::from_sql_lenient(catalog, &sqls);
-    let dropped: std::collections::HashSet<usize> = skipped.iter().map(|&(i, _)| i).collect();
-    let kept_costs =
-        costs.iter().enumerate().filter(|(i, _)| !dropped.contains(i)).map(|(_, c)| *c);
-    for (q, c) in w.queries.iter_mut().zip(kept_costs) {
-        if let Some(c) = c {
-            q.cost = c;
-        }
-    }
-    (w, skipped)
+    sqls.into_iter().map(Cow::Owned).zip(costs.into_iter().map(|c| c.unwrap_or(0.0)))
 }
 
 /// Splits a script into statements and their optional cost annotations
@@ -191,6 +183,22 @@ SELECT a FROM t WHERE b = 3;
     fn bad_statement_reports_index() {
         let err = load_script(catalog(), "SELECT a FROM t;\nSELECT FROM;").unwrap_err();
         assert!(err.to_string().contains("query #1"), "{err}");
+    }
+
+    #[test]
+    fn lex_errors_name_the_statement() {
+        let bad = "SELECT a FROM t WHERE b = 1 # 2";
+        let want = format!(
+            "lex error at byte {}: query #1: unexpected character `#` in `{bad}`",
+            bad.find('#').expect("has a #")
+        );
+        let script = format!("SELECT a FROM t;\n{bad};\nSELECT b FROM t;\n");
+        let err = load_script(catalog(), &script).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let (w, skipped) = load_script_lenient(catalog(), &script);
+        assert_eq!(w.len(), 2);
+        assert_eq!(skipped.len(), 1);
+        assert_eq!((skipped[0].0, skipped[0].1.to_string()), (1, want));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The workload data model.
 
+use std::borrow::Cow;
+
 use isum_catalog::Catalog;
 use isum_common::{Error, QueryId, Result, TemplateId};
 use isum_sql::{BoundQuery, PreparedCache, TemplateRegistry};
@@ -78,12 +80,7 @@ impl Workload {
     /// # Errors
     /// Propagates parse/bind errors, annotated with the failing query index.
     pub fn from_sql<S: AsRef<str>>(catalog: Catalog, sqls: &[S]) -> Result<Workload> {
-        let mut w = Workload::empty(catalog);
-        w.queries.reserve(sqls.len());
-        for (i, sql) in sqls.iter().enumerate() {
-            w.analyze(sql.as_ref(), 0.0, i)?;
-        }
-        Ok(w)
+        Workload::from_statements(catalog, sqls.iter().map(|s| (Cow::Borrowed(s.as_ref()), 0.0)))
     }
 
     /// Lenient form of [`Workload::from_sql`] for real-world query logs,
@@ -96,11 +93,35 @@ impl Workload {
         catalog: Catalog,
         sqls: &[S],
     ) -> (Workload, Vec<(usize, Error)>) {
+        let statements = sqls.iter().map(|s| (Cow::Borrowed(s.as_ref()), 0.0));
+        Workload::from_statements_lenient(catalog, statements)
+    }
+
+    /// [`from_sql`](Self::from_sql) over `(text, cost)` pairs; an owned
+    /// text moves into its query instead of being copied.
+    pub(crate) fn from_statements<'s>(
+        catalog: Catalog,
+        statements: impl ExactSizeIterator<Item = (Cow<'s, str>, f64)>,
+    ) -> Result<Workload> {
         let mut w = Workload::empty(catalog);
-        w.queries.reserve(sqls.len());
+        w.queries.reserve(statements.len());
+        for (i, (sql, cost)) in statements.enumerate() {
+            w.analyze(sql, cost, i)?;
+        }
+        Ok(w)
+    }
+
+    /// [`from_sql_lenient`](Self::from_sql_lenient) over `(text, cost)`
+    /// pairs; an owned text moves into its query instead of being copied.
+    pub(crate) fn from_statements_lenient<'s>(
+        catalog: Catalog,
+        statements: impl ExactSizeIterator<Item = (Cow<'s, str>, f64)>,
+    ) -> (Workload, Vec<(usize, Error)>) {
+        let mut w = Workload::empty(catalog);
+        w.queries.reserve(statements.len());
         let mut skipped = Vec::new();
-        for (i, sql) in sqls.iter().enumerate() {
-            if let Err(e) = w.analyze(sql.as_ref(), 0.0, i) {
+        for (i, (sql, cost)) in statements.enumerate() {
+            if let Err(e) = w.analyze(sql, cost, i) {
                 isum_common::count!("workload.parse_skipped");
                 skipped.push((i, e));
             }
@@ -131,22 +152,24 @@ impl Workload {
     /// Propagates parse/bind errors annotated with the would-be query
     /// index; the workload is unchanged in that case.
     pub fn push_sql(&mut self, sql: &str, cost: f64) -> Result<QueryId> {
-        self.analyze(sql, cost, self.queries.len())
+        self.analyze(Cow::Borrowed(sql), cost, self.queries.len())
     }
 
     /// The one front-end step under every constructor: lexes `sql`, binds
     /// it (through its shape's prepared form when the shape was seen
     /// before), interns its template and appends the query. Errors name
     /// `input_index`, the statement's position in the caller's input, and
-    /// leave the workload unchanged.
-    fn analyze(&mut self, sql: &str, cost: f64, input_index: usize) -> Result<QueryId> {
+    /// leave the workload unchanged. An owned `sql` becomes the query's
+    /// text as it is; a borrowed one is copied.
+    fn analyze(&mut self, sql: Cow<'_, str>, cost: f64, input_index: usize) -> Result<QueryId> {
         let (bound, template) = self
             .prepared
-            .analyze(sql, &self.catalog, &mut self.templates)
-            .map_err(|e| annotate(e, input_index, sql))?;
+            .analyze(&sql, &self.catalog, &mut self.templates)
+            .map_err(|e| annotate(e, input_index, &sql))?;
         let class = QueryClass::classify(&bound);
         let id = QueryId::from_index(self.queries.len());
-        self.queries.push(QueryInfo { id, sql: sql.to_string(), bound, template, cost, class });
+        let sql = sql.into_owned();
+        self.queries.push(QueryInfo { id, sql, bound, template, cost, class });
         Ok(id)
     }
 
@@ -217,6 +240,9 @@ impl Workload {
 fn annotate(e: Error, idx: usize, sql: &str) -> Error {
     let head: String = sql.chars().take(80).collect();
     match e {
+        Error::Lex { offset, message } => {
+            Error::Lex { offset, message: format!("query #{idx}: {message} in `{head}`") }
+        }
         Error::Parse { offset, message } => {
             Error::Parse { offset, message: format!("query #{idx}: {message} in `{head}`") }
         }
@@ -348,6 +374,18 @@ mod tests {
         assert!(grown.push_sql("SELECT FROM", 1.0).is_err());
         assert!(grown.push_sql("SELECT nope FROM missing", 1.0).is_err());
         assert_eq!(grown.len(), 3);
+    }
+
+    #[test]
+    fn push_sql_names_the_statement_a_lex_error_is_in() {
+        let mut w = Workload::from_sql(catalog(), &["SELECT a FROM t"]).unwrap();
+        let err = w.push_sql("SELECT a FROM t WHERE b = 'open", 1.0).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "lex error at byte 26: query #1: unterminated string literal in \
+             `SELECT a FROM t WHERE b = 'open`"
+        );
+        assert_eq!(w.len(), 1);
     }
 
     #[test]

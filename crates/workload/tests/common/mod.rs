@@ -1,10 +1,14 @@
 //! The four workload generators as data, shared by the front-end tests:
-//! each family's catalog and a way to instantiate its `t`-th template.
+//! each family's catalog and a way to instantiate its `t`-th template;
+//! and what makes two statements instances of one token shape.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use isum_catalog::Catalog;
 use isum_common::rng::DetRng;
+use isum_sql::lexer::lex;
+use isum_sql::token::TokenKind;
+use isum_sql::BoundQuery;
 use isum_workload::gen::dsb::{dsb_catalog, dsb_templates};
 use isum_workload::gen::realm::{realm_catalog, realm_templates};
 use isum_workload::gen::synth::SyntheticTemplate;
@@ -73,4 +77,31 @@ pub fn families() -> &'static [Family] {
             },
         ]
     })
+}
+
+/// The statement's tokens with literal values blanked: an independent
+/// rendering of "token shape", under which statements with equal
+/// renderings are instances of one shape.
+#[allow(dead_code)] // not every test binary compares shapes
+pub fn shape(sql: &str) -> String {
+    lex(sql)
+        .expect("generated SQL lexes")
+        .iter()
+        .map(|t| match t.kind {
+            TokenKind::Number(_) => "#".to_string(),
+            TokenKind::String { .. } => "$".to_string(),
+            _ => t.text(sql).to_ascii_lowercase(),
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// True when `a` and `b` point at the same five shape-fixed lists.
+#[allow(dead_code)] // not every test binary compares shapes
+pub fn shares_lists(a: &BoundQuery, b: &BoundQuery) -> bool {
+    Arc::ptr_eq(&a.tables, &b.tables)
+        && Arc::ptr_eq(&a.joins, &b.joins)
+        && Arc::ptr_eq(&a.group_by, &b.group_by)
+        && Arc::ptr_eq(&a.order_by, &b.order_by)
+        && Arc::ptr_eq(&a.projections, &b.projections)
 }

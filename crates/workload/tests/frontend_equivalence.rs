@@ -12,9 +12,13 @@
 //!    the full path, including the text of the error for statements that
 //!    fail;
 //! 3. every statement that binds is a hit when it comes again (no shape is
-//!    quietly left uncached).
+//!    quietly left uncached);
+//! 4. a hit shares its shape-fixed lists (tables, joins, group/order and
+//!    projection columns) with the first instance of its shape.
 //!
 //! CI runs this at `PROPTEST_CASES=2000` in release.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -25,7 +29,7 @@ use isum_sql::{fingerprint, parse, Binder, BoundQuery, PreparedCache, TemplateRe
 use isum_workload::{QueryClass, Workload};
 
 mod common;
-use common::families;
+use common::{families, shape, shares_lists};
 
 const NUMBERS: [&str; 12] = [
     "0",
@@ -132,6 +136,8 @@ proptest! {
         let mut registry = TemplateRegistry::new();
         let mut full_registry = TemplateRegistry::new();
         let mut warm = Workload::empty(family.catalog.clone());
+        // The first instance of each shape that bound, as `warm` holds it.
+        let mut first: HashMap<String, BoundQuery> = HashMap::new();
         for _ in 0..24 {
             let mut sql = family.instantiate(*rng.pick(&pool), &mut rng);
             if rng.chance(0.7) {
@@ -142,7 +148,9 @@ proptest! {
                 Ok((bound, full_registry.intern(&stmt), fingerprint(&stmt)))
             });
 
-            if let Some((bound, template)) = cache.lookup(&sql, &family.catalog) {
+            let hit = cache.lookup(&sql, &family.catalog);
+            let was_hit = hit.is_some();
+            if let Some((bound, template)) = hit {
                 let (full_bound, full_template, fp) =
                     full.as_ref().unwrap_or_else(|e| panic!("hit, but the parser says {e}: {sql}"));
                 prop_assert_eq!(bits(&bound), bits(full_bound), "{}", sql);
@@ -164,6 +172,15 @@ proptest! {
                     prop_assert_eq!(bits(&q.bound), bits(full_bound), "{}", sql);
                     prop_assert_eq!(q.template, *full_template, "{}", sql);
                     prop_assert_eq!(q.class, QueryClass::classify(full_bound), "{}", sql);
+                    match first.get(&shape(&sql)) {
+                        Some(first) if was_hit => {
+                            prop_assert!(shares_lists(first, &q.bound), "copied lists: {}", sql)
+                        }
+                        Some(_) => {}
+                        None => {
+                            first.insert(shape(&sql), q.bound.clone());
+                        }
+                    }
                 }
                 (Err(full), Err(analyzed)) => {
                     prop_assert_eq!(analyzed.to_string(), full.to_string(), "{}", sql);

@@ -7,26 +7,13 @@ use std::collections::HashSet;
 
 use isum_common::rng::DetRng;
 use isum_common::telemetry;
-use isum_sql::lexer::lex;
-use isum_sql::token::TokenKind;
 use isum_workload::gen::tpch::instantiate_template;
 use isum_workload::gen::tpch_catalog;
 use isum_workload::load_script;
 
-/// The statement's tokens with literal values blanked: an independent
-/// rendering of "token shape" to count distinct shapes with.
-fn shape(sql: &str) -> String {
-    lex(sql)
-        .expect("generated SQL lexes")
-        .iter()
-        .map(|t| match t.kind {
-            TokenKind::Number(_) => "#".to_string(),
-            TokenKind::String { .. } => "$".to_string(),
-            _ => t.text(sql).to_ascii_lowercase(),
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
-}
+#[allow(dead_code)] // only `shape` is used here
+mod common;
+use common::shape;
 
 #[test]
 fn hits_are_statements_minus_distinct_shapes() {
