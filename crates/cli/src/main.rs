@@ -31,6 +31,7 @@
 //! Passing `--faults <spec>` (or setting `ISUM_FAULTS=<spec>`) activates
 //! the deterministic fault injector — see DESIGN.md §9 for the spec
 //! grammar and degradation contract.
+#![allow(clippy::disallowed_macros)] // CLI usage and errors are plain stderr
 
 mod schema;
 

@@ -31,7 +31,7 @@
 //! Events carry wall-clock timestamps and scheduling context, but nothing
 //! in the system ever reads an event back into a computation: with
 //! `ISUM_LOG=debug` or unset, at 1 or 8 threads, every result artifact is
-//! byte-identical (asserted by the CI observability job).
+//! byte-identical (asserted by `crates/cli/tests/serve.rs`).
 
 pub mod filter;
 

@@ -15,6 +15,7 @@
 //! `--resume` replays cells recorded by an earlier — possibly killed —
 //! run instead of recomputing them, reproducing the uninterrupted run's
 //! quality results byte-for-byte.
+#![allow(clippy::disallowed_macros)] // CLI usage and errors are plain stderr
 
 use std::path::PathBuf;
 use std::time::Instant;

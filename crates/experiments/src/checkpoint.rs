@@ -35,8 +35,8 @@
 //! Timing fields are replayed as recorded: quality metrics (improvement,
 //! tuning calls) are deterministic and therefore byte-identical on
 //! resume, while wall-clock fields of cells computed *after* the resume
-//! necessarily differ — which is why the CI resume check compares a
-//! quality-only figure.
+//! necessarily differ — which is why the resume test
+//! (`tests/process.rs`) compares a quality-only figure.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -158,7 +158,7 @@ pub fn begin(run: &str, dir: &Path, resume: bool) -> std::io::Result<usize> {
 }
 
 /// Deactivates checkpointing. The checkpoint file stays on disk so a
-/// later `--resume` (or the CI byte-identity check) can replay the run.
+/// later `--resume` can replay the run.
 pub fn finish() {
     *active() = None;
 }

@@ -1,0 +1,126 @@
+//! The `experiments` binary as a process, at quick scale on 4 threads: a
+//! run SIGKILLed mid-way and then `--resume`d writes the uninterrupted
+//! run's tables byte for byte, a faulted run stays near them, and the
+//! timing figures start no thread.
+
+#[path = "../../cli/tests/support/mod.rs"]
+mod support;
+
+use std::path::Path;
+use std::process::{Command, Stdio};
+
+use isum_common::Json;
+
+fn experiments(dir: &Path, faults: &[(&str, &str)], args: &[&str]) -> Command {
+    let mut env = vec![("ISUM_SCALE", "quick"), ("ISUM_THREADS", "4")];
+    env.extend_from_slice(faults);
+    let mut cmd = support::command(env!("CARGO_BIN_EXE_experiments"), dir, &env);
+    cmd.args(args).stdout(Stdio::null());
+    cmd
+}
+
+fn json(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Cells recorded in `dir`'s fig9a checkpoint so far.
+fn cells(dir: &Path) -> usize {
+    let path = dir.join("results/checkpoint_fig9a.json");
+    if !path.exists() {
+        return 0;
+    }
+    json(&path).get("cells").and_then(Json::as_object).map_or(0, <[_]>::len)
+}
+
+fn counter(dir: &Path, run: &str, name: &str) -> u64 {
+    let report = json(&dir.join(format!("results/telemetry_{run}.json")));
+    let counters = report.get("telemetry").and_then(|t| t.get("counters")).expect("counters");
+    counters.get(name).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// `fig9a.json` and every `fig9a_*.csv`, by name.
+fn tables(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let files = std::fs::read_dir(dir.join("results")).expect("results").map(|e| e.expect("entry"));
+    let mut tables: Vec<_> = files
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+        .filter(|(name, _)| name.starts_with("fig9a"))
+        .map(|(name, path)| (name, std::fs::read(path).expect("readable")))
+        .collect();
+    tables.sort();
+    tables
+}
+
+/// Mean of each table's ISUM column, by table id.
+fn isum_means(dir: &Path) -> Vec<(String, f64)> {
+    let tables = json(&dir.join("results/fig9a.json"));
+    let field = |t: &Json, key| t.get(key).and_then(Json::as_array).expect("array").to_vec();
+    let means = tables.as_array().expect("tables").iter().map(|t| {
+        let id = t.get("id").and_then(Json::as_str).expect("id").to_string();
+        let col = field(t, "headers").iter().position(|h| h.as_str() == Some("ISUM"));
+        let cell = |row: &Json| row.as_array()?[col?].as_str()?.parse::<f64>().ok();
+        let values: Vec<f64> = field(t, "rows").iter().filter_map(cell).collect();
+        assert!(!values.is_empty(), "{id}: every ISUM cell skipped");
+        (id, values.iter().sum::<f64>() / values.len() as f64)
+    });
+    means.collect()
+}
+
+#[test]
+fn a_killed_run_resumes_byte_identically_and_a_faulted_run_stays_near_it() {
+    let root = support::temp_dir("experiments_fig9a");
+    let [reference, killed, faulted] = ["reference", "killed", "faulted"].map(|d| {
+        std::fs::create_dir(root.join(d)).expect("run dir");
+        root.join(d)
+    });
+    support::run(&mut experiments(&reference, &[], &["fig9a"]));
+    let total = cells(&reference);
+
+    // SIGKILL once the checkpoint holds a cell, then resume.
+    let mut child = experiments(&killed, &[], &["fig9a"]).spawn().expect("spawns");
+    while cells(&killed) == 0 {
+        assert!(child.try_wait().expect("polls").is_none(), "the run ended before any cell");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reaps");
+    let recorded = cells(&killed);
+    assert!((1..total).contains(&recorded), "killed after {recorded} of {total} cells");
+    support::run(&mut experiments(&killed, &[], &["--resume", "fig9a"]));
+    assert!(tables(&reference).len() > 1);
+    assert!(tables(&killed) == tables(&reference), "resumed tables differ from the reference");
+    assert!(counter(&killed, "fig9a", "harness.checkpoint.hits") >= 1, "cells were replayed");
+    assert!(counter(&killed, "fig9a", "harness.checkpoint.cells") >= 1, "cells were recomputed");
+
+    // Faults: the run completes, reports and quarantines them, and keeps
+    // the mean ISUM improvement of every table within 15 points.
+    let spec = [("ISUM_FAULTS", "whatif_transient:0.05,parse:0.01,panic:0.02,seed:7")];
+    support::run(&mut experiments(&faulted, &spec, &["fig9a"]));
+    let count = |name| counter(&faulted, "fig9a", name);
+    assert!(count("faults.injected") > 0, "faults were injected");
+    assert!(count("faults.quarantined") > 0, "panics were quarantined");
+    let (calls, threads) = (count("exec.par_map.calls"), count("exec.par_map.threads"));
+    assert!(calls > 0 && 0 < threads && threads <= 4 * calls, "{threads} threads, {calls} calls");
+    let (faulted, reference) = (isum_means(&faulted), isum_means(&reference));
+    assert_eq!(faulted.len(), reference.len(), "the faulted run emits every table");
+    for ((id, f), (ref_id, r)) in faulted.iter().zip(&reference) {
+        assert_eq!(id, ref_id);
+        assert!((f - r).abs() <= 15.0, "{id}: ISUM mean {f:.1} vs fault-free {r:.1}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn timing_figures_start_no_thread() {
+    let dir = support::temp_dir("experiments_timing");
+    support::run(&mut experiments(&dir, &[], &["fig6", "fig13"]));
+    for run in ["fig6", "fig13"] {
+        assert_eq!(counter(&dir, run, "exec.par_map.threads"), 0, "{run} ran a parallel loop");
+        let report = json(&dir.join(format!("results/telemetry_{run}.json")));
+        let whatif = |key| report.get("whatif").and_then(|w| w.get(key)?.as_f64());
+        assert!(whatif("calls").is_some_and(|c| c > 0.0), "{run} costs queries");
+        let hit_rate = whatif("cache_hit_rate").expect("cache_hit_rate");
+        assert!((0.0..=1.0).contains(&hit_rate), "{run}: cache hit rate {hit_rate}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -102,14 +102,20 @@ mod tests {
 
     #[test]
     fn global_defaults_to_disabled_and_is_replaceable() {
-        // Fresh processes inject nothing.
-        assert!(!global().is_active() || global().is_active()); // handle visible
-        set_global_spec("").unwrap();
+        // Fresh processes inject nothing: no other test in this binary
+        // installs an injector.
         assert!(!global().is_active());
         set_global_spec("whatif_transient:1.0,seed:3").unwrap();
         assert!(global().is_active());
         assert!(global().fires(FaultKind::WhatIfTransient, 1, 0));
         assert!(!global().fires(FaultKind::Parse, 1, 0));
+        // A rejected spec leaves the installed injector in place, never a
+        // half-applied plan.
+        for bad in ["whatif_transient:2.0", "parse:0.5,nonsense:0.5", "parse"] {
+            assert!(set_global_spec(bad).is_err(), "{bad}");
+            assert!(global().fires(FaultKind::WhatIfTransient, 1, 0), "{bad}");
+            assert!(!global().fires(FaultKind::Parse, 1, 0), "{bad}");
+        }
         set_global_spec("").unwrap();
         assert!(!global().is_active());
     }

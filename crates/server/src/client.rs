@@ -1,5 +1,5 @@
 //! A std-only HTTP client for the daemon's wire API, used by the test
-//! suite, the CI serve job, and `isum client`.
+//! suite and `isum client`.
 //!
 //! One TCP connection per request (the server speaks `Connection: close`)
 //! keeps the client stateless: it can hammer the server from many threads

@@ -156,7 +156,7 @@ fn drift_tracking_end_to_end() {
     assert_eq!(field(&explain, &["k"]).as_u64(), Some(5));
     assert_eq!(field(&explain, &["observed"]).as_u64(), Some(30));
     assert_eq!(field(&explain, &["templates"]).as_u64(), Some(2));
-    assert!(field(&explain, &["coverage_bits"]).as_str().is_some());
+    assert_eq!(field(&explain, &["coverage_bits"]).as_str().map(str::len), Some(16));
     let members = field(&explain, &["selected"]).as_array().expect("selected array");
     assert_eq!(members.len(), 5);
     let mut weight_sum = 0.0;
@@ -166,6 +166,7 @@ fn drift_tracking_end_to_end() {
         }
         assert!(m.get("fingerprint").and_then(Json::as_str).is_some());
         assert!(m.get("weight_bits").and_then(Json::as_str).is_some());
+        assert!(m.get("utility_share").and_then(Json::as_f64).is_some());
         weight_sum += m.get("weight").and_then(Json::as_f64).expect("weight");
     }
     assert!((weight_sum - 1.0).abs() < 1e-9, "weights stay normalized: {weight_sum}");
