@@ -38,6 +38,11 @@ fn whatif_call_counter_matches_optimizer_exactly() {
         Some(opt.cache_hits()),
         "global cache-hit counter must match the instance"
     );
+    // Beneath the call counter, the memo's evaluations are counted the
+    // same way, and its entries are the signatures gauge.
+    assert_eq!(snap.counter("optimizer.cost.evaluations"), Some(opt.cost_evaluations()));
+    assert!(opt.cost_evaluations() <= opt.optimizer_calls());
+    assert_eq!(snap.gauge("optimizer.cost.signatures"), Some(opt.cost_signatures() as i64));
 
     // The per-run report reflects the same ground truth and always carries
     // the four phase keys.

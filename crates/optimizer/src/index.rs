@@ -1,7 +1,6 @@
 //! Hypothetical index definitions and configurations.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use isum_catalog::Catalog;
 use isum_common::{ColumnId, TableId};
@@ -143,21 +142,13 @@ impl IndexConfig {
         self.indexes.iter().map(|i| i.size_bytes(catalog)).sum()
     }
 
-    /// Order-insensitive fingerprint of the indexes relevant to `tables`;
-    /// used as the what-if cache key.
-    pub fn fingerprint_for(&self, tables: &[TableId]) -> u64 {
-        let mut hashes: Vec<u64> = Vec::new();
-        for &t in tables {
-            for ix in self.on_table(t) {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                ix.hash(&mut h);
-                hashes.push(h.finish());
-            }
-        }
-        hashes.sort_unstable();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        hashes.hash(&mut h);
-        h.finish()
+    /// The indexes on `tables`, table by table in the order given, each
+    /// table's in [`Self::on_table`] order — everything the cost model
+    /// reads of the configuration for a query over those tables, in the
+    /// order it reads it (an index-nested-loop probe takes the *first*
+    /// index whose leading column matches, so order matters).
+    pub fn relevant_to<'s>(&'s self, tables: &'s [TableId]) -> impl Iterator<Item = &'s Index> {
+        tables.iter().flat_map(move |&t| self.on_table(t))
     }
 }
 
@@ -237,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_order_insensitive_and_table_scoped() {
+    fn relevant_indexes_keep_configuration_order_and_table_scope() {
         let c = catalog();
         let t = c.table_id("t").unwrap();
         let u = c.table_id("u").unwrap();
@@ -245,13 +236,13 @@ mod tests {
         let b = Index::new(t, vec![ColumnId(1)]);
         let z = Index::new(u, vec![ColumnId(0)]);
         let cfg1 = IndexConfig::from_indexes([a.clone(), b.clone(), z.clone()]);
-        let cfg2 = IndexConfig::from_indexes([b, z.clone(), a]);
-        assert_eq!(cfg1.fingerprint_for(&[t]), cfg2.fingerprint_for(&[t]));
-        // Indexes on unrelated tables don't perturb the fingerprint.
-        let cfg3 =
-            IndexConfig::from_indexes(cfg1.indexes().iter().filter(|&i| i.table == t).cloned());
-        assert_eq!(cfg1.fingerprint_for(&[t]), cfg3.fingerprint_for(&[t]));
-        assert_ne!(cfg1.fingerprint_for(&[t, u]), cfg3.fingerprint_for(&[t, u]));
+        let cfg2 = IndexConfig::from_indexes([b.clone(), z.clone(), a.clone()]);
+        assert_eq!(cfg1.relevant_to(&[t]).collect::<Vec<_>>(), vec![&a, &b]);
+        assert_eq!(cfg2.relevant_to(&[t]).collect::<Vec<_>>(), vec![&b, &a]);
+        // Indexes on unrelated tables are not relevant; tables come in the
+        // order given.
+        assert_eq!(cfg2.relevant_to(&[u, t]).collect::<Vec<_>>(), vec![&z, &b, &a]);
+        assert_eq!(cfg1.relevant_to(&[TableId(9)]).count(), 0);
     }
 
     #[test]

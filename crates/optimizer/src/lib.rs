@@ -13,10 +13,13 @@
 //! index-nested-loop choice, and sort/aggregate costs that index orderings
 //! can discharge. [`WhatIfOptimizer`] adds what production what-if
 //! implementations add: an optimizer-call counter and a cost cache keyed by
-//! the subset of indexes relevant to each query.
+//! the ordered list of indexes relevant to each query. Beneath the counter,
+//! an exact memo evaluates the model once per distinct cost input
+//! (`memo`, DESIGN.md §5 item 4); it changes no count and no cost.
 
 pub mod cost;
 pub mod index;
+mod memo;
 pub mod plan;
 pub mod whatif;
 

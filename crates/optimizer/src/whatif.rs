@@ -5,26 +5,35 @@
 //! anything. Two production realities are modeled because the paper's
 //! Fig 2 measures them: every (query, relevant-config) costing counts as an
 //! *optimizer call* (70–80% of tuning time in the paper), and a cache keyed
-//! by the per-query relevant index subset absorbs repeats, mirroring the
+//! by the per-query relevant index list absorbs repeats, mirroring the
 //! optimizer-call–reduction techniques cited in Sec 9.
+//!
+//! Beneath the call counter sits an exact cost memo (`crate::memo`): a
+//! counted call whose cost inputs — the query's shape, its filters and the
+//! configuration's relevant indexes in order — were seen before returns
+//! the remembered cost instead of evaluating the model again. Counted
+//! calls, cache hits, fault decisions and budget cut-offs are decided
+//! before the memo is consulted, so they do not depend on it.
 //!
 //! # Thread safety
 //!
 //! [`WhatIfOptimizer`] is `Sync`, so the call sites that run in parallel
 //! (DESIGN.md §8) can cost queries against one optimizer from several
-//! threads. The cost cache is one `Mutex<HashMap>`, never held across a
-//! cost-model evaluation. Costing itself ([`CostModel::cost`]) is a pure
-//! function of `(query, configuration)`, which makes cached values
-//! deterministic regardless of which thread inserted them. Two threads
-//! racing to cost the same uncached key may both invoke the cost model —
-//! both compute the identical value, the first insert wins, and each
-//! invocation is (correctly) counted as an optimizer call; counters are
-//! atomics, so no increment is ever lost.
+//! threads. The cost cache and the memo are each one `Mutex`, never held
+//! across a cost-model evaluation. Costing itself
+//! ([`CostModel::cost`]) is a pure function of `(query, configuration)`,
+//! which makes cached and memoized values deterministic regardless of
+//! which thread inserted them. Two threads racing to cost the same
+//! uncached key may both invoke the cost model — both compute the
+//! identical value, the first insert wins, and each invocation is
+//! (correctly) counted as an optimizer call; counters are atomics, so no
+//! increment is ever lost.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use isum_catalog::Catalog;
@@ -36,9 +45,10 @@ use isum_workload::Workload;
 
 use crate::cost::{CostModel, CPU_ROW, IO_PAGE};
 use crate::index::IndexConfig;
+use crate::memo::{ConfigKey, CostMemo, Probe, Signature};
 
-/// One cache key: (workload uid, query, relevant-config fingerprint).
-type CacheKey = (u64, QueryId, u64);
+/// One cache key: (workload uid, query, ordered relevant-config key).
+type CacheKey = (u64, QueryId, ConfigKey);
 
 /// Resource budget and retry policy for what-if costing (DESIGN.md §9).
 ///
@@ -139,9 +149,12 @@ pub struct WhatIfOptimizer<'a> {
     /// Set by the first fallback, which is the one that warns.
     warned: AtomicBool,
     timeouts: Counter,
+    /// Cost-model evaluations (memo misses).
+    evaluations: Counter,
     budget: WhatIfBudget,
     injector: Arc<FaultInjector>,
     cache: Mutex<HashMap<CacheKey, f64>>,
+    memo: Mutex<CostMemo>,
 }
 
 impl<'a> WhatIfOptimizer<'a> {
@@ -157,9 +170,11 @@ impl<'a> WhatIfOptimizer<'a> {
             fallbacks: Counter::new(),
             warned: AtomicBool::new(false),
             timeouts: Counter::new(),
+            evaluations: Counter::new(),
             budget: WhatIfBudget::from_env(),
             injector: isum_faults::global(),
             cache: Mutex::new(HashMap::new()),
+            memo: Mutex::new(CostMemo::default()),
         }
     }
 
@@ -182,7 +197,9 @@ impl<'a> WhatIfOptimizer<'a> {
     }
 
     /// Costs one workload query under a configuration, caching by the
-    /// query's *relevant* index subset (indexes on referenced tables).
+    /// query's *relevant* indexes (those on referenced tables) in
+    /// configuration order — the same index set in another order is
+    /// another configuration to the model, and to the cache.
     /// The cache also keys on the workload's process-unique
     /// [`Workload::uid`], so one optimizer can safely serve several
     /// workloads over the same catalog (e.g. a workload and its
@@ -191,7 +208,8 @@ impl<'a> WhatIfOptimizer<'a> {
     /// recycled, which an address-based identity would alias.
     pub fn cost_query(&self, w: &Workload, id: QueryId, cfg: &IndexConfig) -> f64 {
         let q = w.query(id);
-        let key = (w.uid(), id, cfg.fingerprint_for(&q.bound.referenced_tables()));
+        let config = self.config_key(&q.bound, cfg);
+        let key = (w.uid(), id, config);
         if let Some(&c) = self.cache().get(&key) {
             self.cache_hits.inc();
             count!("optimizer.whatif.cache_hits");
@@ -199,7 +217,7 @@ impl<'a> WhatIfOptimizer<'a> {
         }
         // Compute outside the lock: the cost model is pure, so a racing
         // thread that also misses produces the identical value.
-        let (c, degraded) = self.cost_bound_outcome(&q.bound, cfg);
+        let (c, degraded) = self.cost_bound_outcome(&q.bound, cfg, config);
         // A heuristic fallback is an *estimate in lieu of* an optimizer
         // answer, never cached as authoritative: the next costing of this
         // key retries the real optimizer, and the entry gauge stays exact
@@ -213,37 +231,84 @@ impl<'a> WhatIfOptimizer<'a> {
         c
     }
 
-    /// Costs a bound query directly (uncached); each call counts as one
-    /// optimizer invocation. Never fails: transient faults are retried
-    /// with capped backoff, and a permanent fault or exhausted budget
-    /// degrades to [`Self::heuristic_cost`].
+    /// Costs a bound query without the per-query cache; each call counts
+    /// as one optimizer invocation. The answer is memoized per signature
+    /// (shape, filters, ordered relevant indexes), so a repeat skips the
+    /// model evaluation but still counts as one call. Never fails:
+    /// transient faults are retried with capped backoff, and a permanent
+    /// fault or exhausted budget degrades to [`Self::heuristic_cost`].
     pub fn cost_bound(&self, bound: &BoundQuery, cfg: &IndexConfig) -> f64 {
-        self.cost_bound_outcome(bound, cfg).0
+        self.cost_bound_outcome(bound, cfg, self.config_key(bound, cfg)).0
+    }
+
+    /// The ordered key of `cfg`'s indexes relevant to `bound`; `0`, with no
+    /// lock taken, when the configuration is empty.
+    fn config_key(&self, bound: &BoundQuery, cfg: &IndexConfig) -> ConfigKey {
+        if cfg.is_empty() {
+            return 0;
+        }
+        let tables = bound.referenced_tables();
+        self.memo().config_key(cfg, &tables)
     }
 
     /// [`Self::cost_bound`] plus a `degraded` flag: `true` when the value
     /// is the heuristic fallback rather than a real optimizer answer.
-    fn cost_bound_outcome(&self, bound: &BoundQuery, cfg: &IndexConfig) -> (f64, bool) {
+    fn cost_bound_outcome(
+        &self,
+        bound: &BoundQuery,
+        cfg: &IndexConfig,
+        config: ConfigKey,
+    ) -> (f64, bool) {
         // Zero-fault, unlimited-budget runs take the exact pre-existing
         // hot path: no key hashing, no retry loop, bit-identical output.
         if !self.injector.is_active() && !self.budget.is_limiting() {
-            return (self.cost_raw(bound, cfg), false);
+            return (self.cost_raw(bound, cfg, config), false);
         }
-        self.cost_resilient(fault_key(bound, cfg), bound, cfg)
+        self.cost_resilient(fault_key(bound, cfg), bound, cfg, config)
     }
 
-    /// One real cost-model invocation (counts as an optimizer call).
-    fn cost_raw(&self, bound: &BoundQuery, cfg: &IndexConfig) -> f64 {
+    /// One real optimizer invocation (counts as an optimizer call),
+    /// answered from the memo when its signature was costed before.
+    fn cost_raw(&self, bound: &BoundQuery, cfg: &IndexConfig, config: ConfigKey) -> f64 {
         self.calls.inc();
         count!("optimizer.whatif.calls");
         if telemetry::enabled() {
             let start = std::time::Instant::now();
-            let c = self.model.cost(bound, cfg);
+            let c = self.memoized(bound, cfg, config);
             record_ns!("optimizer.whatif.cost_ns", start.elapsed().as_nanos() as u64);
             c
         } else {
-            self.model.cost(bound, cfg)
+            self.memoized(bound, cfg, config)
         }
+    }
+
+    /// The memo's answer for `bound`'s signature, or the model's, which is
+    /// then remembered (from the second costing of a shape on). The memo
+    /// is not locked while the model runs: two threads missing on one
+    /// signature both evaluate, compute the same value, and the first
+    /// insert wins.
+    fn memoized(&self, bound: &BoundQuery, cfg: &IndexConfig, config: ConfigKey) -> f64 {
+        let Some(sig) = Signature::of(bound, config) else {
+            return self.evaluate(bound, cfg);
+        };
+        let probe = self.memo().probe(&sig);
+        let c = match probe {
+            Probe::Hit(c) => return c,
+            Probe::FirstOfShape => return self.evaluate(bound, cfg),
+            Probe::Miss => self.evaluate(bound, cfg),
+        };
+        let mut memo = self.memo();
+        if memo.insert(bound, &sig, c) && telemetry::enabled() {
+            telemetry::gauge("optimizer.cost.signatures").set(memo.len() as i64);
+        }
+        c
+    }
+
+    /// One evaluation of the cost model.
+    fn evaluate(&self, bound: &BoundQuery, cfg: &IndexConfig) -> f64 {
+        self.evaluations.inc();
+        count!("optimizer.cost.evaluations");
+        self.model.cost(bound, cfg)
     }
 
     /// The degradation pipeline (DESIGN.md §9): budget check, then up to
@@ -251,7 +316,13 @@ impl<'a> WhatIfOptimizer<'a> {
     /// transient failures, then the heuristic fallback. Injection
     /// decisions are pure functions of `(fault key, attempt)`, so the
     /// outcome is deterministic at any thread count.
-    fn cost_resilient(&self, key: u64, bound: &BoundQuery, cfg: &IndexConfig) -> (f64, bool) {
+    fn cost_resilient(
+        &self,
+        key: u64,
+        bound: &BoundQuery,
+        cfg: &IndexConfig,
+        config: ConfigKey,
+    ) -> (f64, bool) {
         if let Some(max) = self.budget.max_calls {
             if self.calls.get() >= max {
                 return (self.fallback(bound, "call budget exhausted"), true);
@@ -259,7 +330,7 @@ impl<'a> WhatIfOptimizer<'a> {
         }
         let mut attempt = 0u32;
         loop {
-            match self.cost_attempt(key, attempt, bound, cfg) {
+            match self.cost_attempt(key, attempt, bound, cfg, config) {
                 Ok(c) => return (c, false),
                 Err(e) if e.is_transient() && attempt < self.budget.max_retries => {
                     self.retries.inc();
@@ -284,6 +355,7 @@ impl<'a> WhatIfOptimizer<'a> {
         attempt: u32,
         bound: &BoundQuery,
         cfg: &IndexConfig,
+        config: ConfigKey,
     ) -> IsumResult<f64> {
         match self.injector.whatif_fault(key, attempt) {
             Some(WhatIfFault::Permanent) => {
@@ -314,7 +386,7 @@ impl<'a> WhatIfOptimizer<'a> {
             }
             None => {}
         }
-        Ok(self.cost_raw(bound, cfg))
+        Ok(self.cost_raw(bound, cfg, config))
     }
 
     /// Records one degradation to the heuristic estimate. The first
@@ -385,7 +457,8 @@ impl<'a> WhatIfOptimizer<'a> {
         w.set_costs(&costs);
     }
 
-    /// `C(q)` of every query of `w` under the existing design, uncached.
+    /// `C(q)` of every query of `w` under the existing design, without the
+    /// per-query cache.
     fn base_costs(&self, w: &Workload) -> Vec<f64> {
         let empty = IndexConfig::empty();
         w.queries.iter().map(|q| self.cost_bound(&q.bound, &empty)).collect()
@@ -417,7 +490,18 @@ impl<'a> WhatIfOptimizer<'a> {
         self.timeouts.get()
     }
 
-    /// Clears the cost cache (counters are preserved).
+    /// Number of cost-model evaluations, for this instance: the counted
+    /// calls the memo could not answer.
+    pub fn cost_evaluations(&self) -> u64 {
+        self.evaluations.get()
+    }
+
+    /// Number of distinct signatures the memo holds, for this instance.
+    pub fn cost_signatures(&self) -> u64 {
+        self.memo().len() as u64
+    }
+
+    /// Clears the cost cache (counters and the memo are preserved).
     pub fn clear_cache(&self) {
         self.cache().clear();
         if telemetry::enabled() {
@@ -434,25 +518,43 @@ impl<'a> WhatIfOptimizer<'a> {
     /// model can never corrupt the map mid-operation because no costing
     /// happens under the lock.
     fn cache(&self) -> MutexGuard<'_, HashMap<CacheKey, f64>> {
-        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the memo, recovering from poisoning like [`Self::cache`].
+    fn memo(&self) -> MutexGuard<'_, CostMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// Fault-site key for one costing: a deterministic hash of the query's
-/// structure (referenced tables, predicate/join/grouping shape) and the
-/// relevant-config fingerprint. Deliberately *not* keyed on workload uid
-/// or [`QueryId`] — those depend on construction order, which would let
-/// harness layout changes move faults around. Structurally identical
-/// costings share one fault decision, which is fine for sampling.
+/// structure (referenced tables, predicate/join/grouping shape) and an
+/// order-insensitive hash of its relevant indexes. Deliberately *not*
+/// keyed on workload uid or [`QueryId`] — those depend on construction
+/// order, which would let harness layout changes move faults around.
+/// Structurally identical costings share one fault decision, which is fine
+/// for sampling; so do permutations of one index set, which only the cost
+/// cache and the memo must tell apart.
 fn fault_key(bound: &BoundQuery, cfg: &IndexConfig) -> u64 {
     let tables = bound.referenced_tables();
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut indexes: Vec<u64> = cfg
+        .relevant_to(&tables)
+        .map(|ix| {
+            let mut h = DefaultHasher::new();
+            ix.hash(&mut h);
+            h.finish()
+        })
+        .collect();
+    indexes.sort_unstable();
+    let mut relevant = DefaultHasher::new();
+    indexes.hash(&mut relevant);
+    let mut h = DefaultHasher::new();
     tables.hash(&mut h);
     bound.filters.len().hash(&mut h);
     bound.joins.len().hash(&mut h);
     bound.group_by.len().hash(&mut h);
     bound.n_aggregates.hash(&mut h);
-    cfg.fingerprint_for(&tables).hash(&mut h);
+    relevant.finish().hash(&mut h);
     h.finish()
 }
 
@@ -469,6 +571,7 @@ mod tests {
     use super::*;
     use crate::index::Index;
     use isum_workload::gen::tpch::{tpch_catalog, tpch_workload};
+    use isum_workload::Workload;
 
     #[test]
     fn populate_costs_fills_positive_costs() {
@@ -550,6 +653,65 @@ mod tests {
             }
             // `w` drops here; its heap buffers return to the allocator.
         }
+    }
+
+    #[test]
+    fn one_index_set_in_two_orders_is_two_configurations() {
+        // An index-nested-loop probe takes the first index whose leading
+        // column matches, so swapping the two lineitem indexes changes the
+        // plan, and a cache keyed on the unordered set would answer the
+        // first order's cost for both.
+        let catalog = tpch_catalog(1);
+        let sql = "SELECT o_orderkey, l_quantity FROM orders, lineitem \
+                   WHERE o_orderkey = l_orderkey AND o_custkey = 42";
+        let w = Workload::from_sql(catalog.clone(), &[sql.to_string()]).unwrap();
+        let ix = |table: &str, cols: &[&str]| {
+            let t = catalog.table_id(table).unwrap();
+            let tab = catalog.table(t);
+            Index::new(t, cols.iter().map(|c| tab.column_id(c).unwrap()).collect())
+        };
+        let custkey = ix("orders", &["o_custkey"]);
+        let narrow = ix("lineitem", &["l_orderkey"]);
+        let wide = ix("lineitem", &["l_orderkey", "l_quantity"]);
+        let first = IndexConfig::from_indexes([custkey.clone(), narrow.clone(), wide.clone()]);
+        let second = IndexConfig::from_indexes([custkey, wide, narrow]);
+        let model = CostModel::new(&catalog);
+        let bound = &w.queries[0].bound;
+        let (want_first, want_second) = (model.cost(bound, &first), model.cost(bound, &second));
+        assert_eq!(format!("{want_first:.2} {want_second:.2}"), "433.17 193.16");
+
+        let opt = WhatIfOptimizer::new(&catalog);
+        for _ in 0..2 {
+            assert_eq!(opt.cost_query(&w, QueryId(0), &first).to_bits(), want_first.to_bits());
+            assert_eq!(opt.cost_query(&w, QueryId(0), &second).to_bits(), want_second.to_bits());
+        }
+        assert_eq!((opt.optimizer_calls(), opt.cache_hits(), opt.cache_entries()), (2, 2, 2));
+        // The shape's first costing is not remembered; the second is, and
+        // answers `cost_bound` without an evaluation.
+        assert_eq!(opt.cost_bound(bound, &second).to_bits(), want_second.to_bits());
+        assert_eq!((opt.cost_evaluations(), opt.cost_signatures()), (2, 1));
+    }
+
+    #[test]
+    fn memo_answers_repeats_without_changing_counted_calls() {
+        let catalog = tpch_catalog(1);
+        let sqls: Vec<String> = [1000, 1000, 1000, 90000]
+            .iter()
+            .map(|k| format!("SELECT o_custkey FROM orders WHERE o_totalprice < {k}"))
+            .collect();
+        let w = Workload::from_sql(catalog.clone(), &sqls).unwrap();
+        let opt = WhatIfOptimizer::new(&catalog);
+        let empty = IndexConfig::empty();
+        let costs: Vec<f64> = w.queries.iter().map(|q| opt.cost_bound(&q.bound, &empty)).collect();
+        let model = CostModel::new(&catalog);
+        for (q, c) in w.queries.iter().zip(&costs) {
+            assert_eq!(c.to_bits(), model.cost(&q.bound, &empty).to_bits());
+        }
+        // Every costing is a counted call. The shape's first costing is
+        // not remembered; after it, equal literals share one model
+        // evaluation and other literals get their own.
+        assert_eq!(opt.optimizer_calls(), 4);
+        assert_eq!((opt.cost_evaluations(), opt.cost_signatures()), (3, 2));
     }
 
     #[test]

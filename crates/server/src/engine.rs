@@ -90,12 +90,15 @@ impl Engine {
 
     /// Applies pre-split `(sql, explicit cost)` statements — a shard
     /// applies a batch (live, and replaying its log record) without
-    /// re-splitting. Identical semantics to [`Engine::apply_script`].
+    /// re-splitting. Identical semantics to [`Engine::apply_script`]: the
+    /// batch's statements are appended, their missing costs filled through
+    /// one optimizer, and then observed in order.
     pub fn apply_statements(&mut self, stmts: &[(String, Option<f64>)]) -> IngestOutcome {
         let mut outcome = IngestOutcome { accepted: 0, rejected: Vec::new(), total: stmts.len() };
+        let first = self.workload.len();
         for (i, (sql, cost)) in stmts.iter().enumerate() {
-            match self.apply_one(sql, cost.unwrap_or(0.0)) {
-                Ok(()) => {
+            match self.workload.push_sql(sql, cost.unwrap_or(0.0)) {
+                Ok(_) => {
                     outcome.accepted += 1;
                     count!("server.ingest.statements");
                 }
@@ -104,6 +107,10 @@ impl Engine {
                     outcome.rejected.push((i, e.to_string()));
                 }
             }
+        }
+        self.fill_costs(first);
+        for i in first..self.workload.len() {
+            self.observe(i);
         }
         outcome
     }
@@ -114,26 +121,28 @@ impl Engine {
         self.isum.shard_partial()
     }
 
-    /// Applies a single statement; see [`Engine::apply_script`].
-    fn apply_one(&mut self, sql: &str, cost: f64) -> Result<()> {
-        let id = self.workload.push_sql(sql, cost)?;
-        if self.workload.queries[id.index()].cost <= 0.0 {
-            let filled = {
-                let opt = WhatIfOptimizer::new(&self.workload.catalog);
-                opt.cost_bound(&self.workload.queries[id.index()].bound, &IndexConfig::empty())
-            };
-            self.workload.queries[id.index()].cost = filled;
+    /// Fills the costs the statements from index `from` on were not given,
+    /// exactly like the batch CLI: one optimizer, `cost_bound` against the
+    /// empty index configuration.
+    fn fill_costs(&mut self, from: usize) {
+        let Workload { catalog, queries, .. } = &mut self.workload;
+        let missing = &mut queries[from..];
+        if missing.iter().all(|q| q.cost > 0.0) {
+            return;
         }
-        self.observe_last();
-        Ok(())
+        let opt = WhatIfOptimizer::new(catalog);
+        let empty = IndexConfig::empty();
+        for q in missing.iter_mut().filter(|q| q.cost <= 0.0) {
+            q.cost = opt.cost_bound(&q.bound, &empty);
+        }
     }
 
-    /// Hands the statement `push_sql` just appended to the observer, under
-    /// the template fingerprint the workload interned for it: a statement
-    /// is lexed once on its way in.
-    fn observe_last(&mut self) {
+    /// Hands statement `i` to the observer, under the template fingerprint
+    /// the workload interned for it: a statement is lexed once on its way
+    /// in.
+    fn observe(&mut self, i: usize) {
         let Engine { workload, isum } = self;
-        let q = workload.queries.last().expect("push_sql appended a query");
+        let q = &workload.queries[i];
         isum.observe_as(q, &workload.catalog, workload.templates.fingerprint_of(q.template));
     }
 
@@ -256,8 +265,8 @@ impl Engine {
         for (sql, cost) in stmts {
             // Each statement already parsed and bound once, so a failure
             // is unreachable — but stay lenient like ingest.
-            if self.workload.push_sql(sql, cost.unwrap_or(0.0)).is_ok() {
-                self.observe_last();
+            if let Ok(id) = self.workload.push_sql(sql, cost.unwrap_or(0.0)) {
+                self.observe(id.index());
             }
         }
         count!("server.resummarize");
@@ -322,11 +331,11 @@ impl Engine {
                 .as_str()
                 .and_then(unhex_bits)
                 .ok_or_else(|| corrupt("statement cost is not a bit pattern"))?;
-            engine
+            let id = engine
                 .workload
                 .push_sql(sql, cost)
                 .map_err(|e| corrupt(&format!("statement {i} no longer binds: {e}")))?;
-            engine.observe_last();
+            engine.observe(id.index());
         }
         Ok((engine, next_seq, wal_seq, field("drift").cloned()))
     }
