@@ -42,7 +42,7 @@ use isum_catalog::Catalog;
 use isum_common::telemetry;
 use isum_common::{Error, Result};
 use isum_core::{Compressor, Isum, IsumConfig};
-use isum_optimizer::{CostModel, IndexConfig, WhatIfOptimizer};
+use isum_optimizer::{fill_missing_costs, CostModel, IndexConfig, WhatIfOptimizer};
 use isum_server::{install_signal_handlers, summary_to_json, Client, Server, ServerConfig};
 use isum_workload::{load_script_lenient, split_script, Workload};
 
@@ -431,18 +431,8 @@ impl Options {
         if w.is_empty() {
             return Err(Error::InvalidConfig("workload script has no statements".into()));
         }
-        // Fill costs the script didn't annotate.
-        if w.queries.iter().any(|q| q.cost <= 0.0) {
-            let costs: Vec<f64> = {
-                let opt = WhatIfOptimizer::new(&w.catalog);
-                let empty = IndexConfig::empty();
-                w.queries
-                    .iter()
-                    .map(|q| if q.cost > 0.0 { q.cost } else { opt.cost_bound(&q.bound, &empty) })
-                    .collect()
-            };
-            w.set_costs(&costs);
-        }
+        // Fill costs the script didn't annotate, as the daemon's ingest does.
+        fill_missing_costs(&mut w, 0);
         Ok(w)
     }
 

@@ -1,14 +1,16 @@
 //! The crash-point matrix against a real `isum serve`: for each topology
 //! and each point of the write path, SIGKILL a daemon mid-stream, restart
-//! it fault-free on the same files, re-send every batch, and require that
+//! it on the same files, re-send every batch, and require that
 //! every batch acked before the kill answers as a duplicate and that the
 //! summaries are the bytes of an uninterrupted run.
 
 mod support;
 
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
+use isum_common::framing::encode_frame;
 use isum_server::Client;
 use support::{command, run, temp_dir, Daemon};
 
@@ -27,9 +29,9 @@ type Point = (&'static str, &'static [(&'static str, &'static str)], &'static st
 const POINTS: [Point; 4] = [
     // Post-fsync, pre-ack: the stream goes on past the first ack.
     ("midingest", &[], "4096", (200, 0)),
-    // Mid-append: a seeded fault tears a record short of its frame and
-    // poisons the shard, as a crash in write(2) would; its 503 is the point.
-    ("torn", &[("ISUM_FAULTS", "wal_torn:0.35,seed:9")], "4096", (503, 0)),
+    // Mid-append: after the kill, half a frame is appended to each shard's
+    // last segment, the tail a crash in write(2) leaves (see `tear`).
+    ("torn", &[], "4096", (200, 1)),
     // Every record fills its segment: the kill races fsync / create /
     // fsync-directory.
     ("midrotation", &[], "1", (200, 2)),
@@ -100,6 +102,34 @@ fn ingest_and_capture(daemon: &Daemon, streams: &[Stream], acked: &[(&str, u64)]
         .collect()
 }
 
+/// Appends the first half of a frame to the last segment of each of the
+/// `shards` logs under stem `stem` in `dir`: the torn tail a crash
+/// partway through an append leaves behind. Returns each torn segment
+/// with its length before the tear.
+fn tear(dir: &Path, stem: &str, shards: usize) -> Vec<(PathBuf, u64)> {
+    // Segment numbers are zero-padded, so the greatest name is the last.
+    let mut last = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("lists") {
+        let name = entry.expect("entry").file_name().into_string().expect("utf-8");
+        let Some((log, _)) = name.rsplit_once('.') else { continue };
+        if name.starts_with(&format!("{stem}.")) {
+            let newest = last.entry(log.to_string()).or_insert_with(String::new);
+            *newest = name.clone().max(newest.clone());
+        }
+    }
+    // The default shard always has a log, even when no stream feeds it.
+    assert!(last.len() >= shards, "a log per shard: {last:?}");
+    let frame = encode_frame(b"a record the crash cut short");
+    let torn = last.values().map(|segment| {
+        let path = dir.join(segment);
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("opens");
+        let len = file.metadata().expect("stats").len();
+        file.write_all(&frame[..frame.len() / 2]).expect("tears");
+        (path, len)
+    });
+    torn.collect()
+}
+
 fn crash_matrix(tag: &str, streams: &[Stream]) {
     let dir = temp_dir(&format!("crash_{tag}"));
     let reference = |stem: &str, env: &[(&str, &str)]| {
@@ -136,9 +166,13 @@ fn crash_matrix(tag: &str, streams: &[Stream]) {
         feeder.join().expect("feeder");
         seen.extend(answers.try_iter());
         let acked: Vec<_> = seen.into_iter().filter(|(s, _)| *s == 200).map(|(_, a)| a).collect();
+        let torn = if point == "torn" { tear(&dir, point, streams.len()) } else { Vec::new() };
 
-        let env: Vec<_> = env.iter().copied().filter(|(k, _)| *k != "ISUM_FAULTS").collect();
-        let daemon = serve(&dir, &stem, &env, "4096");
+        let daemon = serve(&dir, &stem, env, "4096");
+        for (segment, len) in torn {
+            let now = std::fs::metadata(&segment).expect("stats").len();
+            assert_eq!(now, len, "{tag}: recovery cuts the torn tail of {}", segment.display());
+        }
         let expected = if point == "midrebase" { &rebasing } else { &plain };
         assert_eq!(&ingest_and_capture(&daemon, streams, &acked), expected, "{tag}/{point}");
         assert!(daemon.terminate().success());

@@ -25,11 +25,6 @@ pub enum FaultKind {
     Parse,
     /// Worker panic during ingestion costing.
     Panic,
-    /// Transient ingest-batch failure in the serving daemon.
-    Ingest,
-    /// Torn write-ahead-log append in the serving daemon: the record is
-    /// truncated at a seeded offset as if the process died mid-write.
-    WalTorn,
 }
 
 impl FaultKind {
@@ -41,8 +36,6 @@ impl FaultKind {
             FaultKind::Latency => "latency",
             FaultKind::Parse => "parse",
             FaultKind::Panic => "panic",
-            FaultKind::Ingest => "ingest",
-            FaultKind::WalTorn => "wal_torn",
         }
     }
 
@@ -54,8 +47,6 @@ impl FaultKind {
             FaultKind::Latency => 0x6c61_7465_6e63_7921,
             FaultKind::Parse => 0x7061_7273_6566_6c74,
             FaultKind::Panic => 0x7061_6e69_6366_6c74,
-            FaultKind::Ingest => 0x696e_6765_7374_666c,
-            FaultKind::WalTorn => 0x7761_6c74_6f72_6e21,
         }
     }
 }
@@ -115,8 +106,6 @@ impl FaultInjector {
             FaultKind::Latency => self.spec.latency,
             FaultKind::Parse => self.spec.parse,
             FaultKind::Panic => self.spec.panic,
-            FaultKind::Ingest => self.spec.ingest,
-            FaultKind::WalTorn => self.spec.wal_torn,
         }
     }
 
@@ -138,8 +127,6 @@ impl FaultInjector {
                 FaultKind::Latency => count!("faults.injected.latency"),
                 FaultKind::Parse => count!("faults.injected.parse"),
                 FaultKind::Panic => count!("faults.injected.panic"),
-                FaultKind::Ingest => count!("faults.injected.ingest"),
-                FaultKind::WalTorn => count!("faults.injected.wal_torn"),
             }
         }
         fired
@@ -172,31 +159,6 @@ impl FaultInjector {
     /// Rolls the worker-panic fault for one ingestion task.
     pub fn panic_fault(&self, key: u64) -> bool {
         self.active && self.fires(FaultKind::Panic, key, 0)
-    }
-
-    /// Rolls the transient ingest-batch fault for one server ingest batch
-    /// (keyed by its sequence number; `attempt` counts delivery attempts
-    /// of that batch so a client retry draws a fresh decision). A fired
-    /// fault rejects the whole batch with a retryable error before any
-    /// observer state changes, so a retrying client converges to the
-    /// fault-free state.
-    pub fn ingest_fault(&self, key: u64, attempt: u32) -> bool {
-        self.active && self.fires(FaultKind::Ingest, key, attempt)
-    }
-
-    /// Rolls the torn-WAL-append fault for one server ingest batch (keyed
-    /// like [`FaultInjector::ingest_fault`]). When it fires, returns the
-    /// seeded byte offset in `[0, frame_len)` at which the record's frame
-    /// should be cut, as if the process died that far into the write.
-    /// Deterministic in `(spec, key, frame_len)`.
-    pub fn wal_torn_fault(&self, key: u64, frame_len: usize) -> Option<usize> {
-        if !self.active || frame_len == 0 || !self.fires(FaultKind::WalTorn, key, 0) {
-            return None;
-        }
-        // A second, attempt-shifted draw picks the cut offset so the
-        // fire/no-fire decision and the offset are independent.
-        let h = decision_hash(self.spec.seed, FaultKind::WalTorn.salt(), key, 1);
-        Some((h % frame_len as u64) as usize)
     }
 }
 
@@ -285,24 +247,5 @@ mod tests {
         let inj = FaultInjector::from_spec("latency:1.0,latency_ms:7").unwrap();
         assert_eq!(inj.whatif_fault(3, 0), Some(WhatIfFault::Latency(Duration::from_millis(7))));
         assert_eq!(FaultInjector::disabled().whatif_fault(3, 0), None);
-    }
-
-    #[test]
-    fn wal_torn_offsets_are_seeded_and_in_range() {
-        let inj = FaultInjector::from_spec("wal_torn:1.0,seed:11").unwrap();
-        let again = FaultInjector::from_spec("wal_torn:1.0,seed:11").unwrap();
-        for key in 0..256u64 {
-            let off = inj.wal_torn_fault(key, 100).expect("rate 1.0 always fires");
-            assert!(off < 100, "offset {off} out of range");
-            assert_eq!(Some(off), again.wal_torn_fault(key, 100), "offset must be seeded");
-        }
-        // Offsets spread over the frame rather than collapsing to one cut.
-        let distinct: std::collections::HashSet<usize> =
-            (0..256u64).filter_map(|k| inj.wal_torn_fault(k, 100)).collect();
-        assert!(distinct.len() > 10, "only {} distinct offsets", distinct.len());
-        assert_eq!(inj.wal_torn_fault(7, 0), None, "empty frames cannot tear");
-        assert_eq!(FaultInjector::disabled().wal_torn_fault(7, 100), None);
-        let never = FaultInjector::from_spec("wal_torn:0.0,ingest:1.0").unwrap();
-        assert_eq!(never.wal_torn_fault(7, 100), None);
     }
 }

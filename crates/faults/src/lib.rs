@@ -11,12 +11,13 @@
 //! * **what-if permanent errors** — immediate heuristic-cost fallback;
 //! * **latency spikes** — exercise per-call timeouts;
 //! * **parse failures** — queries dropped at workload ingestion;
-//! * **worker panics** — quarantined per item by `isum_exec::try_par_map`;
-//! * **ingest-batch failures** — whole server ingest batches rejected
-//!   with a retryable 503 before any state changes (`crates/server`);
-//! * **torn WAL appends** — a batch's write-ahead-log record truncated
-//!   at a seeded byte offset, simulating a crash mid-write that the
-//!   server's recovery path must repair (`crates/server`).
+//! * **worker panics** — quarantined per item by `isum_exec::try_par_map`.
+//!
+//! The serving daemon has no fault site of its own: its contracts (acked
+//! ⇒ durable, replay ⇒ byte-identical) are tested against real failures —
+//! a disk error during a segment rotation, a torn tail left by a SIGKILL,
+//! an EIO partway through an append — not against injected ones. What-if
+//! faults still reach it through the optimizer it costs with.
 //!
 //! # Determinism
 //!
@@ -37,12 +38,12 @@
 //!
 //! ```text
 //! seed:<u64>,whatif_transient:<rate>,whatif_permanent:<rate>,
-//! latency:<rate>,latency_ms:<u64>,parse:<rate>,panic:<rate>,
-//! ingest:<rate>,wal_torn:<rate>
+//! latency:<rate>,latency_ms:<u64>,parse:<rate>,panic:<rate>
 //! ```
 //!
 //! Rates are probabilities in `[0, 1]`; unset kinds default to 0 (never
 //! fire). Example: `ISUM_FAULTS=whatif_transient:0.05,parse:0.01,seed:7`.
+//! Any other key is refused as an unknown fault kind.
 //!
 //! # Telemetry
 //!

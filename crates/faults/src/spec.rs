@@ -21,15 +21,6 @@ pub struct FaultSpec {
     pub parse: f64,
     /// Rate of worker panics during workload ingestion.
     pub panic: f64,
-    /// Rate of transient ingest-batch failures in the serving daemon
-    /// (`crates/server`): an affected batch is rejected with a retryable
-    /// 503 before touching observer state.
-    pub ingest: f64,
-    /// Rate of torn write-ahead-log appends in the serving daemon: an
-    /// affected batch's WAL record is truncated at a seeded byte offset
-    /// as if the process died mid-write, simulating a crash point the
-    /// recovery path must repair.
-    pub wal_torn: f64,
 }
 
 impl FaultSpec {
@@ -43,8 +34,6 @@ impl FaultSpec {
             latency_ms: 10,
             parse: 0.0,
             panic: 0.0,
-            ingest: 0.0,
-            wal_torn: 0.0,
         }
     }
 
@@ -55,8 +44,6 @@ impl FaultSpec {
             || self.latency > 0.0
             || self.parse > 0.0
             || self.panic > 0.0
-            || self.ingest > 0.0
-            || self.wal_torn > 0.0
     }
 
     /// Parses the textual grammar (crate docs). Empty or whitespace-only
@@ -83,13 +70,10 @@ impl FaultSpec {
                 "latency" => spec.latency = parse_rate(key, value)?,
                 "parse" => spec.parse = parse_rate(key, value)?,
                 "panic" => spec.panic = parse_rate(key, value)?,
-                "ingest" => spec.ingest = parse_rate(key, value)?,
-                "wal_torn" => spec.wal_torn = parse_rate(key, value)?,
                 _ => {
                     return Err(Error::InvalidConfig(format!(
                         "unknown fault kind `{key}` (expected seed, latency_ms, \
-                         whatif_transient, whatif_permanent, latency, parse, panic, \
-                         ingest, or wal_torn)"
+                         whatif_transient, whatif_permanent, latency, parse, or panic)"
                     )))
                 }
             }
@@ -132,8 +116,7 @@ mod tests {
     fn full_spec_round_trips() {
         let s = FaultSpec::parse(
             "seed:42, whatif_transient:0.05, whatif_permanent:0.01, \
-             latency:0.1, latency_ms:25, parse:0.02, panic:0.001, ingest:0.03, \
-             wal_torn:0.04",
+             latency:0.1, latency_ms:25, parse:0.02, panic:0.001",
         )
         .unwrap();
         assert_eq!(s.seed, 42);
@@ -143,11 +126,7 @@ mod tests {
         assert_eq!(s.latency_ms, 25);
         assert_eq!(s.parse, 0.02);
         assert_eq!(s.panic, 0.001);
-        assert_eq!(s.ingest, 0.03);
-        assert_eq!(s.wal_torn, 0.04);
         assert!(s.is_active());
-        assert!(FaultSpec::parse("ingest:0.5").unwrap().is_active());
-        assert!(FaultSpec::parse("wal_torn:0.5").unwrap().is_active());
     }
 
     #[test]
@@ -156,6 +135,15 @@ mod tests {
             ["parse", "parse:1.5", "parse:-0.1", "parse:abc", "seed:-1", "bogus:0.5", "seed:"]
         {
             assert!(FaultSpec::parse(bad).is_err(), "spec `{bad}` should be rejected");
+        }
+    }
+
+    #[test]
+    fn the_retired_daemon_kinds_are_unknown() {
+        // The serving daemon has no fault site.
+        for retired in ["ingest:0.1", "wal_torn:0.1", "parse:0.1,ingest:0.0"] {
+            let err = FaultSpec::parse(retired).expect_err(retired).to_string();
+            assert!(err.contains("unknown fault kind"), "{retired}: {err}");
         }
     }
 }

@@ -26,4 +26,4 @@ pub mod whatif;
 pub use cost::{CostModel, QueryCostBreakdown};
 pub use index::{Index, IndexConfig};
 pub use plan::PlanNode;
-pub use whatif::{populate_costs, WhatIfBudget, WhatIfOptimizer};
+pub use whatif::{fill_missing_costs, populate_costs, WhatIfBudget, WhatIfOptimizer};

@@ -33,7 +33,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use isum_catalog::Catalog;
@@ -96,25 +96,39 @@ impl Default for WhatIfBudget {
 impl WhatIfBudget {
     /// The default budget overridden by environment knobs:
     /// `ISUM_WHATIF_MAX_CALLS`, `ISUM_WHATIF_TIMEOUT_MS`,
-    /// `ISUM_WHATIF_RETRIES` (unparseable values are ignored).
+    /// `ISUM_WHATIF_RETRIES`. Read once per process; a malformed value is
+    /// reported once as a `warn!` event and ignored.
     pub fn from_env() -> Self {
-        let mut b = Self::default();
-        if let Ok(v) = std::env::var("ISUM_WHATIF_MAX_CALLS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                b.max_calls = Some(n);
+        static ENV: OnceLock<WhatIfBudget> = OnceLock::new();
+        *ENV.get_or_init(|| Self::from_lookup(|var| std::env::var(var).ok()))
+    }
+
+    /// [`Self::from_env`] over `lookup` instead of the process environment.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        fn knob<T: std::str::FromStr>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            var: &str,
+        ) -> Option<T> {
+            let v = lookup(var)?;
+            let parsed = v.trim().parse().ok();
+            if parsed.is_none() {
+                let want = std::any::type_name::<T>();
+                isum_common::warn!(
+                    "optimizer.whatif",
+                    format!("ignoring malformed {var} `{v}` (want a {want})")
+                );
             }
+            parsed
         }
-        if let Ok(v) = std::env::var("ISUM_WHATIF_TIMEOUT_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                b.call_timeout = Some(Duration::from_millis(ms));
-            }
+        let default = Self::default();
+        Self {
+            max_calls: knob(&lookup, "ISUM_WHATIF_MAX_CALLS").or(default.max_calls),
+            call_timeout: knob(&lookup, "ISUM_WHATIF_TIMEOUT_MS")
+                .map(Duration::from_millis)
+                .or(default.call_timeout),
+            max_retries: knob(&lookup, "ISUM_WHATIF_RETRIES").unwrap_or(default.max_retries),
+            ..default
         }
-        if let Ok(v) = std::env::var("ISUM_WHATIF_RETRIES") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                b.max_retries = n;
-            }
-        }
-        b
     }
 
     /// Backoff before retry `attempt` (0-based):
@@ -566,12 +580,75 @@ pub fn populate_costs(workload: &mut Workload) {
     workload.set_costs(&costs);
 }
 
+/// Fills the costs the queries of `workload` from index `from` on were
+/// not given (`cost <= 0`): one optimizer, [`WhatIfOptimizer::cost_bound`]
+/// against the empty configuration, in query order. `isum compress` and
+/// the daemon's ingest both fill costs through it, which is what makes a
+/// live summary equal the batch one.
+pub fn fill_missing_costs(workload: &mut Workload, from: usize) {
+    let Workload { catalog, queries, .. } = workload;
+    let missing = &mut queries[from..];
+    if missing.iter().all(|q| q.cost > 0.0) {
+        return;
+    }
+    let opt = WhatIfOptimizer::new(catalog);
+    let empty = IndexConfig::empty();
+    for q in missing.iter_mut().filter(|q| q.cost <= 0.0) {
+        q.cost = opt.cost_bound(&q.bound, &empty);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::Index;
+    use isum_common::trace::{self, Level};
     use isum_workload::gen::tpch::{tpch_catalog, tpch_workload};
     use isum_workload::Workload;
+
+    #[test]
+    fn budget_knobs_parse_and_warn_once_per_malformed_variable() {
+        let _g = trace::test_lock();
+        trace::reset_for_tests();
+        trace::set_filter_spec("off");
+        trace::enable_ring(Level::Warn);
+        let env = |pairs: &'static [(&str, &str)]| {
+            move |var: &str| pairs.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string())
+        };
+        let warnings = || {
+            let events = trace::ring_tail(usize::MAX);
+            let mine = events.into_iter().filter(|e| e.message.contains("ISUM_WHATIF_"));
+            mine.map(|e| e.message).collect::<Vec<_>>()
+        };
+        assert_eq!(WhatIfBudget::from_lookup(env(&[])), WhatIfBudget::default());
+        let good = WhatIfBudget::from_lookup(env(&[
+            ("ISUM_WHATIF_MAX_CALLS", " 40 "),
+            ("ISUM_WHATIF_TIMEOUT_MS", "25"),
+            ("ISUM_WHATIF_RETRIES", "0"),
+        ]));
+        let want = WhatIfBudget {
+            max_calls: Some(40),
+            call_timeout: Some(Duration::from_millis(25)),
+            max_retries: 0,
+            ..WhatIfBudget::default()
+        };
+        assert_eq!(good, want);
+        assert_eq!(warnings(), Vec::<String>::new(), "well-formed values warn nothing");
+        let bad = WhatIfBudget::from_lookup(env(&[
+            ("ISUM_WHATIF_MAX_CALLS", "many"),
+            ("ISUM_WHATIF_TIMEOUT_MS", "-5"),
+            ("ISUM_WHATIF_RETRIES", "4294967296"),
+        ]));
+        assert_eq!(bad, WhatIfBudget::default(), "malformed values are ignored");
+        let warned = warnings();
+        assert_eq!(warned.len(), 3, "{warned:?}");
+        for (msg, var) in
+            warned.iter().zip(["MAX_CALLS `many`", "TIMEOUT_MS `-5`", "RETRIES `4294967296`"])
+        {
+            assert!(msg.contains(var), "{msg}");
+        }
+        trace::reset_for_tests();
+    }
 
     #[test]
     fn populate_costs_fills_positive_costs() {

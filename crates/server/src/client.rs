@@ -1,10 +1,11 @@
 //! A std-only HTTP client for the daemon's wire API, used by the test
 //! suite and `isum client`.
 //!
-//! One TCP connection per request (the server speaks `Connection: close`)
-//! keeps the client stateless: it can hammer the server from many threads
-//! without connection management, which is exactly what the concurrency
-//! tests need.
+//! The server keeps connections alive, but this client opens one TCP
+//! connection per request and asks for `Connection: close`. That keeps it
+//! stateless: it can hammer the server from many threads without
+//! connection management, which is exactly what the concurrency tests
+//! need.
 
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -177,8 +178,8 @@ impl Client {
     }
 
     /// [`Client::ingest`] with the retry loop a well-behaved producer
-    /// runs: 429 (backpressure) and 503 (transient fault, drain race, or
-    /// timeout) are retried with the same `seq` — the server's duplicate
+    /// runs: 429 (backpressure) and 503 (ahead of the stream, a failed log
+    /// append, drain race, or timeout) are retried with the same `seq` — the server's duplicate
     /// detection makes the retry idempotent — honoring `Retry-After`
     /// (capped at 2 s) for up to `max_attempts` deliveries.
     pub fn ingest_with_retry(

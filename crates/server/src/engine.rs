@@ -5,9 +5,9 @@
 //!
 //! Every statement accepted here goes through exactly the pipeline the
 //! batch CLI uses: [`split_script`] carves up the script, `push_sql`
-//! parses/binds/interns, missing costs are filled by
-//! [`WhatIfOptimizer::cost_bound`] against the empty configuration, and
-//! the query is handed to [`IncrementalIsum::observe_as`]. Because the
+//! parses/binds/interns, missing costs are filled by the one function
+//! the CLI calls too ([`isum_optimizer::fill_missing_costs`]), and the
+//! query is handed to [`IncrementalIsum::observe_as`]. Because the
 //! incremental observer shares the batch weighting code (`weigh_grouped`
 //! over the observed feature groups), a live `/summary` over ingested
 //! statements is bit-identical to `isum compress` over the same script.
@@ -39,7 +39,7 @@ use isum_advisor::{DexterAdvisor, DtaAdvisor, IndexAdvisor, TuningConstraints};
 use isum_catalog::Catalog;
 use isum_common::{count, hex_bits, unhex_bits, Error, Json, Result};
 use isum_core::{IncrementalIsum, IsumConfig};
-use isum_optimizer::{IndexConfig, WhatIfOptimizer};
+use isum_optimizer::WhatIfOptimizer;
 use isum_workload::{split_script, Workload};
 
 /// Per-batch ingest outcome: how many statements were applied and which
@@ -78,8 +78,8 @@ impl Engine {
     }
 
     /// Applies one `;`-separated script: each statement is parsed, bound,
-    /// costed (missing costs filled exactly like the batch CLI, via
-    /// `cost_bound` against the empty index configuration), and observed.
+    /// costed (missing costs filled by the batch CLI's own
+    /// [`isum_optimizer::fill_missing_costs`]), and observed.
     /// Statement failures are lenient — recorded per statement, never
     /// aborting the batch — and leave no partial state behind.
     pub fn apply_script(&mut self, script: &str) -> IngestOutcome {
@@ -108,7 +108,7 @@ impl Engine {
                 }
             }
         }
-        self.fill_costs(first);
+        isum_optimizer::fill_missing_costs(&mut self.workload, first);
         for i in first..self.workload.len() {
             self.observe(i);
         }
@@ -119,22 +119,6 @@ impl Engine {
     /// [`isum_core::IncrementalIsum::shard_partial`].
     pub fn shard_partial(&self) -> isum_core::ShardPartial {
         self.isum.shard_partial()
-    }
-
-    /// Fills the costs the statements from index `from` on were not given,
-    /// exactly like the batch CLI: one optimizer, `cost_bound` against the
-    /// empty index configuration.
-    fn fill_costs(&mut self, from: usize) {
-        let Workload { catalog, queries, .. } = &mut self.workload;
-        let missing = &mut queries[from..];
-        if missing.iter().all(|q| q.cost > 0.0) {
-            return;
-        }
-        let opt = WhatIfOptimizer::new(catalog);
-        let empty = IndexConfig::empty();
-        for q in missing.iter_mut().filter(|q| q.cost <= 0.0) {
-            q.cost = opt.cost_bound(&q.bound, &empty);
-        }
     }
 
     /// Hands statement `i` to the observer, under the template fingerprint
@@ -269,7 +253,6 @@ impl Engine {
                 self.observe(id.index());
             }
         }
-        count!("server.resummarize");
         self.workload.len()
     }
 

@@ -286,9 +286,9 @@ static RETRY_JITTER_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::Ato
 /// function (a SplitMix64 bit-mix) of a process-global call counter — no
 /// clocks, no OS randomness — so a fixed request sequence produces a
 /// fixed jitter sequence and seeded fault tests stay reproducible.
-/// Protocol-speed retry sites (`Retry-After: 0` on ahead-of-stream and
-/// injected-fault responses) do not jitter: their retries are the
-/// convergence mechanism, not a thundering herd.
+/// The protocol-speed retry site (`Retry-After: 0` on ahead-of-stream
+/// responses) does not jitter: its retries are the convergence
+/// mechanism, not a thundering herd.
 pub(crate) fn retry_after_value(base: u64) -> String {
     let n = RETRY_JITTER_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut z = n.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -46,9 +46,7 @@ use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock
 
 use crate::config::ServerConfig;
 use crate::http::{retry_after_value, Request, Response};
-use crate::shards::{
-    lock, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT, UNSEQ_KEY_BASE,
-};
+use crate::shards::{lock, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT};
 
 /// State shared between the accept loop and connection handlers.
 struct Shared {
@@ -782,6 +780,10 @@ fn error_response(e: IsumError) -> Response {
     }
 }
 
+/// Every client `seq` is below this (else `400`, `param: seq`), so a
+/// shard's high-water mark `seq + 1` cannot overflow.
+const SEQ_LIMIT: u64 = 1 << 63;
+
 /// Resolves the ingest tenant and hands the batch to the router.
 fn handle_ingest(
     req: &Request,
@@ -794,7 +796,7 @@ fn handle_ingest(
     };
     let seq = match req.param("seq").map(str::parse::<u64>) {
         None => None,
-        Some(Ok(s)) if s < UNSEQ_KEY_BASE => Some(s),
+        Some(Ok(s)) if s < SEQ_LIMIT => Some(s),
         Some(_) => return Err(param_error("seq", "must be an integer below 2^63")),
     };
     let tenant = tenant_spec(req)?.unwrap_or_else(|| DEFAULT_TENANT.to_string());

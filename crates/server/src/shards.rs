@@ -36,7 +36,7 @@
 //! hashed-mode logs and the snapshots and single-file logs of releases
 //! before segments — refuse to start: see [`refuse_retired_layouts`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -57,10 +57,6 @@ use crate::drift::{DriftAction, DriftSample, DriftTracker};
 use crate::engine::{Engine, IngestOutcome};
 use crate::http::{retry_after_value, Response};
 use crate::wal::{self, DiskStorage, Kind, Record, WalWriter};
-
-/// Marker bit for fault-injection keys of unsequenced batches, so they
-/// draw from a different site-key space than `seq` numbers.
-pub(crate) const UNSEQ_KEY_BASE: u64 = 1 << 63;
 
 /// The tenant requests land on when no `X-Isum-Tenant` header is sent.
 pub const DEFAULT_TENANT: &str = "default";
@@ -330,21 +326,24 @@ impl ShardRouter {
             cells,
             summary_cache: Mutex::new(None),
         });
-        let mut state =
-            ShardState { shard: Arc::clone(&shard), next_seq: log.next_seq, drift: log.drift, wal };
+        let mut worker = Worker {
+            cfg: Arc::clone(cfg),
+            shard: Arc::clone(&shard),
+            next_seq: log.next_seq,
+            drift: log.drift,
+            wal,
+        };
         if let Some(window_len) = rebase_over {
             // The log ends on a batch whose drift crossing was never
             // acted on (a crash between its fsync and the rebase's).
-            state.rebase(cfg, window_len);
+            worker.rebase(window_len);
         }
         publish_engine_cells(&shard, &lock(&shard.engine));
-        shard.cells.next_seq.store(state.next_seq, Ordering::Relaxed);
-        if let Some(w) = &state.wal {
+        shard.cells.next_seq.store(worker.next_seq, Ordering::Relaxed);
+        if let Some(w) = &worker.wal {
             publish_wal_cells(&shard.cells, w);
         }
-        let next_seq = state.next_seq;
-        let worker =
-            Worker { cfg: Arc::clone(cfg), sequencer: Sequencer::new(fault_salt_for(name)), state };
+        let next_seq = worker.next_seq;
         let handle = std::thread::Builder::new()
             .name(format!("isum-shard-{name}"))
             .spawn(move || worker.run(rx))?;
@@ -519,29 +518,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// `/status`, never in any data-path decision.
 fn unix_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
-}
-
-/// FNV-1a over `bytes` — the stable, dependency-free hash behind the
-/// tenant fault salt.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Fault-key salt for a shard: `0` for the default tenant (its keys stay
-/// bare `seq` numbers, the contract the fault suite pins), otherwise a
-/// name-derived pattern confined to bit 62 downward so it cannot collide
-/// with the [`UNSEQ_KEY_BASE`] marker.
-fn fault_salt_for(name: &str) -> u64 {
-    if name == DEFAULT_TENANT {
-        0
-    } else {
-        (fnv1a(name.as_bytes()) & !(UNSEQ_KEY_BASE)) | (1 << 62)
-    }
 }
 
 /// The file name of the stem with its extension dropped (`ckpt.json` →
@@ -817,16 +793,9 @@ fn recover_shard_state(
 // The request pipeline: admit → durable-apply → ack
 // ---------------------------------------------------------------------
 
-/// One shard's worker thread: the shard's admission state and its
-/// durable half.
+/// One shard's worker thread: the only code that mutates a live shard.
 struct Worker {
     cfg: Arc<ServerConfig>,
-    sequencer: Sequencer,
-    state: ShardState,
-}
-
-/// The durable half of a shard, owned by its worker thread.
-struct ShardState {
     shard: Arc<Shard>,
     /// The shard's high-water mark: the only `seq` admitted as fresh.
     next_seq: u64,
@@ -836,119 +805,35 @@ struct ShardState {
     wal: Option<WalWriter>,
 }
 
-/// Strict-`seq` admission for one shard, owned by the shard's worker.
-struct Sequencer {
-    /// XOR-folded into fault-injection keys so distinct tenants draw
-    /// independent deterministic fault decisions. `0` for the default
-    /// tenant, keeping its keys equal to bare `seq` numbers (the contract
-    /// the fault-injection suite pins).
-    fault_salt: u64,
-    /// Injected-fault attempts so far, per fault key.
-    attempts: HashMap<u64, u32>,
-    unseq_counter: u64,
-}
-
-impl Sequencer {
-    fn new(fault_salt: u64) -> Sequencer {
-        Sequencer { fault_salt, attempts: HashMap::new(), unseq_counter: 0 }
+/// Strict-`seq` admission, a function of the batch's `seq` and the
+/// shard's high-water mark `next_seq` (`tenant` only labels the event).
+/// `None` admits the batch: it sits at the mark, or is unsequenced.
+/// `Some` is the answer for a batch that must not be applied: a
+/// retryable 503 ahead of the mark (holding the batch would pin its
+/// connection's thread), a `duplicate` ack below it (already applied).
+fn admit(tenant: &str, seq: Option<u64>, next_seq: u64) -> Option<Response> {
+    let seq = seq.filter(|&s| s != next_seq)?;
+    if seq > next_seq {
+        count!("server.ingest.out_of_order");
+        isum_common::debug!(
+            "server.ingest",
+            "batch ahead of the stream; told to retry",
+            tenant = tenant,
+            seq = seq,
+            next_seq = next_seq
+        );
+        let why = format!("seq {seq} is ahead of the stream (next is {next_seq}); retry shortly");
+        return Some(Response::error(503, &why).with_header("Retry-After", "0"));
     }
-
-    /// Classifies a batch against the shard's high-water mark `next_seq`.
-    /// `Err` is the retryable 503 for a batch ahead of the stream (holding
-    /// it would pin its connection's thread) or an injected fault; `Ok`
-    /// carries the batch's fault-injection key and whether it sits below
-    /// the mark — a duplicate. Fault rolls only guard fresh positions: a
-    /// duplicate rides on the retry the client already performed.
-    fn admit(
-        &mut self,
-        tenant: &str,
-        seq: Option<u64>,
-        next_seq: u64,
-    ) -> Result<(u64, bool), Response> {
-        if let Some(seq) = seq.filter(|&s| s > next_seq) {
-            count!("server.ingest.out_of_order");
-            isum_common::debug!(
-                "server.ingest",
-                "batch ahead of the stream; told to retry",
-                tenant = tenant,
-                seq = seq,
-                next_seq = next_seq
-            );
-            return Err(Response::error(
-                503,
-                &format!("seq {seq} is ahead of the stream (next is {next_seq}); retry shortly"),
-            )
-            .with_header("Retry-After", "0"));
-        }
-        let key = self.fault_salt
-            ^ match seq {
-                Some(s) => s,
-                None => {
-                    self.unseq_counter += 1;
-                    UNSEQ_KEY_BASE | self.unseq_counter
-                }
-            };
-        let duplicate = seq.is_some_and(|s| s < next_seq);
-        if !duplicate {
-            if let Some(resp) = fault_roll(key, &mut self.attempts) {
-                return Err(resp);
-            }
-        }
-        Ok((key, duplicate))
-    }
-
-    /// Forgets the fault attempts of a batch once it is durably applied.
-    fn commit(&mut self, key: u64) {
-        self.attempts.remove(&key);
-    }
-}
-
-impl Worker {
-    /// Serves the queue strictly in order until it closes. Nothing is
-    /// left to do then: every acknowledged batch is already in the log.
-    fn run(mut self, rx: Receiver<Job>) {
-        for job in rx {
-            self.state.shard.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            let _rid = trace::with_request_id(&job.request_id);
-            job.clock.stamp(Stage::Queue);
-            let answer = self.ingest(job.seq, &job.script, &job.clock);
-            let _ = job.reply.try_send(answer.unwrap_or_else(|refusal| refusal));
-        }
-    }
-
-    /// One client batch, end to end: admit, durable-apply, ack. `Err` is
-    /// the early exit for a batch refused along the way.
-    fn ingest(
-        &mut self,
-        seq: Option<u64>,
-        script: &str,
-        clock: &StageClock,
-    ) -> Result<Response, Response> {
-        let state = &mut self.state;
-        let tenant = &state.shard.name;
-        let (key, duplicate) = self.sequencer.admit(tenant, seq, state.next_seq)?;
-        if duplicate {
-            // Below the mark means this shard already applied it;
-            // acknowledge without touching state.
-            count!("server.ingest.duplicates");
-            isum_common::debug!(
-                "server.ingest",
-                "batch below the high-water mark; not re-applied",
-                tenant = tenant,
-                seq = seq.unwrap_or_default(),
-                next_seq = state.next_seq
-            );
-            return Ok(ack(seq, None, state.next_seq));
-        }
-        let stmts = split_batch(script);
-        clock.stamp(Stage::Sequence);
-        let outcome = state
-            .durable_apply(&self.cfg, seq, &stmts, key, clock)
-            .map_err(|why| retryable(503, &why))?;
-        self.sequencer.commit(key);
-        let observed = state.shard.cells.observed.load(Ordering::Relaxed);
-        Ok(ack(seq, Some((&outcome, observed)), state.next_seq))
-    }
+    count!("server.ingest.duplicates");
+    isum_common::debug!(
+        "server.ingest",
+        "batch below the high-water mark; not re-applied",
+        tenant = tenant,
+        seq = seq,
+        next_seq = next_seq
+    );
+    Some(ack(Some(seq), None, next_seq))
 }
 
 /// Counts a batch as admitted for application and splits it exactly the
@@ -990,20 +875,46 @@ fn ack(seq: Option<u64>, applied: Option<(&IngestOutcome, u64)>, next_seq: u64) 
     Response::json(200, &Json::Obj(fields))
 }
 
-impl ShardState {
+impl Worker {
+    /// Serves the queue strictly in order until it closes. Nothing is
+    /// left to do then: every acknowledged batch is already in the log.
+    fn run(mut self, rx: Receiver<Job>) {
+        for job in rx {
+            self.shard.cells.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            let _rid = trace::with_request_id(&job.request_id);
+            job.clock.stamp(Stage::Queue);
+            let answer = self.ingest(job.seq, &job.script, &job.clock);
+            let _ = job.reply.try_send(answer);
+        }
+    }
+
+    /// One client batch, end to end: admit, durable-apply, ack.
+    fn ingest(&mut self, seq: Option<u64>, script: &str, clock: &StageClock) -> Response {
+        if let Some(answer) = admit(&self.shard.name, seq, self.next_seq) {
+            return answer;
+        }
+        let stmts = split_batch(script);
+        clock.stamp(Stage::Sequence);
+        match self.durable_apply(seq, &stmts, clock) {
+            Ok(outcome) => {
+                let observed = self.shard.cells.observed.load(Ordering::Relaxed);
+                ack(seq, Some((&outcome, observed)), self.next_seq)
+            }
+            Err(why) => retryable(503, &why),
+        }
+    }
+
     /// The durable-apply step, the only code that mutates a live shard:
     /// log → fsync → apply → publish → drift, each stamped on the
     /// request's `clock`. `Err` means the batch could not be logged:
     /// nothing was applied, and the caller answers a retryable 503.
     fn durable_apply(
         &mut self,
-        cfg: &ServerConfig,
         seq: Option<u64>,
         stmts: &[(String, Option<f64>)],
-        torn_key: u64,
         clock: &StageClock,
     ) -> Result<IngestOutcome, String> {
-        let shard = &*self.shard;
+        let (cfg, shard) = (&*self.cfg, &*self.shard);
         if !cfg.apply_delay.is_zero() {
             std::thread::sleep(cfg.apply_delay);
         }
@@ -1011,7 +922,7 @@ impl ShardState {
         // changes, so an acked batch survives any crash and a failed
         // append leaves nothing applied.
         if let Some(w) = self.wal.as_mut() {
-            let fsync = wal_append(shard, w, seq, stmts, torn_key)?;
+            let fsync = wal_append(shard, w, seq, stmts)?;
             // The append stamp covers serialize+write+fsync; carve the
             // measured fsync share out so the two stages partition the
             // durability cost.
@@ -1036,7 +947,7 @@ impl ShardState {
         }
         shard.cells.next_seq.store(self.next_seq, Ordering::Relaxed);
         if let Some(window_len) = observe_drift(shard, cfg, &mut self.drift, seq) {
-            self.rebase(cfg, window_len);
+            self.rebase(window_len);
         }
         Ok(outcome)
     }
@@ -1052,8 +963,8 @@ impl ShardState {
     /// shard keeps its history (and its poisoned writer refuses further
     /// ingest until a restart, which finds the crossing at the end of the
     /// log and rebases then).
-    fn rebase(&mut self, cfg: &ServerConfig, window_len: usize) {
-        let shard = &*self.shard;
+    fn rebase(&mut self, window_len: usize) {
+        let (cfg, shard) = (&*self.cfg, &*self.shard);
         let start = Instant::now();
         let stmts = lock(&shard.engine).last_statements(window_len);
         let rebase = match self.wal.as_mut() {
@@ -1105,31 +1016,6 @@ impl ShardState {
     }
 }
 
-/// Rolls the deterministic ingest fault for `key`; `Some` is the 503 the
-/// client must retry.
-fn fault_roll(key: u64, attempts: &mut HashMap<u64, u32>) -> Option<Response> {
-    let attempt = attempts.entry(key).or_insert(0);
-    let this_attempt = *attempt;
-    *attempt += 1;
-    let injector = isum_faults::global();
-    if injector.is_active() && injector.ingest_fault(key, this_attempt) {
-        count!("server.ingest.faults");
-        isum_common::warn!(
-            "server.ingest",
-            "injected transient ingest fault",
-            key = key,
-            attempt = this_attempt
-        );
-        let body = Json::Obj(vec![
-            ("error".into(), Json::from("injected transient ingest fault")),
-            ("status".into(), Json::from(503u64)),
-            ("retryable".into(), Json::from(true)),
-        ]);
-        return Some(Response::json(503, &body).with_header("Retry-After", "0"));
-    }
-    None
-}
-
 /// Publishes the engine's observable counters into the shard's mirror
 /// cells and bumps the state version that invalidates the `/summary`
 /// render cache (caller holds the engine lock).
@@ -1175,17 +1061,8 @@ fn wal_append(
     w: &mut WalWriter,
     seq: Option<u64>,
     stmts: &[(String, Option<f64>)],
-    key: u64,
 ) -> Result<Duration, String> {
-    let injector = isum_faults::global();
-    let tear = |frame_len: usize| {
-        if injector.is_active() {
-            injector.wal_torn_fault(key, frame_len)
-        } else {
-            None
-        }
-    };
-    match w.append(seq, &shard.name, stmts, tear) {
+    match w.append(seq, &shard.name, stmts) {
         Ok(stats) => {
             publish_wal_cells(&shard.cells, w);
             Ok(note_durable_write(&shard.cells, &stats))
@@ -1334,16 +1211,5 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn fault_salts_separate_tenants_but_not_the_default() {
-        assert_eq!(fault_salt_for(DEFAULT_TENANT), 0, "default keys stay bare seq numbers");
-        let a = fault_salt_for("acme");
-        let b = fault_salt_for("zeta");
-        assert_ne!(a, 0);
-        assert_ne!(a, b);
-        assert_eq!(a & UNSEQ_KEY_BASE, 0, "salts never touch the unsequenced marker bit");
-        assert_ne!(a & (1 << 62), 0, "salts are confined to a distinct key plane");
     }
 }

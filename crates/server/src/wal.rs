@@ -494,11 +494,11 @@ pub fn replay<S: Storage>(
 // Writing
 // ---------------------------------------------------------------------
 
-/// The append side of the log, owned by a shard's sequencer thread.
+/// The append side of the log, owned by a shard's worker thread.
 ///
-/// Every operation is durable before it returns. A failed or
-/// injected-torn append poisons the writer: the partial bytes stay on
-/// disk (exactly what a crash would leave) and every later append
+/// Every operation is durable before it returns. A failed append
+/// poisons the writer: whatever part of the frame reached the file stays
+/// there (exactly what a crash would leave) and every later append
 /// refuses, turning the shard read-only-for-ingest until restart —
 /// recovery then cuts the torn tail.
 pub struct WalWriter<S: Storage = DiskStorage> {
@@ -587,36 +587,15 @@ impl<S: Storage> WalWriter<S> {
     }
 
     /// Logs one batch durably: encodes the record (assigning the next
-    /// `wal_seq`), appends its frame, and fsyncs before returning. `tear`
-    /// is the fault-injection hook — given the frame length, returning
-    /// `Some(offset)` writes only that prefix (as a crash mid-write
-    /// would) and poisons the writer.
+    /// `wal_seq`), appends its frame, and fsyncs before returning.
     pub fn append(
         &mut self,
         seq: Option<u64>,
         shard: &str,
         stmts: &[(String, Option<f64>)],
-        tear: impl FnOnce(usize) -> Option<usize>,
     ) -> io::Result<AppendStats> {
         self.refuse_if_poisoned()?;
         let frame = self.frame_of(Kind::Batch, seq, shard, stmts);
-        if let Some(cut) = tear(frame.len()) {
-            let cut = cut.min(frame.len());
-            let wrote = self
-                .storage
-                .append(&mut self.file, &frame[..cut])
-                .and_then(|()| self.storage.sync_file(&mut self.file));
-            self.poisoned = true;
-            count!("server.wal.errors");
-            return Err(match wrote {
-                Ok(()) => io::Error::other(format!(
-                    "injected torn WAL append at byte {} of a {}-byte record",
-                    cut,
-                    frame.len()
-                )),
-                Err(e) => e,
-            });
-        }
         let stats = self.commit(&frame);
         self.frame = frame;
         if stats.is_ok() {

@@ -475,7 +475,7 @@ fn appends_rotate_at_the_threshold_and_closed_segments_never_change() {
     let mut appended = 0;
     for i in 0..12u64 {
         let s = stmts(2, i);
-        let stats = w.append(Some(i), SHARD, &s, |_| None).expect("appends");
+        let stats = w.append(Some(i), SHARD, &s).expect("appends");
         appended += stats.bytes;
         expected.apply(&batch_of(i, Some(i), s));
         // Whatever was closed before this append is byte-for-byte what it
@@ -503,19 +503,29 @@ fn appends_rotate_at_the_threshold_and_closed_segments_never_change() {
     let (state, mut w) = boot(&storage, 300).expect("reboots");
     assert_eq!(state, expected);
     assert_eq!((w.next_wal_seq(), w.bytes()), (12, appended + HEADER * w.segments()));
-    w.append(None, SHARD, &stmts(1, 99), |_| None).expect("appends after a restart");
+    w.append(None, SHARD, &stmts(1, 99)).expect("appends after a restart");
     assert_eq!(boot(&storage, 300).expect("reboots").0.next_wal_seq, 13);
 }
 
 #[test]
 fn torn_appends_poison_the_writer_and_recover_as_a_prefix() {
+    // The disk fails partway through an append (EIO): part of the frame
+    // reaches the file, the append errors, and the writer refuses
+    // everything after it until a restart cuts the torn tail.
     let storage = MemStorage::default();
     let (_, mut w) = boot(&storage, 1 << 20).expect("boots");
     let s = stmts(3, 0);
-    w.append(Some(0), SHARD, &s, |_| None).expect("appends");
-    let err = w.append(Some(1), SHARD, &s, |len| Some(len / 2)).expect_err("tears");
-    assert!(err.to_string().contains("torn"), "{err}");
-    let err = w.append(Some(2), SHARD, &s, |_| None).expect_err("poisoned");
+    w.append(Some(0), SHARD, &s).expect("appends");
+    let segment = segment_path(&base(), 1);
+    let before = storage.bytes(&segment).len();
+    let frame = encode_frame(&encode(&batch_of(1, Some(1), s.clone())));
+    storage.die_after(1);
+    let err = w.append(Some(1), SHARD, &s).expect_err("tears");
+    assert!(err.to_string().contains("EIO"), "{err}");
+    let torn = storage.bytes(&segment).len() - before;
+    assert!(0 < torn && torn < frame.len(), "{torn} of {} bytes reached the file", frame.len());
+    storage.restart();
+    let err = w.append(Some(2), SHARD, &s).expect_err("poisoned");
     assert!(err.to_string().contains("poisoned"), "{err}");
     let err = w.rebase(2, SHARD, Vec::new()).expect_err("poisoned");
     assert!(err.to_string().contains("poisoned"), "{err}");
@@ -523,7 +533,8 @@ fn torn_appends_poison_the_writer_and_recover_as_a_prefix() {
 
     let (state, mut w) = boot(&storage, 1 << 20).expect("repairs");
     assert_eq!((state.next_wal_seq, state.next_seq), (1, 1), "only the fsynced record survives");
-    w.append(Some(1), SHARD, &s, |_| None).expect("appends after repair");
+    assert_eq!(storage.bytes(&segment).len(), before, "the torn tail is cut");
+    w.append(Some(1), SHARD, &s).expect("appends after repair");
     let (state, _) = boot(&storage, 1 << 20).expect("reads");
     assert_eq!((state.next_wal_seq, state.stmts.len()), (2, 6));
 }
@@ -540,15 +551,15 @@ fn a_rotation_that_fails_after_the_fsync_acks_the_record_and_refuses_the_next() 
         // The record's append and fsync, then fsync / create / header /
         // fsync-directory of the rotation.
         storage.die_after(2 + dies_in_rotation_at);
-        let stats = w.append(Some(0), SHARD, &s, |_| None).expect("the record is durable: acked");
+        let stats = w.append(Some(0), SHARD, &s).expect("the record is durable: acked");
         assert_eq!(stats.rotations, [None, None], "no rotation completed");
-        let err = w.append(Some(1), SHARD, &s, |_| None).expect_err("refused");
+        let err = w.append(Some(1), SHARD, &s).expect_err("refused");
         assert!(err.to_string().contains("poisoned"), "{err}");
         drop(w);
         storage.restart();
         let (state, mut w) = boot(&storage, 1).expect("recovers");
         assert_eq!((state.next_seq, state.stmts.len()), (1, 2), "step {dies_in_rotation_at}");
-        w.append(Some(1), SHARD, &s, |_| None).expect("appends after the restart");
+        w.append(Some(1), SHARD, &s).expect("appends after the restart");
     }
 }
 
@@ -561,14 +572,14 @@ fn cutting_the_last_segment_at_every_offset_recovers_an_exact_prefix() {
     let storage = MemStorage::default();
     let (_, mut w) = boot(&storage, 100).expect("boots");
     for i in 0..3u64 {
-        w.append(Some(i), SHARD, &stmts(2, i), |_| None).expect("appends");
+        w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
     }
     assert_eq!(w.segments(), 4, "every record filled its segment; the fourth is empty");
     drop(w);
     // Grow the last segment to three records without rotating.
     let (_, mut w) = boot(&storage, 1 << 20).expect("reboots");
     for i in 3..6u64 {
-        w.append(Some(i), SHARD, &stmts(2, i), |_| None).expect("appends");
+        w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
     }
     drop(w);
     let last = segment_path(&base(), 4);
@@ -584,7 +595,7 @@ fn cutting_the_last_segment_at_every_offset_recovers_an_exact_prefix() {
         assert_eq!(state.next_seq, 3 + survivors, "cut {cut}");
         let repaired = ends.iter().filter(|&&e| e <= cut).max().copied().unwrap_or(0).max(8);
         assert_eq!(storage.bytes(&last).len(), repaired, "cut {cut} is repaired to a boundary");
-        w.append(Some(9), SHARD, &stmts(1, 9), |_| None).expect("appends after the repair");
+        w.append(Some(9), SHARD, &stmts(1, 9)).expect("appends after the repair");
         assert_eq!(boot(&storage, 1 << 20).expect("reads").0.next_wal_seq, 4 + survivors);
     }
 }
@@ -596,12 +607,12 @@ fn damage_in_a_closed_segment_a_gap_or_a_foreign_file_refuses_to_start() {
         let storage = MemStorage::default();
         let (_, mut w) = boot(&storage, 100).expect("boots");
         for i in 0..5u64 {
-            w.append(Some(i), SHARD, &stmts(2, i), |_| None).expect("appends");
+            w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
         }
         drop(w);
         let (_, mut w) = boot(&storage, 1 << 20).expect("reboots");
         for i in 5..7u64 {
-            w.append(Some(i), SHARD, &stmts(2, i), |_| None).expect("appends");
+            w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
         }
         assert_eq!(w.segments(), 6);
         storage
@@ -648,7 +659,7 @@ fn damage_in_a_closed_segment_a_gap_or_a_foreign_file_refuses_to_start() {
     // Another shard's log under this shard's name.
     let storage = MemStorage::default();
     let (_, mut w) = boot(&storage, 100).expect("boots");
-    w.append(Some(0), "acme", &stmts(1, 0), |_| None).expect("appends");
+    w.append(Some(0), "acme", &stmts(1, 0)).expect("appends");
     drop(w);
     assert!(
         refuses(&storage, "foreign").contains("record 0 in /ckpt.wal.00000001 names shard `acme`")
@@ -677,7 +688,7 @@ fn a_rebase_opens_a_segment_and_retires_the_ones_before_it() {
     let mut expected = Folded::default();
     for i in 0..6u64 {
         let s = stmts(2, i);
-        w.append(Some(i), SHARD, &s, |_| None).expect("appends");
+        w.append(Some(i), SHARD, &s).expect("appends");
         expected.apply(&batch_of(i, Some(i), s));
     }
     let before = storage.names();
@@ -697,7 +708,7 @@ fn a_rebase_opens_a_segment_and_retires_the_ones_before_it() {
     let after = storage.names();
     assert_eq!(after.len(), 1, "only the rebase segment is left: {after:?}");
     assert_eq!((w.segments(), w.oldest_wal_seq(), w.next_wal_seq()), (1, 6, 7));
-    w.append(Some(6), SHARD, &stmts(1, 6), |_| None).expect("appends after the rebase");
+    w.append(Some(6), SHARD, &stmts(1, 6)).expect("appends after the rebase");
     drop(w);
 
     let (state, _) = boot(&storage, 500).expect("a log may start at a rebase segment");
@@ -742,7 +753,7 @@ fn run_schedule(seed: u64) {
                 let s = stmts(below(4) as usize, seed.wrapping_add(step));
                 let mut landed = acked.clone();
                 landed.apply(&batch_of(acked.next_wal_seq, seq, s.clone()));
-                match writer.append(seq, SHARD, &s, |_| None) {
+                match writer.append(seq, SHARD, &s) {
                     Ok(_) => acked = landed,
                     Err(_) => (in_flight, restart) = (Some(landed), true),
                 }

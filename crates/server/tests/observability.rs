@@ -1,10 +1,10 @@
 //! Observability end to end over real TCP: request-ID round-trip,
-//! `/metrics` Prometheus exposition, `/events` attribution of injected
-//! faults and of slow requests, slow reporting leaving summaries
+//! `/metrics` Prometheus exposition, `/events` attribution of worker-side
+//! refusals and of slow requests, slow reporting leaving summaries
 //! unchanged, and the explicit disabled-telemetry body.
 //!
-//! One test function: the trace ring, telemetry flag, and fault injector
-//! are process-global, so the phases must run in a fixed order (and this
+//! One test function: the trace ring and the telemetry flag are
+//! process-global, so the phases must run in a fixed order (and this
 //! file is its own integration-test binary = its own process).
 
 use std::collections::HashSet;
@@ -91,41 +91,20 @@ fn observability_end_to_end() {
         events.body
     );
 
-    // --- An injected ingest fault is attributed to the failing request. ---
-    isum_faults::set_global_spec("ingest:0.6,seed:23").expect("valid spec");
-    let mut faulted_rid = None;
-    for i in 1..40usize {
-        let rid = format!("fault-probe-{i}");
-        let resp = client
-            .request_with_headers(
-                "POST",
-                &format!("/ingest?seq={i}"),
-                &batch(i),
-                &[("X-Isum-Request-Id", rid.as_str())],
-            )
-            .expect("ingest");
-        assert_eq!(resp.header("x-isum-request-id"), Some(rid.as_str()));
-        match resp.status {
-            503 => {
-                faulted_rid = Some(rid);
-                break;
-            }
-            200 => {}
-            other => panic!("unexpected status {other}: {}", resp.body),
-        }
-    }
-    isum_faults::set_global_spec("").expect("reset");
-    let faulted_rid = faulted_rid.expect("rate 0.6 over 39 batches faults at least once");
+    // --- A worker-side refusal is attributed to the refused request. ---
+    // The shard's worker, not the connection thread, decides that a batch
+    // is ahead of the stream; its event must still carry the request ID.
+    let rid = "ahead-probe";
+    let resp = client
+        .request_with_headers("POST", "/ingest?seq=5", &batch(5), &[("X-Isum-Request-Id", rid)])
+        .expect("ingest");
+    assert_eq!(resp.header("x-isum-request-id"), Some(rid));
+    assert_eq!((resp.status, resp.retry_after()), (503, Some(0)), "{}", resp.body);
     let events = client.events(1024).expect("events");
     let attributed = events.body.lines().any(|l| {
-        l.contains("injected transient ingest fault")
-            && l.contains(&format!("\"request_id\":\"{faulted_rid}\""))
+        l.contains("batch ahead of the stream") && l.contains(&format!("\"request_id\":\"{rid}\""))
     });
-    assert!(
-        attributed,
-        "fault event must carry the failing request's ID {faulted_rid}:\n{}",
-        events.body
-    );
+    assert!(attributed, "the worker's event must carry the request's ID {rid}:\n{}", events.body);
 
     // --- /metrics is Prometheus text exposition with histogram series. ---
     let metrics = client.metrics().expect("metrics");
@@ -137,11 +116,8 @@ fn observability_end_to_end() {
     assert!(text.contains("# HELP isum_server_requests"), "{text}");
 
     // --- Every response carries its Server-Timing stage timeline. ---
-    // The faulted batch never applied, so its seq is the next expected one.
-    let next: usize = faulted_rid.rsplit('-').next().unwrap().parse().unwrap();
-    let resp = client
-        .request_with_headers("POST", &format!("/ingest?seq={next}"), &batch(next), &[])
-        .expect("ingest");
+    let resp =
+        client.request_with_headers("POST", "/ingest?seq=1", &batch(1), &[]).expect("ingest");
     assert_eq!(resp.status, 200, "{}", resp.body);
     let timing = resp.header("server-timing").expect("ingest carries Server-Timing").to_string();
     let stages = parse_server_timing(&timing);
@@ -187,7 +163,7 @@ fn observability_end_to_end() {
     // --- /events level/target filters; garbage is a typed 400. ---
     let warns = client.get("/events?level=warn&n=256").expect("events");
     assert_eq!(warns.status, 200);
-    assert!(warns.body.lines().count() > 0, "the fault phase left warn events behind");
+    assert!(warns.body.lines().count() > 0, "the refused requests left warn events behind");
     for line in warns.body.lines() {
         assert!(
             line.contains("\"level\":\"warn\"") || line.contains("\"level\":\"error\""),
@@ -196,7 +172,7 @@ fn observability_end_to_end() {
     }
     let targeted = client.get("/events?target=server.ingest&n=256").expect("events");
     assert_eq!(targeted.status, 200);
-    assert!(targeted.body.lines().count() > 0, "injected faults logged under server.ingest");
+    assert!(targeted.body.lines().count() > 0, "admission logs under server.ingest");
     for line in targeted.body.lines() {
         assert!(
             line.contains("\"target\":\"server.ingest"),

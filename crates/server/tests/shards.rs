@@ -491,6 +491,18 @@ fn every_admission_outcome_answers_on_the_wire() {
         "{answers:#?}"
     );
     assert!(answers[5].2.contains("\"duplicate\""), "{answers:#?}");
+    // The `seq` bound on the wire: the largest admitted value is merely
+    // ahead of the stream (no overflow anywhere), the rest are a typed 400.
+    let resp = client.ingest(&fresh[1], Some((1 << 63) - 1)).expect("sends");
+    assert_eq!((resp.status, resp.retry_after()), (503, Some(0)), "{}", resp.body);
+    assert!(resp.body.contains("ahead of the stream"), "{}", resp.body);
+    for seq in [1 << 63, u64::MAX] {
+        let resp = client.ingest(&fresh[1], Some(seq)).expect("sends");
+        assert_eq!(resp.status, 400, "seq {seq}: {}", resp.body);
+        assert_eq!(resp.field("param").and_then(|p| p.as_str()), Some("seq"), "{}", resp.body);
+    }
+    let resp = client.ingest(&fresh[0], Some(2)).expect("sends");
+    assert_eq!(resp.status, 200, "the worker still serves: {}", resp.body);
     assert_eq!(client.summary(4).expect("summary").status, 200);
     server.shutdown();
     server.join();

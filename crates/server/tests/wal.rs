@@ -1,6 +1,7 @@
 //! End-to-end tests of the segmented write-ahead log (DESIGN.md §14):
-//! crash recovery replays acknowledged batches bit-identically, a torn
-//! tail boots an exact whole-record prefix, damage anywhere else refuses
+//! crash recovery replays acknowledged batches bit-identically, a disk
+//! failure in a live daemon acks only what is durable and refuses the
+//! rest until a restart, a torn tail boots an exact whole-record prefix, damage anywhere else refuses
 //! to start, rotation keeps disk writes O(batch) and never touches a
 //! closed segment, a re-summarization is a logged rebase that converges
 //! across crashes and configuration changes, every tenant keeps its own
@@ -171,6 +172,51 @@ fn acked_batches_survive_a_simulated_crash_and_nothing_but_segments_is_written()
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&image);
+}
+
+#[test]
+fn a_disk_failure_in_a_live_daemon_acks_what_is_durable_and_refuses_the_rest() {
+    // A real failure, no hook: with 1-byte segments every record rotates,
+    // and a directory squatting on the next segment's name makes that
+    // rotation's exclusive create fail (EEXIST).
+    let dir = temp_dir("disk_failure");
+    let ckpt = dir.join("ckpt.json");
+    let all = batches(5);
+    let (server, client) = start(config_with(&ckpt, 1));
+    let resp = client.ingest(&all[0], Some(0)).expect("sends");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(names(&dir), ["ckpt.wal.00000001", "ckpt.wal.00000002"]);
+    std::fs::create_dir(dir.join("ckpt.wal.00000003")).expect("squats on segment 3");
+
+    let resp = client.ingest(&all[1], Some(1)).expect("sends");
+    assert_eq!(resp.status, 200, "fsynced before the rotation failed, so acked: {}", resp.body);
+    assert_eq!(resp.field("status").and_then(|v| v.as_str()), Some("ok"), "{}", resp.body);
+    assert_eq!(observed(&client), 6);
+    for attempt in 0..3 {
+        let resp = client.ingest(&all[2], Some(2)).expect("sends");
+        assert_eq!(resp.status, 503, "attempt {attempt}: {}", resp.body);
+        assert!(resp.body.contains("not applied"), "{}", resp.body);
+        assert!(resp.retry_after().is_some(), "a failed append is retryable: {}", resp.body);
+        assert_eq!(observed(&client), 6, "a refused batch applies nothing");
+    }
+    server.shutdown();
+    server.join();
+
+    // The operator clears the disk and restarts: what was acked is a
+    // duplicate, the rest lands, and the result is the serial reference.
+    std::fs::remove_dir(dir.join("ckpt.wal.00000003")).expect("clears the squatter");
+    let (server, client) = start(config_with(&ckpt, 1));
+    assert_eq!(observed(&client), 6, "both acked batches replay");
+    for (seq, script) in all.iter().enumerate() {
+        let resp = client.ingest_with_retry(script, Some(seq as u64), 400).expect("delivers");
+        assert_eq!(resp.status, 200, "seq {seq}: {}", resp.body);
+        let want = if seq < 2 { "duplicate" } else { "ok" };
+        assert_eq!(resp.field("status").and_then(|v| v.as_str()), Some(want), "seq {seq}");
+    }
+    assert_eq!(client.summary(4).expect("summary").body, reference_summary(catalog(), &all, 4));
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
