@@ -10,8 +10,7 @@
 //! * A call made from inside a `par_map` thread runs inline on that
 //!   thread: one level of parallelism, never more threads than configured.
 //! * If an item panics, the other items still run; the first panic is
-//!   re-raised after every thread has joined. [`try_par_map`] instead turns
-//!   each panicking item into an `Err(TaskPanic)` slot.
+//!   re-raised after every thread has joined.
 //! * Each thread carries the caller's request ID and the trace label
 //!   `exec-<i>`, so events emitted inside stay attributed.
 //!
@@ -21,15 +20,14 @@
 //!
 //! The thread count defaults to the machine's available parallelism,
 //! overridden by the `ISUM_THREADS` environment variable or by
-//! [`set_global_threads`] (the CLI's `--threads`). One thread is the
-//! sequential program: nothing is spawned.
+//! [`set_global_threads`] (the CLI's `--threads`). An `ISUM_THREADS` that
+//! is not a positive integer is ignored with one `warn!` naming it. One
+//! thread is the sequential program: nothing is spawned.
 //!
 //! # Telemetry
 //!
 //! `exec.par_map.calls` counts calls and `exec.par_map.threads` the
-//! threads they spawned (none for a call that ran inline). [`try_par_map`]
-//! counts each quarantined item as `exec.task_panics` and
-//! `faults.quarantined`.
+//! threads they spawned (none for a call that ran inline).
 //!
 //! # Example
 //!
@@ -41,8 +39,9 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use isum_common::count;
 use isum_common::trace;
@@ -55,16 +54,28 @@ thread_local! {
     static INSIDE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// `ISUM_THREADS` when set to a positive integer, otherwise the machine's
-/// available parallelism.
+/// `ISUM_THREADS` (read once per process) when set to a positive integer,
+/// otherwise the machine's available parallelism.
 fn default_threads() -> usize {
-    std::env::var("ISUM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+    ENV.get_or_init(|| threads_from(|var| std::env::var(var).ok())).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
+}
+
+/// The thread count `ISUM_THREADS` asks for, read through `lookup`:
+/// `None` when unset, and also when it is not a positive integer, which
+/// is reported with one `warn!` naming the value.
+fn threads_from(lookup: impl Fn(&str) -> Option<String>) -> Option<usize> {
+    let v = lookup("ISUM_THREADS")?;
+    let n = v.trim().parse::<usize>().ok().filter(|&n| n >= 1);
+    if n.is_none() {
+        isum_common::warn!(
+            "exec",
+            format!("ignoring malformed ISUM_THREADS `{v}` (want a positive integer)")
+        );
+    }
+    n
 }
 
 /// Sets the thread count of every later call (clamped to at least 1).
@@ -140,48 +151,32 @@ where
     slots.into_iter().map(|r| r.expect("every index mapped")).collect()
 }
 
-/// [`par_map`] with per-item panic quarantine: a panicking item yields
-/// `Err(TaskPanic)` in its slot, counted as `exec.task_panics` and
-/// `faults.quarantined`, and every other item still completes.
-pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map(items, |t| {
-        catch_unwind(AssertUnwindSafe(|| f(t))).map_err(|payload| {
-            count!("exec.task_panics");
-            count!("faults.quarantined");
-            TaskPanic::from_payload(payload.as_ref())
-        })
-    })
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use isum_common::trace::{self, Level};
 
-/// A panic captured by [`try_par_map`] in place of the item's result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// The panic payload as text (`&str`/`String` payloads verbatim).
-    pub message: String,
-}
-
-impl TaskPanic {
-    fn from_payload(payload: &(dyn std::any::Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_string()
+    #[test]
+    fn isum_threads_takes_a_positive_integer_and_warns_about_anything_else() {
+        let _g = trace::test_lock();
+        trace::reset_for_tests();
+        trace::set_filter_spec("off");
+        trace::enable_ring(Level::Warn);
+        let env = |v: &'static str| move |var: &str| (var == "ISUM_THREADS").then(|| v.into());
+        let warnings = || {
+            let events = trace::ring_tail(usize::MAX);
+            events.into_iter().map(|e| e.message).filter(|m| m.contains("ISUM_THREADS"))
         };
-        Self { message }
+        assert_eq!(threads_from(|_| None), None);
+        assert_eq!(threads_from(env("3")), Some(3));
+        assert_eq!(threads_from(env(" 16 ")), Some(16));
+        assert_eq!(warnings().count(), 0, "well-formed values warn nothing");
+        for (i, bad) in ["0", "-2", "four", "", "2.5"].into_iter().enumerate() {
+            assert_eq!(threads_from(env(bad)), None, "`{bad}` falls back");
+            let warned: Vec<String> = warnings().collect();
+            assert_eq!(warned.len(), i + 1, "one warning per value: {warned:?}");
+            assert!(warned[i].contains(&format!("`{bad}`")), "{}", warned[i]);
+        }
+        trace::reset_for_tests();
     }
 }
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}

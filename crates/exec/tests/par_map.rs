@@ -1,6 +1,6 @@
 //! The contract of `par_map`: input order at any thread count, nested
-//! calls inline, panics raised only after every sibling item ran,
-//! quarantine with counts, and request IDs carried across threads.
+//! calls inline, panics raised only after every sibling item ran, and
+//! request IDs carried across threads.
 //!
 //! Every test sets the process-wide thread count, so they take one lock.
 
@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use isum_exec::{par_map, par_map_indexed, set_global_threads, try_par_map};
+use isum_exec::{par_map, par_map_indexed, set_global_threads};
 
 fn threads(n: usize) -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -70,41 +70,6 @@ fn a_panic_surfaces_after_every_sibling_item_ran() {
         assert_eq!(ran.load(Ordering::SeqCst), 63, "every other item ran first");
     }
     assert_eq!(par_map(&[1u32, 2], |&x| x), vec![1, 2], "usable after a panic");
-}
-
-#[test]
-fn try_par_map_quarantines_and_counts() {
-    use isum_common::telemetry;
-    let poisoned = |&x: &u32| {
-        if x % 7 == 0 {
-            panic!("poisoned query {x}");
-        }
-        x * 2
-    };
-    let items: Vec<u32> = (0..100).collect();
-    let _g = threads(1);
-    let sequential = try_par_map(&items, poisoned);
-    drop(_g);
-    let _g = threads(4);
-    telemetry::set_enabled(true);
-    telemetry::reset();
-    let out = try_par_map(&items, poisoned);
-    let quarantined = telemetry::counter("faults.quarantined").get();
-    let panics = telemetry::counter("exec.task_panics").get();
-    telemetry::set_enabled(false);
-
-    assert_eq!(out, sequential, "quarantine slots do not depend on the thread count");
-    for (i, slot) in out.iter().enumerate() {
-        match slot {
-            Err(p) => {
-                assert_eq!(i % 7, 0);
-                assert_eq!(p.message, format!("poisoned query {i}"));
-            }
-            Ok(v) => assert_eq!(*v, i as u32 * 2),
-        }
-    }
-    assert_eq!(quarantined, 15);
-    assert_eq!(panics, 15);
 }
 
 #[test]

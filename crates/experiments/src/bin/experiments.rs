@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cargo run -p isum-experiments --release -- [--resume] [--faults <spec>] <id>... | all
-//! ISUM_SCALE=quick|medium|paper   selects workload sizes
-//! ISUM_FAULTS=<spec>              deterministic fault injection (see DESIGN.md §9)
+//! ISUM_SCALE=quick|medium|large|paper   selects workload sizes
+//! ISUM_FAULTS=<spec>              deterministic what-if fault injection (see DESIGN.md §9)
 //! ```
 //!
 //! Telemetry is always on here: each run resets the registry, and a
@@ -26,20 +26,21 @@ use isum_experiments::figs::{self, ALL_IDS};
 use isum_experiments::harness::write_telemetry_report;
 use isum_experiments::report;
 use isum_experiments::Scale;
+use isum_optimizer::faults;
 
 fn usage(code: i32) -> ! {
     eprintln!("usage: experiments [--resume] [--faults <spec>] <id>... | all");
     eprintln!("ids: {}", ALL_IDS.join(" "));
-    eprintln!("env: ISUM_SCALE=quick|medium|paper (default medium)");
-    eprintln!("     ISUM_FAULTS=<spec> deterministic fault injection, e.g.");
-    eprintln!("     whatif_transient:0.05,parse:0.01,seed:7 (DESIGN.md \u{a7}9)");
+    eprintln!("env: ISUM_SCALE=quick|medium|large|paper (default medium)");
+    eprintln!("     ISUM_FAULTS=<spec> deterministic what-if fault injection, e.g.");
+    eprintln!("     whatif_transient:0.05,seed:7 (DESIGN.md \u{a7}9)");
     std::process::exit(code);
 }
 
 fn main() {
     isum_common::trace::init_from_env();
-    if let Err(e) = isum_faults::init_from_env() {
-        eprintln!("invalid ISUM_FAULTS: {e}");
+    if let Err(e) = faults::init_from_env() {
+        eprintln!("ISUM_FAULTS: {e}");
         std::process::exit(2);
     }
     let mut resume = false;
@@ -54,8 +55,8 @@ fn main() {
                     eprintln!("--faults requires a spec argument");
                     std::process::exit(2);
                 });
-                if let Err(e) = isum_faults::set_global_spec(&spec) {
-                    eprintln!("invalid --faults spec: {e}");
+                if let Err(e) = faults::set_global_spec(&spec) {
+                    eprintln!("--faults: {e}");
                     std::process::exit(2);
                 }
             }
@@ -76,7 +77,10 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let out = PathBuf::from("results");
     telemetry::set_enabled(true);
     for id in ids {

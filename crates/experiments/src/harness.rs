@@ -12,9 +12,8 @@ use std::time::Instant;
 use isum_advisor::{DtaAdvisor, IndexAdvisor, TuningConstraints};
 use isum_baselines::{CostTopK, Gsum, KMedoid, Stratified, UniformSampling};
 use isum_common::telemetry;
-use isum_common::{count, IsumError, IsumResult, Json, QueryId};
+use isum_common::{count, IsumError, IsumResult, Json};
 use isum_core::{Compressor, Isum, IsumConfig};
-use isum_faults::FaultInjector;
 use isum_optimizer::WhatIfOptimizer;
 use isum_workload::gen::{dsb_workload, realm_workload_sized, tpcds_workload, tpch_workload};
 use isum_workload::Workload;
@@ -60,14 +59,24 @@ impl Scale {
         Self { tpch: 2200, tpcds: 9100, dsb: 520, realm: 473, sf: 10 }
     }
 
-    /// Reads `ISUM_SCALE` (`quick` / `medium` / `paper`), defaulting to
-    /// medium.
-    pub fn from_env() -> Self {
-        match std::env::var("ISUM_SCALE").as_deref() {
-            Ok("quick") => Self::quick(),
-            Ok("large") => Self::large(),
-            Ok("paper") => Self::paper(),
-            _ => Self::medium(),
+    /// Reads `ISUM_SCALE` (`quick` / `medium` / `large` / `paper`),
+    /// defaulting to medium when unset or empty.
+    ///
+    /// # Errors
+    /// Any other value, named in a message that lists the four scales.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|var| std::env::var(var).ok())
+    }
+
+    /// [`Self::from_env`] over `lookup` instead of the process environment.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let value = lookup("ISUM_SCALE").unwrap_or_default();
+        match value.trim() {
+            "quick" => Ok(Self::quick()),
+            "" | "medium" => Ok(Self::medium()),
+            "large" => Ok(Self::large()),
+            "paper" => Ok(Self::paper()),
+            _ => Err(format!("unknown ISUM_SCALE `{value}` (want quick|medium|large|paper)")),
         }
     }
 }
@@ -82,84 +91,12 @@ pub struct ExperimentCtx {
 }
 
 impl ExperimentCtx {
-    /// Wraps a generated workload, populating costs.
-    ///
-    /// When the process-wide fault injector is active, ingestion models a
-    /// production log pipeline: queries hit by `parse` faults are dropped
-    /// (unparseable log entries), and queries whose costing is hit by a
-    /// `panic` fault are quarantined by [`isum_exec::try_par_map`]
-    /// (`faults.quarantined`) and likewise dropped — the run continues
-    /// over the surviving queries. With no active injector this is
-    /// [`isum_optimizer::populate_costs`].
+    /// Wraps a generated workload, populating costs
+    /// ([`isum_optimizer::populate_costs`]). What-if faults of an active
+    /// `ISUM_FAULTS` spec reach these costings through the optimizer.
     pub fn prepare(name: &'static str, mut workload: Workload) -> Self {
         let _s = telemetry::span("prepare");
-        let injector = isum_faults::global();
-        if injector.is_active() {
-            return Self::prepare_with_faults(name, workload, &injector);
-        }
         isum_optimizer::populate_costs(&mut workload);
-        Self { workload, name }
-    }
-
-    /// The fault-aware ingestion pipeline (split out so the zero-fault
-    /// path above stays byte-for-byte the original).
-    fn prepare_with_faults(
-        name: &'static str,
-        workload: Workload,
-        injector: &FaultInjector,
-    ) -> Self {
-        // Fault sites are keyed by workload name + query position —
-        // deterministic across runs and thread counts, independent of
-        // construction order.
-        let salt = fnv1a(name.as_bytes());
-
-        // Parse faults: simulated unparseable statements in the query log,
-        // dropped before costing (mirrors `Workload::from_sql_lenient`).
-        let parsed: Vec<QueryId> = workload
-            .queries
-            .iter()
-            .filter(|q| !injector.parse_fault(salt ^ q.id.index() as u64))
-            .map(|q| q.id)
-            .collect();
-        let dropped_parse = workload.len() - parsed.len();
-        let mut workload =
-            if dropped_parse > 0 { workload.restricted_to(&parsed) } else { workload };
-
-        // Costing with panic injection: a poisoned query's task panics and
-        // is quarantined by `try_par_map` instead of killing the run.
-        let outcomes = {
-            let opt = WhatIfOptimizer::new(&workload.catalog);
-            let empty = isum_optimizer::IndexConfig::empty();
-            isum_exec::try_par_map(&workload.queries, |q| {
-                if injector.panic_fault(salt ^ q.id.index() as u64) {
-                    panic!("injected ingestion panic ({name} query #{})", q.id.index());
-                }
-                opt.cost_bound(&q.bound, &empty)
-            })
-        };
-        let survivors: Vec<(QueryId, f64)> = workload
-            .queries
-            .iter()
-            .zip(&outcomes)
-            .filter_map(|(q, r)| r.as_ref().ok().map(|&c| (q.id, c)))
-            .collect();
-        if survivors.len() < workload.len() {
-            let ids: Vec<QueryId> = survivors.iter().map(|&(id, _)| id).collect();
-            workload = workload.restricted_to(&ids);
-        }
-        let costs: Vec<f64> = survivors.iter().map(|&(_, c)| c).collect();
-        workload.set_costs(&costs);
-        if dropped_parse > 0 || survivors.len() < outcomes.len() {
-            isum_common::warn!(
-                "harness",
-                format!(
-                    "{name}: dropped {dropped_parse} unparseable and quarantined {} poisoned \
-                     queries; continuing with {}",
-                    outcomes.len() - survivors.len(),
-                    workload.len()
-                )
-            );
-        }
         Self { workload, name }
     }
 
@@ -199,16 +136,6 @@ impl ExperimentCtx {
     pub fn optimizer(&self) -> WhatIfOptimizer<'_> {
         WhatIfOptimizer::new(&self.workload.catalog)
     }
-}
-
-/// FNV-1a over bytes: a stable salt for per-workload fault keys.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Unwraps a context construction, reporting and skipping on failure
@@ -471,6 +398,25 @@ pub fn half_sqrt_n(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn isum_scale_names_one_of_four_scales_or_is_refused() {
+        let scale = |v: Option<&'static str>| {
+            Scale::from_lookup(move |var| v.filter(|_| var == "ISUM_SCALE").map(String::from))
+        };
+        let tpch = |v| scale(v).map(|s| s.tpch);
+        assert_eq!(tpch(None), Ok(Scale::medium().tpch));
+        assert_eq!(tpch(Some("")), Ok(Scale::medium().tpch));
+        assert_eq!(tpch(Some("quick")), Ok(Scale::quick().tpch));
+        assert_eq!(tpch(Some("medium")), Ok(Scale::medium().tpch));
+        assert_eq!(tpch(Some("large")), Ok(Scale::large().tpch));
+        assert_eq!(tpch(Some(" paper ")), Ok(Scale::paper().tpch));
+        for bad in ["Paper", "papr", "full", "1"] {
+            let err = tpch(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            assert!(err.contains("quick|medium|large|paper"), "{err}");
+        }
+    }
 
     #[test]
     fn k_sweep_is_increasing_and_capped() {

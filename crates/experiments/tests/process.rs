@@ -1,7 +1,8 @@
 //! The `experiments` binary as a process, at quick scale on 4 threads: a
 //! run SIGKILLed mid-way and then `--resume`d writes the uninterrupted
-//! run's tables byte for byte, a faulted run stays near them, and the
-//! timing figures start no thread.
+//! run's tables byte for byte, a faulted run stays near them, the timing
+//! figures start no thread, and a bad `ISUM_SCALE` or `ISUM_FAULTS` is
+//! refused before anything is written.
 
 #[path = "../../cli/tests/support/mod.rs"]
 mod support;
@@ -92,13 +93,13 @@ fn a_killed_run_resumes_byte_identically_and_a_faulted_run_stays_near_it() {
     assert!(counter(&killed, "fig9a", "harness.checkpoint.hits") >= 1, "cells were replayed");
     assert!(counter(&killed, "fig9a", "harness.checkpoint.cells") >= 1, "cells were recomputed");
 
-    // Faults: the run completes, reports and quarantines them, and keeps
-    // the mean ISUM improvement of every table within 15 points.
-    let spec = [("ISUM_FAULTS", "whatif_transient:0.05,parse:0.01,panic:0.02,seed:7")];
+    // What-if faults: the run completes, reports them and retries, and
+    // keeps the mean ISUM improvement of every table within 15 points.
+    let spec = [("ISUM_FAULTS", "whatif_transient:0.2,whatif_permanent:0.02,seed:7")];
     support::run(&mut experiments(&faulted, &spec, &["fig9a"]));
     let count = |name| counter(&faulted, "fig9a", name);
     assert!(count("faults.injected") > 0, "faults were injected");
-    assert!(count("faults.quarantined") > 0, "panics were quarantined");
+    assert!(count("optimizer.whatif.retries") > 0, "transient faults were retried");
     let (calls, threads) = (count("exec.par_map.calls"), count("exec.par_map.threads"));
     assert!(calls > 0 && 0 < threads && threads <= 4 * calls, "{threads} threads, {calls} calls");
     let (faulted, reference) = (isum_means(&faulted), isum_means(&reference));
@@ -121,6 +122,26 @@ fn timing_figures_start_no_thread() {
         assert!(whatif("calls").is_some_and(|c| c > 0.0), "{run} costs queries");
         let hit_rate = whatif("cache_hit_rate").expect("cache_hit_rate");
         assert!((0.0..=1.0).contains(&hit_rate), "{run}: cache hit rate {hit_rate}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bad_scale_or_fault_spec_exits_2_and_writes_nothing() {
+    let dir = support::temp_dir("experiments_refused");
+    for (var, value, says) in [
+        ("ISUM_SCALE", "papr", "quick|medium|large|paper"),
+        ("ISUM_FAULTS", "panic:0.1", "unknown fault kind"),
+    ] {
+        let out = experiments(&dir, &[(var, value)], &["fig6"])
+            .stderr(Stdio::piped())
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
+        assert!(stderr.contains(says), "{var}={value}: {stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+        assert!(written.is_empty(), "{var}={value} wrote {written:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

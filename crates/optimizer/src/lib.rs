@@ -16,8 +16,11 @@
 //! the ordered list of indexes relevant to each query. Beneath the counter,
 //! an exact memo evaluates the model once per distinct cost input
 //! (`memo`, DESIGN.md §5 item 4); it changes no count and no cost.
+//! [`faults`] injects seeded what-if failures and latency spikes, which
+//! the optimizer's retry/fallback pipeline absorbs (DESIGN.md §9).
 
 pub mod cost;
+pub mod faults;
 pub mod index;
 mod memo;
 pub mod plan;

@@ -39,11 +39,11 @@ use std::time::Duration;
 use isum_catalog::Catalog;
 use isum_common::telemetry::{self, Counter};
 use isum_common::{count, record_ns, IsumError, IsumResult, QueryId};
-use isum_faults::{FaultInjector, WhatIfFault};
 use isum_sql::BoundQuery;
 use isum_workload::Workload;
 
 use crate::cost::{CostModel, CPU_ROW, IO_PAGE};
+use crate::faults::{self, FaultInjector, WhatIfFault};
 use crate::index::IndexConfig;
 use crate::memo::{ConfigKey, CostMemo, Probe, Signature};
 
@@ -61,7 +61,7 @@ type CacheKey = (u64, QueryId, ConfigKey);
 ///   count because the unlimited budget never engages).
 /// * `call_timeout` — per-call latency bound. The pure cost model is
 ///   effectively instantaneous, so the timeout engages only against
-///   injected latency spikes ([`isum_faults`]); a spike longer than the
+///   injected latency spikes ([`crate::faults`]); a spike longer than the
 ///   timeout is reported as a transient timeout (no sleep is performed —
 ///   the simulated call is abandoned at its deadline).
 /// * `max_retries` / `backoff_base` / `backoff_cap` — transient failures
@@ -186,7 +186,7 @@ impl<'a> WhatIfOptimizer<'a> {
             timeouts: Counter::new(),
             evaluations: Counter::new(),
             budget: WhatIfBudget::from_env(),
-            injector: isum_faults::global(),
+            injector: faults::global(),
             cache: Mutex::new(HashMap::new()),
             memo: Mutex::new(CostMemo::default()),
         }

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use isum_faults::FaultInjector;
+use isum_optimizer::faults::FaultInjector;
 use isum_optimizer::{IndexConfig, WhatIfBudget, WhatIfOptimizer};
 use isum_workload::gen::tpch::{tpch_catalog, tpch_workload};
 
@@ -225,7 +225,7 @@ fn zero_fault_injector_is_bit_identical_to_plain_costing() {
     let cfg = IndexConfig::empty();
     let plain = WhatIfOptimizer::new(&catalog).with_injector(injector(""));
     let guarded = WhatIfOptimizer::new(&catalog)
-        .with_injector(injector("whatif_transient:0.0,parse:0.0"))
+        .with_injector(injector("whatif_transient:0.0,latency:0.0"))
         .with_budget(WhatIfBudget::default());
     for q in &w.queries {
         assert_eq!(

@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 
-use isum_common::{unhex_bits, Json, TemplateId};
+use isum_common::TemplateId;
 
 /// What a shard's sequencer does when the drift score crosses the
 /// threshold (`ISUM_DRIFT_ACTION`).
@@ -153,42 +153,6 @@ impl DriftTracker {
         Some(DriftSample { score, window_len: self.window.len(), crossed })
     }
 
-    /// Restores window contents and edge-trigger state from the document a
-    /// rebase record may carry: `{"window": [[template, mass bits]],
-    /// "above", "refilling"}`, masses as exact IEEE-754 bit patterns so
-    /// scoring replays bit-identically. The daemon writes no such document
-    /// (its rebases re-arm the tracker); logs written by an earlier
-    /// release's v1 import carry one. Best-effort: entries that do
-    /// not parse are skipped and a missing document leaves the tracker
-    /// fresh — drift state is advisory, never worth failing a recovery
-    /// over. Capacity still binds: excess restored entries are dropped
-    /// oldest-first.
-    pub fn restore_state(mut self, snap: &Json) -> DriftTracker {
-        if !self.enabled() {
-            return self;
-        }
-        let obj = snap.as_object().unwrap_or(&[]);
-        let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        if let Some(entries) = field("window").and_then(Json::as_array) {
-            for entry in entries {
-                let Some([t, bits]) = entry.as_array().and_then(|a| <&[Json; 2]>::try_from(a).ok())
-                else {
-                    continue;
-                };
-                let (Some(t), Some(mass)) = (t.as_u64(), bits.as_str().and_then(unhex_bits)) else {
-                    continue;
-                };
-                if self.window.len() == self.cap {
-                    self.window.pop_front();
-                }
-                self.window.push_back((t as usize, mass));
-            }
-        }
-        self.above = field("above").and_then(Json::as_bool).unwrap_or(false);
-        self.refilling = field("refilling").and_then(Json::as_bool).unwrap_or(false);
-        self
-    }
-
     /// Resets the tracker after an adaptive re-summarization: the engine
     /// history now *is* the recent window, so the window clears, the
     /// consumption cursor moves to the engine's new observation count,
@@ -231,26 +195,9 @@ impl DriftTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isum_common::hex_bits;
 
     fn t(i: usize) -> TemplateId {
         TemplateId::from_index(i)
-    }
-
-    impl DriftTracker {
-        /// The document [`DriftTracker::restore_state`] reads.
-        fn snapshot(&self) -> Json {
-            let window: Vec<Json> = self
-                .window
-                .iter()
-                .map(|&(t, mass)| Json::Arr(vec![Json::from(t), Json::from(hex_bits(mass))]))
-                .collect();
-            Json::Obj(vec![
-                ("window".into(), Json::Arr(window)),
-                ("above".into(), Json::from(self.above)),
-                ("refilling".into(), Json::from(self.refilling)),
-            ])
-        }
     }
 
     #[test]
@@ -311,56 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_window_and_edge_trigger() {
-        let mut d = DriftTracker::new(2, 0.4);
-        let total = [1.0, 1.0];
-        // Drive above the threshold so `above` is set, then snapshot.
-        assert!(d.on_batch(&[(t(0), 1.0), (t(0), 1.0)], &total).unwrap().crossed);
-        let snap = d.snapshot();
-        let reparsed = Json::parse(&snap.to_pretty()).expect("snapshot parses");
-
-        let mut restored = DriftTracker::new(2, 0.4).starting_at(d.seen()).restore_state(&reparsed);
-        assert_eq!(restored.seen(), d.seen());
-        // Still above: another above-threshold batch must NOT re-fire.
-        let s = restored.on_batch(&[(t(0), 1.0)], &total).unwrap();
-        assert!(s.score > 0.4 && !s.crossed, "restored edge-trigger suppresses double-fire");
-        // Dropping below re-arms, exactly like the live tracker.
-        let s = restored.on_batch(&[(t(0), 1.0), (t(1), 1.0)], &total).unwrap();
-        assert!(s.score < 0.4 && !s.crossed);
-        assert!(restored.on_batch(&[(t(1), 1.0), (t(1), 1.0)], &total).unwrap().crossed);
-    }
-
-    #[test]
-    fn restore_is_lenient_and_capacity_bounded() {
-        // Garbage documents leave a fresh tracker rather than failing.
-        let fresh = DriftTracker::new(4, 0.5).snapshot().to_pretty();
-        let d = DriftTracker::new(4, 0.5).restore_state(&Json::parse("[1, 2]").unwrap());
-        assert_eq!(d.snapshot().to_pretty(), fresh);
-        let garbage = r#"{"window": [[0], "x", [1, "nothex"]], "above": 3}"#;
-        let d = DriftTracker::new(4, 0.5).restore_state(&Json::parse(garbage).unwrap());
-        assert_eq!(d.snapshot().to_pretty(), fresh);
-
-        // More restored entries than capacity: keep the newest.
-        let mut big = DriftTracker::new(8, 0.5);
-        let _ =
-            big.on_batch(&(0..8).map(|i| (t(i), i as f64 + 1.0)).collect::<Vec<_>>(), &[1.0; 8]);
-        let small = DriftTracker::new(2, 0.5).restore_state(&big.snapshot());
-        let snap = small.snapshot();
-        let window = snap.as_object().unwrap()[0].1.as_array().unwrap();
-        assert_eq!(window.len(), 2, "restore respects the configured capacity");
-        assert_eq!(window[0].as_array().unwrap()[0].as_u64(), Some(6), "newest entries win");
-    }
-
-    #[test]
     fn reset_after_resummarize_rearms_and_suppresses_until_refilled() {
         let mut d = DriftTracker::new(2, 0.4);
         let total = [1.0, 1.0];
         assert!(d.on_batch(&[(t(0), 1.0), (t(0), 1.0)], &total).unwrap().crossed);
         d.reset_after_resummarize(7);
         assert_eq!(d.seen(), 7);
-        let snap = d.snapshot();
-        let window = snap.as_object().unwrap()[0].1.as_array().unwrap();
-        assert!(window.is_empty(), "window clears on reset");
+        assert!(d.window.is_empty(), "window clears on reset");
         // A half-refilled window is noise, not a sample: no score, and in
         // particular no instant re-fire against the truncated history.
         assert_eq!(d.on_batch(&[(t(0), 1.0)], &total), None, "suppressed while refilling");
@@ -368,20 +272,5 @@ mod tests {
         // Once refilled to capacity, scoring resumes and the re-armed
         // tracker crosses on a genuine excursion.
         assert!(d.on_batch(&[(t(0), 1.0)], &total).unwrap().crossed);
-    }
-
-    #[test]
-    fn refill_suppression_survives_a_snapshot_round_trip() {
-        let mut d = DriftTracker::new(4, 0.4);
-        let total = [1.0, 1.0];
-        let _ = d.on_batch(&[(t(0), 1.0); 4], &total);
-        d.reset_after_resummarize(4);
-        let mut restored =
-            DriftTracker::new(4, 0.4).starting_at(d.seen()).restore_state(&d.snapshot());
-        // A checkpoint taken right after a rebuild (forced compaction)
-        // must not turn the refill gap into an instant post-boot re-fire.
-        assert_eq!(restored.on_batch(&[(t(0), 1.0); 3], &total), None, "still refilling");
-        let s = restored.on_batch(&[(t(0), 1.0)], &total).expect("refilled");
-        assert!(s.crossed, "scoring resumes at capacity");
     }
 }

@@ -362,12 +362,25 @@ pub fn read_response(stream: &TcpStream) -> io::Result<RawResponse> {
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
             if name == "content-length" {
-                content_length = value.parse().unwrap_or(0);
+                content_length = value.parse().map_err(|_| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad Content-Length `{value}`"),
+                    )
+                })?;
             }
             headers.push((name, value));
         }
     }
-    let mut body = vec![0u8; content_length.min(MAX_BODY)];
+    // Reading a prefix would leave the rest on the connection, where a
+    // keep-alive client would parse it as the next response.
+    if content_length > MAX_BODY {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response body of {content_length} bytes exceeds {MAX_BODY}"),
+        ));
+    }
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok((status, headers, body))
 }
@@ -421,6 +434,45 @@ mod tests {
         let draws: Vec<u64> = (0..128).map(|_| retry_after_value(1).parse().unwrap()).collect();
         assert!(draws.iter().all(|&v| v == 1 || v == 2), "jitter is bounded to base..=base+1");
         assert!(draws.contains(&1) && draws.contains(&2), "jitter varies");
+    }
+
+    /// Serves `raw` as the whole reply to the first connection, then
+    /// returns what `read_response` made of it.
+    fn read_scripted(raw: impl Into<Vec<u8>>) -> io::Result<RawResponse> {
+        let raw = raw.into();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            // The peer may give up before reading everything.
+            let _ = conn.write_all(&raw);
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        let got = read_response(&stream);
+        drop(stream);
+        server.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn a_response_body_over_the_limit_is_refused_not_truncated() {
+        let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let raw = [head.into_bytes(), vec![b'x'; MAX_BODY + 1]].concat();
+        let err = read_scripted(raw).expect_err("an oversized body is an error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        let ok = read_scripted(&b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"[..]).unwrap();
+        assert_eq!((ok.0, ok.2), (200, b"hi".to_vec()));
+    }
+
+    #[test]
+    fn an_unparseable_content_length_is_refused_not_read_as_zero() {
+        for bad in ["ten", "-1", "", "1 2"] {
+            let raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {bad}\r\n\r\nbody");
+            let err = read_scripted(raw).expect_err(bad);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "`{bad}`: {err}");
+            assert!(err.to_string().contains("Content-Length"), "`{bad}`: {err}");
+        }
     }
 
     #[test]

@@ -241,7 +241,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(resp) => resp,
             Err(payload) => {
                 count!("server.panics");
-                count!("faults.quarantined");
                 let msg = payload
                     .downcast_ref::<&'static str>()
                     .map(|s| (*s).to_string())

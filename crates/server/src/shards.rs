@@ -701,7 +701,7 @@ impl LogState {
     /// the same lenient path (rejects re-reject, accepts re-apply,
     /// bit-identically) and the same drift feed — silently, the alerts
     /// fired before the crash — a rebase through [`apply_rebase`].
-    fn apply(&mut self, cfg: &ServerConfig, record: Record) {
+    fn apply(&mut self, record: Record) {
         self.statements += record.stmts.len() as u64;
         match record.kind {
             Kind::Batch => {
@@ -713,7 +713,7 @@ impl LogState {
                 self.crossed = sample.filter(|s| s.crossed).map(|s| s.window_len);
             }
             Kind::Rebase => {
-                apply_rebase(cfg, &mut self.engine, &mut self.drift, &record);
+                apply_rebase(&mut self.engine, &mut self.drift, &record);
                 self.next_seq = record.seq.unwrap_or(0);
                 self.crossed = None;
             }
@@ -733,20 +733,10 @@ fn feed_drift(engine: &Engine, drift: &mut DriftTracker) -> Option<DriftSample> 
 
 /// The whole effect of a rebase record on a shard, live and on replay:
 /// the engine holds exactly the record's statements, and the tracker
-/// either continues from the state the record carries (a log an earlier
-/// release's v1 import wrote) or re-arms against the new history (a
-/// re-summarization).
-fn apply_rebase(
-    cfg: &ServerConfig,
-    engine: &mut Engine,
-    drift: &mut DriftTracker,
-    rebase: &Record,
-) -> usize {
+/// re-arms against the new history.
+fn apply_rebase(engine: &mut Engine, drift: &mut DriftTracker, rebase: &Record) -> usize {
     let kept = engine.rebase(&rebase.stmts);
-    match &rebase.tracker {
-        Some(snap) => *drift = fresh_tracker(cfg, kept).restore_state(snap),
-        None => drift.reset_after_resummarize(kept),
-    }
+    drift.reset_after_resummarize(kept);
     kept
 }
 
@@ -766,8 +756,7 @@ fn recover_shard_state(
     };
     let named = |e: io::Error| io::Error::new(e.kind(), format!("shard `{name}`: {e}"));
     let start = Instant::now();
-    let end =
-        wal::replay(&DiskStorage, base, name, |record| log.apply(cfg, record)).map_err(named)?;
+    let end = wal::replay(&DiskStorage, base, name, |record| log.apply(record)).map_err(named)?;
     if end.torn {
         // `replay` already warned with the byte offset; the counter makes
         // crash-repair visible to telemetry-only observers.
@@ -964,7 +953,7 @@ impl Worker {
     /// ingest until a restart, which finds the crossing at the end of the
     /// log and rebases then).
     fn rebase(&mut self, window_len: usize) {
-        let (cfg, shard) = (&*self.cfg, &*self.shard);
+        let shard = &*self.shard;
         let start = Instant::now();
         let stmts = lock(&shard.engine).last_statements(window_len);
         let rebase = match self.wal.as_mut() {
@@ -989,12 +978,11 @@ impl Worker {
                 seq: Some(self.next_seq),
                 shard: shard.name.clone(),
                 stmts,
-                tracker: None,
             },
         };
         let kept = {
             let mut engine = lock(&shard.engine);
-            let kept = apply_rebase(cfg, &mut engine, &mut self.drift, &rebase);
+            let kept = apply_rebase(&mut engine, &mut self.drift, &rebase);
             publish_engine_cells(shard, &engine);
             kept
         };

@@ -36,7 +36,8 @@
 //!   sql_len: u32, sql: [u8]   // lenient-split statement text (UTF-8)
 //!   has_cost: u8, cost_bits: u64
 //! rebase only:
-//!   tracker_len: u32, tracker: [u8]   // drift-tracker JSON; empty = re-armed
+//!   tracker_len: u32, tracker: [u8]   // written empty (0); a nonempty one must
+//!                                     // be JSON and is discarded on replay
 //! ```
 //!
 //! A *rebase* record replaces everything before it: the shard's state is
@@ -105,10 +106,6 @@ pub struct Record {
     /// the input `Engine::apply_statements` (batch) or `Engine::rebase`
     /// (rebase: every cost present, as first ingested) consumes.
     pub stmts: Vec<(String, Option<f64>)>,
-    /// Rebase only: drift-tracker state to continue from; `None` re-arms
-    /// the tracker, as after a live re-summarization. The daemon writes
-    /// `None`; logs written by an earlier release's import may carry one.
-    pub tracker: Option<Json>,
 }
 
 /// Appends a record's frame payload to `out` (module docs for the
@@ -120,7 +117,6 @@ fn encode_record(
     seq: Option<u64>,
     shard: &str,
     stmts: &[(String, Option<f64>)],
-    tracker: Option<&Json>,
 ) {
     let put_bytes = |out: &mut Vec<u8>, bytes: &[u8]| {
         out.extend_from_slice(&u32::try_from(bytes.len()).expect("fits a frame").to_le_bytes());
@@ -140,7 +136,9 @@ fn encode_record(
         out.extend_from_slice(&cost.unwrap_or(0.0).to_bits().to_le_bytes());
     }
     if kind == Kind::Rebase {
-        put_bytes(out, tracker.map(Json::to_compact).unwrap_or_default().as_bytes());
+        // `tracker_len`: replay re-arms the drift tracker after a rebase,
+        // so no tracker state is written.
+        out.extend_from_slice(&0u32.to_le_bytes());
     }
 }
 
@@ -181,18 +179,19 @@ pub fn decode_record(payload: &[u8]) -> Result<Record, String> {
         let bits = r.u64().ok_or_else(short)?;
         stmts.push((sql, has_cost.then(|| f64::from_bits(bits))));
     }
-    let mut tracker = None;
     if kind == Kind::Rebase {
+        // Tracker state of an older writer: checked, then discarded —
+        // replay re-arms the tracker, as a live rebase does.
         let len = r.u32().ok_or_else(short)? as usize;
         let state = text(&mut r, len, "tracker state")?;
         if !state.is_empty() {
-            tracker = Some(Json::parse(&state).map_err(|e| format!("tracker state: {e}"))?);
+            Json::parse(&state).map_err(|e| format!("tracker state: {e}"))?;
         }
     }
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after record", r.remaining()));
     }
-    Ok(Record { kind, wal_seq, seq, shard, stmts, tracker })
+    Ok(Record { kind, wal_seq, seq, shard, stmts })
 }
 
 // ---------------------------------------------------------------------
@@ -617,7 +616,7 @@ impl<S: Storage> WalWriter<S> {
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         let wal_seq = self.next_wal_seq;
-        frame_into(&mut frame, |out| encode_record(out, kind, wal_seq, seq, shard, stmts, None));
+        frame_into(&mut frame, |out| encode_record(out, kind, wal_seq, seq, shard, stmts));
         frame
     }
 
@@ -637,7 +636,7 @@ impl<S: Storage> WalWriter<S> {
         let frame = self.frame_of(kind, seq, shard, &stmts);
         let stats = self.log_rebase(&frame);
         count!("server.wal.rebases");
-        let record = Record { kind, wal_seq, seq, shard: shard.to_string(), stmts, tracker: None };
+        let record = Record { kind, wal_seq, seq, shard: shard.to_string(), stmts };
         self.poison_on_error(stats.map(|stats| (record, stats)))
     }
 

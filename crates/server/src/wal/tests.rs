@@ -338,12 +338,12 @@ fn frame_ends(bytes: &[u8]) -> Vec<usize> {
 
 fn encode(r: &Record) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_record(&mut out, r.kind, r.wal_seq, r.seq, &r.shard, &r.stmts, r.tracker.as_ref());
+    encode_record(&mut out, r.kind, r.wal_seq, r.seq, &r.shard, &r.stmts);
     out
 }
 
 fn batch_of(wal_seq: u64, seq: Option<u64>, stmts: Vec<(String, Option<f64>)>) -> Record {
-    Record { kind: Kind::Batch, wal_seq, seq, shard: SHARD.into(), stmts, tracker: None }
+    Record { kind: Kind::Batch, wal_seq, seq, shard: SHARD.into(), stmts }
 }
 
 fn batch(wal_seq: u64, seq: Option<u64>, n: usize) -> Record {
@@ -356,7 +356,6 @@ fn rebase_of(wal_seq: u64, next_seq: u64, stmts: Vec<(String, Option<f64>)>) -> 
 
 #[test]
 fn records_round_trip_bit_exactly() {
-    let tracker = Json::parse(r#"{"window":[[0,"3ff0000000000000"]],"above":true}"#).unwrap();
     for record in [
         batch(0, Some(0), 0),
         batch(7, None, 3),
@@ -373,18 +372,11 @@ fn records_round_trip_bit_exactly() {
                 ],
             )
         },
-        Record {
-            tracker: Some(tracker),
-            ..rebase_of(
-                11,
-                5,
-                vec![
-                    ("a".into(), Some(-0.0)),
-                    ("b".into(), Some(f64::NAN)),
-                    ("".into(), Some(1.5)),
-                ],
-            )
-        },
+        rebase_of(
+            11,
+            5,
+            vec![("a".into(), Some(-0.0)), ("b".into(), Some(f64::NAN)), ("".into(), Some(1.5))],
+        ),
         Record { shard: "h3".into(), ..rebase_of(0, 0, Vec::new()) },
     ] {
         // Compare through `Debug`: it spells out float bits' meaning
@@ -396,8 +388,7 @@ fn records_round_trip_bit_exactly() {
 
 #[test]
 fn undecodable_payloads_error_without_panicking() {
-    let tracker = Some(Json::Obj(vec![("above".into(), Json::from(true))]));
-    let rebase = Record { tracker, ..rebase_of(1, 2, vec![("SELECT 1".into(), Some(2.0))]) };
+    let rebase = rebase_of(1, 2, vec![("SELECT 1".into(), Some(2.0))]);
     for good in [encode(&batch(1, Some(2), 2)), encode(&rebase)] {
         for cut in 0..good.len() {
             decode_record(&good[..cut]).expect_err("truncated payload must not decode");
@@ -410,6 +401,26 @@ fn undecodable_payloads_error_without_panicking() {
     let mut unmarked = encode(&rebase);
     unmarked[9] = 0; // has_seq
     assert!(decode_record(&unmarked).unwrap_err().contains("mark"));
+}
+
+#[test]
+fn a_rebase_records_tracker_state_is_written_empty_and_discarded_on_read() {
+    let rebase = rebase_of(3, 4, vec![("SELECT 1".into(), Some(2.0))]);
+    let payload = encode(&rebase);
+    assert!(payload.ends_with(&0u32.to_le_bytes()), "tracker_len is written as 0");
+    // An older writer's tracker state: JSON is accepted and dropped, so
+    // the replayed rebase re-arms the tracker like a live one.
+    let with_state = |state: &[u8]| {
+        let mut p = payload[..payload.len() - 4].to_vec();
+        p.extend_from_slice(&(state.len() as u32).to_le_bytes());
+        p.extend_from_slice(state);
+        decode_record(&p)
+    };
+    let state = br#"{"window":[[0,"3ff0000000000000"]],"above":true}"#;
+    assert_eq!(with_state(state).expect("decodes"), rebase);
+    // Anything else in those bytes is corruption, as before.
+    assert!(with_state(b"{\"window\":").unwrap_err().contains("tracker state"));
+    assert!(with_state(&[0xff, 0xfe]).unwrap_err().contains("not UTF-8"));
 }
 
 proptest! {

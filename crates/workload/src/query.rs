@@ -83,20 +83,6 @@ impl Workload {
         Workload::from_statements(catalog, sqls.iter().map(|s| (Cow::Borrowed(s.as_ref()), 0.0)))
     }
 
-    /// Lenient form of [`Workload::from_sql`] for real-world query logs,
-    /// where a fraction of statements is routinely truncated or
-    /// malformed: unparseable/unbindable statements are skipped (counted
-    /// as `workload.parse_skipped` in telemetry) and returned with their
-    /// input index and typed error, while the remainder builds a dense
-    /// workload exactly as the strict form would have.
-    pub fn from_sql_lenient<S: AsRef<str>>(
-        catalog: Catalog,
-        sqls: &[S],
-    ) -> (Workload, Vec<(usize, Error)>) {
-        let statements = sqls.iter().map(|s| (Cow::Borrowed(s.as_ref()), 0.0));
-        Workload::from_statements_lenient(catalog, statements)
-    }
-
     /// [`from_sql`](Self::from_sql) over `(text, cost)` pairs; an owned
     /// text moves into its query instead of being copied.
     pub(crate) fn from_statements<'s>(
@@ -111,8 +97,13 @@ impl Workload {
         Ok(w)
     }
 
-    /// [`from_sql_lenient`](Self::from_sql_lenient) over `(text, cost)`
-    /// pairs; an owned text moves into its query instead of being copied.
+    /// Lenient form of [`from_statements`](Self::from_statements) for
+    /// real-world query logs, where a fraction of statements is routinely
+    /// truncated or malformed: unparseable/unbindable statements are
+    /// skipped (counted as `workload.parse_skipped` in telemetry) and
+    /// returned with their input index and typed error, while the
+    /// remainder builds a dense workload exactly as the strict form would
+    /// have.
     pub(crate) fn from_statements_lenient<'s>(
         catalog: Catalog,
         statements: impl ExactSizeIterator<Item = (Cow<'s, str>, f64)>,
