@@ -15,14 +15,16 @@
 //! selection, weighting, or checkpoints, so `/summary` stays
 //! byte-identical with drift tracking on, off, or at any window size.
 //! Under `ISUM_DRIFT_ACTION=resummarize` a crossing additionally triggers
-//! an adaptive re-summarization of the shard over the recent window (see
-//! `shards::observe_drift`). Threshold crossings are edge-triggered —
+//! an adaptive re-summarization of the shard over the recent window (a
+//! logged rebase record). A shard's tracker lives in its state
+//! (`shards::ShardState`), whose one `apply` feeds it every batch, live
+//! and on replay. Threshold crossings are edge-triggered —
 //! [`DriftSample::crossed`] is true only on the transition from below to
 //! above — which is the rate limit on the operator-facing `warn!` the
-//! server emits (one alert per excursion, not one per batch). Recovery
-//! feeds every logged batch through the tracker again, so a restart
-//! neither double-fires an alert already raised nor forgets an excursion
-//! in progress.
+//! server emits (one alert per excursion, not one per batch). Because
+//! recovery feeds every logged batch through the tracker again, a
+//! restart neither double-fires an alert already raised nor forgets an
+//! excursion in progress.
 
 use std::collections::VecDeque;
 
@@ -108,13 +110,6 @@ impl DriftTracker {
     /// True when a nonzero window was configured.
     pub fn enabled(&self) -> bool {
         self.cap > 0
-    }
-
-    /// Starts consumption at observation `seen` instead of `0`, so the
-    /// history a rebase record restores does not flood the window.
-    pub fn starting_at(mut self, seen: usize) -> DriftTracker {
-        self.seen = seen;
-        self
     }
 
     /// Engine observations consumed so far — pass to

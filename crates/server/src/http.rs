@@ -10,6 +10,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use isum_common::{Json, Stage, StageClock};
 
@@ -19,6 +20,17 @@ pub const MAX_BODY: usize = 8 * 1024 * 1024;
 
 /// Cap on header section size (request line + headers).
 const MAX_HEAD: usize = 64 * 1024;
+
+/// A connection's socket read (and write) timeout: what bounds an idle
+/// keep-alive wait for the next request, and each read of a request.
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long one request may take to arrive, from its first byte to the
+/// end of its body. The socket's read timeout (also 10 s) bounds each
+/// read only, so without it a client that drips a byte at a time holds
+/// its connection — and shutdown, which joins every connection — open
+/// forever.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// A parsed HTTP request: method, path, decoded query parameters, and body.
 #[derive(Debug)]
@@ -51,7 +63,8 @@ impl Request {
         self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
     }
 
-    /// Reads one request from `stream`.
+    /// Reads one request from `stream`, with a per-request
+    /// [`StageClock`], within [`REQUEST_DEADLINE`] of its first byte.
     ///
     /// The outer `Err` is a transport problem (peer hung up, timeout) —
     /// there is nobody to answer, so callers just drop the connection.
@@ -60,19 +73,23 @@ impl Request {
     ///
     /// `Expect: 100-continue` is honored by writing the interim response
     /// before reading the body, so `curl -d @file` works out of the box.
-    pub fn read(stream: &TcpStream) -> io::Result<Result<Request, (u16, String)>> {
-        Self::read_timed(stream).map(|r| r.map(|(req, _)| req))
-    }
-
-    /// [`Request::read`] plus a per-request [`StageClock`]. The clock is
-    /// created *after* the request line arrives — a keep-alive
-    /// connection's idle wait belongs to the client, not the pipeline —
-    /// and comes back with `recv` (head + body off the socket) and
-    /// `parse` (struct assembly) already stamped.
+    ///
+    /// The clock is created *after* the request line arrives — a
+    /// keep-alive connection's idle wait belongs to the client, not the
+    /// pipeline — and comes back with `recv` (head + body off the
+    /// socket) and `parse` (struct assembly) already stamped.
     pub fn read_timed(
         stream: &TcpStream,
     ) -> io::Result<Result<(Request, StageClock), (u16, String)>> {
-        let mut reader = BufReader::new(stream);
+        Self::read_within(stream, REQUEST_DEADLINE)
+    }
+
+    fn read_within(
+        stream: &TcpStream,
+        deadline: Duration,
+    ) -> io::Result<Result<(Request, StageClock), (u16, String)>> {
+        let mut reader =
+            BufReader::new(Deadline { stream, deadline, ends: None, shortened: false });
         let mut line = String::new();
         if read_head_line(&mut reader, &mut line)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
@@ -151,9 +168,47 @@ impl Request {
 }
 
 /// Reads one CRLF-terminated head line; returns 0 on clean EOF.
-fn read_head_line(reader: &mut BufReader<&TcpStream>, line: &mut String) -> io::Result<usize> {
+fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
     line.clear();
     reader.read_line(line)
+}
+
+/// The socket as one request reads it: from the first byte that arrives,
+/// every read ends by `deadline` from then.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Duration,
+    /// When the request must have arrived; set by its first byte.
+    ends: Option<Instant>,
+    /// Whether a read ran under a timeout shorter than [`READ_TIMEOUT`].
+    shortened: bool,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(ends) = self.ends {
+            let left = ends.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "request deadline passed"));
+            }
+            self.stream.set_read_timeout(Some(left.min(READ_TIMEOUT)))?;
+            self.shortened = true;
+        }
+        let n = self.stream.read(buf)?;
+        if self.ends.is_none() && n > 0 {
+            self.ends = Some(Instant::now() + self.deadline);
+        }
+        Ok(n)
+    }
+}
+
+impl Drop for Deadline<'_> {
+    /// Puts the read timeout back for the connection's next idle wait.
+    fn drop(&mut self) {
+        if self.shortened {
+            let _ = self.stream.set_read_timeout(Some(READ_TIMEOUT));
+        }
+    }
 }
 
 /// Decodes an `application/x-www-form-urlencoded` query string.
@@ -473,6 +528,36 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "`{bad}`: {err}");
             assert!(err.to_string().contains("Content-Length"), "`{bad}`: {err}");
         }
+    }
+
+    #[test]
+    fn a_request_dripped_a_byte_at_a_time_ends_at_its_deadline() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let dripper = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            // Each byte arrives well inside the read timeout; the head
+            // never ends. Stops once the server hangs up.
+            let head = b"GET /status HTTP/1.1\r\nX-Pad: ".iter().chain([b'a'; 400].iter());
+            for &byte in head {
+                if conn.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let start = Instant::now();
+        let err = Request::read_within(&stream, Duration::from_millis(300))
+            .expect_err("a request that has not arrived by its deadline is dropped");
+        let waited = start.elapsed();
+        assert!(matches!(err.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock), "{err}");
+        assert!(waited < Duration::from_secs(2), "ended after {waited:?}");
+        let idle = stream.read_timeout().unwrap();
+        assert_eq!(idle, Some(READ_TIMEOUT), "the idle timeout is put back");
+        drop(stream);
+        dripper.join().unwrap();
     }
 
     #[test]

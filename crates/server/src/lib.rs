@@ -93,6 +93,6 @@ pub use client::{ApiResponse, Client};
 pub use config::ServerConfig;
 pub use drift::DriftAction;
 pub use engine::{summary_to_json, Engine, IngestOutcome};
-pub use http::{read_response, RawResponse, Request, Response};
+pub use http::{read_response, RawResponse, Request, Response, REQUEST_DEADLINE};
 pub use server::{install_signal_handlers, signal_pending, Server};
 pub use shards::{validate_tenant, DEFAULT_TENANT};

@@ -45,7 +45,7 @@ use isum_common::trace::{self, parse_level, Level};
 use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock};
 
 use crate::config::ServerConfig;
-use crate::http::{retry_after_value, Request, Response};
+use crate::http::{retry_after_value, Request, Response, READ_TIMEOUT};
 use crate::shards::{lock, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT};
 
 /// State shared between the accept loop and connection handlers.
@@ -209,8 +209,8 @@ fn request_id_for(req: &Request) -> String {
 /// `X-Isum-Request-Id`, and every non-2xx path emits an event under
 /// that ID so `/events` can attribute it.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     loop {
         let (req, clock) = match Request::read_timed(&stream) {
             Err(_) => return, // peer vanished or went idle; nobody to answer
@@ -435,7 +435,7 @@ fn try_route(
             count!("server.requests.explain");
             let k = required_param(req, "k")?;
             let shard = one_shard(shared, req, "explain")?;
-            let engine = lock(&shard.engine);
+            let engine = &lock(&shard.state).engine;
             json_response(engine.explain_json(k))
         }
         ("GET", "/summary") => {
@@ -461,7 +461,7 @@ fn try_route(
                 Some(Err(_)) => return Err(param_error("budget_bytes", "must be an integer")),
             };
             let shard = one_shard(shared, req, "tuning")?;
-            let engine = lock(&shard.engine);
+            let engine = &lock(&shard.state).engine;
             json_response(engine.tune_json(k, advisor, &constraints))
         }
         ("POST", "/shutdown") => {
@@ -650,7 +650,7 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
     let single = shared.router.single();
     let (observed, templates, summary) = match &single {
         Some(shard) => {
-            let engine = lock(&shard.engine);
+            let engine = &lock(&shard.state).engine;
             let observed = engine.observed();
             let templates = engine.template_count();
             let summary = if observed == 0 {

@@ -1,12 +1,15 @@
 //! Multi-tenant sharding and the one ingest pipeline every batch takes:
-//! enqueue → admit → durable-apply → ack (DESIGN.md §13).
+//! enqueue → admit → log → apply → ack (DESIGN.md §13).
 //!
 //! # Shards
 //!
-//! A *shard* is an engine plus its log, mutated by exactly one thread:
-//! a bounded queue feeds the shard's worker, which admits client batches
-//! in strict contiguous `seq` order and runs admission and durable-apply
-//! back to back on the request's own stage clock. Every distinct
+//! A *shard* is a state plus its log, changed by exactly one thread: a
+//! bounded queue feeds the shard's worker, which admits client batches
+//! in strict contiguous `seq` order, logs each as a record, and applies
+//! it, back to back on the request's own stage clock. The state — the
+//! engine, the sequencer mark and the drift tracker — changes only
+//! through [`ShardState::apply`], one record at a time: a live batch, a
+//! drift rebase and log replay take that same function. Every distinct
 //! `X-Isum-Tenant` header value owns one shard, created on first ingest;
 //! requests without the header land on the `default` tenant, whose log
 //! sits at the stem's own `.wal` base so a single-tenant deployment is
@@ -30,11 +33,12 @@
 //!
 //! Startup scans the stem's directory for `.t-<hex>` siblings, so a
 //! restart resurrects every tenant that was ever acknowledged a batch.
-//! Recovery per shard = replay every segment in order through the normal
-//! observe path, byte-identical to the never-crashed run; first boot,
-//! crash and clean restart are the same loop. Files of retired layouts —
-//! hashed-mode logs and the snapshots and single-file logs of releases
-//! before segments — refuse to start: see [`refuse_retired_layouts`].
+//! Recovery per shard = replay every segment in order through
+//! [`ShardState::apply`], byte-identical to the never-crashed run; first
+//! boot, crash and clean restart are the same loop. Files of retired
+//! layouts — hashed-mode logs and the snapshots and single-file logs of
+//! releases before segments — refuse to start: see
+//! [`refuse_retired_layouts`].
 
 use std::collections::BTreeMap;
 use std::io;
@@ -56,7 +60,7 @@ use crate::config::ServerConfig;
 use crate::drift::{DriftAction, DriftSample, DriftTracker};
 use crate::engine::{Engine, IngestOutcome};
 use crate::http::{retry_after_value, Response};
-use crate::wal::{self, DiskStorage, Kind, Record, WalWriter};
+use crate::wal::{self, DiskStorage, Kind, Record, Storage, WalWriter};
 
 /// The tenant requests land on when no `X-Isum-Tenant` header is sent.
 pub const DEFAULT_TENANT: &str = "default";
@@ -137,11 +141,13 @@ pub(crate) struct ShardCells {
     pub stage_hists: [Histogram; STAGES.len()],
 }
 
-/// One shard: a name, an engine, a bounded queue, and its worker's
+/// One shard: a name, its state, a bounded queue, and its worker's
 /// observable state.
 pub(crate) struct Shard {
     pub name: String,
-    pub engine: Mutex<Engine>,
+    /// The shard lock: readers render from the engine inside, the worker
+    /// applies records to it.
+    pub state: Mutex<ShardState>,
     /// The sending half of the worker's bounded queue; `None` once drain
     /// begins — closing the channel is what lets the worker drain to
     /// empty and exit.
@@ -155,13 +161,25 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    fn new(name: &str, state: ShardState, queue: Option<SyncSender<Job>>) -> Arc<Shard> {
+        let cells = ShardCells::default();
+        cells.drift_score_ppm.store(-1, Ordering::Relaxed);
+        Arc::new(Shard {
+            name: name.to_string(),
+            state: Mutex::new(state),
+            queue: Mutex::new(queue),
+            cells,
+            summary_cache: Mutex::new(None),
+        })
+    }
+
     /// Answers `GET /summary` for this shard, reusing the cached rendered
     /// document when the engine has not changed since it was built. The
-    /// engine lock is held across the version read and the (re)render, so
+    /// shard lock is held across the version read and the (re)render, so
     /// a concurrent apply cannot publish a version the cached document
     /// does not reflect.
     pub(crate) fn summary_json_cached(&self, k: usize) -> isum_common::Result<Json> {
-        let engine = lock(&self.engine);
+        let state = lock(&self.state);
         let version = self.cells.state_version.load(Ordering::Acquire);
         {
             let cache = lock(&self.summary_cache);
@@ -173,7 +191,7 @@ impl Shard {
             }
         }
         count!("server.summary.cache_misses");
-        let doc = engine.summary_json(k)?;
+        let doc = state.engine.summary_json(k)?;
         *lock(&self.summary_cache) = Some((version, k, doc.clone()));
         Ok(doc)
     }
@@ -261,7 +279,8 @@ impl ShardRouter {
     /// (see [`isum_core::merge_partials`] for the determinism contract).
     pub(crate) fn merged(&self) -> MergedWorkload {
         let shards = self.shards();
-        let partials: Vec<_> = shards.iter().map(|s| lock(&s.engine).shard_partial()).collect();
+        let partials: Vec<_> =
+            shards.iter().map(|s| lock(&s.state).engine.shard_partial()).collect();
         merge_partials(&partials)
     }
 
@@ -315,35 +334,11 @@ impl ShardRouter {
         }
         let cfg = &self.cfg;
         let base = cfg.checkpoint.as_ref().map(|stem| log_base(stem, name));
-        let (log, wal, rebase_over) = recover_shard_state(cfg, name, base.as_deref())?;
+        let (state, wal) = recover_shard_state(DiskStorage, cfg, name, base.as_deref())?;
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
-        let cells = ShardCells::default();
-        cells.drift_score_ppm.store(-1, Ordering::Relaxed);
-        let shard = Arc::new(Shard {
-            name: name.to_string(),
-            engine: Mutex::new(log.engine),
-            queue: Mutex::new(Some(tx)),
-            cells,
-            summary_cache: Mutex::new(None),
-        });
-        let mut worker = Worker {
-            cfg: Arc::clone(cfg),
-            shard: Arc::clone(&shard),
-            next_seq: log.next_seq,
-            drift: log.drift,
-            wal,
-        };
-        if let Some(window_len) = rebase_over {
-            // The log ends on a batch whose drift crossing was never
-            // acted on (a crash between its fsync and the rebase's).
-            worker.rebase(window_len);
-        }
-        publish_engine_cells(&shard, &lock(&shard.engine));
-        shard.cells.next_seq.store(worker.next_seq, Ordering::Relaxed);
-        if let Some(w) = &worker.wal {
-            publish_wal_cells(&shard.cells, w);
-        }
-        let next_seq = worker.next_seq;
+        let worker = Worker::start(Arc::clone(cfg), Shard::new(name, state, Some(tx)), wal);
+        let shard = Arc::clone(&worker.shard);
+        let next_seq = shard.cells.next_seq.load(Ordering::Relaxed);
         let handle = std::thread::Builder::new()
             .name(format!("isum-shard-{name}"))
             .spawn(move || worker.run(rx))?;
@@ -665,133 +660,143 @@ fn refuse_retired_layouts(files: &[StateFile]) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Recovery: replay the log
+// The state machine: every record, live or replayed, goes through `apply`
 // ---------------------------------------------------------------------
 
-/// A shard's state as its log dictates it, record by record.
-struct LogState {
-    engine: Engine,
-    /// The sequencer high-water mark.
+/// A shard's state as its records dictate it. [`ShardState::apply`] is
+/// the only way to change it: a live batch, a live rebase and log replay
+/// all fold records through it, so a replayed log rebuilds exactly the
+/// state the live shard served.
+pub(crate) struct ShardState {
+    pub(crate) engine: Engine,
+    /// The sequencer high-water mark: the only `seq` admitted as fresh.
     next_seq: u64,
+    /// Fed every applied batch, live and on replay, so a restart cannot
+    /// re-fire an alert the pre-restart run already raised.
     drift: DriftTracker,
     /// Window length of the drift crossing the *latest* record caused, if
-    /// it caused one. Inside the log only rebase records change history
-    /// (a restart under a different `ISUM_DRIFT_*` must not rewrite it);
-    /// a crossing is acted on only when the log ends there.
+    /// it caused one: what a rebase under `ISUM_DRIFT_ACTION=resummarize`
+    /// acts on. Inside the log only rebase records change history (a
+    /// restart under a different `ISUM_DRIFT_*` must not rewrite it), so a
+    /// crossing replay meets is acted on only when the log ends there.
     crossed: Option<usize>,
-    statements: u64,
 }
 
-fn fresh_tracker(cfg: &ServerConfig, observed: usize) -> DriftTracker {
-    DriftTracker::new(cfg.drift_window, cfg.drift_threshold).starting_at(observed)
-}
-
-impl LogState {
-    fn empty(cfg: &ServerConfig) -> LogState {
-        LogState {
+impl ShardState {
+    fn new(cfg: &ServerConfig) -> ShardState {
+        ShardState {
             engine: Engine::new(cfg.catalog.clone(), cfg.isum),
             next_seq: 0,
-            drift: fresh_tracker(cfg, 0),
+            drift: DriftTracker::new(cfg.drift_window, cfg.drift_threshold),
             crossed: None,
-            statements: 0,
         }
     }
 
-    /// Applies one record exactly as the live shard did: a batch through
-    /// the same lenient path (rejects re-reject, accepts re-apply,
-    /// bit-identically) and the same drift feed — silently, the alerts
-    /// fired before the crash — a rebase through [`apply_rebase`].
-    fn apply(&mut self, record: Record) {
-        self.statements += record.stmts.len() as u64;
+    /// Applies one record. A batch goes through the lenient path
+    /// (rejects re-reject, accepts re-apply, bit-identically), advances
+    /// the mark past its `seq`, and feeds the drift tracker, whose sample
+    /// comes back with the outcome. A rebase replaces the engine's
+    /// history with exactly its statements, re-arms the tracker and sets
+    /// the mark it carries; its outcome counts the queries kept.
+    fn apply(&mut self, record: &Record) -> (IngestOutcome, Option<DriftSample>) {
         match record.kind {
             Kind::Batch => {
-                self.engine.apply_statements(&record.stmts);
+                let outcome = self.engine.apply_statements(&record.stmts);
                 if let Some(s) = record.seq {
                     self.next_seq = self.next_seq.max(s + 1);
                 }
-                let sample = feed_drift(&self.engine, &mut self.drift);
+                let sample = self.feed_drift();
                 self.crossed = sample.filter(|s| s.crossed).map(|s| s.window_len);
+                (outcome, sample)
             }
             Kind::Rebase => {
-                apply_rebase(&mut self.engine, &mut self.drift, &record);
+                let kept = self.engine.rebase(&record.stmts);
+                self.drift.reset_after_resummarize(kept);
                 self.next_seq = record.seq.unwrap_or(0);
                 self.crossed = None;
+                let total = record.stmts.len();
+                (IngestOutcome { accepted: kept, rejected: Vec::new(), total }, None)
             }
         }
     }
-}
 
-/// Feeds the tracker the observations it has not seen yet and scores the
-/// window — once per applied batch, live and on replay.
-fn feed_drift(engine: &Engine, drift: &mut DriftTracker) -> Option<DriftSample> {
-    if !drift.enabled() {
-        return None;
+    /// The rebase record that answers a pending drift crossing: the
+    /// crossing window's statements, under the current mark.
+    fn rebase_record(&self, shard: &str) -> Option<Record> {
+        let window_len = self.crossed?;
+        Some(Record {
+            kind: Kind::Rebase,
+            wal_seq: 0,
+            seq: Some(self.next_seq),
+            shard: shard.to_string(),
+            stmts: self.engine.last_statements(window_len),
+        })
     }
-    let fresh = engine.observations_since(drift.seen());
-    drift.on_batch(&fresh, &engine.template_mass())
-}
 
-/// The whole effect of a rebase record on a shard, live and on replay:
-/// the engine holds exactly the record's statements, and the tracker
-/// re-arms against the new history.
-fn apply_rebase(engine: &mut Engine, drift: &mut DriftTracker, rebase: &Record) -> usize {
-    let kept = engine.rebase(&rebase.stmts);
-    drift.reset_after_resummarize(kept);
-    kept
+    /// Feeds the tracker the observations it has not seen yet and scores
+    /// the window.
+    fn feed_drift(&mut self) -> Option<DriftSample> {
+        if !self.drift.enabled() {
+            return None;
+        }
+        let fresh = self.engine.observations_since(self.drift.seen());
+        self.drift.on_batch(&fresh, &self.engine.template_mass())
+    }
 }
 
 /// Recovers one shard: replays every segment of its log at `base`, in
-/// order, into a fresh engine and tracker, and opens the log for
-/// appending. Also returns the window to rebase over when the log ends on
-/// an unanswered drift crossing under `ISUM_DRIFT_ACTION=resummarize`. A
-/// corrupt log is the only fatal case.
-fn recover_shard_state(
+/// order, through [`ShardState::apply`] into a fresh state, and opens the
+/// log for appending. A drift crossing the log ends on stays in the
+/// state for the worker to act on. A corrupt log is the only fatal case.
+fn recover_shard_state<S: Storage>(
+    storage: S,
     cfg: &ServerConfig,
     name: &str,
     base: Option<&Path>,
-) -> io::Result<(LogState, Option<WalWriter>, Option<usize>)> {
-    let mut log = LogState::empty(cfg);
+) -> io::Result<(ShardState, Option<WalWriter<S>>)> {
+    let mut state = ShardState::new(cfg);
     let Some(base) = base else {
-        return Ok((log, None, None));
+        return Ok((state, None));
     };
     let named = |e: io::Error| io::Error::new(e.kind(), format!("shard `{name}`: {e}"));
     let start = Instant::now();
-    let end = wal::replay(&DiskStorage, base, name, |record| log.apply(record)).map_err(named)?;
+    let mut statements = 0u64;
+    let end = wal::replay(&storage, base, name, |record| {
+        statements += record.stmts.len() as u64;
+        state.apply(&record);
+    })
+    .map_err(named)?;
     if end.torn {
         // `replay` already warned with the byte offset; the counter makes
         // crash-repair visible to telemetry-only observers.
         count!("server.wal.torn_repairs");
     }
     let (segments, records) = (end.segments.len(), end.records());
-    let writer = WalWriter::open(DiskStorage, base, cfg.wal_segment_bytes, end).map_err(named)?;
-    count!("server.recovery.replayed_statements", log.statements);
+    let writer = WalWriter::open(storage, base, cfg.wal_segment_bytes, end).map_err(named)?;
+    count!("server.recovery.replayed_statements", statements);
     isum_common::info!(
         "server.wal",
         format!("recovered shard `{name}` from {}", base.display()),
         segments = segments,
         records = records,
-        statements = log.statements,
+        statements = statements,
         seconds = format!("{:.3}", start.elapsed().as_secs_f64()),
-        next_seq = log.next_seq
+        next_seq = state.next_seq
     );
-    let rebase_over = log.crossed.filter(|_| cfg.drift_action == DriftAction::Resummarize);
-    Ok((log, Some(writer), rebase_over))
+    Ok((state, Some(writer)))
 }
 
 // ---------------------------------------------------------------------
-// The request pipeline: admit → durable-apply → ack
+// The request pipeline: admit → log → apply → ack
 // ---------------------------------------------------------------------
 
-/// One shard's worker thread: the only code that mutates a live shard.
-struct Worker {
+/// One shard's worker: the only code that changes a live shard. Generic
+/// over the log's storage so that tests can drive the live path over a
+/// file system that loses power; the daemon runs it on [`DiskStorage`].
+struct Worker<S: Storage = DiskStorage> {
     cfg: Arc<ServerConfig>,
     shard: Arc<Shard>,
-    /// The shard's high-water mark: the only `seq` admitted as fresh.
-    next_seq: u64,
-    /// Built by recovery, which feeds it every logged batch again — so a
-    /// restart cannot re-fire an alert the pre-restart run already raised.
-    drift: DriftTracker,
-    wal: Option<WalWriter>,
+    wal: Option<WalWriter<S>>,
 }
 
 /// Strict-`seq` admission, a function of the batch's `seq` and the
@@ -822,7 +827,9 @@ fn admit(tenant: &str, seq: Option<u64>, next_seq: u64) -> Option<Response> {
         seq = seq,
         next_seq = next_seq
     );
-    Some(ack(Some(seq), None, next_seq))
+    let fields =
+        vec![("applied".into(), Json::from(0u64)), ("next_seq".into(), Json::from(next_seq))];
+    Some(ack(Some(seq), "duplicate", fields))
 }
 
 /// Counts a batch as admitted for application and splits it exactly the
@@ -834,37 +841,30 @@ fn split_batch(script: &str) -> Vec<(String, Option<f64>)> {
     sqls.into_iter().zip(costs).collect()
 }
 
-/// The 200 ack: `ok` with the outcome and the observed total of a batch
-/// that was applied, or — `applied` is `None` — `duplicate` with the
-/// shard's high-water mark `next_seq`.
-fn ack(seq: Option<u64>, applied: Option<(&IngestOutcome, u64)>, next_seq: u64) -> Response {
-    let status = if applied.is_some() { "ok" } else { "duplicate" };
-    let mut fields = vec![("status".into(), Json::from(status))];
+/// The 200 ack: `status` and the batch's `seq`, then `fields`.
+fn ack(seq: Option<u64>, status: &str, fields: Vec<(String, Json)>) -> Response {
+    let mut all = vec![("status".into(), Json::from(status))];
     if let Some(s) = seq {
-        fields.push(("seq".into(), Json::from(s)));
+        all.push(("seq".into(), Json::from(s)));
     }
-    match applied {
-        None => {
-            fields.push(("applied".into(), Json::from(0u64)));
-            fields.push(("next_seq".into(), Json::from(next_seq)));
-        }
-        Some((outcome, observed)) => {
-            let rejected = outcome.rejected.iter().map(|(i, reason)| {
-                Json::Obj(vec![
-                    ("statement".into(), Json::from(*i)),
-                    ("error".into(), Json::from(reason.as_str())),
-                ])
-            });
-            fields.push(("applied".into(), Json::from(outcome.accepted)));
-            fields.push(("total".into(), Json::from(outcome.total)));
-            fields.push(("rejected".into(), Json::Arr(rejected.collect())));
-            fields.push(("observed".into(), Json::from(observed)));
-        }
-    }
-    Response::json(200, &Json::Obj(fields))
+    all.extend(fields);
+    Response::json(200, &Json::Obj(all))
 }
 
-impl Worker {
+impl<S: Storage> Worker<S> {
+    /// The worker of a recovered shard: acts on a drift crossing its log
+    /// ended on (a crash between the crossing batch's fsync and the
+    /// rebase's) through the live rebase step, then publishes the cells.
+    fn start(cfg: Arc<ServerConfig>, shard: Arc<Shard>, wal: Option<WalWriter<S>>) -> Worker<S> {
+        let mut worker = Worker { cfg, shard, wal };
+        worker.rebase_on_crossing();
+        publish_state_cells(&worker.shard, &lock(&worker.shard.state));
+        if let Some(w) = &worker.wal {
+            publish_wal_cells(&worker.shard.cells, w);
+        }
+        worker
+    }
+
     /// Serves the queue strictly in order until it closes. Nothing is
     /// left to do then: every acknowledged batch is already in the log.
     fn run(mut self, rx: Receiver<Job>) {
@@ -877,116 +877,129 @@ impl Worker {
         }
     }
 
-    /// One client batch, end to end: admit, durable-apply, ack.
+    /// One client batch, end to end: admit, log, apply, raise the drift
+    /// alert, re-summarize on a crossing, ack.
     fn ingest(&mut self, seq: Option<u64>, script: &str, clock: &StageClock) -> Response {
-        if let Some(answer) = admit(&self.shard.name, seq, self.next_seq) {
+        let shard = Arc::clone(&self.shard);
+        let next_seq = lock(&shard.state).next_seq;
+        if let Some(answer) = admit(&shard.name, seq, next_seq) {
             return answer;
         }
-        let stmts = split_batch(script);
+        let record = Record {
+            kind: Kind::Batch,
+            wal_seq: 0,
+            seq,
+            shard: shard.name.clone(),
+            stmts: split_batch(script),
+        };
         clock.stamp(Stage::Sequence);
-        match self.durable_apply(seq, &stmts, clock) {
-            Ok(outcome) => {
-                let observed = self.shard.cells.observed.load(Ordering::Relaxed);
-                ack(seq, Some((&outcome, observed)), self.next_seq)
-            }
-            Err(why) => retryable(503, &why),
+        if !self.cfg.apply_delay.is_zero() {
+            std::thread::sleep(self.cfg.apply_delay);
         }
+        let (outcome, sample) = match self.log_and_apply(&record, clock) {
+            Ok(applied) => applied,
+            Err(e) => {
+                isum_common::error!(
+                    "server.wal",
+                    format!("WAL append failed: {e}"),
+                    tenant = shard.name,
+                    seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string())
+                );
+                let why = format!("write-ahead log append failed ({e}); batch not applied, retry");
+                return retryable(503, &why);
+            }
+        };
+        isum_common::debug!(
+            "server.ingest",
+            "batch applied",
+            tenant = shard.name,
+            observed = shard.cells.observed.load(Ordering::Relaxed)
+        );
+        if let Some(sample) = sample {
+            publish_drift(&shard, &self.cfg, sample, seq);
+        }
+        self.rebase_on_crossing();
+        let rejected = outcome.rejected.iter().map(|(i, reason)| {
+            Json::Obj(vec![
+                ("statement".into(), Json::from(*i)),
+                ("error".into(), Json::from(reason.as_str())),
+            ])
+        });
+        let fields = vec![
+            ("applied".into(), Json::from(outcome.accepted)),
+            ("total".into(), Json::from(outcome.total)),
+            ("rejected".into(), Json::Arr(rejected.collect())),
+            ("observed".into(), Json::from(shard.cells.observed.load(Ordering::Relaxed))),
+        ];
+        ack(seq, "ok", fields)
     }
 
-    /// The durable-apply step, the only code that mutates a live shard:
-    /// log → fsync → apply → publish → drift, each stamped on the
-    /// request's `clock`. `Err` means the batch could not be logged:
-    /// nothing was applied, and the caller answers a retryable 503.
-    fn durable_apply(
+    /// The durable step every record takes, a live batch or a rebase:
+    /// log it and fsync (when the shard has a log), then apply it under
+    /// the shard lock and publish the cells, each stamped on `clock`.
+    /// Log-then-apply: a record is durable before any state changes, so
+    /// an acked batch survives any crash, and `Err` — the record could
+    /// not be logged — means nothing was applied (a failed append poisons
+    /// the writer until restart).
+    fn log_and_apply(
         &mut self,
-        seq: Option<u64>,
-        stmts: &[(String, Option<f64>)],
+        record: &Record,
         clock: &StageClock,
-    ) -> Result<IngestOutcome, String> {
-        let (cfg, shard) = (&*self.cfg, &*self.shard);
-        if !cfg.apply_delay.is_zero() {
-            std::thread::sleep(cfg.apply_delay);
-        }
-        // Log-then-apply: the record is fsynced before any state
-        // changes, so an acked batch survives any crash and a failed
-        // append leaves nothing applied.
+    ) -> io::Result<(IngestOutcome, Option<DriftSample>)> {
+        let shard = &*self.shard;
         if let Some(w) = self.wal.as_mut() {
-            let fsync = wal_append(shard, w, seq, stmts)?;
+            let stats = w.append(record)?;
+            publish_wal_cells(&shard.cells, w);
+            let fsync = note_durable_write(&shard.cells, &stats);
             // The append stamp covers serialize+write+fsync; carve the
             // measured fsync share out so the two stages partition the
             // durability cost.
             clock.stamp(Stage::WalAppend);
             clock.shift(Stage::WalAppend, Stage::Fsync, fsync);
         }
-        let outcome = {
-            let mut engine = lock(&shard.engine);
-            let outcome = engine.apply_statements(stmts);
-            publish_engine_cells(shard, &engine);
-            isum_common::debug!(
-                "server.ingest",
-                "batch applied",
-                tenant = shard.name,
-                observed = engine.observed()
-            );
-            outcome
+        let applied = {
+            let mut state = lock(&shard.state);
+            let applied = state.apply(record);
+            publish_state_cells(shard, &state);
+            applied
         };
         clock.stamp(Stage::Apply);
-        if let Some(s) = seq {
-            self.next_seq = s + 1;
-        }
-        shard.cells.next_seq.store(self.next_seq, Ordering::Relaxed);
-        if let Some(window_len) = observe_drift(shard, cfg, &mut self.drift, seq) {
-            self.rebase(window_len);
-        }
-        Ok(outcome)
+        Ok(applied)
     }
 
-    /// Drift-adaptive re-summarization: rebuilds the shard over its most
+    /// Drift-adaptive re-summarization, live and at start-up: when the
+    /// latest record crossed the drift threshold under
+    /// `ISUM_DRIFT_ACTION=resummarize`, rebuilds the shard over its most
     /// recent `window_len` accepted queries (behind the sequencer, so the
     /// adaptation is deterministic for a fixed request stream). The
-    /// retained statements are logged as a rebase record before the
-    /// engine changes and the segments before it are unlinked after;
-    /// replay takes the same [`apply_rebase`] step when it meets the
-    /// record. Readers only ever observe the engine before or after
-    /// (never during) the rebuild. If the record cannot be logged the
-    /// shard keeps its history (and its poisoned writer refuses further
-    /// ingest until a restart, which finds the crossing at the end of the
-    /// log and rebases then).
-    fn rebase(&mut self, window_len: usize) {
-        let shard = &*self.shard;
+    /// retained statements become a rebase record that takes the same
+    /// durable step as a batch; the segments before it are unlinked
+    /// after. Readers only ever observe the shard before or after (never
+    /// during) the rebuild. If the record cannot be logged the shard
+    /// keeps its history (and its poisoned writer refuses further ingest
+    /// until a restart, which finds the crossing at the end of the log
+    /// and rebases then).
+    fn rebase_on_crossing(&mut self) {
+        if self.cfg.drift_action != DriftAction::Resummarize {
+            return;
+        }
+        let shard = Arc::clone(&self.shard);
         let start = Instant::now();
-        let stmts = lock(&shard.engine).last_statements(window_len);
-        let rebase = match self.wal.as_mut() {
-            Some(w) => match w.rebase(self.next_seq, &shard.name, stmts) {
-                Ok((rebase, stats)) => {
-                    shard.cells.wal_rebases.fetch_add(1, Ordering::Relaxed);
-                    note_durable_write(&shard.cells, &stats);
-                    rebase
-                }
-                Err(e) => {
-                    isum_common::error!(
-                        "server.wal",
-                        format!("could not log the rebase record, history kept: {e}"),
-                        tenant = shard.name
-                    );
-                    return;
-                }
-            },
-            None => Record {
-                kind: Kind::Rebase,
-                wal_seq: 0,
-                seq: Some(self.next_seq),
-                shard: shard.name.clone(),
-                stmts,
-            },
-        };
-        let kept = {
-            let mut engine = lock(&shard.engine);
-            let kept = apply_rebase(&mut engine, &mut self.drift, &rebase);
-            publish_engine_cells(shard, &engine);
-            kept
+        let Some(record) = lock(&shard.state).rebase_record(&shard.name) else { return };
+        // A rebase is no request's stage: its clock is read by nobody.
+        let kept = match self.log_and_apply(&record, &StageClock::new()) {
+            Ok((outcome, _)) => outcome.accepted,
+            Err(e) => {
+                isum_common::error!(
+                    "server.wal",
+                    format!("could not log the rebase record, history kept: {e}"),
+                    tenant = shard.name
+                );
+                return;
+            }
         };
         if let Some(w) = self.wal.as_mut() {
+            shard.cells.wal_rebases.fetch_add(1, Ordering::Relaxed);
             w.retire_rebased();
             publish_wal_cells(&shard.cells, w);
         }
@@ -1004,17 +1017,18 @@ impl Worker {
     }
 }
 
-/// Publishes the engine's observable counters into the shard's mirror
-/// cells and bumps the state version that invalidates the `/summary`
-/// render cache (caller holds the engine lock).
-fn publish_engine_cells(shard: &Shard, engine: &Engine) {
-    shard.cells.observed.store(engine.observed() as u64, Ordering::Relaxed);
-    shard.cells.templates.store(engine.template_count() as u64, Ordering::Relaxed);
+/// Publishes the state's observable counters and mark into the shard's
+/// mirror cells and bumps the state version that invalidates the
+/// `/summary` render cache (caller holds the shard lock).
+fn publish_state_cells(shard: &Shard, state: &ShardState) {
+    shard.cells.observed.store(state.engine.observed() as u64, Ordering::Relaxed);
+    shard.cells.templates.store(state.engine.template_count() as u64, Ordering::Relaxed);
+    shard.cells.next_seq.store(state.next_seq, Ordering::Relaxed);
     shard.cells.state_version.fetch_add(1, Ordering::Release);
 }
 
 /// Publishes the log's position and size into the shard's mirror cells.
-fn publish_wal_cells(cells: &ShardCells, w: &WalWriter) {
+fn publish_wal_cells<S: Storage>(cells: &ShardCells, w: &WalWriter<S>) {
     cells.wal_seq.store(w.next_wal_seq(), Ordering::Relaxed);
     cells.wal_oldest_seq.store(w.oldest_wal_seq(), Ordering::Relaxed);
     cells.wal_bytes.store(w.bytes(), Ordering::Relaxed);
@@ -1038,51 +1052,13 @@ fn note_durable_write(cells: &ShardCells, stats: &wal::AppendStats) -> Duration 
     spent
 }
 
-/// Appends one batch to the shard's WAL and fsyncs, updating the mirror
-/// cells. `Ok` carries the measured fsync duration so callers can
-/// attribute it as its own pipeline stage. `Err` carries the 503 body:
-/// the batch was *not* applied (and a failed append poisons the writer
-/// until restart), so a retrying client converges once the shard
-/// recovers.
-fn wal_append(
-    shard: &Shard,
-    w: &mut WalWriter,
-    seq: Option<u64>,
-    stmts: &[(String, Option<f64>)],
-) -> Result<Duration, String> {
-    match w.append(seq, &shard.name, stmts) {
-        Ok(stats) => {
-            publish_wal_cells(&shard.cells, w);
-            Ok(note_durable_write(&shard.cells, &stats))
-        }
-        Err(e) => {
-            isum_common::error!(
-                "server.wal",
-                format!("WAL append failed: {e}"),
-                tenant = shard.name,
-                seq = seq.map_or_else(|| "unsequenced".into(), |s| s.to_string())
-            );
-            Err(format!("write-ahead log append failed ({e}); batch not applied, retry"))
-        }
-    }
-}
-
-/// Post-batch drift observation: folds the batch's fresh observations
-/// into the shard's sliding window, publishes the score (telemetry
-/// gauges + histogram and the `/status` mirror cells), and emits the
-/// edge-triggered `warn!` when the score first exceeds the threshold.
-/// Runs on the shard thread with the submitting request's ID already
-/// installed, so the alert is attributed to the batch that caused it.
-/// Reads engine state and feeds nothing back; under
-/// `DriftAction::Resummarize` a crossing returns the window length the
-/// caller re-summarizes over.
-fn observe_drift(
-    shard: &Shard,
-    cfg: &ServerConfig,
-    drift: &mut DriftTracker,
-    seq: Option<u64>,
-) -> Option<usize> {
-    let sample = feed_drift(&lock(&shard.engine), drift)?;
+/// Publishes a live batch's drift sample (telemetry gauges + histogram
+/// and the `/status` mirror cells) and emits the edge-triggered `warn!`
+/// when the score first exceeds the threshold. Runs on the shard thread
+/// with the submitting request's ID already installed, so the alert is
+/// attributed to the batch that caused it. Replay publishes nothing: the
+/// alerts fired before the crash.
+fn publish_drift(shard: &Shard, cfg: &ServerConfig, sample: DriftSample, seq: Option<u64>) {
     let ppm = (sample.score * 1e6).round() as i64;
     shard.cells.drift_score_ppm.store(ppm, Ordering::Relaxed);
     shard.cells.drift_window_len.store(sample.window_len as u64, Ordering::Relaxed);
@@ -1092,7 +1068,7 @@ fn observe_drift(
         isum_common::record!("drift.batch_score_ppm", ppm.max(0) as u64);
     }
     if !sample.crossed {
-        return None;
+        return;
     }
     shard.cells.drift_alerts.fetch_add(1, Ordering::Relaxed);
     count!("drift.alerts");
@@ -1108,96 +1084,7 @@ fn observe_drift(
         window_len = sample.window_len,
         score_ppm = ppm
     );
-    (cfg.drift_action == DriftAction::Resummarize).then_some(sample.window_len)
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tenant_validation_matches_the_wire_contract() {
-        assert!(validate_tenant("default").is_ok());
-        assert!(validate_tenant("acme-prod_7").is_ok());
-        assert!(validate_tenant(&"x".repeat(64)).is_ok());
-        assert!(validate_tenant("").is_err());
-        assert!(validate_tenant(&"x".repeat(65)).is_err());
-        assert!(validate_tenant("has space").is_err());
-        assert!(validate_tenant("tab\tname").is_err());
-        assert!(validate_tenant("path/traversal").is_err());
-        assert!(validate_tenant("utf8-héllo").is_err());
-    }
-
-    #[test]
-    fn log_bases_drop_the_stem_extension_once() {
-        let base = |stem: &str, tenant: &str| log_base(Path::new(stem), tenant);
-        assert_eq!(base("dir/ckpt.json", DEFAULT_TENANT), Path::new("dir/ckpt.wal"));
-        assert_eq!(
-            base("dir/ckpt.json", "acme"),
-            Path::new("dir/ckpt.t-61636d65.wal"),
-            "tenant logs are hex-tagged siblings"
-        );
-        assert_eq!(
-            base("dir/ckpt.json", "h3"),
-            Path::new("dir/ckpt.t-6833.wal"),
-            "no name is special: restart discovery scans `t-<hex>` only"
-        );
-        assert_eq!(base("dir/my.ckpt.json", "acme"), Path::new("dir/my.ckpt.t-61636d65.wal"));
-        // No extension: a tenant's tag is never mistaken for one, so every
-        // tenant keeps its own log.
-        assert_eq!(base("state", DEFAULT_TENANT), Path::new("state.wal"));
-        assert_eq!(base("state", "acme"), Path::new("state.t-61636d65.wal"));
-    }
-
-    #[test]
-    fn tenants_are_discovered_by_their_segments_and_every_retired_file_is_named() {
-        for (stem_name, ext) in [("ckpt.json", ".json"), ("ckpt", "")] {
-            let dir = std::env::temp_dir().join(format!(
-                "isum-shards-disc-{}-{}",
-                ext.len(),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let stem = dir.join(stem_name);
-            let touch = |name: &str| std::fs::write(dir.join(name), "").unwrap();
-            let segment = |tenant: &str, n: u64| wal::segment_path(&log_base(&stem, tenant), n);
-            // A tenant with two segments is found once.
-            for (tenant, n) in [("acme", 1), ("acme", 2), ("zeta-9", 41), (DEFAULT_TENANT, 1)] {
-                std::fs::write(segment(tenant, n), "").unwrap();
-            }
-            // Distractors: junk hex, a short segment number, what a v1
-            // import renamed aside, tags that are not shard tags.
-            for name in ["ckpt.t-zz.wal.00000001", "ckpt.t-676f6e65.wal.7", "ckpt.notes"] {
-                touch(name);
-            }
-            for name in [stem_name, "ckpt.wal", "ckpt.t-676f6e65", "ckpt.h0.wal", "ckpt.hx.wal"] {
-                touch(&format!("{name}.imported"));
-            }
-            touch("ckpt.h.wal");
-            let files = state_files(&stem);
-            assert_eq!(tenants_of(&files), ["acme", "zeta-9"], "{stem_name}");
-            assert!(refuse_retired_layouts(&files).is_ok(), "{stem_name}: nothing is retired");
-
-            // v1 files of the default tenant, of a tenant and of a hashed
-            // shard, and a hashed-mode segment.
-            let prev = format!("{stem_name}.prev");
-            let tenant_v1 = format!("ckpt.t-676f6e65{ext}");
-            let hashed_v1 = format!("ckpt.h0{ext}");
-            let v1 = [stem_name, &prev, "ckpt.wal", &tenant_v1, "ckpt.t-676f6e65.wal", &hashed_v1];
-            for name in v1.iter().chain(&["ckpt.h12.wal", "ckpt.h0.wal.00000003"]) {
-                touch(name);
-            }
-            let refusal = refuse_retired_layouts(&state_files(&stem)).unwrap_err().to_string();
-            for name in v1.iter().chain(&["ckpt.h12.wal"]) {
-                assert!(refusal.contains(name), "{stem_name}: {name} unnamed in {refusal}");
-            }
-            assert!(
-                refusal.contains("(--shards): ckpt.h0.wal.00000003;")
-                    && refusal.contains("(h0 -> t-6830)"),
-                "{refusal}"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-}
+mod tests;

@@ -108,34 +108,27 @@ pub struct Record {
     pub stmts: Vec<(String, Option<f64>)>,
 }
 
-/// Appends a record's frame payload to `out` (module docs for the
-/// layout).
-fn encode_record(
-    out: &mut Vec<u8>,
-    kind: Kind,
-    wal_seq: u64,
-    seq: Option<u64>,
-    shard: &str,
-    stmts: &[(String, Option<f64>)],
-) {
+/// Appends the payload of `record` numbered `wal_seq` to `out` (module
+/// docs for the layout).
+fn encode_record(out: &mut Vec<u8>, record: &Record, wal_seq: u64) {
     let put_bytes = |out: &mut Vec<u8>, bytes: &[u8]| {
         out.extend_from_slice(&u32::try_from(bytes.len()).expect("fits a frame").to_le_bytes());
         out.extend_from_slice(bytes);
     };
-    out.push(kind as u8);
+    out.push(record.kind as u8);
     out.extend_from_slice(&wal_seq.to_le_bytes());
-    out.push(seq.is_some() as u8);
-    out.extend_from_slice(&seq.unwrap_or(0).to_le_bytes());
-    let shard_len = u16::try_from(shard.len()).expect("tenant names are at most 64 bytes");
+    out.push(record.seq.is_some() as u8);
+    out.extend_from_slice(&record.seq.unwrap_or(0).to_le_bytes());
+    let shard_len = u16::try_from(record.shard.len()).expect("tenant names are at most 64 bytes");
     out.extend_from_slice(&shard_len.to_le_bytes());
-    out.extend_from_slice(shard.as_bytes());
-    out.extend_from_slice(&(stmts.len() as u32).to_le_bytes());
-    for (sql, cost) in stmts {
+    out.extend_from_slice(record.shard.as_bytes());
+    out.extend_from_slice(&(record.stmts.len() as u32).to_le_bytes());
+    for (sql, cost) in &record.stmts {
         put_bytes(out, sql.as_bytes());
         out.push(cost.is_some() as u8);
         out.extend_from_slice(&cost.unwrap_or(0.0).to_bits().to_le_bytes());
     }
-    if kind == Kind::Rebase {
+    if record.kind == Kind::Rebase {
         // `tracker_len`: replay re-arms the drift tracker after a rebase,
         // so no tracker state is written.
         out.extend_from_slice(&0u32.to_le_bytes());
@@ -585,59 +578,30 @@ impl<S: Storage> WalWriter<S> {
         Ok(writer)
     }
 
-    /// Logs one batch durably: encodes the record (assigning the next
-    /// `wal_seq`), appends its frame, and fsyncs before returning.
-    pub fn append(
-        &mut self,
-        seq: Option<u64>,
-        shard: &str,
-        stmts: &[(String, Option<f64>)],
-    ) -> io::Result<AppendStats> {
+    /// Logs `record` durably under the next `wal_seq` (assigned here:
+    /// the record's own `wal_seq` is what a reader decodes, not an input)
+    /// and fsyncs before returning. A rebase record opens a segment — the
+    /// writer rotates first if the active one holds anything — and the
+    /// directory is fsynced too; the caller applies it and then calls
+    /// [`retire_rebased`](Self::retire_rebased).
+    pub fn append(&mut self, record: &Record) -> io::Result<AppendStats> {
         self.refuse_if_poisoned()?;
-        let frame = self.frame_of(Kind::Batch, seq, shard, stmts);
-        let stats = self.commit(&frame);
-        self.frame = frame;
-        if stats.is_ok() {
-            count!("server.wal.appends");
-        }
-        self.poison_on_error(stats)
-    }
-
-    /// The next record (it gets `next_wal_seq`) as one frame, in the
-    /// writer's buffer. `append` puts the buffer back; `rebase` drops it
-    /// (its frame can be as large as the shard's whole state).
-    fn frame_of(
-        &mut self,
-        kind: Kind,
-        seq: Option<u64>,
-        shard: &str,
-        stmts: &[(String, Option<f64>)],
-    ) -> Vec<u8> {
         let mut frame = std::mem::take(&mut self.frame);
         frame.clear();
         let wal_seq = self.next_wal_seq;
-        frame_into(&mut frame, |out| encode_record(out, kind, wal_seq, seq, shard, stmts));
-        frame
-    }
-
-    /// Logs a rebase record durably as the first record of a segment
-    /// (rotating first if the active one holds anything) and fsyncs file
-    /// and directory. The record re-arms the drift tracker. The caller
-    /// applies the record and then calls
-    /// [`retire_rebased`](Self::retire_rebased).
-    pub fn rebase(
-        &mut self,
-        next_seq: u64,
-        shard: &str,
-        stmts: Vec<(String, Option<f64>)>,
-    ) -> io::Result<(Record, AppendStats)> {
-        self.refuse_if_poisoned()?;
-        let (kind, wal_seq, seq) = (Kind::Rebase, self.next_wal_seq, Some(next_seq));
-        let frame = self.frame_of(kind, seq, shard, &stmts);
-        let stats = self.log_rebase(&frame);
-        count!("server.wal.rebases");
-        let record = Record { kind, wal_seq, seq, shard: shard.to_string(), stmts };
-        self.poison_on_error(stats.map(|stats| (record, stats)))
+        frame_into(&mut frame, |out| encode_record(out, record, wal_seq));
+        let stats = match record.kind {
+            Kind::Batch => {
+                let stats = self.commit(&frame);
+                // Kept so the next append allocates nothing; a rebase's
+                // frame is dropped (it can be as large as the shard's
+                // whole state).
+                self.frame = frame;
+                stats.inspect(|_| count!("server.wal.appends"))
+            }
+            Kind::Rebase => self.log_rebase(&frame).inspect(|_| count!("server.wal.rebases")),
+        };
+        self.poison_on_error(stats)
     }
 
     fn log_rebase(&mut self, frame: &[u8]) -> io::Result<AppendStats> {
@@ -767,5 +731,7 @@ impl<S: Storage> WalWriter<S> {
     }
 }
 
+#[cfg(test)]
+pub(crate) mod mem;
 #[cfg(test)]
 mod tests;

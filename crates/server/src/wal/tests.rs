@@ -2,253 +2,13 @@
 //! log driven through a [`Storage`] double that can lose power, against
 //! a model of what was acknowledged.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use isum_common::framing::{encode_frame, FRAME_HEADER_LEN};
 use proptest::prelude::*;
 
+use super::mem::{split_mix, MemStorage};
 use super::*;
-
-// ---------------------------------------------------------------------
-// The storage double
-// ---------------------------------------------------------------------
-
-/// One file's bytes: what the running process sees, and the prefix of
-/// that a power cut is sure to keep.
-#[derive(Debug, Default, Clone)]
-struct Inode {
-    data: Vec<u8>,
-    /// What is on stable storage. After `sync_file` a copy of `data`;
-    /// between syncs a power cut keeps this plus an arbitrary prefix of
-    /// what was appended since (or, after a cut-down, either version).
-    durable: Vec<u8>,
-}
-
-#[derive(Debug, Clone)]
-enum DirOp {
-    Link(PathBuf, usize),
-    Unlink(PathBuf),
-    Rename(PathBuf, PathBuf),
-}
-
-#[derive(Debug, Default)]
-struct Mem {
-    inodes: Vec<Inode>,
-    /// The directory as the running process sees it.
-    live: BTreeMap<PathBuf, usize>,
-    /// The directory on stable storage.
-    durable: BTreeMap<PathBuf, usize>,
-    /// Creates, unlinks and renames since the last `sync_dir`, in order.
-    /// A power cut keeps an arbitrary *prefix* of them (a journaling file
-    /// system commits directory operations in order).
-    pending: Vec<DirOp>,
-    /// Operations performed; `dies_at` is the count at which the process
-    /// "dies": that operation and every later one fails with EIO (an
-    /// append that dies first writes an arbitrary prefix of its bytes).
-    ops: u64,
-    dies_at: Option<u64>,
-    rng: u64,
-}
-
-/// A single-directory file system with a page cache and a power switch.
-#[derive(Debug, Clone, Default)]
-struct MemStorage(Rc<RefCell<Mem>>);
-
-fn split_mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl Mem {
-    fn below(&mut self, bound: usize) -> usize {
-        (split_mix(&mut self.rng) % bound as u64) as usize
-    }
-
-    /// Counts one operation; `Err` once the process is dead.
-    fn tick(&mut self) -> io::Result<()> {
-        self.ops += 1;
-        match self.dies_at {
-            Some(at) if self.ops >= at => Err(io::Error::other("injected EIO: the process died")),
-            _ => Ok(()),
-        }
-    }
-
-    fn apply(dir: &mut BTreeMap<PathBuf, usize>, op: &DirOp) {
-        match op {
-            DirOp::Link(path, inode) => {
-                dir.insert(path.clone(), *inode);
-            }
-            DirOp::Unlink(path) => {
-                dir.remove(path);
-            }
-            DirOp::Rename(from, to) => {
-                if let Some(inode) = dir.remove(from) {
-                    dir.insert(to.clone(), inode);
-                }
-            }
-        }
-    }
-
-    fn dir_op(&mut self, op: DirOp) {
-        Mem::apply(&mut self.live, &op);
-        self.pending.push(op);
-    }
-}
-
-impl MemStorage {
-    fn seeded(seed: u64) -> MemStorage {
-        let storage = MemStorage::default();
-        storage.0.borrow_mut().rng = seed;
-        storage
-    }
-
-    /// The process dies `after` operations from now.
-    fn die_after(&self, after: u64) {
-        let mem = &mut *self.0.borrow_mut();
-        mem.dies_at = Some(mem.ops + after);
-    }
-
-    /// A new process starts on what the old one left in the page cache.
-    fn restart(&self) {
-        self.0.borrow_mut().dies_at = None;
-    }
-
-    /// The power goes: every file keeps its durable bytes plus an
-    /// arbitrary prefix of what was appended since its last fsync, the
-    /// directory keeps an arbitrary prefix of its un-fsynced operations.
-    fn power_loss(&self) {
-        let mem = &mut *self.0.borrow_mut();
-        for i in 0..mem.inodes.len() {
-            let Inode { data, durable } = mem.inodes[i].clone();
-            let kept = if data.starts_with(&durable) {
-                let extra = mem.below(data.len() - durable.len() + 1);
-                data[..durable.len() + extra].to_vec()
-            } else if mem.below(2) == 0 {
-                durable
-            } else {
-                data
-            };
-            mem.inodes[i] = Inode { data: kept.clone(), durable: kept };
-        }
-        let keep = mem.below(mem.pending.len() + 1);
-        let ops: Vec<DirOp> = mem.pending.drain(..).take(keep).collect();
-        for op in &ops {
-            Mem::apply(&mut mem.durable, op);
-        }
-        mem.live = mem.durable.clone();
-        mem.dies_at = None;
-    }
-
-    fn names(&self) -> Vec<String> {
-        self.list(Path::new("/")).expect("lists")
-    }
-
-    fn bytes(&self, path: &Path) -> Vec<u8> {
-        self.read(path).expect("reads")
-    }
-
-    /// Overwrites a file in place, durably (test set-up only).
-    fn put(&self, path: &Path, bytes: &[u8]) {
-        let mem = &mut *self.0.borrow_mut();
-        let inode = match mem.live.get(path) {
-            Some(&inode) => inode,
-            None => {
-                mem.inodes.push(Inode::default());
-                let inode = mem.inodes.len() - 1;
-                mem.live.insert(path.to_path_buf(), inode);
-                mem.durable.insert(path.to_path_buf(), inode);
-                inode
-            }
-        };
-        mem.inodes[inode] = Inode { data: bytes.to_vec(), durable: bytes.to_vec() };
-    }
-
-    /// `rename(2)`, as the retired snapshot writer used it.
-    fn rename(&self, from: &Path, to: &Path) {
-        self.0.borrow_mut().dir_op(DirOp::Rename(from.to_path_buf(), to.to_path_buf()));
-    }
-}
-
-impl Storage for MemStorage {
-    type File = usize;
-
-    fn create(&self, path: &Path) -> io::Result<usize> {
-        let mem = &mut *self.0.borrow_mut();
-        mem.tick()?;
-        if mem.live.contains_key(path) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "exists"));
-        }
-        mem.inodes.push(Inode::default());
-        let inode = mem.inodes.len() - 1;
-        mem.dir_op(DirOp::Link(path.to_path_buf(), inode));
-        Ok(inode)
-    }
-
-    fn open_end(&self, path: &Path, len: u64) -> io::Result<usize> {
-        let mem = &mut *self.0.borrow_mut();
-        mem.tick()?;
-        let inode = *mem.live.get(path).ok_or(io::ErrorKind::NotFound)?;
-        mem.inodes[inode].data.truncate(len as usize);
-        Ok(inode)
-    }
-
-    fn append(&self, file: &mut usize, bytes: &[u8]) -> io::Result<()> {
-        let mem = &mut *self.0.borrow_mut();
-        let died_before = mem.dies_at.is_some_and(|at| mem.ops >= at);
-        if let Err(e) = mem.tick() {
-            if !died_before {
-                let torn = mem.below(bytes.len() + 1);
-                mem.inodes[*file].data.extend_from_slice(&bytes[..torn]);
-            }
-            return Err(e);
-        }
-        mem.inodes[*file].data.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync_file(&self, file: &mut usize) -> io::Result<()> {
-        let mem = &mut *self.0.borrow_mut();
-        mem.tick()?;
-        mem.inodes[*file].durable = mem.inodes[*file].data.clone();
-        Ok(())
-    }
-
-    fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
-        let mem = &mut *self.0.borrow_mut();
-        mem.tick()?;
-        let ops: Vec<DirOp> = mem.pending.drain(..).collect();
-        for op in &ops {
-            Mem::apply(&mut mem.durable, op);
-        }
-        Ok(())
-    }
-
-    fn list(&self, _dir: &Path) -> io::Result<Vec<String>> {
-        let mem = self.0.borrow();
-        Ok(mem.live.keys().filter_map(|p| p.file_name()?.to_str().map(String::from)).collect())
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let mem = self.0.borrow();
-        let inode = *mem.live.get(path).ok_or(io::ErrorKind::NotFound)?;
-        Ok(mem.inodes[inode].data.clone())
-    }
-
-    fn unlink(&self, path: &Path) -> io::Result<()> {
-        let mem = &mut *self.0.borrow_mut();
-        mem.tick()?;
-        if !mem.live.contains_key(path) {
-            return Err(io::ErrorKind::NotFound.into());
-        }
-        mem.dir_op(DirOp::Unlink(path.to_path_buf()));
-        Ok(())
-    }
-}
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -338,7 +98,7 @@ fn frame_ends(bytes: &[u8]) -> Vec<usize> {
 
 fn encode(r: &Record) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_record(&mut out, r.kind, r.wal_seq, r.seq, &r.shard, &r.stmts);
+    encode_record(&mut out, r, r.wal_seq);
     out
 }
 
@@ -348,6 +108,11 @@ fn batch_of(wal_seq: u64, seq: Option<u64>, stmts: Vec<(String, Option<f64>)>) -
 
 fn batch(wal_seq: u64, seq: Option<u64>, n: usize) -> Record {
     batch_of(wal_seq, seq, stmts(n, wal_seq))
+}
+
+/// A batch as a shard hands it to the writer, which numbers it.
+fn logged(seq: Option<u64>, shard: &str, stmts: &[(String, Option<f64>)]) -> Record {
+    Record { shard: shard.into(), ..batch_of(0, seq, stmts.to_vec()) }
 }
 
 fn rebase_of(wal_seq: u64, next_seq: u64, stmts: Vec<(String, Option<f64>)>) -> Record {
@@ -486,7 +251,7 @@ fn appends_rotate_at_the_threshold_and_closed_segments_never_change() {
     let mut appended = 0;
     for i in 0..12u64 {
         let s = stmts(2, i);
-        let stats = w.append(Some(i), SHARD, &s).expect("appends");
+        let stats = w.append(&logged(Some(i), SHARD, &s)).expect("appends");
         appended += stats.bytes;
         expected.apply(&batch_of(i, Some(i), s));
         // Whatever was closed before this append is byte-for-byte what it
@@ -514,7 +279,7 @@ fn appends_rotate_at_the_threshold_and_closed_segments_never_change() {
     let (state, mut w) = boot(&storage, 300).expect("reboots");
     assert_eq!(state, expected);
     assert_eq!((w.next_wal_seq(), w.bytes()), (12, appended + HEADER * w.segments()));
-    w.append(None, SHARD, &stmts(1, 99)).expect("appends after a restart");
+    w.append(&logged(None, SHARD, &stmts(1, 99))).expect("appends after a restart");
     assert_eq!(boot(&storage, 300).expect("reboots").0.next_wal_seq, 13);
 }
 
@@ -526,26 +291,26 @@ fn torn_appends_poison_the_writer_and_recover_as_a_prefix() {
     let storage = MemStorage::default();
     let (_, mut w) = boot(&storage, 1 << 20).expect("boots");
     let s = stmts(3, 0);
-    w.append(Some(0), SHARD, &s).expect("appends");
+    w.append(&logged(Some(0), SHARD, &s)).expect("appends");
     let segment = segment_path(&base(), 1);
     let before = storage.bytes(&segment).len();
     let frame = encode_frame(&encode(&batch_of(1, Some(1), s.clone())));
     storage.die_after(1);
-    let err = w.append(Some(1), SHARD, &s).expect_err("tears");
+    let err = w.append(&logged(Some(1), SHARD, &s)).expect_err("tears");
     assert!(err.to_string().contains("EIO"), "{err}");
     let torn = storage.bytes(&segment).len() - before;
     assert!(0 < torn && torn < frame.len(), "{torn} of {} bytes reached the file", frame.len());
     storage.restart();
-    let err = w.append(Some(2), SHARD, &s).expect_err("poisoned");
+    let err = w.append(&logged(Some(2), SHARD, &s)).expect_err("poisoned");
     assert!(err.to_string().contains("poisoned"), "{err}");
-    let err = w.rebase(2, SHARD, Vec::new()).expect_err("poisoned");
+    let err = w.append(&rebase_of(1, 2, Vec::new())).expect_err("poisoned");
     assert!(err.to_string().contains("poisoned"), "{err}");
     drop(w);
 
     let (state, mut w) = boot(&storage, 1 << 20).expect("repairs");
     assert_eq!((state.next_wal_seq, state.next_seq), (1, 1), "only the fsynced record survives");
     assert_eq!(storage.bytes(&segment).len(), before, "the torn tail is cut");
-    w.append(Some(1), SHARD, &s).expect("appends after repair");
+    w.append(&logged(Some(1), SHARD, &s)).expect("appends after repair");
     let (state, _) = boot(&storage, 1 << 20).expect("reads");
     assert_eq!((state.next_wal_seq, state.stmts.len()), (2, 6));
 }
@@ -562,15 +327,15 @@ fn a_rotation_that_fails_after_the_fsync_acks_the_record_and_refuses_the_next() 
         // The record's append and fsync, then fsync / create / header /
         // fsync-directory of the rotation.
         storage.die_after(2 + dies_in_rotation_at);
-        let stats = w.append(Some(0), SHARD, &s).expect("the record is durable: acked");
+        let stats = w.append(&logged(Some(0), SHARD, &s)).expect("the record is durable: acked");
         assert_eq!(stats.rotations, [None, None], "no rotation completed");
-        let err = w.append(Some(1), SHARD, &s).expect_err("refused");
+        let err = w.append(&logged(Some(1), SHARD, &s)).expect_err("refused");
         assert!(err.to_string().contains("poisoned"), "{err}");
         drop(w);
         storage.restart();
         let (state, mut w) = boot(&storage, 1).expect("recovers");
         assert_eq!((state.next_seq, state.stmts.len()), (1, 2), "step {dies_in_rotation_at}");
-        w.append(Some(1), SHARD, &s).expect("appends after the restart");
+        w.append(&logged(Some(1), SHARD, &s)).expect("appends after the restart");
     }
 }
 
@@ -583,14 +348,14 @@ fn cutting_the_last_segment_at_every_offset_recovers_an_exact_prefix() {
     let storage = MemStorage::default();
     let (_, mut w) = boot(&storage, 100).expect("boots");
     for i in 0..3u64 {
-        w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
+        w.append(&logged(Some(i), SHARD, &stmts(2, i))).expect("appends");
     }
     assert_eq!(w.segments(), 4, "every record filled its segment; the fourth is empty");
     drop(w);
     // Grow the last segment to three records without rotating.
     let (_, mut w) = boot(&storage, 1 << 20).expect("reboots");
     for i in 3..6u64 {
-        w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
+        w.append(&logged(Some(i), SHARD, &stmts(2, i))).expect("appends");
     }
     drop(w);
     let last = segment_path(&base(), 4);
@@ -606,7 +371,7 @@ fn cutting_the_last_segment_at_every_offset_recovers_an_exact_prefix() {
         assert_eq!(state.next_seq, 3 + survivors, "cut {cut}");
         let repaired = ends.iter().filter(|&&e| e <= cut).max().copied().unwrap_or(0).max(8);
         assert_eq!(storage.bytes(&last).len(), repaired, "cut {cut} is repaired to a boundary");
-        w.append(Some(9), SHARD, &stmts(1, 9)).expect("appends after the repair");
+        w.append(&logged(Some(9), SHARD, &stmts(1, 9))).expect("appends after the repair");
         assert_eq!(boot(&storage, 1 << 20).expect("reads").0.next_wal_seq, 4 + survivors);
     }
 }
@@ -618,12 +383,12 @@ fn damage_in_a_closed_segment_a_gap_or_a_foreign_file_refuses_to_start() {
         let storage = MemStorage::default();
         let (_, mut w) = boot(&storage, 100).expect("boots");
         for i in 0..5u64 {
-            w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
+            w.append(&logged(Some(i), SHARD, &stmts(2, i))).expect("appends");
         }
         drop(w);
         let (_, mut w) = boot(&storage, 1 << 20).expect("reboots");
         for i in 5..7u64 {
-            w.append(Some(i), SHARD, &stmts(2, i)).expect("appends");
+            w.append(&logged(Some(i), SHARD, &stmts(2, i))).expect("appends");
         }
         assert_eq!(w.segments(), 6);
         storage
@@ -670,7 +435,7 @@ fn damage_in_a_closed_segment_a_gap_or_a_foreign_file_refuses_to_start() {
     // Another shard's log under this shard's name.
     let storage = MemStorage::default();
     let (_, mut w) = boot(&storage, 100).expect("boots");
-    w.append(Some(0), "acme", &stmts(1, 0)).expect("appends");
+    w.append(&logged(Some(0), "acme", &stmts(1, 0))).expect("appends");
     drop(w);
     assert!(
         refuses(&storage, "foreign").contains("record 0 in /ckpt.wal.00000001 names shard `acme`")
@@ -699,13 +464,14 @@ fn a_rebase_opens_a_segment_and_retires_the_ones_before_it() {
     let mut expected = Folded::default();
     for i in 0..6u64 {
         let s = stmts(2, i);
-        w.append(Some(i), SHARD, &s).expect("appends");
+        w.append(&logged(Some(i), SHARD, &s)).expect("appends");
         expected.apply(&batch_of(i, Some(i), s));
     }
     let before = storage.names();
     assert!(before.len() >= 2 && w.active.records > 0);
     let rotated = w.segments();
-    let (rebase, stats) = w.rebase(6, SHARD, expected.last(3)).expect("logs the rebase");
+    let rebase = rebase_of(w.next_wal_seq(), 6, expected.last(3));
+    let stats = w.append(&rebase).expect("logs the rebase");
     assert_eq!((rebase.wal_seq, rebase.stmts.len()), (6, 3));
     let rotations = stats.rotations.iter().flatten().count() as u64;
     assert_eq!(w.segments() - rotated, rotations, "every rotation a rebase makes is reported");
@@ -719,7 +485,7 @@ fn a_rebase_opens_a_segment_and_retires_the_ones_before_it() {
     let after = storage.names();
     assert_eq!(after.len(), 1, "only the rebase segment is left: {after:?}");
     assert_eq!((w.segments(), w.oldest_wal_seq(), w.next_wal_seq()), (1, 6, 7));
-    w.append(Some(6), SHARD, &stmts(1, 6)).expect("appends after the rebase");
+    w.append(&logged(Some(6), SHARD, &stmts(1, 6))).expect("appends after the rebase");
     drop(w);
 
     let (state, _) = boot(&storage, 500).expect("a log may start at a rebase segment");
@@ -762,18 +528,20 @@ fn run_schedule(seed: u64) {
             0..=6 => {
                 let seq = (below(4) > 0).then_some(acked.next_seq);
                 let s = stmts(below(4) as usize, seed.wrapping_add(step));
+                let record = batch_of(acked.next_wal_seq, seq, s);
                 let mut landed = acked.clone();
-                landed.apply(&batch_of(acked.next_wal_seq, seq, s.clone()));
-                match writer.append(seq, SHARD, &s) {
+                landed.apply(&record);
+                match writer.append(&record) {
                     Ok(_) => acked = landed,
                     Err(_) => (in_flight, restart) = (Some(landed), true),
                 }
             }
             7..=8 => {
                 let keep = acked.last(below(6) as usize);
+                let record = rebase_of(acked.next_wal_seq, acked.next_seq, keep);
                 let mut landed = acked.clone();
-                landed.apply(&rebase_of(acked.next_wal_seq, acked.next_seq, keep.clone()));
-                match writer.rebase(acked.next_seq, SHARD, keep) {
+                landed.apply(&record);
+                match writer.append(&record) {
                     Ok(_) => {
                         acked = landed;
                         writer.retire_rebased();

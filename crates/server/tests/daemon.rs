@@ -1,14 +1,17 @@
 //! End-to-end tests of the serving daemon over real TCP sockets:
 //! concurrent-client determinism, backpressure, malformed input,
-//! graceful-shutdown drain, and resume from the log.
+//! graceful-shutdown drain (which a dripping client cannot hold open),
+//! and resume from the log.
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use isum_catalog::{Catalog, CatalogBuilder};
 use isum_core::{Compressor, Isum, IsumConfig};
-use isum_server::{Client, Engine, Server, ServerConfig};
+use isum_server::{Client, Engine, Server, ServerConfig, REQUEST_DEADLINE};
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -350,6 +353,40 @@ fn graceful_shutdown_drains_queued_batches() {
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_dripping_a_request_cannot_hold_shutdown_open() {
+    let (server, client) = start(ServerConfig::new(catalog()));
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let dripping = Arc::clone(&stop);
+    // A byte every 100 ms — each read ends well inside the read timeout
+    // — for longer than the deadline plus the grace below, so at a
+    // server without the deadline this test fails rather than hangs.
+    let dripper = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr).expect("connects");
+        let head = b"POST /ingest HTTP/1.1\r\nX-Pad: ".iter().chain(std::iter::repeat(&b'a'));
+        for &byte in head.take(200) {
+            if dripping.load(Ordering::SeqCst) || conn.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    assert_eq!(client.shutdown().expect("shutdown accepted").status, 200);
+    let (joined, join_returned) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    let grace = REQUEST_DEADLINE + Duration::from_secs(2);
+    let returned = join_returned.recv_timeout(grace);
+    stop.store(true, Ordering::SeqCst);
+    dripper.join().expect("dripper thread");
+    assert!(returned.is_ok(), "Server::join still blocked {:?} after /shutdown", started.elapsed());
 }
 
 #[test]
