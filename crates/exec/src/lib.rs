@@ -1,4 +1,4 @@
-//! `isum_exec` — the one parallel map of the ISUM reproduction.
+//! `isum_exec` — the parallel loops of the ISUM reproduction.
 //!
 //! [`par_map`] and [`par_map_indexed`] run a function over a slice on
 //! `min(global_threads(), n)` scoped threads ([`std::thread::scope`]). The
@@ -7,10 +7,15 @@
 //! map's, bit for bit, at any thread count (pinned by `tests/par_map.rs`,
 //! and for the experiment harness by its `fault_smoke.rs`).
 //!
-//! * A call made from inside a `par_map` thread runs inline on that
+//! [`par_chunks_mut`] cuts a mutable slice into `min(global_threads(), n)`
+//! contiguous chunks and runs a function over each in place: the calling
+//! thread takes the first chunk itself while spawned threads take the
+//! rest (pinned by `tests/par_chunks.rs`).
+//!
+//! * A call made from inside either primitive's work runs inline on that
 //!   thread: one level of parallelism, never more threads than configured.
-//! * If an item panics, the other items still run; the first panic is
-//!   re-raised after every thread has joined.
+//! * If an item (or a chunk) panics, the others still run; the first panic
+//!   is re-raised after every thread has joined.
 //! * Each thread carries the caller's request ID and the trace label
 //!   `exec-<i>`, so events emitted inside stay attributed.
 //!
@@ -26,8 +31,9 @@
 //!
 //! # Telemetry
 //!
-//! `exec.par_map.calls` counts calls and `exec.par_map.threads` the
-//! threads they spawned (none for a call that ran inline).
+//! `exec.par_map.calls` counts calls of both primitives and
+//! `exec.par_map.threads` the threads they spawned (none for a call that
+//! ran inline; a chunked call's caller is not counted).
 //!
 //! # Example
 //!
@@ -39,7 +45,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -50,7 +56,8 @@ use isum_common::trace;
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// True on a thread spawned by [`par_map_indexed`].
+    /// True on a thread spawned by [`par_map_indexed`] or
+    /// [`par_chunks_mut`], and on a caller while it runs its own chunk.
     static INSIDE: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -149,6 +156,55 @@ where
         }
     }
     slots.into_iter().map(|r| r.expect("every index mapped")).collect()
+}
+
+/// Runs `f(start, chunk)` over `items` cut into `min(global_threads(), n)`
+/// contiguous chunks, where `start` is the index of the chunk's first
+/// item. The calling thread runs the first chunk while one spawned thread
+/// runs each other chunk, so every item is written in place and the
+/// caller never sits idle waiting. Inside a [`par_map`] thread, inside
+/// another call's chunk, or at one thread, the whole slice is one chunk
+/// on the calling thread and nothing is spawned.
+pub fn par_chunks_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    count!("exec.par_map.calls");
+    let parts = global_threads().min(items.len());
+    if parts <= 1 || INSIDE.with(Cell::get) {
+        return f(0, items);
+    }
+    let len = items.len().div_ceil(parts);
+    let mut chunks = items.chunks_mut(len);
+    let first = chunks.next().expect("a non-empty slice has a first chunk");
+    count!("exec.par_map.threads", chunks.len());
+    let request_id = trace::current_request_id();
+    let f = &f;
+    let (mine, joined) = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .enumerate()
+            .map(|(c, chunk)| {
+                let request_id = request_id.clone();
+                std::thread::Builder::new()
+                    .name(format!("exec-{}", c + 1))
+                    .spawn_scoped(s, move || {
+                        INSIDE.with(|inside| inside.set(true));
+                        trace::set_thread_label(&format!("exec-{}", c + 1));
+                        let _rid = request_id.as_deref().map(trace::with_request_id);
+                        f((c + 1) * len, chunk);
+                    })
+                    .expect("spawn par_chunks_mut thread")
+            })
+            .collect();
+        INSIDE.with(|inside| inside.set(true));
+        let mine = catch_unwind(AssertUnwindSafe(|| f(0, first)));
+        INSIDE.with(|inside| inside.set(false));
+        (mine, handles.into_iter().map(|h| h.join()).collect::<Vec<_>>())
+    });
+    if let Some(payload) = std::iter::once(mine).chain(joined).find_map(Result::err) {
+        resume_unwind(payload);
+    }
 }
 
 #[cfg(test)]

@@ -283,6 +283,9 @@ proptest! {
 #[test]
 fn tpch_statements_share_cost_evaluations() {
     const N: u64 = 2_000;
+    // Two threads load the script through one shape table, so the
+    // instances of a shape share its lists across the chunk edge too.
+    isum_exec::set_global_threads(2);
     let mut rng = DetRng::seeded(42);
     let mut script = String::new();
     for i in 0..N as usize {

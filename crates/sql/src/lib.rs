@@ -34,5 +34,5 @@ pub use ast::{
 };
 pub use binder::{Binder, BoundFilter, BoundJoin, BoundQuery, BoundTable, FilterKind};
 pub use parser::{parse, MAX_EXPR_DEPTH};
-pub use prepared::PreparedCache;
+pub use prepared::{Analysis, PreparedCache, ShapeId, ShapeView};
 pub use template::{fingerprint, TemplateRegistry};

@@ -84,8 +84,13 @@ pub fn families() -> &'static [Family] {
 /// renderings are instances of one shape.
 #[allow(dead_code)] // not every test binary compares shapes
 pub fn shape(sql: &str) -> String {
-    lex(sql)
-        .expect("generated SQL lexes")
+    lexed_shape(sql).expect("generated SQL lexes")
+}
+
+/// [`shape`] of a statement that may not lex (`None` then).
+pub fn lexed_shape(sql: &str) -> Option<String> {
+    let shape = lex(sql)
+        .ok()?
         .iter()
         .map(|t| match t.kind {
             TokenKind::Number(_) => "#".to_string(),
@@ -93,7 +98,8 @@ pub fn shape(sql: &str) -> String {
             _ => t.text(sql).to_ascii_lowercase(),
         })
         .collect::<Vec<_>>()
-        .join(" ")
+        .join(" ");
+    Some(shape)
 }
 
 /// True when `a` and `b` point at the same five shape-fixed lists.

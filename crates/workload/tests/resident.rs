@@ -7,12 +7,17 @@
 //! (tables, joins, group/order/projection columns) are shared, not
 //! copied, and the split text moves into the query.
 //!
-//! Alone in its test binary: it installs a counting global allocator.
+//! The load runs at one thread and at two, where the statements are
+//! analyzed on the calling thread and a worker; the allocations of every
+//! thread count.
+//!
+//! Alone in its test binary, with one test: it installs a counting global
+//! allocator that counts every thread while the load runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 
 use isum_common::rng::DetRng;
 use isum_sql::BoundQuery;
@@ -24,24 +29,26 @@ use isum_workload::load_script;
 mod common;
 use common::{shape, shares_lists};
 
-/// Counts the allocations and live bytes of the thread that turns it on.
+/// Counts the allocations and live bytes of every thread while on, and
+/// apart the allocations made off the thread that turned it on.
 struct Counting;
 
+static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static WORKER_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counting() -> bool {
-    COUNTING.with(Cell::get)
+    static CALLER: Cell<bool> = const { Cell::new(false) };
 }
 
 fn charge(allocations: usize, bytes: isize) {
-    if counting() {
+    if COUNTING.load(Ordering::Relaxed) {
         ALLOCATIONS.fetch_add(allocations, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+        if !CALLER.with(Cell::get) {
+            WORKER_ALLOCATIONS.fetch_add(allocations, Ordering::Relaxed);
+        }
     }
 }
 
@@ -80,18 +87,44 @@ fn load_script_keeps_little_more_than_each_statement_text() {
         script.push_str(";\n");
     }
     let catalog = tpch_catalog(10);
+    CALLER.with(|c| c.set(true));
 
-    COUNTING.with(|c| c.set(true));
-    let w = load_script(catalog, &script).expect("generated script loads");
-    COUNTING.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) as f64 / n as f64;
-    let live = LIVE_BYTES.load(Ordering::Relaxed) as f64 / n as f64;
-    let text = w.queries.iter().map(|q| q.sql.len()).sum::<usize>() as f64 / n as f64;
+    for threads in [1, 2] {
+        isum_exec::set_global_threads(threads);
+        ALLOCATIONS.store(0, Ordering::Relaxed);
+        WORKER_ALLOCATIONS.store(0, Ordering::Relaxed);
+        LIVE_BYTES.store(0, Ordering::Relaxed);
+        let catalog = catalog.clone();
+        COUNTING.store(true, Ordering::Relaxed);
+        let w = load_script(catalog, &script).expect("generated script loads");
+        COUNTING.store(false, Ordering::Relaxed);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) as f64 / n as f64;
+        let live = LIVE_BYTES.load(Ordering::Relaxed) as f64 / n as f64;
+        let text = w.queries.iter().map(|q| q.sql.len()).sum::<usize>() as f64 / n as f64;
+        let on_workers = WORKER_ALLOCATIONS.load(Ordering::Relaxed);
 
-    assert_eq!(w.len(), n);
-    assert!(allocations <= 4.0, "{allocations:.2} allocations per statement");
-    assert!(live <= 800.0, "{live:.0} live bytes per statement, {text:.0} of them text");
+        assert_eq!(w.len(), n);
+        if threads == 1 {
+            assert_eq!(on_workers, 0, "one thread loads on the caller alone");
+        } else {
+            assert!(on_workers as f64 > n as f64 / 4.0, "{on_workers} allocations on the worker");
+        }
+        assert!(
+            allocations <= 4.0,
+            "{threads} threads: {allocations:.2} allocations per statement"
+        );
+        assert!(
+            live <= 800.0,
+            "{threads} threads: {live:.0} live bytes per statement, {text:.0} of them text"
+        );
+        assert_shares_lists(&w);
+    }
+}
 
+/// Every statement that repeats an earlier one's shape points at that
+/// statement's lists, across chunk edges too.
+fn assert_shares_lists(w: &isum_workload::Workload) {
+    let n = w.len();
     let mut first: HashMap<String, &BoundQuery> = HashMap::new();
     let mut repeats = 0;
     for q in &w.queries {

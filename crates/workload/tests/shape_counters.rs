@@ -1,5 +1,6 @@
 //! The shape-cache counters: over a generated script every statement is a
-//! hit except the first of each distinct token shape.
+//! hit except the first of each distinct token shape — also when the
+//! script is loaded at two threads, which share one shape table.
 //!
 //! Alone in its test binary: it reads process-global counters.
 
@@ -25,6 +26,7 @@ fn hits_are_statements_minus_distinct_shapes() {
     let script: String =
         statements.iter().map(|s| format!("{};\n", s.trim_end_matches(';'))).collect();
 
+    isum_exec::set_global_threads(2);
     telemetry::set_enabled(true);
     telemetry::reset();
     let w = load_script(tpch_catalog(1), &script).expect("generated script loads");
@@ -37,4 +39,5 @@ fn hits_are_statements_minus_distinct_shapes() {
     assert_eq!(counter("sql.shape.misses"), distinct.len() as u64);
     assert_eq!(counter("sql.shape.hits"), (n - distinct.len()) as u64);
     assert_eq!(counter("sql.shape.fallbacks"), 0);
+    assert_eq!(counter("workload.load.threads"), 2, "the load ran on two threads");
 }
