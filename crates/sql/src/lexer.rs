@@ -27,6 +27,12 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
 /// Same as [`lex`]; the buffer's content is unspecified after an error.
 pub fn lex_into(input: &str, tokens: &mut Vec<Token>) -> Result<()> {
     isum_common::count!("sql.lex.calls");
+    lex_uncounted(input, tokens)
+}
+
+/// [`lex_into`] without counting `sql.lex.calls`, for the prepared cache,
+/// which counts a statement when it settles.
+pub(crate) fn lex_uncounted(input: &str, tokens: &mut Vec<Token>) -> Result<()> {
     tokens.clear();
     let bytes = input.as_bytes();
     let mut i = 0;
