@@ -9,6 +9,7 @@
 //! pin.
 
 use super::spec::FaultSpec;
+use isum_common::rng::split_mix64;
 use isum_common::{count, Result};
 use std::time::Duration;
 
@@ -125,18 +126,11 @@ impl FaultInjector {
     }
 }
 
-/// SplitMix64 finalizer (Steele et al.): full-avalanche mix of one word.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// Three chained SplitMix64 steps: a full-avalanche hash of the decision.
 fn decision_hash(seed: u64, salt: u64, key: u64, attempt: u32) -> u64 {
-    let mut h = mix(seed ^ salt);
-    h = mix(h ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    mix(h ^ u64::from(attempt))
+    let h = split_mix64(&mut (seed ^ salt));
+    let h = split_mix64(&mut (h ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    split_mix64(&mut (h ^ u64::from(attempt)))
 }
 
 /// Top 53 bits of the hash as a uniform draw in `[0, 1)`.

@@ -12,6 +12,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use isum_common::rng::split_mix64;
 use isum_common::{Json, Stage, StageClock};
 
 /// Hard cap on request bodies: an ingest batch is SQL text, so anything
@@ -345,12 +346,8 @@ static RETRY_JITTER_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::Ato
 /// responses) does not jitter: its retries are the convergence
 /// mechanism, not a thundering herd.
 pub(crate) fn retry_after_value(base: u64) -> String {
-    let n = RETRY_JITTER_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut z = n.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (base + (z & 1)).to_string()
+    let mut n = RETRY_JITTER_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    (base + (split_mix64(&mut n) & 1)).to_string()
 }
 
 /// Canonical reason phrases for the status codes the daemon emits.

@@ -3,10 +3,11 @@
 //! against a fresh state fed the acknowledged records.
 
 use isum_catalog::CatalogBuilder;
+use isum_common::rng::split_mix64;
 use proptest::prelude::*;
 
 use super::*;
-use crate::wal::mem::{split_mix, MemStorage};
+use crate::wal::mem::MemStorage;
 
 #[test]
 fn tenant_validation_matches_the_wire_contract() {
@@ -155,7 +156,7 @@ fn boot(
 /// or a fresh state fed those plus the one record in flight.
 fn run_live_schedule(seed: u64) {
     let mut rng = seed ^ 0x0DD5_EED5_1234_5678;
-    let mut below = |n: u64| split_mix(&mut rng) % n.max(1);
+    let mut below = |n: u64| split_mix64(&mut rng) % n.max(1);
     let cfg = drifting([1, 300, 1 << 20][below(3) as usize]);
     let storage = MemStorage::seeded(seed);
     let (_, mut worker) = boot(&cfg, &storage);

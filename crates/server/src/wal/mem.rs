@@ -8,6 +8,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
+use isum_common::rng::split_mix64;
+
 use super::Storage;
 
 /// One file's bytes: what the running process sees, and the prefix of
@@ -51,19 +53,9 @@ struct Mem {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MemStorage(Rc<RefCell<Mem>>);
 
-/// SplitMix64: the seeded generator of the double and of the schedules
-/// that drive it.
-pub(crate) fn split_mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Mem {
     fn below(&mut self, bound: usize) -> usize {
-        (split_mix(&mut self.rng) % bound as u64) as usize
+        (split_mix64(&mut self.rng) % bound as u64) as usize
     }
 
     /// Counts one operation; `Err` once the process is dead.

@@ -5,9 +5,10 @@
 use std::collections::BTreeMap;
 
 use isum_common::framing::{encode_frame, FRAME_HEADER_LEN};
+use isum_common::rng::split_mix64;
 use proptest::prelude::*;
 
-use super::mem::{split_mix, MemStorage};
+use super::mem::MemStorage;
 use super::*;
 
 // ---------------------------------------------------------------------
@@ -515,7 +516,7 @@ fn a_rebase_opens_a_segment_and_retires_the_ones_before_it() {
 fn run_schedule(seed: u64) {
     let storage = MemStorage::seeded(seed);
     let mut rng = seed ^ 0xA5A5_5A5A_0F0F_F0F0;
-    let mut below = |n: u64| split_mix(&mut rng) % n;
+    let mut below = |n: u64| split_mix64(&mut rng) % n;
     let segment_bytes = [1, 120, 400, 1 << 20][below(4) as usize];
     let (state, mut writer) = boot(&storage, segment_bytes).expect("boots on nothing");
     assert_eq!(state, Folded::default());
