@@ -75,14 +75,9 @@ fn default_threads() -> usize {
 /// is reported with one `warn!` naming the value.
 fn threads_from(lookup: impl Fn(&str) -> Option<String>) -> Option<usize> {
     let v = lookup("ISUM_THREADS")?;
-    let n = v.trim().parse::<usize>().ok().filter(|&n| n >= 1);
-    if n.is_none() {
-        isum_common::warn!(
-            "exec",
-            format!("ignoring malformed ISUM_THREADS `{v}` (want a positive integer)")
-        );
-    }
-    n
+    isum_common::trace::parse_env("exec", "ISUM_THREADS", &v, "a positive integer", |v| {
+        v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+    })
 }
 
 /// Sets the thread count of every later call (clamped to at least 1).

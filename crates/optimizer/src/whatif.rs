@@ -110,15 +110,10 @@ impl WhatIfBudget {
             var: &str,
         ) -> Option<T> {
             let v = lookup(var)?;
-            let parsed = v.trim().parse().ok();
-            if parsed.is_none() {
-                let want = std::any::type_name::<T>();
-                isum_common::warn!(
-                    "optimizer.whatif",
-                    format!("ignoring malformed {var} `{v}` (want a {want})")
-                );
-            }
-            parsed
+            let want = format!("a {}", std::any::type_name::<T>());
+            isum_common::trace::parse_env("optimizer.whatif", var, &v, &want, |v| {
+                v.trim().parse().ok()
+            })
         }
         let default = Self::default();
         Self {
