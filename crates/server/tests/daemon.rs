@@ -9,27 +9,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use isum_catalog::{Catalog, CatalogBuilder};
-use isum_core::{Compressor, Isum, IsumConfig};
-use isum_server::{Client, Engine, Server, ServerConfig, REQUEST_DEADLINE};
+use isum_core::{Compressor, Isum};
+use isum_server::{Client, ServerConfig, REQUEST_DEADLINE};
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("orders", 150_000)
-        .col_key("o_id")
-        .col_int("o_cust", 10_000, 0, 10_000)
-        .col_int("o_total", 5_000, 1, 50_000)
-        .col_date("o_date", 19_000, 20_000)
-        .finish()
-        .expect("fresh table")
-        .table("lines", 600_000)
-        .col_key("l_id")
-        .col_int("l_order", 150_000, 0, 150_000)
-        .col_int("l_qty", 50, 1, 50)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
+mod support;
+use support::{orders_catalog as catalog, reference_summary, start};
 
 /// `n` batches of 3 statements each, cycling over a few shapes.
 fn batches(n: usize) -> Vec<String> {
@@ -54,24 +38,6 @@ fn batches(n: usize) -> Vec<String> {
                 .collect()
         })
         .collect()
-}
-
-/// The serial reference: one engine applying every batch in order.
-fn reference_summary(all: &[String], k: usize) -> String {
-    let mut engine = Engine::new(catalog(), IsumConfig::isum());
-    for b in all {
-        let outcome = engine.apply_script(b);
-        assert!(outcome.rejected.is_empty(), "reference batch rejected: {:?}", outcome.rejected);
-    }
-    let mut body = engine.summary_json(k).expect("reference summary").to_pretty();
-    body.push('\n');
-    body
-}
-
-fn start(config: ServerConfig) -> (Server, Client) {
-    let server = Server::bind("127.0.0.1:0", config).expect("binds");
-    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
-    (server, client)
 }
 
 #[test]

@@ -10,47 +10,11 @@
 
 use std::time::Duration;
 
-use isum_catalog::{Catalog, CatalogBuilder};
 use isum_common::{telemetry, Json};
-use isum_server::{ApiResponse, Client, Server, ServerConfig};
+use isum_server::{Client, Server, ServerConfig};
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("t", 50_000)
-        .col_key("id")
-        .col_int("grp", 200, 0, 200)
-        .col_int("v", 1_000, 0, 10_000)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
-
-/// Phase-1 statement: every instance shares one template (literals are
-/// stripped by templatization).
-fn steady(i: usize) -> String {
-    format!("SELECT id FROM t WHERE grp = {};\n", i % 13)
-}
-
-/// Phase-2 statement: a different shape, so a different template — the
-/// drifted mix. Also a point predicate, so its per-query mass is
-/// comparable to the steady template's and the divergence score is
-/// dominated by the mix shift, not by a cost asymmetry.
-fn shifted(i: usize) -> String {
-    format!("SELECT grp FROM t WHERE v = {};\n", i * 17)
-}
-
-fn ingest_ok(client: &Client, seq: u64, script: &str) {
-    let resp = client.ingest_with_retry(script, Some(seq), 600).expect("ingest delivers");
-    assert_eq!(resp.status, 200, "seq {seq}: {}", resp.body);
-}
-
-fn field<'a>(resp: &'a ApiResponse, path: &[&str]) -> &'a Json {
-    let mut j = &resp.json;
-    for name in path {
-        j = j.get(name).unwrap_or_else(|| panic!("missing `{name}` in {}", resp.body));
-    }
-    j
-}
+mod support;
+use support::{catalog, field, ingest_ok, shifted, steady};
 
 #[test]
 fn drift_tracking_end_to_end() {

@@ -6,42 +6,13 @@
 //! once the score has genuinely dropped below the threshold and a fresh
 //! excursion arrives.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-use isum_catalog::{Catalog, CatalogBuilder};
-use isum_common::Json;
-use isum_server::{ApiResponse, Client, Server, ServerConfig};
+use isum_server::{Client, Server, ServerConfig};
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("t", 50_000)
-        .col_key("id")
-        .col_int("grp", 200, 0, 200)
-        .col_int("v", 1_000, 0, 10_000)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
-
-fn steady(i: usize) -> String {
-    format!("SELECT id FROM t WHERE grp = {};\n", i % 13)
-}
-
-fn shifted(i: usize) -> String {
-    format!("SELECT grp FROM t WHERE v = {};\n", i * 17)
-}
-
-fn third(i: usize) -> String {
-    format!("SELECT v FROM t WHERE id = {};\n", i * 3 + 1)
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("isum_drift_restart_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
-}
+mod support;
+use support::{catalog, field, ingest_ok, shifted, steady, temp_dir, third};
 
 fn boot(checkpoint: &Path) -> (Server, Client) {
     let mut cfg = ServerConfig::new(catalog());
@@ -51,19 +22,6 @@ fn boot(checkpoint: &Path) -> (Server, Client) {
     let server = Server::bind("127.0.0.1:0", cfg).expect("binds");
     let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
     (server, client)
-}
-
-fn ingest_ok(client: &Client, seq: u64, script: &str) {
-    let resp = client.ingest_with_retry(script, Some(seq), 600).expect("ingest delivers");
-    assert_eq!(resp.status, 200, "seq {seq}: {}", resp.body);
-}
-
-fn field<'a>(resp: &'a ApiResponse, path: &[&str]) -> &'a Json {
-    let mut j = &resp.json;
-    for name in path {
-        j = j.get(name).unwrap_or_else(|| panic!("missing `{name}` in {}", resp.body));
-    }
-    j
 }
 
 fn drift_u64(client: &Client, name: &str) -> u64 {

@@ -8,36 +8,20 @@
 //! file is its own integration-test binary = its own process).
 
 use std::collections::HashSet;
-use std::time::Duration;
 
-use isum_catalog::{Catalog, CatalogBuilder};
 use isum_common::stage::parse_server_timing;
 use isum_common::{telemetry, Json};
-use isum_server::{Client, Server, ServerConfig};
+use isum_server::ServerConfig;
 
 #[path = "../../common/tests/exposition/mod.rs"]
 mod exposition;
 use exposition::check_exposition;
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("t", 50_000)
-        .col_key("id")
-        .col_int("grp", 200, 0, 200)
-        .col_int("v", 1_000, 0, 10_000)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
+mod support;
+use support::{catalog, start};
 
 fn batch(i: usize) -> String {
     format!("SELECT id FROM t WHERE grp = {} AND v > {};\n", i % 13, i * 17)
-}
-
-fn start(config: ServerConfig) -> (Server, Client) {
-    let server = Server::bind("127.0.0.1:0", config).expect("binds");
-    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
-    (server, client)
 }
 
 #[test]

@@ -6,20 +6,11 @@
 
 use std::time::Duration;
 
-use isum_catalog::{Catalog, CatalogBuilder};
 use isum_common::telemetry;
 use isum_server::{Client, DriftAction, Server, ServerConfig};
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("t", 50_000)
-        .col_key("id")
-        .col_int("grp", 200, 0, 200)
-        .col_int("v", 1_000, 0, 10_000)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
+mod support;
+use support::catalog;
 
 #[test]
 fn a_rebase_the_disk_refuses_is_not_counted_as_logged() {

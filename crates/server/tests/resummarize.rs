@@ -12,51 +12,17 @@
 
 use std::time::Duration;
 
-use isum_catalog::{Catalog, CatalogBuilder};
-use isum_common::{telemetry, Json};
-use isum_server::{ApiResponse, Client, DriftAction, Server, ServerConfig};
+use isum_common::telemetry;
+use isum_server::{Client, DriftAction, Server, ServerConfig};
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("t", 50_000)
-        .col_key("id")
-        .col_int("grp", 200, 0, 200)
-        .col_int("v", 1_000, 0, 10_000)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
-
-/// Phase-1 template (literals are stripped by templatization).
-fn steady(i: usize) -> String {
-    format!("SELECT id FROM t WHERE grp = {};\n", i % 13)
-}
-
-/// Phase-2 template: a different shape with comparable per-query mass
-/// (point predicate), so the score is dominated by the mix shift.
-fn shifted(i: usize) -> String {
-    format!("SELECT grp FROM t WHERE v = {};\n", i * 17)
-}
-
-/// Phase-3 template: a third shape, to prove the tracker re-fires after
-/// the post-rebuild re-arm.
-fn third(i: usize) -> String {
-    format!("SELECT v FROM t WHERE id = {};\n", i * 3 + 1)
-}
+mod support;
+use support::{catalog, field, shifted, steady, third};
 
 fn ingest_ok(clients: &[&Client], seq: u64, script: &str) {
     for client in clients {
         let resp = client.ingest_with_retry(script, Some(seq), 600).expect("ingest delivers");
         assert_eq!(resp.status, 200, "seq {seq}: {}", resp.body);
     }
-}
-
-fn field<'a>(resp: &'a ApiResponse, path: &[&str]) -> &'a Json {
-    let mut j = &resp.json;
-    for name in path {
-        j = j.get(name).unwrap_or_else(|| panic!("missing `{name}` in {}", resp.body));
-    }
-    j
 }
 
 #[test]

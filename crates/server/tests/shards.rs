@@ -4,30 +4,13 @@
 //! variation, per-shard log recovery, tenant-labeled metrics,
 //! and the tenant-validation wire contract.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-use isum_catalog::{Catalog, CatalogBuilder};
-use isum_core::IsumConfig;
-use isum_server::{Client, Engine, Server, ServerConfig};
+use isum_server::{Client, Server, ServerConfig};
 
-fn catalog() -> Catalog {
-    CatalogBuilder::new()
-        .table("orders", 150_000)
-        .col_key("o_id")
-        .col_int("o_cust", 10_000, 0, 10_000)
-        .col_int("o_total", 5_000, 1, 50_000)
-        .col_date("o_date", 19_000, 20_000)
-        .finish()
-        .expect("fresh table")
-        .table("lines", 600_000)
-        .col_key("l_id")
-        .col_int("l_order", 150_000, 0, 150_000)
-        .col_int("l_qty", 50, 1, 50)
-        .finish()
-        .expect("fresh table")
-        .build()
-}
+mod support;
+use support::{orders_catalog as catalog, reference_summary, start, temp_dir};
 
 /// `n` batches of 3 statements, phase-shifted by `salt` so two tenants
 /// can stream recognizably different workloads.
@@ -53,25 +36,6 @@ fn batches(n: usize, salt: usize) -> Vec<String> {
                 .collect()
         })
         .collect()
-}
-
-/// The serial reference: one engine applying every batch in order —
-/// byte-identical to `isum compress --json` for the same statements.
-fn reference_summary(all: &[String], k: usize) -> String {
-    let mut engine = Engine::new(catalog(), IsumConfig::isum());
-    for b in all {
-        let outcome = engine.apply_script(b);
-        assert!(outcome.rejected.is_empty(), "reference batch rejected: {:?}", outcome.rejected);
-    }
-    let mut body = engine.summary_json(k).expect("reference summary").to_pretty();
-    body.push('\n');
-    body
-}
-
-fn start(config: ServerConfig) -> (Server, Client) {
-    let server = Server::bind("127.0.0.1:0", config).expect("binds");
-    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
-    (server, client)
 }
 
 fn tenant_client(server: &Server, tenant: &str) -> Client {
@@ -212,13 +176,6 @@ fn durable(dir: &Path) -> ServerConfig {
     let mut config = ServerConfig::new(catalog());
     config.checkpoint = Some(dir.join("ckpt.json"));
     config
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("isum_shards_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 #[test]

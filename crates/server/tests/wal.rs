@@ -9,12 +9,14 @@
 //! or a file of a retired layout refuses to start and changes nothing.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use isum_catalog::{Catalog, CatalogBuilder};
 use isum_common::framing::{decode_frame, FrameStatus};
 use isum_core::IsumConfig;
 use isum_server::{Client, DriftAction, Engine, Server, ServerConfig};
+
+mod support;
+use support::{start, temp_dir};
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
@@ -56,19 +58,6 @@ fn reference_summary(catalog: Catalog, all: &[String], k: usize) -> String {
     let mut body = engine.summary_json(k).expect("reference summary").to_pretty();
     body.push('\n');
     body
-}
-
-fn start(config: ServerConfig) -> (Server, Client) {
-    let server = Server::bind("127.0.0.1:0", config).expect("binds");
-    let client = Client::new(server.addr().to_string()).with_timeout(Duration::from_secs(30));
-    (server, client)
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("isum_wal_e2e_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 fn ingest_all(client: &Client, all: &[String]) {
