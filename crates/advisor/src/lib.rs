@@ -26,3 +26,14 @@ pub use dexter::DexterAdvisor;
 pub use dta::DtaAdvisor;
 pub use merging::{merge_pair, merged_candidates};
 pub use report::{QueryReport, TuningReport};
+
+use isum_common::{Error, Result};
+
+/// The advisor `isum` accepts by name: `dta` or `dexter`.
+pub fn advisor_named(name: &str) -> Result<Box<dyn IndexAdvisor>> {
+    match name {
+        "dta" => Ok(Box::new(DtaAdvisor::new())),
+        "dexter" => Ok(Box::new(DexterAdvisor::new())),
+        other => Err(Error::InvalidConfig(format!("unknown advisor `{other}` (dta | dexter)"))),
+    }
+}

@@ -6,7 +6,7 @@
 //! pick (step 3B), then weigh the selected queries (step 4).
 
 use isum_common::trace::{self, Level};
-use isum_common::{telemetry, QueryId, Result, TemplateId};
+use isum_common::{telemetry, Error, QueryId, Result, TemplateId};
 use isum_workload::{CompressedWorkload, Workload};
 
 use crate::allpairs::{select_all_pairs_grouped, Selection};
@@ -103,6 +103,18 @@ impl IsumConfig {
     /// All-pairs variant (Fig 11, Fig 13).
     pub fn all_pairs() -> Self {
         Self { algorithm: Algorithm::AllPairs, ..Self::isum() }
+    }
+
+    /// The variant `isum` accepts by name: `isum`, `isum-s` or `all-pairs`.
+    pub fn named(name: &str) -> Result<Self> {
+        match name {
+            "isum" => Ok(Self::isum()),
+            "isum-s" => Ok(Self::isum_s()),
+            "all-pairs" => Ok(Self::all_pairs()),
+            other => Err(Error::InvalidConfig(format!(
+                "unknown variant `{other}` (isum | isum-s | all-pairs)"
+            ))),
+        }
     }
 
     /// Greedy selection of `k` queries with the configured algorithm and

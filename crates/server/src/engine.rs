@@ -35,7 +35,7 @@
 
 use std::path::Path;
 
-use isum_advisor::{DexterAdvisor, DtaAdvisor, IndexAdvisor, TuningConstraints};
+use isum_advisor::TuningConstraints;
 use isum_catalog::Catalog;
 use isum_common::{count, hex_bits, unhex_bits, Error, Json, Result};
 use isum_core::{IncrementalIsum, IsumConfig};
@@ -202,15 +202,7 @@ impl Engine {
         constraints: &TuningConstraints,
     ) -> Result<Json> {
         let compressed = self.isum.select(k)?;
-        let advisor: Box<dyn IndexAdvisor> = match advisor_name {
-            "dta" => Box::new(DtaAdvisor::new()),
-            "dexter" => Box::new(DexterAdvisor::new()),
-            other => {
-                return Err(Error::InvalidConfig(format!(
-                    "unknown advisor `{other}` (dta | dexter)"
-                )))
-            }
-        };
+        let advisor = isum_advisor::advisor_named(advisor_name)?;
         let opt = WhatIfOptimizer::new(&self.workload.catalog);
         let config = advisor.recommend(&opt, &self.workload, &compressed, constraints);
         let indexes: Vec<Json> = config

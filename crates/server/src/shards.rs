@@ -65,6 +65,10 @@ use crate::wal::{self, DiskStorage, Kind, Record, Storage, WalWriter};
 /// The tenant requests land on when no `X-Isum-Tenant` header is sent.
 pub const DEFAULT_TENANT: &str = "default";
 
+/// How long an ingest connection waits for its batch to be applied
+/// before giving up with a 503 (the batch itself is not lost).
+const INGEST_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Validates a tenant name the same way on both ends of the wire: the
 /// server rejects bad names with a typed 400, and `isum client --tenant`
 /// refuses to send them at all. Names must be non-empty, at most 64
@@ -299,7 +303,7 @@ impl ShardRouter {
         if let Err(resp) = enqueue(shard, job) {
             return resp;
         }
-        answer.recv_timeout(self.cfg.ingest_timeout).unwrap_or_else(|_| {
+        answer.recv_timeout(INGEST_TIMEOUT).unwrap_or_else(|_| {
             count!("server.ingest.timeouts");
             retryable(503, "batch not applied within the ingest timeout; retry with the same seq")
         })
