@@ -71,6 +71,7 @@ fn run(args: &[String]) -> Result<()> {
         (None, &args[1..])
     };
     let opts = Options::parse(flags)?;
+    opts.refuse_foreign_flags(command)?;
     telemetry::init_from_env();
     isum_common::trace::init_from_env();
     if let Some(path) = &opts.log_file {
@@ -205,6 +206,29 @@ struct Options {
     plan: PlanConfig,
     /// `isum load`'s run; `load_cmd` adds `--server` and `-k`.
     run: RunConfig,
+    /// Every flag given, in order, for [`Options::refuse_foreign_flags`].
+    given: Vec<String>,
+}
+
+/// The flags every command takes.
+const COMMON_FLAGS: &str = "--stats --threads --faults --log-file";
+
+/// The flags `command` reads besides [`COMMON_FLAGS`]; `serve` also
+/// reads its tunables' flags. `None` for `help` and unknown commands.
+fn own_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "compress" => "--schema --workload -k --variant --json",
+        "tune" => "--schema --workload -k -m --variant --advisor --budget-bytes --report",
+        "explain" => "--schema --workload --query --tuned -k -m --variant --advisor",
+        "dump" => "--schema --workload --out",
+        "serve" => "--schema --listen --checkpoint --variant",
+        "client" => "--server --tenant --workload --batch -k -m --advisor --budget-bytes",
+        "load" => {
+            "--server --seed --connections --tenants --templates --batch --warmup --measure \
+             --soak --shift-at --rate -k --out"
+        }
+        _ => return None,
+    })
 }
 
 /// The one shape of a refused flag value: `<flag> must be <want>`.
@@ -258,9 +282,11 @@ impl Options {
             serve_flags: Vec::new(),
             plan: PlanConfig::new(42),
             run: RunConfig::new(String::new()),
+            given: Vec::new(),
         };
         let mut it = args.iter().map(String::as_str);
         while let Some(flag) = it.next() {
+            o.given.push(flag.into());
             let mut value =
                 || it.next().ok_or_else(|| Error::InvalidConfig(format!("{flag} needs a value")));
             match flag {
@@ -325,6 +351,19 @@ impl Options {
             }
         }
         Ok(o)
+    }
+
+    /// Refuses the first flag given that `command` would not read.
+    fn refuse_foreign_flags(&self, command: &str) -> Result<()> {
+        let Some(own) = own_flags(command) else { return Ok(()) };
+        let reads = |flag: &str| {
+            COMMON_FLAGS.split_whitespace().chain(own.split_whitespace()).any(|f| f == flag)
+                || command == "serve" && ServerConfig::tunables().any(|(_, f, _)| f == Some(flag))
+        };
+        match self.given.iter().find(|flag| !reads(flag)) {
+            Some(flag) => Err(Error::InvalidConfig(format!("isum {command} does not take {flag}"))),
+            None => Ok(()),
+        }
     }
 
     fn load(&self) -> Result<Workload> {
@@ -1027,6 +1066,36 @@ mod tests {
             let got = refused.err().map(|e| e.to_string());
             assert_eq!(got, Some(format!("invalid configuration: {want}")), "{extra:?}");
         }
+        // A flag the command does not read is refused by name, after
+        // its value parsed.
+        let foreign: &[(&str, &[&str], &str)] = &[
+            ("compress", &["--connections", "9"], "isum compress does not take --connections"),
+            (
+                "compress",
+                &["--wal-segment-bytes", "0"],
+                "isum compress does not take --wal-segment-bytes",
+            ),
+            ("compress", &["--seed", "5"], "isum compress does not take --seed"),
+            ("tune", &["--queue-cap", "16"], "isum tune does not take --queue-cap"),
+            ("explain", &["--out", "x.sql"], "isum explain does not take --out"),
+            ("dump", &["-k", "3"], "isum dump does not take -k"),
+            ("serve", &["--json"], "isum serve does not take --json"),
+            ("client", &["--schema", "tpch:1"], "isum client does not take --schema"),
+            ("load", &["--workload", "w.sql"], "isum load does not take --workload"),
+        ];
+        for (command, flags, want) in foreign {
+            let args: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            let refused = Options::parse(&args).and_then(|o| o.refuse_foreign_flags(command));
+            let got = refused.err().map(|e| e.to_string());
+            assert_eq!(got, Some(format!("invalid configuration: {want}")), "{command} {flags:?}");
+        }
+        let args = "compress --schema tpch:1 --workload w.sql -k 3 --connections 9 \
+                    --wal-segment-bytes 0 --seed 5";
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        assert_eq!(
+            run(&args).err().map(|e| e.to_string()).as_deref(),
+            Some("invalid configuration: isum compress does not take --connections")
+        );
         let err = |r: Result<()>| r.err().map(|e| e.to_string());
         let o = opts(&["--variant", "nope"]);
         assert_eq!(
@@ -1038,6 +1107,25 @@ mod tests {
             err(o.advisor().map(drop)).as_deref(),
             Some("invalid configuration: unknown advisor `nope` (dta | dexter)")
         );
+    }
+
+    #[test]
+    fn every_command_takes_the_common_flags_and_its_own() {
+        for command in ["compress", "tune", "explain", "dump", "serve", "client", "load"] {
+            let own = own_flags(command).expect("a command");
+            let mut o = opts(&[]);
+            o.given = COMMON_FLAGS
+                .split_whitespace()
+                .chain(own.split_whitespace())
+                .map(String::from)
+                .collect();
+            assert!(o.refuse_foreign_flags(command).is_ok(), "{command}");
+        }
+        let mut o = opts(&[]);
+        o.given = ServerConfig::tunables().filter_map(|(_, f, _)| f.map(String::from)).collect();
+        assert!(o.refuse_foreign_flags("serve").is_ok());
+        assert!(o.refuse_foreign_flags("load").is_err());
+        assert!(opts(&["--json"]).refuse_foreign_flags("help").is_ok(), "help reads no flag");
     }
 
     #[test]

@@ -63,132 +63,6 @@ impl From<std::io::Error> for Error {
     }
 }
 
-/// Failure class driving the degradation policy (DESIGN.md §9): transient
-/// failures are retried with capped backoff, permanent failures fall back
-/// immediately, and budget exhaustion falls back without retrying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorClass {
-    /// Worth retrying: timeouts, injected flakiness, latency spikes.
-    Transient,
-    /// Retrying cannot help: parse/bind failures, bad configuration.
-    Permanent,
-    /// A resource budget (what-if call budget, wall-clock limit) ran out.
-    Budget,
-}
-
-impl ErrorClass {
-    /// Stable lower-case name, used in checkpoint files and telemetry.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorClass::Transient => "transient",
-            ErrorClass::Permanent => "permanent",
-            ErrorClass::Budget => "budget",
-        }
-    }
-
-    /// Inverse of [`ErrorClass::as_str`]; `None` for unknown names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "transient" => Some(ErrorClass::Transient),
-            "permanent" => Some(ErrorClass::Permanent),
-            "budget" => Some(ErrorClass::Budget),
-            _ => None,
-        }
-    }
-
-    /// HTTP status the serving layer maps this class to: transient
-    /// failures are `503 Service Unavailable` (the client may retry),
-    /// permanent failures are `400 Bad Request` (retrying the same input
-    /// cannot help), and budget exhaustion is `429 Too Many Requests`
-    /// (back off until quota frees up).
-    pub fn http_status(self) -> u16 {
-        match self {
-            ErrorClass::Transient => 503,
-            ErrorClass::Permanent => 400,
-            ErrorClass::Budget => 429,
-        }
-    }
-}
-
-/// Result alias for fallible resilience-aware paths.
-pub type IsumResult<T> = std::result::Result<T, IsumError>;
-
-/// Classified error used on paths that must degrade gracefully instead of
-/// panicking: what-if costing, workload ingestion, and the experiment
-/// harness. Wraps a message plus an [`ErrorClass`] that tells the caller
-/// whether retrying can help.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IsumError {
-    class: ErrorClass,
-    message: String,
-}
-
-impl IsumError {
-    /// An error of an explicit class.
-    pub fn new(class: ErrorClass, message: impl Into<String>) -> Self {
-        Self { class, message: message.into() }
-    }
-
-    /// A [`ErrorClass::Transient`] error (retry may succeed).
-    pub fn transient(message: impl Into<String>) -> Self {
-        Self::new(ErrorClass::Transient, message)
-    }
-
-    /// A [`ErrorClass::Permanent`] error (retry cannot help).
-    pub fn permanent(message: impl Into<String>) -> Self {
-        Self::new(ErrorClass::Permanent, message)
-    }
-
-    /// A [`ErrorClass::Budget`] error (a resource budget is exhausted).
-    pub fn budget(message: impl Into<String>) -> Self {
-        Self::new(ErrorClass::Budget, message)
-    }
-
-    /// The failure class.
-    pub fn class(&self) -> ErrorClass {
-        self.class
-    }
-
-    /// The human-readable message (no class prefix).
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-
-    /// True when the degradation policy should retry.
-    pub fn is_transient(&self) -> bool {
-        self.class == ErrorClass::Transient
-    }
-
-    /// HTTP status for this error (see [`ErrorClass::http_status`]).
-    pub fn http_status(&self) -> u16 {
-        self.class.http_status()
-    }
-}
-
-impl fmt::Display for IsumError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} error: {}", self.class.as_str(), self.message)
-    }
-}
-
-impl std::error::Error for IsumError {}
-
-/// Pipeline errors are deterministic functions of their input, so retrying
-/// them cannot help: they classify as [`ErrorClass::Permanent`].
-impl From<Error> for IsumError {
-    fn from(e: Error) -> Self {
-        IsumError::permanent(e.to_string())
-    }
-}
-
-impl From<std::io::Error> for IsumError {
-    fn from(e: std::io::Error) -> Self {
-        // IO failures (blips of a shared filesystem, interrupted syscalls)
-        // are worth one more attempt.
-        IsumError::transient(format!("io error: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,36 +73,6 @@ mod tests {
         assert_eq!(e.to_string(), "parse error at byte 10: expected FROM");
         assert!(Error::Bind("no such column x".into()).to_string().contains("bind"));
         assert!(Error::InvalidConfig("k=0".into()).to_string().contains("invalid"));
-    }
-
-    #[test]
-    fn isum_error_classes_round_trip() {
-        for class in [ErrorClass::Transient, ErrorClass::Permanent, ErrorClass::Budget] {
-            assert_eq!(ErrorClass::parse(class.as_str()), Some(class));
-        }
-        assert_eq!(ErrorClass::parse("bogus"), None);
-
-        let e = IsumError::transient("optimizer timed out");
-        assert!(e.is_transient());
-        assert_eq!(e.to_string(), "transient error: optimizer timed out");
-
-        let from_parse: IsumError =
-            Error::Parse { offset: 3, message: "expected FROM".into() }.into();
-        assert_eq!(from_parse.class(), ErrorClass::Permanent);
-        assert!(!from_parse.is_transient());
-        assert!(from_parse.message().contains("expected FROM"));
-
-        let from_io: IsumError =
-            std::io::Error::new(std::io::ErrorKind::Interrupted, "EINTR").into();
-        assert_eq!(from_io.class(), ErrorClass::Transient);
-    }
-
-    #[test]
-    fn http_status_mapping_is_stable() {
-        assert_eq!(ErrorClass::Transient.http_status(), 503);
-        assert_eq!(ErrorClass::Permanent.http_status(), 400);
-        assert_eq!(ErrorClass::Budget.http_status(), 429);
-        assert_eq!(IsumError::budget("whatif quota").http_status(), 429);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use bits::{hex_bits, unhex_bits};
-pub use error::{Error, ErrorClass, IsumError, IsumResult, Result};
+pub use error::{Error, Result};
 pub use ids::{ColumnId, GlobalColumnId, IndexId, QueryId, TableId, TemplateId};
 pub use json::Json;
 pub use stage::{Stage, StageClock};

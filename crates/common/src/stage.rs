@@ -34,7 +34,7 @@ pub enum Stage {
     Parse = 1,
     /// Waiting in an ingest queue for a sequencer to pick the job up.
     Queue = 2,
-    /// Sequencer admission: ordering checks, fault rolls, batch split.
+    /// Sequencer admission: ordering checks and the batch split.
     Sequence = 3,
     /// Appending the WAL record (fsync excluded — see [`Stage::Fsync`]).
     WalAppend = 4,

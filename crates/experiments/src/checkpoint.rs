@@ -21,7 +21,7 @@
 //!       "tuning_calls": 1234,
 //!       "tuning_secs_bits": "3fb999999999999a"
 //!     },
-//!     "<failed cell key>": { "error": "message", "class": "permanent" }
+//!     "<failed cell key>": { "error": "invalid configuration: k must be positive" }
 //!   }
 //! }
 //! ```
@@ -42,12 +42,13 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use isum_common::{count, hex_bits, unhex_bits, ErrorClass, IsumError, IsumResult, Json};
+use isum_common::{count, hex_bits, unhex_bits, Json};
 
 use crate::harness::MethodEval;
 
-/// One recorded outcome: a completed evaluation or a skipped cell's error.
-pub type CellOutcome = IsumResult<MethodEval>;
+/// One recorded outcome: a completed evaluation or a skipped cell's error
+/// message, which is all a replay needs to report the cell again.
+pub type CellOutcome = Result<MethodEval, String>;
 
 struct Store {
     run: String,
@@ -88,21 +89,13 @@ fn outcome_to_json(outcome: &CellOutcome) -> Json {
             ("tuning_secs_bits".into(), Json::from(hex_bits(eval.tuning_secs))),
             ("coverage_bits".into(), Json::from(hex_bits(eval.coverage))),
         ]),
-        Err(e) => Json::Obj(vec![
-            ("error".into(), Json::from(e.message())),
-            ("class".into(), Json::from(e.class().as_str())),
-        ]),
+        Err(e) => Json::Obj(vec![("error".into(), Json::from(e.as_str()))]),
     }
 }
 
 fn outcome_from_json(j: &Json) -> Option<CellOutcome> {
     if let Some(msg) = j.get("error").and_then(Json::as_str) {
-        let class = j
-            .get("class")
-            .and_then(Json::as_str)
-            .and_then(ErrorClass::parse)
-            .unwrap_or(ErrorClass::Permanent);
-        return Some(Err(IsumError::new(class, msg)));
+        return Some(Err(msg.to_string()));
     }
     Some(Ok(MethodEval {
         improvement_pct: unhex_bits(j.get("improvement_bits")?.as_str()?)?,
@@ -243,9 +236,15 @@ mod tests {
 
     #[test]
     fn error_outcomes_round_trip() {
-        let err: CellOutcome = Err(IsumError::transient("optimizer flaked"));
-        let back = outcome_from_json(&outcome_to_json(&err)).unwrap().unwrap_err();
-        assert_eq!(back.class(), ErrorClass::Transient);
-        assert_eq!(back.message(), "optimizer flaked");
+        let err = isum_common::Error::InvalidConfig("k must be positive".into());
+        let back = outcome_from_json(&outcome_to_json(&Err(err.to_string()))).unwrap();
+        assert_eq!(back.unwrap_err(), "invalid configuration: k must be positive");
+    }
+
+    #[test]
+    fn a_classed_failed_cell_still_replays() {
+        // Earlier checkpoints also wrote the failure's class; it is ignored.
+        let cell = Json::parse(r#"{"error": "optimizer flaked", "class": "transient"}"#).unwrap();
+        assert_eq!(outcome_from_json(&cell).unwrap().unwrap_err(), "optimizer flaked");
     }
 }

@@ -4,7 +4,7 @@
 
 use isum_advisor::TuningConstraints;
 use isum_common::stats::{mean, std_dev};
-use isum_common::{count, IsumResult};
+use isum_common::{count, Result};
 
 use crate::harness::{
     ctx_or_skip, dta, evaluate_method, half_sqrt_n, standard_methods, ExperimentCtx, Scale,
@@ -21,7 +21,7 @@ pub fn robustness(scale: &Scale) -> Vec<Table> {
         "Robustness: improvement (%) mean ± std over 5 workload seeds, k = 0.5√n",
         &["workload", "Uniform", "Cost", "Stratified", "GSUM", "ISUM", "ISUM-S"],
     );
-    type CtxFn = fn(&Scale, u64) -> IsumResult<ExperimentCtx>;
+    type CtxFn = fn(&Scale, u64) -> Result<ExperimentCtx>;
     let makers: [(&str, CtxFn); 4] = [
         ("TPC-H", ExperimentCtx::tpch),
         ("TPC-DS", ExperimentCtx::tpcds),

@@ -2,7 +2,7 @@
 //! compression time as the input workload grows.
 
 use isum_advisor::TuningConstraints;
-use isum_common::{count, IsumResult};
+use isum_common::{count, Result};
 
 use crate::harness::{ctx_or_skip, dta, evaluate_method, fig11_methods, ExperimentCtx, Scale};
 use crate::report::{f1, Table};
@@ -26,7 +26,7 @@ pub fn fig11(scale: &Scale) -> Vec<Table> {
                     "TPC-H",
                     isum_workload::gen::tpch_workload(scale.sf, n, 110)?,
                 ))
-            }) as Box<dyn Fn(usize) -> IsumResult<ExperimentCtx>>,
+            }) as Box<dyn Fn(usize) -> Result<ExperimentCtx>>,
         ),
         (
             "realm",

@@ -6,8 +6,6 @@ use isum_core::{Algorithm, Isum, IsumConfig, UpdateStrategy, WeightingStrategy};
 use isum_workload::gen::dsb::{dsb_workload_classed, dsb_workload_instances};
 use isum_workload::QueryClass;
 
-use isum_common::IsumError;
-
 use crate::harness::{
     ctx_or_skip, dta, evaluate_method, improvement_cell, k_sweep, standard_methods, ExperimentCtx,
     Scale,
@@ -26,8 +24,7 @@ pub fn fig12(scale: &Scale) -> Vec<Table> {
     for instances in [1usize, 2, 4, 8] {
         let Some(ctx) = ctx_or_skip(
             dsb_workload_instances(scale.sf, 26, instances, 120)
-                .map(|w| ExperimentCtx::prepare("DSB", w))
-                .map_err(IsumError::from),
+                .map(|w| ExperimentCtx::prepare("DSB", w)),
             "DSB",
         ) else {
             continue;
@@ -55,8 +52,7 @@ pub fn fig12(scale: &Scale) -> Vec<Table> {
     ] {
         let Some(ctx) = ctx_or_skip(
             dsb_workload_classed(scale.sf, class, scale.dsb, 121)
-                .map(|w| ExperimentCtx::prepare("DSB", w))
-                .map_err(IsumError::from),
+                .map(|w| ExperimentCtx::prepare("DSB", w)),
             "DSB",
         ) else {
             continue;

@@ -6,13 +6,14 @@
 //! and [`telemetry_report`] folds the whole registry into one JSON document
 //! per run.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use isum_advisor::{DtaAdvisor, IndexAdvisor, TuningConstraints};
 use isum_baselines::{CostTopK, Gsum, KMedoid, Stratified, UniformSampling};
 use isum_common::telemetry;
-use isum_common::{count, IsumError, IsumResult, Json};
+use isum_common::{count, Json, Result};
 use isum_core::{Compressor, Isum, IsumConfig};
 use isum_optimizer::WhatIfOptimizer;
 use isum_workload::gen::{dsb_workload, realm_workload_sized, tpcds_workload, tpch_workload};
@@ -103,32 +104,32 @@ impl ExperimentCtx {
     /// TPC-H context.
     ///
     /// # Errors
-    /// Propagates workload generation/bind failures as permanent errors.
-    pub fn tpch(scale: &Scale, seed: u64) -> IsumResult<Self> {
+    /// Propagates workload generation/bind failures.
+    pub fn tpch(scale: &Scale, seed: u64) -> Result<Self> {
         Ok(Self::prepare("TPC-H", tpch_workload(scale.sf, scale.tpch, seed)?))
     }
 
     /// TPC-DS context.
     ///
     /// # Errors
-    /// Propagates workload generation/bind failures as permanent errors.
-    pub fn tpcds(scale: &Scale, seed: u64) -> IsumResult<Self> {
+    /// Propagates workload generation/bind failures.
+    pub fn tpcds(scale: &Scale, seed: u64) -> Result<Self> {
         Ok(Self::prepare("TPC-DS", tpcds_workload(scale.sf, scale.tpcds, seed)?))
     }
 
     /// DSB context.
     ///
     /// # Errors
-    /// Propagates workload generation/bind failures as permanent errors.
-    pub fn dsb(scale: &Scale, seed: u64) -> IsumResult<Self> {
+    /// Propagates workload generation/bind failures.
+    pub fn dsb(scale: &Scale, seed: u64) -> Result<Self> {
         Ok(Self::prepare("DSB", dsb_workload(scale.sf, scale.dsb, seed)?))
     }
 
     /// Real-M context.
     ///
     /// # Errors
-    /// Propagates workload generation/bind failures as permanent errors.
-    pub fn realm(scale: &Scale, seed: u64) -> IsumResult<Self> {
+    /// Propagates workload generation/bind failures.
+    pub fn realm(scale: &Scale, seed: u64) -> Result<Self> {
         Ok(Self::prepare("Real-M", realm_workload_sized(scale.realm, seed)?))
     }
 
@@ -141,7 +142,7 @@ impl ExperimentCtx {
 /// Unwraps a context construction, reporting and skipping on failure
 /// (counted as `harness.workloads_skipped`): one failing workload costs
 /// its own cells, never the whole figure.
-pub fn ctx_or_skip(result: IsumResult<ExperimentCtx>, what: &str) -> Option<ExperimentCtx> {
+pub fn ctx_or_skip(result: Result<ExperimentCtx>, what: &str) -> Option<ExperimentCtx> {
     match result {
         Ok(ctx) => Some(ctx),
         Err(e) => {
@@ -182,14 +183,14 @@ pub fn evaluate_method(
     k: usize,
     advisor: &dyn IndexAdvisor,
     constraints: &TuningConstraints,
-) -> IsumResult<MethodEval> {
+) -> Result<MethodEval> {
     // Spans carry the phase breakdown into the telemetry registry; the
     // Instant reads feed the `MethodEval` the caller renders into result
     // tables, which must work with telemetry off.
     let t0 = Instant::now();
     let cw = {
         let _s = telemetry::span("compress");
-        method.compress(&ctx.workload, k).map_err(IsumError::from)?
+        method.compress(&ctx.workload, k)?
     };
     let compression_secs = t0.elapsed().as_secs_f64();
     // Observation only: coverage reads the finished selection, after the
@@ -228,10 +229,12 @@ pub fn evaluate_methods(
     k: usize,
     advisor: &(dyn IndexAdvisor + Sync),
     constraints: &TuningConstraints,
-) -> Vec<IsumResult<MethodEval>> {
+) -> Vec<checkpoint::CellOutcome> {
     isum_exec::par_map_indexed(methods, |i, m| {
         let key = cell_key(ctx, i, &m.name(), k, advisor.name(), constraints);
-        checkpoint::cell(&key, || evaluate_method(m.as_ref(), ctx, k, advisor, constraints))
+        checkpoint::cell(&key, || {
+            evaluate_method(m.as_ref(), ctx, k, advisor, constraints).map_err(|e| e.to_string())
+        })
     })
 }
 
@@ -263,7 +266,7 @@ fn cell_key(
 
 /// Renders one evaluation outcome as an improvement-percent table cell;
 /// a failed cell is reported (`harness.cells_skipped`) and rendered `-`.
-pub fn improvement_cell(eval: &IsumResult<MethodEval>) -> String {
+pub fn improvement_cell(eval: &Result<MethodEval, impl Display>) -> String {
     match eval {
         Ok(e) => crate::report::f1(e.improvement_pct),
         Err(e) => {
@@ -277,7 +280,7 @@ pub fn improvement_cell(eval: &IsumResult<MethodEval>) -> String {
 /// Renders one evaluation outcome as a coverage table cell (three decimal
 /// places — coverage lives in `[0, 1]`); a failed cell renders `-`
 /// without re-counting the skip ([`improvement_cell`] already did).
-pub fn coverage_cell(eval: &IsumResult<MethodEval>) -> String {
+pub fn coverage_cell(eval: &Result<MethodEval, impl Display>) -> String {
     match eval {
         Ok(e) => format!("{:.3}", e.coverage),
         Err(_) => "-".to_string(),
@@ -460,7 +463,7 @@ mod tests {
         // here; now it is a typed, skippable error.
         let err = evaluate_method(&isum, &ctx, 0, &dta(), &TuningConstraints::with_max_indexes(8))
             .expect_err("k = 0 must fail");
-        assert!(!err.is_transient());
+        assert!(matches!(err, isum_common::Error::InvalidConfig(_)), "{err}");
         assert_eq!(improvement_cell(&Err(err)), "-");
     }
 

@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use isum_catalog::Catalog;
 use isum_common::telemetry::{self, Counter};
-use isum_common::{count, record_ns, IsumError, IsumResult, QueryId};
+use isum_common::{count, record_ns, QueryId};
 use isum_sql::BoundQuery;
 use isum_workload::Workload;
 
@@ -339,25 +339,27 @@ impl<'a> WhatIfOptimizer<'a> {
         }
         let mut attempt = 0u32;
         loop {
-            match self.cost_attempt(key, attempt, bound, cfg, config) {
+            let (fault, reason) = match self.cost_attempt(key, attempt, bound, cfg, config) {
                 Ok(c) => return (c, false),
-                Err(e) if e.is_transient() && attempt < self.budget.max_retries => {
-                    self.retries.inc();
-                    count!("optimizer.whatif.retries");
-                    isum_common::debug!(
-                        "optimizer.whatif",
-                        format!("transient what-if failure; retrying: {}", e.message()),
-                        attempt = attempt
-                    );
-                    std::thread::sleep(self.budget.backoff_for(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return (self.fallback(bound, e.message()), true),
+                Err(failure) => failure,
+            };
+            if fault == WhatIfFault::Permanent || attempt >= self.budget.max_retries {
+                return (self.fallback(bound, &reason), true);
             }
+            self.retries.inc();
+            count!("optimizer.whatif.retries");
+            isum_common::debug!(
+                "optimizer.whatif",
+                format!("transient what-if failure; retrying: {reason}"),
+                attempt = attempt
+            );
+            std::thread::sleep(self.budget.backoff_for(attempt));
+            attempt += 1;
         }
     }
 
-    /// One costing attempt against the (possibly faulty) optimizer.
+    /// One costing attempt against the (possibly faulty) optimizer. A
+    /// failed attempt returns its fault and the reason to log.
     fn cost_attempt(
         &self,
         key: u64,
@@ -365,37 +367,30 @@ impl<'a> WhatIfOptimizer<'a> {
         bound: &BoundQuery,
         cfg: &IndexConfig,
         config: ConfigKey,
-    ) -> IsumResult<f64> {
-        match self.injector.whatif_fault(key, attempt) {
-            Some(WhatIfFault::Permanent) => {
-                self.calls.inc();
-                count!("optimizer.whatif.calls");
-                return Err(IsumError::permanent("injected permanent what-if failure"));
-            }
-            Some(WhatIfFault::Transient) => {
-                self.calls.inc();
-                count!("optimizer.whatif.calls");
-                return Err(IsumError::transient("injected transient what-if failure"));
-            }
+    ) -> Result<f64, (WhatIfFault, String)> {
+        let (fault, reason) = match self.injector.whatif_fault(key, attempt) {
+            None => return Ok(self.cost_raw(bound, cfg, config)),
             Some(WhatIfFault::Latency(spike)) => {
-                if let Some(limit) = self.budget.call_timeout {
-                    if spike > limit {
-                        // The simulated call is abandoned at its deadline;
-                        // a timed-out call still counts as an invocation.
-                        self.calls.inc();
-                        count!("optimizer.whatif.calls");
-                        self.timeouts.inc();
-                        count!("optimizer.whatif.timeouts");
-                        return Err(IsumError::transient(format!(
-                            "what-if call exceeded {limit:?} (injected {spike:?} spike)"
-                        )));
-                    }
-                }
-                std::thread::sleep(spike);
+                let Some(limit) = self.budget.call_timeout.filter(|&limit| spike > limit) else {
+                    std::thread::sleep(spike);
+                    return Ok(self.cost_raw(bound, cfg, config));
+                };
+                // The simulated call is abandoned at its deadline.
+                self.timeouts.inc();
+                count!("optimizer.whatif.timeouts");
+                let reason = format!("what-if call exceeded {limit:?} (injected {spike:?} spike)");
+                (WhatIfFault::Latency(spike), reason)
             }
-            None => {}
-        }
-        Ok(self.cost_raw(bound, cfg, config))
+            Some(fault) => {
+                let kind = if fault == WhatIfFault::Permanent { "permanent" } else { "transient" };
+                (fault, format!("injected {kind} what-if failure"))
+            }
+        };
+        // A failed call, a timed-out one included, still counts as an
+        // invocation.
+        self.calls.inc();
+        count!("optimizer.whatif.calls");
+        Err((fault, reason))
     }
 
     /// Records one degradation to the heuristic estimate. The first

@@ -273,16 +273,6 @@ impl Response {
         }
     }
 
-    /// A plain-text response (newline-terminated).
-    pub fn text(status: u16, body: &str) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            content_type: "text/plain",
-            body: format!("{body}\n").into_bytes(),
-        }
-    }
-
     /// A response with an explicit content type and raw body (used for
     /// non-JSON expositions like Prometheus text and JSONL event tails).
     pub fn raw(status: u16, content_type: &'static str, body: Vec<u8>) -> Response {
@@ -459,7 +449,10 @@ mod tests {
     #[test]
     fn response_frames_are_well_formed() {
         let mut buf = Vec::new();
-        Response::text(200, "hi").with_header("Retry-After", "1").write(&mut buf).unwrap();
+        Response::raw(200, "text/plain", b"hi\n".to_vec())
+            .with_header("Retry-After", "1")
+            .write(&mut buf)
+            .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 3\r\n"), "{text}");
@@ -470,13 +463,13 @@ mod tests {
     #[test]
     fn keep_alive_frames_advertise_reuse() {
         let mut buf = Vec::new();
-        Response::text(200, "hi").write_framed(&mut buf, true).unwrap();
+        Response::raw(200, "text/plain", b"hi\n".to_vec()).write_framed(&mut buf, true).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
         assert!(!text.contains("Connection: close"), "{text}");
 
         let mut buf = Vec::new();
-        Response::text(200, "hi").write_framed(&mut buf, false).unwrap();
+        Response::raw(200, "text/plain", b"hi\n".to_vec()).write_framed(&mut buf, false).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("Connection: close\r\n"), "{text}");
     }

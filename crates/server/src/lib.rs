@@ -34,14 +34,17 @@
 //! --tenant`: non-empty, ≤ 64 bytes, visible ASCII, no `/`
 //! ([`validate_tenant`]).
 //!
-//! Error statuses follow the [`isum_common::IsumError`] taxonomy:
-//! Transient → 503 (+`Retry-After`), Permanent → 400, Budget → 429. A
-//! full ingest queue answers 429 with `Retry-After` — backpressure, not
-//! a dropped connection. Retryable `Retry-After` values carry a bounded
-//! deterministic jitter (base or base+1 seconds) so concurrent clients
-//! told to back off do not return in lockstep. Malformed query
-//! parameters answer a typed 400 whose body names the parameter
-//! (`{"error", "param", "status"}`).
+//! Every error answers the envelope `{"error", "status"}`. A computation
+//! that fails on its input (say `k = 0`, or `k` on an empty shard) is a
+//! 400 whose `error` is the [`isum_common::Error`] text. A full ingest
+//! queue and the tenant cap answer 429; a batch ahead of the stream, a
+//! failed log append, a shard that cannot be created and an ingest
+//! timeout answer 503. Each of those carries a `Retry-After` —
+//! backpressure, not a dropped connection — whose jittered values stay
+//! within base or base+1 seconds, so concurrent clients told to back off
+//! do not return in lockstep. A draining daemon answers 503. Malformed
+//! query parameters answer a typed 400 whose body also names the
+//! parameter (`"param"`).
 //!
 //! Connections are HTTP/1.1 persistent: a client may issue any number of
 //! requests over one socket (`crates/loadgen` does), and `Connection:

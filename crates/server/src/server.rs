@@ -42,10 +42,10 @@ use std::time::{Duration, Instant};
 
 use isum_advisor::TuningConstraints;
 use isum_common::trace::{self, parse_level, Level};
-use isum_common::{count, hex_bits, telemetry, IsumError, Json, Stage, StageClock};
+use isum_common::{count, hex_bits, telemetry, Json, Stage, StageClock};
 
 use crate::config::ServerConfig;
-use crate::http::{retry_after_value, Request, Response, READ_TIMEOUT};
+use crate::http::{Request, Response, READ_TIMEOUT};
 use crate::shards::{lock, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT};
 
 /// State shared between the accept loop and connection handlers.
@@ -344,11 +344,11 @@ fn one_shard(shared: &Shared, req: &Request, what: &str) -> Result<Arc<Shard>, R
     })
 }
 
-/// A computed JSON document, or the taxonomy's error response.
+/// A computed JSON document, or a `400` naming the computation's error.
 fn json_response(body: isum_common::Result<Json>) -> Response {
     match body {
         Ok(body) => Response::json(200, &body),
-        Err(e) => error_response(e.into()),
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
@@ -579,7 +579,7 @@ fn param_error(name: &str, what: &str) -> Response {
 fn merged_summary_response(shared: &Shared, k: usize) -> Response {
     let merged = shared.router.merged();
     match merged.select(k, shared.config.isum) {
-        Err(e) => error_response(e.into()),
+        Err(e) => Response::error(400, &e.to_string()),
         Ok(picks) => {
             let selected: Vec<Json> = picks
                 .iter()
@@ -665,7 +665,7 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
                         ("represented".into(), Json::from(e.represented)),
                         ("represented_fraction".into(), Json::from(e.represented_fraction())),
                     ]),
-                    Err(e) => return error_response(e.into()),
+                    Err(e) => return Response::error(400, &e.to_string()),
                 }
             };
             (observed, templates, summary)
@@ -759,26 +759,6 @@ fn status_response(shared: &Shared, k_param: Option<usize>) -> Response {
     )
 }
 
-/// Maps an [`IsumError`] to its wire response via the taxonomy's
-/// [`IsumError::http_status`] (Transient → 503, Permanent → 400,
-/// Budget → 429); transient failures carry a `Retry-After`.
-fn error_response(e: IsumError) -> Response {
-    let status = e.http_status();
-    let resp = Response::json(
-        status,
-        &Json::Obj(vec![
-            ("error".into(), Json::from(e.to_string())),
-            ("class".into(), Json::from(format!("{:?}", e.class()))),
-            ("status".into(), Json::from(u64::from(status))),
-        ]),
-    );
-    if status == 503 || status == 429 {
-        resp.with_header("Retry-After", &retry_after_value(1))
-    } else {
-        resp
-    }
-}
-
 /// Every client `seq` is below this (else `400`, `param: seq`), so a
 /// shard's high-water mark `seq + 1` cannot overflow.
 const SEQ_LIMIT: u64 = 1 << 63;
@@ -860,22 +840,19 @@ mod tests {
     }
 
     #[test]
-    fn every_429_and_503_carries_retry_after() {
-        // The taxonomy path (Budget → 429, Transient → 503) and the
-        // queue-full path must agree: a retryable status always tells the
-        // client when to come back.
-        // Retryable values carry bounded jitter: base 1 second plus at
-        // most one more, never less, never unbounded.
-        let retryable = |v: Option<&str>| matches!(v, Some("1") | Some("2"));
-        let budget = error_response(IsumError::budget("what-if budget exhausted"));
-        assert_eq!(budget.status, 429);
-        assert!(retryable(header(&budget, "Retry-After")), "{:?}", header(&budget, "Retry-After"));
-        let transient = error_response(IsumError::transient("flake"));
-        assert_eq!(transient.status, 503);
-        assert!(retryable(header(&transient, "Retry-After")));
-        let permanent = error_response(IsumError::permanent("bad input"));
-        assert_eq!(permanent.status, 400);
-        assert_eq!(header(&permanent, "Retry-After"), None, "400 is not retryable");
+    fn a_computation_error_is_a_400_without_retry_after() {
+        // The retryable 429s and 503s come from admission and the log,
+        // each with its own `Retry-After` (daemon, shards and wal tests).
+        let err = isum_common::Error::InvalidConfig("k must be positive".into());
+        let resp = json_response(Err(err));
+        assert_eq!(resp.status, 400);
+        assert_eq!(header(&resp, "Retry-After"), None, "400 is not retryable");
+        let body = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let want = Json::Obj(vec![
+            ("error".into(), Json::from("invalid configuration: k must be positive")),
+            ("status".into(), Json::from(400u64)),
+        ]);
+        assert_eq!(body, want);
     }
 
     #[test]

@@ -209,11 +209,18 @@ fn malformed_requests_and_sql_are_answered_not_dropped() {
     assert_eq!(client.get("/nope").expect("404").status, 404);
     assert_eq!(client.post("/summary?k=3", "").expect("405").status, 405);
 
-    // Bad parameters map to 400 via the Permanent error class.
-    assert_eq!(client.summary(0).expect("k=0").status, 400);
+    // A computation that fails on its input answers 400 with the error's
+    // text in the plain envelope, and is not worth retrying.
+    let envelope = |error: &str| format!("{{\n  \"error\": \"{error}\",\n  \"status\": 400\n}}\n");
+    let zero = client.summary(0).expect("k=0");
+    assert_eq!(zero.status, 400);
+    assert_eq!(zero.body, envelope("invalid configuration: k must be positive"));
+    assert_eq!(zero.retry_after(), None, "{}", zero.body);
     assert_eq!(client.get("/summary").expect("no k").status, 400);
     let empty = client.summary(3).expect("empty engine");
-    assert_eq!(empty.status, 400, "no observed queries is a Permanent error: {}", empty.body);
+    assert_eq!(empty.status, 400);
+    assert_eq!(empty.body, envelope("invalid configuration: no queries observed"));
+    assert_eq!(empty.retry_after(), None, "{}", empty.body);
 
     // A batch with broken statements is lenient: applied where possible,
     // each failure reported, connection intact.
