@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `bin` in `dir`, with no `ISUM_*` variable but those in `env`.
 pub fn command(bin: &str, dir: &Path, env: &[(&str, &str)]) -> Command {
@@ -69,14 +69,27 @@ impl Daemon {
         self.child.wait().expect("reaps");
     }
 
-    /// SIGTERM, then the daemon's exit status once it has drained.
+    /// SIGTERM, then the daemon's exit status once it has drained. A
+    /// daemon still running 10 s later is SIGKILLed and the test fails,
+    /// rather than hanging until CI gives up.
     pub fn terminate(mut self) -> ExitStatus {
         extern "C" {
             fn kill(pid: i32, signum: i32) -> i32;
         }
         const SIGTERM: i32 = 15;
         assert_eq!(unsafe { kill(self.child.id() as i32, SIGTERM) }, 0, "SIGTERM");
-        self.child.wait().expect("reaps")
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(status) = self.child.try_wait().expect("polls") {
+                return status;
+            }
+            if Instant::now() > deadline {
+                let _ = self.child.kill();
+                let _ = self.child.wait();
+                panic!("the daemon did not exit within 10 s of SIGTERM");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //!   mid-run **mix shift** that moves the head-heavy template mass onto
 //!   rarely-seen templates to provoke the server's drift tracker.
 //! * [`run()`] executes a plan over N concurrent keep-alive connections
-//!   ([`conn::Conn`]) in closed- or open-loop mode, retrying per the
+//!   ([`isum_server::Conn`]) in closed- or open-loop mode, retrying per the
 //!   server's backpressure vocabulary (429, ordering 503s with
 //!   `Retry-After: 0`, transient 503s) and recording client-side
 //!   latency histograms ([`hist::LatencyHist`]) plus a concurrent
@@ -22,12 +22,10 @@
 //! tests pin down with [`plan::LoadPlan::fingerprint`] and a serial
 //! reference run.
 
-pub mod conn;
 pub mod hist;
 pub mod plan;
 pub mod run;
 
-pub use conn::{server_timing, Conn};
 pub use hist::LatencyHist;
 pub use plan::{tenant_name, Batch, LoadPlan, PlanConfig, Window, DEFAULT_TENANT};
 pub use run::{run, LoadReport, Mode, RunConfig};

@@ -22,9 +22,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use isum_common::stage::parse_server_timing;
 use isum_common::Json;
+use isum_server::Conn;
 
-use crate::conn::{server_timing, Conn};
 use crate::hist::LatencyHist;
 use crate::plan::{LoadPlan, Window, DEFAULT_TENANT};
 
@@ -216,7 +217,7 @@ fn retry_after_secs(headers: &[(String, String)]) -> Option<u64> {
 pub fn run(plan: &LoadPlan, config: &RunConfig) -> Result<LoadReport, String> {
     assert!(config.connections >= 1, "need at least one connection");
     let t0 = Instant::now();
-    let warmup_total = config.warmup_batch_count(plan);
+    let warmup_total = plan.config.warmup_batches;
     let completed = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
     let failure: Mutex<Option<String>> = Mutex::new(None);
@@ -326,13 +327,6 @@ pub fn run(plan: &LoadPlan, config: &RunConfig) -> Result<LoadReport, String> {
     Ok(report)
 }
 
-impl RunConfig {
-    /// Batches that must complete before the poller starts recording.
-    fn warmup_batch_count(&self, plan: &LoadPlan) -> usize {
-        plan.config.warmup_batches
-    }
-}
-
 /// One worker: delivers every batch with `index % connections == worker`,
 /// in index order, retrying per the server's backpressure vocabulary.
 fn run_worker(
@@ -388,7 +382,10 @@ fn run_worker(
                     }
                     tally.acked_batches += 1;
                     tally.acked_statements += plan.config.batch_size as u64;
-                    acked_timing = server_timing(&headers);
+                    acked_timing = headers
+                        .iter()
+                        .find_map(|(k, v)| (k == "server-timing").then(|| parse_server_timing(v)))
+                        .unwrap_or_default();
                     delivered = true;
                     break;
                 }

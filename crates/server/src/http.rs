@@ -3,8 +3,8 @@
 //! The daemon speaks just enough HTTP for its wire API:
 //! `Content-Length`-delimited bodies, percent-encoded query strings, and
 //! HTTP/1.1 persistent connections (a client sending `Connection: close`
-//! — as [`crate::Client`] does — gets the old one-request-per-connection
-//! behavior). No chunked transfer, no pipelining, no TLS — the service
+//! — as [`crate::Client`] does — gets one request per connection). No
+//! chunked transfer, no pipelining, no TLS — the service
 //! fronts an in-process engine on a trusted network, and every byte of
 //! framing here is code we can test without a dependency.
 
@@ -362,7 +362,7 @@ pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
 /// Reads one HTTP response from `stream`: status code, headers
 /// (lowercased names), and the `Content-Length`-delimited body. The
-/// client half of the framing above, shared by [`crate::Client`].
+/// client half of the framing above: [`crate::Conn`] reads every reply here.
 pub fn read_response(stream: &TcpStream) -> io::Result<RawResponse> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();

@@ -47,8 +47,8 @@
 //! parameter (`"param"`).
 //!
 //! Connections are HTTP/1.1 persistent: a client may issue any number of
-//! requests over one socket (`crates/loadgen` does), and `Connection:
-//! close` restores the one-request-per-connection behavior.
+//! requests over one socket ([`Conn`] does, for `crates/loadgen`), and
+//! `Connection: close` restores one request per connection ([`Client`]).
 //!
 //! Workload drift (template-distribution divergence between the recent
 //! window and the summarized history) is scored after every applied
@@ -92,7 +92,7 @@ mod server;
 mod shards;
 mod wal;
 
-pub use client::{ApiResponse, Client};
+pub use client::{ApiResponse, Client, Conn};
 pub use config::ServerConfig;
 pub use drift::DriftAction;
 pub use engine::{summary_to_json, Engine, IngestOutcome};

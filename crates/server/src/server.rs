@@ -3,7 +3,7 @@
 //! # Architecture
 //!
 //! ```text
-//!           accept loop (nonblocking, polls shutdown flag)
+//!           accept loop (blocking; a shutdown wakes it with a connection)
 //!                │ one dedicated thread per connection
 //!                ▼
 //!   connection handler ──reads──► GET  /summary │ /metrics │ /status
@@ -27,14 +27,17 @@
 //!
 //! # Shutdown
 //!
-//! `POST /shutdown`, SIGTERM, or SIGINT set a flag the accept loop polls.
-//! The loop stops accepting, in-flight connection handlers finish, every
-//! ingest queue is closed and drained to the last acknowledged batch
-//! (each already durable in its shard's log), and — when telemetry is
-//! enabled — a final snapshot is printed to stderr.
+//! Every shutdown is one wake of the blocking accept: set a flag, then
+//! connect once to the listener (loopback for `0.0.0.0` or `[::]`); the
+//! loop sees the flag and drops that connection. `POST /shutdown` and
+//! [`Server::shutdown`] (so `Drop`) wake it; SIGTERM and SIGINT only store
+//! a flag, which [`Server::join`] turns into the wake. In-flight
+//! connection handlers finish, every ingest queue is closed and drained to
+//! the last acknowledged batch (each already durable in its shard's log),
+//! and — when telemetry is enabled — a final snapshot is printed to stderr.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,14 +56,30 @@ struct Shared {
     router: ShardRouter,
     config: Arc<ServerConfig>,
     shutdown: AtomicBool,
+    /// The bound address, which a shutdown connects to.
+    addr: SocketAddr,
     /// Bind time, for the `isum_process_uptime_seconds` gauge.
     started: Instant,
+}
+
+impl Shared {
+    /// Starts the drain: sets the flag and, if it was not set, connects to
+    /// the listener so the blocked accept returns and sees it.
+    fn shut_down(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let ip = match self.addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+                ip => ip,
+            };
+            let _ = TcpStream::connect((ip, self.addr.port()));
+        }
+    }
 }
 
 /// A running daemon. Binding spawns the serve thread; [`Server::join`]
 /// blocks until shutdown (signal, `/shutdown`, or [`Server::shutdown`]).
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -74,7 +93,6 @@ impl Server {
         config.validate().map_err(|why| io::Error::new(io::ErrorKind::InvalidInput, why))?;
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         // `GET /events` serves the ring tail; capture at debug so the
         // endpoint works without any ISUM_LOG configuration.
         trace::enable_ring(Level::Debug);
@@ -85,6 +103,7 @@ impl Server {
             router: ShardRouter::start(Arc::clone(&config))?,
             config,
             shutdown: AtomicBool::new(false),
+            addr,
             started: Instant::now(),
         });
 
@@ -92,22 +111,31 @@ impl Server {
         let thread = std::thread::Builder::new()
             .name("isum-serve".into())
             .spawn(move || serve_loop(listener, serve_shared))?;
-        Ok(Server { addr, shared, thread: Some(thread) })
+        Ok(Server { shared, thread: Some(thread) })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
-    /// Requests shutdown; returns immediately. Pair with [`Server::join`].
+    /// Requests shutdown and wakes the accept loop. Pair with [`Server::join`].
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shut_down();
     }
 
-    /// Blocks until the serve loop has drained and exited.
+    /// Blocks until the serve loop has drained and exited. Until a
+    /// shutdown begins it checks every 5 ms for a SIGTERM/SIGINT (after
+    /// [`install_signal_handlers`]) and makes the wake the handler cannot.
     pub fn join(mut self) {
         if let Some(t) = self.thread.take() {
+            while !self.shared.shutdown.load(Ordering::SeqCst) && !t.is_finished() {
+                if signal_pending() {
+                    self.shutdown();
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
             let _ = t.join();
         }
     }
@@ -115,8 +143,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown();
         if let Some(t) = self.thread.take() {
+            self.shutdown();
             let _ = t.join();
         }
     }
@@ -127,12 +155,16 @@ fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
     // Each connection gets a dedicated thread: a keep-alive socket holds
     // its handler for as long as the client likes (and an ingest handler
     // blocks on its sequencer), so sharing a fixed-size pool would let n
-    // idle connections starve connection n + 1 — and the accept loop,
-    // which must keep polling the shutdown flag. Handler panics are
+    // idle connections starve connection n + 1. Handler panics are
     // caught inside `handle_connection` (panic quarantine).
     let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) && !signal_pending() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // The wake (or a client racing it): dropped unhandled.
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 count!("server.connections");
                 // Responses are written headers-then-body on a socket
@@ -150,10 +182,8 @@ fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
                     conn_threads.push(t);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Err(_) => {
+                // Back off: a persistent failure (EMFILE) would spin.
                 count!("server.accept_errors");
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -164,7 +194,6 @@ fn serve_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     // All connection handlers have finished. Close every queue: each
     // shard drains whatever was accepted and exits.
-    shared.shutdown.store(true, Ordering::SeqCst);
     shared.router.drain();
     isum_common::info!("server", "drained and shut down");
     if telemetry::enabled() {
@@ -465,7 +494,7 @@ fn try_route(
             json_response(engine.tune_json(k, advisor, &constraints))
         }
         ("POST", "/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.shut_down();
             Response::json(200, &Json::Obj(vec![("status".into(), Json::from("draining"))]))
         }
         (_, "/healthz" | "/metrics" | "/events" | "/summary" | "/status" | "/summary/explain") => {
@@ -785,9 +814,10 @@ fn handle_ingest(
 }
 
 // ---------------------------------------------------------------------
-// Signal handling (Unix): SIGTERM / SIGINT flip a flag the accept loop
-// polls. `signal(2)` is in every libc std already links against; no
-// crate needed. Non-Unix builds fall back to `POST /shutdown` only.
+// Signal handling (Unix): SIGTERM / SIGINT flip a flag `Server::join`
+// turns into the accept loop's wake; the signal alone cannot wake it
+// (glibc's `signal(2)` sets SA_RESTART and std retries `accept` on EINTR).
+// No crate needed. Non-Unix builds fall back to `POST /shutdown` only.
 // ---------------------------------------------------------------------
 
 static SIGNALED: AtomicBool = AtomicBool::new(false);
@@ -834,6 +864,49 @@ pub fn install_signal_handlers() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Client;
+    use isum_catalog::CatalogBuilder;
+    use std::sync::mpsc;
+
+    /// A daemon bound to every IPv4 address, on an ephemeral port.
+    fn wildcard_server() -> Server {
+        let catalog = CatalogBuilder::new()
+            .table("t", 1_000)
+            .col_key("id")
+            .finish()
+            .expect("fresh table")
+            .build();
+        let server = Server::bind("0.0.0.0:0", ServerConfig::new(catalog)).expect("binds");
+        assert!(server.addr().ip().is_unspecified());
+        server
+    }
+
+    /// Joins `server` on a helper thread, so that a missing wake fails the
+    /// test instead of hanging it.
+    fn joins(server: Server) -> bool {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.join();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(30)).is_ok()
+    }
+
+    #[test]
+    fn server_shutdown_wakes_a_wildcard_bound_accept() {
+        let server = wildcard_server();
+        server.shutdown();
+        assert!(joins(server), "join returns after Server::shutdown");
+    }
+
+    #[test]
+    fn post_shutdown_wakes_a_wildcard_bound_accept() {
+        let server = wildcard_server();
+        let client = Client::new(format!("127.0.0.1:{}", server.addr().port()));
+        let resp = client.shutdown().expect("POST /shutdown");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(joins(server), "join returns after POST /shutdown");
+    }
 
     fn header<'a>(resp: &'a Response, name: &str) -> Option<&'a str> {
         resp.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())

@@ -10,7 +10,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use isum_core::{Compressor, Isum};
-use isum_server::{Client, ServerConfig, REQUEST_DEADLINE};
+use isum_server::{read_response, Client, ServerConfig, REQUEST_DEADLINE};
 
 mod support;
 use support::{orders_catalog as catalog, reference_summary, start};
@@ -202,7 +202,7 @@ fn malformed_requests_and_sql_are_answered_not_dropped() {
         let mut w = &stream;
         w.write_all(b"NOT-HTTP\r\n\r\n").expect("writes");
     }
-    let (status, _, _) = isum_server_read_response(&stream);
+    let (status, _, _) = read_response(&stream).expect("answered");
     assert_eq!(status, 400);
 
     // Unknown endpoint and wrong method.
@@ -246,33 +246,6 @@ fn malformed_requests_and_sql_are_answered_not_dropped() {
     assert_eq!(client.healthz().expect("healthz").status, 200);
     server.shutdown();
     server.join();
-}
-
-/// Local copy of the client-side response reader for the raw-socket test.
-fn isum_server_read_response(stream: &TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    use std::io::{BufRead, BufReader, Read};
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 =
-        line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        reader.read_line(&mut line).expect("header line");
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, Vec::new(), body)
 }
 
 #[test]
