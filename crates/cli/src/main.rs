@@ -26,9 +26,6 @@
 //! after the command finishes. Passing `--threads <n>` (or setting
 //! `ISUM_THREADS=<n>`) sets how many threads load a `--workload` script
 //! (DESIGN.md §8); every thread count gives the same results.
-//! Passing `--faults <spec>` (or setting `ISUM_FAULTS=<spec>`) activates
-//! the deterministic what-if fault injector — see DESIGN.md §9 for the
-//! spec grammar and degradation contract.
 #![allow(clippy::disallowed_macros)] // CLI usage and errors are plain stderr
 
 mod schema;
@@ -41,7 +38,7 @@ use isum_common::telemetry;
 use isum_common::{Error, Result};
 use isum_core::{Compressor, Isum, IsumConfig};
 use isum_loadgen::{LoadPlan, Mode, PlanConfig, RunConfig};
-use isum_optimizer::{faults, fill_missing_costs, CostModel, IndexConfig, WhatIfOptimizer};
+use isum_optimizer::{fill_missing_costs, CostModel, IndexConfig, WhatIfOptimizer};
 use isum_server::{install_signal_handlers, summary_to_json, Client, Server, ServerConfig};
 use isum_workload::{load_script_lenient, split_script, Workload};
 
@@ -78,10 +75,6 @@ fn run(args: &[String]) -> Result<()> {
         isum_common::trace::set_log_file(std::path::Path::new(path))
             .map_err(|e| Error::InvalidConfig(format!("cannot open --log-file `{path}`: {e}")))?;
     }
-    faults::init_from_env().map_err(|e| refused_spec("ISUM_FAULTS", e))?;
-    if let Some(spec) = &opts.faults {
-        faults::set_global_spec(spec).map_err(|e| refused_spec("--faults spec", e))?;
-    }
     if opts.stats {
         telemetry::set_enabled(true);
     }
@@ -112,15 +105,6 @@ fn run(args: &[String]) -> Result<()> {
         }
     }
     result
-}
-
-/// Names where a refused fault spec came from, under the one
-/// `invalid configuration` prefix the parser's error already carries.
-fn refused_spec(source: &str, e: Error) -> Error {
-    match e {
-        Error::InvalidConfig(m) => Error::InvalidConfig(format!("invalid {source}: {m}")),
-        other => other,
-    }
 }
 
 fn print_usage() {
@@ -168,8 +152,6 @@ fn usage() -> String {
          --shift-at off disables the drift-provoking mix shift) and prints a JSON report,\n\
          any command accepts --stats (or ISUM_TELEMETRY=1) to print a telemetry table,\n\
          --threads <n> (or ISUM_THREADS=<n>) for the threads of parallel loops (1 = sequential),\n\
-         --faults <spec> (or ISUM_FAULTS=<spec>) for deterministic what-if fault injection\n\
-         (e.g. whatif_transient:0.05,whatif_permanent:0.01,seed:7 — see DESIGN.md \u{a7}9),\n\
          and ISUM_LOG=<filter> (e.g. info,server=debug) with --log-file <path>\n\
          (or ISUM_LOG_FILE) for structured JSONL event logs",
         serve_flags.join(" ")
@@ -190,7 +172,6 @@ struct Options {
     tuned: bool,
     stats: bool,
     threads: Option<usize>,
-    faults: Option<String>,
     log_file: Option<String>,
     json: bool,
     out: Option<String>,
@@ -211,7 +192,7 @@ struct Options {
 }
 
 /// The flags every command takes.
-const COMMON_FLAGS: &str = "--stats --threads --faults --log-file";
+const COMMON_FLAGS: &str = "--stats --threads --log-file";
 
 /// The flags `command` reads besides [`COMMON_FLAGS`]; `serve` also
 /// reads its tunables' flags. `None` for `help` and unknown commands.
@@ -270,7 +251,6 @@ impl Options {
             tuned: false,
             stats: false,
             threads: None,
-            faults: None,
             log_file: None,
             json: false,
             out: None,
@@ -299,7 +279,6 @@ impl Options {
                 "--advisor" => o.advisor = value()?.into(),
                 "--budget-bytes" => o.budget_bytes = Some(integer(flag, value()?)?),
                 "--threads" => o.threads = Some(at_least_one(flag, value()?)?),
-                "--faults" => o.faults = Some(value()?.into()),
                 "--log-file" => o.log_file = Some(value()?.into()),
                 "--out" => o.out = Some(value()?.into()),
                 "--listen" => o.listen = value()?.into(),
@@ -844,25 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn faults_flag_parses() {
-        let o = opts(&["--faults", "whatif_transient:0.1,seed:3"]);
-        assert_eq!(o.faults.as_deref(), Some("whatif_transient:0.1,seed:3"));
-        let o = opts(&[]);
-        assert!(o.faults.is_none());
-        assert!(Options::parse(&["--faults".into()]).is_err());
-    }
-
-    #[test]
-    fn a_refused_fault_spec_says_invalid_configuration_once() {
-        for spec in ["parse:0.1", "panic:0.1"] {
-            let args = ["compress", "--faults", spec].map(String::from);
-            let err = run(&args).expect_err(spec).to_string();
-            assert!(err.contains("unknown fault kind"), "{err}");
-            assert_eq!(err.matches("invalid configuration").count(), 1, "{err}");
-        }
-    }
-
-    #[test]
     fn tenant_flag_validates_like_the_server() {
         let o = opts(&["--tenant", "acme-prod"]);
         assert_eq!(o.tenant.as_deref(), Some("acme-prod"));
@@ -921,41 +881,6 @@ mod tests {
             for name in env.into_iter().chain(flag) {
                 assert!(help.contains(name), "`isum --help` does not mention {name}");
                 assert!(readme.contains(name), "README.md does not mention {name}");
-            }
-        }
-    }
-
-    #[test]
-    fn help_and_readme_fault_spec_examples_parse() {
-        // An example is a `key:number[,key:number…]` token on a line that
-        // names `--faults` or `ISUM_FAULTS`, or on the line after it.
-        fn examples(text: &str) -> Vec<String> {
-            let lines: Vec<&str> = text.lines().collect();
-            let is_spec = |token: &&str| {
-                token.split(',').all(|part| {
-                    part.split_once(':').is_some_and(|(key, value)| {
-                        !key.is_empty()
-                            && key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_')
-                            && value.parse::<f64>().is_ok()
-                    })
-                })
-            };
-            let named =
-                |i: usize| lines[i].contains("--faults") || lines[i].contains("ISUM_FAULTS");
-            let mut found = Vec::new();
-            for i in (0..lines.len()).filter(|&i| named(i) || (i > 0 && named(i - 1))) {
-                let tokens = lines[i].split(|c: char| c.is_whitespace() || "\"'`()=".contains(c));
-                found.extend(tokens.filter(is_spec).map(String::from));
-            }
-            found
-        }
-        for (name, text) in [("isum --help", usage()), ("README.md", README.to_string())] {
-            let found = examples(&text);
-            assert!(!found.is_empty(), "{name} shows no fault-spec example");
-            for spec in found {
-                if let Err(e) = faults::FaultInjector::from_spec(&spec) {
-                    panic!("{name}: example `{spec}` does not parse: {e}");
-                }
             }
         }
     }

@@ -5,7 +5,7 @@
 //! threads take indices from one shared cursor and the results come back
 //! in input order, so for a pure function the output is the sequential
 //! map's, bit for bit, at any thread count (pinned by `tests/par_map.rs`,
-//! and for the experiment harness by its `fault_smoke.rs`).
+//! and for the experiment harness by its `thread_invariance.rs`).
 //!
 //! [`par_chunks_mut`] cuts a mutable slice into `min(global_threads(), n)`
 //! contiguous chunks and runs a function over each in place: the calling

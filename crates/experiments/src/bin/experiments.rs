@@ -1,9 +1,8 @@
 //! Experiment runner CLI.
 //!
 //! ```text
-//! cargo run -p isum-experiments --release -- [--resume] [--faults <spec>] <id>... | all
+//! cargo run -p isum-experiments --release -- [--resume] <id>... | all
 //! ISUM_SCALE=quick|medium|large|paper   selects workload sizes
-//! ISUM_FAULTS=<spec>              deterministic what-if fault injection (see DESIGN.md §9)
 //! ```
 //!
 //! Telemetry is always on here: each run resets the registry, and a
@@ -26,40 +25,22 @@ use isum_experiments::figs::{self, ALL_IDS};
 use isum_experiments::harness::write_telemetry_report;
 use isum_experiments::report;
 use isum_experiments::Scale;
-use isum_optimizer::faults;
 
 fn usage(code: i32) -> ! {
-    eprintln!("usage: experiments [--resume] [--faults <spec>] <id>... | all");
+    eprintln!("usage: experiments [--resume] <id>... | all");
     eprintln!("ids: {}", ALL_IDS.join(" "));
     eprintln!("env: ISUM_SCALE=quick|medium|large|paper (default medium)");
-    eprintln!("     ISUM_FAULTS=<spec> deterministic what-if fault injection, e.g.");
-    eprintln!("     whatif_transient:0.05,seed:7 (DESIGN.md \u{a7}9)");
     std::process::exit(code);
 }
 
 fn main() {
     isum_common::trace::init_from_env();
-    if let Err(e) = faults::init_from_env() {
-        eprintln!("ISUM_FAULTS: {e}");
-        std::process::exit(2);
-    }
     let mut resume = false;
     let mut ids_raw: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--help" | "-h" => usage(0),
             "--resume" => resume = true,
-            "--faults" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("--faults requires a spec argument");
-                    std::process::exit(2);
-                });
-                if let Err(e) = faults::set_global_spec(&spec) {
-                    eprintln!("--faults: {e}");
-                    std::process::exit(2);
-                }
-            }
             other => ids_raw.push(other.to_string()),
         }
     }

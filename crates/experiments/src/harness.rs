@@ -93,8 +93,7 @@ pub struct ExperimentCtx {
 
 impl ExperimentCtx {
     /// Wraps a generated workload, populating costs
-    /// ([`isum_optimizer::populate_costs`]). What-if faults of an active
-    /// `ISUM_FAULTS` spec reach these costings through the optimizer.
+    /// ([`isum_optimizer::populate_costs`]).
     pub fn prepare(name: &'static str, mut workload: Workload) -> Self {
         let _s = telemetry::span("prepare");
         isum_optimizer::populate_costs(&mut workload);
@@ -174,9 +173,9 @@ pub struct MethodEval {
 /// the improvement over the entire workload.
 ///
 /// # Errors
-/// Compression failures (invalid configuration, empty/too-small workload —
-/// e.g. after fault injection dropped queries) are returned as typed
-/// errors instead of panicking, so callers skip and report the cell.
+/// Compression failures (invalid configuration, an empty or too-small
+/// workload) are returned as typed errors instead of panicking, so
+/// callers skip and report the cell.
 pub fn evaluate_method(
     method: &dyn Compressor,
     ctx: &ExperimentCtx,

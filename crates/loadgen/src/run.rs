@@ -132,6 +132,28 @@ impl LoadReport {
         }
     }
 
+    /// Folds `other`'s counters and histograms in. `measure_secs` and
+    /// `fingerprint` belong to the whole run, so [`run`] sets them.
+    fn merge(&mut self, other: &LoadReport) {
+        self.acked_batches += other.acked_batches;
+        self.acked_statements += other.acked_statements;
+        self.duplicate_acks += other.duplicate_acks;
+        self.retries_429 += other.retries_429;
+        self.retries_503_ahead += other.retries_503_ahead;
+        self.retries_503_other += other.retries_503_other;
+        self.unexpected_5xx += other.unexpected_5xx;
+        self.transport_errors += other.transport_errors;
+        self.reconnects += other.reconnects;
+        self.measure_statements += other.measure_statements;
+        self.ingest_hist.merge(&other.ingest_hist);
+        self.server_hist.merge(&other.server_hist);
+        self.network_hist.merge(&other.network_hist);
+        for (stage, h) in &other.stage_hists {
+            self.stage_hists.entry(stage.clone()).or_default().merge(h);
+        }
+        self.summary_hist.merge(&other.summary_hist);
+    }
+
     /// The report as a JSON object (what `isum load` prints).
     pub fn to_json(&self) -> Json {
         let hist = |h: &LatencyHist| {
@@ -177,30 +199,20 @@ impl LoadReport {
     }
 }
 
-/// Per-worker tally, merged into the [`LoadReport`] after the join.
+/// One worker's accounting, merged into the run's [`LoadReport`] after
+/// the join.
 #[derive(Debug, Default)]
 struct WorkerTally {
-    acked_batches: u64,
-    acked_statements: u64,
-    duplicate_acks: u64,
-    retries_429: u64,
-    retries_503_ahead: u64,
-    retries_503_other: u64,
-    unexpected_5xx: u64,
-    transport_errors: u64,
-    reconnects: u64,
-    hist: LatencyHist,
-    server_hist: LatencyHist,
-    network_hist: LatencyHist,
-    stage_hists: BTreeMap<String, LatencyHist>,
-    measure_statements: u64,
+    report: LoadReport,
     /// Offsets from run start bracketing this worker's measure window.
     measure_first_us: Option<u64>,
     measure_last_us: Option<u64>,
 }
 
-/// `Retry-After` seconds from a raw response, capped at 2 (mirrors the
-/// live client's backoff policy); `None` when absent or unparsable.
+/// `Retry-After` seconds from a raw response, capped at 2 as
+/// `Client::ingest_with_retry` caps it; `None` when absent or unparsable.
+/// The sleeps built on it are this generator's own (20 + 150·s ms), not
+/// the client's (50 + 200·s ms).
 fn retry_after_secs(headers: &[(String, String)]) -> Option<u64> {
     headers
         .iter()
@@ -222,7 +234,7 @@ pub fn run(plan: &LoadPlan, config: &RunConfig) -> Result<LoadReport, String> {
     let done = AtomicBool::new(false);
     let failure: Mutex<Option<String>> = Mutex::new(None);
     let tallies: Mutex<Vec<WorkerTally>> = Mutex::new(Vec::new());
-    let summary_side: Mutex<(LatencyHist, u64)> = Mutex::new((LatencyHist::new(), 0));
+    let summary_side: Mutex<LoadReport> = Mutex::default();
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..config.connections)
@@ -272,7 +284,12 @@ pub fn run(plan: &LoadPlan, config: &RunConfig) -> Result<LoadReport, String> {
                         hist.record_us(t.elapsed().as_micros() as u64);
                     }
                 }
-                *summary_side.lock().expect("summary") = (hist, conn.reconnects());
+                let poller = LoadReport {
+                    summary_hist: hist,
+                    reconnects: conn.reconnects(),
+                    ..Default::default()
+                };
+                *summary_side.lock().expect("summary") = poller;
             })
         });
         for handle in workers {
@@ -292,22 +309,7 @@ pub fn run(plan: &LoadPlan, config: &RunConfig) -> Result<LoadReport, String> {
     let mut first_us = u64::MAX;
     let mut last_us = 0u64;
     for t in tallies.lock().expect("tallies").iter() {
-        report.acked_batches += t.acked_batches;
-        report.acked_statements += t.acked_statements;
-        report.duplicate_acks += t.duplicate_acks;
-        report.retries_429 += t.retries_429;
-        report.retries_503_ahead += t.retries_503_ahead;
-        report.retries_503_other += t.retries_503_other;
-        report.unexpected_5xx += t.unexpected_5xx;
-        report.transport_errors += t.transport_errors;
-        report.reconnects += t.reconnects;
-        report.measure_statements += t.measure_statements;
-        report.ingest_hist.merge(&t.hist);
-        report.server_hist.merge(&t.server_hist);
-        report.network_hist.merge(&t.network_hist);
-        for (stage, h) in &t.stage_hists {
-            report.stage_hists.entry(stage.clone()).or_default().merge(h);
-        }
+        report.merge(&t.report);
         if let Some(us) = t.measure_first_us {
             first_us = first_us.min(us);
         }
@@ -318,12 +320,7 @@ pub fn run(plan: &LoadPlan, config: &RunConfig) -> Result<LoadReport, String> {
     if last_us > first_us {
         report.measure_secs = (last_us - first_us) as f64 / 1e6;
     }
-    let (summary_hist, summary_reconnects) = {
-        let guard = summary_side.lock().expect("summary");
-        (guard.0.clone(), guard.1)
-    };
-    report.summary_hist = summary_hist;
-    report.reconnects += summary_reconnects;
+    report.merge(&summary_side.lock().expect("summary"));
     Ok(report)
 }
 
@@ -367,8 +364,8 @@ fn run_worker(
             {
                 Ok(resp) => resp,
                 Err(e) => {
-                    tally.transport_errors += 1;
-                    if tally.transport_errors > u64::from(config.max_attempts) {
+                    tally.report.transport_errors += 1;
+                    if tally.report.transport_errors > u64::from(config.max_attempts) {
                         return Err(format!("batch {}: transport failure: {e}", batch.index));
                     }
                     std::thread::sleep(Duration::from_millis(20));
@@ -378,10 +375,10 @@ fn run_worker(
             match status {
                 200 => {
                     if String::from_utf8_lossy(&body).contains("duplicate") {
-                        tally.duplicate_acks += 1;
+                        tally.report.duplicate_acks += 1;
                     }
-                    tally.acked_batches += 1;
-                    tally.acked_statements += plan.config.batch_size as u64;
+                    tally.report.acked_batches += 1;
+                    tally.report.acked_statements += plan.config.batch_size as u64;
                     acked_timing = headers
                         .iter()
                         .find_map(|(k, v)| (k == "server-timing").then(|| parse_server_timing(v)))
@@ -390,7 +387,7 @@ fn run_worker(
                     break;
                 }
                 429 => {
-                    tally.retries_429 += 1;
+                    tally.report.retries_429 += 1;
                     let wait = retry_after_secs(&headers).unwrap_or(1);
                     std::thread::sleep(Duration::from_millis(20 + wait * 150));
                 }
@@ -398,16 +395,16 @@ fn run_worker(
                     if retry_after_secs(&headers) == Some(0) {
                         // Sequencer ordering stall: an earlier seq of this
                         // tenant is still in flight on a sibling worker.
-                        tally.retries_503_ahead += 1;
+                        tally.report.retries_503_ahead += 1;
                         std::thread::sleep(Duration::from_millis(1));
                     } else {
-                        tally.retries_503_other += 1;
+                        tally.report.retries_503_other += 1;
                         let wait = retry_after_secs(&headers).unwrap_or(1);
                         std::thread::sleep(Duration::from_millis(20 + wait * 150));
                     }
                 }
                 s if (500..600).contains(&s) => {
-                    tally.unexpected_5xx += 1;
+                    tally.report.unexpected_5xx += 1;
                     std::thread::sleep(Duration::from_millis(50));
                 }
                 s => {
@@ -430,7 +427,7 @@ fn run_worker(
         if plan.window_of(batch.index) == Window::Measure {
             let acked = Instant::now();
             let measured_us = acked.duration_since(started).as_micros() as u64;
-            tally.hist.record_us(measured_us);
+            tally.report.ingest_hist.record_us(measured_us);
             // Split the measured latency along the server's own timeline:
             // the header's `total` is the server-side share, the remainder
             // is network transit plus client/queue wait, and each named
@@ -439,10 +436,11 @@ fn run_worker(
             if let Some((name, total_ms)) = acked_timing.last() {
                 if name == "total" {
                     let server_us = ((total_ms * 1e3) as u64).min(measured_us);
-                    tally.server_hist.record_us(server_us);
-                    tally.network_hist.record_us(measured_us - server_us);
+                    tally.report.server_hist.record_us(server_us);
+                    tally.report.network_hist.record_us(measured_us - server_us);
                     for (stage, ms) in &acked_timing[..acked_timing.len() - 1] {
                         tally
+                            .report
                             .stage_hists
                             .entry(stage.clone())
                             .or_default()
@@ -450,7 +448,7 @@ fn run_worker(
                     }
                 }
             }
-            tally.measure_statements += plan.config.batch_size as u64;
+            tally.report.measure_statements += plan.config.batch_size as u64;
             let start_us = started.duration_since(t0).as_micros() as u64;
             let acked_us = acked.duration_since(t0).as_micros() as u64;
             tally.measure_first_us = Some(tally.measure_first_us.unwrap_or(start_us).min(start_us));
@@ -458,6 +456,6 @@ fn run_worker(
         }
         completed.fetch_add(1, Ordering::SeqCst);
     }
-    tally.reconnects = conn.reconnects();
+    tally.report.reconnects = conn.reconnects();
     Ok(tally)
 }

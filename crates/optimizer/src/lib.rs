@@ -15,12 +15,11 @@
 //! implementations add: an optimizer-call counter and a cost cache keyed by
 //! the ordered list of indexes relevant to each query. Beneath the counter,
 //! an exact memo evaluates the model once per distinct cost input
-//! (`memo`, DESIGN.md §5 item 4); it changes no count and no cost.
-//! [`faults`] injects seeded what-if failures and latency spikes, which
-//! the optimizer's retry/fallback pipeline absorbs (DESIGN.md §9).
+//! (`memo`, DESIGN.md §5 item 4); it changes no count and no cost. The
+//! model is a pure function with no error path, so every costing returns
+//! its answer.
 
 pub mod cost;
-pub mod faults;
 pub mod index;
 mod memo;
 pub mod plan;
@@ -29,4 +28,4 @@ pub mod whatif;
 pub use cost::{CostModel, QueryCostBreakdown};
 pub use index::{Index, IndexConfig};
 pub use plan::PlanNode;
-pub use whatif::{fill_missing_costs, populate_costs, WhatIfBudget, WhatIfOptimizer};
+pub use whatif::{fill_missing_costs, populate_costs, WhatIfOptimizer};

@@ -12,8 +12,9 @@
 //! counted call whose cost inputs — the query's shape, its filters and the
 //! configuration's relevant indexes in order — were seen before returns
 //! the remembered cost instead of evaluating the model again. Counted
-//! calls, cache hits, fault decisions and budget cut-offs are decided
-//! before the memo is consulted, so they do not depend on it.
+//! calls and cache hits are decided before the memo is consulted, so they
+//! do not depend on it. The model has no error path, so neither does a
+//! costing: every counted call returns the model's answer.
 //!
 //! # Thread safety
 //!
@@ -29,12 +30,8 @@
 //! (correctly) counted as an optimizer call; counters are atomics, so no
 //! increment is ever lost.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use isum_catalog::Catalog;
 use isum_common::telemetry::{self, Counter};
@@ -42,103 +39,12 @@ use isum_common::{count, record_ns, QueryId};
 use isum_sql::BoundQuery;
 use isum_workload::Workload;
 
-use crate::cost::{CostModel, CPU_ROW, IO_PAGE};
-use crate::faults::{self, FaultInjector, WhatIfFault};
+use crate::cost::CostModel;
 use crate::index::IndexConfig;
 use crate::memo::{ConfigKey, CostMemo, Probe, Signature};
 
 /// One cache key: (workload uid, query, ordered relevant-config key).
 type CacheKey = (u64, QueryId, ConfigKey);
-
-/// Resource budget and retry policy for what-if costing (DESIGN.md §9).
-///
-/// * `max_calls` — hard cap on optimizer invocations for this instance;
-///   once reached, every further costing returns the heuristic fallback.
-///   The cutoff is by call-arrival order, so at a parallel call site
-///   *which* costings fall back is scheduling-dependent — budgets are a
-///   production-degradation knob, not an experiment knob, and default to
-///   unlimited (experiments keep bit-identical results at any thread
-///   count because the unlimited budget never engages).
-/// * `call_timeout` — per-call latency bound. The pure cost model is
-///   effectively instantaneous, so the timeout engages only against
-///   injected latency spikes ([`crate::faults`]); a spike longer than the
-///   timeout is reported as a transient timeout (no sleep is performed —
-///   the simulated call is abandoned at its deadline).
-/// * `max_retries` / `backoff_base` / `backoff_cap` — transient failures
-///   are retried up to `max_retries` times with exponential backoff
-///   `min(backoff_base · 2^attempt, backoff_cap)` before falling back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WhatIfBudget {
-    /// Maximum optimizer invocations (`None` = unlimited).
-    pub max_calls: Option<u64>,
-    /// Per-call latency bound (`None` = no timeout).
-    pub call_timeout: Option<Duration>,
-    /// Retry attempts after a transient failure.
-    pub max_retries: u32,
-    /// First-retry backoff.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-}
-
-impl Default for WhatIfBudget {
-    fn default() -> Self {
-        Self {
-            max_calls: None,
-            call_timeout: None,
-            max_retries: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(16),
-        }
-    }
-}
-
-impl WhatIfBudget {
-    /// The default budget overridden by environment knobs:
-    /// `ISUM_WHATIF_MAX_CALLS`, `ISUM_WHATIF_TIMEOUT_MS`,
-    /// `ISUM_WHATIF_RETRIES`. Read once per process; a malformed value is
-    /// reported once as a `warn!` event and ignored.
-    pub fn from_env() -> Self {
-        static ENV: OnceLock<WhatIfBudget> = OnceLock::new();
-        *ENV.get_or_init(|| Self::from_lookup(|var| std::env::var(var).ok()))
-    }
-
-    /// [`Self::from_env`] over `lookup` instead of the process environment.
-    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        fn knob<T: std::str::FromStr>(
-            lookup: &impl Fn(&str) -> Option<String>,
-            var: &str,
-        ) -> Option<T> {
-            let v = lookup(var)?;
-            let want = format!("a {}", std::any::type_name::<T>());
-            isum_common::trace::parse_env("optimizer.whatif", var, &v, &want, |v| {
-                v.trim().parse().ok()
-            })
-        }
-        let default = Self::default();
-        Self {
-            max_calls: knob(&lookup, "ISUM_WHATIF_MAX_CALLS").or(default.max_calls),
-            call_timeout: knob(&lookup, "ISUM_WHATIF_TIMEOUT_MS")
-                .map(Duration::from_millis)
-                .or(default.call_timeout),
-            max_retries: knob(&lookup, "ISUM_WHATIF_RETRIES").unwrap_or(default.max_retries),
-            ..default
-        }
-    }
-
-    /// Backoff before retry `attempt` (0-based):
-    /// `min(backoff_base · 2^attempt, backoff_cap)`.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        let mult = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.backoff_base.checked_mul(mult).map_or(self.backoff_cap, |d| d.min(self.backoff_cap))
-    }
-
-    /// True when the budget can change costing behaviour on its own
-    /// (without an active fault injector).
-    fn is_limiting(&self) -> bool {
-        self.max_calls.is_some()
-    }
-}
 
 /// Cached what-if optimizer over one catalog.
 ///
@@ -153,51 +59,24 @@ pub struct WhatIfOptimizer<'a> {
     model: CostModel<'a>,
     calls: Counter,
     cache_hits: Counter,
-    retries: Counter,
-    fallbacks: Counter,
-    /// Set by the first fallback, which is the one that warns.
-    warned: AtomicBool,
-    timeouts: Counter,
     /// Cost-model evaluations (memo misses).
     evaluations: Counter,
-    budget: WhatIfBudget,
-    injector: Arc<FaultInjector>,
     cache: Mutex<HashMap<CacheKey, f64>>,
     memo: Mutex<CostMemo>,
 }
 
 impl<'a> WhatIfOptimizer<'a> {
-    /// Creates an optimizer over a catalog, with the process-wide fault
-    /// injector and the environment-configured [`WhatIfBudget`].
+    /// Creates an optimizer over a catalog.
     pub fn new(catalog: &'a Catalog) -> Self {
         Self {
             catalog,
             model: CostModel::new(catalog),
             calls: Counter::new(),
             cache_hits: Counter::new(),
-            retries: Counter::new(),
-            fallbacks: Counter::new(),
-            warned: AtomicBool::new(false),
-            timeouts: Counter::new(),
             evaluations: Counter::new(),
-            budget: WhatIfBudget::from_env(),
-            injector: faults::global(),
             cache: Mutex::new(HashMap::new()),
             memo: Mutex::new(CostMemo::default()),
         }
-    }
-
-    /// Replaces the budget (builder style).
-    pub fn with_budget(mut self, budget: WhatIfBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Replaces the fault injector (builder style) — tests inject faults
-    /// explicitly without touching the process-wide injector.
-    pub fn with_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.injector = injector;
-        self
     }
 
     /// The underlying catalog.
@@ -226,16 +105,10 @@ impl<'a> WhatIfOptimizer<'a> {
         }
         // Compute outside the lock: the cost model is pure, so a racing
         // thread that also misses produces the identical value.
-        let (c, degraded) = self.cost_bound_outcome(&q.bound, cfg, config);
-        // A heuristic fallback is an *estimate in lieu of* an optimizer
-        // answer, never cached as authoritative: the next costing of this
-        // key retries the real optimizer, and the entry gauge stays exact
-        // (it counts genuine what-if answers only).
-        if !degraded {
-            let mut cache = self.cache();
-            if cache.insert(key, c).is_none() && telemetry::enabled() {
-                telemetry::gauge("optimizer.whatif.cache_entries").set(cache.len() as i64);
-            }
+        let c = self.counted_call(&q.bound, cfg, config);
+        let mut cache = self.cache();
+        if cache.insert(key, c).is_none() && telemetry::enabled() {
+            telemetry::gauge("optimizer.whatif.cache_entries").set(cache.len() as i64);
         }
         c
     }
@@ -243,11 +116,9 @@ impl<'a> WhatIfOptimizer<'a> {
     /// Costs a bound query without the per-query cache; each call counts
     /// as one optimizer invocation. The answer is memoized per signature
     /// (shape, filters, ordered relevant indexes), so a repeat skips the
-    /// model evaluation but still counts as one call. Never fails:
-    /// transient faults are retried with capped backoff, and a permanent
-    /// fault or exhausted budget degrades to [`Self::heuristic_cost`].
+    /// model evaluation but still counts as one call.
     pub fn cost_bound(&self, bound: &BoundQuery, cfg: &IndexConfig) -> f64 {
-        self.cost_bound_outcome(bound, cfg, self.config_key(bound, cfg)).0
+        self.counted_call(bound, cfg, self.config_key(bound, cfg))
     }
 
     /// The ordered key of `cfg`'s indexes relevant to `bound`; `0`, with no
@@ -260,25 +131,9 @@ impl<'a> WhatIfOptimizer<'a> {
         self.memo().config_key(cfg, &tables)
     }
 
-    /// [`Self::cost_bound`] plus a `degraded` flag: `true` when the value
-    /// is the heuristic fallback rather than a real optimizer answer.
-    fn cost_bound_outcome(
-        &self,
-        bound: &BoundQuery,
-        cfg: &IndexConfig,
-        config: ConfigKey,
-    ) -> (f64, bool) {
-        // Zero-fault, unlimited-budget runs take the exact pre-existing
-        // hot path: no key hashing, no retry loop, bit-identical output.
-        if !self.injector.is_active() && !self.budget.is_limiting() {
-            return (self.cost_raw(bound, cfg, config), false);
-        }
-        self.cost_resilient(fault_key(bound, cfg), bound, cfg, config)
-    }
-
-    /// One real optimizer invocation (counts as an optimizer call),
-    /// answered from the memo when its signature was costed before.
-    fn cost_raw(&self, bound: &BoundQuery, cfg: &IndexConfig, config: ConfigKey) -> f64 {
+    /// One optimizer invocation (counts as an optimizer call), answered
+    /// from the memo when its signature was costed before.
+    fn counted_call(&self, bound: &BoundQuery, cfg: &IndexConfig, config: ConfigKey) -> f64 {
         self.calls.inc();
         count!("optimizer.whatif.calls");
         if telemetry::enabled() {
@@ -318,122 +173,6 @@ impl<'a> WhatIfOptimizer<'a> {
         self.evaluations.inc();
         count!("optimizer.cost.evaluations");
         self.model.cost(bound, cfg)
-    }
-
-    /// The degradation pipeline (DESIGN.md §9): budget check, then up to
-    /// `1 + max_retries` attempts with capped exponential backoff between
-    /// transient failures, then the heuristic fallback. Injection
-    /// decisions are pure functions of `(fault key, attempt)`, so the
-    /// outcome is deterministic at any thread count.
-    fn cost_resilient(
-        &self,
-        key: u64,
-        bound: &BoundQuery,
-        cfg: &IndexConfig,
-        config: ConfigKey,
-    ) -> (f64, bool) {
-        if let Some(max) = self.budget.max_calls {
-            if self.calls.get() >= max {
-                return (self.fallback(bound, "call budget exhausted"), true);
-            }
-        }
-        let mut attempt = 0u32;
-        loop {
-            let (fault, reason) = match self.cost_attempt(key, attempt, bound, cfg, config) {
-                Ok(c) => return (c, false),
-                Err(failure) => failure,
-            };
-            if fault == WhatIfFault::Permanent || attempt >= self.budget.max_retries {
-                return (self.fallback(bound, &reason), true);
-            }
-            self.retries.inc();
-            count!("optimizer.whatif.retries");
-            isum_common::debug!(
-                "optimizer.whatif",
-                format!("transient what-if failure; retrying: {reason}"),
-                attempt = attempt
-            );
-            std::thread::sleep(self.budget.backoff_for(attempt));
-            attempt += 1;
-        }
-    }
-
-    /// One costing attempt against the (possibly faulty) optimizer. A
-    /// failed attempt returns its fault and the reason to log.
-    fn cost_attempt(
-        &self,
-        key: u64,
-        attempt: u32,
-        bound: &BoundQuery,
-        cfg: &IndexConfig,
-        config: ConfigKey,
-    ) -> Result<f64, (WhatIfFault, String)> {
-        let (fault, reason) = match self.injector.whatif_fault(key, attempt) {
-            None => return Ok(self.cost_raw(bound, cfg, config)),
-            Some(WhatIfFault::Latency(spike)) => {
-                let Some(limit) = self.budget.call_timeout.filter(|&limit| spike > limit) else {
-                    std::thread::sleep(spike);
-                    return Ok(self.cost_raw(bound, cfg, config));
-                };
-                // The simulated call is abandoned at its deadline.
-                self.timeouts.inc();
-                count!("optimizer.whatif.timeouts");
-                let reason = format!("what-if call exceeded {limit:?} (injected {spike:?} spike)");
-                (WhatIfFault::Latency(spike), reason)
-            }
-            Some(fault) => {
-                let kind = if fault == WhatIfFault::Permanent { "permanent" } else { "transient" };
-                (fault, format!("injected {kind} what-if failure"))
-            }
-        };
-        // A failed call, a timed-out one included, still counts as an
-        // invocation.
-        self.calls.inc();
-        count!("optimizer.whatif.calls");
-        Err((fault, reason))
-    }
-
-    /// Records one degradation to the heuristic estimate. The first
-    /// fallback of an optimizer instance warns (results are about to be
-    /// degraded); the rest are debug-level so a budget-exhausted sweep
-    /// does not emit one warning per query. "First" is decided by one
-    /// atomic swap, so concurrent fallbacks still warn exactly once.
-    fn fallback(&self, bound: &BoundQuery, reason: &str) -> f64 {
-        self.fallbacks.inc();
-        count!("optimizer.whatif.fallbacks");
-        if !self.warned.swap(true, Ordering::Relaxed) {
-            isum_common::warn!(
-                "optimizer.whatif",
-                format!("degrading to heuristic cost: {reason}"),
-                fallbacks = 1u64
-            );
-        } else {
-            isum_common::debug!(
-                "optimizer.whatif",
-                format!("degrading to heuristic cost: {reason}"),
-                fallbacks = self.fallbacks.get()
-            );
-        }
-        self.heuristic_cost(bound)
-    }
-
-    /// Heuristic cost used when the what-if optimizer is unavailable: the
-    /// table-scan estimate from catalog statistics,
-    /// `Σ_{t ∈ tables(q)} pages(t)·IO_PAGE + rows(t)·CPU_ROW` — the cost
-    /// of scanning every referenced table once, ignoring predicates and
-    /// hypothetical indexes. A deliberate over-estimate: queries costed by
-    /// the fallback look expensive, which keeps them conservatively
-    /// represented in compression rather than silently dropped.
-    pub fn heuristic_cost(&self, bound: &BoundQuery) -> f64 {
-        bound
-            .referenced_tables()
-            .iter()
-            .map(|&tid| {
-                let t = self.catalog.table(tid);
-                t.pages() as f64 * IO_PAGE + t.row_count as f64 * CPU_ROW
-            })
-            .sum::<f64>()
-            .max(1.0)
     }
 
     /// Total workload cost `C_I(W)` under a configuration.
@@ -479,21 +218,6 @@ impl<'a> WhatIfOptimizer<'a> {
         self.cache_hits.get()
     }
 
-    /// Number of transient-failure retries, for this instance.
-    pub fn whatif_retries(&self) -> u64 {
-        self.retries.get()
-    }
-
-    /// Number of heuristic-cost fallbacks, for this instance.
-    pub fn whatif_fallbacks(&self) -> u64 {
-        self.fallbacks.get()
-    }
-
-    /// Number of per-call timeouts, for this instance.
-    pub fn whatif_timeouts(&self) -> u64 {
-        self.timeouts.get()
-    }
-
     /// Number of cost-model evaluations, for this instance: the counted
     /// calls the memo could not answer.
     pub fn cost_evaluations(&self) -> u64 {
@@ -531,37 +255,6 @@ impl<'a> WhatIfOptimizer<'a> {
     }
 }
 
-/// Fault-site key for one costing: a deterministic hash of the query's
-/// structure (referenced tables, predicate/join/grouping shape) and an
-/// order-insensitive hash of its relevant indexes. Deliberately *not*
-/// keyed on workload uid or [`QueryId`] — those depend on construction
-/// order, which would let harness layout changes move faults around.
-/// Structurally identical costings share one fault decision, which is fine
-/// for sampling; so do permutations of one index set, which only the cost
-/// cache and the memo must tell apart.
-fn fault_key(bound: &BoundQuery, cfg: &IndexConfig) -> u64 {
-    let tables = bound.referenced_tables();
-    let mut indexes: Vec<u64> = cfg
-        .relevant_to(&tables)
-        .map(|ix| {
-            let mut h = DefaultHasher::new();
-            ix.hash(&mut h);
-            h.finish()
-        })
-        .collect();
-    indexes.sort_unstable();
-    let mut relevant = DefaultHasher::new();
-    indexes.hash(&mut relevant);
-    let mut h = DefaultHasher::new();
-    tables.hash(&mut h);
-    bound.filters.len().hash(&mut h);
-    bound.joins.len().hash(&mut h);
-    bound.group_by.len().hash(&mut h);
-    bound.n_aggregates.hash(&mut h);
-    relevant.finish().hash(&mut h);
-    h.finish()
-}
-
 /// Fills `C(q)` for every query with a scoped optimizer, sidestepping the
 /// borrow conflict of holding a [`WhatIfOptimizer`] (which borrows the
 /// workload's catalog) while mutating the workload.
@@ -592,53 +285,8 @@ pub fn fill_missing_costs(workload: &mut Workload, from: usize) {
 mod tests {
     use super::*;
     use crate::index::Index;
-    use isum_common::trace::{self, Level};
     use isum_workload::gen::tpch::{tpch_catalog, tpch_workload};
     use isum_workload::Workload;
-
-    #[test]
-    fn budget_knobs_parse_and_warn_once_per_malformed_variable() {
-        let _g = trace::test_lock();
-        trace::reset_for_tests();
-        trace::set_filter_spec("off");
-        trace::enable_ring(Level::Warn);
-        let env = |pairs: &'static [(&str, &str)]| {
-            move |var: &str| pairs.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string())
-        };
-        let warnings = || {
-            let events = trace::ring_tail(usize::MAX);
-            let mine = events.into_iter().filter(|e| e.message.contains("ISUM_WHATIF_"));
-            mine.map(|e| e.message).collect::<Vec<_>>()
-        };
-        assert_eq!(WhatIfBudget::from_lookup(env(&[])), WhatIfBudget::default());
-        let good = WhatIfBudget::from_lookup(env(&[
-            ("ISUM_WHATIF_MAX_CALLS", " 40 "),
-            ("ISUM_WHATIF_TIMEOUT_MS", "25"),
-            ("ISUM_WHATIF_RETRIES", "0"),
-        ]));
-        let want = WhatIfBudget {
-            max_calls: Some(40),
-            call_timeout: Some(Duration::from_millis(25)),
-            max_retries: 0,
-            ..WhatIfBudget::default()
-        };
-        assert_eq!(good, want);
-        assert_eq!(warnings(), Vec::<String>::new(), "well-formed values warn nothing");
-        let bad = WhatIfBudget::from_lookup(env(&[
-            ("ISUM_WHATIF_MAX_CALLS", "many"),
-            ("ISUM_WHATIF_TIMEOUT_MS", "-5"),
-            ("ISUM_WHATIF_RETRIES", "4294967296"),
-        ]));
-        assert_eq!(bad, WhatIfBudget::default(), "malformed values are ignored");
-        let warned = warnings();
-        assert_eq!(warned.len(), 3, "{warned:?}");
-        for (msg, var) in
-            warned.iter().zip(["MAX_CALLS `many`", "TIMEOUT_MS `-5`", "RETRIES `4294967296`"])
-        {
-            assert!(msg.contains(var), "{msg}");
-        }
-        trace::reset_for_tests();
-    }
 
     #[test]
     fn populate_costs_fills_positive_costs() {

@@ -19,7 +19,9 @@ use isum_common::{Json, Stage, StageClock};
 /// past this is a client bug, not a workload.
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
 
-/// Cap on header section size (request line + headers).
+/// Cap on a head: the request or status line plus its headers. Both
+/// halves read head lines through [`read_head_line`], which never holds
+/// more than this.
 const MAX_HEAD: usize = 64 * 1024;
 
 /// A connection's socket read (and write) timeout: what bounds an idle
@@ -91,8 +93,12 @@ impl Request {
     ) -> io::Result<Result<(Request, StageClock), (u16, String)>> {
         let mut reader =
             BufReader::new(Deadline { stream, deadline, ends: None, shortened: false });
-        let mut line = String::new();
-        if read_head_line(&mut reader, &mut line)? == 0 {
+        let too_large = || Ok(Err((431, "header section too large".to_string())));
+        let (mut buf, mut left) = (Vec::new(), MAX_HEAD);
+        let Some(line) = read_head_line(&mut reader, &mut buf, &mut left)? else {
+            return too_large();
+        };
+        if line.is_empty() {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
         }
         let clock = StageClock::new();
@@ -116,15 +122,12 @@ impl Request {
         let mut content_length: usize = 0;
         let mut expect_continue = false;
         let mut keep_alive = !http10;
-        let mut head_bytes = line.len();
         loop {
-            line.clear();
-            if read_head_line(&mut reader, &mut line)? == 0 {
+            let Some(line) = read_head_line(&mut reader, &mut buf, &mut left)? else {
+                return too_large();
+            };
+            if line.is_empty() {
                 return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "headers truncated"));
-            }
-            head_bytes += line.len();
-            if head_bytes > MAX_HEAD {
-                return Ok(Err((431, "header section too large".into())));
             }
             let trimmed = line.trim_end();
             if trimmed.is_empty() {
@@ -168,10 +171,25 @@ impl Request {
     }
 }
 
-/// Reads one CRLF-terminated head line; returns 0 on clean EOF.
-fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
-    line.clear();
-    reader.read_line(line)
+/// Reads one head line into `buf`, charged against `left`, the bytes the
+/// head may still take. At most `left + 1` bytes are read, so a peer that
+/// never sends a newline is cut off at the cap instead of being buffered.
+/// `None` when the line does not fit; otherwise the line with its line
+/// ending, empty on clean EOF.
+fn read_head_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    left: &mut usize,
+) -> io::Result<Option<&'b str>> {
+    buf.clear();
+    let n = reader.take(*left as u64 + 1).read_until(b'\n', buf)?;
+    if n > *left {
+        return Ok(None);
+    }
+    *left -= n;
+    let line =
+        std::str::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(Some(line))
 }
 
 /// The socket as one request reads it: from the first byte that arrives,
@@ -365,37 +383,32 @@ pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 /// client half of the framing above: [`crate::Conn`] reads every reply here.
 pub fn read_response(stream: &TcpStream) -> io::Result<RawResponse> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "no status line"));
-        }
+    let (mut buf, mut left) = (Vec::new(), MAX_HEAD);
+    // One budget covers the interim heads too.
+    let mut next_line = |truncated: &str| match read_head_line(&mut reader, &mut buf, &mut left)? {
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response head exceeds {MAX_HEAD} bytes"),
+        )),
+        Some("") => Err(io::Error::new(io::ErrorKind::UnexpectedEof, truncated.to_string())),
+        Some(line) => Ok(line.to_string()),
+    };
+    let status_line = loop {
+        let line = next_line("no status line")?;
         // Skip interim 1xx responses (the server sends `100 Continue`).
         if !line.starts_with("HTTP/1.1 1") {
-            break;
+            break line;
         }
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "interim truncated"));
-            }
-            if line.trim_end().is_empty() {
-                break;
-            }
-        }
-    }
+        while !next_line("interim truncated")?.trim_end().is_empty() {}
+    };
     let status: u16 =
-        line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad status: {line}"))
+        status_line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("bad status: {status_line}"))
         })?;
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "headers truncated"));
-        }
+        let line = next_line("headers truncated")?;
         let trimmed = line.trim_end();
         if trimmed.is_empty() {
             break;
@@ -548,6 +561,72 @@ mod tests {
         assert_eq!(idle, Some(READ_TIMEOUT), "the idle timeout is put back");
         drop(stream);
         dripper.join().unwrap();
+    }
+
+    /// Writes `raw` to a fresh daemon on one socket and reads the reply,
+    /// giving up after 5 s; returns the reply and how long it took.
+    fn send_to_daemon(raw: &[u8]) -> (io::Result<RawResponse>, Duration) {
+        let catalog = isum_catalog::CatalogBuilder::new()
+            .table("t", 1_000)
+            .col_key("id")
+            .finish()
+            .expect("fresh table")
+            .build();
+        let server =
+            crate::Server::bind("127.0.0.1:0", crate::ServerConfig::new(catalog)).expect("binds");
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let start = Instant::now();
+        (&stream).write_all(raw).unwrap();
+        let got = read_response(&stream);
+        let took = start.elapsed();
+        drop(stream);
+        server.shutdown();
+        server.join();
+        (got, took)
+    }
+
+    #[test]
+    fn a_request_line_over_the_head_cap_is_answered_431_at_once() {
+        // No newline ever comes: the line must be cut off at the cap, not
+        // buffered until the request deadline.
+        let (got, took) = send_to_daemon(&vec![b'G'; MAX_HEAD + 1]);
+        let (status, _, body) = got.expect("answered");
+        assert_eq!(status, 431, "{}", String::from_utf8_lossy(&body));
+        assert!(took < Duration::from_secs(2), "answered after {took:?}");
+    }
+
+    #[test]
+    fn headers_adding_up_past_the_head_cap_are_answered_431() {
+        // Whole lines, the last of which ends one byte past the cap.
+        let mut raw = b"GET /healthz HTTP/1.1\r\n".to_vec();
+        while raw.len() + 1000 < MAX_HEAD {
+            raw.extend_from_slice(format!("X-Pad: {}\r\n", "a".repeat(990)).as_bytes());
+        }
+        let last = MAX_HEAD + 1 - raw.len() - "X-Pad: \r\n".len();
+        raw.extend_from_slice(format!("X-Pad: {}\r\n", "a".repeat(last)).as_bytes());
+        assert_eq!(raw.len(), MAX_HEAD + 1);
+        let (status, _, body) = send_to_daemon(&raw).0.expect("answered");
+        assert_eq!(status, 431, "{}", String::from_utf8_lossy(&body));
+    }
+
+    #[test]
+    fn a_head_just_under_the_cap_is_served() {
+        let mut raw = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n".to_vec();
+        let pad = MAX_HEAD - raw.len() - "X-Pad: \r\n\r\n".len();
+        raw.extend_from_slice(format!("X-Pad: {}\r\n\r\n", "a".repeat(pad)).as_bytes());
+        assert_eq!(raw.len(), MAX_HEAD);
+        let (status, _, body) = send_to_daemon(&raw).0.expect("answered");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    }
+
+    #[test]
+    fn a_status_line_over_the_head_cap_is_refused_at_once() {
+        let start = Instant::now();
+        let err = read_scripted(vec![b'H'; MAX_HEAD + 1]).expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("response head exceeds"), "{err}");
+        assert!(start.elapsed() < Duration::from_secs(2), "refused after {:?}", start.elapsed());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! scheduling but never results. No stage of this pipeline is parallel
 //! today (DESIGN.md §8); the test holds any that becomes parallel to the
 //! contract. The harness's parallel method evaluation is pinned by
-//! `crates/experiments/tests/fault_smoke.rs`. The file holds a single test
-//! because it reconfigures the process-global thread count.
+//! `crates/experiments/tests/thread_invariance.rs`. The file holds a
+//! single test because it reconfigures the process-global thread count.
 
 use isum_advisor::{DtaAdvisor, IndexAdvisor, TuningConstraints};
 use isum_common::QueryId;
