@@ -90,13 +90,25 @@ impl IncrementalIsum {
 
     /// Observes one query whose template fingerprint the caller already
     /// has, e.g. `workload.templates.fingerprint_of(q.template)`; `q.sql`
-    /// is not read. O(features of q).
-    pub fn observe_as(&mut self, q: &QueryInfo, catalog: &Catalog, fingerprint: &str) {
+    /// is not read. O(features of q). Returns the query's template and
+    /// its unnormalized Δ(q): the serving drift tracker folds exactly
+    /// these pairs into its history.
+    pub fn observe_as(
+        &mut self,
+        q: &QueryInfo,
+        catalog: &Catalog,
+        fingerprint: &str,
+    ) -> (TemplateId, f64) {
         let template = self.templates.intern_fingerprint(fingerprint);
-        self.record(q, catalog, template);
+        self.record(q, catalog, template)
     }
 
-    fn record(&mut self, q: &QueryInfo, catalog: &Catalog, template: TemplateId) {
+    fn record(
+        &mut self,
+        q: &QueryInfo,
+        catalog: &Catalog,
+        template: TemplateId,
+    ) -> (TemplateId, f64) {
         let _s = isum_common::telemetry::span("incremental");
         isum_common::count!("core.incremental.observed");
         self.memo.push(&mut self.features, &q.bound, catalog);
@@ -108,6 +120,7 @@ impl IncrementalIsum {
         };
         self.raw_reductions.push(delta);
         self.template_of.push(template);
+        (template, delta)
     }
 
     /// Observes every query of a workload, in order.
@@ -191,24 +204,6 @@ impl IncrementalIsum {
     /// Fingerprint text of an observed template.
     pub fn template_fingerprint(&self, t: TemplateId) -> &str {
         self.templates.fingerprint_of(t)
-    }
-
-    /// Unnormalized utility mass (Δ) accumulated per template, indexed by
-    /// [`TemplateId`]. The drift detector normalizes this into the
-    /// "everything observed" distribution.
-    pub fn template_mass(&self) -> Vec<f64> {
-        let mut mass = vec![0.0; self.templates.len()];
-        for (i, t) in self.template_of.iter().enumerate() {
-            mass[t.index()] += self.raw_reductions[i];
-        }
-        mass
-    }
-
-    /// The `(template, unnormalized Δ)` pairs of observations number
-    /// `from..len()`, in arrival order — how the serving drift window
-    /// consumes new arrivals without re-reading earlier ones.
-    pub fn observations_since(&self, from: usize) -> Vec<(TemplateId, f64)> {
-        (from..self.len()).map(|i| (self.template_of[i], self.raw_reductions[i])).collect()
     }
 
     /// Exports this observer's contribution to a cross-shard merge: every
@@ -348,24 +343,25 @@ mod tests {
     }
 
     #[test]
-    fn template_mass_and_observations_since_track_arrivals() {
+    fn observe_as_reports_what_it_recorded() {
         let w = workload();
         let mut inc = IncrementalIsum::new(IsumConfig::isum());
-        inc.observe(&w.queries[0], &w.catalog).expect("observes");
-        inc.observe(&w.queries[1], &w.catalog).expect("observes");
-        let seen = inc.len();
-        inc.observe(&w.queries[2], &w.catalog).expect("observes");
-        let fresh = inc.observations_since(seen);
-        assert_eq!(fresh.len(), 1);
-        assert!(fresh[0].1 > 0.0, "cost-bearing query carries mass");
-        let mass = inc.template_mass();
-        assert_eq!(mass.len(), inc.template_count());
-        let total: f64 = mass.iter().sum();
-        let direct: f64 = (0..inc.len())
-            .map(|i| inc.observations_since(i).first().map_or(0.0, |(_, m)| *m))
-            .sum();
-        assert!((total - direct).abs() < 1e-9);
-        assert!(!inc.template_fingerprint(fresh[0].0).is_empty());
+        let observed: Vec<(TemplateId, f64)> = w
+            .queries
+            .iter()
+            .map(|q| inc.observe_as(q, &w.catalog, w.templates.fingerprint_of(q.template)))
+            .collect();
+        assert_eq!(observed.len(), inc.len());
+        for (i, &(t, delta)) in observed.iter().enumerate() {
+            assert_eq!(t, inc.template_of[i]);
+            assert_eq!(delta.to_bits(), inc.raw_reductions[i].to_bits());
+            assert!(delta > 0.0, "a cost-bearing query carries mass");
+        }
+        assert_eq!(observed[0].0, observed[1].0, "statements 0 and 1 share a template");
+        assert_eq!(
+            inc.template_fingerprint(observed[2].0),
+            w.templates.fingerprint_of(w.queries[2].template)
+        );
     }
 
     #[test]

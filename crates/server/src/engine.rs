@@ -37,15 +37,16 @@ use std::path::Path;
 
 use isum_advisor::TuningConstraints;
 use isum_catalog::Catalog;
-use isum_common::{count, hex_bits, unhex_bits, Error, Json, Result};
+use isum_common::{count, hex_bits, unhex_bits, Error, Json, Result, TemplateId};
 use isum_core::{IncrementalIsum, IsumConfig};
 use isum_optimizer::WhatIfOptimizer;
 use isum_workload::{split_script, Workload};
 
-/// Per-batch ingest outcome: how many statements were applied and which
+/// Per-batch ingest outcome: how many statements were applied, which
 /// were rejected (with the statement's index within the batch and the
-/// rejection reason). A rejected statement never mutates engine state.
-#[derive(Debug)]
+/// rejection reason), and what the observer recorded for the applied
+/// ones. A rejected statement never mutates engine state.
+#[derive(Debug, Default)]
 pub struct IngestOutcome {
     /// Statements parsed, bound, costed, and observed.
     pub accepted: usize,
@@ -53,6 +54,9 @@ pub struct IngestOutcome {
     pub rejected: Vec<(usize, String)>,
     /// Total statements in the batch.
     pub total: usize,
+    /// `(template, unnormalized Δ)` of each accepted statement, in order
+    /// ([`IncrementalIsum::observe_as`]): what the drift tracker folds.
+    pub observations: Vec<(TemplateId, f64)>,
 }
 
 /// The observed workload plus its incremental compression state.
@@ -94,7 +98,7 @@ impl Engine {
     /// batch's statements are appended, their missing costs filled through
     /// one optimizer, and then observed in order.
     pub fn apply_statements(&mut self, stmts: &[(String, Option<f64>)]) -> IngestOutcome {
-        let mut outcome = IngestOutcome { accepted: 0, rejected: Vec::new(), total: stmts.len() };
+        let mut outcome = IngestOutcome { total: stmts.len(), ..IngestOutcome::default() };
         let first = self.workload.len();
         for (i, (sql, cost)) in stmts.iter().enumerate() {
             match self.workload.push_sql(sql, cost.unwrap_or(0.0)) {
@@ -109,9 +113,7 @@ impl Engine {
             }
         }
         isum_optimizer::fill_missing_costs(&mut self.workload, first);
-        for i in first..self.workload.len() {
-            self.observe(i);
-        }
+        outcome.observations = (first..self.workload.len()).map(|i| self.observe(i)).collect();
         outcome
     }
 
@@ -122,12 +124,12 @@ impl Engine {
     }
 
     /// Hands statement `i` to the observer, under the template fingerprint
-    /// the workload interned for it: a statement is lexed once on its way
-    /// in.
-    fn observe(&mut self, i: usize) {
+    /// the workload interned for it (a statement is lexed once on its way
+    /// in), and returns what the observer recorded.
+    fn observe(&mut self, i: usize) -> (TemplateId, f64) {
         let Engine { workload, isum } = self;
         let q = &workload.queries[i];
-        isum.observe_as(q, &workload.catalog, workload.templates.fingerprint_of(q.template));
+        isum.observe_as(q, &workload.catalog, workload.templates.fingerprint_of(q.template))
     }
 
     /// Compresses the observed workload to `k` queries and renders the
@@ -181,18 +183,6 @@ impl Engine {
         ]))
     }
 
-    /// Per-template unnormalized utility mass over everything observed;
-    /// see [`IncrementalIsum::template_mass`].
-    pub fn template_mass(&self) -> Vec<f64> {
-        self.isum.template_mass()
-    }
-
-    /// `(template, mass)` of observations `from..observed()`, in arrival
-    /// order; see [`IncrementalIsum::observations_since`].
-    pub fn observations_since(&self, from: usize) -> Vec<(isum_common::TemplateId, f64)> {
-        self.isum.observations_since(from)
-    }
-
     /// Runs an index advisor on the compressed workload and renders the
     /// `/tune` response body.
     pub fn tune_json(
@@ -232,20 +222,23 @@ impl Engine {
     /// populated when the statements were first ingested, so the rebuild
     /// re-parses and re-binds with them and never calls the what-if
     /// optimizer: the result is a pure function of `stmts`, exactly like a
-    /// fresh engine that ingested them. Returns the statements retained.
-    pub fn rebase(&mut self, stmts: &[(String, Option<f64>)]) -> usize {
+    /// fresh engine that ingested them. The outcome counts the statements
+    /// retained and carries their observations.
+    pub fn rebase(&mut self, stmts: &[(String, Option<f64>)]) -> IngestOutcome {
         let catalog = self.workload.catalog.clone();
         let config = self.isum.config();
         self.workload = Workload::empty(catalog);
         self.isum = IncrementalIsum::new(config);
+        let mut outcome = IngestOutcome { total: stmts.len(), ..IngestOutcome::default() };
         for (sql, cost) in stmts {
             // Each statement already parsed and bound once, so a failure
             // is unreachable — but stay lenient like ingest.
             if let Ok(id) = self.workload.push_sql(sql, cost.unwrap_or(0.0)) {
-                self.observe(id.index());
+                outcome.observations.push(self.observe(id.index()));
             }
         }
-        self.workload.len()
+        outcome.accepted = outcome.observations.len();
+        outcome
     }
 
     /// Exports the accepted statements plus the sequencer high-water
@@ -480,7 +473,7 @@ mod tests {
         let mut engine = Engine::new(catalog(), IsumConfig::isum());
         engine.apply_script(&script(12));
         let kept = engine.rebase(&engine.last_statements(5));
-        assert_eq!(kept, 5);
+        assert_eq!(kept.accepted, 5);
         assert_eq!(engine.observed(), 5);
 
         // The rebuilt engine must summarize exactly like an engine that
@@ -489,7 +482,11 @@ mod tests {
             .map(|i| format!("SELECT id FROM t WHERE grp = {} AND v > {};\n", i % 7, i * 3))
             .collect();
         let mut reference = Engine::new(catalog(), IsumConfig::isum());
-        reference.apply_script(&suffix);
+        let fresh = reference.apply_script(&suffix);
+        let bits = |o: &IngestOutcome| -> Vec<(TemplateId, u64)> {
+            o.observations.iter().map(|&(t, d)| (t, d.to_bits())).collect()
+        };
+        assert_eq!(bits(&kept), bits(&fresh), "the rebase reports the suffix's observations");
         assert_eq!(
             engine.summary_json(3).unwrap().to_pretty(),
             reference.summary_json(3).unwrap().to_pretty(),
@@ -507,7 +504,7 @@ mod tests {
         );
 
         // Keeping more than observed keeps everything.
-        assert_eq!(engine.rebase(&engine.last_statements(100)), 5);
+        assert_eq!(engine.rebase(&engine.last_statements(100)).accepted, 5);
     }
 
     #[test]

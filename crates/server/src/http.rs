@@ -9,7 +9,7 @@
 //! framing here is code we can test without a dependency.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use isum_common::rng::split_mix64;
@@ -34,6 +34,30 @@ pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// its connection — and shutdown, which joins every connection — open
 /// forever.
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How long a refused request's connection is drained before it closes.
+const LINGER: Duration = Duration::from_secs(2);
+
+/// Ends a connection whose refusal is written without resetting it:
+/// closing on unread bytes makes the kernel reset the connection, and a
+/// client still writing its request never reads the answer. Half-closes
+/// the write side, then discards input until EOF, for at most [`LINGER`]
+/// and [`MAX_BODY`] bytes (the largest body the daemon reads anyway).
+pub(crate) fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let ends = Instant::now() + LINGER;
+    let (mut left, mut chunk) = (MAX_BODY, [0u8; 16 * 1024]);
+    while left > 0 {
+        let wait = ends.saturating_duration_since(Instant::now());
+        if wait.is_zero() || stream.set_read_timeout(Some(wait)).is_err() {
+            return;
+        }
+        match (&*stream).read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
+}
 
 /// A parsed HTTP request: method, path, decoded query parameters, and body.
 #[derive(Debug)]
@@ -563,9 +587,12 @@ mod tests {
         dripper.join().unwrap();
     }
 
-    /// Writes `raw` to a fresh daemon on one socket and reads the reply,
-    /// giving up after 5 s; returns the reply and how long it took.
-    fn send_to_daemon(raw: &[u8]) -> (io::Result<RawResponse>, Duration) {
+    /// Writes `raw` to a fresh daemon on one socket, from a thread of its
+    /// own (a daemon may stop reading before the end), and once that is
+    /// done reads the reply on this one, giving up after 5 s; returns the
+    /// reply, how long it took, and whether every byte of `raw` could be
+    /// sent.
+    fn send_to_daemon(raw: &[u8]) -> (io::Result<RawResponse>, Duration, bool) {
         let catalog = isum_catalog::CatalogBuilder::new()
             .table("t", 1_000)
             .col_key("id")
@@ -577,22 +604,50 @@ mod tests {
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let start = Instant::now();
-        (&stream).write_all(raw).unwrap();
+        let (mut writer, raw) = (stream.try_clone().unwrap(), raw.to_vec());
+        // The daemon may hang up before taking every byte.
+        let writing = std::thread::spawn(move || writer.write_all(&raw).is_ok());
+        let wrote = writing.join().unwrap();
         let got = read_response(&stream);
         let took = start.elapsed();
         drop(stream);
         server.shutdown();
         server.join();
-        (got, took)
+        (got, took, wrote)
     }
 
     #[test]
     fn a_request_line_over_the_head_cap_is_answered_431_at_once() {
         // No newline ever comes: the line must be cut off at the cap, not
         // buffered until the request deadline.
-        let (got, took) = send_to_daemon(&vec![b'G'; MAX_HEAD + 1]);
+        let (got, took, _) = send_to_daemon(&vec![b'G'; MAX_HEAD + 1]);
         let (status, _, body) = got.expect("answered");
         assert_eq!(status, 431, "{}", String::from_utf8_lossy(&body));
+        assert!(took < Duration::from_secs(2), "answered after {took:?}");
+    }
+
+    #[test]
+    fn a_request_line_far_over_the_head_cap_is_answered_431_not_reset() {
+        // The client is still sending long after the refusal is written:
+        // closing on its unread bytes would reset the connection, and a
+        // client that writes its whole request before reading would see
+        // only the reset. 4 MB outgrows the loopback socket buffers, which
+        // would otherwise absorb the rest of the request unread.
+        let (got, took, wrote) = send_to_daemon(&vec![b'G'; 4_000_000]);
+        assert!(wrote, "the connection was reset under the client's request");
+        let (status, _, body) = got.expect("answered");
+        assert_eq!(status, 431, "{}", String::from_utf8_lossy(&body));
+        assert!(took < Duration::from_secs(2), "answered after {took:?}");
+    }
+
+    #[test]
+    fn a_body_far_over_the_limit_is_answered_413_not_reset() {
+        let head = "POST /ingest HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n";
+        let raw = [head.as_bytes(), &vec![b'x'; 4_000_000]].concat();
+        let (got, took, wrote) = send_to_daemon(&raw);
+        assert!(wrote, "the connection was reset under the client's body");
+        let (status, _, body) = got.expect("answered");
+        assert_eq!(status, 413, "{}", String::from_utf8_lossy(&body));
         assert!(took < Duration::from_secs(2), "answered after {took:?}");
     }
 

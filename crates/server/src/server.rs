@@ -48,7 +48,7 @@ use isum_common::trace::{self, parse_level, Level};
 use isum_common::{count, hex_bits, telemetry, Json, Stage, StageClock};
 
 use crate::config::ServerConfig;
-use crate::http::{Request, Response, READ_TIMEOUT};
+use crate::http::{linger_close, Request, Response, READ_TIMEOUT};
 use crate::shards::{lock, validate_tenant, Shard, ShardCells, ShardRouter, DEFAULT_TENANT};
 
 /// State shared between the accept loop and connection handlers.
@@ -236,7 +236,9 @@ fn request_id_for(req: &Request) -> String {
 /// crash shutdown. Every response — including parse failures,
 /// backpressure, and panic quarantines — carries an
 /// `X-Isum-Request-Id`, and every non-2xx path emits an event under
-/// that ID so `/events` can attribute it.
+/// that ID so `/events` can attribute it. A malformed request's refusal
+/// ends the connection through [`linger_close`], so a client still
+/// sending reads the refusal instead of a reset.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
@@ -256,6 +258,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 let _ = Response::error(status, &msg)
                     .with_header("X-Isum-Request-Id", &rid)
                     .write(&mut w);
+                linger_close(&stream);
                 return;
             }
             Ok(Ok(pair)) => pair,

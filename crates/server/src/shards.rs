@@ -698,9 +698,10 @@ impl ShardState {
 
     /// Applies one record. A batch goes through the lenient path
     /// (rejects re-reject, accepts re-apply, bit-identically), advances
-    /// the mark past its `seq`, and feeds the drift tracker, whose sample
-    /// comes back with the outcome. A rebase replaces the engine's
-    /// history with exactly its statements, re-arms the tracker and sets
+    /// the mark past its `seq`, and feeds the drift tracker what it
+    /// observed; the tracker's sample comes back with the outcome. A
+    /// rebase replaces the engine's history with exactly its statements,
+    /// rebuilds the tracker's history from theirs, re-arms it and sets
     /// the mark it carries; its outcome counts the queries kept.
     fn apply(&mut self, record: &Record) -> (IngestOutcome, Option<DriftSample>) {
         match record.kind {
@@ -709,17 +710,16 @@ impl ShardState {
                 if let Some(s) = record.seq {
                     self.next_seq = self.next_seq.max(s + 1);
                 }
-                let sample = self.feed_drift();
+                let sample = self.drift.on_batch(&outcome.observations);
                 self.crossed = sample.filter(|s| s.crossed).map(|s| s.window_len);
                 (outcome, sample)
             }
             Kind::Rebase => {
-                let kept = self.engine.rebase(&record.stmts);
-                self.drift.reset_after_resummarize(kept);
+                let outcome = self.engine.rebase(&record.stmts);
+                self.drift.reset_after_resummarize(&outcome.observations);
                 self.next_seq = record.seq.unwrap_or(0);
                 self.crossed = None;
-                let total = record.stmts.len();
-                (IngestOutcome { accepted: kept, rejected: Vec::new(), total }, None)
+                (outcome, None)
             }
         }
     }
@@ -735,16 +735,6 @@ impl ShardState {
             shard: shard.to_string(),
             stmts: self.engine.last_statements(window_len),
         })
-    }
-
-    /// Feeds the tracker the observations it has not seen yet and scores
-    /// the window.
-    fn feed_drift(&mut self) -> Option<DriftSample> {
-        if !self.drift.enabled() {
-            return None;
-        }
-        let fresh = self.engine.observations_since(self.drift.seen());
-        self.drift.on_batch(&fresh, &self.engine.template_mass())
     }
 }
 
@@ -1056,8 +1046,9 @@ fn note_durable_write(cells: &ShardCells, stats: &wal::AppendStats) -> Duration 
     spent
 }
 
-/// Publishes a live batch's drift sample (telemetry gauges + histogram
-/// and the `/status` mirror cells) and emits the edge-triggered `warn!`
+/// Publishes a live batch's drift sample (the `/status` mirror cells,
+/// which `isum_shard_drift_score_ppm` also reads, and the telemetry
+/// histogram) and emits the edge-triggered `warn!`
 /// when the score first exceeds the threshold. Runs on the shard thread
 /// with the submitting request's ID already installed, so the alert is
 /// attributed to the batch that caused it. Replay publishes nothing: the
@@ -1066,11 +1057,7 @@ fn publish_drift(shard: &Shard, cfg: &ServerConfig, sample: DriftSample, seq: Op
     let ppm = (sample.score * 1e6).round() as i64;
     shard.cells.drift_score_ppm.store(ppm, Ordering::Relaxed);
     shard.cells.drift_window_len.store(sample.window_len as u64, Ordering::Relaxed);
-    if telemetry::enabled() {
-        telemetry::gauge("drift.score_ppm").set(ppm);
-        telemetry::gauge("drift.window_len").set(sample.window_len as i64);
-        isum_common::record!("drift.batch_score_ppm", ppm.max(0) as u64);
-    }
+    isum_common::record!("drift.batch_score_ppm", ppm.max(0) as u64);
     if !sample.crossed {
         return;
     }

@@ -118,7 +118,7 @@ fn drifting(segment_bytes: u64) -> Arc<ServerConfig> {
 }
 
 /// What tells two states apart: the summary's bytes, the mark, the
-/// drift tracker (window, cursor and edge: its score follows) and a
+/// drift tracker (window, history and edge: its score follows) and a
 /// pending crossing.
 fn observed(state: &ShardState) -> (String, u64, String, Option<usize>) {
     let summary = state.engine.summary_json(3).map_or_else(|e| e.to_string(), |j| j.to_pretty());

@@ -145,9 +145,14 @@ fn drift_tracking_end_to_end() {
         assert_eq!(sa.body, sb.body, "k={k}: drift tracking perturbed the summary");
     }
 
-    // --- The drift family reaches /metrics under telemetry. ---
+    // --- The drift families reach /metrics: the score per tenant, the
+    //     alerts and the batch-score histogram under telemetry. ---
     let metrics = a.metrics().expect("metrics");
-    assert!(metrics.body.contains("# TYPE isum_drift_score_ppm gauge"), "{}", metrics.body);
+    let ppm = (score * 1e6).round();
+    let sample = format!("isum_shard_drift_score_ppm{{tenant=\"default\"}} {ppm}\n");
+    assert!(metrics.body.contains("# TYPE isum_shard_drift_score_ppm gauge"), "{}", metrics.body);
+    assert!(metrics.body.contains(&sample), "{sample} in {}", metrics.body);
+    assert!(!metrics.body.contains("isum_drift_score_ppm"), "no process-wide score gauge");
     assert!(metrics.body.contains("# TYPE isum_drift_alerts counter"), "{}", metrics.body);
     assert!(
         metrics.body.contains("# TYPE isum_drift_batch_score_ppm histogram"),

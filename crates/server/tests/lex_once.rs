@@ -51,7 +51,7 @@ SELECT o_orderkey FROM orders WHERE o_comment LIKE 'café; it''s%';
     // Re-summarization rebuilds from the retained statements: one more
     // lex each, not two.
     telemetry::reset();
-    assert_eq!(engine.rebase(&engine.last_statements(4)), 4);
+    assert_eq!(engine.rebase(&engine.last_statements(4)).accepted, 4);
     assert_eq!(counter("sql.lex.calls"), 4);
 
     telemetry::set_enabled(false);
