@@ -9,11 +9,13 @@
 //! reports spans and counters through, and the structured tracing layer
 //! ([`trace`]) that attributes individual events to requests and workers, and
 //! the CRC32 record framing ([`framing`]) shared by the server's
-//! write-ahead log and its tests.
+//! write-ahead log and its tests, and the word hasher ([`hash`]) of maps
+//! keyed by ids the process assigns.
 
 pub mod bits;
 pub mod error;
 pub mod framing;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod rng;

@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use isum_common::hash::Words;
 use isum_common::{QueryId, TemplateId};
 use isum_workload::Workload;
 
@@ -135,13 +136,14 @@ pub(crate) fn explain_grouped(
     groups: &Grouping,
     utilities: &[f64],
 ) -> SummaryExplanation {
-    let mut freq: HashMap<TemplateId, usize> = HashMap::new();
+    // Template ids are the registry's, never client bytes.
+    let mut freq: HashMap<TemplateId, usize, Words> = HashMap::default();
     for (q, _) in entries {
         *freq.entry(template_of[q.index()]).or_insert(0) += 1;
     }
-    let mut instances: HashMap<TemplateId, usize> = HashMap::new();
-    let mut utility_share: HashMap<TemplateId, f64> = HashMap::new();
-    let mut distinct: HashMap<TemplateId, ()> = HashMap::new();
+    let mut instances: HashMap<TemplateId, usize, Words> = HashMap::default();
+    let mut utility_share: HashMap<TemplateId, f64, Words> = HashMap::default();
+    let mut distinct: HashMap<TemplateId, (), Words> = HashMap::default();
     let mut represented = 0usize;
     for (i, &t) in template_of.iter().enumerate() {
         distinct.entry(t).or_insert(());

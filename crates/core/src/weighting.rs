@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use isum_common::hash::Words;
 use isum_common::TemplateId;
 
 use crate::allpairs::Selection;
@@ -77,11 +78,13 @@ pub(crate) fn weigh_grouped(
         }
         WeightingStrategy::RecalibratedTemplate => {
             // Algorithm 4: template-based utility computation.
-            let mut freq: HashMap<TemplateId, usize> = HashMap::new();
+            // Template ids are the registry's, never client bytes: the
+            // word hasher, not SipHash, for the three probes per statement.
+            let mut freq: HashMap<TemplateId, usize, Words> = HashMap::default();
             for &i in &selection.order {
                 *freq.entry(templates[i]).or_insert(0) += 1;
             }
-            let mut template_utility: HashMap<TemplateId, f64> = HashMap::new();
+            let mut template_utility: HashMap<TemplateId, f64, Words> = HashMap::default();
             for (i, &t) in templates.iter().enumerate() {
                 if freq.contains_key(&t) {
                     *template_utility.entry(t).or_insert(0.0) += original_utilities[i];

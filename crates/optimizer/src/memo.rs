@@ -29,9 +29,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use isum_common::hash::{WordHasher, Words};
 use isum_common::TableId;
 use isum_sql::binder::BoundColumn;
 use isum_sql::{BoundJoin, BoundQuery, BoundTable};
@@ -75,42 +76,6 @@ impl ConfigKeys {
         k
     }
 }
-
-/// A multiply-rotate hasher over whole words (the Fx hash). The memo's
-/// keys are addresses and packed words, which SipHash would spend most of
-/// a hit on; equality, not the hash, decides every lookup.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.write_u64(u64::from_le_bytes(w.try_into().expect("8 bytes")));
-        }
-        for &b in words.remainder() {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.write_u64(u64::from(i));
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
-    }
-}
-
-type Words = BuildHasherDefault<WordHasher>;
 
 /// Addresses of a query's five shared lists.
 type ShapeKey = [usize; 5];

@@ -4,6 +4,11 @@
 //! single-quoted strings with `''` escaping, and decimal numeric literals.
 //! Tokens are spans into the input: lexing allocates nothing beyond the
 //! token buffer, which [`lex_into`] lets a caller reuse.
+//!
+//! [`lex_shaped`] also renders the statement's *shape* in the same pass:
+//! the prepared-template cache's key (see [`crate::prepared`]), written
+//! token by token as the lexer recognizes them. There is one lexer body;
+//! [`lex`] and [`lex_into`] run it with a shape that writes nothing.
 
 use isum_common::{Error, Result};
 
@@ -27,12 +32,83 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
 /// Same as [`lex`]; the buffer's content is unspecified after an error.
 pub fn lex_into(input: &str, tokens: &mut Vec<Token>) -> Result<()> {
     isum_common::count!("sql.lex.calls");
-    lex_uncounted(input, tokens)
+    lex_body(input, tokens, &mut NoShape)
 }
 
-/// [`lex_into`] without counting `sql.lex.calls`, for the prepared cache,
-/// which counts a statement when it settles.
-pub(crate) fn lex_uncounted(input: &str, tokens: &mut Vec<Token>) -> Result<()> {
+/// [`lex_into`] that also writes the statement's shape into `shape`
+/// (cleared first): every token except the final `Eof`, one marker byte
+/// each, with identifiers spelled out lower-cased and number/string
+/// literals reduced to a typed hole. Identifier bytes (`[a-z0-9_]`) never
+/// collide with a marker, so two statements have equal shapes exactly when
+/// their token streams agree up to literal values.
+///
+/// Counts no `sql.lex.calls`: the prepared cache, which lexes through
+/// this, counts a statement when it settles.
+///
+/// # Errors
+/// Same as [`lex`]; both buffers' content is unspecified after an error.
+pub fn lex_shaped(input: &str, tokens: &mut Vec<Token>, shape: &mut Vec<u8>) -> Result<()> {
+    shape.clear();
+    lex_body(input, tokens, shape)
+}
+
+/// Where the lexer body writes each token's shape bytes.
+trait Shape {
+    /// Appends the shape of a token of `kind` spelled `input[start..end]`.
+    fn token(&mut self, kind: TokenKind, input: &[u8], start: usize, end: usize);
+}
+
+/// The shape of [`lex`] and [`lex_into`]: nothing.
+struct NoShape;
+
+impl Shape for NoShape {
+    #[inline(always)]
+    fn token(&mut self, _: TokenKind, _: &[u8], _: usize, _: usize) {}
+}
+
+impl Shape for Vec<u8> {
+    #[inline(always)]
+    fn token(&mut self, kind: TokenKind, input: &[u8], start: usize, end: usize) {
+        let marker = match kind {
+            TokenKind::Keyword(k) => 0x80 | k as u8,
+            TokenKind::Ident => {
+                self.push(0x01);
+                self.extend(input[start..end].iter().map(u8::to_ascii_lowercase));
+                return;
+            }
+            TokenKind::Number(_) => 0x02,
+            TokenKind::String { .. } => 0x03,
+            TokenKind::NotEq => 0x04,
+            TokenKind::LtEq => 0x05,
+            TokenKind::GtEq => 0x06,
+            TokenKind::LParen => b'(',
+            TokenKind::RParen => b')',
+            TokenKind::Comma => b',',
+            TokenKind::Dot => b'.',
+            TokenKind::Semicolon => b';',
+            TokenKind::Star => b'*',
+            TokenKind::Plus => b'+',
+            TokenKind::Minus => b'-',
+            TokenKind::Slash => b'/',
+            TokenKind::Eq => b'=',
+            TokenKind::Lt => b'<',
+            TokenKind::Gt => b'>',
+            TokenKind::Eof => return,
+        };
+        self.push(marker);
+    }
+}
+
+/// `10^k` for the fraction digits `k` of a literal the lexer converts
+/// itself.
+const POWERS_OF_TEN: [f64; 16] =
+    [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15];
+
+/// The lexer: tokens into `tokens` (cleared first), each token's shape
+/// into `shape` as it is recognized. Counts the input's bytes as
+/// `sql.lex.bytes`.
+fn lex_body(input: &str, tokens: &mut Vec<Token>, shape: &mut impl Shape) -> Result<()> {
+    isum_common::count!("sql.lex.bytes", input.len());
     tokens.clear();
     let bytes = input.as_bytes();
     let mut i = 0;
@@ -110,25 +186,38 @@ pub(crate) fn lex_uncounted(input: &str, tokens: &mut Vec<Token>) -> Result<()> 
                 TokenKind::String { escaped }
             }
             b'0'..=b'9' => {
+                // Digits, then at most one `.` followed by a digit.
                 let mut end = i;
-                let mut seen_dot = false;
+                let (mut mantissa, mut digits, mut dot) = (0u64, 0usize, None);
                 while end < bytes.len() {
                     match bytes[end] {
-                        b'0'..=b'9' => end += 1,
-                        b'.' if !seen_dot
+                        d @ b'0'..=b'9' => {
+                            mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                            digits += 1;
+                            end += 1;
+                        }
+                        b'.' if dot.is_none()
                             && bytes.get(end + 1).is_some_and(|b| b.is_ascii_digit()) =>
                         {
-                            seen_dot = true;
+                            dot = Some(digits);
                             end += 1;
                         }
                         _ => break,
                     }
                 }
-                let text = &input[i..end];
-                let value: f64 = text.parse().map_err(|_| Error::Lex {
-                    offset: start,
-                    message: format!("bad numeric literal `{text}`"),
-                })?;
+                let value = match POWERS_OF_TEN.get(digits - dot.unwrap_or(digits)) {
+                    // Up to 15 digits, the mantissa and the power of ten are
+                    // exact doubles, so their one correctly rounded quotient
+                    // is the literal's nearest double, as `parse` gives it.
+                    Some(power) if digits <= 15 => mantissa as f64 / power,
+                    _ => {
+                        let text = &input[i..end];
+                        text.parse().map_err(|_| Error::Lex {
+                            offset: start,
+                            message: format!("bad numeric literal `{text}`"),
+                        })?
+                    }
+                };
                 i = end - 1;
                 TokenKind::Number(value)
             }
@@ -140,7 +229,7 @@ pub(crate) fn lex_uncounted(input: &str, tokens: &mut Vec<Token>) -> Result<()> 
                     end += 1;
                 }
                 i = end - 1;
-                match Keyword::parse(&input[start..end]) {
+                match Keyword::parse_bytes(&bytes[start..end]) {
                     Some(k) => TokenKind::Keyword(k),
                     None => TokenKind::Ident,
                 }
@@ -156,6 +245,7 @@ pub(crate) fn lex_uncounted(input: &str, tokens: &mut Vec<Token>) -> Result<()> 
             }
         };
         i += 1;
+        shape.token(kind, bytes, start, i);
         tokens.push(Token { kind, offset: start, end: i });
     }
     tokens.push(Token { kind: TokenKind::Eof, offset: input.len(), end: input.len() });

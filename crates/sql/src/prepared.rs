@@ -3,9 +3,10 @@
 //!
 //! Real query logs are instances of a few templates, so almost every
 //! statement repeats the token stream of an earlier one with other
-//! literals. [`PreparedCache::analyze`] lexes a statement once, renders its
-//! shape — the token stream with each number and string literal replaced
-//! by a typed hole — and looks it up:
+//! literals. [`PreparedCache::analyze`] lexes a statement once, and the
+//! lexer renders its shape on the way ([`lex_shaped`]: the token stream
+//! with each number and string literal replaced by a typed hole); the
+//! shape is then looked up:
 //!
 //! * **hit**: the literals are computed from the tokens exactly as the
 //!   parser would (`parser::literals_of`) and handed to the shape's
@@ -40,10 +41,10 @@ use isum_catalog::Catalog;
 use isum_common::{count, Error, Result, TemplateId};
 
 use crate::binder::{Binder, BoundQuery, Prepared};
-use crate::lexer::lex_uncounted;
+use crate::lexer::lex_shaped;
 use crate::parser::{literals_of, parse_tokens, Literal, LiteralSource};
 use crate::template::{fingerprint, TemplateRegistry};
-use crate::token::{Token, TokenKind};
+use crate::token::Token;
 
 /// Binds statements, remembering one prepared form per token shape.
 ///
@@ -142,10 +143,9 @@ struct Local {
 
 impl Local {
     fn analyze(&mut self, table: &Mutex<Table>, sql: &str, catalog: &Catalog) -> Analysis {
-        if let Err(e) = lex_uncounted(sql, &mut self.tokens) {
+        if let Err(e) = lex_shaped(sql, &mut self.tokens, &mut self.shape) {
             return Analysis::Failed(e, None);
         }
-        write_shape(sql, &self.tokens, &mut self.shape);
         if let Some(shape) = self.known.get(self.shape.as_slice()) {
             return shape.bind(sql, &self.tokens, catalog, &self.shape);
         }
@@ -305,8 +305,7 @@ impl PreparedCache {
     /// known and its literals fit the shape's prepared form, in which case
     /// the result equals the full path's. Counts nothing.
     pub fn lookup(&mut self, sql: &str, catalog: &Catalog) -> Option<(BoundQuery, TemplateId)> {
-        lex_uncounted(sql, &mut self.own.tokens).ok()?;
-        write_shape(sql, &self.own.tokens, &mut self.own.shape);
+        lex_shaped(sql, &mut self.own.tokens, &mut self.own.shape).ok()?;
         let table = self.table.get_mut().unwrap_or_else(PoisonError::into_inner);
         let shape = table.by_shape.get(self.own.shape.as_slice())?;
         let template = (*self.settled.get(shape.id.index())?)?;
@@ -334,44 +333,6 @@ fn replays(
     });
     debug_assert!(exact, "literal sources do not replay for `{sql}`");
     exact
-}
-
-/// Renders the shape of a lexed statement: every token except the final
-/// `Eof`, one marker byte each, with identifiers spelled out lower-cased
-/// and number/string literals reduced to a typed hole. Identifier bytes
-/// (`[a-z0-9_]`) never collide with a marker, so two statements have equal
-/// shapes exactly when their token streams agree up to literal values.
-fn write_shape(sql: &str, tokens: &[Token], shape: &mut Vec<u8>) {
-    shape.clear();
-    for token in tokens {
-        let marker = match token.kind {
-            TokenKind::Keyword(k) => 0x80 | k as u8,
-            TokenKind::Ident => {
-                shape.push(0x01);
-                shape.extend(token.text(sql).bytes().map(|b| b.to_ascii_lowercase()));
-                continue;
-            }
-            TokenKind::Number(_) => 0x02,
-            TokenKind::String { .. } => 0x03,
-            TokenKind::NotEq => 0x04,
-            TokenKind::LtEq => 0x05,
-            TokenKind::GtEq => 0x06,
-            TokenKind::LParen => b'(',
-            TokenKind::RParen => b')',
-            TokenKind::Comma => b',',
-            TokenKind::Dot => b'.',
-            TokenKind::Semicolon => b';',
-            TokenKind::Star => b'*',
-            TokenKind::Plus => b'+',
-            TokenKind::Minus => b'-',
-            TokenKind::Slash => b'/',
-            TokenKind::Eq => b'=',
-            TokenKind::Lt => b'<',
-            TokenKind::Gt => b'>',
-            TokenKind::Eof => continue,
-        };
-        shape.push(marker);
-    }
 }
 
 #[cfg(test)]
@@ -487,10 +448,8 @@ mod tests {
     #[test]
     fn shapes_tell_tokens_apart_but_not_literal_values_case_or_layout() {
         let shape = |sql: &str| {
-            let mut tokens = Vec::new();
-            lex_uncounted(sql, &mut tokens).unwrap();
-            let mut out = Vec::new();
-            write_shape(sql, &tokens, &mut out);
+            let (mut tokens, mut out) = (Vec::new(), Vec::new());
+            lex_shaped(sql, &mut tokens, &mut out).unwrap();
             out
         };
         let base = shape("SELECT a FROM t WHERE b = 1 AND c = 'x'");

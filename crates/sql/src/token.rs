@@ -49,50 +49,92 @@ pub enum Keyword {
 
 impl Keyword {
     /// Parses a keyword from an identifier-like string (case-insensitive).
+    ///
+    /// Compares in place, without a copy: the word is folded into one
+    /// `u64` (its bytes ORed with `0x20`) and matched against the
+    /// keywords' words, folded at compile time. The match is one comparison tree over the 33 words, so a
+    /// word longer than any keyword, or with none of its length and first
+    /// letter, is rejected after a few comparisons.
     pub fn parse(s: &str) -> Option<Keyword> {
-        use Keyword::*;
-        // The longest keyword has 8 letters; upper-case on the stack.
-        let mut buf = [0u8; 8];
-        let upper = buf.get_mut(..s.len())?;
-        upper.copy_from_slice(s.as_bytes());
-        upper.make_ascii_uppercase();
-        Some(match &*upper {
-            b"SELECT" => Select,
-            b"FROM" => From,
-            b"WHERE" => Where,
-            b"GROUP" => Group,
-            b"ORDER" => Order,
-            b"BY" => By,
-            b"HAVING" => Having,
-            b"LIMIT" => Limit,
-            b"AS" => As,
-            b"AND" => And,
-            b"OR" => Or,
-            b"NOT" => Not,
-            b"IN" => In,
-            b"BETWEEN" => Between,
-            b"LIKE" => Like,
-            b"IS" => Is,
-            b"NULL" => Null,
-            b"EXISTS" => Exists,
-            b"JOIN" => Join,
-            b"INNER" => Inner,
-            b"LEFT" => Left,
-            b"OUTER" => Outer,
-            b"ON" => On,
-            b"ASC" => Asc,
-            b"DESC" => Desc,
-            b"DISTINCT" => Distinct,
-            b"DATE" => Date,
-            b"INTERVAL" => Interval,
-            b"CASE" => Case,
-            b"WHEN" => When,
-            b"THEN" => Then,
-            b"ELSE" => Else,
-            b"END" => End,
-            _ => return None,
-        })
+        Keyword::parse_bytes(s.as_bytes())
     }
+
+    /// [`parse`](Self::parse) over the word's bytes.
+    pub(crate) fn parse_bytes(word: &[u8]) -> Option<Keyword> {
+        match word.len() {
+            2..=8 => Keyword::of_folded(fold(word)),
+            _ => None,
+        }
+    }
+}
+
+/// Defines [`Keyword::of_folded`] from each keyword and its spelling.
+macro_rules! keywords {
+    ($($keyword:ident $word:literal,)*) => {
+        impl Keyword {
+            /// The keyword whose [`fold`]ed spelling is `folded`, if any.
+            #[allow(non_upper_case_globals)] // one constant per variant
+            #[inline(always)]
+            fn of_folded(folded: u64) -> Option<Keyword> {
+                $(const $keyword: u64 = fold($word.as_bytes());)*
+                match folded {
+                    $($keyword => Some(Keyword::$keyword),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+keywords! {
+    Select "SELECT",
+    From "FROM",
+    Where "WHERE",
+    Group "GROUP",
+    Order "ORDER",
+    By "BY",
+    Having "HAVING",
+    Limit "LIMIT",
+    As "AS",
+    And "AND",
+    Or "OR",
+    Not "NOT",
+    In "IN",
+    Between "BETWEEN",
+    Like "LIKE",
+    Is "IS",
+    Null "NULL",
+    Exists "EXISTS",
+    Join "JOIN",
+    Inner "INNER",
+    Left "LEFT",
+    Outer "OUTER",
+    On "ON",
+    Asc "ASC",
+    Desc "DESC",
+    Distinct "DISTINCT",
+    Date "DATE",
+    Interval "INTERVAL",
+    Case "CASE",
+    When "WHEN",
+    Then "THEN",
+    Else "ELSE",
+    End "END",
+}
+
+/// A word of two to eight bytes as one little-endian `u64`, zero-padded,
+/// each byte ORed with `0x20`. The OR maps an ASCII letter to its lower
+/// case and no other byte to a letter, and no folded byte is zero, so two
+/// words fold equal exactly when they are the same letters up to ASCII
+/// case (or the same other bytes up to that bit, which no keyword has).
+const fn fold(word: &[u8]) -> u64 {
+    let mut folded = 0u64;
+    let mut i = 0;
+    while i < word.len() {
+        folded |= ((word[i] | 0x20) as u64) << (8 * i);
+        i += 1;
+    }
+    folded
 }
 
 /// A lexed token: its kind plus the byte span `offset..end` it covers in

@@ -5,6 +5,16 @@
 //! the plan details, e.g., Query Store"). This module parses
 //! `;`-separated SQL scripts and an optional `-- cost: <value>` annotation
 //! convention for carrying logged costs alongside each statement.
+//!
+//! A script is split by one serial scan of its bytes (`scan`) that
+//! copies nothing: it skips eight bytes at a time past the bytes it does
+//! not act on and records where each statement's text lies, and its cost.
+//! The loaders then copy each statement's text out of the script inside
+//! the parallel chunks that analyze it, so the copies and their page
+//! faults run on every thread; [`split_script`] copies them all on the
+//! calling thread.
+
+use std::ops::Range;
 
 use isum_catalog::Catalog;
 use isum_common::Result;
@@ -19,8 +29,7 @@ use crate::query::Workload;
 /// # Errors
 /// Propagates parse/bind errors with the failing statement index.
 pub fn load_script(catalog: Catalog, script: &str) -> Result<Workload> {
-    let (sqls, costs) = split_script(script);
-    let (w, mut first_failure) = Workload::from_script(catalog, sqls, costs, false);
+    let (w, mut first_failure) = Workload::from_script(catalog, script, &scan(script), false);
     match first_failure.pop() {
         Some((_, e)) => Err(e),
         None => Ok(w),
@@ -35,91 +44,247 @@ pub fn load_script_lenient(
     catalog: Catalog,
     script: &str,
 ) -> (Workload, Vec<(usize, isum_common::Error)>) {
-    let (sqls, costs) = split_script(script);
-    Workload::from_script(catalog, sqls, costs, true)
+    Workload::from_script(catalog, script, &scan(script), true)
 }
 
 /// Splits a script into statements and their optional cost annotations
 /// (shared by the loaders above and the serving daemon's ingest path, so
-/// both carve up a script identically).
+/// both carve up a script identically): `scan`, then each statement's
+/// text copied out on the calling thread.
 ///
 /// A statement ends at a `;` that is outside a string literal and outside
 /// a `--` comment. Lines that are blank or hold only a comment are dropped
 /// (a `-- cost: <float>` line annotates the next statement to end, unless
 /// the value does not parse or is not finite), as is a comment that trails
 /// a statement's `;` on the same line; comments inside a statement stay in
-/// its text, which the lexer skips.
+/// its text, which the lexer skips. Line ends read as `\n`, and a
+/// statement's text is trimmed, its trailing `;` cut.
 pub fn split_script(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
-    let mut sqls = Vec::new();
-    let mut costs = Vec::new();
-    let mut pending_cost: Option<f64> = None;
-    let mut current = String::new();
-    let mut finish = |current: &mut String, pending_cost: &mut Option<f64>| {
-        let stmt = current.trim().trim_end_matches(';').trim();
-        if !stmt.is_empty() {
-            sqls.push(stmt.to_string());
-            costs.push(pending_cost.take());
+    let spans = scan(script);
+    spans.statements.iter().map(|s| (spans.text(script, s), s.cost)).unzip()
+}
+
+/// Where a script's statements are, as [`scan`] found them.
+#[derive(Debug, Default)]
+pub(crate) struct Spans {
+    /// The statements, in script order.
+    pub(crate) statements: Vec<Span>,
+    /// The runs of script bytes that make up the statements whose text is
+    /// not one range of the script.
+    runs: Vec<Range<usize>>,
+}
+
+/// One statement of a script.
+#[derive(Debug)]
+pub(crate) struct Span {
+    /// Its `-- cost:` annotation.
+    pub(crate) cost: Option<f64>,
+    text: Text,
+}
+
+/// Where a statement's text is.
+#[derive(Debug)]
+enum Text {
+    /// `script[range]`, exactly: the usual case, a statement whose lines
+    /// are contiguous in the script and end in `\n`.
+    Script(Range<usize>),
+    /// `Spans::runs[range]`, joined, trimmed and its trailing `;` cut: a
+    /// statement with a blank or comment line inside it, or a `\r\n` line
+    /// end (whose `\n` is a run of its own).
+    Runs(Range<usize>),
+}
+
+impl Spans {
+    /// The text of `statement`, a statement of `script`, copied out.
+    pub(crate) fn text(&self, script: &str, statement: &Span) -> String {
+        match &statement.text {
+            Text::Script(range) => script[range.clone()].to_string(),
+            Text::Runs(runs) => {
+                let joined: String =
+                    self.runs[runs.clone()].iter().map(|r| &script[r.clone()]).collect();
+                trim_statement(&joined).to_string()
+            }
         }
-        current.clear();
-    };
+    }
+}
+
+/// A statement's text as the split gives it: trimmed, trailing `;` cut.
+fn trim_statement(text: &str) -> &str {
+    text.trim().trim_end_matches(';').trim()
+}
+
+/// The pieces of the statement the scan is in: the script ranges its text
+/// is joined from, each line's piece followed by that line's `\n`.
+#[derive(Default)]
+struct Pieces {
+    /// The range of the pieces so far while they are contiguous.
+    range: Option<Range<usize>>,
+    /// Where the statement's runs start in `Spans::runs`, once its pieces
+    /// are not contiguous.
+    runs_from: Option<usize>,
+}
+
+impl Pieces {
+    fn push(&mut self, piece: Range<usize>, spans: &mut Spans) {
+        if piece.is_empty() {
+            return;
+        }
+        if self.runs_from.is_some() {
+            match spans.runs.last_mut() {
+                Some(last) if last.end == piece.start => last.end = piece.end,
+                _ => spans.runs.push(piece),
+            }
+            return;
+        }
+        match &mut self.range {
+            None => self.range = Some(piece),
+            Some(range) if range.end == piece.start => range.end = piece.end,
+            Some(range) => {
+                self.runs_from = Some(spans.runs.len());
+                spans.runs.push(range.clone());
+                spans.runs.push(piece);
+            }
+        }
+    }
+
+    /// Ends the statement: it joins `spans` with the pending cost unless
+    /// its text is empty.
+    fn finish(&mut self, script: &str, cost: &mut Option<f64>, spans: &mut Spans) {
+        let text = match (std::mem::take(&mut self.range), self.runs_from.take()) {
+            (_, Some(from)) => {
+                // Pieces that are not contiguous are never empty: a
+                // statement's first piece has a character other than white
+                // space or `;` unless it ends the statement.
+                Text::Runs(from..spans.runs.len())
+            }
+            (Some(range), None) => {
+                let text = trim_statement(&script[range]);
+                if text.is_empty() {
+                    return;
+                }
+                let start = text.as_ptr() as usize - script.as_ptr() as usize;
+                Text::Script(start..start + text.len())
+            }
+            (None, None) => return,
+        };
+        spans.statements.push(Span { cost: cost.take(), text });
+    }
+}
+
+/// Finds a script's statements (see [`split_script`] for the rules) in
+/// one pass over its bytes, copying none of them. Counts the script's
+/// bytes as `workload.split.bytes`.
+pub(crate) fn scan(script: &str) -> Spans {
+    isum_common::count!("workload.split.bytes", script.len());
+    let bytes = script.as_bytes();
+    let mut spans = Spans::default();
+    let mut pieces = Pieces::default();
+    let mut pending_cost: Option<f64> = None;
     // Whether the text so far ends inside a string literal (a `''` escape
     // leaves and re-enters it, which comes to the same).
     let mut in_string = false;
-    for line in script.lines() {
+    let mut line = 0;
+    while line < bytes.len() {
+        let mut i = line;
         if !in_string {
-            let trimmed = line.trim();
-            if let Some(rest) = trimmed.strip_prefix("-- cost:") {
-                pending_cost = parse_cost(rest);
+            // Blank lines, and a line that holds only a comment, are
+            // dropped.
+            let first = bytes.len() - script[line..].trim_start().len();
+            if first == bytes.len() {
+                break;
+            }
+            if let Some(nl) = bytes[line..first].iter().rposition(|&b| b == b'\n') {
+                line += nl + 1;
+            }
+            if bytes[first..].starts_with(b"--") {
+                let end = next_line_feed(bytes, first);
+                if let Some(cost) = script[first..end].strip_prefix("-- cost:") {
+                    pending_cost = parse_cost(cost);
+                }
+                line = end + 1;
                 continue;
             }
-            if trimmed.starts_with("--") || trimmed.is_empty() {
-                continue;
-            }
+            i = first;
         }
-        let bytes = line.as_bytes();
-        let mut rest_from = 0;
-        let mut i = 0;
-        while i < bytes.len() {
-            if bytes.get(i..i + 8).is_some_and(|word| !has_split_byte(word)) {
-                i += 8;
-                continue;
-            }
-            match bytes[i] {
-                b'\'' => in_string = !in_string,
-                b'-' if !in_string && bytes.get(i + 1) == Some(&b'-') => break,
-                b';' if !in_string => {
-                    current.push_str(&line[rest_from..=i]);
-                    finish(&mut current, &mut pending_cost);
+        let mut rest_from = line;
+        // Scan to the line's end, ending a statement at each `;`.
+        loop {
+            // Inside a literal only its end, or the line's, matters.
+            i = if in_string {
+                next_of(bytes, i, STRING_BYTES)
+            } else {
+                next_of(bytes, i, SPLIT_BYTES)
+            };
+            match bytes.get(i) {
+                None | Some(b'\n') => break,
+                Some(b'\'') => in_string = !in_string,
+                Some(b'-') if !in_string && bytes.get(i + 1) == Some(&b'-') => {
+                    i = next_line_feed(bytes, i);
+                    break;
+                }
+                Some(b';') if !in_string => {
+                    pieces.push(rest_from..i + 1, &mut spans);
+                    pieces.finish(script, &mut pending_cost, &mut spans);
                     rest_from = i + 1;
                 }
                 _ => {}
             }
             i += 1;
         }
-        let rest = &line[rest_from..];
-        let only_comment = rest_from > 0 && {
-            let rest = rest.trim_start();
+        // `i` is the line's `\n`, or the script's end; a `\r` before the
+        // `\n` is not part of the line.
+        let end = if i > rest_from && bytes.get(i) == Some(&b'\n') && bytes[i - 1] == b'\r' {
+            i - 1
+        } else {
+            i
+        };
+        let only_comment = rest_from > line && {
+            let rest = script[rest_from..end].trim_start();
             rest.is_empty() || rest.starts_with("--")
         };
         if !only_comment {
-            current.push_str(rest);
-            current.push('\n');
+            // The line's piece, then its `\n` (none at the script's end,
+            // where the text is trimmed anyway).
+            pieces.push(rest_from..end, &mut spans);
+            pieces.push(i..(i + 1).min(bytes.len()), &mut spans);
         }
+        line = i + 1;
     }
-    finish(&mut current, &mut pending_cost);
-    (sqls, costs)
+    pieces.finish(script, &mut pending_cost, &mut spans);
+    spans
 }
 
-/// True when `word` (eight bytes) holds one of the bytes the splitter
-/// acts on — `'`, `-`, `;` — so a line is scanned eight bytes at a time
-/// past the text between them. Per byte value this is the exact test for
-/// a zero byte in `word` XOR that value repeated.
-fn has_split_byte(word: &[u8]) -> bool {
+/// The index of the first `\n` at or after `from`, or the script's length.
+fn next_line_feed(bytes: &[u8], from: usize) -> usize {
+    bytes[from..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |p| from + p)
+}
+
+/// The index of the first of `set` at or after `from` in `bytes`, or
+/// `bytes.len()`. Eight bytes are tested at a time.
+fn next_of<const N: usize>(bytes: &[u8], mut from: usize, set: [u8; N]) -> usize {
+    while let Some(word) = bytes.get(from..from + 8) {
+        match first_of(u64::from_le_bytes(word.try_into().expect("eight bytes")), set) {
+            Some(at) => return from + at,
+            None => from += 8,
+        }
+    }
+    from + bytes[from..].iter().position(|b| set.contains(b)).unwrap_or(bytes.len() - from)
+}
+
+/// The bytes the scan acts on outside a string literal, and inside one.
+const SPLIT_BYTES: [u8; 4] = [b'\'', b'-', b';', b'\n'];
+const STRING_BYTES: [u8; 2] = [b'\'', b'\n'];
+
+/// The position of the first of `set` in `word` (eight bytes,
+/// little-endian), if any. Per byte value this is the test for a zero byte
+/// in `word` XOR that value repeated; its lowest flagged byte is exact
+/// (only a borrow out of a true zero byte flags a false one, above it).
+fn first_of<const N: usize>(word: u64, set: [u8; N]) -> Option<usize> {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
-    let x = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-    let has_zero_byte = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS != 0;
-    [b'\'', b'-', b';'].into_iter().any(|b| has_zero_byte(x ^ (ONES * u64::from(b))))
+    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let found = set.iter().fold(0, |found, &b| found | zero_bytes(word ^ (ONES * u64::from(b))));
+    (found != 0).then(|| found.trailing_zeros() as usize / 8)
 }
 
 /// The value of a `-- cost:` annotation. A non-finite one (`NaN`, `inf`)
@@ -266,16 +431,31 @@ SELECT a FROM no_such_table;
 
     #[test]
     fn the_eight_byte_scan_finds_each_split_byte_at_every_position() {
-        for special in [b'\'', b'-', b';'] {
-            assert!(!has_split_byte(b"SELECT a"));
+        let word = |bytes: &[u8; 8]| u64::from_le_bytes(*bytes);
+        assert_eq!(first_of(word(b"SELECT a"), SPLIT_BYTES), None);
+        for special in SPLIT_BYTES {
             for at in 0..8 {
-                let mut word = *b"abcdefgh";
-                word[at] = special;
-                assert!(has_split_byte(&word), "{} at {at}", special as char);
+                let mut bytes = *b"abcdefgh";
+                bytes[at] = special;
+                assert_eq!(first_of(word(&bytes), SPLIT_BYTES), Some(at), "{special:#x} at {at}");
+                // The first of several is found, whatever follows it.
+                bytes[7] = b';';
+                assert_eq!(first_of(word(&bytes), SPLIT_BYTES), Some(at), "{special:#x} at {at}");
             }
         }
-        // Bytes next to the three in value, and high bytes, are not them.
-        assert!(!has_split_byte(&[b'&', b'(', b',', b'.', b':', b'<', 0x80, 0xff]));
+        // Bytes next to the four in value, and high bytes, are not them.
+        assert_eq!(
+            first_of(word(&[b'&', b'(', b',', b'.', b':', b'<', 0x80, 0xff]), SPLIT_BYTES),
+            None
+        );
+        assert_eq!(first_of(word(&[0x09, 0x0b, b'\r', b'+', b'/', 0x7f, 0, 0]), SPLIT_BYTES), None);
+        // And the scan over a whole script finds them past the words too.
+        let script = b"abcdefghijklmnop;qr\nst";
+        assert_eq!(next_of(script, 0, SPLIT_BYTES), 16);
+        assert_eq!(next_of(script, 17, SPLIT_BYTES), 19);
+        assert_eq!(next_of(script, 20, SPLIT_BYTES), script.len());
+        // Inside a literal, `-` and `;` are passed over.
+        assert_eq!(next_of(b"1994-01-01; -- x';", 0, STRING_BYTES), 16);
     }
 
     #[test]

@@ -7,6 +7,8 @@ use isum_catalog::Catalog;
 use isum_common::{Error, QueryId, Result, TemplateId};
 use isum_sql::{Analysis, BoundQuery, PreparedCache, ShapeId, TemplateRegistry};
 
+use crate::loader::Spans;
+
 /// Complexity class of a query, following the DSB benchmark's split used by
 /// Fig 12 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,8 +79,8 @@ fn next_uid() -> u64 {
 
 /// One statement of a script on its way to a row of the workload.
 enum Row {
-    /// Its text and logged cost, not analyzed yet.
-    Text(String, f64),
+    /// Not analyzed yet: its text is still in the script.
+    Pending,
     /// Bound, with `template` holding the id of its shape (and `id` its
     /// input index) until the merge settles them.
     Bound(QueryInfo),
@@ -105,31 +107,31 @@ impl Workload {
         Ok(w)
     }
 
-    /// Builds a workload from a split script's statements and costs.
+    /// Builds a workload from a script's statements, as
+    /// [`scan`](crate::loader::scan) found them.
     ///
     /// The statements are analyzed in contiguous chunks: the calling
     /// thread takes the first and `isum_exec::global_threads() − 1`
-    /// workers the rest, all through one shared shape table. The rows are
+    /// workers the rest, all through one shared shape table. Each chunk
+    /// copies its statements' text out of the script, and each text moves
+    /// into its query. The rows are
     /// then settled in statement order — ids, template ids, shape counters
     /// — so the workload is the one a serial pass builds, at any thread
     /// count. A statement that fails to parse or bind is returned with its
     /// input index and error, and left out (counted as
     /// `workload.parse_skipped` when `lenient`); when not `lenient`, only
     /// the first such statement is returned and the workload is
-    /// incomplete. Each statement's text moves into its query.
+    /// incomplete.
     pub(crate) fn from_script(
         catalog: Catalog,
-        sqls: Vec<String>,
-        costs: Vec<Option<f64>>,
+        script: &str,
+        spans: &Spans,
         lenient: bool,
     ) -> (Workload, Vec<(usize, Error)>) {
         let started = isum_common::telemetry::enabled().then(Instant::now);
         let mut w = Workload::empty(catalog);
-        let mut rows: Vec<Row> = sqls
-            .into_iter()
-            .zip(costs)
-            .map(|(sql, cost)| Row::Text(sql, cost.unwrap_or(0.0)))
-            .collect();
+        let mut rows: Vec<Row> =
+            std::iter::repeat_with(|| Row::Pending).take(spans.statements.len()).collect();
         let chunks = AtomicUsize::new(0);
         // The lowest index of a statement that failed, in a strict load: a
         // chunk stops before a statement past it, which cannot be the first
@@ -139,12 +141,17 @@ impl Workload {
         isum_exec::par_chunks_mut(&mut rows, |start, chunk| {
             chunks.fetch_add(1, Ordering::Relaxed);
             let mut view = cache.view();
-            for (i, row) in (start..).zip(chunk) {
+            // The chunk's texts are copied first, so that they lie together
+            // in memory and the filters the analysis allocates lie together
+            // apart from them, as when the split copied every text first:
+            // selection reads the filters of every query.
+            let statements = &spans.statements[start..start + chunk.len()];
+            let texts: Vec<String> = statements.iter().map(|s| spans.text(script, s)).collect();
+            for (i, (row, sql)) in (start..).zip(chunk.iter_mut().zip(texts)) {
                 if !lenient && first_failed.load(Ordering::Relaxed) < i {
                     break;
                 }
-                let Row::Text(sql, cost) = row else { unreachable!("rows start as text") };
-                let (sql, cost) = (std::mem::take(sql), *cost);
+                let cost = spans.statements[i].cost.unwrap_or(0.0);
                 *row = match view.analyze(&sql, catalog) {
                     Analysis::Bound(bound, shape) => Row::Bound(QueryInfo {
                         id: QueryId::from_index(i),
@@ -179,7 +186,7 @@ impl Workload {
                     skipped.push((i, e));
                     None
                 }
-                Row::Text(..) => unreachable!("a chunk stops only past a failed row"),
+                Row::Pending => unreachable!("a chunk stops only past a failed row"),
             })
             .collect();
         w.queries = queries;

@@ -111,3 +111,62 @@ pub fn shares_lists(a: &BoundQuery, b: &BoundQuery) -> bool {
         && Arc::ptr_eq(&a.order_by, &b.order_by)
         && Arc::ptr_eq(&a.projections, &b.projections)
 }
+
+/// The line-based splitter `split_script` was before its text came from a
+/// byte scan: the model the splitter is held to.
+#[allow(dead_code)] // not every test binary splits scripts
+pub fn split_model(script: &str) -> (Vec<String>, Vec<Option<f64>>) {
+    let parse_cost = |text: &str| text.trim().parse::<f64>().ok().filter(|c| c.is_finite());
+    let mut sqls = Vec::new();
+    let mut costs = Vec::new();
+    let mut pending_cost: Option<f64> = None;
+    let mut current = String::new();
+    let mut finish = |current: &mut String, pending_cost: &mut Option<f64>| {
+        let stmt = current.trim().trim_end_matches(';').trim();
+        if !stmt.is_empty() {
+            sqls.push(stmt.to_string());
+            costs.push(pending_cost.take());
+        }
+        current.clear();
+    };
+    let mut in_string = false;
+    for line in script.lines() {
+        if !in_string {
+            let trimmed = line.trim();
+            if let Some(rest) = trimmed.strip_prefix("-- cost:") {
+                pending_cost = parse_cost(rest);
+                continue;
+            }
+            if trimmed.starts_with("--") || trimmed.is_empty() {
+                continue;
+            }
+        }
+        let bytes = line.as_bytes();
+        let mut rest_from = 0;
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'\'' => in_string = !in_string,
+                b'-' if !in_string && bytes.get(i + 1) == Some(&b'-') => break,
+                b';' if !in_string => {
+                    current.push_str(&line[rest_from..=i]);
+                    finish(&mut current, &mut pending_cost);
+                    rest_from = i + 1;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        let rest = &line[rest_from..];
+        let only_comment = rest_from > 0 && {
+            let rest = rest.trim_start();
+            rest.is_empty() || rest.starts_with("--")
+        };
+        if !only_comment {
+            current.push_str(rest);
+            current.push('\n');
+        }
+    }
+    finish(&mut current, &mut pending_cost);
+    (sqls, costs)
+}
