@@ -99,11 +99,6 @@ impl Shape for Vec<u8> {
     }
 }
 
-/// `10^k` for the fraction digits `k` of a literal the lexer converts
-/// itself.
-const POWERS_OF_TEN: [f64; 16] =
-    [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15];
-
 /// The lexer: tokens into `tokens` (cleared first), each token's shape
 /// into `shape` as it is recognized. Counts the input's bytes as
 /// `sql.lex.bytes`.
@@ -186,38 +181,25 @@ fn lex_body(input: &str, tokens: &mut Vec<Token>, shape: &mut impl Shape) -> Res
                 TokenKind::String { escaped }
             }
             b'0'..=b'9' => {
-                // Digits, then at most one `.` followed by a digit.
                 let mut end = i;
-                let (mut mantissa, mut digits, mut dot) = (0u64, 0usize, None);
+                let mut seen_dot = false;
                 while end < bytes.len() {
                     match bytes[end] {
-                        d @ b'0'..=b'9' => {
-                            mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-                            digits += 1;
-                            end += 1;
-                        }
-                        b'.' if dot.is_none()
+                        b'0'..=b'9' => end += 1,
+                        b'.' if !seen_dot
                             && bytes.get(end + 1).is_some_and(|b| b.is_ascii_digit()) =>
                         {
-                            dot = Some(digits);
+                            seen_dot = true;
                             end += 1;
                         }
                         _ => break,
                     }
                 }
-                let value = match POWERS_OF_TEN.get(digits - dot.unwrap_or(digits)) {
-                    // Up to 15 digits, the mantissa and the power of ten are
-                    // exact doubles, so their one correctly rounded quotient
-                    // is the literal's nearest double, as `parse` gives it.
-                    Some(power) if digits <= 15 => mantissa as f64 / power,
-                    _ => {
-                        let text = &input[i..end];
-                        text.parse().map_err(|_| Error::Lex {
-                            offset: start,
-                            message: format!("bad numeric literal `{text}`"),
-                        })?
-                    }
-                };
+                let text = &input[i..end];
+                let value: f64 = text.parse().map_err(|_| Error::Lex {
+                    offset: start,
+                    message: format!("bad numeric literal `{text}`"),
+                })?;
                 i = end - 1;
                 TokenKind::Number(value)
             }

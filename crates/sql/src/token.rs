@@ -50,11 +50,11 @@ pub enum Keyword {
 impl Keyword {
     /// Parses a keyword from an identifier-like string (case-insensitive).
     ///
-    /// Compares in place, without a copy: the word is folded into one
-    /// `u64` (its bytes ORed with `0x20`) and matched against the
-    /// keywords' words, folded at compile time. The match is one comparison tree over the 33 words, so a
-    /// word longer than any keyword, or with none of its length and first
-    /// letter, is rejected after a few comparisons.
+    /// Compares in place, without a copy: a word of two to eight bytes is
+    /// folded into one `u64` (its bytes ORed with `0x20`) and matched
+    /// against the keywords' words, folded at compile time. The match is
+    /// one comparison tree over the 33 words, so any word is decided after
+    /// a few integer comparisons; a longer or shorter one after none.
     pub fn parse(s: &str) -> Option<Keyword> {
         Keyword::parse_bytes(s.as_bytes())
     }
